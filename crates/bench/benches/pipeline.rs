@@ -37,17 +37,6 @@ fn pipeline_end_to_end(c: &mut Criterion) {
             );
         }
     }
-    // Similarity-cache ablation on the full scan (the cache-friendliest
-    // workload: every tuple pair re-compares the same value strings).
-    for cached in [false, true] {
-        let pipeline =
-            probdedup_bench::experiment_pipeline_cached(ReductionStrategy::Full, 4, cached);
-        group.bench_with_input(
-            BenchmarkId::new("full-4t-cache", cached),
-            &pipeline,
-            |b, pipeline| b.iter(|| pipeline.run(&sources).unwrap().decisions.len()),
-        );
-    }
     group.finish();
 }
 

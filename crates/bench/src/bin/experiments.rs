@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every figure of the paper
-//! (paper-vs-measured) and runs the quantitative experiments E1–E6 of
-//! DESIGN.md. The output of `--all` is the source of EXPERIMENTS.md.
+//! (paper-vs-measured) and runs the quantitative experiments E1–E6
+//! defined below (`--all` prints every figure and experiment).
 //!
 //! ```text
 //! cargo run -p probdedup-bench --bin experiments --release -- --all
@@ -853,8 +853,8 @@ fn exp_em() {
 }
 
 /// E6/ablation: how the key design drives the completeness/reduction
-/// trade-off of the sorting-alternatives method — the DESIGN.md ablation
-/// for the paper's "a key could contain the first three characters of the
+/// trade-off of the sorting-alternatives method — the ablation for the
+/// paper's "a key could contain the first three characters of the
 /// name value and the first two characters of the job value".
 fn exp_keys() {
     use probdedup::reduction::{KeyPart, KeySpec};

@@ -16,22 +16,17 @@
 //!
 //! The measured modes:
 //!
-//! * `plain`       — no similarity memoization (`cache_similarities(false)`);
-//! * `value-cache` — the pre-interning design: Eq. 5 through a
-//!   [`CachedComparator`] keyed on cloned `Value` pairs (what the
-//!   pipeline's cached mode did before the interning layer existed) —
-//!   kept here as the before/after baseline for the interned path;
-//! * `interned`    — the pipeline's cached mode: symbols + sharded
-//!   `SymbolCache` + upper-bound pruning;
-//! * `bounded`     — the classify-only (bounded) matching mode on plain
-//!   values: thresholds decompose into attribute budgets, Eq. 5 runs
-//!   against cut intervals, kernels run bounded, and no comparison matrix
-//!   is allocated. Classification is identical to `plain`
-//!   (property-tested); only which side of the thresholds each pair falls
-//!   on is computed. The JSON records the fraction of pairs disposed by
-//!   each bound tier;
-//! * `bounded-interned` — the same bounded path over interned symbols,
-//!   with exact values *and* below-cut verdicts memoized per symbol pair;
+//! * `interned`    — the engine's exact configuration: symbols + sharded
+//!   `SymbolCache` + upper-bound pruning, full comparison matrices handed
+//!   to the decision model;
+//! * `bounded-interned` — the engine's classify-only configuration:
+//!   thresholds decompose into attribute budgets, Eq. 5 runs against cut
+//!   intervals, kernels run bounded, exact values *and* below-cut verdicts
+//!   are memoized per symbol pair, and no comparison matrix is allocated.
+//!   Classification is identical to `interned` (property-tested); the
+//!   JSON records the fraction of pairs disposed by each bound tier.
+//!   (The mode names are kept from when each had a plain twin, so the
+//!   committed `BENCH_pipeline.json` rows stay comparable);
 //! * `session-cold` / `session-warm` / `incremental` — the persistent
 //!   `DedupSession` front door over the interned configuration: a fresh
 //!   session's first run, the amortized warm rerun of identical sources
@@ -105,16 +100,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use probdedup_bench::{
-    experiment_key, experiment_model, experiment_pipeline_bounded, experiment_pipeline_cached,
-    experiment_pipeline_scale, peak_rss_bytes, workload, SEED,
+    experiment_key, experiment_pipeline, experiment_pipeline_bounded, experiment_pipeline_scale,
+    peak_rss_bytes, workload, SEED,
 };
-use probdedup_core::exec::par_map_index;
 use probdedup_core::pipeline::ReductionStrategy;
 use probdedup_core::prepare::Preparation;
 use probdedup_core::session::DedupSession;
-use probdedup_matching::cache::CachedComparator;
-use probdedup_matching::matrix::compare_xtuples_cached;
-use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::relation::XRelation;
 use probdedup_model::value::Value;
 use probdedup_model::ValuePool;
@@ -224,41 +215,35 @@ fn main() {
         "{:<9} {:>6} {:<12} {:>7} {:>11} {:>10} {:>13} {:>9}",
         "entities", "rows", "mode", "threads", "candidates", "wall ms", "pairs/s", "hit rate"
     );
-    for &entities in &scales {
+    for (scale_idx, &entities) in scales.iter().enumerate() {
         let ds = workload(entities);
         let sources: Vec<&XRelation> = ds.relations.iter().collect();
         let rows = ds.total_rows();
+        if scale_idx == 0 {
+            // One untimed run, so the first timed row does not also pay
+            // for the process's first page faults and thread spawns (the
+            // committed baseline rows were measured in a warm process).
+            experiment_pipeline(ReductionStrategy::Full, threads_list[0])
+                .run(&sources)
+                .expect("warm-up run");
+        }
         for &threads in &threads_list {
-            for (mode, cached) in [("plain", false), ("interned", true)] {
-                let pipeline = experiment_pipeline_cached(ReductionStrategy::Full, threads, cached);
+            // The engine's two configurations over the same workload:
+            // exact, and classify-only (same classification, evaluation
+            // stops once a pair's band is certified — the tier fractions
+            // are all zero for the exact run).
+            for (mode, pipeline) in [
+                (
+                    "interned",
+                    experiment_pipeline(ReductionStrategy::Full, threads),
+                ),
+                (
+                    "bounded-interned",
+                    experiment_pipeline_bounded(ReductionStrategy::Full, threads),
+                ),
+            ] {
                 let start = Instant::now();
                 let result = pipeline.run(&sources).expect("pipeline run");
-                let wall = start.elapsed().as_secs_f64();
-                runs.push(Run {
-                    entities,
-                    rows,
-                    mode,
-                    threads,
-                    candidates: result.candidates,
-                    wall_ms: wall * 1e3,
-                    pairs_per_sec: result.candidates as f64 / wall,
-                    cache_hits: result.stats.cache_hits,
-                    cache_misses: result.stats.cache_misses,
-                    cache_hit_rate: result.stats.hit_rate(),
-                    interned_values: result.stats.interned_values,
-                    ..Run::default()
-                });
-                print_run(runs.last().expect("just pushed"));
-            }
-            // Classify-only (bounded) matching: same workload, same
-            // classification, evaluation stops once a pair's band is
-            // certified. Compared by the gate against its own committed
-            // baselines; the exact `plain` path is the speedup reference.
-            for (mode, cached) in [("bounded", false), ("bounded-interned", true)] {
-                let pipeline =
-                    experiment_pipeline_bounded(ReductionStrategy::Full, threads, cached);
-                let start = Instant::now();
-                let result = pipeline.run(&sources).expect("bounded pipeline run");
                 let wall = start.elapsed().as_secs_f64();
                 let (fm, fu, fp) = result.stats.disposal_fractions();
                 runs.push(Run {
@@ -281,14 +266,11 @@ fn main() {
                 });
                 print_run(runs.last().expect("just pushed"));
             }
-            // The pre-interning baseline: value-keyed memoization.
-            runs.push(value_cache_baseline(entities, rows, &sources, threads));
-            print_run(runs.last().expect("just pushed"));
             // The sharded out-of-core front door over the interned full
             // comparison: same candidate set as `interned`, plus shard
             // routing, per-shard classification and the merge.
             {
-                let pipeline = experiment_pipeline_cached(ReductionStrategy::Full, threads, true);
+                let pipeline = experiment_pipeline(ReductionStrategy::Full, threads);
                 let sharded = pipeline.sharded(4);
                 let start = Instant::now();
                 let (result, shard_stats) = sharded.run_with_stats(&sources).expect("sharded run");
@@ -662,7 +644,7 @@ fn scale_mode(entities: usize, shards: usize, budget: u64) -> Run {
 fn session_modes(entities: usize, rows: usize, sources: &[&XRelation], threads: usize) -> Vec<Run> {
     /// Minimum accumulated measurement window for the repeated modes.
     const SESSION_MIN_WALL: f64 = 0.25;
-    let pipeline = experiment_pipeline_cached(ReductionStrategy::Full, threads, true);
+    let pipeline = experiment_pipeline(ReductionStrategy::Full, threads);
     let mut runs = Vec::new();
     // The session's counters are cumulative over its lifetime; each mode
     // reports the **delta across its own timed region** so the JSON's
@@ -821,7 +803,7 @@ fn session_modes(entities: usize, rows: usize, sources: &[&XRelation], threads: 
 fn serve_modes(entities: usize, rows: usize, sources: &[&XRelation], threads: usize) -> Vec<Run> {
     /// Minimum accumulated measurement window per mode.
     const SERVE_MIN_WALL: f64 = 0.25;
-    let pipeline = experiment_pipeline_cached(ReductionStrategy::Full, threads, true);
+    let pipeline = experiment_pipeline(ReductionStrategy::Full, threads);
     let running = Server::bind(ServeConfig::new("127.0.0.1:0", pipeline))
         .expect("bind loopback")
         .spawn();
@@ -918,7 +900,7 @@ fn entities_modes(
     /// Minimum accumulated measurement window per strategy.
     const ENTITY_MIN_WALL: f64 = 0.25;
     let sources: Vec<&XRelation> = ds.relations.iter().collect();
-    let pipeline = experiment_pipeline_cached(ReductionStrategy::Full, 4, true);
+    let pipeline = experiment_pipeline(ReductionStrategy::Full, 4);
     let result = pipeline.run(&sources).expect("pipeline run (untimed)");
     let truth = ds.truth.true_clusters();
 
@@ -1037,65 +1019,6 @@ fn print_run(r: &Run) {
         r.pairs_per_sec,
         r.cache_hit_rate
     );
-}
-
-/// Matching + decision over the full candidate set through the
-/// value-keyed [`CachedComparator`] (the design the interned path
-/// replaced), on the same work-stealing executor so only the hot path
-/// differs.
-fn value_cache_baseline(
-    entities: usize,
-    rows: usize,
-    sources: &[&XRelation],
-    threads: usize,
-) -> Run {
-    // Mirror the pipeline's combination + preparation steps.
-    let mut combined = XRelation::new(sources[0].schema().clone());
-    for src in sources {
-        for t in src.xtuples() {
-            combined.push(t.clone());
-        }
-    }
-    Preparation::standard_all(4).apply(&mut combined);
-    let tuples = combined.xtuples();
-    let comparators = AttributeComparators::uniform(combined.schema(), JaroWinkler::new());
-    let caches: Vec<CachedComparator> = comparators.to_cached();
-    let model = experiment_model();
-    let n = tuples.len();
-    let pairs: Vec<(usize, usize)> = (0..n)
-        .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-        .collect();
-
-    let start = Instant::now();
-    let decisions = par_map_index(threads, pairs.len(), |idx| {
-        let (i, j) = pairs[idx];
-        let matrix = compare_xtuples_cached(&tuples[i], &tuples[j], &caches);
-        model.decide(&tuples[i], &tuples[j], &matrix).similarity
-    });
-    let wall = start.elapsed().as_secs_f64();
-    assert_eq!(decisions.len(), pairs.len());
-    let (hits, misses) = caches
-        .iter()
-        .map(CachedComparator::stats)
-        .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm));
-    Run {
-        entities,
-        rows,
-        mode: "value-cache",
-        threads,
-        candidates: pairs.len(),
-        wall_ms: wall * 1e3,
-        pairs_per_sec: pairs.len() as f64 / wall,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_hit_rate: if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
-        interned_values: 0,
-        ..Run::default()
-    }
 }
 
 /// Hand-rolled JSON (the offline build vendors no serde); all fields are

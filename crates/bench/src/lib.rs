@@ -3,7 +3,7 @@
 //!
 //! The paper fixtures (ℛ1/ℛ2/ℛ3/ℛ4 and the example keys) live in
 //! `probdedup::paper`; this crate adds the synthetic workloads used by the
-//! quantitative experiments E1–E6 of DESIGN.md, with fixed seeds so bench
+//! quantitative experiments E1–E6 (see `src/bin/experiments.rs`), with fixed seeds so bench
 //! and experiment outputs are reproducible run to run.
 //!
 //! # Example
@@ -79,18 +79,9 @@ pub fn experiment_model() -> Arc<dyn XTupleDecisionModel> {
     ))
 }
 
-/// A ready pipeline over the workload schema with the given reduction.
+/// A ready exact-matching pipeline over the workload schema with the
+/// given reduction.
 pub fn experiment_pipeline(reduction: ReductionStrategy, threads: usize) -> DedupPipeline {
-    experiment_pipeline_cached(reduction, threads, false)
-}
-
-/// [`experiment_pipeline`] with the similarity cache toggled explicitly
-/// (the cache ablation of the pipeline bench).
-pub fn experiment_pipeline_cached(
-    reduction: ReductionStrategy,
-    threads: usize,
-    cache: bool,
-) -> DedupPipeline {
     let ds = workload(1); // only for the schema
     DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
@@ -101,19 +92,13 @@ pub fn experiment_pipeline_cached(
         .model(experiment_model())
         .reduction(reduction)
         .threads(threads)
-        .cache_similarities(cache)
         .build()
 }
 
-/// [`experiment_pipeline_cached`]'s classify-only twin: the bounded
-/// matching mode under the same weights and thresholds (identical
-/// classification — property-tested), with the similarity cache toggling
-/// between the plain and interned bounded paths.
-pub fn experiment_pipeline_bounded(
-    reduction: ReductionStrategy,
-    threads: usize,
-    cache: bool,
-) -> DedupPipeline {
+/// [`experiment_pipeline`]'s classify-only twin: bounded matching under
+/// the same weights and thresholds (identical classification —
+/// property-tested).
+pub fn experiment_pipeline_bounded(reduction: ReductionStrategy, threads: usize) -> DedupPipeline {
     let ds = workload(1); // only for the schema
     DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
@@ -124,13 +109,12 @@ pub fn experiment_pipeline_bounded(
         .classify_only(experiment_weights(), experiment_thresholds())
         .reduction(reduction)
         .threads(threads)
-        .cache_similarities(cache)
         .build()
 }
 
 /// The scale-probe configuration: bounded (classify-only) matching over
-/// sorting-alternatives SNM candidates with interned caches and an
-/// explicit [`memory_budget`] — what the sharded out-of-core bench mode
+/// sorting-alternatives SNM candidates with an explicit
+/// [`memory_budget`] — what the sharded out-of-core bench mode
 /// runs at 10⁵-entity scale, where the unsharded in-memory reduction
 /// cannot honor the budget (its triangular `PairMatrix` alone is
 /// `n²/2` bits ≈ 2 GB at ~190k rows).
@@ -154,7 +138,6 @@ pub fn experiment_pipeline_scale(
             window,
         })
         .threads(threads)
-        .cache_similarities(true)
         .memory_budget(Some(memory_budget))
         .build()
 }
@@ -218,28 +201,25 @@ mod tests {
         let exact = experiment_pipeline(ReductionStrategy::Full, 2)
             .run(&sources)
             .expect("exact run");
-        for cache in [false, true] {
-            let bounded = experiment_pipeline_bounded(ReductionStrategy::Full, 2, cache)
-                .run(&sources)
-                .expect("bounded run");
-            assert_eq!(exact.decisions.len(), bounded.decisions.len());
-            for (x, y) in exact.decisions.iter().zip(&bounded.decisions) {
-                assert_eq!(x.pair, y.pair);
-                assert_eq!(x.class, y.class, "cache {cache}, pair {:?}", x.pair);
-            }
-            assert_eq!(exact.clusters, bounded.clusters);
-            let s = &bounded.stats;
-            assert_eq!(
-                s.pairs_early_match
-                    + s.pairs_early_nonmatch
-                    + s.pairs_early_possible
-                    + s.pairs_exhausted,
-                bounded.candidates as u64
-            );
-            // The typo-heavy workload is dominated by clear non-matches:
-            // the whole point of the bounded path is that they settle
-            // early.
-            assert!(s.pairs_early_nonmatch > bounded.candidates as u64 / 2);
+        let bounded = experiment_pipeline_bounded(ReductionStrategy::Full, 2)
+            .run(&sources)
+            .expect("bounded run");
+        assert_eq!(exact.decisions.len(), bounded.decisions.len());
+        for (x, y) in exact.decisions.iter().zip(&bounded.decisions) {
+            assert_eq!(x.pair, y.pair);
+            assert_eq!(x.class, y.class, "pair {:?}", x.pair);
         }
+        assert_eq!(exact.clusters, bounded.clusters);
+        let s = &bounded.stats;
+        assert_eq!(
+            s.pairs_early_match
+                + s.pairs_early_nonmatch
+                + s.pairs_early_possible
+                + s.pairs_exhausted,
+            bounded.candidates as u64
+        );
+        // The typo-heavy workload is dominated by clear non-matches: the
+        // whole point of the bounded path is that they settle early.
+        assert!(s.pairs_early_nonmatch > bounded.candidates as u64 / 2);
     }
 }

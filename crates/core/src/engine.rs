@@ -1,0 +1,276 @@
+//! The matching engine: the one place that knows how a candidate pair
+//! `(i, j)` becomes a [`PairDecision`].
+//!
+//! The paper has one matching step (Section IV-A: Eq. 5 per attribute →
+//! the Fig. 6 comparison matrix → the decision), and so does this crate.
+//! Every driver — the one-shot [`DedupPipeline`](crate::pipeline::DedupPipeline),
+//! the persistent [`DedupSession`](crate::session::DedupSession) and the
+//! [`ShardedPipeline`](crate::shard::ShardedPipeline) — owns a
+//! [`MatchingEngine`] and calls [`MatchingEngine::classify`]; the drivers
+//! keep only what is theirs (decision memo + candidates; routing +
+//! scatter). The engine always works on **interned** tuples: values are
+//! interned once into a [`ValuePool`], Eq. 5 runs over dense symbols with
+//! upper-bound pruning, and kernel results are memoized in the sharded
+//! per-attribute [`SymbolCache`](probdedup_matching::cache::SymbolCache)s
+//! of a long-lived [`InternedComparators`]. The paper-literal path
+//! ([`compare_xtuples`](probdedup_matching::matrix::compare_xtuples)
+//! straight off the [`XTuple`]s) is the reference the engine is *tested
+//! against* (`crate::test_support`), not something a driver can select.
+//!
+//! The engine runs in one of two configurations, chosen at build time by
+//! which [`Decider`] the builder produced:
+//!
+//! * **exact** ([`Decider::Model`]) — the full comparison matrix is handed
+//!   to an [`XTupleDecisionModel`]; `similarity` is the derived degree.
+//! * **classify-only** ([`Decider::ClassifyOnly`]) — thresholds decompose
+//!   into running attribute budgets ([`AttributeBudgets`]), every Eq. 5
+//!   evaluation runs against a cut interval, and evaluation stops the
+//!   moment the class is certified. No matrix is materialized;
+//!   `similarity` is a certified representative.
+//!
+//! The equality contract between configurations and across drivers is
+//! stated once, in ARCHITECTURE.md ("The engine").
+
+use std::sync::Arc;
+
+use probdedup_decision::budget::{classify_comparison_bounded, AttributeBudgets, BoundedTier};
+use probdedup_decision::xmodel::XTupleDecisionModel;
+use probdedup_matching::interned::{
+    compare_xtuples_interned, intern_tuples_into, interned_pvalue_similarity_bounded,
+    AttrCacheDump, AttributeUsage, InternedComparators, InternedXTuple,
+};
+use probdedup_matching::vector::AttributeComparators;
+use probdedup_model::condition::normalized_alternative_probs;
+use probdedup_model::intern::ValuePool;
+use probdedup_model::snapshot::SnapshotError;
+use probdedup_model::xtuple::XTuple;
+
+use crate::exec::par_map_index;
+use crate::pipeline::{BoundedClassifyConfig, MatchingStats, PairDecision, PipelineConfig};
+
+/// What turns a compared pair into a class: the builder produces exactly
+/// one (see [`DedupPipelineBuilder::build`](crate::pipeline::DedupPipelineBuilder::build)).
+#[derive(Clone)]
+pub(crate) enum Decider {
+    /// Exact matching: comparison matrix + decision model.
+    Model(Arc<dyn XTupleDecisionModel>),
+    /// Classify-only (bounded) matching under the linear model.
+    ClassifyOnly(BoundedClassifyConfig),
+}
+
+impl Decider {
+    /// Whether this is the classify-only configuration (the snapshot's
+    /// CONFIG section records it).
+    pub(crate) fn is_classify_only(&self) -> bool {
+        matches!(self, Self::ClassifyOnly(_))
+    }
+}
+
+/// Warm matching state plus the decision step: the value pool, interned
+/// tuple mirrors, the long-lived comparators (caches + sidecars) and, for
+/// classify-only, the per-tuple conditioned alternative weights.
+pub(crate) struct MatchingEngine {
+    decider: Decider,
+    comparators: AttributeComparators,
+    cache_capacity: Option<usize>,
+    pool: ValuePool,
+    usage: AttributeUsage,
+    /// Symbol-level mirror of the resident tuples (row-indexed).
+    interned: Vec<InternedXTuple>,
+    /// Built over the pool at the first [`ingest`](Self::ingest), grown
+    /// append-only afterwards; `None` means no row was ever ingested.
+    cmps: Option<InternedComparators>,
+    /// Conditioned alternative weights per row (classify-only; the exact
+    /// path re-derives them per pair inside the model).
+    weights: Vec<Vec<f64>>,
+}
+
+impl MatchingEngine {
+    pub(crate) fn new(config: &PipelineConfig) -> Self {
+        Self::with_pool(config, ValuePool::new())
+    }
+
+    /// An engine over a snapshot-restored pool: re-ingesting the resident
+    /// tuples afterwards is pure warm work (every symbol lookup hits).
+    pub(crate) fn with_pool(config: &PipelineConfig, pool: ValuePool) -> Self {
+        Self {
+            decider: config.decider.clone(),
+            comparators: config.comparators.clone(),
+            cache_capacity: config.cache_capacity,
+            pool,
+            usage: AttributeUsage::default(),
+            interned: Vec::new(),
+            cmps: None,
+            weights: Vec::new(),
+        }
+    }
+
+    /// Grow with newly appended (already prepared) tuples: intern only
+    /// them, extend the sidecars over any new symbols, and cache their
+    /// conditioned alternative weights (classify-only).
+    pub(crate) fn ingest(&mut self, new_tuples: &[XTuple]) {
+        self.interned.extend(intern_tuples_into(
+            &mut self.pool,
+            &mut self.usage,
+            new_tuples,
+        ));
+        match &mut self.cmps {
+            None => {
+                self.cmps = Some(InternedComparators::with_usage_and_capacity(
+                    &self.pool,
+                    &self.comparators,
+                    &self.usage,
+                    self.cache_capacity,
+                ))
+            }
+            Some(cmps) => cmps.sync_pool(&self.pool, Some(&self.usage)),
+        }
+        if self.decider.is_classify_only() {
+            self.weights
+                .extend(new_tuples.iter().map(normalized_alternative_probs));
+        }
+    }
+
+    /// Drop row-indexed state (interned mirrors, weights); the pool, the
+    /// usage masks and the comparators' caches stay warm.
+    pub(crate) fn reset_rows(&mut self) {
+        self.interned.clear();
+        self.weights.clear();
+    }
+
+    /// Classify `pairs` (row indices into `tuples`, the same rows this
+    /// engine ingested) on the work-stealing pair executor. Returns the
+    /// decisions in `pairs` order plus this call's bounded-tier counts
+    /// `[early match, early non-match, early possible, exhausted]` — all
+    /// zero in the exact configuration.
+    ///
+    /// `&self`: the caches are sharded with interior mutability, so
+    /// concurrent readers of one warm session share this safely.
+    pub(crate) fn classify(
+        &self,
+        tuples: &[XTuple],
+        pairs: &[(usize, usize)],
+        threads: usize,
+    ) -> (Vec<PairDecision>, [u64; 4]) {
+        let Some(cmps) = &self.cmps else {
+            // Nothing was ever ingested, so there are no rows to pair.
+            return (Vec::new(), [0; 4]);
+        };
+        let itup = self.interned.as_slice();
+        let threads = threads.clamp(1, pairs.len().max(1));
+        match &self.decider {
+            Decider::Model(model) => {
+                let model = model.as_ref();
+                let decisions = par_map_index(threads, pairs.len(), |idx| {
+                    let (i, j) = pairs[idx];
+                    let matrix = compare_xtuples_interned(&itup[i], &itup[j], cmps);
+                    let d = model.decide(&tuples[i], &tuples[j], &matrix);
+                    PairDecision {
+                        pair: (i, j),
+                        similarity: d.similarity,
+                        class: d.class,
+                    }
+                });
+                (decisions, [0; 4])
+            }
+            Decider::ClassifyOnly(config) => {
+                let budgets = AttributeBudgets::new(&config.phi, config.thresholds);
+                let weights = self.weights.as_slice();
+                let outcomes = par_map_index(threads, pairs.len(), |idx| {
+                    let (i, j) = pairs[idx];
+                    let (t1, t2) = (&itup[i], &itup[j]);
+                    let d = classify_comparison_bounded(
+                        &weights[i],
+                        &weights[j],
+                        &budgets,
+                        |ai, aj, attr, lo, hi| {
+                            interned_pvalue_similarity_bounded(
+                                t1.alternatives()[ai].value(attr),
+                                t2.alternatives()[aj].value(attr),
+                                attr,
+                                cmps,
+                                lo,
+                                hi,
+                            )
+                        },
+                    );
+                    let decision = PairDecision {
+                        pair: (i, j),
+                        similarity: d.similarity,
+                        class: d.class,
+                    };
+                    (decision, d.tier)
+                });
+                let mut tiers = [0u64; 4];
+                let decisions = outcomes
+                    .into_iter()
+                    .map(|(decision, tier)| {
+                        tiers[match tier {
+                            BoundedTier::EarlyMatch => 0,
+                            BoundedTier::EarlyNonMatch => 1,
+                            BoundedTier::EarlyPossible => 2,
+                            BoundedTier::Exhausted => 3,
+                        }] += 1;
+                        decision
+                    })
+                    .collect();
+                (decisions, tiers)
+            }
+        }
+    }
+
+    /// The matching-stage counters: cache traffic and interning from the
+    /// comparators, plus the caller's accumulated bounded-tier counts
+    /// (`memo_evictions` belongs to the session and stays 0 here).
+    pub(crate) fn stats(&self, tiers: [u64; 4]) -> MatchingStats {
+        let mut stats = MatchingStats {
+            pairs_early_match: tiers[0],
+            pairs_early_nonmatch: tiers[1],
+            pairs_early_possible: tiers[2],
+            pairs_exhausted: tiers[3],
+            ..MatchingStats::default()
+        };
+        if let Some(cmps) = &self.cmps {
+            let (hits, misses) = cmps.cache_stats();
+            stats.cache_hits = hits;
+            stats.cache_misses = misses;
+            stats.cached_pairs = cmps.cached_pairs();
+            stats.interned_values = cmps.interned_values();
+            stats.kernel_bound_certs = cmps.bound_certs();
+            stats.cache_evictions = cmps.cache_evictions();
+        }
+        stats
+    }
+
+    /// The matching value pool (the snapshot persists it).
+    pub(crate) fn pool(&self) -> &ValuePool {
+        &self.pool
+    }
+
+    /// Deterministic dump of every memoized similarity / verdict, per
+    /// attribute (empty before the first ingest).
+    pub(crate) fn export_cache_entries(&self) -> Vec<AttrCacheDump> {
+        self.cmps
+            .as_ref()
+            .map_or_else(Vec::new, InternedComparators::export_cache_entries)
+    }
+
+    /// Restore a dump made by [`export_cache_entries`](Self::export_cache_entries)
+    /// (validated against the pool's symbol range). An empty dump is a
+    /// no-op.
+    pub(crate) fn import_cache_entries(
+        &mut self,
+        dumps: &[AttrCacheDump],
+    ) -> Result<(), SnapshotError> {
+        if dumps.is_empty() {
+            return Ok(());
+        }
+        // Warm caches but no resident tuples (a session saved after its
+        // corpus was emptied): materialize the comparators directly over
+        // the restored pool.
+        let cmps = self.cmps.get_or_insert_with(|| {
+            InternedComparators::with_capacity(&self.pool, &self.comparators, self.cache_capacity)
+        });
+        cmps.import_cache_entries(dumps)
+    }
+}

@@ -7,12 +7,13 @@
 //! 2. **Search-space reduction** ([`pipeline::ReductionStrategy`]) — any of
 //!    the paper's SNM/blocking adaptations, or the full quadratic scan.
 //! 3. **Attribute value matching** — comparison matrices via
-//!    `probdedup-matching` (Eq. 5 per attribute), executed by the
-//!    work-stealing [`exec`] pair executor; with
-//!    `cache_similarities(true)` the relation is interned once and Eq. 5
-//!    runs over symbols through sharded similarity caches.
+//!    `probdedup-matching` (Eq. 5 per attribute): the relation is interned
+//!    once and the one matching `engine` runs Eq. 5 over symbols
+//!    through sharded similarity caches on the work-stealing [`exec`]
+//!    pair executor.
 //! 4. **Decision model** — any [`XTupleDecisionModel`] (similarity-based or
-//!    decision-based derivation, Fig. 6).
+//!    decision-based derivation, Fig. 6), or the classify-only linear
+//!    model that stops evaluating a pair once its class is certified.
 //! 5. **Verification** — hooks into `probdedup-eval` (the
 //!    [`pipeline::DedupResult`] exposes everything the metrics need).
 //!
@@ -72,6 +73,7 @@
 //! [`XTupleDecisionModel`]: probdedup_decision::xmodel::XTupleDecisionModel
 
 pub mod cluster;
+pub(crate) mod engine;
 pub mod exec;
 pub mod fusion;
 pub mod pipeline;
@@ -80,6 +82,8 @@ pub mod prob_result;
 pub mod session;
 pub mod shard;
 pub mod snapshot;
+#[doc(hidden)]
+pub mod test_support;
 pub mod wal;
 
 pub use cluster::UnionFind;

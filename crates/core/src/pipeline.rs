@@ -9,39 +9,20 @@
 //! tables and similarity caches warm across runs and to **ingest** new
 //! batches incrementally.
 //!
-//! The matching stage is the quadratic hot path and runs in one of three
-//! modes:
-//!
-//! * **plain** — comparison matrices straight off the [`XTuple`]s
-//!   (`cache_similarities(false)`, the default);
-//! * **interned** — with `cache_similarities(true)`, the prepared relation
-//!   is interned into a
-//!   [`ValuePool`](probdedup_model::intern::ValuePool) once, and all Eq. 5
-//!   evaluations run over dense symbols through sharded per-attribute
-//!   [`SymbolCache`](probdedup_matching::cache::SymbolCache)s with
-//!   upper-bound pruning (see `probdedup_matching::interned`);
-//! * **classify-only (bounded)** — with
-//!   [`classify_only`](DedupPipelineBuilder::classify_only), evaluation of
-//!   a pair stops the moment its classification is certified: the decision
-//!   thresholds decompose into running attribute budgets
-//!   ([`AttributeBudgets`]), each attribute evaluates Eq. 5 against a cut
-//!   interval with certified interval tracking
-//!   ([`interned_pvalue_similarity_bounded`] /
-//!   [`pvalue_similarity_bounded`]), and the kernels themselves run
-//!   bounded (banded Myers, length/class prefilters) — no comparison
-//!   matrix is ever materialized. [`PairDecision::similarity`] then holds
-//!   a certified representative (a bound that classifies identically),
-//!   not the exact degree; the match/possible/non-match partition is
-//!   identical to the exact path's away from a 1e-9 threshold margin
-//!   (property-tested). Combine with `cache_similarities(true)` to run
-//!   the bounded path over interned symbols with verdict-memoizing
-//!   caches.
-//!
-//! Either mode executes candidate pairs with the work-stealing
-//! [`par_map_index`] pair executor, so skewed block
-//! sizes no longer leave `threads(n)` workers idle. Results are
-//! reassembled in candidate order — output is byte-identical across thread
-//! counts.
+//! The matching stage is the quadratic hot path. Every driver runs it
+//! through the one matching engine (`engine.rs`) — interned symbols,
+//! sharded similarity caches, upper-bound pruning — in one of two
+//! configurations: **exact** ([`model`](DedupPipelineBuilder::model):
+//! full Fig. 6 comparison matrices handed to a decision model) or
+//! **classify-only** ([`classify_only`](DedupPipelineBuilder::classify_only):
+//! thresholds decompose into running attribute budgets and a pair is
+//! evaluated only until its class is certified, so
+//! [`PairDecision::similarity`] holds a certified representative rather
+//! than the exact degree). Candidate pairs execute on the work-stealing
+//! [`par_map_index`](crate::exec::par_map_index) pair executor and are
+//! reassembled in candidate order; the equality contract across thread
+//! counts, shards, ingest splits and restarts is stated once in
+//! ARCHITECTURE.md ("The engine").
 //!
 //! The reduction stage runs on **interned keys** throughout: every
 //! [`ReductionStrategy`] variant builds a
@@ -50,21 +31,12 @@
 //! [`KeySymbol`](probdedup_model::intern::KeySymbol)s and sorts SNM
 //! entries by precomputed lexicographic rank — multi-pass SNM and blocking
 //! are sort-only from the second pass on.
-//!
-//! [`XTuple`]: probdedup_model::xtuple::XTuple
 
 use std::sync::Arc;
 
-use probdedup_decision::budget::{classify_comparison_bounded, AttributeBudgets, BoundedTier};
 use probdedup_decision::combine::WeightedSum;
 use probdedup_decision::threshold::{MatchClass, Thresholds};
 use probdedup_decision::xmodel::XTupleDecisionModel;
-use probdedup_matching::bounded::pvalue_similarity_bounded;
-use probdedup_matching::interned::{
-    compare_xtuples_interned, interned_pvalue_similarity_bounded, InternedComparators,
-    InternedXTuple,
-};
-use probdedup_matching::matrix::compare_xtuples;
 use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::{SourceId, TupleHandle};
@@ -75,7 +47,7 @@ use probdedup_reduction::{
     ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
 };
 
-use crate::exec::par_map_index;
+use crate::engine::Decider;
 use crate::prepare::Preparation;
 
 /// Which search-space reduction runs before matching.
@@ -221,12 +193,11 @@ impl std::fmt::Display for PairDecision {
     }
 }
 
-/// Counters describing the matching stage of one run (all zero when the
-/// similarity cache is disabled — the plain path keeps no counters).
+/// Counters describing the matching stage of one run.
 ///
 /// The `pairs_*` tier counters are populated only by the classify-only
-/// (bounded) mode: they partition the candidate pairs by which bound
-/// settled them. In bounded runs `cache_misses` counts probes the exact
+/// (bounded) configuration: they partition the candidate pairs by which
+/// bound settled them. In bounded runs `cache_misses` counts probes the exact
 /// cache could not answer; `kernel_bound_certs` says how many kernel
 /// evaluations among those were disposed by a below-bound certificate
 /// (prefilters / banded Myers) instead of a full kernel run.
@@ -396,10 +367,8 @@ pub(crate) struct PipelineConfig {
     pub(crate) preparation: Preparation,
     pub(crate) reduction: ReductionStrategy,
     pub(crate) comparators: AttributeComparators,
-    pub(crate) model: Option<Arc<dyn XTupleDecisionModel>>,
-    pub(crate) bounded: Option<BoundedClassifyConfig>,
+    pub(crate) decider: Decider,
     pub(crate) threads: usize,
-    pub(crate) cache_similarities: bool,
     pub(crate) cache_capacity: Option<usize>,
     pub(crate) memo_capacity: Option<usize>,
     pub(crate) memory_budget: Option<u64>,
@@ -429,7 +398,6 @@ pub struct DedupPipelineBuilder {
     model: Option<Arc<dyn XTupleDecisionModel>>,
     bounded: Option<BoundedClassifyConfig>,
     threads: usize,
-    cache_similarities: bool,
     cache_capacity: Option<usize>,
     memo_capacity: Option<usize>,
     memory_budget: Option<u64>,
@@ -445,7 +413,6 @@ impl DedupPipeline {
             model: None,
             bounded: None,
             threads: 1,
-            cache_similarities: false,
             cache_capacity: None,
             memo_capacity: None,
             memory_budget: None,
@@ -488,105 +455,6 @@ impl DedupPipeline {
     }
 }
 
-/// The exact matching stage over an explicit pair list: full comparison
-/// matrices + the decision model, plain or interned. Shared by the
-/// one-shot pipeline (fresh state) and the session (warm state).
-pub(crate) fn classify_pairs_exact(
-    model: &dyn XTupleDecisionModel,
-    comparators: &AttributeComparators,
-    tuples: &[probdedup_model::xtuple::XTuple],
-    interned: Option<(&[InternedXTuple], &InternedComparators)>,
-    pairs: &[(usize, usize)],
-    threads: usize,
-) -> Vec<PairDecision> {
-    let threads = threads.clamp(1, pairs.len().max(1));
-    par_map_index(threads, pairs.len(), |idx| {
-        let (i, j) = pairs[idx];
-        let matrix = match &interned {
-            Some((itup, cmps)) => compare_xtuples_interned(&itup[i], &itup[j], cmps),
-            None => compare_xtuples(&tuples[i], &tuples[j], comparators),
-        };
-        let d = model.decide(&tuples[i], &tuples[j], &matrix);
-        PairDecision {
-            pair: (i, j),
-            similarity: d.similarity,
-            class: d.class,
-        }
-    })
-}
-
-/// The classify-only (bounded) matching stage over an explicit pair list:
-/// thresholds decompose into attribute budgets, every Eq. 5 evaluation
-/// runs against a cut interval, and no comparison matrix is allocated.
-/// Conditioned alternative weights arrive precomputed **per tuple**
-/// (`weights[i]` for row `i` — the session keeps them resident; the exact
-/// path re-derives them per pair inside the model).
-pub(crate) fn classify_pairs_bounded(
-    config: &BoundedClassifyConfig,
-    comparators: &AttributeComparators,
-    tuples: &[probdedup_model::xtuple::XTuple],
-    weights: &[Vec<f64>],
-    interned: Option<(&[InternedXTuple], &InternedComparators)>,
-    pairs: &[(usize, usize)],
-    threads: usize,
-) -> Vec<(PairDecision, BoundedTier)> {
-    assert_eq!(
-        config.phi.weights().len(),
-        comparators.arity(),
-        "classify-only weights must cover every attribute"
-    );
-    let budgets = AttributeBudgets::new(&config.phi, config.thresholds);
-    let threads = threads.clamp(1, pairs.len().max(1));
-    par_map_index(threads, pairs.len(), |idx| {
-        let (i, j) = pairs[idx];
-        let d = match &interned {
-            Some((itup, cmps)) => {
-                let (t1, t2) = (&itup[i], &itup[j]);
-                classify_comparison_bounded(
-                    &weights[i],
-                    &weights[j],
-                    &budgets,
-                    |ai, aj, attr, lo, hi| {
-                        interned_pvalue_similarity_bounded(
-                            t1.alternatives()[ai].value(attr),
-                            t2.alternatives()[aj].value(attr),
-                            attr,
-                            cmps,
-                            lo,
-                            hi,
-                        )
-                    },
-                )
-            }
-            None => {
-                let (t1, t2) = (&tuples[i], &tuples[j]);
-                classify_comparison_bounded(
-                    &weights[i],
-                    &weights[j],
-                    &budgets,
-                    |ai, aj, attr, lo, hi| {
-                        pvalue_similarity_bounded(
-                            t1.alternatives()[ai].value(attr),
-                            t2.alternatives()[aj].value(attr),
-                            comparators.get(attr),
-                            lo,
-                            hi,
-                        )
-                    },
-                )
-            }
-        };
-        (
-            PairDecision {
-                pair: (i, j),
-                similarity: d.similarity,
-                class: d.class,
-            },
-            d.tier,
-        )
-    })
-}
-
 impl DedupPipelineBuilder {
     /// Set the preparation plan (default: none).
     pub fn preparation(mut self, p: Preparation) -> Self {
@@ -613,16 +481,15 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Run the matching stage in **classify-only (bounded)** mode: the
-    /// given weighted-sum φ and thresholds — the linear similarity-based
-    /// model — are decomposed into running budgets and every pair is
-    /// evaluated only far enough to certify its class. Equivalent, in
+    /// Run the matching stage **classify-only (bounded)**: the given
+    /// weighted-sum φ and thresholds — the linear similarity-based model —
+    /// are decomposed into running budgets and every pair is evaluated
+    /// only far enough to certify its class. Equivalent, in
     /// classification, to
     /// `model(SimilarityBasedModel::new(phi, ExpectedSimilarity, thresholds))`
     /// — but [`PairDecision::similarity`] holds a certified representative
-    /// rather than the exact degree. Combine with
-    /// [`cache_similarities(true)`](Self::cache_similarities) for the
-    /// interned bounded path (verdict-memoizing symbol caches).
+    /// rather than the exact degree. `phi` must carry one weight per
+    /// attribute of the comparators ([`build`](Self::build) checks).
     pub fn classify_only(mut self, phi: WeightedSum, thresholds: Thresholds) -> Self {
         self.bounded = Some(BoundedClassifyConfig { phi, thresholds });
         self
@@ -634,11 +501,11 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Memoize value-pair similarities across all comparisons of a run
-    /// (default off). Pays off when the same strings recur across many
-    /// candidate pairs — i.e. almost always on real data.
-    pub fn cache_similarities(mut self, on: bool) -> Self {
-        self.cache_similarities = on;
+    /// Inert: the interned, cached engine is the only matching path, so
+    /// there is nothing left to switch. Kept solely because the frozen
+    /// `benchmark/` package still calls it (see ROADMAP).
+    #[doc(hidden)]
+    pub fn cache_similarities(self, _on: bool) -> Self {
         self
     }
 
@@ -646,8 +513,7 @@ impl DedupPipelineBuilder {
     /// similarity (and verdict) cache may hold; beyond the ceiling, cold
     /// entries are evicted second-chance style and counted in
     /// [`MatchingStats::cache_evictions`]. `None` (the default) keeps the
-    /// caches unbounded. Only meaningful together with
-    /// [`cache_similarities(true)`](Self::cache_similarities).
+    /// caches unbounded.
     pub fn cache_capacity(mut self, capacity: Option<usize>) -> Self {
         self.cache_capacity = capacity;
         self
@@ -683,20 +549,30 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Finish; panics if comparators are missing, or if the decision-model
+    /// Finish; panics if comparators are missing, if the decision-model
     /// configuration is not exactly one of `model` / `classify_only`
-    /// (programming error, not data error — setting both would silently
-    /// ignore the model and change what `PairDecision::similarity` means).
+    /// (setting both would silently ignore the model and change what
+    /// `PairDecision::similarity` means), or if the classify-only weights
+    /// do not cover every attribute — programming errors, not data
+    /// errors, so they surface here rather than at the first pair.
     pub fn build(self) -> DedupPipeline {
-        assert!(
-            self.model.is_some() || self.bounded.is_some(),
-            "a decision model (or a classify_only config) is required"
-        );
-        assert!(
-            !(self.model.is_some() && self.bounded.is_some()),
-            "model and classify_only are mutually exclusive: classify-only \
-             decides with its own thresholds and would ignore the model"
-        );
+        let comparators = self.comparators.expect("comparators are required");
+        let decider = match (self.model, self.bounded) {
+            (Some(model), None) => Decider::Model(model),
+            (None, Some(bounded)) => {
+                assert_eq!(
+                    bounded.phi.weights().len(),
+                    comparators.arity(),
+                    "classify-only weights must cover every attribute"
+                );
+                Decider::ClassifyOnly(bounded)
+            }
+            (None, None) => panic!("a decision model (or a classify_only config) is required"),
+            (Some(_), Some(_)) => panic!(
+                "model and classify_only are mutually exclusive: classify-only \
+                 decides with its own thresholds and would ignore the model"
+            ),
+        };
         let plan = self.memory_budget.map(crate::shard::BudgetPlan::for_budget);
         let cache_capacity = self
             .cache_capacity
@@ -708,11 +584,9 @@ impl DedupPipelineBuilder {
             config: PipelineConfig {
                 preparation: self.preparation,
                 reduction: self.reduction,
-                comparators: self.comparators.expect("comparators are required"),
-                model: self.model,
-                bounded: self.bounded,
+                comparators,
+                decider,
                 threads: self.threads,
-                cache_similarities: self.cache_similarities,
                 cache_capacity,
                 memo_capacity,
                 memory_budget: self.memory_budget,
@@ -738,6 +612,10 @@ mod tests {
     use probdedup_model::schema::Schema;
     use probdedup_model::xtuple::XTuple;
     use probdedup_textsim::NormalizedHamming;
+
+    use crate::test_support::{
+        assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+    };
 
     fn schema() -> Schema {
         Schema::new(["name", "job"])
@@ -869,8 +747,23 @@ mod tests {
         let full = pipeline(ReductionStrategy::Full).run(&[&a, &b]).unwrap();
         for strat in strategies {
             let name = strat.name();
-            let result = pipeline(strat).run(&[&a, &b]).unwrap();
+            let result = pipeline(strat.clone()).run(&[&a, &b]).unwrap();
             assert!(result.candidates <= full.candidates, "{name}");
+            // Whatever the candidate source, both engine configurations
+            // agree with the paper-literal reference on its pairs.
+            assert_exact_agrees_with_reference(&result, &comparators(), model().as_ref(), name);
+            let bounded = DedupPipeline::builder()
+                .comparators(comparators())
+                .classify_only(
+                    WeightedSum::new([0.8, 0.2]).unwrap(),
+                    Thresholds::new(0.6, 0.8).unwrap(),
+                )
+                .reduction(strat)
+                .build()
+                .run(&[&a, &b])
+                .unwrap();
+            assert_eq!(bounded.candidates, result.candidates, "{name}");
+            assert_classes_agree_with_reference(&bounded, &comparators(), model().as_ref(), name);
             // Matches under a reduced candidate set are a subset of the
             // full-comparison matches.
             let full_set = full.match_pair_set();
@@ -911,98 +804,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_run_matches_uncached() {
-        let (a, b) = (r3(), r4());
+    fn comparators() -> AttributeComparators {
+        AttributeComparators::uniform(&schema(), NormalizedHamming::new())
+    }
+
+    /// 40 copies of `r3` — a duplicate-heavy corpus whose values recur
+    /// across many candidate pairs.
+    fn big() -> XRelation {
         let mut big = XRelation::new(schema());
         for _ in 0..40 {
-            for t in a.xtuples() {
+            for t in r3().xtuples() {
                 big.push(t.clone());
             }
         }
-        let base = pipeline(ReductionStrategy::Full).run(&[&big, &b]).unwrap();
-        let cached = DedupPipeline::builder()
-            .comparators(AttributeComparators::uniform(
-                &schema(),
-                NormalizedHamming::new(),
-            ))
+        big
+    }
+
+    /// The engine's (interned, cached) exact run matches the uncached
+    /// paper-literal computation straight off the x-tuples.
+    #[test]
+    fn cached_run_matches_uncached() {
+        let (big, b) = (big(), r4());
+        let result = DedupPipeline::builder()
+            .comparators(comparators())
             .model(model())
-            .cache_similarities(true)
             .threads(4)
             .build()
             .run(&[&big, &b])
             .unwrap();
-        assert_eq!(base.decisions.len(), cached.decisions.len());
-        for (x, y) in base.decisions.iter().zip(&cached.decisions) {
-            assert_eq!(x.pair, y.pair);
-            // The interned path sums Eq. 5 terms in descending-probability
-            // order (for pruning), so agreement is to rounding, not bitwise.
-            assert!((x.similarity - y.similarity).abs() < 1e-12);
-            assert_eq!(x.class, y.class);
-        }
-        // The cached run actually exercised the interned caches.
-        let (hits, misses) = (cached.stats.cache_hits, cached.stats.cache_misses);
+        assert_exact_agrees_with_reference(&result, &comparators(), model().as_ref(), "full");
+        // The run actually exercised the interned caches.
+        let (hits, misses) = (result.stats.cache_hits, result.stats.cache_misses);
         assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
         assert!(
-            cached.stats.hit_rate() > 0.5,
+            result.stats.hit_rate() > 0.5,
             "hit rate {}",
-            cached.stats.hit_rate()
+            result.stats.hit_rate()
         );
-        assert!(cached.stats.interned_values > 1);
-        assert_eq!(base.stats, MatchingStats::default());
+        assert!(result.stats.interned_values > 1);
     }
 
+    /// Classify-only decides every pair as the exact linear model does —
+    /// the paper-literal reference's classes and clusters.
     #[test]
     fn bounded_classification_matches_exact_model() {
-        let (a, b) = (r3(), r4());
-        let mut big = XRelation::new(schema());
-        for _ in 0..40 {
-            for t in a.xtuples() {
-                big.push(t.clone());
-            }
-        }
+        let (big, b) = (big(), r4());
         let phi = WeightedSum::new([0.8, 0.2]).unwrap();
         let thresholds = Thresholds::new(0.6, 0.8).unwrap();
-        let exact = pipeline(ReductionStrategy::Full).run(&[&big, &b]).unwrap();
-        for cache in [false, true] {
-            let bounded = DedupPipeline::builder()
-                .comparators(AttributeComparators::uniform(
-                    &schema(),
-                    NormalizedHamming::new(),
-                ))
-                .classify_only(phi.clone(), thresholds)
-                .cache_similarities(cache)
-                .threads(4)
-                .build()
-                .run(&[&big, &b])
-                .unwrap();
-            assert_eq!(exact.decisions.len(), bounded.decisions.len());
-            for (x, y) in exact.decisions.iter().zip(&bounded.decisions) {
-                assert_eq!(x.pair, y.pair, "cache {cache}");
-                // Identical partition; the bounded similarity is only a
-                // certified representative, but it must classify the same.
-                assert_eq!(x.class, y.class, "cache {cache}, pair {:?}", x.pair);
-                assert_eq!(thresholds.classify(y.similarity), y.class);
-            }
-            assert_eq!(exact.clusters, bounded.clusters, "cache {cache}");
-            // Tier counters partition the candidate set, and on this
-            // duplicate-heavy workload most pairs settle early.
-            let s = &bounded.stats;
-            assert_eq!(
-                s.pairs_early_match
-                    + s.pairs_early_nonmatch
-                    + s.pairs_early_possible
-                    + s.pairs_exhausted,
-                bounded.candidates as u64,
-                "cache {cache}"
-            );
-            assert!(
-                s.pairs_early_match + s.pairs_early_nonmatch > 0,
-                "cache {cache}: nothing settled early"
-            );
-            let (fm, fn_, fp) = s.disposal_fractions();
-            assert!((0.0..=1.0).contains(&(fm + fn_ + fp)));
+        let bounded = DedupPipeline::builder()
+            .comparators(comparators())
+            .classify_only(phi, thresholds)
+            .threads(4)
+            .build()
+            .run(&[&big, &b])
+            .unwrap();
+        assert_classes_agree_with_reference(&bounded, &comparators(), model().as_ref(), "full");
+        for d in &bounded.decisions {
+            // The certified representative classifies like its class.
+            assert_eq!(thresholds.classify(d.similarity), d.class);
         }
+        // Tier counters partition the candidate set, and on this
+        // duplicate-heavy workload most pairs settle early.
+        let s = &bounded.stats;
+        assert_eq!(
+            s.pairs_early_match
+                + s.pairs_early_nonmatch
+                + s.pairs_early_possible
+                + s.pairs_exhausted,
+            bounded.candidates as u64
+        );
+        assert!(
+            s.pairs_early_match + s.pairs_early_nonmatch > 0,
+            "nothing settled early"
+        );
+        let (fm, fn_, fp) = s.disposal_fractions();
+        assert!((0.0..=1.0).contains(&(fm + fn_ + fp)));
     }
 
     #[test]
@@ -1045,6 +921,21 @@ mod tests {
             .model(model())
             .classify_only(
                 WeightedSum::new([0.8, 0.2]).unwrap(),
+                Thresholds::new(0.6, 0.8).unwrap(),
+            )
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "weights must cover every attribute")]
+    fn classify_only_weight_count_mismatch_panics_at_build() {
+        let _ = DedupPipeline::builder()
+            .comparators(AttributeComparators::uniform(
+                &schema(),
+                NormalizedHamming::new(),
+            ))
+            .classify_only(
+                WeightedSum::new([0.5, 0.3, 0.2]).unwrap(),
                 Thresholds::new(0.6, 0.8).unwrap(),
             )
             .build();

@@ -15,8 +15,8 @@
 //!   [`SymbolCache`](probdedup_matching::SymbolCache)s, bound-verdict
 //!   caches and per-symbol
 //!   [`PreparedValue`](probdedup_matching::PreparedValue) sidecars inside
-//!   a long-lived
-//!   [`InternedComparators`],
+//!   the matching engine's long-lived
+//!   [`InternedComparators`](probdedup_matching::InternedComparators),
 //!   grown append-only via `sync_pool`;
 //! * the **reduction state** — per-strategy incremental structures
 //!   ([`IncrementalSnm`], [`IncrementalBlocks`], …) that rank-insert new
@@ -39,11 +39,12 @@
 //!   incrementally, classify **only** the candidate pairs that involve
 //!   new rows, and merge into the resident result. The contract,
 //!   property-tested in `tests/session_incremental.rs`: ingesting a
-//!   corpus in *any* batch split yields the same match / possible /
-//!   non-match partition as one batch [`run`](DedupSession::run) —
-//!   candidate generation is regenerated over the warm state each ingest
-//!   (pure integer work), so even world-dependent strategies (multi-pass
-//!   over possible worlds, cluster blocking) stay split-invariant.
+//!   corpus in *any* batch split equals one batch
+//!   [`run`](DedupSession::run) under the engine's equality contract
+//!   (ARCHITECTURE.md, "The engine") — candidate generation is
+//!   regenerated over the warm state each ingest (pure integer work), so
+//!   even world-dependent strategies (multi-pass over possible worlds,
+//!   cluster blocking) stay split-invariant.
 //!
 //! What persists vs. what invalidates: pools, caches and sidecars are
 //! keyed on **values**, so they survive any corpus change and any number
@@ -86,7 +87,6 @@
 //!         Arc::new(ExpectedSimilarity),
 //!         Thresholds::new(0.6, 0.8).unwrap(),
 //!     )))
-//!     .cache_similarities(true)
 //!     .build_session();
 //!
 //! session.ingest(&batch1).unwrap();
@@ -101,11 +101,7 @@ use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
-use probdedup_decision::budget::BoundedTier;
 use probdedup_decision::threshold::MatchClass;
-use probdedup_matching::interned::{intern_tuples_into, AttributeUsage, InternedComparators};
-use probdedup_matching::InternedXTuple;
-use probdedup_model::condition::normalized_alternative_probs;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::SourceId;
 use probdedup_model::intern::{KeyPool, ValuePool};
@@ -122,9 +118,9 @@ use probdedup_reduction::{
 };
 
 use crate::cluster::UnionFind;
+use crate::engine::MatchingEngine;
 use crate::pipeline::{
-    classify_pairs_bounded, classify_pairs_exact, DedupPipeline, DedupResult, MatchingStats,
-    PairDecision, PipelineConfig, ReductionStrategy,
+    DedupPipeline, DedupResult, MatchingStats, PairDecision, PipelineConfig, ReductionStrategy,
 };
 use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
@@ -512,66 +508,6 @@ impl DecisionMemo {
     }
 }
 
-/// Warm matching state: the value pool, interned tuple mirrors, the
-/// long-lived comparators (caches + sidecars) and the bounded mode's
-/// per-tuple conditioned weights. Crate-visible: the sharded pipeline
-/// ([`crate::shard`]) builds the identical state for its one-shot run so
-/// classification is byte-compatible with the session's.
-pub(crate) struct WarmMatching {
-    pub(crate) pool: ValuePool,
-    pub(crate) usage: AttributeUsage,
-    pub(crate) interned: Vec<InternedXTuple>,
-    pub(crate) cmps: Option<InternedComparators>,
-    pub(crate) weights: Vec<Vec<f64>>,
-}
-
-impl WarmMatching {
-    pub(crate) fn new() -> Self {
-        Self {
-            pool: ValuePool::new(),
-            usage: AttributeUsage::default(),
-            interned: Vec::new(),
-            cmps: None,
-            weights: Vec::new(),
-        }
-    }
-
-    /// Grow with newly appended (already prepared) tuples: intern only
-    /// them, extend the sidecars over any new symbols, and cache their
-    /// conditioned alternative weights (bounded mode).
-    pub(crate) fn ingest(&mut self, config: &PipelineConfig, new_tuples: &[XTuple]) {
-        if config.cache_similarities {
-            self.interned.extend(intern_tuples_into(
-                &mut self.pool,
-                &mut self.usage,
-                new_tuples,
-            ));
-            match &mut self.cmps {
-                None => {
-                    self.cmps = Some(InternedComparators::with_usage_and_capacity(
-                        &self.pool,
-                        &config.comparators,
-                        &self.usage,
-                        config.cache_capacity,
-                    ))
-                }
-                Some(cmps) => cmps.sync_pool(&self.pool, Some(&self.usage)),
-            }
-        }
-        if config.bounded.is_some() {
-            self.weights
-                .extend(new_tuples.iter().map(normalized_alternative_probs));
-        }
-    }
-
-    /// Drop row-indexed state (interned mirrors, weights); the pool, the
-    /// usage masks and the comparators' caches stay warm.
-    fn reset_rows(&mut self) {
-        self.interned.clear();
-        self.weights.clear();
-    }
-}
-
 /// A persistent dedup session: the pipeline's warm state plus the
 /// resident corpus and its classified pairs. Build with
 /// [`DedupPipelineBuilder::build_session`](crate::pipeline::DedupPipelineBuilder::build_session)
@@ -583,7 +519,7 @@ pub struct DedupSession {
     relation: Option<XRelation>,
     source_offsets: Vec<usize>,
     reduction: WarmReduction,
-    matching: WarmMatching,
+    matching: MatchingEngine,
     /// Current candidate set over the resident corpus.
     candidates: CandidatePairs,
     /// Every pair ever classified, keyed on `(lo, hi)` row indices —
@@ -606,12 +542,13 @@ pub struct DedupSession {
 impl DedupSession {
     pub(crate) fn new(config: PipelineConfig) -> Self {
         let reduction = WarmReduction::for_strategy(&config.reduction);
+        let matching = MatchingEngine::new(&config);
         Self {
             config,
             relation: None,
             source_offsets: Vec::new(),
             reduction,
-            matching: WarmMatching::new(),
+            matching,
             candidates: CandidatePairs::new(0),
             decided: DecisionMemo::new(),
             tiers: [0; 4],
@@ -688,14 +625,9 @@ impl DedupSession {
         self.reduction.render_count()
     }
 
-    /// Distinct values interned into the warm matching pool (0 when the
-    /// similarity cache is disabled — the plain path interns nothing).
+    /// Distinct values interned into the warm matching pool.
     pub fn interned_value_count(&self) -> usize {
-        if self.matching.cmps.is_some() {
-            self.matching.pool.len()
-        } else {
-            0
-        }
+        self.matching.pool().len()
     }
 
     /// Run the full pipeline over `sources` with warm-state reuse.
@@ -748,7 +680,7 @@ impl DedupSession {
             self.decided.clear();
             self.tiers = [0; 4];
             self.reduction.ingest_rows(combined.xtuples(), 0);
-            self.matching.ingest(&self.config, combined.xtuples());
+            self.matching.ingest(combined.xtuples());
             self.candidates = self
                 .reduction
                 .current(combined.xtuples(), &self.config.reduction);
@@ -804,7 +736,7 @@ impl DedupSession {
         let rel = self.relation.as_ref().expect("resident relation set");
         let new_tuples = &rel.xtuples()[start..];
         self.reduction.ingest_rows(new_tuples, start);
-        self.matching.ingest(&self.config, new_tuples);
+        self.matching.ingest(new_tuples);
 
         // Regenerate the candidate set and classify what is new.
         let candidates = self
@@ -873,22 +805,7 @@ impl DedupSession {
     /// values, bounded-tier disposals across every classification the
     /// session has performed).
     pub fn stats(&self) -> MatchingStats {
-        let mut stats = MatchingStats {
-            pairs_early_match: self.tiers[0],
-            pairs_early_nonmatch: self.tiers[1],
-            pairs_early_possible: self.tiers[2],
-            pairs_exhausted: self.tiers[3],
-            ..MatchingStats::default()
-        };
-        if let Some(cmps) = &self.matching.cmps {
-            let (hits, misses) = cmps.cache_stats();
-            stats.cache_hits = hits;
-            stats.cache_misses = misses;
-            stats.cached_pairs = cmps.cached_pairs();
-            stats.interned_values = cmps.interned_values();
-            stats.kernel_bound_certs = cmps.bound_certs();
-            stats.cache_evictions = cmps.cache_evictions();
-        }
+        let mut stats = self.matching.stats(self.tiers);
         stats.memo_evictions = self.decided.evictions;
         stats
     }
@@ -932,9 +849,9 @@ impl DedupSession {
         self.decided.enforce(cap, &pinned);
     }
 
-    /// Classify `pairs` through the configured matching mode over the
-    /// warm state, accumulating bounded-tier counters (the write path;
-    /// [`classify_shared`](Self::classify_shared) is the `&self` core).
+    /// Classify `pairs` through the engine, accumulating bounded-tier
+    /// counters (the write path; [`classify_shared`](Self::classify_shared)
+    /// is the `&self` core).
     fn classify(&mut self, pairs: &[(usize, usize)]) -> Vec<PairDecision> {
         let (decisions, tiers) = self.classify_shared(pairs);
         for (acc, t) in self.tiers.iter_mut().zip(tiers) {
@@ -944,64 +861,16 @@ impl DedupSession {
     }
 
     /// The matching stage over the warm state through `&self`: safe for
-    /// concurrent readers (the caches are sharded with interior
+    /// concurrent readers (the engine's caches are sharded with interior
     /// mutability). Returns the decisions plus this call's bounded-tier
     /// counts — callers on the write path accumulate them, read paths
     /// drop them.
     fn classify_shared(&self, pairs: &[(usize, usize)]) -> (Vec<PairDecision>, [u64; 4]) {
-        let rel = match &self.relation {
-            Some(rel) => rel,
-            None => return (Vec::new(), [0; 4]),
-        };
-        let tuples = rel.xtuples();
-        let interned = self
-            .matching
-            .cmps
-            .as_ref()
-            .map(|c| (self.matching.interned.as_slice(), c));
-        match &self.config.bounded {
-            Some(cfg) => {
-                let outcomes = classify_pairs_bounded(
-                    cfg,
-                    &self.config.comparators,
-                    tuples,
-                    &self.matching.weights,
-                    interned,
-                    pairs,
-                    self.config.threads,
-                );
-                let mut decisions = Vec::with_capacity(outcomes.len());
-                let mut tiers = [0u64; 4];
-                for (d, tier) in outcomes {
-                    tiers[match tier {
-                        BoundedTier::EarlyMatch => 0,
-                        BoundedTier::EarlyNonMatch => 1,
-                        BoundedTier::EarlyPossible => 2,
-                        BoundedTier::Exhausted => 3,
-                    }] += 1;
-                    decisions.push(d);
-                }
-                (decisions, tiers)
-            }
-            None => {
-                // Invariant, not input validation: the pipeline builder
-                // rejects a configuration with neither a model nor a
-                // bounded classify config at build time.
-                let model = self
-                    .config
-                    .model
-                    .as_ref()
-                    .expect("exact matching requires a decision model");
-                let decisions = classify_pairs_exact(
-                    model.as_ref(),
-                    &self.config.comparators,
-                    tuples,
-                    interned,
-                    pairs,
-                    self.config.threads,
-                );
-                (decisions, [0; 4])
-            }
+        match &self.relation {
+            Some(rel) => self
+                .matching
+                .classify(rel.xtuples(), pairs, self.config.threads),
+            None => (Vec::new(), [0; 4]),
         }
     }
 
@@ -1044,8 +913,10 @@ impl DedupSession {
         let mut w = SectionWriter::new();
         w.put_u32(self.config.comparators.arity() as u32);
         w.put_str(self.config.reduction.name());
-        w.put_u8(u8::from(self.config.cache_similarities));
-        w.put_u8(u8::from(self.config.bounded.is_some()));
+        // The `cached` byte of format v1: constant 1 since the interned
+        // engine became the only one (0 marks a pre-engine file).
+        w.put_u8(1);
+        w.put_u8(u8::from(self.config.decider.is_classify_only()));
         snap.section(TAG_CONFIG, w);
 
         let mut w = SectionWriter::new();
@@ -1066,30 +937,21 @@ impl DedupSession {
         snap.section(TAG_OFFSETS, w);
 
         let mut w = SectionWriter::new();
-        if self.config.cache_similarities {
-            w.put_u8(1);
-            write_value_pool(&mut w, &self.matching.pool);
-        } else {
-            w.put_u8(0);
-        }
+        w.put_u8(1); // presence flag of format v1: the pool always exists
+        write_value_pool(&mut w, self.matching.pool());
         snap.section(TAG_MATCH_POOL, w);
 
         let mut w = SectionWriter::new();
-        match &self.matching.cmps {
-            Some(cmps) => {
-                let dumps = cmps.export_cache_entries();
-                w.put_u32(dumps.len() as u32);
-                for (exact, bound) in &dumps {
-                    for entries in [exact, bound] {
-                        w.put_len(entries.len());
-                        for &(key, sim) in entries {
-                            w.put_u64(key);
-                            w.put_f64(sim);
-                        }
-                    }
+        let dumps = self.matching.export_cache_entries();
+        w.put_u32(dumps.len() as u32);
+        for (exact, bound) in &dumps {
+            for entries in [exact, bound] {
+                w.put_len(entries.len());
+                for &(key, sim) in entries {
+                    w.put_u64(key);
+                    w.put_f64(sim);
                 }
             }
-            None => w.put_u32(0),
         }
         snap.section(TAG_CACHES, w);
 
@@ -1203,21 +1065,20 @@ impl DedupSession {
                 ),
             });
         }
-        if cached != self.config.cache_similarities {
+        if !cached {
             return Err(SnapshotError::ConfigMismatch {
-                detail: format!(
-                    "snapshot similarity cache {}, pipeline {}",
-                    on_off(cached),
-                    on_off(self.config.cache_similarities)
-                ),
+                detail: "snapshot was written by the removed plain (uncached) engine and \
+                         predates the single interned engine; re-run the corpus to rebuild it"
+                    .to_string(),
             });
         }
-        if bounded != self.config.bounded.is_some() {
+        let own_bounded = self.config.decider.is_classify_only();
+        if bounded != own_bounded {
             return Err(SnapshotError::ConfigMismatch {
                 detail: format!(
                     "snapshot bounded mode {}, pipeline {}",
                     on_off(bounded),
-                    on_off(self.config.bounded.is_some())
+                    on_off(own_bounded)
                 ),
             });
         }
@@ -1273,17 +1134,12 @@ impl DedupSession {
 
         // Section 4: the matching value pool.
         let mut r = reader.section(TAG_MATCH_POOL, "match pool section")?;
-        let pool_present = read_bool(&mut r, "match pool flag")?;
-        if pool_present != self.config.cache_similarities {
+        if !read_bool(&mut r, "match pool flag")? {
             return Err(SnapshotError::Malformed {
                 context: "match pool flag disagrees with config",
             });
         }
-        let match_pool = if pool_present {
-            Some(read_value_pool(&mut r)?)
-        } else {
-            None
-        };
+        let match_pool = read_value_pool(&mut r)?;
         r.finish()?;
 
         // Section 5: memoized similarity / verdict cache entries.
@@ -1292,11 +1148,6 @@ impl DedupSession {
         if n_attr != 0 && n_attr != own_arity {
             return Err(SnapshotError::Malformed {
                 context: "cache dump attribute count",
-            });
-        }
-        if n_attr != 0 && !self.config.cache_similarities {
-            return Err(SnapshotError::Malformed {
-                context: "cache dump without similarity cache",
             });
         }
         let mut cache_dumps = Vec::with_capacity(n_attr);
@@ -1461,16 +1312,13 @@ impl DedupSession {
         // Rebuild the row-keyed warm state from the restored pools —
         // fresh locals first, so a failure never leaves `self` half-set.
         let mut reduction = WarmReduction::restore(&self.config.reduction, reduction_pools)?;
-        let mut matching = WarmMatching::new();
-        if let Some(pool) = match_pool {
-            matching.pool = pool;
-        }
+        let mut matching = MatchingEngine::with_pool(&self.config, match_pool);
         let mut candidates = CandidatePairs::new(0);
         if let Some(rel) = &relation {
             // Re-key and re-intern the resident tuples through the warm
             // pools: every prefix render and symbol lookup is a memo hit.
             reduction.ingest_rows(rel.xtuples(), 0);
-            matching.ingest(&self.config, rel.xtuples());
+            matching.ingest(rel.xtuples());
             candidates = reduction.current(rel.xtuples(), &self.config.reduction);
             // The memo must cover the regenerated candidate set, or
             // `result()` on the reopened session would have to classify —
@@ -1483,23 +1331,7 @@ impl DedupSession {
                 }
             }
         }
-        if !cache_dumps.is_empty() {
-            match &matching.cmps {
-                Some(cmps) => cmps.import_cache_entries(&cache_dumps)?,
-                None => {
-                    // Warm caches but no resident tuples (a session saved
-                    // after its corpus was emptied): materialize the
-                    // comparators directly over the restored pool.
-                    let cmps = InternedComparators::with_capacity(
-                        &matching.pool,
-                        &self.config.comparators,
-                        self.config.cache_capacity,
-                    );
-                    cmps.import_cache_entries(&cache_dumps)?;
-                    matching.cmps = Some(cmps);
-                }
-            }
-        }
+        matching.import_cache_entries(&cache_dumps)?;
 
         self.relation = relation;
         self.source_offsets = offsets;
@@ -1577,6 +1409,8 @@ mod tests {
     use probdedup_textsim::NormalizedHamming;
     use std::sync::Arc;
 
+    use crate::test_support::assert_exact_agrees_with_reference;
+
     fn schema() -> Schema {
         Schema::new(["name", "job"])
     }
@@ -1598,7 +1432,7 @@ mod tests {
         r
     }
 
-    fn builder(reduction: ReductionStrategy, cache: bool) -> DedupPipeline {
+    fn builder(reduction: ReductionStrategy) -> DedupPipeline {
         DedupPipeline::builder()
             .comparators(AttributeComparators::uniform(
                 &schema(),
@@ -1606,7 +1440,6 @@ mod tests {
             ))
             .model(model())
             .reduction(reduction)
-            .cache_similarities(cache)
             .build()
     }
 
@@ -1640,27 +1473,26 @@ mod tests {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
         for strategy in strategies() {
-            for cache in [false, true] {
-                let one_shot = builder(strategy.clone(), cache).run(&refs).unwrap();
-                let mut session = builder(strategy.clone(), cache).session();
-                for src in &sources {
-                    session.ingest(src).unwrap();
-                }
-                let merged = session.result();
-                assert_eq!(
-                    one_shot.decisions.len(),
-                    merged.decisions.len(),
-                    "{} cache {cache}",
-                    strategy.name()
-                );
-                let by_pair: FxHashMap<(usize, usize), MatchClass> =
-                    merged.decisions.iter().map(|d| (d.pair, d.class)).collect();
-                for d in &one_shot.decisions {
-                    assert_eq!(by_pair.get(&d.pair), Some(&d.class), "{}", strategy.name());
-                }
-                assert_eq!(one_shot.clusters, merged.clusters, "{}", strategy.name());
-                assert_eq!(one_shot.source_offsets, merged.source_offsets);
+            let name = strategy.name();
+            let one_shot = builder(strategy.clone()).run(&refs).unwrap();
+            let mut session = builder(strategy).session();
+            for src in &sources {
+                session.ingest(src).unwrap();
             }
+            let merged = session.result();
+            assert_eq!(one_shot.decisions.len(), merged.decisions.len(), "{name}");
+            let by_pair: FxHashMap<(usize, usize), PairDecision> =
+                merged.decisions.iter().map(|d| (d.pair, *d)).collect();
+            for d in &one_shot.decisions {
+                // Exact engine: the streamed decision is the one-shot
+                // decision, bit for bit.
+                assert_eq!(by_pair.get(&d.pair), Some(d), "{name}");
+            }
+            assert_eq!(one_shot.clusters, merged.clusters, "{name}");
+            assert_eq!(one_shot.source_offsets, merged.source_offsets);
+            // And both agree with the paper-literal reference.
+            let cmps = AttributeComparators::uniform(&schema(), NormalizedHamming::new());
+            assert_exact_agrees_with_reference(&merged, &cmps, model().as_ref(), name);
         }
     }
 
@@ -1669,11 +1501,8 @@ mod tests {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
         let spec = KeySpec::paper_example(0, 1);
-        let mut session = builder(
-            ReductionStrategy::SortingAlternatives { spec, window: 3 },
-            true,
-        )
-        .session();
+        let mut session =
+            builder(ReductionStrategy::SortingAlternatives { spec, window: 3 }).session();
         let first = session.run(&refs).unwrap();
         let renders = session.key_render_count();
         let interned = session.interned_value_count();
@@ -1691,7 +1520,7 @@ mod tests {
     fn run_with_changed_corpus_resets_rows_but_keeps_pools() {
         let sources = corpus();
         let spec = KeySpec::paper_example(0, 1);
-        let mut session = builder(ReductionStrategy::BlockingAlternatives { spec }, true).session();
+        let mut session = builder(ReductionStrategy::BlockingAlternatives { spec }).session();
         session.run(&[&sources[0], &sources[1]]).unwrap();
         let renders = session.key_render_count();
         // A different corpus drawn from the same value domain: re-keying
@@ -1700,12 +1529,9 @@ mod tests {
         assert_eq!(session.key_render_count(), renders);
         assert_eq!(shrunk.relation.len(), 2);
         // And the one-shot answer over the changed corpus still holds.
-        let fresh = builder(
-            ReductionStrategy::BlockingAlternatives {
-                spec: KeySpec::paper_example(0, 1),
-            },
-            true,
-        )
+        let fresh = builder(ReductionStrategy::BlockingAlternatives {
+            spec: KeySpec::paper_example(0, 1),
+        })
         .run(&[&sources[0]])
         .unwrap();
         assert_eq!(fresh.decisions, shrunk.decisions);
@@ -1714,7 +1540,7 @@ mod tests {
     #[test]
     fn ingest_reports_new_rows_and_decisions() {
         let sources = corpus();
-        let mut session = builder(ReductionStrategy::Full, false).session();
+        let mut session = builder(ReductionStrategy::Full).session();
         let r1 = session.ingest(&sources[0]).unwrap();
         assert_eq!(r1.source, SourceId(0));
         assert_eq!(r1.new_rows, 0..2);
@@ -1736,7 +1562,7 @@ mod tests {
 
     #[test]
     fn ingest_rejects_incompatible_schema() {
-        let mut session = builder(ReductionStrategy::Full, false).session();
+        let mut session = builder(ReductionStrategy::Full).session();
         session.ingest(&corpus()[0]).unwrap();
         let other = XRelation::new(Schema::new(["solo"]));
         assert!(matches!(
@@ -1747,7 +1573,7 @@ mod tests {
 
     #[test]
     fn empty_session_views() {
-        let session = builder(ReductionStrategy::Full, false).session();
+        let session = builder(ReductionStrategy::Full).session();
         assert!(session.is_empty());
         assert_eq!(session.candidate_count(), 0);
         assert_eq!(session.decided_count(), 0);
@@ -1770,7 +1596,7 @@ mod tests {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
         for strategy in strategies() {
-            let pipeline = builder(strategy.clone(), true);
+            let pipeline = builder(strategy.clone());
             let mut session = pipeline.session();
             let before = session.run(&refs).unwrap();
             let renders = session.key_render_count();
@@ -1804,40 +1630,44 @@ mod tests {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
         let spec = KeySpec::paper_example(0, 1);
-        let pipeline = builder(
-            ReductionStrategy::SortingAlternatives {
-                spec: spec.clone(),
-                window: 3,
-            },
-            true,
-        );
+        let pipeline = builder(ReductionStrategy::SortingAlternatives {
+            spec: spec.clone(),
+            window: 3,
+        });
         let mut session = pipeline.session();
         session.run(&refs).unwrap();
         let bytes = session.to_snapshot_bytes();
 
         // Different reduction strategy.
-        let other = builder(ReductionStrategy::BlockingAlternatives { spec }, true);
+        let other = builder(ReductionStrategy::BlockingAlternatives { spec });
         let err = DedupSession::from_snapshot_bytes(&bytes, &other)
             .err()
             .expect("mismatched strategy must be rejected");
         assert!(matches!(err, SnapshotError::ConfigMismatch { .. }), "{err}");
-        // Similarity cache off vs. the snapshot's on.
-        let uncached = builder(
-            ReductionStrategy::SortingAlternatives {
+        // Classify-only vs. the snapshot's exact model.
+        let classify_only = DedupPipeline::builder()
+            .comparators(AttributeComparators::uniform(
+                &schema(),
+                NormalizedHamming::new(),
+            ))
+            .classify_only(
+                WeightedSum::new([0.8, 0.2]).unwrap(),
+                Thresholds::new(0.6, 0.8).unwrap(),
+            )
+            .reduction(ReductionStrategy::SortingAlternatives {
                 spec: KeySpec::paper_example(0, 1),
                 window: 3,
-            },
-            false,
-        );
-        let err = DedupSession::from_snapshot_bytes(&bytes, &uncached)
+            })
+            .build();
+        let err = DedupSession::from_snapshot_bytes(&bytes, &classify_only)
             .err()
-            .expect("cache-flag mismatch must be rejected");
+            .expect("bounded-flag mismatch must be rejected");
         assert!(matches!(err, SnapshotError::ConfigMismatch { .. }), "{err}");
     }
 
     #[test]
     fn empty_session_snapshot_roundtrips() {
-        let pipeline = builder(ReductionStrategy::Full, true);
+        let pipeline = builder(ReductionStrategy::Full);
         let session = pipeline.session();
         let bytes = session.to_snapshot_bytes();
         let reopened = DedupSession::from_snapshot_bytes(&bytes, &pipeline).unwrap();
@@ -1858,21 +1688,18 @@ mod tests {
     fn classify_pair_reads_match_write_path() {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
-        for cache in [false, true] {
-            let mut session = builder(ReductionStrategy::Full, cache).session();
-            let result = session.run(&refs).unwrap();
-            let session = &session; // read path only from here on
-            for d in &result.decisions {
-                let q = session.classify_pair(d.pair.0, d.pair.1).unwrap();
-                assert_eq!(q.class, d.class, "cache {cache}");
-                assert!((q.similarity - d.similarity).abs() < 1e-12);
-                // Row order is irrelevant.
-                let swapped = session.classify_pair(d.pair.1, d.pair.0).unwrap();
-                assert_eq!(swapped.pair, d.pair);
-            }
-            assert!(session.classify_pair(0, 0).is_none());
-            assert!(session.classify_pair(0, session.rows()).is_none());
+        let mut session = builder(ReductionStrategy::Full).session();
+        let result = session.run(&refs).unwrap();
+        let session = &session; // read path only from here on
+        for d in &result.decisions {
+            let q = session.classify_pair(d.pair.0, d.pair.1).unwrap();
+            assert_eq!(q, *d);
+            // Row order is irrelevant.
+            let swapped = session.classify_pair(d.pair.1, d.pair.0).unwrap();
+            assert_eq!(swapped.pair, d.pair);
         }
+        assert!(session.classify_pair(0, 0).is_none());
+        assert!(session.classify_pair(0, session.rows()).is_none());
     }
 
     #[test]
@@ -1883,13 +1710,10 @@ mod tests {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
         let spec = KeySpec::paper_example(0, 1);
-        let mut session = builder(
-            ReductionStrategy::SortingAlternatives { spec, window: 2 },
-            true,
-        )
-        .session();
+        let mut session =
+            builder(ReductionStrategy::SortingAlternatives { spec, window: 2 }).session();
         session.run(&refs).unwrap();
-        let full = builder(ReductionStrategy::Full, false).run(&refs).unwrap();
+        let full = builder(ReductionStrategy::Full).run(&refs).unwrap();
         let decided_before = session.decided_count();
         for d in &full.decisions {
             let q = session.classify_pair(d.pair.0, d.pair.1).unwrap();
@@ -1908,7 +1732,7 @@ mod tests {
         let spec = KeySpec::paper_example(0, 1);
         let strategy = ReductionStrategy::SortingAlternatives { spec, window: 2 };
         let unbounded = {
-            let mut s = builder(strategy.clone(), true).session();
+            let mut s = builder(strategy.clone()).session();
             for src in &sources {
                 s.ingest(src).unwrap();
             }
@@ -1921,7 +1745,6 @@ mod tests {
             ))
             .model(model())
             .reduction(strategy)
-            .cache_similarities(true)
             .decision_memo_capacity(Some(2))
             .build_session();
         for src in &sources {
@@ -1943,7 +1766,7 @@ mod tests {
     #[test]
     fn run_over_no_sources_resets_resident_rows() {
         let sources = corpus();
-        let mut session = builder(ReductionStrategy::Full, true).session();
+        let mut session = builder(ReductionStrategy::Full).session();
         session.ingest(&sources[0]).unwrap();
         assert!(!session.is_empty());
         // Running over zero sources empties the corpus — the return value
@@ -1971,7 +1794,7 @@ mod tests {
     #[test]
     fn entity_cache_is_sorted_replaced_and_invalidated() {
         let sources = corpus();
-        let mut session = builder(ReductionStrategy::Full, true).session();
+        let mut session = builder(ReductionStrategy::Full).session();
         session.ingest(&sources[0]).unwrap();
 
         // Out-of-order inserts land sorted by strategy id; re-inserting
@@ -1998,7 +1821,7 @@ mod tests {
     fn entity_cache_survives_snapshot_and_warm_rerun() {
         let sources = corpus();
         let refs: Vec<&XRelation> = sources.iter().collect();
-        let pipe = builder(ReductionStrategy::Full, true);
+        let pipe = builder(ReductionStrategy::Full);
         let mut session = pipe.session();
         session.run(&refs).unwrap();
         session.cache_entities(entities_for(&session, 1));

@@ -27,11 +27,13 @@
 //!    quadratic stage.
 //! 3. **Deterministic merge** — per-shard decisions scatter back into
 //!    global candidate order, tier counters sum, and one union-find
-//!    closes the clusters. The merged [`DedupResult`] is byte-identical
-//!    to the unsharded run (bit-equal similarities in exact mode;
-//!    identical match/possible/non-match partition in bounded mode,
-//!    where cache warmth may pick a different certified representative —
-//!    property-tested in `tests/sharded.rs`).
+//!    closes the clusters. The merged [`DedupResult`] equals the
+//!    unsharded run's under the engine's equality contract
+//!    (ARCHITECTURE.md, "The engine"; property-tested in
+//!    `tests/sharded.rs`).
+//!
+//! Matching itself is not this module's business: every shard's pairs go
+//! through the same matching engine (`engine.rs`) a session uses.
 //!
 //! Memory ceilings thread through [`BudgetPlan`]: a single
 //! [`memory_budget`](crate::pipeline::DedupPipelineBuilder::memory_budget)
@@ -41,7 +43,6 @@
 
 use std::io;
 
-use probdedup_decision::budget::BoundedTier;
 use probdedup_decision::threshold::MatchClass;
 use probdedup_model::error::ModelError;
 use probdedup_model::relation::XRelation;
@@ -54,11 +55,8 @@ use probdedup_reduction::{
 };
 
 use crate::cluster::UnionFind;
-use crate::pipeline::{
-    classify_pairs_bounded, classify_pairs_exact, DedupResult, MatchingStats, PairDecision,
-    PipelineConfig, ReductionStrategy,
-};
-use crate::session::WarmMatching;
+use crate::engine::MatchingEngine;
+use crate::pipeline::{DedupResult, PairDecision, PipelineConfig, ReductionStrategy};
 
 /// What can go wrong in a sharded run: the model-layer errors the
 /// unsharded pipeline raises, plus I/O from the out-of-core spill paths.
@@ -183,9 +181,9 @@ impl ShardedPipeline {
         self.shards
     }
 
-    /// Run over `sources`; the merged result is byte-identical to the
-    /// unsharded [`DedupPipeline::run`](crate::pipeline::DedupPipeline::run)
-    /// (see the module docs for the bounded-mode caveat).
+    /// Run over `sources`; the merged result equals the unsharded
+    /// [`DedupPipeline::run`](crate::pipeline::DedupPipeline::run)'s (see
+    /// the module docs).
     pub fn run(&self, sources: &[&XRelation]) -> Result<DedupResult, ShardError> {
         self.run_with_stats(sources).map(|(r, _)| r)
     }
@@ -226,9 +224,9 @@ impl ShardedPipeline {
             shard_candidates[s] += 1;
         }
 
-        // Warm matching state, identical to a fresh session ingest.
-        let mut matching = WarmMatching::new();
-        matching.ingest(&self.config, tuples);
+        // The matching engine, fed exactly as a fresh session would be.
+        let mut engine = MatchingEngine::new(&self.config);
+        engine.ingest(tuples);
 
         // Per-shard pair slices carrying their global candidate position.
         let mut shard_pairs: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.shards];
@@ -241,57 +239,17 @@ impl ShardedPipeline {
         // Match shard by shard (each shard runs on the work-stealing pair
         // executor with the configured thread count), scattering decisions
         // back into global candidate order.
-        let interned = matching
-            .cmps
-            .as_ref()
-            .map(|c| (matching.interned.as_slice(), c));
         let mut scattered: Vec<Option<PairDecision>> = vec![None; routed.pairs.len()];
         let mut tiers = [0u64; 4];
-        for shard in 0..self.shards {
-            let pairs = &shard_pairs[shard];
+        for (pairs, positions) in shard_pairs.iter().zip(&shard_pos) {
             if pairs.is_empty() {
                 continue;
             }
-            let decisions = match &self.config.bounded {
-                Some(cfg) => {
-                    let outcomes = classify_pairs_bounded(
-                        cfg,
-                        &self.config.comparators,
-                        tuples,
-                        &matching.weights,
-                        interned,
-                        pairs,
-                        self.config.threads,
-                    );
-                    let mut decisions = Vec::with_capacity(outcomes.len());
-                    for (d, tier) in outcomes {
-                        tiers[match tier {
-                            BoundedTier::EarlyMatch => 0,
-                            BoundedTier::EarlyNonMatch => 1,
-                            BoundedTier::EarlyPossible => 2,
-                            BoundedTier::Exhausted => 3,
-                        }] += 1;
-                        decisions.push(d);
-                    }
-                    decisions
-                }
-                None => {
-                    let model = self
-                        .config
-                        .model
-                        .as_ref()
-                        .expect("exact matching requires a decision model");
-                    classify_pairs_exact(
-                        model.as_ref(),
-                        &self.config.comparators,
-                        tuples,
-                        interned,
-                        pairs,
-                        self.config.threads,
-                    )
-                }
-            };
-            for (d, &pos) in decisions.into_iter().zip(&shard_pos[shard]) {
+            let (decisions, shard_tiers) = engine.classify(tuples, pairs, self.config.threads);
+            for (acc, t) in tiers.iter_mut().zip(shard_tiers) {
+                *acc += t;
+            }
+            for (d, &pos) in decisions.into_iter().zip(positions) {
                 scattered[pos] = Some(d);
             }
         }
@@ -306,23 +264,7 @@ impl ShardedPipeline {
             uf.union(d.pair.0, d.pair.1);
         }
         let clusters = uf.clusters(2);
-
-        let mut stats = MatchingStats {
-            pairs_early_match: tiers[0],
-            pairs_early_nonmatch: tiers[1],
-            pairs_early_possible: tiers[2],
-            pairs_exhausted: tiers[3],
-            ..MatchingStats::default()
-        };
-        if let Some(cmps) = &matching.cmps {
-            let (hits, misses) = cmps.cache_stats();
-            stats.cache_hits = hits;
-            stats.cache_misses = misses;
-            stats.cached_pairs = cmps.cached_pairs();
-            stats.interned_values = cmps.interned_values();
-            stats.kernel_bound_certs = cmps.bound_certs();
-            stats.cache_evictions = cmps.cache_evictions();
-        }
+        let stats = engine.stats(tiers);
 
         let candidates = routed.pairs.len();
         Ok((

@@ -475,7 +475,6 @@ mod tests {
                 Thresholds::new(0.6, 0.8).unwrap(),
             )))
             .reduction(ReductionStrategy::Full)
-            .cache_similarities(true)
             .build()
     }
 

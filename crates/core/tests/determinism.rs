@@ -1,13 +1,15 @@
 //! Thread-count determinism: the work-stealing executor must reassemble
 //! decisions in candidate order, so a `threads(8)` run is **byte-identical**
-//! to `threads(1)` on the same input — in both matching modes (plain and
-//! interned/cached). Similarities are compared via their raw f64 bit
-//! patterns: not approximately equal, identical.
+//! to `threads(1)` on the same input. Similarities are compared via their
+//! raw f64 bit patterns: not approximately equal, identical. What the
+//! bits should *be* is pinned separately, against the paper-literal
+//! reference (`probdedup_core::test_support`).
 
 use std::sync::Arc;
 
 use probdedup_core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
 use probdedup_core::prepare::Preparation;
+use probdedup_core::test_support::assert_exact_agrees_with_reference;
 use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup_decision::combine::WeightedSum;
 use probdedup_decision::derive_sim::ExpectedSimilarity;
@@ -47,7 +49,6 @@ fn run(
     sources: &[&XRelation],
     schema: &probdedup_model::schema::Schema,
     threads: usize,
-    cached: bool,
 ) -> DedupResult {
     DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
@@ -55,7 +56,6 @@ fn run(
         .model(model())
         .reduction(ReductionStrategy::Full)
         .threads(threads)
-        .cache_similarities(cached)
         .build()
         .run(sources)
         .expect("pipeline run")
@@ -85,25 +85,20 @@ fn assert_byte_identical(a: &DedupResult, b: &DedupResult, label: &str) {
 }
 
 #[test]
-fn threads8_is_byte_identical_to_threads1_plain() {
+fn threads8_is_byte_identical_to_threads1_interned() {
     let ds = dataset();
     let sources: Vec<&XRelation> = ds.relations.iter().collect();
-    let one = run(&sources, &ds.schema, 1, false);
-    let eight = run(&sources, &ds.schema, 8, false);
+    let one = run(&sources, &ds.schema, 1);
+    let eight = run(&sources, &ds.schema, 8);
     assert!(
         one.candidates > 1000,
         "workload too small to exercise stealing"
     );
-    assert_byte_identical(&one, &eight, "plain");
-}
-
-#[test]
-fn threads8_is_byte_identical_to_threads1_interned() {
-    let ds = dataset();
-    let sources: Vec<&XRelation> = ds.relations.iter().collect();
-    let one = run(&sources, &ds.schema, 1, true);
-    let eight = run(&sources, &ds.schema, 8, true);
     assert_byte_identical(&one, &eight, "interned");
+    // The bits the threads agree on are the right ones: the engine
+    // matches the paper-literal reference to rounding.
+    let comparators = AttributeComparators::uniform(&ds.schema, JaroWinkler::new());
+    assert_exact_agrees_with_reference(&eight, &comparators, model().as_ref(), "interned");
     // Both runs exercised the cache.
     assert!(one.stats.cache_hits > 0 && eight.stats.cache_hits > 0);
     // Hit/miss *totals* must agree run to run (the split may differ: with
@@ -116,7 +111,7 @@ fn threads8_is_byte_identical_to_threads1_interned() {
 fn repeated_runs_are_reproducible() {
     let ds = dataset();
     let sources: Vec<&XRelation> = ds.relations.iter().collect();
-    let a = run(&sources, &ds.schema, 4, true);
-    let b = run(&sources, &ds.schema, 4, true);
+    let a = run(&sources, &ds.schema, 4);
+    let b = run(&sources, &ds.schema, 4);
     assert_byte_identical(&a, &b, "repeat");
 }

@@ -1,11 +1,10 @@
 //! Synthetic probabilistic datasets with ground truth.
 //!
 //! The paper evaluates on two hand-crafted example relations; no public
-//! probabilistic-dedup corpus exists. This crate is the substitution
-//! documented in DESIGN.md: a seeded generator that produces x-relations
-//! with controlled error and uncertainty characteristics plus the
-//! entity-level ground truth needed to measure recall/precision (the
-//! verification step of Section III-E).
+//! probabilistic-dedup corpus exists. This crate is the substitution: a
+//! seeded generator that produces x-relations with controlled error and
+//! uncertainty characteristics plus the entity-level ground truth needed
+//! to measure recall/precision (the verification step of Section III-E).
 //!
 //! The generation pipeline per record mirrors how probabilistic data
 //! arises in practice (e.g. uncertain extraction/integration output):

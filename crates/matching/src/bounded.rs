@@ -39,7 +39,6 @@
 use probdedup_model::pvalue::PValue;
 use probdedup_model::value::Value;
 
-use crate::cache::CachedComparator;
 use crate::interned::PRUNE_EPS;
 use crate::pvalue_sim::{pruned_expected_similarity, support_mass};
 use crate::value_cmp::ValueComparator;
@@ -187,30 +186,6 @@ pub fn pvalue_similarity_bounded(
     )
 }
 
-/// [`pvalue_similarity_bounded`] through a [`CachedComparator`]: exact
-/// values and below-cut verdicts are both memoized, so a bound-certified
-/// value pair never re-runs a kernel anywhere in the relation.
-pub fn pvalue_similarity_bounded_cached(
-    a: &PValue,
-    b: &PValue,
-    cmp: &CachedComparator,
-    lo: f64,
-    hi: f64,
-) -> BoundedSim {
-    bounded_expected_similarity(
-        a.alternatives(),
-        support_mass(a.alternatives()),
-        a.null_prob(),
-        b.alternatives(),
-        support_mass(b.alternatives()),
-        b.null_prob(),
-        lo,
-        hi,
-        |va: &Value, vb: &Value, cut| cmp.similarity_within(va, vb, cut),
-        |va, vb| cmp.similarity(va, vb),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,37 +248,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    /// The cached variant produces the same outcomes and actually records
-    /// below-bound certificates.
-    #[test]
-    fn cached_variant_memoizes_verdicts() {
-        let cmp = ValueComparator::text(Levenshtein::new());
-        let cached = CachedComparator::new(cmp.clone());
-        let (a, b) = (PValue::certain("smith"), PValue::certain("garcia"));
-        // Disjoint names: far below a 0.9 cut.
-        assert_eq!(
-            pvalue_similarity_bounded_cached(&a, &b, &cached, 0.9, 1.1),
-            BoundedSim::Below
-        );
-        let first = cached.bound_certs();
-        assert!(first > 0, "no certificate recorded");
-        // Re-query with an equal cut: the verdict cache answers.
-        assert_eq!(
-            pvalue_similarity_bounded_cached(&a, &b, &cached, 0.9, 1.1),
-            BoundedSim::Below
-        );
-        assert!(cached.bound_certs() > first);
-        // A query below the certified cut falls through to the exact value
-        // and still agrees with the unbounded path.
-        match pvalue_similarity_bounded_cached(&a, &b, &cached, 0.0, 0.1) {
-            BoundedSim::Exact(v) => {
-                assert!((v - pvalue_similarity(&a, &b, &cmp)).abs() < 1e-12)
-            }
-            BoundedSim::Above => {} // sim ≥ 0.1 is also a valid certificate
-            BoundedSim::Below => panic!("similarity is not negative"),
         }
     }
 

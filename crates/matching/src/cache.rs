@@ -3,35 +3,24 @@
 //! Eq. 5 evaluates the kernel on every pair of support values; across a
 //! relation the same string pairs recur constantly (domains are small
 //! relative to the number of tuples), so memoizing kernel results turns
-//! almost every evaluation into a lookup. Two cache layers live here:
-//!
-//! * [`SymbolCache`] — the hot-path cache of the pipeline's interned
-//!   matching mode: keyed on canonical `(Symbol, Symbol)` pairs packed into
-//!   one `u64`, sharded `SHARDS` ways with an `RwLock` per shard. Reads
-//!   (the overwhelmingly common case once the cache is warm) take a shared
-//!   lock on one shard only, so worker threads no longer serialize on a
-//!   single global mutex. The `kernel` closure a caller hands to
-//!   [`SymbolCache::get_or_compute`] is the **only** remaining place the
-//!   pipeline touches strings; the interned path points it at per-symbol
-//!   [`PreparedValue`](crate::value_cmp::PreparedValue)s so even that
-//!   miss evaluation skips the kernels' per-comparison setup (ASCII
-//!   scans, `Vec<char>` collects, Myers `Peq` builds).
-//! * [`CachedComparator`] — the [`Value`]-keyed wrapper around a
-//!   [`ValueComparator`] for callers that have no interner at hand. Since
-//!   this PR it is lock-striped the same way (shard chosen by key hash)
-//!   instead of using one global `Mutex<FxHashMap>`.
-//!
-//! Both exploit kernel symmetry by canonicalizing the key pair, halving the
-//! table.
+//! almost every evaluation into a lookup. One cache lives here:
+//! [`SymbolCache`], the hot-path cache of the interned matching engine —
+//! keyed on canonical `(Symbol, Symbol)` pairs packed into one `u64`
+//! (kernel symmetry halves the table), sharded `SHARDS` ways with an
+//! `RwLock` per shard. Reads (the overwhelmingly common case once the
+//! cache is warm) take a shared lock on one shard only, so worker threads
+//! do not serialize on a single global mutex. The `kernel` closure a
+//! caller hands to [`SymbolCache::get_or_compute`] is the **only** place
+//! the pipeline touches strings; the interned path points it at
+//! per-symbol [`PreparedValue`](crate::value_cmp::PreparedValue)s so even
+//! that miss evaluation skips the kernels' per-comparison setup (ASCII
+//! scans, `Vec<char>` collects, Myers `Peq` builds).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::RwLock;
 
 use probdedup_model::intern::Symbol;
 use probdedup_model::util::{FxHashMap, FxHasher};
-use probdedup_model::value::Value;
-
-use crate::value_cmp::ValueComparator;
 
 /// Number of lock stripes. A power of two well above typical worker counts
 /// keeps the collision probability of two threads wanting the same stripe
@@ -52,7 +41,7 @@ fn hash_u64(key: u64) -> u64 {
     h.finish()
 }
 
-/// Hit/miss/eviction counters shared by both cache flavours.
+/// Hit/miss/eviction counters.
 #[derive(Debug, Default)]
 struct CacheCounters {
     hits: AtomicU64,
@@ -345,224 +334,14 @@ impl SymbolCache {
     }
 }
 
-// ---------------------------------------------------------------------
-// Value-keyed sharded comparator wrapper.
-// ---------------------------------------------------------------------
-
-/// One lock stripe of the value-keyed cache.
-type ValueShard = RwLock<FxHashMap<(Value, Value), f64>>;
-
-/// A memoizing wrapper around [`ValueComparator`], keyed on the canonical
-/// (sorted) value pair and lock-striped across 64 shards.
-///
-/// Alongside the exact memo table it keeps a **verdict table**: when the
-/// bounded path ([`CachedComparator::similarity_within`]) certifies a pair
-/// below some cut without computing the exact similarity, the certified
-/// upper bound is stored, and any later query with an equal-or-looser cut
-/// is answered without touching a kernel again.
-pub struct CachedComparator {
-    inner: ValueComparator,
-    shards: Box<[ValueShard]>,
-    /// Certified upper bounds ("similarity < v") from bounded evaluations.
-    bounds: Box<[ValueShard]>,
-    counters: CacheCounters,
-    bound_certs: AtomicU64,
-}
-
-impl CachedComparator {
-    /// Wrap `inner` with an empty memo table.
-    pub fn new(inner: ValueComparator) -> Self {
-        Self {
-            inner,
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-            bounds: (0..SHARDS)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-            counters: CacheCounters::default(),
-            bound_certs: AtomicU64::new(0),
-        }
-    }
-
-    /// Canonical (sorted) key pair of `(a, b)` with its shard index — the
-    /// one place the cache's addressing scheme lives; both the exact and
-    /// the bounded lookup go through it.
-    fn canonical_key_and_shard(a: &Value, b: &Value) -> ((Value, Value), usize) {
-        let key = if a <= b {
-            (a.clone(), b.clone())
-        } else {
-            (b.clone(), a.clone())
-        };
-        let shard_idx = {
-            use std::hash::{Hash, Hasher};
-            let mut h = FxHasher::default();
-            key.hash(&mut h);
-            shard_of(h.finish())
-        };
-        (key, shard_idx)
-    }
-
-    /// Memoized similarity (same contract as
-    /// [`ValueComparator::similarity`]).
-    pub fn similarity(&self, a: &Value, b: &Value) -> f64 {
-        // Nulls are trivial; don't pollute the cache.
-        if a.is_null() || b.is_null() {
-            return self.inner.similarity(a, b);
-        }
-        let (key, shard_idx) = Self::canonical_key_and_shard(a, b);
-        let shard = &self.shards[shard_idx];
-        if let Some(&s) = shard.read().expect("cache shard poisoned").get(&key) {
-            self.counters.hits.fetch_add(1, Relaxed);
-            return s;
-        }
-        let s = self.inner.similarity(&key.0, &key.1);
-        self.counters.misses.fetch_add(1, Relaxed);
-        shard.write().expect("cache shard poisoned").insert(key, s);
-        s
-    }
-
-    /// Bounded memoized similarity: `Some(exact)` or a certificate that
-    /// the similarity is `< bound` (same contract as
-    /// [`StringComparator::similarity_within`][w]). Certificates are
-    /// memoized as upper bounds, so a bound-certified pair never re-runs a
-    /// kernel for any equal-or-looser cut.
-    ///
-    /// [w]: probdedup_textsim::StringComparator::similarity_within
-    pub fn similarity_within(&self, a: &Value, b: &Value, bound: f64) -> Option<f64> {
-        if a.is_null() || b.is_null() {
-            return Some(self.inner.similarity(a, b));
-        }
-        let (key, shard_idx) = Self::canonical_key_and_shard(a, b);
-        let exact = &self.shards[shard_idx];
-        if let Some(&s) = exact.read().expect("cache shard poisoned").get(&key) {
-            self.counters.hits.fetch_add(1, Relaxed);
-            return Some(s);
-        }
-        self.counters.misses.fetch_add(1, Relaxed);
-        let verdicts = &self.bounds[shard_idx];
-        if let Some(&ub) = verdicts.read().expect("cache shard poisoned").get(&key) {
-            if ub <= bound {
-                self.bound_certs.fetch_add(1, Relaxed);
-                return None; // similarity < ub ≤ bound
-            }
-        }
-        match self.inner.similarity_within(&key.0, &key.1, bound) {
-            Some(s) => {
-                exact.write().expect("cache shard poisoned").insert(key, s);
-                Some(s)
-            }
-            None => {
-                self.bound_certs.fetch_add(1, Relaxed);
-                verdicts
-                    .write()
-                    .expect("cache shard poisoned")
-                    .entry(key)
-                    .and_modify(|old| *old = old.min(bound))
-                    .or_insert(bound);
-                None
-            }
-        }
-    }
-
-    /// Number of kernel evaluations disposed by a below-bound certificate
-    /// (cached or freshly computed) instead of an exact value.
-    pub fn bound_certs(&self) -> u64 {
-        self.bound_certs.load(Relaxed)
-    }
-
-    /// `(hits, misses)` counters — used by benches to report cache
-    /// effectiveness.
-    pub fn stats(&self) -> (u64, u64) {
-        self.counters.snapshot()
-    }
-
-    /// Number of memoized pairs.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    /// Whether the memo table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The wrapped comparator.
-    pub fn inner(&self) -> &ValueComparator {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probdedup_textsim::NormalizedHamming;
-
-    fn cached() -> CachedComparator {
-        CachedComparator::new(ValueComparator::text(NormalizedHamming::new()))
-    }
-
-    #[test]
-    fn caches_symmetric_pairs() {
-        let c = cached();
-        let tim = Value::from("Tim");
-        let kim = Value::from("Kim");
-        let s1 = c.similarity(&tim, &kim);
-        let s2 = c.similarity(&kim, &tim); // must hit the same entry
-        assert_eq!(s1, s2);
-        assert_eq!(c.len(), 1);
-        let (hits, misses) = c.stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn nulls_bypass_cache() {
-        let c = cached();
-        assert_eq!(c.similarity(&Value::Null, &Value::Null), 1.0);
-        assert_eq!(c.similarity(&Value::Null, &Value::from("x")), 0.0);
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn values_agree_with_inner() {
-        let c = cached();
-        let pairs = [("machinist", "mechanic"), ("a", "a"), ("", "x")];
-        for (x, y) in pairs {
-            let vx = Value::from(x);
-            let vy = Value::from(y);
-            assert_eq!(c.similarity(&vx, &vy), c.inner().similarity(&vx, &vy));
-        }
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        use std::sync::Arc;
-        let c = Arc::new(cached());
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for j in 0..50 {
-                        let a = Value::from(format!("name{}", (i + j) % 7));
-                        let b = Value::from(format!("name{}", j % 5));
-                        let s = c.similarity(&a, &b);
-                        assert!((0.0..=1.0).contains(&s));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(c.len() <= 7 * 5 + 7);
-    }
+    use probdedup_model::intern::ValuePool;
+    use probdedup_model::value::Value;
 
     #[test]
     fn symbol_cache_memoizes_canonical_pairs() {
-        use probdedup_model::intern::ValuePool;
         let mut pool = ValuePool::new();
         let a = pool.intern(&Value::from("machinist"));
         let b = pool.intern(&Value::from("mechanic"));
@@ -584,7 +363,6 @@ mod tests {
 
     #[test]
     fn symbol_cache_concurrent_access() {
-        use probdedup_model::intern::ValuePool;
         use std::sync::Arc;
         let mut pool = ValuePool::new();
         let syms: Vec<Symbol> = (0..32)
@@ -617,7 +395,6 @@ mod tests {
 
     #[test]
     fn bounded_cache_respects_capacity_and_counts_evictions() {
-        use probdedup_model::intern::ValuePool;
         let mut pool = ValuePool::new();
         let syms: Vec<Symbol> = (0..600)
             .map(|i| pool.intern(&Value::from(format!("v{i}"))))
@@ -647,7 +424,6 @@ mod tests {
 
     #[test]
     fn second_chance_prefers_evicting_cold_entries() {
-        use probdedup_model::intern::ValuePool;
         let mut pool = ValuePool::new();
         let syms: Vec<Symbol> = (0..200)
             .map(|i| pool.intern(&Value::from(format!("v{i}"))))
@@ -668,7 +444,6 @@ mod tests {
 
     #[test]
     fn export_import_roundtrips_entries() {
-        use probdedup_model::intern::ValuePool;
         let mut pool = ValuePool::new();
         let syms: Vec<Symbol> = (0..40)
             .map(|i| pool.intern(&Value::from(format!("v{i}"))))
@@ -691,7 +466,6 @@ mod tests {
 
     #[test]
     fn insert_min_keeps_tighter_bound_under_capacity() {
-        use probdedup_model::intern::ValuePool;
         let mut pool = ValuePool::new();
         let a = pool.intern(&Value::from("a"));
         let b = pool.intern(&Value::from("b"));

@@ -19,11 +19,12 @@
 //! vector** `c⃗ ∈ [0,1]ⁿ` the decision models consume; comparing two
 //! x-tuples yields the k×l **comparison matrix** of Fig. 6.
 //!
-//! Two implementations of the quadratic hot path live here:
+//! Two implementations of Eq. 5 live here, with different jobs:
 //!
-//! * the **plain path** ([`pvalue_sim`], [`matrix`]) — Eq. 5 straight off
-//!   [`PValue`](probdedup_model::pvalue::PValue)s, the readable reference
-//!   everything else is tested against;
+//! * the **paper-literal reference** ([`pvalue_sim`], [`matrix`], and the
+//!   Value-level [`bounded::pvalue_similarity_bounded`]) — Eq. 5 straight
+//!   off [`PValue`](probdedup_model::pvalue::PValue)s: readable, and what
+//!   the engine is tested against. No pipeline driver runs it;
 //! * the **interned path** ([`interned`]) — values are interned once into
 //!   a [`ValuePool`](probdedup_model::intern::ValuePool), Eq. 5 runs over
 //!   dense symbols with alternatives in descending probability order
@@ -34,8 +35,8 @@
 //!   [`PreparedValue`]s (ASCII class, character
 //!   length, Myers pattern bitmasks) precomputed once at interning time,
 //!   so the bit-parallel kernels in `probdedup-textsim` skip their
-//!   per-comparison setup. This is what the pipeline's
-//!   `cache_similarities(true)` mode executes.
+//!   per-comparison setup. This is what the pipeline's matching engine
+//!   executes — always.
 //!
 //! # Example
 //!
@@ -63,8 +64,8 @@ pub mod pvalue_sim;
 pub mod value_cmp;
 pub mod vector;
 
-pub use bounded::{pvalue_similarity_bounded, pvalue_similarity_bounded_cached, BoundedSim};
-pub use cache::{CachedComparator, SymbolCache};
+pub use bounded::{pvalue_similarity_bounded, BoundedSim};
+pub use cache::SymbolCache;
 pub use interned::{
     compare_xtuples_interned, intern_tuples, intern_tuples_into, intern_tuples_tracked,
     interned_pvalue_similarity, interned_pvalue_similarity_bounded, AttributeUsage,

@@ -88,34 +88,6 @@ pub fn compare_xtuples(
     ComparisonMatrix { k, l, vectors }
 }
 
-/// [`compare_xtuples`] through per-attribute memoizing kernels (see
-/// [`CachedComparator`](crate::cache::CachedComparator)): across a whole
-/// relation the same value pairs recur constantly, so the cache turns most
-/// kernel evaluations into hash lookups. Same results as the uncached path
-/// (asserted by tests).
-pub fn compare_xtuples_cached(
-    t1: &XTuple,
-    t2: &XTuple,
-    comparators: &[crate::cache::CachedComparator],
-) -> ComparisonMatrix {
-    let k = t1.len();
-    let l = t2.len();
-    let mut vectors = Vec::with_capacity(k * l);
-    for a1 in t1.alternatives() {
-        for a2 in t2.alternatives() {
-            let v: ComparisonVector = comparators
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    crate::pvalue_sim::pvalue_similarity_cached(a1.value(i), a2.value(i), c)
-                })
-                .collect();
-            vectors.push(v);
-        }
-    }
-    ComparisonMatrix { k, l, vectors }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,33 +178,5 @@ mod tests {
         let t = XTuple::builder(&s).alt(1.0, ["a", "b"]).build().unwrap();
         let m = compare_xtuples(&t, &t, &comparators());
         let _ = m.vector(1, 0);
-    }
-
-    #[test]
-    fn cached_path_matches_uncached() {
-        use crate::cache::CachedComparator;
-        use crate::value_cmp::ValueComparator;
-        let s = schema();
-        let t32 = XTuple::builder(&s)
-            .alt(0.3, ["Tim", "mechanic"])
-            .alt(0.2, ["Jim", "mechanic"])
-            .alt(0.4, ["Jim", "baker"])
-            .build()
-            .unwrap();
-        let t42 = XTuple::builder(&s)
-            .alt(0.8, ["Tom", "mechanic"])
-            .build()
-            .unwrap();
-        let caches: Vec<CachedComparator> = (0..2)
-            .map(|_| CachedComparator::new(ValueComparator::text(NormalizedHamming::new())))
-            .collect();
-        let plain = compare_xtuples(&t32, &t42, &comparators());
-        let cached = compare_xtuples_cached(&t32, &t42, &caches);
-        assert_eq!(plain, cached);
-        // Second run hits the cache and still agrees.
-        let cached2 = compare_xtuples_cached(&t32, &t42, &caches);
-        assert_eq!(plain, cached2);
-        let (hits, _) = caches[0].stats();
-        assert!(hits > 0, "repeat comparison must hit the cache");
     }
 }

@@ -140,27 +140,6 @@ pub fn pvalue_equality(a: &PValue, b: &PValue) -> f64 {
     a.equality_prob(b)
 }
 
-/// [`pvalue_similarity`] with a memoizing kernel: identical value pairs
-/// (which recur constantly across a relation — domains are small relative
-/// to tuple counts) hit the cache instead of re-running the string kernel.
-pub fn pvalue_similarity_cached(
-    a: &PValue,
-    b: &PValue,
-    cmp: &crate::cache::CachedComparator,
-) -> f64 {
-    let mut total = 0.0;
-    for (va, pa) in a.alternatives() {
-        for (vb, pb) in b.alternatives() {
-            let s = cmp.similarity(va, vb);
-            if s > 0.0 {
-                total += pa * pb * s;
-            }
-        }
-    }
-    total += a.null_prob() * b.null_prob();
-    total.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

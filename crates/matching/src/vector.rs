@@ -48,16 +48,6 @@ impl AttributeComparators {
     pub fn get(&self, i: usize) -> &ValueComparator {
         &self.per_attr[i]
     }
-
-    /// Fresh memoizing wrappers for each attribute comparator (see
-    /// [`CachedComparator`](crate::cache::CachedComparator)); the pipeline
-    /// builds one set per run and shares it across worker threads.
-    pub fn to_cached(&self) -> Vec<crate::cache::CachedComparator> {
-        self.per_attr
-            .iter()
-            .map(|c| crate::cache::CachedComparator::new(c.clone()))
-            .collect()
-    }
 }
 
 /// Compare two probabilistic tuples attribute by attribute (Eq. 5 per

@@ -693,7 +693,8 @@ mod tests {
     /// Fig. 14 on ℛ34: per-alternative blocking partitions the tuples into
     /// blocks JP, JM(=Jm?), TM, JB, J, SP. The figure's tuple labels use an
     /// inconsistent naming (t21/t22/t33); on ℛ3 ∪ ℛ4 as drawn in Fig. 5 the
-    /// blocks and matchings below result (documented in EXPERIMENTS.md).
+    /// blocks and matchings below result (`experiments --figure 14`
+    /// prints the same partition).
     #[test]
     fn fig14_blocks_and_matchings() {
         let tuples = r34();

@@ -177,7 +177,6 @@ impl ServeConfig {
                 window: 6,
             })
             .threads(4)
-            .cache_similarities(true)
             .build()
     }
 }

@@ -778,7 +778,6 @@ fn capped_pipeline() -> probdedup_core::pipeline::DedupPipeline {
             window: 6,
         })
         .threads(4)
-        .cache_similarities(true)
         .decision_memo_capacity(Some(8))
         .build()
 }

@@ -109,7 +109,6 @@ fn main() {
             Arc::new(ExpectedSimilarity),
             Thresholds::new(0.6, 0.8).expect("thresholds"),
         )))
-        .cache_similarities(true)
         .build_session();
     println!("\nincremental ingest through a DedupSession:");
     for (label, r) in [("ℛ1", &r1), ("ℛ2", &r2)] {

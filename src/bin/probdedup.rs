@@ -11,6 +11,8 @@
 //! [`probdedup::model::format`] (extension convention: `.pxr`,
 //! "probabilistic x-relation").
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -59,7 +61,7 @@ USAGE:
       external-sort and block-spill ceilings.
 
   probdedup ingest --input FILE.pxr [--input FILE2.pxr ...]
-      (same options as dedup; plus --cache true|false, default true here)
+      (same options as dedup)
       Feed the inputs one at a time through a persistent DedupSession:
       each batch is interned incrementally, only new-vs-resident candidate
       pairs are classified, and the merged result is printed at the end
@@ -113,12 +115,14 @@ USAGE:
 COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
   --reduction full|snm-alternatives|snm-ranked|snm-multipass|blocking
   --key attr:len[,attr:len...]   --window W
-  --lambda T  --mu T  --threads N  --cache true|false
+  --lambda T  --mu T  --threads N
   --memo-capacity N   bound the session's pair-decision memo to N
                       entries (second-chance eviction; unbounded default)
   --memory-budget B   bound the pipeline's memory appetite to ~B bytes
                       (suffixes k/m/g; derives cache, memo and spill
                       ceilings — see dedup --shards)
+
+An option the subcommand does not know is a usage error (exit 2).
 
 EXIT CODES:
   0 success   2 usage error   3 I/O error   4 data parse error
@@ -186,8 +190,12 @@ fn main() -> ExitCode {
 }
 
 /// A tiny argument cursor: `--flag value` pairs after the subcommand.
+/// Every lookup records the name it asked for, so a command can reject
+/// what nobody read ([`Args::reject_unread`]) instead of silently
+/// ignoring a typo.
 struct Args {
     items: Vec<(String, String)>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -203,10 +211,14 @@ impl Args {
                 .ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
             items.push((name.to_string(), value.clone()));
         }
-        Ok(Self { items })
+        Ok(Self {
+            items,
+            read: RefCell::default(),
+        })
     }
 
     fn all(&self, name: &str) -> Vec<&str> {
+        self.read.borrow_mut().insert(name.to_string());
         self.items
             .iter()
             .filter(|(n, _)| n == name)
@@ -224,6 +236,16 @@ impl Args {
                 .parse()
                 .map_err(|_| CliError::Usage(format!("--{name}: cannot parse {v:?}"))),
             None => Ok(default),
+        }
+    }
+
+    /// Fail on the first given option no lookup has asked for. Call once
+    /// a command has read all of its options and before it does any work.
+    fn reject_unread(&self) -> Result<(), CliError> {
+        let read = self.read.borrow();
+        match self.items.iter().find(|(name, _)| !read.contains(name)) {
+            Some((name, _)) => Err(CliError::Usage(format!("unknown option --{name}"))),
+            None => Ok(()),
         }
     }
 }
@@ -258,6 +280,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         seed: args.get_parsed("seed", 42u64)?,
         ..DatasetConfig::default()
     };
+    args.reject_unread()?;
     let ds = generate(&Dictionaries::people(), &cfg);
     for (i, rel) in ds.relations.iter().enumerate() {
         let path = format!("{prefix}.source{i}.pxr");
@@ -289,6 +312,7 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
     let path = args
         .get("input")
         .ok_or_else(|| CliError::Usage("--input is required".to_string()))?;
+    args.reject_unread()?;
     let rel = load_relation(path)?;
     println!("{path}:");
     println!("{}", RelationStats::for_xrelation(&rel));
@@ -316,15 +340,9 @@ fn parse_key(spec: &str, schema: &probdedup::model::schema::Schema) -> Result<Ke
     Ok(KeySpec::new(parts))
 }
 
-/// Shared option parsing of `dedup` / `ingest`: load the inputs and build
-/// the configured pipeline over their schema. `--cache true|false`
-/// toggles the interned similarity cache (default: `default_cache` —
-/// off for one-shot dedup, on for sessions, where the warm caches are
-/// the point).
-fn parse_pipeline(
-    args: &Args,
-    default_cache: bool,
-) -> Result<(Vec<String>, Vec<XRelation>, DedupPipeline), CliError> {
+/// Shared option parsing of the input-driven commands: load the inputs
+/// and build the configured pipeline over their schema.
+fn parse_pipeline(args: &Args) -> Result<(Vec<String>, Vec<XRelation>, DedupPipeline), CliError> {
     let inputs: Vec<String> = args.all("input").iter().map(|s| s.to_string()).collect();
     if inputs.is_empty() {
         return Err(CliError::Usage("at least one --input is required".into()));
@@ -334,7 +352,7 @@ fn parse_pipeline(
         .map(|p| load_relation(p))
         .collect::<Result<_, _>>()?;
     let schema = relations[0].schema().clone();
-    let pipeline = build_pipeline(args, &schema, default_cache)?;
+    let pipeline = build_pipeline(args, &schema)?;
     Ok((inputs, relations, pipeline))
 }
 
@@ -345,7 +363,6 @@ fn parse_pipeline(
 fn build_pipeline(
     args: &Args,
     schema: &probdedup::model::schema::Schema,
-    default_cache: bool,
 ) -> Result<DedupPipeline, CliError> {
     let window = args.get_parsed("window", 6usize)?;
     let key = match args.get("key") {
@@ -403,7 +420,6 @@ fn build_pipeline(
         )))
         .reduction(reduction)
         .threads(threads)
-        .cache_similarities(args.get_parsed("cache", default_cache)?)
         .decision_memo_capacity(memo_capacity)
         .memory_budget(memory_budget)
         .build();
@@ -459,9 +475,10 @@ fn print_result(result: &probdedup::core::pipeline::DedupResult) {
 }
 
 fn cmd_dedup(args: &Args) -> Result<(), CliError> {
-    let (_, relations, pipeline) = parse_pipeline(args, false)?;
+    let (_, relations, pipeline) = parse_pipeline(args)?;
     let refs: Vec<&XRelation> = relations.iter().collect();
     let shards = args.get_parsed("shards", 1usize)?;
+    args.reject_unread()?;
     let result = if shards > 1 {
         let (result, stats) =
             pipeline
@@ -505,7 +522,9 @@ fn cmd_entities(args: &Args) -> Result<(), CliError> {
             ))
         })?,
     };
-    let (_, relations, pipeline) = parse_pipeline(args, false)?;
+    let (_, relations, pipeline) = parse_pipeline(args)?;
+    let truth_path = args.get("truth");
+    args.reject_unread()?;
     let refs: Vec<&XRelation> = relations.iter().collect();
     let (result, resolution) = pipeline
         .run_entities(&refs, strategy)
@@ -520,7 +539,7 @@ fn cmd_entities(args: &Args) -> Result<(), CliError> {
             .collect();
         println!("  {{{}}}", members.join(", "));
     }
-    if let Some(path) = args.get("truth") {
+    if let Some(path) = truth_path {
         let truth = load_truth(path, resolution.rows)?;
         let metrics = ClusterMetrics::from_partitions(
             &resolution.clusters,
@@ -568,7 +587,8 @@ fn load_truth(path: &str, rows: usize) -> Result<GroundTruth, CliError> {
 /// partition is identical to `dedup` over the same inputs (the session's
 /// split-invariance contract).
 fn cmd_ingest(args: &Args) -> Result<(), CliError> {
-    let (inputs, relations, pipeline) = parse_pipeline(args, true)?;
+    let (inputs, relations, pipeline) = parse_pipeline(args)?;
+    args.reject_unread()?;
     let mut session = pipeline.session();
     for (path, rel) in inputs.iter().zip(&relations) {
         let step = session
@@ -598,7 +618,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         return Err(CliError::Usage("--arity must be at least 1".into()));
     }
     let schema = Schema::new((0..arity).map(|i| format!("attr{i}")));
-    let pipeline = build_pipeline(args, &schema, true)?;
+    let pipeline = build_pipeline(args, &schema)?;
 
     let mut config = ServeConfig::new(&addr, pipeline);
     if let Some(dir) = args.get("snapshot-dir") {
@@ -643,6 +663,7 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         }
         config = config.request_timeout(std::time::Duration::from_secs_f64(secs));
     }
+    args.reject_unread()?;
 
     let server = Server::bind(config).map_err(|e| match e {
         probdedup::serve::ServeError::Snapshot(path, err) => {
@@ -694,7 +715,8 @@ fn cmd_snapshot_save(args: &Args) -> Result<(), CliError> {
         .get("out")
         .ok_or_else(|| CliError::Usage("--out is required".to_string()))?
         .to_string();
-    let (_, relations, pipeline) = parse_pipeline(args, true)?;
+    let (_, relations, pipeline) = parse_pipeline(args)?;
+    args.reject_unread()?;
     let refs: Vec<&XRelation> = relations.iter().collect();
     let mut session = pipeline.session();
     let result = session
@@ -720,7 +742,8 @@ fn cmd_snapshot_load(args: &Args) -> Result<(), CliError> {
         .get("snapshot")
         .ok_or_else(|| CliError::Usage("--snapshot is required".to_string()))?
         .to_string();
-    let (_, relations, pipeline) = parse_pipeline(args, true)?;
+    let (_, relations, pipeline) = parse_pipeline(args)?;
+    args.reject_unread()?;
     let mut session = DedupSession::open(&path, &pipeline).map_err(|e| snapshot_error(&path, e))?;
     let renders_at_open = session.key_render_count();
     println!(

@@ -4,8 +4,9 @@
 //! For generated schemas (uncertain values, multi-alternative x-tuples,
 //! ⊥ mass, typo-adjacent strings) the classify-only pipeline mode must
 //! produce **the same match / possible / non-match partition, in the same
-//! candidate order**, as the exact similarity-based model — with
-//! thresholds chosen as midpoints between *observed* similarity values so
+//! candidate order**, as the exact similarity-based model — and both as
+//! the paper-literal reference (`compare_xtuples` + `decide` straight off
+//! the x-tuples, `probdedup::core::test_support`) — with thresholds chosen as midpoints between *observed* similarity values so
 //! every case exercises all three Fellegi–Sunter bands and no similarity
 //! sits inside the certificate margin of a threshold.
 
@@ -14,6 +15,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use probdedup::core::pipeline::ReductionStrategy;
+use probdedup::core::test_support::{
+    assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+};
 use probdedup::core::DedupPipeline;
 use probdedup::decision::budget::CERT_MARGIN;
 use probdedup::decision::combine::WeightedSum;
@@ -128,17 +132,19 @@ fn check_kernel(kernel: impl StringComparator + Clone + 'static, relation: &XRel
     let Some(thresholds) = band_splitting_thresholds(&sims) else {
         return; // degenerate draw: too few distinct similarities
     };
+    let model = Arc::new(SimilarityBasedModel::new(
+        Arc::new(phi.clone()),
+        Arc::new(ExpectedSimilarity),
+        thresholds,
+    ));
     let exact = DedupPipeline::builder()
         .comparators(comparators.clone())
-        .model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(phi.clone()),
-            Arc::new(ExpectedSimilarity),
-            thresholds,
-        )))
+        .model(model.clone())
         .reduction(ReductionStrategy::Full)
         .build()
         .run(&[relation])
         .expect("exact run");
+    assert_exact_agrees_with_reference(&exact, &comparators, model.as_ref(), "exact");
     // All three bands hit by construction.
     for class in [
         MatchClass::Match,
@@ -150,38 +156,33 @@ fn check_kernel(kernel: impl StringComparator + Clone + 'static, relation: &XRel
             "band {class} empty despite band-splitting thresholds"
         );
     }
-    for cache in [false, true] {
-        let bounded = DedupPipeline::builder()
-            .comparators(comparators.clone())
-            .classify_only(phi.clone(), thresholds)
-            .cache_similarities(cache)
-            .reduction(ReductionStrategy::Full)
-            .build()
-            .run(&[relation])
-            .expect("bounded run");
-        assert_eq!(exact.decisions.len(), bounded.decisions.len());
-        for (x, y) in exact.decisions.iter().zip(&bounded.decisions) {
-            // Same candidate ordering, same partition.
-            assert_eq!(x.pair, y.pair, "cache {cache}");
-            assert_eq!(
-                x.class, y.class,
-                "cache {cache}, pair {:?}: exact sim {} vs bounded representative {}",
-                x.pair, x.similarity, y.similarity
-            );
-            // The certified representative classifies identically.
-            assert_eq!(thresholds.classify(y.similarity), y.class);
-        }
-        assert_eq!(exact.clusters, bounded.clusters, "cache {cache}");
-        // The tier counters partition the candidate set.
-        let s = &bounded.stats;
+    let bounded = DedupPipeline::builder()
+        .comparators(comparators.clone())
+        .classify_only(phi.clone(), thresholds)
+        .reduction(ReductionStrategy::Full)
+        .build()
+        .run(&[relation])
+        .expect("bounded run");
+    assert_classes_agree_with_reference(&bounded, &comparators, model.as_ref(), "bounded");
+    assert_eq!(exact.decisions.len(), bounded.decisions.len());
+    for (x, y) in exact.decisions.iter().zip(&bounded.decisions) {
+        // Same candidate ordering, same partition.
+        assert_eq!(x.pair, y.pair);
         assert_eq!(
-            s.pairs_early_match
-                + s.pairs_early_nonmatch
-                + s.pairs_early_possible
-                + s.pairs_exhausted,
-            bounded.candidates as u64
+            x.class, y.class,
+            "pair {:?}: exact sim {} vs bounded representative {}",
+            x.pair, x.similarity, y.similarity
         );
+        // The certified representative classifies identically.
+        assert_eq!(thresholds.classify(y.similarity), y.class);
     }
+    assert_eq!(exact.clusters, bounded.clusters);
+    // The tier counters partition the candidate set.
+    let s = &bounded.stats;
+    assert_eq!(
+        s.pairs_early_match + s.pairs_early_nonmatch + s.pairs_early_possible + s.pairs_exhausted,
+        bounded.candidates as u64
+    );
 }
 
 proptest! {

@@ -535,3 +535,53 @@ fn helpful_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown key attribute"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Options nobody reads are a usage error (exit 2) — a typo'd flag must
+/// not silently run with the default, and the `--cache` switch of the
+/// removed plain engine must not be silently ignored either.
+#[test]
+fn unknown_options_are_usage_errors() {
+    let dir = temp_dir("unknownflags");
+    let prefix = dir.join("u");
+    let prefix_str = prefix.to_str().unwrap();
+    let out = bin()
+        .args(["generate", "--out-prefix", prefix_str, "--entities", "10"])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let src0 = format!("{prefix_str}.source0.pxr");
+
+    // A typo of --threads.
+    let out = bin()
+        .args(["dedup", "--input", &src0, "--thraeds", "8"])
+        .output()
+        .expect("run dedup");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --thraeds"), "{stderr}");
+    assert!(stderr.contains("USAGE"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "a usage error must not run the pipeline"
+    );
+
+    // The stale engine switch, on a one-shot and on a session command.
+    for cmd in ["dedup", "ingest"] {
+        let out = bin()
+            .args([cmd, "--input", &src0, "--cache", "false"])
+            .output()
+            .expect("run with --cache");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option --cache"), "{cmd}: {stderr}");
+    }
+
+    // Commands without pipeline options check too.
+    let out = bin()
+        .args(["stats", "--input", &src0, "--verbose", "1"])
+        .output()
+        .expect("run stats");
+    assert_eq!(out.status.code(), Some(2));
+
+    std::fs::remove_dir_all(&dir).ok();
+}

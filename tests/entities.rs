@@ -69,7 +69,6 @@ fn pipeline(threads: usize) -> DedupPipeline {
             window: 4,
         })
         .threads(threads)
-        .cache_similarities(true)
         .build()
 }
 

@@ -2,21 +2,25 @@
 //! eviction) may forget whatever it likes — recomputation is always
 //! correct, so capacity only moves work, never answers. Asserted at the
 //! pipeline level for brutal capacities (1, 2, 7 memoized pairs per
-//! attribute): the cached bounded run classifies every pair exactly as
-//! the uncached exact reference does, the cached exact run is even
-//! byte-identical, and the stats prove eviction actually happened
-//! (`cache_evictions > 0` — the capacities are far below the workload's
-//! distinct symbol pairs).
+//! attribute): the classify-only run classifies every pair exactly as
+//! the paper-literal reference does (`probdedup::core::test_support`),
+//! the exact run is even byte-identical to its unbounded-cache twin (and
+//! agrees with the reference to rounding), and the stats prove eviction
+//! actually happened (`cache_evictions > 0` — the capacities are far
+//! below the workload's distinct symbol pairs).
 
 use std::sync::Arc;
 
-use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
+use probdedup::core::pipeline::{DedupPipeline, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
+use probdedup::core::test_support::{
+    assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+};
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::Thresholds;
-use probdedup::decision::xmodel::SimilarityBasedModel;
+use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::textsim::JaroWinkler;
@@ -38,51 +42,49 @@ fn source() -> XRelation {
     .combined()
 }
 
-fn pipeline(bounded: bool, cache: bool, capacity: Option<usize>) -> DedupPipeline {
-    let r = source();
-    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
-    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
-    let b = DedupPipeline::builder()
-        .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(
-            r.schema(),
-            JaroWinkler::new(),
-        ))
-        .reduction(ReductionStrategy::Full)
-        .threads(2)
-        .cache_similarities(cache)
-        .cache_capacity(capacity);
-    if bounded {
-        b.classify_only(phi, thresholds).build()
-    } else {
-        b.model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(phi),
-            Arc::new(ExpectedSimilarity),
-            thresholds,
-        )))
-        .build()
-    }
+fn comparators() -> AttributeComparators {
+    AttributeComparators::uniform(source().schema(), JaroWinkler::new())
 }
 
-fn assert_same_partition(reference: &DedupResult, got: &DedupResult, label: &str) {
-    assert_eq!(reference.candidates, got.candidates, "{label}: candidates");
-    for (a, b) in reference.decisions.iter().zip(&got.decisions) {
-        assert_eq!(a.pair, b.pair, "{label}");
-        assert_eq!(a.class, b.class, "{label}: pair {:?}", a.pair);
+fn phi() -> WeightedSum {
+    WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap()
+}
+
+fn thresholds() -> Thresholds {
+    Thresholds::new(0.72, 0.82).unwrap()
+}
+
+/// The exact model — also the linear model classify-only stands for.
+fn model() -> Arc<dyn XTupleDecisionModel> {
+    Arc::new(SimilarityBasedModel::new(
+        Arc::new(phi()),
+        Arc::new(ExpectedSimilarity),
+        thresholds(),
+    ))
+}
+
+fn pipeline(bounded: bool, capacity: Option<usize>) -> DedupPipeline {
+    let b = DedupPipeline::builder()
+        .preparation(Preparation::standard_all(4))
+        .comparators(comparators())
+        .reduction(ReductionStrategy::Full)
+        .threads(2)
+        .cache_capacity(capacity);
+    if bounded {
+        b.classify_only(phi(), thresholds()).build()
+    } else {
+        b.model(model()).build()
     }
-    assert_eq!(reference.clusters, got.clusters, "{label}: clusters");
 }
 
 #[test]
 fn bounded_partition_survives_brutal_eviction() {
     let r = source();
-    // The uncached exact run is the ground truth the bounded modes are
-    // property-tested against elsewhere; eviction must not change it.
-    let reference = pipeline(false, false, None).run(&[&r]).unwrap();
     for capacity in [1usize, 2, 7] {
-        let result = pipeline(true, true, Some(capacity)).run(&[&r]).unwrap();
+        let result = pipeline(true, Some(capacity)).run(&[&r]).unwrap();
         let label = format!("bounded capacity={capacity}");
-        assert_same_partition(&reference, &result, &label);
+        // Eviction must not move any pair off the paper-literal class.
+        assert_classes_agree_with_reference(&result, &comparators(), model().as_ref(), &label);
         assert!(
             result.stats.cache_evictions > 0,
             "{label}: expected evictions, got stats {:?}",
@@ -94,12 +96,13 @@ fn bounded_partition_survives_brutal_eviction() {
 #[test]
 fn exact_decisions_are_byte_identical_under_eviction() {
     let r = source();
-    // Reference: the interned exact path with an unbounded cache — the
-    // same arithmetic as the capped runs (the plain path may differ in
-    // the last ulp through its different accumulation order).
-    let reference = pipeline(false, true, None).run(&[&r]).unwrap();
+    // Reference: the same engine with an unbounded cache — the same
+    // arithmetic as the capped runs, itself pinned to the paper-literal
+    // reference (to rounding: the interned sum runs in a different order).
+    let reference = pipeline(false, None).run(&[&r]).unwrap();
+    assert_exact_agrees_with_reference(&reference, &comparators(), model().as_ref(), "unbounded");
     for capacity in [1usize, 2, 7] {
-        let result = pipeline(false, true, Some(capacity)).run(&[&r]).unwrap();
+        let result = pipeline(false, Some(capacity)).run(&[&r]).unwrap();
         // Exact mode certifies exact similarities no matter what the
         // cache remembers: full byte equality, not just the partition.
         assert_eq!(

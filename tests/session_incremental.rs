@@ -3,8 +3,8 @@
 //! the same match / possible / non-match partition (and the same duplicate
 //! clusters) as one batch [`DedupPipeline::run`] over the concatenated
 //! sources — under the exact decision model and the classify-only
-//! (bounded) mode, with and without the similarity cache, across thread
-//! counts. Plus the warm-rerun certificate: re-running an unchanged corpus
+//! (bounded) mode, across thread counts (the equality contract is stated
+//! in ARCHITECTURE.md, "The engine"). Plus the warm-rerun certificate: re-running an unchanged corpus
 //! performs **zero** key renders and interns zero new values.
 //!
 //! [`DedupSession`]: probdedup::core::session::DedupSession
@@ -18,11 +18,14 @@ use proptest::prelude::*;
 use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
+use probdedup::core::test_support::{
+    assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+};
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
-use probdedup::decision::xmodel::SimilarityBasedModel;
+use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::model::xtuple::XTuple;
@@ -73,31 +76,38 @@ fn strategies() -> Vec<ReductionStrategy> {
     ]
 }
 
+fn comparators() -> AttributeComparators {
+    AttributeComparators::uniform(&corpus_schema(), JaroWinkler::new())
+}
+
+fn phi() -> WeightedSum {
+    WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap()
+}
+
+fn thresholds() -> Thresholds {
+    Thresholds::new(0.72, 0.82).unwrap()
+}
+
+/// The exact model — also the linear model classify-only stands for.
+fn model() -> Arc<dyn XTupleDecisionModel> {
+    Arc::new(SimilarityBasedModel::new(
+        Arc::new(phi()),
+        Arc::new(ExpectedSimilarity),
+        thresholds(),
+    ))
+}
+
 /// Build the configured front door (exact model or bounded classify-only).
-fn pipeline(
-    strategy: ReductionStrategy,
-    bounded: bool,
-    cache: bool,
-    threads: usize,
-) -> DedupPipeline {
-    let schema = corpus_schema();
-    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
-    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
+fn pipeline(strategy: ReductionStrategy, bounded: bool, threads: usize) -> DedupPipeline {
     let b = DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
+        .comparators(comparators())
         .reduction(strategy)
-        .threads(threads)
-        .cache_similarities(cache);
+        .threads(threads);
     if bounded {
-        b.classify_only(phi, thresholds).build()
+        b.classify_only(phi(), thresholds()).build()
     } else {
-        b.model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(phi),
-            Arc::new(ExpectedSimilarity),
-            thresholds,
-        )))
-        .build()
+        b.model(model()).build()
     }
 }
 
@@ -161,16 +171,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any random split of the corpus into 1..=4 ingest batches reproduces
-    /// the one-shot batch partition — exact and bounded modes, cached and
-    /// uncached, 1 and 4 threads, across reduction strategies (including a
-    /// world-dependent one).
+    /// the one-shot batch partition — exact and bounded modes, 1 and 4
+    /// threads, across reduction strategies (including a world-dependent
+    /// one).
     #[test]
     fn ingest_split_invariance(
         cuts in proptest::collection::vec(0usize..10_000, 0..3),
         strat_idx in 0usize..5,
         four_threads in any::<bool>(),
         bounded in any::<bool>(),
-        cache in any::<bool>(),
     ) {
         let threads = if four_threads { 4 } else { 1 };
         let tuples = corpus();
@@ -178,20 +187,55 @@ proptest! {
         let refs: Vec<&XRelation> = sources.iter().collect();
         let strategy = strategies().swap_remove(strat_idx);
         let label = format!(
-            "{} bounded={bounded} cache={cache} threads={threads} batches={}",
+            "{} bounded={bounded} threads={threads} batches={}",
             strategy.name(),
             sources.len()
         );
 
-        let one_shot = pipeline(strategy.clone(), bounded, cache, threads)
+        let one_shot = pipeline(strategy.clone(), bounded, threads)
             .run(&refs)
             .unwrap();
         let mut session: DedupSession =
-            pipeline(strategy, bounded, cache, threads).session();
+            pipeline(strategy, bounded, threads).session();
         for src in &sources {
             session.ingest(src).unwrap();
         }
         assert_equivalent(&one_shot, &session.result(), &label);
+    }
+}
+
+/// What the streamed partition is invariant *to* is pinned against the
+/// paper-literal reference: a session fed in two batches agrees with
+/// `compare_xtuples` + `decide` straight off the x-tuples, for every
+/// strategy and both engine configurations.
+#[test]
+fn streamed_result_agrees_with_paper_literal_reference() {
+    let tuples = corpus();
+    let sources = split_sources(&tuples, &[tuples.len() / 2]);
+    for strategy in strategies() {
+        for bounded in [false, true] {
+            let label = format!("{} bounded={bounded}", strategy.name());
+            let mut session = pipeline(strategy.clone(), bounded, 2).session();
+            for src in &sources {
+                session.ingest(src).unwrap();
+            }
+            let merged = session.result();
+            if bounded {
+                assert_classes_agree_with_reference(
+                    &merged,
+                    &comparators(),
+                    model().as_ref(),
+                    &label,
+                );
+            } else {
+                assert_exact_agrees_with_reference(
+                    &merged,
+                    &comparators(),
+                    model().as_ref(),
+                    &label,
+                );
+            }
+        }
     }
 }
 
@@ -227,7 +271,7 @@ fn warm_rerun_performs_zero_key_renders() {
             },
         ),
     ] {
-        let mut session = pipeline(strategy, bounded, true, 2).session();
+        let mut session = pipeline(strategy, bounded, 2).session();
         let first = session.run(&refs).unwrap();
         let renders = session.key_render_count();
         let interned = session.interned_value_count();
@@ -263,10 +307,8 @@ fn run_then_ingest_composes() {
         spec: key(),
         window: 4,
     };
-    let one_shot = pipeline(strategy.clone(), false, true, 2)
-        .run(&refs_all)
-        .unwrap();
-    let mut session = pipeline(strategy, false, true, 2).session();
+    let one_shot = pipeline(strategy.clone(), false, 2).run(&refs_all).unwrap();
+    let mut session = pipeline(strategy, false, 2).session();
     session.run(&[&sources[0], &sources[1]]).unwrap();
     let step = session.ingest(&sources[2]).unwrap();
     assert!(step.rows_added() > 0);

@@ -3,22 +3,13 @@
 //! [`ShardedPipeline`] result equals the one-shot [`DedupPipeline::run`]
 //! over the same sources.
 //!
-//! Equality is tiered by mode:
-//!
-//! * **exact** (cached or not) and **bounded uncached** — full byte
-//!   equality of the decision list (pairs, classes *and* certified
-//!   similarities), the candidate count, the combined relation, the
-//!   source offsets and the clusters;
-//! * **bounded + cached** — identical match / possible / non-match
-//!   partition (pairs, classes, clusters, candidates). The certified
-//!   representative similarity of a pair may differ: per-shard
-//!   classification order warms the symbol caches differently, and a
-//!   warm hit can certify a pair through a `Below`-bound verdict where
-//!   the cold run computed the exact value (or vice versa). The
-//!   *decision* each certificate proves is the same either way.
-//!
-//! Stats are excluded everywhere — cache traffic legitimately differs
-//! between one sweep and `k` per-shard sweeps.
+//! "Equals" is the engine's equality contract — ARCHITECTURE.md, "The
+//! engine" — byte identity (`assert_identical`) for the exact
+//! configuration, class and cluster identity (`assert_same_partition`)
+//! for classify-only. Stats are excluded everywhere: cache traffic
+//! legitimately differs between one sweep and `k` per-shard sweeps. The
+//! one-shot run itself is pinned to the paper-literal reference
+//! (`probdedup::core::test_support`).
 //!
 //! [`ShardedPipeline`]: probdedup::core::shard::ShardedPipeline
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
@@ -30,11 +21,14 @@ use proptest::prelude::*;
 
 use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
+use probdedup::core::test_support::{
+    assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+};
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
-use probdedup::decision::xmodel::SimilarityBasedModel;
+use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::reduction::{
@@ -106,30 +100,39 @@ fn strategies() -> Vec<ReductionStrategy> {
     ]
 }
 
-fn pipeline(
-    strategy: ReductionStrategy,
-    bounded: bool,
-    cache: bool,
-    threads: usize,
-) -> DedupPipeline {
+fn comparators() -> AttributeComparators {
     let schema = sources(1, 7).remove(0).schema().clone();
-    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
-    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
+    AttributeComparators::uniform(&schema, JaroWinkler::new())
+}
+
+fn phi() -> WeightedSum {
+    WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap()
+}
+
+fn thresholds() -> Thresholds {
+    Thresholds::new(0.72, 0.82).unwrap()
+}
+
+/// The exact model — also the linear model the classify-only
+/// configuration stands for.
+fn model() -> Arc<dyn XTupleDecisionModel> {
+    Arc::new(SimilarityBasedModel::new(
+        Arc::new(phi()),
+        Arc::new(ExpectedSimilarity),
+        thresholds(),
+    ))
+}
+
+fn pipeline(strategy: ReductionStrategy, bounded: bool, threads: usize) -> DedupPipeline {
     let b = DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
+        .comparators(comparators())
         .reduction(strategy)
-        .threads(threads)
-        .cache_similarities(cache);
+        .threads(threads);
     if bounded {
-        b.classify_only(phi, thresholds).build()
+        b.classify_only(phi(), thresholds()).build()
     } else {
-        b.model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(phi),
-            Arc::new(ExpectedSimilarity),
-            thresholds,
-        )))
-        .build()
+        b.model(model()).build()
     }
 }
 
@@ -153,7 +156,7 @@ fn assert_identical(reference: &DedupResult, sharded: &DedupResult, label: &str)
 }
 
 /// Partition equality: same pairs with the same classes, same clusters —
-/// certified similarities are allowed to differ (bounded + cached mode).
+/// certified similarities are allowed to differ (classify-only).
 fn assert_same_partition(reference: &DedupResult, sharded: &DedupResult, label: &str) {
     assert_eq!(
         reference.candidates, sharded.candidates,
@@ -180,8 +183,9 @@ fn assert_same_partition(reference: &DedupResult, sharded: &DedupResult, label: 
     );
 }
 
-/// Exhaustive sweep: every strategy × k ∈ 1..=8 × exact/bounded ×
-/// cached/uncached against the one-shot reference.
+/// Exhaustive sweep: every strategy × k ∈ 1..=8 × exact/classify-only
+/// against the one-shot run, which itself must agree with the
+/// paper-literal reference.
 #[test]
 fn shard_invariance_across_strategies() {
     let srcs = sources(16, 0xC0FFEE);
@@ -189,26 +193,40 @@ fn shard_invariance_across_strategies() {
     for strategy in strategies() {
         let name = strategy.name();
         for bounded in [false, true] {
-            for cache in [false, true] {
-                let p = pipeline(strategy.clone(), bounded, cache, 2);
-                let reference = p.run(&refs).unwrap();
-                for k in 1..=8usize {
-                    let (merged, stats) = p.sharded(k).run_with_stats(&refs).unwrap();
-                    let label = format!("{name} bounded={bounded} cache={cache} k={k}");
-                    assert_eq!(stats.shards, k, "{label}");
-                    assert_eq!(
-                        stats.shard_candidates.iter().sum::<usize>(),
-                        merged.candidates,
-                        "{label}: shard counts"
-                    );
-                    if bounded && cache {
-                        // Warm caches may certify a different (equally
-                        // valid) representative similarity per pair; the
-                        // partition itself is invariant.
-                        assert_same_partition(&reference, &merged, &label);
-                    } else {
-                        assert_identical(&reference, &merged, &label);
-                    }
+            let p = pipeline(strategy.clone(), bounded, 2);
+            let one_shot = p.run(&refs).unwrap();
+            let label = format!("{name} bounded={bounded}");
+            if bounded {
+                assert_classes_agree_with_reference(
+                    &one_shot,
+                    &comparators(),
+                    model().as_ref(),
+                    &label,
+                );
+            } else {
+                assert_exact_agrees_with_reference(
+                    &one_shot,
+                    &comparators(),
+                    model().as_ref(),
+                    &label,
+                );
+            }
+            for k in 1..=8usize {
+                let (merged, stats) = p.sharded(k).run_with_stats(&refs).unwrap();
+                let label = format!("{label} k={k}");
+                assert_eq!(stats.shards, k, "{label}");
+                assert_eq!(
+                    stats.shard_candidates.iter().sum::<usize>(),
+                    merged.candidates,
+                    "{label}: shard counts"
+                );
+                if bounded {
+                    // Warm caches may certify a different (equally
+                    // valid) representative similarity per pair; the
+                    // partition itself is invariant.
+                    assert_same_partition(&one_shot, &merged, &label);
+                } else {
+                    assert_identical(&one_shot, &merged, &label);
                 }
             }
         }
@@ -225,23 +243,13 @@ fn shard_invariance_under_tight_budget() {
         spec: key(),
         window: 4,
     };
-    let reference = pipeline(strategy.clone(), false, true, 2)
-        .run(&refs)
-        .unwrap();
-    let schema = srcs[0].schema().clone();
-    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
-    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
+    let reference = pipeline(strategy.clone(), false, 2).run(&refs).unwrap();
     let tight = DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
-        .model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(phi),
-            Arc::new(ExpectedSimilarity),
-            thresholds,
-        )))
+        .comparators(comparators())
+        .model(model())
         .reduction(strategy)
         .threads(2)
-        .cache_similarities(true)
         .memory_budget(Some(1 << 12)) // 4 KiB: everything tiny
         .build();
     for k in [1, 3, 8] {
@@ -255,9 +263,9 @@ fn shard_invariance_under_tight_budget() {
 /// Entity-resolution rider on the shard-invariance harness: resolving
 /// the merged sharded result must equal resolving the one-shot result,
 /// for every strategy. In exact mode the full [`EntityResolution`]
-/// (clusters, stats, possible edges) is byte-identical; in bounded +
-/// cached mode — where certified similarities may legitimately differ —
-/// the `Components` partition is still invariant, because connected
+/// (clusters, stats, possible edges) is byte-identical; classify-only —
+/// where certified similarities may legitimately differ — keeps the
+/// `Components` partition invariant, because connected
 /// components use only the Match/NonMatch classes, never the weights.
 ///
 /// [`EntityResolution`]: probdedup::entity::EntityResolution
@@ -274,7 +282,7 @@ fn entity_resolution_is_shard_invariant() {
 
     // Exact mode: decisions are byte-identical, so every strategy's
     // resolution must be too — including repair moves and stats.
-    let p = pipeline(strategy.clone(), false, true, 2);
+    let p = pipeline(strategy.clone(), false, 2);
     let reference = p.run(&refs).unwrap();
     for k in [1usize, 4] {
         let merged = p.sharded(k).run(&refs).unwrap();
@@ -285,9 +293,9 @@ fn entity_resolution_is_shard_invariant() {
         }
     }
 
-    // Bounded + cached: certified similarities may differ per shard
-    // count, but Components ignores edge weights entirely.
-    let p = pipeline(strategy, true, true, 2);
+    // Classify-only: certified similarities may differ per shard count,
+    // but Components ignores edge weights entirely.
+    let p = pipeline(strategy, true, 2);
     let reference = p
         .run(&refs)
         .unwrap()
@@ -300,7 +308,7 @@ fn entity_resolution_is_shard_invariant() {
             .resolve_entities(ClusterStrategy::Components);
         assert_eq!(
             reference.clusters, merged.clusters,
-            "bounded+cached k={k}: components partition"
+            "classify-only k={k}: components partition"
         );
     }
 }
@@ -325,10 +333,13 @@ proptest! {
             "{} seed={seed} entities={entities} k={k} bounded={bounded}",
             strategy.name()
         );
-        let p = pipeline(strategy, bounded, false, 2);
+        let p = pipeline(strategy, bounded, 2);
         let reference = p.run(&refs).unwrap();
         let merged = p.sharded(k).run(&refs).unwrap();
-        // Uncached in both modes: full byte equality applies.
-        assert_identical(&reference, &merged, &label);
+        if bounded {
+            assert_same_partition(&reference, &merged, &label);
+        } else {
+            assert_identical(&reference, &merged, &label);
+        }
     }
 }

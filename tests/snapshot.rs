@@ -3,7 +3,7 @@
 //! * **Round trip** (property): save → open reproduces the warm session —
 //!   identical match / possible / non-match partition, identical clusters,
 //!   and an identical-corpus rerun performs **zero** key renders, across
-//!   exact/bounded modes, cache on/off and reduction strategies.
+//!   exact/classify-only and reduction strategies.
 //! * **Corruption matrix** (property): flipping or truncating arbitrary
 //!   bytes of a valid snapshot always yields a typed
 //!   [`SnapshotError`] — never a panic, never a silently misread session.
@@ -12,6 +12,9 @@
 //! * **Golden fixture**: a committed format-version-1 snapshot still
 //!   loads — the canary that format changes bump the version instead of
 //!   silently breaking old files.
+//! * **Old-engine files**: a format-v1 snapshot written by the removed
+//!   plain (uncached) engine is refused with a typed
+//!   [`SnapshotError::ConfigMismatch`] that says to re-run the corpus.
 //!
 //! [`SnapshotError`]: probdedup::model::snapshot::SnapshotError
 
@@ -22,7 +25,10 @@ use proptest::prelude::*;
 use probdedup::core::pipeline::{DedupPipeline, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
-use probdedup::core::snapshot::staging_path;
+use probdedup::core::snapshot::{
+    staging_path, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL, TAG_MATCH_POOL,
+    TAG_OFFSETS, TAG_REDUCTION, TAG_RELATION,
+};
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
@@ -30,7 +36,7 @@ use probdedup::decision::threshold::Thresholds;
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
-use probdedup::model::snapshot::SnapshotError;
+use probdedup::model::snapshot::{SectionWriter, SnapshotError, SnapshotWriter};
 use probdedup::reduction::{KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
@@ -73,7 +79,7 @@ fn strategies() -> Vec<ReductionStrategy> {
 }
 
 /// Build the configured front door (exact model or bounded classify-only).
-fn pipeline(strategy: ReductionStrategy, bounded: bool, cache: bool) -> DedupPipeline {
+fn pipeline(strategy: ReductionStrategy, bounded: bool) -> DedupPipeline {
     let schema = sources()[0].schema().clone();
     let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
     let thresholds = Thresholds::new(0.72, 0.82).unwrap();
@@ -81,8 +87,7 @@ fn pipeline(strategy: ReductionStrategy, bounded: bool, cache: bool) -> DedupPip
         .preparation(Preparation::standard_all(4))
         .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
         .reduction(strategy)
-        .threads(2)
-        .cache_similarities(cache);
+        .threads(2);
     if bounded {
         b.classify_only(phi, thresholds).build()
     } else {
@@ -110,11 +115,11 @@ fn canonical_snapshot() -> (DedupPipeline, Vec<u8>) {
         spec: key(),
         window: 4,
     };
-    let pipe = pipeline(strategy.clone(), false, true);
+    let pipe = pipeline(strategy.clone(), false);
     let mut session = pipe.session();
     session.run(&refs).unwrap();
     let bytes = session.to_snapshot_bytes();
-    (pipeline(strategy, false, true), bytes)
+    (pipeline(strategy, false), bytes)
 }
 
 proptest! {
@@ -127,14 +132,13 @@ proptest! {
     fn snapshot_roundtrip_reproduces_warm_session(
         strat_idx in 0usize..4,
         bounded in any::<bool>(),
-        cache in any::<bool>(),
     ) {
         let srcs = sources();
         let refs: Vec<&XRelation> = srcs.iter().collect();
         let strategy = strategies().swap_remove(strat_idx);
-        let label = format!("{} bounded={bounded} cache={cache}", strategy.name());
+        let label = format!("{} bounded={bounded}", strategy.name());
 
-        let pipe = pipeline(strategy.clone(), bounded, cache);
+        let pipe = pipeline(strategy.clone(), bounded);
         let mut session = pipe.session();
         let before = session.run(&refs).unwrap();
         let renders = session.key_render_count();
@@ -199,13 +203,69 @@ proptest! {
 #[test]
 fn mismatched_pipeline_is_refused() {
     let (_, bytes) = canonical_snapshot();
-    let other = pipeline(ReductionStrategy::Full, false, true);
+    let other = pipeline(ReductionStrategy::Full, false);
     match DedupSession::from_snapshot_bytes(&bytes, &other) {
         Err(SnapshotError::ConfigMismatch { detail }) => {
             assert!(detail.contains("reduction"), "{detail}");
         }
         Err(other) => panic!("expected ConfigMismatch, got {other}"),
         Ok(_) => panic!("mismatched configuration accepted"),
+    }
+}
+
+/// A format-v1 file written by the removed plain (uncached) engine — its
+/// CONFIG section carries `cached = 0` — is refused with a typed
+/// [`SnapshotError::ConfigMismatch`] telling the operator the file
+/// predates the single engine and the corpus must be re-run. Never
+/// `Malformed` (the bytes are fine), never a panic. The bytes are
+/// assembled by hand, section by section, exactly as that engine wrote an
+/// empty full-comparison session.
+#[test]
+fn old_plain_engine_snapshot_is_refused_typed() {
+    let pipe = pipeline(ReductionStrategy::Full, false);
+    let mut snap = SnapshotWriter::new();
+
+    let mut w = SectionWriter::new();
+    w.put_u32(4); // arity
+    w.put_str("full"); // reduction strategy
+    w.put_u8(0); // cached: the plain engine
+    w.put_u8(0); // bounded
+    snap.section(TAG_CONFIG, w);
+    let mut w = SectionWriter::new();
+    w.put_u8(0); // no resident relation
+    snap.section(TAG_RELATION, w);
+    let mut w = SectionWriter::new();
+    w.put_len(0); // no source offsets
+    snap.section(TAG_OFFSETS, w);
+    let mut w = SectionWriter::new();
+    w.put_u8(0); // the plain engine kept no match pool
+    snap.section(TAG_MATCH_POOL, w);
+    let mut w = SectionWriter::new();
+    w.put_u32(0); // ... and no caches
+    snap.section(TAG_CACHES, w);
+    let mut w = SectionWriter::new();
+    w.put_u8(0); // full comparison keeps no key table
+    snap.section(TAG_REDUCTION, w);
+    let mut w = SectionWriter::new();
+    w.put_len(0); // no decisions
+    for _ in 0..4 {
+        w.put_u64(0); // tier counters
+    }
+    snap.section(TAG_DECIDED, w);
+    let mut w = SectionWriter::new();
+    w.put_u64(0); // never journaled
+    snap.section(TAG_JOURNAL, w);
+    let mut w = SectionWriter::new();
+    w.put_u32(0); // no cached entity partitions
+    snap.section(TAG_ENTITIES, w);
+
+    match DedupSession::from_snapshot_bytes(&snap.finish(), &pipe) {
+        Err(SnapshotError::ConfigMismatch { detail }) => {
+            assert!(detail.contains("predates the single"), "{detail}");
+            assert!(detail.contains("re-run the corpus"), "{detail}");
+        }
+        Err(other) => panic!("expected ConfigMismatch, got {other}"),
+        Ok(_) => panic!("a plain-engine snapshot was accepted"),
     }
 }
 
@@ -242,7 +302,7 @@ fn crash_mid_save_preserves_previous_snapshot() {
         spec: key(),
         window: 4,
     };
-    let pipe = pipeline(strategy, false, true);
+    let pipe = pipeline(strategy, false);
     let mut session = pipe.session();
     session.run(&refs).unwrap();
     session.save(&path).expect("initial save");

@@ -80,7 +80,6 @@ fn pipeline() -> DedupPipeline {
             window: 4,
         })
         .threads(2)
-        .cache_similarities(true)
         .build()
 }
 
