@@ -50,7 +50,7 @@ pub const CERT_MARGIN: f64 = 1e-9;
 
 /// Which bound tier disposed of a pair (reported per pair by
 /// [`classify_comparison_bounded`] and aggregated into the pipeline's
-/// matching stats / the bench JSON).
+/// matching stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundedTier {
     /// Certified `≥ T_μ` before the evaluation finished.
@@ -284,7 +284,7 @@ mod tests {
     use super::*;
 
     fn budgets() -> AttributeBudgets {
-        // The experiments' weights: heaviest first order is [0, 2, 1, 3].
+        // The synthetic workload's weights: heaviest first order is [0, 2, 1, 3].
         AttributeBudgets::new(
             &WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap(),
             Thresholds::new(0.72, 0.82).unwrap(),

@@ -150,7 +150,7 @@ impl DecisionDerivation for ExpectedMatchingResult {
 
 /// Majority-mass vote: the similarity is the conditioned mass of the
 /// matching class minus the mass of the non-matching class, in `[-1, 1]`.
-/// A simple symmetric alternative exposed for the ablation benches.
+/// A simple symmetric alternative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MassMargin;
 

@@ -55,7 +55,6 @@
 
 pub mod condition;
 pub mod convert;
-pub mod domain;
 pub mod error;
 pub mod format;
 pub mod ids;
@@ -74,7 +73,6 @@ pub mod world;
 pub mod xtuple;
 
 pub use condition::{existence_event_probability, normalized_alternative_probs};
-pub use domain::Domain;
 pub use error::ModelError;
 pub use ids::{SourceId, TupleHandle};
 pub use intern::{

@@ -12,14 +12,15 @@
 
 //!
 //! Keys are interned once into a [`KeyTable`](crate::key::KeyTable) and
-//! the sort runs over lexicographic ranks; [`sorting_alternatives_oracle`]
-//! keeps the string-rendering implementation for property testing.
+//! the sort runs over lexicographic ranks; the string-rendering
+//! implementation is kept test-only as the property-tested oracle
+//! (`src/interned_oracle.rs`).
 
 use probdedup_model::xtuple::XTuple;
 
 use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood, sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
 
 /// Result of the sorting-alternatives method.
 #[derive(Debug, Clone)]
@@ -54,28 +55,6 @@ pub fn sorting_alternatives(
         .iter()
         .map(|e| SnmEntry::new(table.resolve(e.key), e.tuple))
         .collect();
-    SortingAlternativesResult {
-        pairs,
-        order,
-        raw_entries,
-    }
-}
-
-/// String-path oracle of [`sorting_alternatives`] (property-tested to be
-/// identical).
-pub fn sorting_alternatives_oracle(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    window: usize,
-) -> SortingAlternativesResult {
-    let mut entries: Vec<SnmEntry> = Vec::new();
-    for (i, t) in tuples.iter().enumerate() {
-        for key in spec.alternative_keys(t) {
-            entries.push(SnmEntry::new(key, i));
-        }
-    }
-    let raw_entries = entries.len();
-    let (pairs, order) = sorted_neighborhood(entries, window, tuples.len(), true);
     SortingAlternativesResult {
         pairs,
         order,

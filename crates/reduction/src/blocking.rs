@@ -24,8 +24,7 @@
 //! consume is materialized once at the end, and candidate pairs are
 //! emitted in sorted-key order, so results remain byte-for-byte identical
 //! across all implementations — the string-keyed originals are retained
-//! below as the property-tested oracles ([`block_alternatives_oracle`]
-//! and friends).
+//! test-only as the property-tested oracles (`src/interned_oracle.rs`).
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -36,7 +35,7 @@ use probdedup_model::intern::{KeyPool, KeySymbol};
 use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 
-use crate::conflict::{resolve_key, resolved_key_symbols, ConflictResolution};
+use crate::conflict::{resolved_key_symbols, ConflictResolution};
 use crate::key::KeySpec;
 use crate::multipass::{select_worlds, WorldSelection};
 use crate::pairs::CandidatePairs;
@@ -171,7 +170,7 @@ impl Default for BlockScanConfig {
 }
 
 /// What a block scan did — asserted by the spill-path tests and surfaced
-/// by the sharded bench mode.
+/// in the shard stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BlockScanStats {
     /// Distinct blocks seen.
@@ -423,13 +422,11 @@ pub fn scan_multipass_blocks(
 /// on the key string — no `ValuePool`/`KeyPool` maintenance at all. On a
 /// single pass over mostly-distinct keys the interning layer never
 /// amortizes (it was measured ~2.4× slower than direct rendering on the
-/// typo-heavy synthetic workload; the `blocking-alt` bench mode tracks
-/// this), so single-pass blocking bypasses it. Multi-pass blocking keeps
-/// the interned [`KeyTable`](crate::key::KeyTable) — there the table is
-/// reused across passes and pays for itself. The interner-backed
-/// single-pass variant is retained as [`block_alternatives_interned`];
-/// all three implementations produce byte-identical results
-/// (property-tested in `tests/interned_oracle.rs`).
+/// typo-heavy synthetic workload), so single-pass blocking bypasses it.
+/// Multi-pass blocking keeps the interned
+/// [`KeyTable`](crate::key::KeyTable) — there the table is reused across
+/// passes and pays for itself. Output is byte-identical to the string-key
+/// oracle (property-tested in `src/interned_oracle.rs`).
 pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
     // Key string → index into `blocks`, one probe per alternative.
     let mut ids: FxHashMap<String, usize> = FxHashMap::default();
@@ -461,24 +458,6 @@ pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
         pairs,
         blocks: order.into_iter().collect(),
     }
-}
-
-/// The interner-backed single-pass variant of [`block_alternatives`]:
-/// keys interned on the fly ([`KeySpec::alternative_key_symbols`]),
-/// insertion a symbol-keyed hash probe. Identical output; kept for the
-/// oracle tests and as the building block the multi-pass path composes.
-pub fn block_alternatives_interned(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
-    let mut values = probdedup_model::intern::ValuePool::new();
-    let mut keys = KeyPool::new();
-    let mut map = BlockMap::default();
-    for (i, t) in tuples.iter().enumerate() {
-        for key in spec.alternative_key_symbols(t, &mut values, &mut keys) {
-            map.insert(key, i);
-        }
-    }
-    let mut pairs = CandidatePairs::new(tuples.len());
-    let blocks = map.finish(&keys, &mut pairs);
-    BlockingResult { pairs, blocks }
 }
 
 /// Blocking over **conflict-resolved certain keys** (Section V-B: "conflict
@@ -561,89 +540,12 @@ pub fn block_multipass_with_table(
     pairs
 }
 
-// ----------------------------------------------------------------------
-// String-key oracles: the rendering path the interned implementation is
-// property-tested against (`tests/properties.rs` asserts identical pair
-// sets and identical block views on generated schemas).
-// ----------------------------------------------------------------------
-
-/// String-path oracle of [`block_alternatives`]: renders one key `String`
-/// per alternative per call and buckets in a `BTreeMap`. Kept for
-/// property-testing the interned path, not for production use.
-pub fn block_alternatives_oracle(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
-    let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, t) in tuples.iter().enumerate() {
-        for key in spec.alternative_keys(t) {
-            oracle_insert(&mut map, key, i);
-        }
-    }
-    oracle_finish(map, tuples.len())
-}
-
-/// String-path oracle of [`block_conflict_resolved`].
-pub fn block_conflict_resolved_oracle(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    strategy: ConflictResolution,
-) -> BlockingResult {
-    let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, t) in tuples.iter().enumerate() {
-        oracle_insert(&mut map, resolve_key(t, spec, strategy), i);
-    }
-    oracle_finish(map, tuples.len())
-}
-
-/// String-path oracle of [`block_multipass`]. Like the pre-interning
-/// production implementation, the per-alternative key strings are rendered
-/// **once** before the world loop (they are world-independent); what each
-/// pass still pays — and the interned path removes — is the per-(world,
-/// tuple) `String` clone plus string hashing/comparison in the block map.
-pub fn block_multipass_oracle(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    selection: WorldSelection,
-) -> BlockingResult {
-    let worlds = select_worlds(tuples, selection);
-    let alt_keys: Vec<Vec<String>> = tuples.iter().map(|t| spec.alternative_keys(t)).collect();
-    let mut pairs = CandidatePairs::new(tuples.len());
-    let mut first_blocks: Option<BTreeMap<String, Vec<usize>>> = None;
-    for world in worlds {
-        let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-        for (i, keys) in alt_keys.iter().enumerate() {
-            let alt = world.choices[i].expect("full world");
-            oracle_insert(&mut map, keys[alt].clone(), i);
-        }
-        for members in map.values() {
-            emit_block_pairs(members, &mut pairs);
-        }
-        if first_blocks.is_none() {
-            first_blocks = Some(map);
-        }
-    }
-    BlockingResult {
-        pairs,
-        blocks: first_blocks.unwrap_or_default(),
-    }
-}
-
-fn oracle_insert(map: &mut BTreeMap<String, Vec<usize>>, key: String, tuple: usize) {
-    let members = map.entry(key).or_default();
-    if !members.contains(&tuple) {
-        members.push(tuple);
-    }
-}
-
-fn oracle_finish(map: BTreeMap<String, Vec<usize>>, n: usize) -> BlockingResult {
-    let mut pairs = CandidatePairs::new(n);
-    for members in map.values() {
-        emit_block_pairs(members, &mut pairs);
-    }
-    BlockingResult { pairs, blocks: map }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interned_oracle::{
+        block_alternatives_oracle, block_conflict_resolved_oracle, block_multipass_oracle,
+    };
     use probdedup_model::pvalue::PValue;
     use probdedup_model::schema::Schema;
     use probdedup_model::value::Value;
@@ -693,8 +595,7 @@ mod tests {
     /// Fig. 14 on ℛ34: per-alternative blocking partitions the tuples into
     /// blocks JP, JM(=Jm?), TM, JB, J, SP. The figure's tuple labels use an
     /// inconsistent naming (t21/t22/t33); on ℛ3 ∪ ℛ4 as drawn in Fig. 5 the
-    /// blocks and matchings below result (`experiments --figure 14`
-    /// prints the same partition).
+    /// blocks and matchings below result.
     #[test]
     fn fig14_blocks_and_matchings() {
         let tuples = r34();
@@ -929,10 +830,6 @@ mod tests {
         );
         assert_eq!(a.pairs.pairs(), b.pairs.pairs());
         assert_eq!(a.blocks, b.blocks);
-        // The interner-backed variant agrees with both.
-        let c = block_alternatives_interned(&tuples, &spec);
-        assert_eq!(a.pairs.pairs(), c.pairs.pairs());
-        assert_eq!(a.blocks, c.blocks);
         for strategy in [
             ConflictResolution::MostProbableAlternative,
             ConflictResolution::MostProbableKey,

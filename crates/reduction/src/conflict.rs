@@ -13,7 +13,7 @@ use probdedup_model::xtuple::XTuple;
 
 use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood, sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
 
 /// Strategy unifying an x-tuple's alternatives into one certain key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -116,22 +116,6 @@ pub fn conflict_resolved_snm(
         .map(|e| SnmEntry::new(keys.resolve(e.key), e.tuple))
         .collect();
     (pairs, order)
-}
-
-/// String-path oracle of [`conflict_resolved_snm`] (property-tested to be
-/// identical; renders one key per tuple per call).
-pub fn conflict_resolved_snm_oracle(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    window: usize,
-    strategy: ConflictResolution,
-) -> (CandidatePairs, Vec<SnmEntry>) {
-    let entries: Vec<SnmEntry> = tuples
-        .iter()
-        .enumerate()
-        .map(|(i, t)| SnmEntry::new(resolve_key(t, spec, strategy), i))
-        .collect();
-    sorted_neighborhood(entries, window, tuples.len(), false)
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ impl ExternalSortConfig {
     }
 }
 
-/// What the sort did — surfaced in bench output and asserted by the
+/// What the sort did — surfaced in the shard stats and asserted by the
 /// spill-path tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExternalSortStats {

@@ -1,29 +1,189 @@
 //! Interned-key reduction vs the string-key oracle.
 //!
-//! Every SNM/blocking entry point now runs over interned
+//! Every SNM/blocking entry point runs over interned
 //! [`KeySymbol`](probdedup_model::intern::KeySymbol)s; the string-rendering
-//! implementations are retained as `*_oracle` functions. These property
-//! tests assert the two paths produce **identical** candidate-pair sets,
-//! sorted orders and block views across generated schemas — prefix lengths
-//! 0 (whole value) through 8, multi-byte UTF-8 values, empty strings,
-//! explicit ⊥ mass, and uncertain values inside alternatives — plus the
-//! headline multi-pass guarantee: passes ≥ 2 perform **zero** key renders
-//! (observed through the `KeyPool` render counter, the only place key text
-//! is ever rendered).
+//! implementations they replaced live on here, test-only, as the `*_oracle`
+//! functions. The property tests below assert the two paths produce
+//! **identical** candidate-pair sets, sorted orders and block views across
+//! generated schemas — prefix lengths 0 (whole value) through 8, multi-byte
+//! UTF-8 values, empty strings, explicit ⊥ mass, and uncertain values inside
+//! alternatives — plus the headline multi-pass guarantee: passes ≥ 2 perform
+//! **zero** key renders (observed through the `KeyPool` render counter, the
+//! only place key text is ever rendered).
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use probdedup_model::pvalue::PValue;
 use probdedup_model::schema::Schema;
 use probdedup_model::value::Value;
+use probdedup_model::world::World;
 use probdedup_model::xtuple::XTuple;
-use probdedup_reduction::{
-    block_alternatives, block_alternatives_oracle, block_conflict_resolved,
-    block_conflict_resolved_oracle, block_multipass, block_multipass_oracle, conflict_resolved_snm,
-    conflict_resolved_snm_oracle, multipass_snm, multipass_snm_oracle, multipass_snm_pairs,
-    multipass_snm_with_table, sorting_alternatives, sorting_alternatives_oracle,
-    ConflictResolution, KeyPart, KeySpec, WorldSelection,
+
+use crate::alternatives::{sorting_alternatives, SortingAlternativesResult};
+use crate::blocking::{
+    block_alternatives, block_conflict_resolved, block_multipass, emit_block_pairs, BlockingResult,
 };
+use crate::conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
+use crate::key::{KeyPart, KeySpec};
+use crate::multipass::{
+    multipass_snm, multipass_snm_pairs, multipass_snm_with_table, select_worlds, MultipassResult,
+    WorldSelection,
+};
+use crate::pairs::CandidatePairs;
+use crate::snm::{sorted_neighborhood, SnmEntry};
+
+/// String-path oracle of [`sorting_alternatives`].
+fn sorting_alternatives_oracle(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    window: usize,
+) -> SortingAlternativesResult {
+    let mut entries: Vec<SnmEntry> = Vec::new();
+    for (i, t) in tuples.iter().enumerate() {
+        for key in spec.alternative_keys(t) {
+            entries.push(SnmEntry::new(key, i));
+        }
+    }
+    let raw_entries = entries.len();
+    let (pairs, order) = sorted_neighborhood(entries, window, tuples.len(), true);
+    SortingAlternativesResult {
+        pairs,
+        order,
+        raw_entries,
+    }
+}
+
+/// String-path oracle of [`conflict_resolved_snm`]: renders one key per
+/// tuple per call.
+fn conflict_resolved_snm_oracle(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    window: usize,
+    strategy: ConflictResolution,
+) -> (CandidatePairs, Vec<SnmEntry>) {
+    let entries: Vec<SnmEntry> = tuples
+        .iter()
+        .enumerate()
+        .map(|(i, t)| SnmEntry::new(resolve_key(t, spec, strategy), i))
+        .collect();
+    sorted_neighborhood(entries, window, tuples.len(), false)
+}
+
+/// Key entries of one world: each tuple's key from its chosen alternative
+/// (uncertain values inside the alternative resolve to their most probable
+/// rendered prefix).
+fn world_entries(tuples: &[XTuple], world: &World, spec: &KeySpec) -> Vec<SnmEntry> {
+    debug_assert!(
+        world.is_full(),
+        "multi-pass uses worlds containing all tuples"
+    );
+    tuples
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let alt = world.choices[i].expect("full world");
+            // Reuse the per-alternative key logic on a single alternative.
+            let keys = spec.alternative_keys(t);
+            SnmEntry::new(keys[alt].clone(), i)
+        })
+        .collect()
+}
+
+/// String-path oracle of [`multipass_snm`]: renders every tuple's key in
+/// **every pass** — exactly the per-pass allocation the interned path
+/// removes.
+fn multipass_snm_oracle(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    window: usize,
+    selection: WorldSelection,
+) -> MultipassResult {
+    let worlds = select_worlds(tuples, selection);
+    let mut pairs = CandidatePairs::new(tuples.len());
+    let mut passes = Vec::with_capacity(worlds.len());
+    for world in worlds {
+        let entries = world_entries(tuples, &world, spec);
+        let (pass_pairs, order) = sorted_neighborhood(entries, window, tuples.len(), false);
+        pairs.absorb(&pass_pairs);
+        passes.push((world, order));
+    }
+    MultipassResult { pairs, passes }
+}
+
+/// String-path oracle of [`block_alternatives`]: renders one key `String`
+/// per alternative per call and buckets in a `BTreeMap`.
+pub(crate) fn block_alternatives_oracle(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
+    let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (i, t) in tuples.iter().enumerate() {
+        for key in spec.alternative_keys(t) {
+            oracle_insert(&mut map, key, i);
+        }
+    }
+    oracle_finish(map, tuples.len())
+}
+
+/// String-path oracle of [`block_conflict_resolved`].
+pub(crate) fn block_conflict_resolved_oracle(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    strategy: ConflictResolution,
+) -> BlockingResult {
+    let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+    for (i, t) in tuples.iter().enumerate() {
+        oracle_insert(&mut map, resolve_key(t, spec, strategy), i);
+    }
+    oracle_finish(map, tuples.len())
+}
+
+/// String-path oracle of [`block_multipass`]. Like the pre-interning
+/// production implementation, the per-alternative key strings are rendered
+/// **once** before the world loop (they are world-independent); what each
+/// pass still pays — and the interned path removes — is the per-(world,
+/// tuple) `String` clone plus string hashing/comparison in the block map.
+pub(crate) fn block_multipass_oracle(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    selection: WorldSelection,
+) -> BlockingResult {
+    let worlds = select_worlds(tuples, selection);
+    let alt_keys: Vec<Vec<String>> = tuples.iter().map(|t| spec.alternative_keys(t)).collect();
+    let mut pairs = CandidatePairs::new(tuples.len());
+    let mut first_blocks: Option<BTreeMap<String, Vec<usize>>> = None;
+    for world in worlds {
+        let mut map: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, keys) in alt_keys.iter().enumerate() {
+            let alt = world.choices[i].expect("full world");
+            oracle_insert(&mut map, keys[alt].clone(), i);
+        }
+        for members in map.values() {
+            emit_block_pairs(members, &mut pairs);
+        }
+        if first_blocks.is_none() {
+            first_blocks = Some(map);
+        }
+    }
+    BlockingResult {
+        pairs,
+        blocks: first_blocks.unwrap_or_default(),
+    }
+}
+
+fn oracle_insert(map: &mut BTreeMap<String, Vec<usize>>, key: String, tuple: usize) {
+    let members = map.entry(key).or_default();
+    if !members.contains(&tuple) {
+        members.push(tuple);
+    }
+}
+
+fn oracle_finish(map: BTreeMap<String, Vec<usize>>, n: usize) -> BlockingResult {
+    let mut pairs = CandidatePairs::new(n);
+    for members in map.values() {
+        emit_block_pairs(members, &mut pairs);
+    }
+    BlockingResult { pairs, blocks: map }
+}
 
 /// Value vocabulary: ASCII, multi-byte UTF-8 (2- and 3-byte sequences,
 /// combining-free), empty strings, shared prefixes, and a ⊥ marker (`None`
@@ -201,11 +361,6 @@ proptest! {
         let b = block_alternatives_oracle(&tuples, &spec);
         prop_assert_eq!(a.pairs.pairs(), b.pairs.pairs());
         prop_assert_eq!(&a.blocks, &b.blocks);
-        // The hash-dedup'd direct path, the string oracle and the
-        // interner-backed variant must be three spellings of one function.
-        let c = probdedup_reduction::block_alternatives_interned(&tuples, &spec);
-        prop_assert_eq!(a.pairs.pairs(), c.pairs.pairs());
-        prop_assert_eq!(&a.blocks, &c.blocks);
         for strategy in STRATEGIES {
             let a = block_conflict_resolved(&tuples, &spec, strategy);
             let b = block_conflict_resolved_oracle(&tuples, &spec, strategy);

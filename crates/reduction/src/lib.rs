@@ -30,9 +30,10 @@
 //! buckets on dense [`KeySymbol`](probdedup_model::intern::KeySymbol)s
 //! while SNM sorts by precomputed lexicographic rank — so multi-pass
 //! methods are sort-only from pass 2 on (zero renders, asserted by the
-//! property tests). The string-rendering implementations are retained as
-//! `*_oracle` functions and property-tested to produce identical
-//! candidate-pair sets and inspection views.
+//! property tests). The string-rendering implementations are retained
+//! test-only as the `*_oracle` functions of `src/interned_oracle.rs` and
+//! property-tested to produce identical candidate-pair sets and
+//! inspection views.
 //!
 //! # Example
 //!
@@ -67,27 +68,22 @@ pub mod cluster;
 pub mod conflict;
 pub mod external;
 pub mod incremental;
+#[cfg(test)]
+mod interned_oracle;
 pub mod key;
 pub mod multipass;
 pub mod pairs;
 pub mod ranking;
 pub mod snm;
 
-pub use alternatives::{
-    sorting_alternatives, sorting_alternatives_oracle, SortingAlternativesResult,
-};
+pub use alternatives::{sorting_alternatives, SortingAlternativesResult};
 pub use blocking::{
-    block_alternatives, block_alternatives_interned, block_alternatives_oracle,
-    block_conflict_resolved, block_conflict_resolved_oracle, block_multipass,
-    block_multipass_oracle, block_multipass_with_table, scan_alternative_blocks,
-    scan_conflict_resolved_blocks, scan_multipass_blocks, BlockScanConfig, BlockScanStats,
-    BlockingResult, SpillableBlockMap,
+    block_alternatives, block_conflict_resolved, block_multipass, block_multipass_with_table,
+    scan_alternative_blocks, scan_conflict_resolved_blocks, scan_multipass_blocks, BlockScanConfig,
+    BlockScanStats, BlockingResult, SpillableBlockMap,
 };
 pub use cluster::{cluster_blocking, ClusterBlockingConfig};
-pub use conflict::{
-    conflict_resolved_snm, conflict_resolved_snm_oracle, resolve_key, resolve_key_symbol,
-    ConflictResolution,
-};
+pub use conflict::{conflict_resolved_snm, resolve_key, resolve_key_symbol, ConflictResolution};
 pub use external::{
     conflict_resolved_snm_external_scan, multipass_snm_external_scan, sorted_neighborhood_external,
     sorting_alternatives_external_scan, ExternalEntryStream, ExternalSortConfig, ExternalSortStats,
@@ -98,8 +94,7 @@ pub use incremental::{
 };
 pub use key::{KeyPart, KeySpec, KeyTable};
 pub use multipass::{
-    multipass_snm, multipass_snm_oracle, multipass_snm_pairs, multipass_snm_with_table,
-    MultipassResult, WorldSelection,
+    multipass_snm, multipass_snm_pairs, multipass_snm_with_table, MultipassResult, WorldSelection,
 };
 pub use pairs::{CandidatePairs, PairMatrix, SparsePairSet};
 pub use ranking::{rank_score, rank_tuples, ranked_snm, RankingFunction};

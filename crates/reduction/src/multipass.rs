@@ -15,7 +15,7 @@
 //! first pass: every later pass only picks each tuple's chosen-alternative
 //! key symbol and sorts by precomputed lexicographic rank — sort-only,
 //! zero key renders, zero allocation per entry. The string-rendering
-//! implementation is retained as [`multipass_snm_oracle`] and
+//! implementation is retained test-only (`src/interned_oracle.rs`) and
 //! property-tested to produce identical candidate pairs and pass orders.
 
 use probdedup_model::world::{full_worlds, top_k_worlds, World};
@@ -23,7 +23,7 @@ use probdedup_model::xtuple::XTuple;
 
 use crate::key::{KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood, sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
 
 /// Which possible worlds the passes run over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,26 +90,6 @@ pub(crate) fn select_diverse_worlds(mut pool: Vec<World>, k: usize) -> Vec<World
         selected.push(pool.remove(best_idx));
     }
     selected
-}
-
-/// Key entries of one world: each tuple's key from its chosen alternative
-/// (uncertain values inside the alternative resolve to their most probable
-/// rendered prefix). String path — used by the oracle.
-fn world_entries(tuples: &[XTuple], world: &World, spec: &KeySpec) -> Vec<SnmEntry> {
-    debug_assert!(
-        world.is_full(),
-        "multi-pass uses worlds containing all tuples"
-    );
-    tuples
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let alt = world.choices[i].expect("full world");
-            // Reuse the per-alternative key logic on a single alternative.
-            let keys = spec.alternative_keys(t);
-            SnmEntry::new(keys[alt].clone(), i)
-        })
-        .collect()
 }
 
 /// Interned key entries of one world off a prebuilt [`KeyTable`]: a table
@@ -203,27 +183,6 @@ pub fn multipass_snm_with_table(
     pairs
 }
 
-/// String-path oracle of [`multipass_snm`]: renders every tuple's key in
-/// **every pass** — exactly the per-pass allocation the interned path
-/// removes. Retained for property testing.
-pub fn multipass_snm_oracle(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    window: usize,
-    selection: WorldSelection,
-) -> MultipassResult {
-    let worlds = select_worlds(tuples, selection);
-    let mut pairs = CandidatePairs::new(tuples.len());
-    let mut passes = Vec::with_capacity(worlds.len());
-    for world in worlds {
-        let entries = world_entries(tuples, &world, spec);
-        let (pass_pairs, order) = sorted_neighborhood(entries, window, tuples.len(), false);
-        pairs.absorb(&pass_pairs);
-        passes.push((world, order));
-    }
-    MultipassResult { pairs, passes }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,18 +242,20 @@ mod tests {
     #[test]
     fn fig9_world_orders() {
         let tuples = r34();
-        // Enumerate all full worlds; find I1's choices:
-        // t31 = John/pilot (0), t32 = Tim/mechanic (0), t41 = Johan/pianist (1),
-        // t42 = Tom/mechanic (0), t43 = Sean/pilot (1).
-        let world = World {
-            choices: vec![Some(0), Some(0), Some(1), Some(0), Some(1)],
-            probability: 0.7 * 0.3 * 0.2 * 0.8 * 0.6,
+        let all = multipass_snm(&tuples, &spec(), 2, WorldSelection::All { limit: 10_000 });
+        let order_of = |choices: [usize; 5]| -> Vec<(&str, usize)> {
+            let choices: Vec<Option<usize>> = choices.into_iter().map(Some).collect();
+            let (_, order) = all
+                .passes
+                .iter()
+                .find(|(w, _)| w.choices == choices)
+                .expect("every full world is a pass");
+            order.iter().map(|e| (e.key.as_str(), e.tuple)).collect()
         };
-        let entries = world_entries(&tuples, &world, &spec());
-        let (_, order) = sorted_neighborhood(entries, 2, 5, false);
-        let keys: Vec<(&str, usize)> = order.iter().map(|e| (e.key.as_str(), e.tuple)).collect();
+        // I1's choices: t31 = John/pilot (0), t32 = Tim/mechanic (0),
+        // t41 = Johan/pianist (1), t42 = Tom/mechanic (0), t43 = Sean/pilot (1).
         assert_eq!(
-            keys,
+            order_of([0, 0, 1, 0, 1]),
             vec![
                 ("Johpi", 0), // t31
                 ("Johpi", 2), // t41
@@ -307,15 +268,8 @@ mod tests {
         // Fig. 9 (right): world I2 = (Johan mu*, Jim mechanic, John pilot,
         // Tom mechanic, John ⊥) sorts as Jimme(t32), Joh(t43), Johmu(t31),
         // Johpi(t41), Tomme(t42).
-        let world2 = World {
-            choices: vec![Some(1), Some(1), Some(0), Some(0), Some(0)],
-            probability: 0.3 * 0.2 * 0.8 * 0.8 * 0.2,
-        };
-        let entries2 = world_entries(&tuples, &world2, &spec());
-        let (_, order2) = sorted_neighborhood(entries2, 2, 5, false);
-        let keys2: Vec<(&str, usize)> = order2.iter().map(|e| (e.key.as_str(), e.tuple)).collect();
         assert_eq!(
-            keys2,
+            order_of([1, 1, 0, 0, 0]),
             vec![
                 ("Jimme", 1),
                 ("Joh", 4),

@@ -1,4 +1,4 @@
-//! String, numeric and semantic similarity kernels for duplicate detection.
+//! String and numeric similarity kernels for duplicate detection.
 //!
 //! This crate implements the *comparison functions* of the classical duplicate
 //! detection literature (Elmagarmid et al., TKDE 2007; Batini & Scannapieco,
@@ -17,14 +17,8 @@
 //!   paper (`sim(Tim, Kim) = 2/3`, `sim(machinist, mechanic) = 5/9`, …).
 //! * [`Levenshtein`] / [`DamerauLevenshtein`] — edit distances, normalized.
 //! * [`Jaro`] / [`JaroWinkler`] — the record-linkage classics.
-//! * [`QGram`] — q-gram profile similarity (Dice, Jaccard, Cosine, Overlap).
-//! * [`Lcs`] — longest-common-subsequence similarity.
-//! * [`SoundexComparator`] — phonetic encoding.
-//! * [`MongeElkan`], [`TokenJaccard`], [`TokenSort`] — token-level
-//!   comparators.
-//! * [`Glossary`], [`Taxonomy`] — semantic similarity from synonym sets and
-//!   ontologies (Section III-C "semantic means").
-//! * [`combine`] — weighted ensembles, max/min combinators and gates.
+//! * [`AbsoluteScaled`] / [`RelativeNumeric`] — numeric closeness.
+//! * [`Exact`] — the equality indicator.
 //!
 //! # Kernel tiers
 //!
@@ -61,37 +55,23 @@
 //! assert!((h.similarity("Tim", "Kim") - 2.0 / 3.0).abs() < 1e-12);
 //! ```
 
-pub mod alignment;
 pub mod bitparallel;
-pub mod combine;
 pub mod hamming;
 pub mod jaro;
-pub mod lcs;
 pub mod levenshtein;
-pub mod ngram;
 pub mod normalize;
 pub mod numeric;
-pub mod phonetic;
-pub mod semantic;
-pub mod token;
 pub mod traits;
 
-pub use alignment::SmithWaterman;
 pub use bitparallel::{
     class_absent_bound, class_mask, hamming_bytes, myers_distance, myers_distance_within,
     PatternBits, PreparedText,
 };
-pub use combine::{MaxOf, MinOf, ThresholdGate, WeightedEnsemble};
 pub use hamming::NormalizedHamming;
 pub use jaro::{Jaro, JaroWinkler};
-pub use lcs::Lcs;
 pub use levenshtein::{DamerauLevenshtein, Levenshtein};
-pub use ngram::{ProfileSimilarity, QGram};
 pub use normalize::Normalizer;
 pub use numeric::{AbsoluteScaled, RelativeNumeric};
-pub use phonetic::SoundexComparator;
-pub use semantic::{Glossary, Taxonomy};
-pub use token::{MongeElkan, TokenJaccard, TokenSort};
 pub use traits::{Exact, SharedComparator, StringComparator};
 
 #[cfg(test)]
@@ -109,11 +89,6 @@ mod crate_tests {
             Box::new(DamerauLevenshtein::new()),
             Box::new(Jaro::new()),
             Box::new(JaroWinkler::default()),
-            Box::new(QGram::bigram(ProfileSimilarity::Dice)),
-            Box::new(QGram::trigram(ProfileSimilarity::Jaccard)),
-            Box::new(Lcs::new()),
-            Box::new(SoundexComparator::strict()),
-            Box::new(SmithWaterman::new()),
             Box::new(Exact),
         ];
         let samples = [

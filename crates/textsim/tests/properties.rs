@@ -4,9 +4,7 @@
 use proptest::prelude::*;
 
 use probdedup_textsim::{
-    DamerauLevenshtein, Exact, Jaro, JaroWinkler, Lcs, Levenshtein, MongeElkan, NormalizedHamming,
-    ProfileSimilarity, QGram, SmithWaterman, SoundexComparator, StringComparator, TokenJaccard,
-    TokenSort,
+    DamerauLevenshtein, Exact, Jaro, JaroWinkler, Levenshtein, NormalizedHamming, StringComparator,
 };
 
 fn all_comparators() -> Vec<Box<dyn StringComparator>> {
@@ -17,17 +15,6 @@ fn all_comparators() -> Vec<Box<dyn StringComparator>> {
         Box::new(DamerauLevenshtein::new()),
         Box::new(Jaro::new()),
         Box::new(JaroWinkler::new()),
-        Box::new(QGram::bigram(ProfileSimilarity::Dice)),
-        Box::new(QGram::trigram(ProfileSimilarity::Jaccard)),
-        Box::new(QGram::new(2, false, ProfileSimilarity::Cosine)),
-        Box::new(QGram::new(2, false, ProfileSimilarity::Overlap)),
-        Box::new(Lcs::new()),
-        Box::new(SoundexComparator::strict()),
-        Box::new(SoundexComparator::graded()),
-        Box::new(MongeElkan::jaro_winkler()),
-        Box::new(TokenJaccard::new()),
-        Box::new(TokenSort::levenshtein()),
-        Box::new(SmithWaterman::new()),
         Box::new(Exact),
     ]
 }
@@ -95,30 +82,10 @@ proptest! {
         prop_assert!(JaroWinkler::new().similarity(&a, &b) >= Jaro::new().similarity(&a, &b) - 1e-12);
     }
 
-    /// LCS length is bounded by both string lengths and is monotone under
-    /// concatenation of a common suffix.
-    #[test]
-    fn lcs_bounds(a in ".{0,12}", b in ".{0,12}", suffix in ".{0,6}") {
-        let l = Lcs::new();
-        let base = l.lcs_len(&a, &b);
-        prop_assert!(base <= a.chars().count().min(b.chars().count()));
-        let with_suffix = l.lcs_len(&format!("{a}{suffix}"), &format!("{b}{suffix}"));
-        prop_assert!(with_suffix >= base + suffix.chars().count().min(suffix.chars().count()));
-    }
-
     /// Exact is the indicator of equality.
     #[test]
     fn exact_indicator(a in ".{0,8}", b in ".{0,8}") {
         let s = Exact.similarity(&a, &b);
         prop_assert_eq!(s == 1.0, a == b);
-    }
-
-    /// Token-sort is invariant under token permutation (2-token case).
-    #[test]
-    fn token_sort_permutation_invariant(t1 in "[a-z]{1,6}", t2 in "[a-z]{1,6}") {
-        let ts = TokenSort::levenshtein();
-        let ab = format!("{t1} {t2}");
-        let ba = format!("{t2} {t1}");
-        prop_assert!((ts.similarity(&ab, &ba) - 1.0).abs() < 1e-12);
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! Sections: Fig. 4 attribute matching (Eqs. 4/5), Fig. 7 possible worlds
 //! and both derivations (Eqs. 6–9), Figs. 9–13 SNM adaptations, Fig. 14
-//! blocking. The same computations back the `experiments` binary and the
-//! integration tests; this example narrates them.
+//! blocking. The same computations back the integration tests
+//! (`tests/paper_examples.rs`); this example narrates them.
 //!
 //! All SNM/blocking calls below run on the **interned key path**: keys are
 //! rendered once into a `KeyPool` (`Symbol`-backed, see

@@ -202,6 +202,7 @@ mod tests {
         assert!((r.get(rows::T31).unwrap().probability() - 1.0).abs() < 1e-12);
         assert!((r.get(rows::T32).unwrap().probability() - 0.9).abs() < 1e-12);
         assert!((r.get(rows::T42).unwrap().probability() - 0.8).abs() < 1e-12);
+        assert!((r.get(rows::T43).unwrap().probability() - 0.8).abs() < 1e-12);
         assert!(r.get(rows::T42).unwrap().is_maybe());
         assert!(r.get(rows::T43).unwrap().is_maybe());
     }

@@ -23,19 +23,21 @@ use proptest::prelude::*;
 use probdedup::core::pipeline::{DedupPipeline, PairDecision, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
-use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
+use probdedup::datagen::{generate, DatasetConfig, Dictionaries, SyntheticDataset};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::entity::{resolve_decisions, ClusterStrategy, ResolveEntities, SessionEntities};
+use probdedup::eval::ClusterMetrics;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::reduction::{KeyPart, KeySpec};
 use probdedup::textsim::JaroWinkler;
 
-/// Two dirty overlapping sources (the sharded-suite recipe).
-fn sources(entities: usize, seed: u64) -> Vec<XRelation> {
+/// Two dirty overlapping sources with ground truth (the sharded-suite
+/// recipe).
+fn dataset(entities: usize, seed: u64) -> SyntheticDataset {
     generate(
         &Dictionaries::people(),
         &DatasetConfig {
@@ -49,12 +51,25 @@ fn sources(entities: usize, seed: u64) -> Vec<XRelation> {
             ..DatasetConfig::default()
         },
     )
-    .relations
+}
+
+fn sources(entities: usize, seed: u64) -> Vec<XRelation> {
+    dataset(entities, seed).relations
 }
 
 /// Exact (non-bounded) pipeline — certified similarities, hence edge
 /// weights, are deterministic.
 fn pipeline(threads: usize) -> DedupPipeline {
+    pipeline_over(
+        ReductionStrategy::SortingAlternatives {
+            spec: KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)]),
+            window: 4,
+        },
+        threads,
+    )
+}
+
+fn pipeline_over(reduction: ReductionStrategy, threads: usize) -> DedupPipeline {
     let schema = sources(1, 7).remove(0).schema().clone();
     DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
@@ -64,10 +79,7 @@ fn pipeline(threads: usize) -> DedupPipeline {
             Arc::new(ExpectedSimilarity),
             Thresholds::new(0.72, 0.82).unwrap(),
         )))
-        .reduction(ReductionStrategy::SortingAlternatives {
-            spec: KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)]),
-            window: 4,
-        })
+        .reduction(reduction)
         .threads(threads)
         .build()
 }
@@ -188,6 +200,35 @@ fn repair_splits_the_inconsistent_triangle_components_do_not() {
     assert_eq!(repaired.clusters, vec![vec![0, 1], vec![2]]);
     assert_eq!(repaired.stats.inconsistent_triangles, 1);
     assert!(repaired.stats.repair_moves > 0 || repaired.clusters.len() == 2);
+}
+
+/// On a generated corpus with ground truth, over the full comparison
+/// (every inconsistent triangle is visible), repairing the correlation
+/// clustering never scores a lower pairwise F1 than gluing connected
+/// components.
+#[test]
+fn repaired_f1_is_not_below_components_on_a_generated_corpus() {
+    let ds = dataset(100, 20100301);
+    let refs: Vec<&XRelation> = ds.relations.iter().collect();
+    let result = pipeline_over(ReductionStrategy::Full, 2)
+        .run(&refs)
+        .unwrap();
+    let truth = ds.truth.true_clusters();
+    let f1 = |strategy| {
+        let clusters = result.resolve_entities(strategy).clusters;
+        ClusterMetrics::from_partitions(&clusters, &truth, ds.total_rows())
+            .pairwise
+            .f1
+    };
+    let (components, repaired) = (
+        f1(ClusterStrategy::Components),
+        f1(ClusterStrategy::CorrelationRepaired),
+    );
+    assert!(components > 0.0, "the corpus has duplicates to find");
+    assert!(
+        repaired >= components - 1e-12,
+        "correlation-repaired pairwise F1 ({repaired}) fell below components ({components})"
+    );
 }
 
 proptest! {

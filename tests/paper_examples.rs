@@ -36,6 +36,17 @@ fn section4a_kernel_values() {
     assert!((h.similarity("Jim", "Tom") - 1.0 / 3.0).abs() < EPS);
 }
 
+/// Fig. 2: with T_λ = 0.4 and T_μ = 0.7 a pair below T_λ is a non-match
+/// (u), between the thresholds a possible match (p), at or above T_μ a
+/// match (m).
+#[test]
+fn fig2_classification_bands() {
+    let t = Thresholds::new(0.4, 0.7).unwrap();
+    assert_eq!(t.classify(0.30).to_string(), "u");
+    assert_eq!(t.classify(0.55).to_string(), "p");
+    assert_eq!(t.classify(0.80).to_string(), "m");
+}
+
 /// Section IV-A: sim(t11.name, t22.name) = 0.9 and
 /// sim(t11.job, t22.job) = 53/90 ≈ 0.59 via Eq. 5.
 #[test]
