@@ -42,8 +42,6 @@ use probdedup_model::error::ModelError;
 use probdedup_model::ids::{SourceId, TupleHandle};
 use probdedup_model::relation::XRelation;
 use probdedup_reduction::{
-    block_alternatives, block_conflict_resolved, block_multipass, cluster_blocking,
-    conflict_resolved_snm, multipass_snm_pairs, ranked_snm, sorting_alternatives, CandidatePairs,
     ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
 };
 
@@ -119,38 +117,19 @@ pub enum ReductionStrategy {
 }
 
 impl ReductionStrategy {
-    /// One-shot candidate generation over a whole corpus (the session
-    /// keeps warm incremental state instead where the strategy allows it;
-    /// see `crate::session`).
-    pub(crate) fn candidates(&self, tuples: &[probdedup_model::xtuple::XTuple]) -> CandidatePairs {
+    /// The key the strategy sorts or blocks by (`None` for full
+    /// comparison).
+    pub(crate) fn key_spec(&self) -> Option<&KeySpec> {
         match self {
-            Self::Full => CandidatePairs::full(tuples.len()),
-            Self::MultipassWorlds {
-                spec,
-                window,
-                selection,
-            } => multipass_snm_pairs(tuples, spec, *window, *selection),
-            Self::ConflictResolved {
-                spec,
-                window,
-                strategy,
-            } => conflict_resolved_snm(tuples, spec, *window, *strategy).0,
-            Self::SortingAlternatives { spec, window } => {
-                sorting_alternatives(tuples, spec, *window).pairs
-            }
-            Self::RankedKeys {
-                spec,
-                window,
-                ranking,
-            } => ranked_snm(tuples, spec, *window, *ranking).0,
-            Self::BlockingAlternatives { spec } => block_alternatives(tuples, spec).pairs,
-            Self::BlockingConflictResolved { spec, strategy } => {
-                block_conflict_resolved(tuples, spec, *strategy).pairs
-            }
-            Self::BlockingMultipass { spec, selection } => {
-                block_multipass(tuples, spec, *selection).pairs
-            }
-            Self::ClusterBlocking { spec, config } => cluster_blocking(tuples, spec, config).0,
+            Self::Full => None,
+            Self::MultipassWorlds { spec, .. }
+            | Self::ConflictResolved { spec, .. }
+            | Self::SortingAlternatives { spec, .. }
+            | Self::RankedKeys { spec, .. }
+            | Self::BlockingAlternatives { spec }
+            | Self::BlockingConflictResolved { spec, .. }
+            | Self::BlockingMultipass { spec, .. }
+            | Self::ClusterBlocking { spec, .. } => Some(spec),
         }
     }
 
@@ -371,7 +350,6 @@ pub(crate) struct PipelineConfig {
     pub(crate) threads: usize,
     pub(crate) cache_capacity: Option<usize>,
     pub(crate) memo_capacity: Option<usize>,
-    pub(crate) memory_budget: Option<u64>,
 }
 
 /// The configured **one-shot** pipeline. Build with
@@ -427,11 +405,11 @@ impl DedupPipeline {
         self.session().run(sources)
     }
 
-    /// A sharded out-of-core front door over this pipeline's
-    /// configuration: the corpus is partitioned into `shards` by
-    /// blocking-key hash (or key-rank stripes for SNM strategies), each
-    /// shard is matched independently, and the per-shard partitions merge
-    /// into one [`DedupResult`] byte-identical to [`run`](Self::run)'s.
+    /// A sharded front door over this pipeline's configuration: the
+    /// candidate pairs are partitioned into `shards` by blocking-key hash
+    /// (or key-rank stripes for SNM strategies), each shard is matched
+    /// independently, and the per-shard decisions merge into one
+    /// [`DedupResult`] byte-identical to [`run`](Self::run)'s.
     /// See [`ShardedPipeline`](crate::shard::ShardedPipeline).
     pub fn sharded(&self, shards: usize) -> crate::shard::ShardedPipeline {
         crate::shard::ShardedPipeline::new(self.config.clone(), shards)
@@ -535,15 +513,15 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Bound the pipeline's total memory appetite to roughly `budget`
-    /// bytes: a [`BudgetPlan`](crate::shard::BudgetPlan) decomposes the
-    /// budget into a similarity-cache capacity, a decision-memo capacity,
-    /// an external-sort run size and a block-spill threshold. Capacities
-    /// set explicitly via [`cache_capacity`](Self::cache_capacity) /
-    /// [`decision_memo_capacity`](Self::decision_memo_capacity) win over
-    /// the derived ones; the sort/spill ceilings are consumed by the
-    /// sharded front door ([`DedupPipeline::sharded`]). `None` (the
-    /// default) leaves everything unbounded.
+    /// Size the two structures a budget can govern from `budget` bytes: a
+    /// [`BudgetPlan`](crate::shard::BudgetPlan) derives a similarity-cache
+    /// capacity and a decision-memo capacity (explicit
+    /// [`cache_capacity`](Self::cache_capacity) /
+    /// [`decision_memo_capacity`](Self::decision_memo_capacity) settings
+    /// win over the derived ones). The relation, its interned mirrors and
+    /// the candidate pair list are not governed: they stay resident
+    /// whatever the budget says. `None` (the default) leaves both
+    /// unbounded.
     pub fn memory_budget(mut self, budget: Option<u64>) -> Self {
         self.memory_budget = budget;
         self
@@ -552,11 +530,21 @@ impl DedupPipelineBuilder {
     /// Finish; panics if comparators are missing, if the decision-model
     /// configuration is not exactly one of `model` / `classify_only`
     /// (setting both would silently ignore the model and change what
-    /// `PairDecision::similarity` means), or if the classify-only weights
-    /// do not cover every attribute — programming errors, not data
-    /// errors, so they surface here rather than at the first pair.
+    /// `PairDecision::similarity` means), if the classify-only weights do
+    /// not cover every attribute, or if the reduction key names an
+    /// attribute the comparators do not have — programming errors, not
+    /// data errors, so they surface here rather than at the first pair
+    /// (or, in a daemon, after the offending batch was journaled).
     pub fn build(self) -> DedupPipeline {
         let comparators = self.comparators.expect("comparators are required");
+        for part in self.reduction.key_spec().map_or(&[][..], KeySpec::parts) {
+            assert!(
+                part.attr < comparators.arity(),
+                "reduction key attribute {} out of range for arity {}",
+                part.attr,
+                comparators.arity()
+            );
+        }
         let decider = match (self.model, self.bounded) {
             (Some(model), None) => Decider::Model(model),
             (None, Some(bounded)) => {
@@ -589,7 +577,6 @@ impl DedupPipelineBuilder {
                 threads: self.threads,
                 cache_capacity,
                 memo_capacity,
-                memory_budget: self.memory_budget,
             },
         }
     }
@@ -938,6 +925,22 @@ mod tests {
                 WeightedSum::new([0.5, 0.3, 0.2]).unwrap(),
                 Thresholds::new(0.6, 0.8).unwrap(),
             )
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "reduction key attribute 1 out of range for arity 1")]
+    fn key_attribute_out_of_range_panics_at_build() {
+        let _ = DedupPipeline::builder()
+            .comparators(AttributeComparators::uniform(
+                &Schema::new(["name"]),
+                NormalizedHamming::new(),
+            ))
+            .model(model())
+            .reduction(ReductionStrategy::SortingAlternatives {
+                spec: KeySpec::paper_example(0, 1),
+                window: 2,
+            })
             .build();
     }
 

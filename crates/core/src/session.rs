@@ -113,8 +113,8 @@ use probdedup_model::snapshot::{
 use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
-    block_multipass_with_table, multipass_snm_with_table, BlockKeying, CandidatePairs,
-    IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, KeyTable, SnmKeying,
+    block_multipass_with_table, cluster_blocking, multipass_snm_with_table, BlockKeying,
+    CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, KeyTable, SnmKeying,
 };
 
 use crate::cluster::UnionFind;
@@ -293,7 +293,12 @@ impl WarmReduction {
                 }
                 other => unreachable!("Worlds state for strategy {}", other.name()),
             },
-            Self::Stateless => strategy.candidates(tuples),
+            Self::Stateless => match strategy {
+                ReductionStrategy::ClusterBlocking { spec, config } => {
+                    cluster_blocking(tuples, spec, config).0
+                }
+                other => unreachable!("Stateless state for strategy {}", other.name()),
+            },
         }
     }
 

@@ -5,7 +5,6 @@ use std::fmt;
 /// Identifies a source relation in a multi-source integration scenario
 /// (e.g. ℛ3 and ℛ4 of the paper are two sources being consolidated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SourceId(pub u16);
 
 impl fmt::Display for SourceId {
@@ -21,7 +20,6 @@ impl fmt::Display for SourceId {
 /// inter-source matchings are representable (the paper's Section V example
 /// applies SNM to ℛ34 = ℛ3 ∪ ℛ4 and counts both kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TupleHandle {
     /// The source relation.
     pub source: SourceId,
@@ -49,7 +47,6 @@ impl fmt::Display for TupleHandle {
 /// `(a, b) == (b, a)`. This is the unit the decision layer classifies and
 /// the unit the reduction layer generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairHandle {
     /// Smaller handle (by `(source, row)` order).
     pub a: TupleHandle,

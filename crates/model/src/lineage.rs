@@ -20,7 +20,6 @@ use crate::util::PROB_EPS;
 
 /// Mutually exclusive groups over the row indices of a result relation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MutexGroups {
     groups: Vec<Vec<usize>>,
 }
@@ -101,7 +100,6 @@ impl MutexGroups {
 /// `c` becomes `options = [([merged], c), ([i, j], 1 − c)]` — either the
 /// merged tuple exists, or both originals do.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AlternativeSets {
     options: Vec<(Vec<usize>, f64)>,
 }

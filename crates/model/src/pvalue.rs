@@ -19,7 +19,6 @@ use crate::value::Value;
 /// * the total mass is ≤ 1 (within a small epsilon),
 /// * alternatives are kept sorted by value for deterministic iteration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PValue {
     /// Sorted, deduplicated non-null alternatives.
     alts: Vec<(Value, f64)>,

@@ -10,7 +10,6 @@ use crate::xtuple::XTuple;
 /// each tuple carries attribute-level distributions and a membership
 /// probability, and attribute values are treated as independent.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Relation {
     schema: Schema,
     tuples: Vec<ProbTuple>,
@@ -82,7 +81,6 @@ impl Relation {
 /// An x-relation: a probabilistic relation whose rows are x-tuples
 /// (Fig. 5's ℛ3 and ℛ4).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XRelation {
     schema: Schema,
     xtuples: Vec<XTuple>,

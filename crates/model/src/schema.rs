@@ -6,7 +6,6 @@ use std::sync::Arc;
 /// Declared type of an attribute. Used by the matching layer to route values
 /// to string vs numeric comparators, and by the data generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttrType {
     /// Free text (names, jobs, …).
     #[default]
@@ -21,7 +20,6 @@ pub enum AttrType {
 
 /// One attribute definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttrDef {
     /// Attribute name (unique within a schema).
     pub name: String,
@@ -32,7 +30,6 @@ pub struct AttrDef {
 /// An ordered list of attribute definitions, shared cheaply between
 /// relations and tuples via `Arc`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schema {
     attrs: Arc<Vec<AttrDef>>,
 }

@@ -14,7 +14,6 @@ use crate::value::Value;
 /// and must **not** influence duplicate detection (Section IV); similarity
 /// computations therefore only read the attribute-level distributions.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbTuple {
     values: Vec<PValue>,
     probability: f64,

@@ -12,7 +12,6 @@ use std::fmt;
 /// equals `0.0`), which gives the total order needed for sorting keys,
 /// blocking and deduplication of distribution supports.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Non-existence, written `⊥` in the paper.
     Null,

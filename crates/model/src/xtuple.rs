@@ -15,7 +15,6 @@ use crate::value::Value;
 /// `(Johan, mu*)` whose job is a uniform distribution over all jobs starting
 /// with `mu` (avoiding a blow-up of alternatives).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XAlternative {
     values: Vec<PValue>,
     probability: f64,
@@ -64,7 +63,6 @@ impl XAlternative {
 /// `p(t) = Σᵢ p(tⁱ) ≤ 1`; if the sum is below 1 the x-tuple is a *maybe*
 /// x-tuple (rendered `?` in the paper's Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct XTuple {
     alternatives: Vec<XAlternative>,
     /// Optional display label (`t31`, `t42`, …) used when reproducing the

@@ -9,18 +9,16 @@
 //! * **executed-matching suppression** — the same tuple pair can meet in
 //!   several windows; a [`crate::pairs::PairMatrix`] (Fig. 12) executes each
 //!   matching exactly once.
-
 //!
-//! Keys are interned once into a [`KeyTable`](crate::key::KeyTable) and
-//! the sort runs over lexicographic ranks; the string-rendering
-//! implementation is kept test-only as the property-tested oracle
-//! (`src/interned_oracle.rs`).
+//! Keys are interned once into a [`KeyTable`] and the sort runs over
+//! lexicographic ranks; the string-rendering implementation is kept
+//! test-only as the property-tested oracle (`src/interned_oracle.rs`).
 
 use probdedup_model::xtuple::XTuple;
 
-use crate::key::KeySpec;
+use crate::key::{KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{sort_entries, windowed_pairs, InternedSnmEntry, SnmEntry};
 
 /// Result of the sorting-alternatives method.
 #[derive(Debug, Clone)]
@@ -34,6 +32,23 @@ pub struct SortingAlternativesResult {
     pub raw_entries: usize,
 }
 
+/// One entry per alternative key of every tuple in `table`, sorted by
+/// `(rank, tuple)` with adjacent same-tuple entries omitted — the
+/// right-hand list of Fig. 11 in interned form, ready for
+/// [`for_each_window_pair`](crate::snm::for_each_window_pair).
+pub fn sorted_alternative_entries(table: &KeyTable) -> Vec<InternedSnmEntry> {
+    let mut entries: Vec<InternedSnmEntry> = (0..table.len())
+        .flat_map(|i| {
+            table
+                .alternative_keys(i)
+                .iter()
+                .map(move |&key| InternedSnmEntry::new(key, i))
+        })
+        .collect();
+    sort_entries(&mut entries, table.ranks(), true);
+    entries
+}
+
 /// Run sorting-alternatives over the x-tuples (interned keys; the
 /// returned [`SnmEntry`] strings are resolved from the pool for display).
 pub fn sorting_alternatives(
@@ -42,23 +57,16 @@ pub fn sorting_alternatives(
     window: usize,
 ) -> SortingAlternativesResult {
     let table = spec.key_table(tuples);
-    let mut entries: Vec<InternedSnmEntry> = Vec::new();
-    for i in 0..table.len() {
-        for &key in table.alternative_keys(i) {
-            entries.push(InternedSnmEntry::new(key, i));
-        }
-    }
-    let raw_entries = entries.len();
-    let (pairs, order) =
-        sorted_neighborhood_interned(entries, table.ranks(), window, tuples.len(), true);
-    let order = order
-        .iter()
-        .map(|e| SnmEntry::new(table.resolve(e.key), e.tuple))
-        .collect();
+    let entries = sorted_alternative_entries(&table);
     SortingAlternativesResult {
-        pairs,
-        order,
-        raw_entries,
+        pairs: windowed_pairs(&entries, window, tuples.len(), false),
+        order: entries
+            .iter()
+            .map(|e| SnmEntry::new(table.resolve(e.key), e.tuple))
+            .collect(),
+        raw_entries: (0..table.len())
+            .map(|i| table.alternative_keys(i).len())
+            .sum(),
     }
 }
 

@@ -7,36 +7,35 @@
 //! the same tuple within one block are removed, and repeated matchings
 //! across blocks are suppressed — Fig. 14's walkthrough).
 //!
-//! **Multi-pass** blocking assembles blocks in a `BlockMap` keyed on
-//! **interned key symbols** ([`KeySymbol`]): the
-//! [`KeyTable`](crate::key::KeyTable) built up front renders each
-//! distinct `(value, prefix)` once, and every insertion afterwards is a
-//! single integer-keyed hash probe — no key string is rendered, hashed or
-//! compared on the hot path, and no collision chain is needed because
-//! symbol equality *is* key equality. **Single-pass** blocking
-//! ([`block_alternatives`]) instead takes the hash-dedup'd direct path:
-//! with every key seen essentially once, interner maintenance never
-//! amortizes, so each rendered key is resolved to its block with one
-//! string-keyed hash probe and no pools are built at all. Per-block
-//! membership stays O(1) either way via a small-vec scan that spills into
-//! an `FxHashSet` past a handful of members. The sorted
-//! `BTreeMap<String, Vec<usize>>` inspection view that figures and tests
-//! consume is materialized once at the end, and candidate pairs are
-//! emitted in sorted-key order, so results remain byte-for-byte identical
-//! across all implementations — the string-keyed originals are retained
-//! test-only as the property-tested oracles (`src/interned_oracle.rs`).
+//! Each adaptation is one **block visitor** — [`for_each_alternative_block`],
+//! [`for_each_conflict_resolved_block`], [`for_each_multipass_block`] (the
+//! family's only loop over the selected worlds) — handing a sink every
+//! block as `(key, members)` in sorted-key order. The [`BlockingResult`]
+//! functions are sinks that emit within-block pairs and keep the Fig. 14
+//! inspection view; the sharded driver's router is a sink that sends each
+//! block's pairs to the shard its key hashes to.
+//!
+//! **Multi-pass** and conflict-resolved blocking assemble blocks in a
+//! `BlockMap` keyed on **interned key symbols** ([`KeySymbol`]): the
+//! [`KeyTable`] built up front renders each distinct `(value, prefix)`
+//! once, and every insertion afterwards is a single integer-keyed hash
+//! probe — symbol equality *is* key equality. **Per-alternative** blocking
+//! takes a string-keyed direct path instead (see
+//! [`for_each_alternative_block`]). Per-block membership stays O(1) either
+//! way via a small-vec scan that spills into an `FxHashSet` past a handful
+//! of members. Blocks are visited in sorted-key order, so results remain
+//! byte-for-byte identical across all implementations — the string-keyed
+//! originals are retained test-only as the property-tested oracles
+//! (`src/interned_oracle.rs`).
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
-use std::path::PathBuf;
 
 use probdedup_model::intern::{KeyPool, KeySymbol};
 use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 
 use crate::conflict::{resolved_key_symbols, ConflictResolution};
-use crate::key::KeySpec;
+use crate::key::{KeySpec, KeyTable};
 use crate::multipass::{select_worlds, WorldSelection};
 use crate::pairs::CandidatePairs;
 
@@ -48,6 +47,21 @@ pub struct BlockingResult {
     pub pairs: CandidatePairs,
     /// Block key → member tuple indices (first-insertion order, deduped).
     pub blocks: BTreeMap<String, Vec<usize>>,
+}
+
+impl BlockingResult {
+    fn new(n_tuples: usize) -> Self {
+        Self {
+            pairs: CandidatePairs::new(n_tuples),
+            blocks: BTreeMap::new(),
+        }
+    }
+
+    /// The inspecting sink: emit the block's pairs and keep it in the view.
+    fn push_block(&mut self, key: &str, members: &[usize]) {
+        emit_block_pairs(members, &mut self.pairs);
+        self.blocks.insert(key.to_string(), members.to_vec());
+    }
 }
 
 /// Members beyond which a block's membership test spills from a linear
@@ -93,11 +107,10 @@ impl Block {
 }
 
 /// Symbol-keyed block accumulator (see the module docs). Insertion is one
-/// integer hash probe; key strings only appear when a sorted inspection
-/// view is materialized.
+/// integer hash probe; key strings only appear when the blocks are visited.
 #[derive(Debug, Clone, Default)]
 struct BlockMap {
-    slots: probdedup_model::util::FxHashMap<KeySymbol, Block>,
+    slots: FxHashMap<KeySymbol, Block>,
 }
 
 impl BlockMap {
@@ -107,35 +120,31 @@ impl BlockMap {
         self.slots.entry(key).or_default().insert(tuple);
     }
 
-    /// The blocks in deterministic sorted-key order (resolving symbols for
-    /// the comparison only — no rendering, no allocation).
-    fn sorted_blocks(self, keys: &KeyPool) -> Vec<(KeySymbol, Block)> {
-        let mut blocks: Vec<(KeySymbol, Block)> = self.slots.into_iter().collect();
-        blocks.sort_unstable_by(|a, b| keys.resolve(a.0).cmp(keys.resolve(b.0)));
-        blocks
-    }
-
-    /// Emit all within-block pairs in sorted-key order (matching the
-    /// string implementation's output order exactly) without building the
-    /// string view.
-    fn finish_pairs(self, keys: &KeyPool, pairs: &mut CandidatePairs) {
-        for (_, block) in self.sorted_blocks(keys) {
-            emit_block_pairs(&block.members, pairs);
-        }
-    }
-
-    /// Emit pairs **and** materialize the sorted `BTreeMap` inspection
-    /// view (one `String` per distinct block key).
-    fn finish(self, keys: &KeyPool, pairs: &mut CandidatePairs) -> BTreeMap<String, Vec<usize>> {
-        let mut sorted = BTreeMap::new();
-        for (key, block) in self.sorted_blocks(keys) {
-            emit_block_pairs(&block.members, pairs);
-            sorted.insert(keys.resolve(key).to_string(), block.members);
-        }
-        sorted
+    /// Visit the blocks in sorted-key order (resolving symbols against
+    /// `keys` — no rendering, no allocation per key).
+    fn visit_sorted(self, keys: &KeyPool, f: impl FnMut(&str, &[usize])) {
+        visit_sorted_blocks(
+            self.slots
+                .into_iter()
+                .map(|(key, block)| (keys.resolve(key), block.members))
+                .collect(),
+            f,
+        );
     }
 }
 
+/// The sorted-key block visitor every adaptation ends in: `f` sees each
+/// `(key, members)` once, in lexicographic key order — the order all
+/// implementations (and the string oracles) emit pairs in.
+fn visit_sorted_blocks(mut blocks: Vec<(&str, Vec<usize>)>, mut f: impl FnMut(&str, &[usize])) {
+    blocks.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    for (key, members) in &blocks {
+        f(key, members);
+    }
+}
+
+/// All within-block pairs of one block, in member order — what the
+/// pair-collecting sinks do with a visited block.
 pub(crate) fn emit_block_pairs(members: &[usize], pairs: &mut CandidatePairs) {
     for (a, &i) in members.iter().enumerate() {
         for &j in members.iter().skip(a + 1) {
@@ -144,278 +153,8 @@ pub(crate) fn emit_block_pairs(members: &[usize], pairs: &mut CandidatePairs) {
     }
 }
 
-// ----------------------------------------------------------------------
-// Out-of-core block scanning: the bounded-memory twin of `BlockMap`.
-// ----------------------------------------------------------------------
-
-/// Configuration of an out-of-core block scan.
-#[derive(Debug, Clone)]
-pub struct BlockScanConfig {
-    /// Resident members per block before the buffer is flushed to that
-    /// block's spill file. Clamped to ≥ 1; blocks that never reach the
-    /// ceiling never touch disk.
-    pub spill_members: usize,
-    /// Directory for spill files; `None` uses [`std::env::temp_dir`].
-    pub dir: Option<PathBuf>,
-}
-
-impl Default for BlockScanConfig {
-    fn default() -> Self {
-        Self {
-            // 64 Ki members ≈ 512 KiB resident per oversized block.
-            spill_members: 1 << 16,
-            dir: None,
-        }
-    }
-}
-
-/// What a block scan did — asserted by the spill-path tests and surfaced
-/// in the shard stats.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockScanStats {
-    /// Distinct blocks seen.
-    pub blocks: usize,
-    /// Blocks whose membership spilled to disk at least once.
-    pub spilled_blocks: usize,
-    /// Total bytes written to spill files.
-    pub spilled_bytes: u64,
-}
-
-/// A spill-file path removed on `Drop` (success, abandonment and unwind).
-#[derive(Debug)]
-struct TempPath(PathBuf);
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
-
-/// One block under construction with a bounded resident buffer.
-///
-/// Every production insertion stream feeds a block **nondecreasing tuple
-/// indices with only adjacent repeats**: the outer loops walk rows in
-/// ascending order, and the only way a row recurs in one block is via
-/// several alternatives of that same row (consecutive in the block's
-/// stream, since no other row intervenes). Dedup therefore only needs the
-/// last kept member — O(1) state — instead of `Block`'s full membership
-/// set; the invariant is debug-asserted.
-#[derive(Debug)]
-struct SpillBlock {
-    members: Vec<usize>,
-    last: Option<usize>,
-    // (path guard, writer, records already spilled)
-    spill: Option<(TempPath, BufWriter<File>, usize)>,
-}
-
-impl SpillBlock {
-    fn new() -> Self {
-        Self {
-            members: Vec::new(),
-            last: None,
-            spill: None,
-        }
-    }
-
-    fn insert(
-        &mut self,
-        tuple: usize,
-        spill_members: usize,
-        dir: &std::path::Path,
-        stats: &mut BlockScanStats,
-    ) -> io::Result<()> {
-        if self.last == Some(tuple) {
-            return Ok(());
-        }
-        debug_assert!(
-            self.last.is_none_or(|l| tuple > l),
-            "block insertion streams must be nondecreasing (got {tuple} after {:?})",
-            self.last
-        );
-        self.last = Some(tuple);
-        self.members.push(tuple);
-        if self.members.len() >= spill_members {
-            self.flush(dir, stats)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self, dir: &std::path::Path, stats: &mut BlockScanStats) -> io::Result<()> {
-        if self.spill.is_none() {
-            let path = spill_block_path(dir);
-            let file = File::options()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&path)?;
-            stats.spilled_blocks += 1;
-            self.spill = Some((TempPath(path), BufWriter::new(file), 0));
-        }
-        let (_, writer, count) = self.spill.as_mut().expect("just ensured");
-        for &m in &self.members {
-            writer.write_all(&(m as u64).to_le_bytes())?;
-        }
-        *count += self.members.len();
-        stats.spilled_bytes += (self.members.len() * 8) as u64;
-        self.members.clear();
-        Ok(())
-    }
-
-    /// All members in insertion order (spilled prefix + resident tail),
-    /// consuming the block. The spill file is removed when the returned
-    /// guard drops.
-    fn drain(self) -> io::Result<Vec<usize>> {
-        let Some((guard, writer, count)) = self.spill else {
-            return Ok(self.members);
-        };
-        let mut file = writer
-            .into_inner()
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        file.flush()?;
-        file.rewind()?;
-        let mut members = Vec::with_capacity(count + self.members.len());
-        let mut reader = BufReader::new(file);
-        let mut rec = [0u8; 8];
-        for _ in 0..count {
-            reader.read_exact(&mut rec)?;
-            members.push(u64::from_le_bytes(rec) as usize);
-        }
-        members.extend_from_slice(&self.members);
-        drop(guard);
-        Ok(members)
-    }
-}
-
-static SPILL_BLOCK_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-fn spill_block_path(dir: &std::path::Path) -> PathBuf {
-    let n = SPILL_BLOCK_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    dir.join(format!("probdedup-block-{}-{n}.spill", std::process::id()))
-}
-
-/// Bounded-memory block accumulator: the out-of-core twin of `BlockMap`.
-/// Oversized blocks spill their membership to per-block temp files
-/// (8-byte little-endian tuple indices); [`finish_scan`](Self::finish_scan)
-/// walks the blocks in exactly the sorted-key order the in-memory
-/// implementations emit, materializing one block's members at a time.
-#[derive(Debug)]
-pub struct SpillableBlockMap {
-    slots: FxHashMap<KeySymbol, SpillBlock>,
-    spill_members: usize,
-    dir: PathBuf,
-    stats: BlockScanStats,
-}
-
-impl SpillableBlockMap {
-    /// A new accumulator under `cfg`'s ceilings.
-    pub fn new(cfg: &BlockScanConfig) -> Self {
-        Self {
-            slots: FxHashMap::default(),
-            spill_members: cfg.spill_members.max(1),
-            dir: cfg.dir.clone().unwrap_or_else(std::env::temp_dir),
-            stats: BlockScanStats::default(),
-        }
-    }
-
-    /// Insert `tuple` into the block of `key`. Insertion streams per block
-    /// must be nondecreasing in `tuple` (see `SpillBlock`) — true of
-    /// every row-major production scan.
-    pub fn insert(&mut self, key: KeySymbol, tuple: usize) -> io::Result<()> {
-        self.slots
-            .entry(key)
-            .or_insert_with(SpillBlock::new)
-            .insert(tuple, self.spill_members, &self.dir, &mut self.stats)
-    }
-
-    /// Visit every block as `(key string, members)` in sorted-key order —
-    /// byte-identical to the order `BlockMap::finish_pairs` emits — and
-    /// return the scan stats. Spill files are removed as each block is
-    /// visited.
-    pub fn finish_scan(
-        mut self,
-        keys: &KeyPool,
-        f: &mut impl FnMut(&str, &[usize]),
-    ) -> io::Result<BlockScanStats> {
-        self.stats.blocks = self.slots.len();
-        let mut blocks: Vec<(KeySymbol, SpillBlock)> = self.slots.drain().collect();
-        blocks.sort_unstable_by(|a, b| keys.resolve(a.0).cmp(keys.resolve(b.0)));
-        for (key, block) in blocks {
-            let members = block.drain()?;
-            f(keys.resolve(key), &members);
-        }
-        Ok(self.stats)
-    }
-}
-
-/// Out-of-core scan of the per-alternative blocks (Fig. 14): visits every
-/// block in exactly [`block_alternatives`]' sorted-key order under
-/// `cfg`'s memory ceiling. The candidate pairs of the blocking run are
-/// recovered by emitting each visited block's within-block pairs in order.
-pub fn scan_alternative_blocks(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    cfg: &BlockScanConfig,
-    f: &mut impl FnMut(&str, &[usize]),
-) -> io::Result<BlockScanStats> {
-    let mut values = probdedup_model::intern::ValuePool::new();
-    let mut keys = KeyPool::new();
-    let mut map = SpillableBlockMap::new(cfg);
-    for (i, t) in tuples.iter().enumerate() {
-        for key in spec.alternative_key_symbols(t, &mut values, &mut keys) {
-            map.insert(key, i)?;
-        }
-    }
-    map.finish_scan(&keys, f)
-}
-
-/// Out-of-core scan of the conflict-resolved blocks: visits every block in
-/// exactly [`block_conflict_resolved`]' sorted-key order.
-pub fn scan_conflict_resolved_blocks(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    strategy: ConflictResolution,
-    cfg: &BlockScanConfig,
-    f: &mut impl FnMut(&str, &[usize]),
-) -> io::Result<BlockScanStats> {
-    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
-    let mut map = SpillableBlockMap::new(cfg);
-    for (i, &key) in syms.iter().enumerate() {
-        map.insert(key, i)?;
-    }
-    map.finish_scan(&keys, f)
-}
-
-/// Out-of-core scan of the multi-pass blocks: for each selected world in
-/// [`block_multipass`]' world order, visits that world's blocks in
-/// sorted-key order — the exact per-world emission order of the in-memory
-/// path. Stats are summed across worlds.
-pub fn scan_multipass_blocks(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    selection: WorldSelection,
-    cfg: &BlockScanConfig,
-    f: &mut impl FnMut(&str, &[usize]),
-) -> io::Result<BlockScanStats> {
-    let worlds = select_worlds(tuples, selection);
-    let table = spec.key_table(tuples);
-    let mut total = BlockScanStats::default();
-    for world in worlds {
-        let mut map = SpillableBlockMap::new(cfg);
-        for i in 0..table.len() {
-            let alt = world.choices[i].expect("full world");
-            map.insert(table.alternative_keys(i)[alt], i)?;
-        }
-        let stats = map.finish_scan(table.key_pool(), f)?;
-        total.blocks += stats.blocks;
-        total.spilled_blocks += stats.spilled_blocks;
-        total.spilled_bytes += stats.spilled_bytes;
-    }
-    Ok(total)
-}
-
-/// Blocking with **alternative key values** (Fig. 14): one block entry per
-/// alternative key of each x-tuple.
+/// Visit the blocks of blocking with **alternative key values** (Fig. 14):
+/// one block entry per alternative key of each x-tuple.
 ///
 /// This is the **hash-dedup'd single-pass path**: each alternative's key is
 /// rendered exactly once and resolved to its block with **one** hash probe
@@ -423,11 +162,13 @@ pub fn scan_multipass_blocks(
 /// single pass over mostly-distinct keys the interning layer never
 /// amortizes (it was measured ~2.4× slower than direct rendering on the
 /// typo-heavy synthetic workload), so single-pass blocking bypasses it.
-/// Multi-pass blocking keeps the interned
-/// [`KeyTable`](crate::key::KeyTable) — there the table is reused across
-/// passes and pays for itself. Output is byte-identical to the string-key
-/// oracle (property-tested in `src/interned_oracle.rs`).
-pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
+/// Multi-pass blocking keeps the interned [`KeyTable`] — there the table
+/// is reused across passes and pays for itself.
+pub fn for_each_alternative_block(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    f: impl FnMut(&str, &[usize]),
+) {
     // Key string → index into `blocks`, one probe per alternative.
     let mut ids: FxHashMap<String, usize> = FxHashMap::default();
     ids.reserve(tuples.len());
@@ -442,22 +183,61 @@ pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
             blocks[id].insert(i);
         }
     }
-    // Deterministic sorted-key order, matching the other implementations;
-    // the `BTreeMap` view is bulk-built from the sorted entries (std
-    // detects the presorted run) instead of paying per-key tree descents.
-    let mut order: Vec<(String, Vec<usize>)> = ids
-        .into_iter()
-        .map(|(key, id)| (key, std::mem::take(&mut blocks[id].members)))
-        .collect();
-    order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut pairs = CandidatePairs::new(tuples.len());
-    for (_, members) in &order {
-        emit_block_pairs(members, &mut pairs);
+    visit_sorted_blocks(
+        ids.iter()
+            .map(|(key, &id)| (key.as_str(), std::mem::take(&mut blocks[id].members)))
+            .collect(),
+        f,
+    );
+}
+
+/// Visit the blocks of blocking over **conflict-resolved certain keys**:
+/// every tuple joins the one block of its resolved key.
+pub fn for_each_conflict_resolved_block(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    strategy: ConflictResolution,
+    f: impl FnMut(&str, &[usize]),
+) {
+    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
+    let mut map = BlockMap::default();
+    for (i, &key) in syms.iter().enumerate() {
+        map.insert(key, i);
     }
-    BlockingResult {
-        pairs,
-        blocks: order.into_iter().collect(),
+    map.visit_sorted(&keys, f);
+}
+
+/// The loop over the selected worlds — the only one the blocking family
+/// has: resolve `selection`, and per world (pass `0, 1, …` in selection
+/// order) bucket every tuple under its chosen alternative's key symbol off
+/// `table` and visit that world's blocks in sorted-key order as
+/// `f(pass, key, members)`. Pure integer work per pass — zero key renders,
+/// which the reduction property tests assert via
+/// [`KeyTable::render_count`]. `table` must cover `tuples`.
+pub fn for_each_multipass_block(
+    tuples: &[XTuple],
+    table: &KeyTable,
+    selection: WorldSelection,
+    mut f: impl FnMut(usize, &str, &[usize]),
+) {
+    debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
+    for (pass, world) in select_worlds(tuples, selection).iter().enumerate() {
+        let mut map = BlockMap::default();
+        for i in 0..table.len() {
+            let alt = world.choices[i].expect("full world");
+            map.insert(table.alternative_keys(i)[alt], i);
+        }
+        map.visit_sorted(table.key_pool(), |key, members| f(pass, key, members));
     }
+}
+
+/// Blocking with **alternative key values** (Fig. 14): the pairs and block
+/// view of [`for_each_alternative_block`]. Output is byte-identical to the
+/// string-key oracle (property-tested in `src/interned_oracle.rs`).
+pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
+    let mut result = BlockingResult::new(tuples.len());
+    for_each_alternative_block(tuples, spec, |key, members| result.push_block(key, members));
+    result
 }
 
 /// Blocking over **conflict-resolved certain keys** (Section V-B: "conflict
@@ -468,75 +248,51 @@ pub fn block_conflict_resolved(
     spec: &KeySpec,
     strategy: ConflictResolution,
 ) -> BlockingResult {
-    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
-    let mut map = BlockMap::default();
-    for (i, &key) in syms.iter().enumerate() {
-        map.insert(key, i);
-    }
-    let mut pairs = CandidatePairs::new(tuples.len());
-    let blocks = map.finish(&keys, &mut pairs);
-    BlockingResult { pairs, blocks }
+    let mut result = BlockingResult::new(tuples.len());
+    for_each_conflict_resolved_block(tuples, spec, strategy, |key, members| {
+        result.push_block(key, members)
+    });
+    result
 }
 
 /// Multi-pass blocking over selected possible worlds ("a multi-pass over
 /// some finely chosen worlds seems to be an option"). Pairs are unioned;
 /// the returned blocks are those of the **first** pass (for inspection).
-///
-/// The [`KeyTable`](crate::key::KeyTable) is built once; every pass after
-/// the first is pure integer work (bucket by symbol, emit pairs) — zero
-/// key renders, which the reduction property tests assert via
-/// [`KeyTable::render_count`](crate::key::KeyTable::render_count).
+/// The [`KeyTable`] is built once; every pass is then
+/// [`for_each_multipass_block`]'s integer bucketing.
 pub fn block_multipass(
     tuples: &[XTuple],
     spec: &KeySpec,
     selection: WorldSelection,
 ) -> BlockingResult {
-    let worlds = select_worlds(tuples, selection);
     // Per-alternative keys are world-independent; intern them once instead
     // of once per (world, tuple).
     let table = spec.key_table(tuples);
-    let mut pairs = CandidatePairs::new(tuples.len());
-    let mut first_blocks: Option<BTreeMap<String, Vec<usize>>> = None;
-    for world in worlds {
-        let mut map = BlockMap::default();
-        for i in 0..table.len() {
-            let alt = world.choices[i].expect("full world");
-            map.insert(table.alternative_keys(i)[alt], i);
-        }
-        if first_blocks.is_none() {
-            first_blocks = Some(map.finish(table.key_pool(), &mut pairs));
+    let mut result = BlockingResult::new(tuples.len());
+    for_each_multipass_block(tuples, &table, selection, |pass, key, members| {
+        if pass == 0 {
+            result.push_block(key, members);
         } else {
-            map.finish_pairs(table.key_pool(), &mut pairs);
+            emit_block_pairs(members, &mut result.pairs);
         }
-    }
-    BlockingResult {
-        pairs,
-        blocks: first_blocks.unwrap_or_default(),
-    }
+    });
+    result
 }
 
-/// [`block_multipass`] with a caller-supplied [`KeyTable`](crate::key::KeyTable)
-/// and without the first-pass inspection view — the lean path persistent
-/// sessions use: the table (extended incrementally as tuples arrive)
-/// already holds every alternative's key symbol, so each pass is pure
-/// integer bucketing plus one sorted emission. Pair output is identical to
+/// [`block_multipass`] with a caller-supplied [`KeyTable`] and without the
+/// first-pass inspection view — the lean path persistent sessions use: the
+/// table (extended incrementally as tuples arrive) already holds every
+/// alternative's key symbol. Pair output is identical to
 /// [`block_multipass`] (per-world sorted-key order).
 pub fn block_multipass_with_table(
     tuples: &[XTuple],
-    table: &crate::key::KeyTable,
+    table: &KeyTable,
     selection: WorldSelection,
 ) -> CandidatePairs {
-    debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
-    let worlds = select_worlds(tuples, selection);
     let mut pairs = CandidatePairs::new(tuples.len());
-    for world in worlds {
-        let mut map = BlockMap::default();
-        for i in 0..table.len() {
-            let alt = world.choices[i].expect("full world");
-            map.insert(table.alternative_keys(i)[alt], i);
-        }
-        map.finish_pairs(table.key_pool(), &mut pairs);
-    }
+    for_each_multipass_block(tuples, table, selection, |_, _, members| {
+        emit_block_pairs(members, &mut pairs)
+    });
     pairs
 }
 
@@ -712,112 +468,6 @@ mod tests {
         assert_eq!(members.len(), n, "duplicates crept in: {members:?}");
         assert_eq!(*members, (0..n).collect::<Vec<_>>());
         assert_eq!(r.pairs.len(), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn spillable_scans_match_in_memory_blocking() {
-        let tuples = r34();
-        let spec = fig14_spec();
-        let dir = std::env::temp_dir().join(format!("pd-blk-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // spill_members 1 forces every block through its spill file;
-        // usize::MAX keeps everything resident. Both must reproduce the
-        // in-memory block view and emission order byte-for-byte.
-        for spill_members in [1, 2, usize::MAX] {
-            let cfg = BlockScanConfig {
-                spill_members,
-                dir: Some(dir.clone()),
-            };
-            type ScanFn<'a> = dyn FnMut(&mut dyn FnMut(&str, &[usize])) -> BlockScanStats + 'a;
-            let collect = |scan: &mut ScanFn<'_>| {
-                let mut seen: Vec<(String, Vec<usize>)> = Vec::new();
-                let stats = scan(&mut |k, m| seen.push((k.to_string(), m.to_vec())));
-                (seen, stats)
-            };
-
-            let expected = block_alternatives(&tuples, &spec);
-            let (seen, stats) = collect(&mut |f| {
-                scan_alternative_blocks(&tuples, &spec, &cfg, &mut |k, m| f(k, m)).unwrap()
-            });
-            let want: Vec<(String, Vec<usize>)> = expected
-                .blocks
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            assert_eq!(seen, want, "alternatives spill {spill_members}");
-            if spill_members == 1 {
-                assert!(stats.spilled_blocks > 0);
-            } else if spill_members == usize::MAX {
-                assert_eq!(stats.spilled_blocks, 0);
-            }
-
-            let strategy = ConflictResolution::MostProbableAlternative;
-            let expected = block_conflict_resolved(&tuples, &spec, strategy);
-            let (seen, _) = collect(&mut |f| {
-                scan_conflict_resolved_blocks(&tuples, &spec, strategy, &cfg, &mut |k, m| f(k, m))
-                    .unwrap()
-            });
-            let want: Vec<(String, Vec<usize>)> = expected
-                .blocks
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect();
-            assert_eq!(seen, want, "conflict spill {spill_members}");
-
-            // Multipass: replaying emit_block_pairs over the scanned
-            // blocks must reproduce the unioned pair set in order.
-            let selection = WorldSelection::TopK(3);
-            let expected = block_multipass(&tuples, &spec, selection);
-            let mut pairs = CandidatePairs::new(tuples.len());
-            scan_multipass_blocks(&tuples, &spec, selection, &cfg, &mut |_, m| {
-                emit_block_pairs(m, &mut pairs)
-            })
-            .unwrap();
-            assert_eq!(
-                pairs.pairs(),
-                expected.pairs.pairs(),
-                "multipass spill {spill_members}"
-            );
-        }
-        assert_eq!(
-            std::fs::read_dir(&dir).unwrap().count(),
-            0,
-            "spill files must be cleaned up"
-        );
-        std::fs::remove_dir(&dir).unwrap();
-    }
-
-    #[test]
-    fn spillable_block_crosses_spill_boundary_deduped() {
-        let s = Schema::new(["name", "job"]);
-        let n = 40;
-        let tuples: Vec<XTuple> = (0..n)
-            .map(|_| {
-                XTuple::builder(&s)
-                    .alt(0.5, ["John", "pilot"])
-                    .alt(0.5, ["Johan", "pianist"]) // same "Jp" key twice
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let dir = std::env::temp_dir().join(format!("pd-blk2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cfg = BlockScanConfig {
-            spill_members: 7,
-            dir: Some(dir.clone()),
-        };
-        let mut seen = Vec::new();
-        let stats = scan_alternative_blocks(&tuples, &fig14_spec(), &cfg, &mut |k, m| {
-            seen.push((k.to_string(), m.to_vec()))
-        })
-        .unwrap();
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, "Jp");
-        assert_eq!(seen[0].1, (0..n).collect::<Vec<_>>());
-        assert_eq!(stats.spilled_blocks, 1);
-        assert!(stats.spilled_bytes > 0);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
-        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! a **subset** of the multi-pass matchings — proven as a test here and as
 //! a property test in `tests/properties.rs`.
 
-use probdedup_model::intern::{KeyPool, KeySymbol, ValuePool};
+use probdedup_model::intern::{KeyPool, KeyRanks, KeySymbol, ValuePool};
 use probdedup_model::xtuple::XTuple;
 
 use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{sort_entries, windowed_pairs, InternedSnmEntry, SnmEntry};
 
 /// Strategy unifying an x-tuple's alternatives into one certain key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,6 +91,26 @@ pub(crate) fn resolved_key_symbols(
     (keys, syms)
 }
 
+/// One entry per tuple under its conflict-resolved certain key, sorted by
+/// `(rank, tuple)` — Fig. 10's list in interned form, ready for
+/// [`for_each_window_pair`](crate::snm::for_each_window_pair) — plus the
+/// pool that resolves the key symbols and the ranks that order them.
+pub fn sorted_resolved_entries(
+    tuples: &[XTuple],
+    spec: &KeySpec,
+    strategy: ConflictResolution,
+) -> (KeyPool, KeyRanks, Vec<InternedSnmEntry>) {
+    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
+    let ranks = keys.lexicographic_ranks();
+    let mut entries: Vec<InternedSnmEntry> = syms
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| InternedSnmEntry::new(k, i))
+        .collect();
+    sort_entries(&mut entries, &ranks, false);
+    (keys, ranks, entries)
+}
+
 /// SNM over conflict-resolved certain keys: one key per x-tuple, one pass.
 /// Returns the pairs and the sorted key list (Fig. 10 prints it).
 ///
@@ -103,19 +123,12 @@ pub fn conflict_resolved_snm(
     window: usize,
     strategy: ConflictResolution,
 ) -> (CandidatePairs, Vec<SnmEntry>) {
-    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
-    let ranks = keys.lexicographic_ranks();
-    let entries: Vec<InternedSnmEntry> = syms
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| InternedSnmEntry::new(k, i))
-        .collect();
-    let (pairs, order) = sorted_neighborhood_interned(entries, &ranks, window, tuples.len(), false);
-    let order = order
+    let (keys, _, entries) = sorted_resolved_entries(tuples, spec, strategy);
+    let order = entries
         .iter()
         .map(|e| SnmEntry::new(keys.resolve(e.key), e.tuple))
         .collect();
-    (pairs, order)
+    (windowed_pairs(&entries, window, tuples.len(), false), order)
 }
 
 #[cfg(test)]

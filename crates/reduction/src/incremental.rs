@@ -36,7 +36,7 @@ use crate::conflict::{resolve_key_symbol, ConflictResolution};
 use crate::key::{KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
 use crate::ranking::{rank_score, RankingFunction};
-use crate::snm::{windowed_pairs, InternedSnmEntry};
+use crate::snm::{for_each_window_pair, windowed_pairs, InternedSnmEntry};
 
 /// How each tuple contributes sorted-neighborhood entries (the
 /// world-independent SNM flavours; multi-pass-over-worlds regenerates per
@@ -246,14 +246,10 @@ impl IncrementalRankedSnm {
     /// The full candidate set over everything ingested so far — identical
     /// pairs and order to [`ranked_snm`](crate::ranking::ranked_snm).
     pub fn current_pairs(&self) -> CandidatePairs {
-        let window = self.window.max(2);
-        let n = self.scored.len();
-        let mut pairs = CandidatePairs::new(n);
-        for (i, (_, _, a)) in self.scored.iter().enumerate() {
-            for (_, _, b) in self.scored.iter().skip(i + 1).take(window - 1) {
-                pairs.insert(*a, *b);
-            }
-        }
+        let mut pairs = CandidatePairs::new(self.scored.len());
+        for_each_window_pair(&self.scored, self.window, |(_, _, a), (_, _, b)| {
+            pairs.insert(*a, *b);
+        });
         pairs
     }
 }

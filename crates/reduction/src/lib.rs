@@ -21,6 +21,16 @@
 //! tuple indices of one (combined) x-relation, ready for the matching and
 //! decision layers.
 //!
+//! Each family has **one emission loop** that consumers hand a sink: the
+//! window scan [`for_each_window_pair`] over a sorted entry list (with
+//! [`for_each_world_pass`] as the SNM loop over selected worlds), and the
+//! sorted-key block visitors [`for_each_alternative_block`],
+//! [`for_each_conflict_resolved_block`] and [`for_each_multipass_block`]
+//! (the blocking loop over selected worlds). The `CandidatePairs`-returning
+//! functions, the Fig. 9 / Fig. 14 inspection views and the sharded
+//! driver's router in `probdedup-core` are sinks over those loops, so the
+//! one-shot and the sharded run cannot drift apart on emission order.
+//!
 //! # Interned keys
 //!
 //! Every SNM/blocking entry point runs over **interned keys**: a
@@ -66,7 +76,6 @@ pub mod alternatives;
 pub mod blocking;
 pub mod cluster;
 pub mod conflict;
-pub mod external;
 pub mod incremental;
 #[cfg(test)]
 mod interned_oracle;
@@ -76,28 +85,30 @@ pub mod pairs;
 pub mod ranking;
 pub mod snm;
 
-pub use alternatives::{sorting_alternatives, SortingAlternativesResult};
+pub use alternatives::{
+    sorted_alternative_entries, sorting_alternatives, SortingAlternativesResult,
+};
 pub use blocking::{
     block_alternatives, block_conflict_resolved, block_multipass, block_multipass_with_table,
-    scan_alternative_blocks, scan_conflict_resolved_blocks, scan_multipass_blocks, BlockScanConfig,
-    BlockScanStats, BlockingResult, SpillableBlockMap,
+    for_each_alternative_block, for_each_conflict_resolved_block, for_each_multipass_block,
+    BlockingResult,
 };
 pub use cluster::{cluster_blocking, ClusterBlockingConfig};
-pub use conflict::{conflict_resolved_snm, resolve_key, resolve_key_symbol, ConflictResolution};
-pub use external::{
-    conflict_resolved_snm_external_scan, multipass_snm_external_scan, sorted_neighborhood_external,
-    sorting_alternatives_external_scan, ExternalEntryStream, ExternalSortConfig, ExternalSortStats,
-    ExternalSorter, StreamWindower,
+pub use conflict::{
+    conflict_resolved_snm, resolve_key, resolve_key_symbol, sorted_resolved_entries,
+    ConflictResolution,
 };
 pub use incremental::{
     BlockKeying, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, SnmKeying,
 };
 pub use key::{KeyPart, KeySpec, KeyTable};
 pub use multipass::{
-    multipass_snm, multipass_snm_pairs, multipass_snm_with_table, MultipassResult, WorldSelection,
+    for_each_world_pass, multipass_snm, multipass_snm_pairs, multipass_snm_with_table,
+    MultipassResult, WorldSelection,
 };
 pub use pairs::{CandidatePairs, PairMatrix, SparsePairSet};
 pub use ranking::{rank_score, rank_tuples, ranked_snm, RankingFunction};
 pub use snm::{
-    sorted_neighborhood, sorted_neighborhood_interned, windowed_pairs, InternedSnmEntry, SnmEntry,
+    for_each_window_pair, sort_entries, sorted_neighborhood, sorted_neighborhood_interned,
+    windowed_pairs, InternedSnmEntry, SnmEntry,
 };

@@ -14,16 +14,19 @@
 //! Keys are computed **once** into an interned [`KeyTable`] before the
 //! first pass: every later pass only picks each tuple's chosen-alternative
 //! key symbol and sorts by precomputed lexicographic rank — sort-only,
-//! zero key renders, zero allocation per entry. The string-rendering
-//! implementation is retained test-only (`src/interned_oracle.rs`) and
-//! property-tested to produce identical candidate pairs and pass orders.
+//! zero key renders, zero allocation per entry. The loop over the selected
+//! worlds exists once, [`for_each_world_pass`]; the pair-returning entry
+//! points, the Fig. 9 inspection view and the sharded driver's router are
+//! sinks over it. The string-rendering implementation is retained
+//! test-only (`src/interned_oracle.rs`) and property-tested to produce
+//! identical candidate pairs and pass orders.
 
 use probdedup_model::world::{full_worlds, top_k_worlds, World};
 use probdedup_model::xtuple::XTuple;
 
 use crate::key::{KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
-use crate::snm::{sorted_neighborhood_interned, InternedSnmEntry, SnmEntry};
+use crate::snm::{for_each_window_pair, sort_entries, InternedSnmEntry, SnmEntry};
 
 /// Which possible worlds the passes run over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,41 +122,58 @@ pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec
     }
 }
 
+/// The loop over the selected worlds — the only one the SNM family has:
+/// resolve `selection`, and per world hand `f` the world and its entry
+/// list (one entry per tuple, keyed by the chosen alternative's symbol off
+/// `table`) sorted by `(rank, tuple)`, ready for
+/// [`for_each_window_pair`]. `table` must cover `tuples`.
+pub fn for_each_world_pass(
+    tuples: &[XTuple],
+    table: &KeyTable,
+    selection: WorldSelection,
+    mut f: impl FnMut(World, &[InternedSnmEntry]),
+) {
+    debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
+    for world in select_worlds(tuples, selection) {
+        let mut entries = world_entries_interned(table, &world);
+        sort_entries(&mut entries, table.ranks(), false);
+        f(world, &entries);
+    }
+}
+
 /// Multi-pass SNM over possible worlds of `tuples`.
 ///
 /// The key table is interned once up front; each pass is then a rank sort
-/// plus windowing ([`sorted_neighborhood_interned`]) — passes ≥ 2 perform
-/// **zero** key renders (asserted by the property tests via
-/// [`KeyTable::render_count`]). The per-pass [`SnmEntry`] strings in the
-/// result are resolved from the pool for figures and tests; use
-/// [`multipass_snm_pairs`] when only the candidate set matters.
+/// plus windowing — passes ≥ 2 perform **zero** key renders (asserted by
+/// the property tests via [`KeyTable::render_count`]). The per-pass
+/// [`SnmEntry`] strings in the result are resolved from the pool for
+/// figures and tests; use [`multipass_snm_pairs`] when only the candidate
+/// set matters.
 pub fn multipass_snm(
     tuples: &[XTuple],
     spec: &KeySpec,
     window: usize,
     selection: WorldSelection,
 ) -> MultipassResult {
-    let worlds = select_worlds(tuples, selection);
     let table = spec.key_table(tuples);
     let mut pairs = CandidatePairs::new(tuples.len());
-    let mut passes = Vec::with_capacity(worlds.len());
-    for world in worlds {
-        let entries = world_entries_interned(&table, &world);
-        let (pass_pairs, order) =
-            sorted_neighborhood_interned(entries, table.ranks(), window, tuples.len(), false);
-        pairs.absorb(&pass_pairs);
-        let order: Vec<SnmEntry> = order
+    let mut passes = Vec::new();
+    for_each_world_pass(tuples, &table, selection, |world, entries| {
+        for_each_window_pair(entries, window, |a, b| {
+            pairs.insert(a.tuple, b.tuple);
+        });
+        let order = entries
             .iter()
             .map(|e| SnmEntry::new(table.resolve(e.key), e.tuple))
             .collect();
         passes.push((world, order));
-    }
+    });
     MultipassResult { pairs, passes }
 }
 
 /// [`multipass_snm`] without materializing the per-pass inspection views:
-/// the lean path the pipeline and benchmarks use — after the key table is
-/// built, each pass allocates nothing but its entry vector.
+/// the lean path — after the key table is built, each pass allocates
+/// nothing but its entry vector.
 pub fn multipass_snm_pairs(
     tuples: &[XTuple],
     spec: &KeySpec,
@@ -164,22 +184,21 @@ pub fn multipass_snm_pairs(
 }
 
 /// Multi-pass SNM with a caller-supplied [`KeyTable`] — lets callers reuse
-/// one table across several window sizes or selections, and lets tests
-/// observe the render counter across passes.
+/// one table across several window sizes or selections (sessions keep it
+/// warm across ingests), and lets tests observe the render counter across
+/// passes.
 pub fn multipass_snm_with_table(
     tuples: &[XTuple],
     table: &KeyTable,
     window: usize,
     selection: WorldSelection,
 ) -> CandidatePairs {
-    let worlds = select_worlds(tuples, selection);
     let mut pairs = CandidatePairs::new(tuples.len());
-    for world in worlds {
-        let entries = world_entries_interned(table, &world);
-        let (pass_pairs, _) =
-            sorted_neighborhood_interned(entries, table.ranks(), window, tuples.len(), false);
-        pairs.absorb(&pass_pairs);
-    }
+    for_each_world_pass(tuples, table, selection, |_, entries| {
+        for_each_window_pair(entries, window, |a, b| {
+            pairs.insert(a.tuple, b.tuple);
+        });
+    });
     pairs
 }
 

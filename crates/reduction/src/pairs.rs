@@ -163,7 +163,7 @@ impl CandidatePairs {
     }
 }
 
-/// A sparse executed-matching set: the out-of-core replacement for
+/// A sparse executed-matching set: the sharded driver's replacement for
 /// [`PairMatrix`].
 ///
 /// The triangular bit matrix is the right tool while `n·(n−1)/2` bits fit

@@ -16,6 +16,7 @@ use probdedup_model::xtuple::XTuple;
 
 use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
+use crate::snm::for_each_window_pair;
 
 /// Probabilistic ranking semantics for uncertain keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,13 +112,10 @@ pub fn ranked_snm(
     f: RankingFunction,
 ) -> (CandidatePairs, Vec<usize>) {
     let order = rank_tuples(tuples, spec, f);
-    let window = window.max(2);
     let mut pairs = CandidatePairs::new(tuples.len());
-    for (i, &a) in order.iter().enumerate() {
-        for &b in order.iter().skip(i + 1).take(window - 1) {
-            pairs.insert(a, b);
-        }
-    }
+    for_each_window_pair(&order, window, |&a, &b| {
+        pairs.insert(a, b);
+    });
     (pairs, order)
 }
 

@@ -1,12 +1,14 @@
 //! The core sorted-neighborhood method (Hernández & Stolfo 1995): sort key
 //! entries, slide a window, emit candidate pairs.
 //!
-//! Two entry representations share the windowing logic:
-//! [`sorted_neighborhood`] sorts owned key `String`s (the oracle path) and
-//! [`sorted_neighborhood_interned`] sorts [`KeySymbol`]s by a precomputed
-//! lexicographic rank — integer compares, zero allocation, byte-identical
-//! order. Multi-pass methods build the key table once and call the interned
-//! variant per pass, which makes passes ≥ 2 sort-only.
+//! [`sorted_neighborhood`] sorts owned key `String`s (the paper-literal
+//! path the test-only oracles run on). Everything else runs on
+//! [`InternedSnmEntry`]s: [`sort_entries`] orders [`KeySymbol`]s by a
+//! precomputed lexicographic rank — integer compares, zero allocation,
+//! byte-identical order — and [`for_each_window_pair`] is the **one**
+//! window scan over such a list. [`sorted_neighborhood_interned`],
+//! [`windowed_pairs`], the multi-pass loop of [`crate::multipass`] and the
+//! sharded driver's router are all sinks over it.
 
 use probdedup_model::intern::{KeyRanks, KeySymbol};
 
@@ -87,17 +89,16 @@ impl InternedSnmEntry {
     }
 }
 
-/// [`sorted_neighborhood`] over interned entries: sort by `(rank(key),
-/// tuple)` — byte-identical order to the string path, since `ranks` agrees
-/// with the key strings' lexicographic order — then window identically.
-/// No string is touched.
-pub fn sorted_neighborhood_interned(
-    mut entries: Vec<InternedSnmEntry>,
+/// Sort interned entries by `(rank(key), tuple)` — byte-identical order to
+/// the string path, since `ranks` agrees with the key strings'
+/// lexicographic order — and, if `skip_adjacent_same_tuple` is set,
+/// collapse neighboring entries of the same tuple (Fig. 11's omission
+/// rule). The result is what [`for_each_window_pair`] scans.
+pub fn sort_entries(
+    entries: &mut Vec<InternedSnmEntry>,
     ranks: &KeyRanks,
-    window: usize,
-    n_tuples: usize,
     skip_adjacent_same_tuple: bool,
-) -> (CandidatePairs, Vec<InternedSnmEntry>) {
+) {
     entries.sort_by(|a, b| {
         ranks
             .rank(a.key)
@@ -107,16 +108,43 @@ pub fn sorted_neighborhood_interned(
     if skip_adjacent_same_tuple {
         entries.dedup_by(|next, prev| next.tuple == prev.tuple);
     }
-    let mut pairs = CandidatePairs::new(n_tuples);
-    emit_window_pairs(&entries, window, &mut pairs);
+}
+
+/// The window scan — the one loop every interned SNM flavour, ranked SNM,
+/// the incremental states and the sharded driver's router run: visit each
+/// entry of a **sorted, collapsed** list as the anchor of the `window − 1`
+/// entries after it (`window` clamped to ≥ 2), anchor-major. Self-pairs
+/// and repeats are passed through; the consumer's pair set suppresses them
+/// (Fig. 12). `f` receives whole entries so a router can read the anchor's
+/// key rank (or, for ranked SNM, its position).
+pub fn for_each_window_pair<T>(entries: &[T], window: usize, mut f: impl FnMut(&T, &T)) {
+    let window = window.max(2);
+    for (i, anchor) in entries.iter().enumerate() {
+        for other in entries.iter().skip(i + 1).take(window - 1) {
+            f(anchor, other);
+        }
+    }
+}
+
+/// [`sorted_neighborhood`] over interned entries: [`sort_entries`], then
+/// window identically. No string is touched.
+pub fn sorted_neighborhood_interned(
+    mut entries: Vec<InternedSnmEntry>,
+    ranks: &KeyRanks,
+    window: usize,
+    n_tuples: usize,
+    skip_adjacent_same_tuple: bool,
+) -> (CandidatePairs, Vec<InternedSnmEntry>) {
+    sort_entries(&mut entries, ranks, skip_adjacent_same_tuple);
+    let pairs = windowed_pairs(&entries, window, n_tuples, false);
     (pairs, entries)
 }
 
-/// The window scan over an **already sorted** entry list — the shared back
-/// half of [`sorted_neighborhood_interned`] and the incremental SNM state
-/// (which keeps its entry list resident and rank-**inserts** new entries
-/// instead of re-sorting). Emits every pair of tuples whose entries fall
-/// within `window` consecutive entries, in window order, deduplicated.
+/// [`for_each_window_pair`] into a fresh pair set — the back half of
+/// [`sorted_neighborhood_interned`] and of the incremental SNM state
+/// (which keeps its sorted entry list resident, uncollapsed, and
+/// rank-**inserts** new entries instead of re-sorting). Pairs come out in
+/// window order, deduplicated.
 pub fn windowed_pairs(
     entries: &[InternedSnmEntry],
     window: usize,
@@ -124,25 +152,17 @@ pub fn windowed_pairs(
     skip_adjacent_same_tuple: bool,
 ) -> CandidatePairs {
     let mut pairs = CandidatePairs::new(n_tuples);
+    let mut emit = |a: &InternedSnmEntry, b: &InternedSnmEntry| {
+        pairs.insert(a.tuple, b.tuple);
+    };
     if skip_adjacent_same_tuple {
         let mut collapsed = entries.to_vec();
         collapsed.dedup_by(|next, prev| next.tuple == prev.tuple);
-        emit_window_pairs(&collapsed, window, &mut pairs);
+        for_each_window_pair(&collapsed, window, &mut emit);
     } else {
-        emit_window_pairs(entries, window, &mut pairs);
+        for_each_window_pair(entries, window, &mut emit);
     }
     pairs
-}
-
-/// Emit all window pairs of a sorted entry list into `pairs` (`window`
-/// clamped to ≥ 2; self-pairs and repeats suppressed by the pair set).
-fn emit_window_pairs(entries: &[InternedSnmEntry], window: usize, pairs: &mut CandidatePairs) {
-    let window = window.max(2);
-    for (i, e) in entries.iter().enumerate() {
-        for f in entries.iter().skip(i + 1).take(window - 1) {
-            pairs.insert(e.tuple, f.tuple);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -157,10 +157,6 @@ impl ServeConfig {
     pub fn default_pipeline(arity: usize) -> DedupPipeline {
         let arity = arity.max(1);
         let schema = Schema::new((0..arity).map(|i| format!("attr{i}")));
-        let mut key_parts = vec![KeyPart::prefix(0, 3)];
-        if arity >= 2 {
-            key_parts.push(KeyPart::prefix(arity.saturating_sub(2).max(1), 2));
-        }
         let weights: Vec<f64> = std::iter::once(3.0)
             .chain(std::iter::repeat_n(1.0, arity - 1))
             .collect();
@@ -173,12 +169,24 @@ impl ServeConfig {
                 Thresholds::new(0.72, 0.82).expect("static thresholds are ordered"),
             )))
             .reduction(ReductionStrategy::SortingAlternatives {
-                spec: KeySpec::new(key_parts),
+                spec: default_key(arity),
                 window: 6,
             })
             .threads(4)
             .build()
     }
+}
+
+/// The reduction key the CLI and [`ServeConfig::default_pipeline`] fall
+/// back to over `arity`-attribute relations: a 3-prefix of the first
+/// attribute, plus — when there is a second attribute to take it from — a
+/// 2-prefix of the last text attribute (`arity − 2`, at least attribute 1).
+pub fn default_key(arity: usize) -> KeySpec {
+    let mut parts = vec![KeyPart::prefix(0, 3)];
+    if arity >= 2 {
+        parts.push(KeyPart::prefix((arity - 2).max(1), 2));
+    }
+    KeySpec::new(parts)
 }
 
 /// What one finished server run did (returned by [`Server::run`] /

@@ -18,7 +18,7 @@ use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup_model::format::write_xrelation;
 use probdedup_model::relation::XRelation;
 use probdedup_serve::client::{json_field, Client};
-use probdedup_serve::server::{RunningServer, ServeConfig, Server};
+use probdedup_serve::server::{default_key, RunningServer, ServeConfig, Server};
 
 /// Two small sources with overlapping entities (people schema, arity 4).
 fn sources() -> Vec<XRelation> {
@@ -490,6 +490,43 @@ fn wal_recovery_equals_the_pre_crash_partition() {
     running2.shutdown().unwrap();
     running.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A one-attribute daemon keys on that attribute alone. The default key
+/// once named attribute 1 whatever the arity: the first ingest panicked
+/// *after* it was journaled, so every restart replayed the poison record
+/// and died at boot. Ingest, stop, restart over the same journal: the
+/// batch replays and the partition is the one served before.
+#[test]
+fn one_attribute_daemon_replays_its_journal() {
+    assert!(default_key(1).parts().iter().all(|part| part.attr == 0));
+    let wal = std::env::temp_dir().join(format!("probdedup-serve-arity1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&wal);
+    let config = || ServeConfig::new("127.0.0.1:0", ServeConfig::default_pipeline(1)).wal_dir(&wal);
+    let batch = "schema name:text\nxtuple\n  alt 1 | Johnathan\n\
+                 xtuple\n  alt 0.9 | Johnathan\nxtuple\n  alt 1 | Tim\n";
+
+    let (running, client) = boot(config());
+    let (status, body) = client.post("/sessions/a/ingest", batch.as_bytes()).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = client.get("/sessions/a/partition").unwrap();
+    assert_eq!(status, 200, "{body}");
+    let expected = clusters_of(&body);
+    assert_eq!(expected, "[[0, 1]]");
+    running.shutdown().unwrap();
+
+    let (running, client) = boot(config());
+    let (status, body) = client.get("/sessions/a/partition").unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(clusters_of(&body), expected);
+    let (_, stats) = client.get("/stats").unwrap();
+    assert_eq!(
+        json_field(&stats, "wal_replayed_records").as_deref(),
+        Some("1"),
+        "{stats}"
+    );
+    running.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&wal);
 }
 
 /// Tentpole: past `--max-inflight` the daemon sheds with 503 instead of

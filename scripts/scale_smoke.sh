@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Scale smoke test of the sharded out-of-core front door, driven through
-# the release CLI the way an operator would: generate a 20k-entity
-# two-source corpus, dedup it sharded under a deliberately small
-# --memory-budget, dedup it unsharded as the reference, and assert the
-# merged sharded result is identical (modulo the sharded run's extra
-# shard-stats line).
+# Scale smoke test of the sharded front door, driven through the release
+# CLI the way an operator would: generate a 20k-entity two-source corpus,
+# dedup it sharded under a deliberately small --memory-budget, dedup it
+# unsharded as the reference, and assert the merged sharded result is
+# identical (modulo the sharded run's extra shard-stats line) and — for
+# the default corpus and shard count — routed exactly as recorded.
 #
 #   cargo build --release && scripts/scale_smoke.sh
 #
@@ -42,11 +42,13 @@ grep -q "^sharded over $SHARDS shards:" "$WORK/sharded.out" \
     || fail "sharded run did not report shard stats"
 grep "^sharded over" "$WORK/sharded.out"
 
-# The budget must be tight enough that the external sort really went
-# out of core (its run buffer is ~budget/4 ÷ 24 bytes per entry, so the
-# default 1m spills well below the default 20k entities).
-grep -q " 0 sort runs spilled" "$WORK/sharded.out" \
-    && fail "budget $BUDGET did not force the external sort to spill"
+# Routing is stable: the default corpus over the default shard count must
+# land exactly where it always has (candidate count and shard skew).
+if [[ "$ENTITIES" == 20000 && "$SHARDS" == 8 ]]; then
+    expected="sharded over 8 shards: 239831 candidates (skew max 32168 / min 27485)"
+    [[ "$(grep "^sharded over" "$WORK/sharded.out")" == "$expected" ]] \
+        || fail "shard routing moved: expected '$expected'"
+fi
 
 # Everything below the stats line must be byte-identical to the
 # unsharded run: same candidates, same decisions, same clusters.

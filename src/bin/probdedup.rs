@@ -13,6 +13,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use probdedup::datagen::GroundTruth;
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
-use probdedup::decision::threshold::Thresholds;
+use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::entity::{ClusterStrategy, PipelineEntities};
 use probdedup::eval::ClusterMetrics;
@@ -34,7 +35,7 @@ use probdedup::model::schema::Schema;
 use probdedup::model::snapshot::SnapshotError;
 use probdedup::model::stats::RelationStats;
 use probdedup::reduction::{KeyPart, KeySpec, RankingFunction, WorldSelection};
-use probdedup::serve::server::{ServeConfig, Server};
+use probdedup::serve::server::{default_key, ServeConfig, Server};
 use probdedup::textsim::JaroWinkler;
 
 const USAGE: &str = "\
@@ -54,11 +55,12 @@ USAGE:
       [--lambda T] [--mu T] [--threads N]
       [--shards K] [--memory-budget BYTES[k|m|g]]
       Run the one-shot pipeline and print decisions and duplicate clusters.
-      With --shards > 1 the sharded out-of-core front door partitions the
-      corpus by blocking-key hash / key-rank stripe, matches each shard
-      independently, and merges — same result, bounded memory. A
-      --memory-budget decomposes into cache/memo capacities and the
-      external-sort and block-spill ceilings.
+      With --shards > 1 the sharded front door routes the candidate pairs
+      by blocking-key hash / key-rank stripe, matches each shard
+      independently, and merges — same result, without the unsharded
+      run's dense pair matrix and decision memo. A --memory-budget sizes
+      the similarity caches and the decision memo; the relation and the
+      candidate list stay resident whatever it says.
 
   probdedup ingest --input FILE.pxr [--input FILE2.pxr ...]
       (same options as dedup)
@@ -118,9 +120,9 @@ COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
   --lambda T  --mu T  --threads N
   --memo-capacity N   bound the session's pair-decision memo to N
                       entries (second-chance eviction; unbounded default)
-  --memory-budget B   bound the pipeline's memory appetite to ~B bytes
-                      (suffixes k/m/g; derives cache, memo and spill
-                      ceilings — see dedup --shards)
+  --memory-budget B   size the similarity caches and the decision memo
+                      from ~B bytes (suffixes k/m/g; nothing else is
+                      governed — see dedup --shards)
 
 An option the subcommand does not know is a usage error (exit 2).
 
@@ -147,11 +149,26 @@ enum CliError {
     /// from a plain I/O error so supervisors can tell "fix the disk /
     /// permissions" from "input file missing".
     Wal(String),
+    /// Whoever read our stdout went away (`probdedup dedup … | head`):
+    /// nothing failed, there is just nobody left to print for.
+    ClosedPipe,
+}
+
+impl From<std::io::Error> for CliError {
+    /// A failed write to the stdout writer the printers share.
+    fn from(e: std::io::Error) -> Self {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            Self::ClosedPipe
+        } else {
+            Self::Io(format!("stdout: {e}"))
+        }
+    }
 }
 
 impl CliError {
     fn exit_code(&self) -> u8 {
         match self {
+            Self::ClosedPipe => 0,
             Self::Usage(_) => 2,
             Self::Io(_) => 3,
             Self::Parse(_) => 4,
@@ -163,6 +180,7 @@ impl CliError {
     fn message(&self) -> &str {
         match self {
             Self::Usage(m) | Self::Io(m) | Self::Parse(m) | Self::Snapshot(m) | Self::Wal(m) => m,
+            Self::ClosedPipe => "stdout closed",
         }
     }
 }
@@ -178,7 +196,8 @@ fn snapshot_error(path: &str, e: SnapshotError) -> CliError {
 
 fn main() -> ExitCode {
     match run() {
-        Ok(()) => ExitCode::SUCCESS,
+        // A closed pipe ends the run quietly: no message, no failure.
+        Ok(()) | Err(CliError::ClosedPipe) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {}", err.message());
             if matches!(err, CliError::Usage(_)) {
@@ -255,22 +274,30 @@ fn run() -> Result<(), CliError> {
     let (cmd, rest) = raw
         .split_first()
         .ok_or_else(|| CliError::Usage("missing subcommand".to_string()))?;
+    if cmd == "serve" {
+        // The daemon logs to stdout for its whole life; it must not hold
+        // the lock the one-shot printers below share.
+        return cmd_serve(&Args::parse(rest)?);
+    }
+    // Every printer writes through this one locked handle, so a write
+    // that fails is an error value (`ClosedPipe`), never a `println!`
+    // panic.
+    let out = &mut std::io::stdout().lock();
     if cmd == "snapshot" {
-        return cmd_snapshot(rest);
+        return cmd_snapshot(rest, out);
     }
     let args = Args::parse(rest)?;
     match cmd.as_str() {
-        "generate" => cmd_generate(&args),
-        "stats" => cmd_stats(&args),
-        "dedup" => cmd_dedup(&args),
-        "entities" => cmd_entities(&args),
-        "ingest" => cmd_ingest(&args),
-        "serve" => cmd_serve(&args),
+        "generate" => cmd_generate(&args, out),
+        "stats" => cmd_stats(&args, out),
+        "dedup" => cmd_dedup(&args, out),
+        "entities" => cmd_entities(&args, out),
+        "ingest" => cmd_ingest(&args, out),
         other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
     }
 }
 
-fn cmd_generate(args: &Args) -> Result<(), CliError> {
+fn cmd_generate(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let prefix = args
         .get("out-prefix")
         .ok_or_else(|| CliError::Usage("--out-prefix is required".to_string()))?;
@@ -286,7 +313,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         let path = format!("{prefix}.source{i}.pxr");
         std::fs::write(&path, write_xrelation(rel))
             .map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        println!("wrote {path} ({} x-tuples)", rel.len());
+        writeln!(out, "wrote {path} ({} x-tuples)", rel.len())?;
     }
     let truth_path = format!("{prefix}.truth");
     let truth_lines: Vec<String> = (0..ds.truth.len())
@@ -294,12 +321,13 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         .collect();
     std::fs::write(&truth_path, truth_lines.join("\n") + "\n")
         .map_err(|e| CliError::Io(format!("{truth_path}: {e}")))?;
-    println!(
+    writeln!(
+        out,
         "wrote {truth_path} ({} rows, {} entities, {} true duplicate pairs)",
         ds.truth.len(),
         ds.truth.entity_count(),
         ds.truth.true_pair_count()
-    );
+    )?;
     Ok(())
 }
 
@@ -308,14 +336,14 @@ fn load_relation(path: &str) -> Result<XRelation, CliError> {
     parse_xrelation(&text).map_err(|e| CliError::Parse(format!("{path}: {e}")))
 }
 
-fn cmd_stats(args: &Args) -> Result<(), CliError> {
+fn cmd_stats(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let path = args
         .get("input")
         .ok_or_else(|| CliError::Usage("--input is required".to_string()))?;
     args.reject_unread()?;
     let rel = load_relation(path)?;
-    println!("{path}:");
-    println!("{}", RelationStats::for_xrelation(&rel));
+    writeln!(out, "{path}:")?;
+    writeln!(out, "{}", RelationStats::for_xrelation(&rel))?;
     Ok(())
 }
 
@@ -367,14 +395,7 @@ fn build_pipeline(
     let window = args.get_parsed("window", 6usize)?;
     let key = match args.get("key") {
         Some(spec) => parse_key(spec, schema)?,
-        None => {
-            // Default: 3-prefix of the first attribute + 2-prefix of the
-            // last text attribute.
-            KeySpec::new(vec![
-                KeyPart::prefix(0, 3),
-                KeyPart::prefix(schema.arity().saturating_sub(2).max(1), 2),
-            ])
-        }
+        None => default_key(schema.arity()),
     };
     let reduction = match args.get("reduction").unwrap_or("snm-alternatives") {
         "full" => ReductionStrategy::Full,
@@ -444,75 +465,77 @@ fn parse_bytes(v: &str) -> Result<u64, CliError> {
 }
 
 /// Print a [`DedupResult`]: summary, matches, possibles, clusters.
-fn print_result(result: &probdedup::core::pipeline::DedupResult) {
-    println!("{}", result.summary());
-    println!("matches:");
-    for d in result.matches() {
-        println!(
-            "  {} ↔ {}  (sim {:.3})",
-            result.handle(d.pair.0),
-            result.handle(d.pair.1),
-            d.similarity
-        );
+fn print_result(
+    out: &mut impl Write,
+    result: &probdedup::core::pipeline::DedupResult,
+) -> std::io::Result<()> {
+    writeln!(out, "{}", result.summary())?;
+    let sections = [
+        ("matches:", MatchClass::Match),
+        ("possible matches (clerical review):", MatchClass::Possible),
+    ];
+    for (title, class) in sections {
+        writeln!(out, "{title}")?;
+        for d in result.decisions.iter().filter(|d| d.class == class) {
+            writeln!(
+                out,
+                "  {} ↔ {}  (sim {:.3})",
+                result.handle(d.pair.0),
+                result.handle(d.pair.1),
+                d.similarity
+            )?;
+        }
     }
-    println!("possible matches (clerical review):");
-    for d in result.possible_matches() {
-        println!(
-            "  {} ↔ {}  (sim {:.3})",
-            result.handle(d.pair.0),
-            result.handle(d.pair.1),
-            d.similarity
-        );
-    }
-    println!("duplicate clusters:");
-    for cluster in &result.clusters {
+    writeln!(out, "duplicate clusters:")?;
+    print_clusters(out, result, result.clusters.iter().map(Vec::as_slice))
+}
+
+/// One `{R0[3], R1[7]}` line per cluster.
+fn print_clusters<'a>(
+    out: &mut impl Write,
+    result: &probdedup::core::pipeline::DedupResult,
+    clusters: impl IntoIterator<Item = &'a [usize]>,
+) -> std::io::Result<()> {
+    for cluster in clusters {
         let members: Vec<String> = cluster
             .iter()
             .map(|&r| result.handle(r).to_string())
             .collect();
-        println!("  {{{}}}", members.join(", "));
+        writeln!(out, "  {{{}}}", members.join(", "))?;
     }
+    Ok(())
 }
 
-fn cmd_dedup(args: &Args) -> Result<(), CliError> {
+fn cmd_dedup(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let (_, relations, pipeline) = parse_pipeline(args)?;
     let refs: Vec<&XRelation> = relations.iter().collect();
     let shards = args.get_parsed("shards", 1usize)?;
     args.reject_unread()?;
     let result = if shards > 1 {
-        let (result, stats) =
-            pipeline
-                .sharded(shards)
-                .run_with_stats(&refs)
-                .map_err(|e| match e {
-                    probdedup::core::shard::ShardError::Io(io) => CliError::Io(io.to_string()),
-                    probdedup::core::shard::ShardError::Model(m) => CliError::Parse(m.to_string()),
-                })?;
+        let (result, stats) = pipeline
+            .sharded(shards)
+            .run_with_stats(&refs)
+            .map_err(|e| CliError::Parse(e.to_string()))?;
         let (max, min) = stats.skew();
-        println!(
-            "sharded over {} shards: {} candidates (skew max {max} / min {min}), \
-             {} sort runs spilled ({} bytes), {} blocks ({} spilled)",
-            stats.shards,
-            result.candidates,
-            stats.sort.runs_spilled,
-            stats.sort.spilled_bytes,
-            stats.blocks.blocks,
-            stats.blocks.spilled_blocks,
-        );
+        writeln!(
+            out,
+            "sharded over {} shards: {} candidates (skew max {max} / min {min})",
+            stats.shards, result.candidates,
+        )?;
         result
     } else {
         pipeline
             .run(&refs)
             .map_err(|e| CliError::Parse(e.to_string()))?
     };
-    print_result(&result);
+    print_result(out, &result)?;
     Ok(())
 }
 
 /// `entities`: one-shot pipeline run, then entity resolution over the
 /// pairwise verdicts. With `--truth` the predicted partition is scored
 /// against the ground-truth clustering.
-fn cmd_entities(args: &Args) -> Result<(), CliError> {
+fn cmd_entities(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let strategy = match args.get("strategy") {
         None => ClusterStrategy::Components,
         Some(name) => ClusterStrategy::from_name(name).ok_or_else(|| {
@@ -529,16 +552,10 @@ fn cmd_entities(args: &Args) -> Result<(), CliError> {
     let (result, resolution) = pipeline
         .run_entities(&refs, strategy)
         .map_err(|e| CliError::Parse(e.to_string()))?;
-    println!("{}", result.summary());
-    println!("{}", resolution.summary());
-    println!("entity clusters (size ≥ 2):");
-    for cluster in resolution.duplicate_clusters() {
-        let members: Vec<String> = cluster
-            .iter()
-            .map(|&r| result.handle(r).to_string())
-            .collect();
-        println!("  {{{}}}", members.join(", "));
-    }
+    writeln!(out, "{}", result.summary())?;
+    writeln!(out, "{}", resolution.summary())?;
+    writeln!(out, "entity clusters (size ≥ 2):")?;
+    print_clusters(out, &result, resolution.duplicate_clusters())?;
     if let Some(path) = truth_path {
         let truth = load_truth(path, resolution.rows)?;
         let metrics = ClusterMetrics::from_partitions(
@@ -546,7 +563,7 @@ fn cmd_entities(args: &Args) -> Result<(), CliError> {
             &truth.true_clusters(),
             resolution.rows,
         );
-        println!("vs truth: {metrics}");
+        writeln!(out, "vs truth: {metrics}")?;
     }
     Ok(())
 }
@@ -586,7 +603,7 @@ fn load_truth(path: &str, rows: usize) -> Result<GroundTruth, CliError> {
 /// what each batch added, then the merged resident result. The final
 /// partition is identical to `dedup` over the same inputs (the session's
 /// split-invariance contract).
-fn cmd_ingest(args: &Args) -> Result<(), CliError> {
+fn cmd_ingest(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let (inputs, relations, pipeline) = parse_pipeline(args)?;
     args.reject_unread()?;
     let mut session = pipeline.session();
@@ -594,15 +611,16 @@ fn cmd_ingest(args: &Args) -> Result<(), CliError> {
         let step = session
             .ingest(rel)
             .map_err(|e| CliError::Parse(e.to_string()))?;
-        println!("ingested {path}: {}", step.summary());
+        writeln!(out, "ingested {path}: {}", step.summary())?;
     }
-    println!(
+    writeln!(
+        out,
         "session: {} key renders, {} interned values, {} pairs classified",
         session.key_render_count(),
         session.interned_value_count(),
         session.decided_count(),
-    );
-    print_result(&session.result());
+    )?;
+    print_result(out, &session.result())?;
     Ok(())
 }
 
@@ -694,14 +712,14 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
 
 /// Dispatch `snapshot save` / `snapshot load` — session persistence from
 /// the command line.
-fn cmd_snapshot(rest: &[String]) -> Result<(), CliError> {
+fn cmd_snapshot(rest: &[String], out: &mut impl Write) -> Result<(), CliError> {
     let (verb, rest) = rest.split_first().ok_or_else(|| {
         CliError::Usage("snapshot needs a verb: snapshot save | snapshot load".to_string())
     })?;
     let args = Args::parse(rest)?;
     match verb.as_str() {
-        "save" => cmd_snapshot_save(&args),
-        "load" => cmd_snapshot_load(&args),
+        "save" => cmd_snapshot_save(&args, out),
+        "load" => cmd_snapshot_load(&args, out),
         other => Err(CliError::Usage(format!(
             "unknown snapshot verb {other:?} (expected save or load)"
         ))),
@@ -710,8 +728,8 @@ fn cmd_snapshot(rest: &[String]) -> Result<(), CliError> {
 
 /// `snapshot save`: run a session over the inputs, then persist its warm
 /// state atomically to `--out`.
-fn cmd_snapshot_save(args: &Args) -> Result<(), CliError> {
-    let out = args
+fn cmd_snapshot_save(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
+    let path = args
         .get("out")
         .ok_or_else(|| CliError::Usage("--out is required".to_string()))?
         .to_string();
@@ -722,22 +740,23 @@ fn cmd_snapshot_save(args: &Args) -> Result<(), CliError> {
     let result = session
         .run(&refs)
         .map_err(|e| CliError::Parse(e.to_string()))?;
-    session.save(&out).map_err(|e| snapshot_error(&out, e))?;
-    println!(
-        "saved {out}: {} rows, {} decided pairs, {} interned values, {} key renders",
+    session.save(&path).map_err(|e| snapshot_error(&path, e))?;
+    writeln!(
+        out,
+        "saved {path}: {} rows, {} decided pairs, {} interned values, {} key renders",
         session.rows(),
         session.decided_count(),
         session.interned_value_count(),
         session.key_render_count(),
-    );
-    print_result(&result);
+    )?;
+    print_result(out, &result)?;
     Ok(())
 }
 
 /// `snapshot load`: re-open a saved session warm (the pipeline options
 /// must match the save) and rerun over the inputs — an unchanged corpus
 /// replays with zero key renders.
-fn cmd_snapshot_load(args: &Args) -> Result<(), CliError> {
+fn cmd_snapshot_load(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let path = args
         .get("snapshot")
         .ok_or_else(|| CliError::Usage("--snapshot is required".to_string()))?
@@ -746,20 +765,22 @@ fn cmd_snapshot_load(args: &Args) -> Result<(), CliError> {
     args.reject_unread()?;
     let mut session = DedupSession::open(&path, &pipeline).map_err(|e| snapshot_error(&path, e))?;
     let renders_at_open = session.key_render_count();
-    println!(
+    writeln!(
+        out,
         "loaded {path}: {} rows, {} decided pairs, {} interned values",
         session.rows(),
         session.decided_count(),
         session.interned_value_count(),
-    );
+    )?;
     let refs: Vec<&XRelation> = relations.iter().collect();
     let result = session
         .run(&refs)
         .map_err(|e| CliError::Parse(e.to_string()))?;
-    println!(
+    writeln!(
+        out,
         "warm rerun: {} key renders",
         session.key_render_count() - renders_at_open
-    );
-    print_result(&result);
+    )?;
+    print_result(out, &result)?;
     Ok(())
 }

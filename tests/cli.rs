@@ -585,3 +585,86 @@ fn unknown_options_are_usage_errors() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The default key must fit the relation: on a one-attribute schema it is
+/// the name prefix alone (it used to name attribute 1 and panic). With
+/// three rows inside one window the partition equals full comparison's.
+#[test]
+fn one_attribute_relation_gets_an_in_range_default_key() {
+    let dir = temp_dir("arity1");
+    let input = dir.join("one.pxr");
+    std::fs::write(
+        &input,
+        "schema name:text\nxtuple\n  alt 1 | Johnathan\nxtuple\n  alt 0.9 | Johnathan\nxtuple\n  alt 1 | Tim\n",
+    )
+    .unwrap();
+    let input = input.to_str().unwrap();
+    let clusters = |args: &[&str]| -> String {
+        let out = bin()
+            .args(args)
+            .args(["--input", input])
+            .output()
+            .expect("run");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let from = stdout.find("duplicate clusters:").expect("clusters");
+        stdout[from..].to_string()
+    };
+    let full = clusters(&["dedup", "--reduction", "full"]);
+    assert!(full.contains("{R0[0], R0[1]}"), "{full}");
+    assert_eq!(clusters(&["dedup"]), full);
+    assert_eq!(clusters(&["dedup", "--shards", "2"]), full);
+    assert_eq!(clusters(&["ingest"]), full);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `probdedup dedup … | head -1`: a reader that goes away ends the run
+/// quietly — no `println!` panic, no backtrace, no failure exit.
+#[test]
+fn closed_stdout_pipe_is_not_a_panic() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = temp_dir("closedpipe");
+    let prefix = dir.join("p");
+    let prefix_str = prefix.to_str().unwrap();
+    let out = bin()
+        .args(["generate", "--out-prefix", prefix_str, "--entities", "60"])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    // Every pair of a full comparison prints as a match: far more output
+    // than a pipe buffers, so the child is still writing when the reader
+    // closes whichever side gets there first.
+    let mut child = bin()
+        .args([
+            "dedup",
+            "--reduction",
+            "full",
+            "--lambda",
+            "0.01",
+            "--mu",
+            "0.02",
+        ])
+        .args(["--input", &format!("{prefix_str}.source0.pxr")])
+        .args(["--input", &format!("{prefix_str}.source1.pxr")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn dedup");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the summary line");
+    assert!(first.contains("candidate pairs compared"), "{first}");
+    // The reader is dropped (closed) here; the child's next write fails.
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    std::fs::remove_dir_all(&dir).ok();
+}

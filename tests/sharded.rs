@@ -14,7 +14,7 @@
 //! [`ShardedPipeline`]: probdedup::core::shard::ShardedPipeline
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -31,8 +31,11 @@ use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
+use probdedup::model::shard_of_key;
+use probdedup::model::world::top_k_worlds;
 use probdedup::reduction::{
-    ClusterBlockingConfig, ConflictResolution, KeyPart, KeySpec, RankingFunction, WorldSelection,
+    block_alternatives, block_conflict_resolved, ClusterBlockingConfig, ConflictResolution,
+    KeyPart, KeySpec, RankingFunction, WorldSelection,
 };
 use probdedup::textsim::JaroWinkler;
 
@@ -59,9 +62,9 @@ fn key() -> KeySpec {
     KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)])
 }
 
-/// Every reduction variant the pipeline offers — the streaming SNM
-/// scans, the spillable blocking scans, the positional stripes (full,
-/// ranked) and the in-memory cluster-blocking fallback.
+/// Every reduction variant the pipeline offers — the SNM window scans,
+/// the blocking visitors and the positional stripes (full, ranked,
+/// cluster blocking).
 fn strategies() -> Vec<ReductionStrategy> {
     vec![
         ReductionStrategy::Full,
@@ -233,8 +236,112 @@ fn shard_invariance_across_strategies() {
     }
 }
 
-/// A tight memory budget changes *where* the work happens (spill files,
-/// evictions), never *what* comes out.
+/// Per-shard candidate counts when the blocks of each pass are walked in
+/// sorted-key order, every within-block pair goes to the shard its block
+/// key hashes to, and the first sighting of a pair wins.
+fn route_blocks(passes: &[BTreeMap<String, Vec<usize>>], k: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; k];
+    let mut seen = HashSet::new();
+    for blocks in passes {
+        for (key, members) in blocks {
+            for (a, &i) in members.iter().enumerate() {
+                for &j in &members[a + 1..] {
+                    if seen.insert((i.min(j), i.max(j))) {
+                        counts[shard_of_key(key, k)] += 1;
+                    }
+                }
+            }
+        }
+    }
+    counts
+}
+
+/// "Stable routing" (ARCHITECTURE.md, sharded-driver invariant 2), pinned:
+/// which shard a candidate lands in is a function of where reduction
+/// generated it, not of how the driver walks the emission. Blocking
+/// strategies are recomputed independently from the public block views;
+/// the SNM and positional strategies are golden vectors recorded from the
+/// commit before the driver started routing the in-memory emission loops.
+#[test]
+fn shard_routing_is_pinned() {
+    // Per strategy: `shard_candidates` for k = 2, 5, 8.
+    let golden = [
+        (
+            "full",
+            "[[315, 91], [153, 117, 81, 45, 10], [106, 90, 57, 62, 46, 24, 18, 3]]",
+        ),
+        (
+            "snm-alternatives",
+            "[[46, 36], [16, 16, 20, 26, 4], [10, 9, 15, 5, 15, 14, 6, 8]]",
+        ),
+        (
+            "snm-conflict-resolved",
+            "[[52, 29], [18, 14, 18, 24, 7], [15, 9, 16, 3, 15, 12, 6, 5]]",
+        ),
+        (
+            "snm-multipass",
+            "[[38, 24], [12, 11, 15, 19, 5], [10, 6, 11, 3, 12, 9, 5, 6]]",
+        ),
+        (
+            "snm-ranked",
+            "[[41, 40], [18, 17, 16, 15, 15], [12, 12, 11, 10, 9, 9, 9, 9]]",
+        ),
+        (
+            "blocking-cluster",
+            "[[25, 25], [10, 10, 10, 10, 10], [7, 7, 6, 6, 6, 6, 6, 6]]",
+        ),
+    ];
+    let srcs = sources(16, 0xC0FFEE);
+    let refs: Vec<&XRelation> = srcs.iter().collect();
+    for strategy in strategies() {
+        let name = strategy.name();
+        let p = pipeline(strategy.clone(), false, 1);
+        let (mut routed, mut recomputed) = (Vec::new(), Vec::new());
+        for k in [2, 5, 8] {
+            let (merged, stats) = p.sharded(k).run_with_stats(&refs).unwrap();
+            routed.push(stats.shard_candidates);
+            let tuples = merged.relation.xtuples();
+            match &strategy {
+                ReductionStrategy::BlockingAlternatives { spec } => {
+                    recomputed.push(route_blocks(&[block_alternatives(tuples, spec).blocks], k));
+                }
+                ReductionStrategy::BlockingConflictResolved { spec, strategy } => {
+                    let blocks = block_conflict_resolved(tuples, spec, *strategy).blocks;
+                    recomputed.push(route_blocks(&[blocks], k));
+                }
+                ReductionStrategy::BlockingMultipass {
+                    spec,
+                    selection: WorldSelection::TopK(worlds),
+                } => {
+                    let keys: Vec<Vec<String>> =
+                        tuples.iter().map(|t| spec.alternative_keys(t)).collect();
+                    let passes: Vec<BTreeMap<String, Vec<usize>>> =
+                        top_k_worlds(tuples, *worlds, true)
+                            .iter()
+                            .map(|world| {
+                                let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+                                for (i, alts) in keys.iter().enumerate() {
+                                    let alt = world.choices[i].expect("full world");
+                                    blocks.entry(alts[alt].clone()).or_default().push(i);
+                                }
+                                blocks
+                            })
+                            .collect();
+                    recomputed.push(route_blocks(&passes, k));
+                }
+                _ => {}
+            }
+        }
+        let expected = match golden.iter().find(|(n, _)| *n == name) {
+            Some((_, recorded)) => recorded.to_string(),
+            None => format!("{recomputed:?}"),
+        };
+        assert_eq!(format!("{routed:?}"), expected, "{name}");
+    }
+}
+
+/// A tight memory budget changes *where* the work happens (cache and
+/// memo evictions), never *what* comes out.
 #[test]
 fn shard_invariance_under_tight_budget() {
     let srcs = sources(16, 0xBEEF);
