@@ -531,10 +531,11 @@ impl DedupPipelineBuilder {
     /// configuration is not exactly one of `model` / `classify_only`
     /// (setting both would silently ignore the model and change what
     /// `PairDecision::similarity` means), if the classify-only weights do
-    /// not cover every attribute, or if the reduction key names an
-    /// attribute the comparators do not have — programming errors, not
-    /// data errors, so they surface here rather than at the first pair
-    /// (or, in a daemon, after the offending batch was journaled).
+    /// not cover every attribute, if the reduction key names an attribute
+    /// the comparators do not have, or if a multi-pass reduction's world
+    /// selection can select no world — programming errors, not data
+    /// errors, so they surface here rather than at the first pair (or, in
+    /// a daemon, after the offending batch was journaled).
     pub fn build(self) -> DedupPipeline {
         let comparators = self.comparators.expect("comparators are required");
         for part in self.reduction.key_spec().map_or(&[][..], KeySpec::parts) {
@@ -543,6 +544,20 @@ impl DedupPipelineBuilder {
                 "reduction key attribute {} out of range for arity {}",
                 part.attr,
                 comparators.arity()
+            );
+        }
+        if let ReductionStrategy::MultipassWorlds { selection, .. }
+        | ReductionStrategy::BlockingMultipass { selection, .. } = &self.reduction
+        {
+            assert!(
+                !matches!(
+                    selection,
+                    WorldSelection::TopK(0)
+                        | WorldSelection::DiverseTopK { k: 0, .. }
+                        | WorldSelection::All { limit: 0 }
+                ),
+                "world selection {selection:?} selects no world: zero passes \
+                 would make every row a singleton"
             );
         }
         let decider = match (self.model, self.bounded) {
@@ -942,6 +957,31 @@ mod tests {
                 window: 2,
             })
             .build();
+    }
+
+    fn build_with_selection(selection: WorldSelection) {
+        let _ = pipeline(ReductionStrategy::BlockingMultipass {
+            spec: KeySpec::paper_example(0, 1),
+            selection,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "TopK(0) selects no world")]
+    fn top_k_zero_selection_panics_at_build() {
+        build_with_selection(WorldSelection::TopK(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "DiverseTopK { k: 0, pool: 8 } selects no world")]
+    fn diverse_top_k_zero_selection_panics_at_build() {
+        build_with_selection(WorldSelection::DiverseTopK { k: 0, pool: 8 });
+    }
+
+    #[test]
+    #[should_panic(expected = "All { limit: 0 } selects no world")]
+    fn all_limit_zero_selection_panics_at_build() {
+        build_with_selection(WorldSelection::All { limit: 0 });
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! limit so that callers cannot accidentally explode (`|W|` grows as the
 //! product of alternative counts).
 
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::error::ModelError;
-use crate::util::{FxHashSet, PROB_EPS};
+use crate::util::PROB_EPS;
 use crate::xtuple::XTuple;
 
 /// One possible world over a slice of x-tuples: `choices[i]` is
@@ -22,7 +23,13 @@ use crate::xtuple::XTuple;
 pub struct World {
     /// Chosen alternative per x-tuple (`None` = tuple absent).
     pub choices: Vec<Option<usize>>,
-    /// Unconditioned probability of this world.
+    /// Unconditioned probability of this world: the plain `f64` product of
+    /// the chosen outcomes' probabilities in tuple order. It **underflows**:
+    /// on the benchmark's dirt profile the modal world reads 1.4e-60 at
+    /// 585 rows, 9.0e-181 at 1 926 and exactly `0.0` from ≈ 3 400 rows on
+    /// (subnormal a little earlier), after which worlds can no longer be
+    /// ranked by it — see [`top_k_worlds`]. Ranking by the ratio to the
+    /// modal world instead is queued in ROADMAP.md.
     pub probability: f64,
 }
 
@@ -150,101 +157,150 @@ pub fn full_worlds(tuples: &[XTuple]) -> impl Iterator<Item = World> + '_ {
 /// The `k` most probable worlds, optionally restricted to full worlds,
 /// without enumerating the whole product space.
 ///
-/// Uses best-first search over the product of per-tuple outcome lists
-/// (sorted by descending probability): the most probable world is the
-/// all-argmax choice; successors of a world relax one coordinate to the next
-/// best outcome. Runs in `O(k · n · log k)` with a visited set.
+/// # Order contract
+///
+/// Per tuple, the outcomes are listed by descending probability, ties by
+/// ascending choice (`None` — absent — first); a world's *position vector*
+/// holds, per tuple, the index of its choice in that list, so the modal
+/// world is all zeros. The result is the first `k` worlds of the total
+/// order
+///
+/// 1. [`World::probability`] descending, where the probability is exactly
+///    the `f64` left fold `1.0 · p₀ · p₁ · … · pₙ₋₁` in tuple order (what
+///    [`WorldIter`] computes), then
+/// 2. position vector ascending, lexicographically —
+///
+/// so `top_k_worlds(ts, k, f)` is a prefix of `top_k_worlds(ts, K, f)` for
+/// `k ≤ K`, bit for bit. Past a few thousand uncertain tuples every
+/// probability underflows to `0.0` (see [`World::probability`]) and rule 2
+/// alone decides: the "top k" are then the modal world and relaxations of
+/// the *last* multi-outcome tuples, not the most probable worlds.
+///
+/// # Search and cost
+///
+/// Best-first search from the modal world; a successor relaxes one tuple to
+/// its next-best outcome. Floating-point multiplication is monotone, so a
+/// world never sorts before the world it was relaxed from, and every world
+/// is generated from exactly one parent: the one that differs in the
+/// world's last relaxed tuple. A world under search is a sparse delta
+/// against the modal world; only the `k` results are expanded to dense
+/// [`World::choices`]. With `n` tuples, of which `m` have more than one
+/// outcome: at most `k · m` heap entries of a few words each, per entry
+/// one multiplication for each non-`1.0` factor from its first relaxed
+/// tuple on (the fold resumes from the modal world's prefix there), and
+/// `O(k · n)` for the output. (A dense search — one `n`-vector cloned,
+/// hashed and multiplied through per successor — costs `k · m · n` in time
+/// *and* memory.)
 pub fn top_k_worlds(tuples: &[XTuple], k: usize, full_only: bool) -> Vec<World> {
-    if k == 0 || tuples.is_empty() {
-        // A zero-tuple world set has exactly one (empty) world.
-        if k > 0 && tuples.is_empty() {
-            return vec![World {
-                choices: vec![],
-                probability: 1.0,
-            }];
-        }
+    if k == 0 {
         return Vec::new();
     }
-    // Sorted outcome lists (descending probability, deterministic ties).
-    let outcomes: Vec<Vec<(Option<usize>, f64)>> = tuples
-        .iter()
-        .map(|t| {
-            let mut o = outcomes_of(t);
-            if full_only {
-                o.retain(|(c, _)| c.is_some());
-            }
-            o.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
-            o
-        })
-        .collect();
-    if outcomes.iter().any(Vec::is_empty) {
-        return Vec::new();
+    // The modal choice of every tuple, and the sorted outcome list of every
+    // *live* tuple. A tuple whose only outcome has probability exactly 1.0
+    // is dead: it contributes `x · 1.0 == x` to every fold and position 0
+    // to every position vector, so the search leaves it out.
+    let mut modal_choices = Vec::with_capacity(tuples.len());
+    let mut live: Vec<Vec<(Option<usize>, f64)>> = Vec::new();
+    let mut live_tuple = Vec::new();
+    for (i, t) in tuples.iter().enumerate() {
+        let mut o = outcomes_of(t);
+        if full_only {
+            o.retain(|(c, _)| c.is_some());
+        }
+        o.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+        let Some(&(choice, p)) = o.first() else {
+            return Vec::new();
+        };
+        modal_choices.push(choice);
+        if o.len() > 1 || p != 1.0 {
+            live.push(o);
+            live_tuple.push(i);
+        }
+    }
+    // `prefix[j]`: the modal world's fold over the live tuples before `j`.
+    let mut prefix = Vec::with_capacity(live.len() + 1);
+    prefix.push(1.0);
+    for o in &live {
+        prefix.push(prefix[prefix.len() - 1] * o[0].1);
     }
 
-    /// Heap entry ordered by probability.
+    /// A relaxed tuple: index into `live`, position (≥ 1) in its outcomes.
+    type Relaxed = (usize, usize);
+
+    /// A world under search: the relaxed tuples in ascending order.
     struct Entry {
         prob: f64,
-        pos: Vec<usize>,
+        delta: Vec<Relaxed>,
     }
     impl PartialEq for Entry {
         fn eq(&self, other: &Self) -> bool {
-            self.prob == other.prob && self.pos == other.pos
+            self.cmp(other).is_eq()
         }
     }
     impl Eq for Entry {}
     impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
             Some(self.cmp(other))
         }
     }
     impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        /// The order contract, greatest first out of the heap. Position
+        /// vectors compare on the deltas: at the first tuple either world
+        /// relaxes the other still sits at 0, so the *earlier* tuple (or
+        /// the larger position on the same tuple) is the larger vector,
+        /// and a delta that is a prefix of the other is the smaller one.
+        fn cmp(&self, other: &Self) -> Ordering {
+            let key = |&(tuple, pos): &Relaxed| (Reverse(tuple), pos);
             self.prob
                 .partial_cmp(&other.prob)
                 .expect("no NaN")
-                .then_with(|| other.pos.cmp(&self.pos)) // deterministic ties
+                .then_with(|| other.delta.iter().map(key).cmp(self.delta.iter().map(key)))
         }
     }
 
-    let prob_at = |pos: &[usize]| -> f64 {
-        pos.iter()
-            .enumerate()
-            .map(|(i, &p)| outcomes[i][p].1)
-            .product()
+    // The left fold of the contract, resumed from the modal prefix at the
+    // first relaxed tuple.
+    let entry = |delta: Vec<Relaxed>| -> Entry {
+        let mut next = delta.first().map_or(live.len(), |&(j, _)| j);
+        let mut prob = prefix[next];
+        for &(j, pos) in &delta {
+            prob = live[next..j].iter().fold(prob, |acc, o| acc * o[0].1);
+            prob *= live[j][pos].1;
+            next = j + 1;
+        }
+        prob = live[next..].iter().fold(prob, |acc, o| acc * o[0].1);
+        Entry { prob, delta }
     };
 
     let mut heap = BinaryHeap::new();
-    let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
-    let start = vec![0usize; outcomes.len()];
-    heap.push(Entry {
-        prob: prob_at(&start),
-        pos: start.clone(),
-    });
-    seen.insert(start);
-
-    let mut result = Vec::with_capacity(k);
-    while let Some(Entry { prob, pos }) = heap.pop() {
+    heap.push(entry(Vec::new()));
+    let mut result = Vec::new();
+    while let Some(Entry { prob, delta }) = heap.pop() {
+        let mut choices = modal_choices.clone();
+        for &(j, pos) in &delta {
+            choices[live_tuple[j]] = live[j][pos].0;
+        }
         result.push(World {
-            choices: pos
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| outcomes[i][p].0)
-                .collect(),
+            choices,
             probability: prob,
         });
         if result.len() == k {
             break;
         }
-        for i in 0..pos.len() {
-            if pos[i] + 1 < outcomes[i].len() {
-                let mut next = pos.clone();
-                next[i] += 1;
-                if seen.insert(next.clone()) {
-                    heap.push(Entry {
-                        prob: prob_at(&next),
-                        pos: next,
-                    });
-                }
+        // Children of this world: its last relaxed tuple one step further,
+        // or one later tuple relaxed for the first time.
+        let mut later = 0;
+        if let Some(&(j, pos)) = delta.last() {
+            if pos + 1 < live[j].len() {
+                let mut further = delta.clone();
+                further[delta.len() - 1].1 += 1;
+                heap.push(entry(further));
+            }
+            later = j + 1;
+        }
+        for (j, o) in live.iter().enumerate().skip(later) {
+            if o.len() > 1 {
+                heap.push(entry([&delta[..], &[(j, 1)]].concat()));
             }
         }
     }

@@ -10,7 +10,7 @@ use probdedup_model::pvalue::PValue;
 use probdedup_model::schema::Schema;
 use probdedup_model::tuple::ProbTuple;
 use probdedup_model::value::Value;
-use probdedup_model::world::{enumerate_worlds, full_worlds, top_k_worlds, world_count};
+use probdedup_model::world::{enumerate_worlds, full_worlds, top_k_worlds, world_count, World};
 use probdedup_model::xtuple::XTuple;
 
 /// Strategy: a small categorical distribution with mass ≤ 1.
@@ -41,6 +41,81 @@ fn arb_xtuple() -> impl Strategy<Value = XTuple> {
         }
         b.build().expect("valid x-tuple by construction")
     })
+}
+
+/// Position of `choice` in `t`'s outcome list under the order
+/// [`top_k_worlds`] documents: probability descending, then choice
+/// ascending with `None` (absent) first.
+fn position(t: &XTuple, choice: Option<usize>) -> usize {
+    let p =
+        |c: Option<usize>| c.map_or(1.0 - t.probability(), |a| t.alternatives()[a].probability());
+    (0..t.len())
+        .map(Some)
+        .chain([None])
+        .filter(|&o| p(o) > p(choice) || (p(o) == p(choice) && o < choice))
+        .count()
+}
+
+/// The exact oracle for [`top_k_worlds`]: the enumeration (whose
+/// probabilities are the same left fold), sorted by the documented total
+/// order — probability descending, then position vector ascending — agrees
+/// with it in `choices` and in every bit of `probability`.
+fn assert_top_k_is_sorted_enumeration(ts: &[XTuple], k: usize, full_only: bool) {
+    let mut all: Vec<(World, Vec<usize>)> = enumerate_worlds(ts, 4096)
+        .unwrap()
+        .into_iter()
+        .filter(|w| !full_only || w.is_full())
+        .map(|w| {
+            let positions = ts
+                .iter()
+                .zip(&w.choices)
+                .map(|(t, &c)| position(t, c))
+                .collect();
+            (w, positions)
+        })
+        .collect();
+    all.sort_by(|(a, pa), (b, pb)| {
+        b.probability
+            .partial_cmp(&a.probability)
+            .unwrap()
+            .then_with(|| pa.cmp(pb))
+    });
+    let top = top_k_worlds(ts, k, full_only);
+    assert_eq!(top.len(), k.min(all.len()));
+    for (rank, (t, (a, _))) in top.iter().zip(&all).enumerate() {
+        assert_eq!(t.choices, a.choices, "rank {rank}");
+        assert_eq!(
+            t.probability.to_bits(),
+            a.probability.to_bits(),
+            "rank {rank}"
+        );
+    }
+}
+
+/// The tie rule on its own: equal alternative probabilities inside a tuple
+/// and equal products across tuples.
+#[test]
+fn top_k_matches_enumeration_under_ties() {
+    let s = Schema::new(["name", "job"]);
+    let tied = |ps: &[f64]| {
+        let mut b = XTuple::builder(&s);
+        for (i, &p) in ps.iter().enumerate() {
+            b = b.alt(p, [format!("n{i}"), format!("j{i}")]);
+        }
+        b.build().unwrap()
+    };
+    let ts = [
+        tied(&[0.25, 0.25, 0.25]),
+        tied(&[0.5, 0.5]),
+        tied(&[1.0]),
+        tied(&[0.25, 0.5]),
+        tied(&[0.5, 0.25, 0.25]),
+    ];
+    for full_only in [true, false] {
+        for k in [1, 2, 7, 50, 1000] {
+            assert_top_k_is_sorted_enumeration(&ts, k, full_only);
+        }
+    }
 }
 
 proptest! {
@@ -99,17 +174,27 @@ proptest! {
         prop_assert!((full_mass - pb).abs() < 1e-9);
     }
 
-    /// top-k worlds agree with sorting the full enumeration.
+    /// top-k worlds are exactly the head of the sorted enumeration.
     #[test]
-    fn top_k_matches_enumeration(ts in proptest::collection::vec(arb_xtuple(), 1..3), k in 1usize..6) {
-        prop_assume!(world_count(&ts) <= 512);
-        let mut all = enumerate_worlds(&ts, 512).unwrap();
-        all.sort_by(|a, b| b.probability.partial_cmp(&a.probability).unwrap());
-        let top = top_k_worlds(&ts, k, false);
-        prop_assert_eq!(top.len(), k.min(all.len()));
-        for (t, a) in top.iter().zip(all.iter()) {
-            prop_assert!((t.probability - a.probability).abs() < 1e-12);
-        }
+    fn top_k_matches_enumeration(
+        ts in proptest::collection::vec(arb_xtuple(), 1..5),
+        k in 1usize..40,
+        full_only in any::<bool>(),
+    ) {
+        assert_top_k_is_sorted_enumeration(&ts, k, full_only);
+    }
+
+    /// The prefix law of the order contract, beyond the sizes the
+    /// enumeration reaches.
+    #[test]
+    fn top_k_prefix_law(
+        ts in proptest::collection::vec(arb_xtuple(), 1..9),
+        k in 0usize..30,
+        extra in 0usize..30,
+        full_only in any::<bool>(),
+    ) {
+        let longer = top_k_worlds(&ts, k + extra, full_only);
+        prop_assert_eq!(&top_k_worlds(&ts, k, full_only)[..], &longer[..k.min(longer.len())]);
     }
 
     /// Conditioned world probabilities of full worlds sum to 1 and are

@@ -208,11 +208,12 @@ pub fn for_each_conflict_resolved_block(
 }
 
 /// The loop over the selected worlds — the only one the blocking family
-/// has: resolve `selection`, and per world (pass `0, 1, …` in selection
-/// order) bucket every tuple under its chosen alternative's key symbol off
-/// `table` and visit that world's blocks in sorted-key order as
-/// `f(pass, key, members)`. Pure integer work per pass — zero key renders,
-/// which the reduction property tests assert via
+/// has: resolve `selection` (which worlds, in which order, at what cost:
+/// [`top_k_worlds`](probdedup_model::world::top_k_worlds)), and per world
+/// (pass `0, 1, …` in selection order) bucket every tuple under its chosen
+/// alternative's key symbol off `table` and visit that world's blocks in
+/// sorted-key order as `f(pass, key, members)`. Pure integer work per
+/// pass — zero key renders, which the reduction property tests assert via
 /// [`KeyTable::render_count`]. `table` must cover `tuples`.
 pub fn for_each_multipass_block(
     tuples: &[XTuple],

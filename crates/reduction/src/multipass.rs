@@ -28,12 +28,23 @@ use crate::key::{KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
 use crate::snm::{for_each_window_pair, sort_entries, InternedSnmEntry, SnmEntry};
 
-/// Which possible worlds the passes run over.
+/// Which possible worlds the passes run over. Which worlds count as "most
+/// probable", in which order they arrive and what the selection costs is
+/// [`top_k_worlds`]' contract, stated there once — including the caveat
+/// that [`World::probability`] underflows to `0.0` past a few thousand
+/// uncertain rows, after which `TopK` / `DiverseTopK` select the modal
+/// world plus relaxations of the *last* multi-alternative rows rather than
+/// the most probable worlds (queued in ROADMAP.md, "Anchor correctness…").
+///
+/// A selection that can yield no world (`TopK(0)`, `DiverseTopK { k: 0, .. }`,
+/// `All { limit: 0 }`) means zero passes and zero candidates; the pipeline
+/// builder refuses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorldSelection {
-    /// Every world containing all tuples, up to `limit` (errors … no:
-    /// silently stops at the limit; use with care, the count is the product
-    /// of alternative counts).
+    /// Every world containing all tuples, in enumeration order (first tuple
+    /// varies slowest), silently cut off after `limit` worlds — no error
+    /// when there are more. Use with care: the count is the product of the
+    /// alternative counts.
     All {
         /// Hard cap on enumerated full worlds.
         limit: usize,
@@ -112,6 +123,7 @@ fn world_entries_interned(table: &KeyTable, world: &World) -> Vec<InternedSnmEnt
 
 /// Resolve a [`WorldSelection`] to concrete worlds (shared with the
 /// blocking module so SNM and blocking can never drift apart on policy).
+/// Order and cost of the `TopK` / `DiverseTopK` pool: [`top_k_worlds`].
 pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec<World> {
     match selection {
         WorldSelection::All { limit } => full_worlds(tuples).take(limit).collect(),

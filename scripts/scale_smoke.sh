@@ -4,7 +4,11 @@
 # dedup it sharded under a deliberately small --memory-budget, dedup it
 # unsharded as the reference, and assert the merged sharded result is
 # identical (modulo the sharded run's extra shard-stats line) and — for
-# the default corpus and shard count — routed exactly as recorded.
+# the default corpus and shard count — routed exactly as recorded. Then
+# the paper's Section V multi-pass SNM (possible-world selection, then one
+# pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
+# space: the first summary is pinned to the one the dense world search
+# produced (it needed 2.1 GB and 16 s for it), the second must finish.
 #
 #   cargo build --release && scripts/scale_smoke.sh
 #
@@ -57,3 +61,22 @@ diff -u "$WORK/reference.out" "$WORK/sharded.clean" \
     || fail "sharded result differs from the unsharded reference"
 
 echo "PASS: sharded merge identical to the unsharded reference"
+
+multipass() { # <entities>: capped snm-multipass run into $WORK/worlds<entities>.out
+    echo "== dedup: snm-multipass over $1 entities under ulimit -v 1 GiB"
+    "$BIN" generate --out-prefix "$WORK/worlds$1" --entities "$1" --sources 2 \
+        --seed 20100301 > /dev/null
+    ( ulimit -v 1048576
+      "$BIN" dedup --input "$WORK/worlds$1.source0.pxr" --input "$WORK/worlds$1.source1.pxr" \
+          --reduction snm-multipass --window 6 --threads 4 > "$WORK/worlds$1.out" ) \
+        || fail "snm-multipass over $1 entities did not finish within 1 GiB"
+    head -n 1 "$WORK/worlds$1.out"
+}
+
+multipass 2000
+expected="3842 rows, 19212 candidate pairs compared: 1080 matches, 1194 possible, 16938 non-matches, 661 duplicate clusters"
+[[ "$(head -n 1 "$WORK/worlds2000.out")" == "$expected" ]] \
+    || fail "world selection moved: expected '$expected'"
+multipass 6000
+
+echo "PASS: multi-pass world selection pinned and within 1 GiB"
