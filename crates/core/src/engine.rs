@@ -220,8 +220,7 @@ impl MatchingEngine {
     }
 
     /// The matching-stage counters: cache traffic and interning from the
-    /// comparators, plus the caller's accumulated bounded-tier counts
-    /// (`memo_evictions` belongs to the session and stays 0 here).
+    /// comparators, plus the caller's accumulated bounded-tier counts.
     pub(crate) fn stats(&self, tiers: [u64; 4]) -> MatchingStats {
         let mut stats = MatchingStats {
             pairs_early_match: tiers[0],

@@ -45,6 +45,7 @@ use probdedup_reduction::{
     ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
 };
 
+use crate::cluster::UnionFind;
 use crate::engine::Decider;
 use crate::prepare::Preparation;
 
@@ -203,10 +204,6 @@ pub struct MatchingStats {
     /// Memoized entries evicted to honour a cache capacity ceiling
     /// (always 0 with unbounded caches — the default).
     pub cache_evictions: u64,
-    /// Pair decisions evicted from the session's decision memo to honour
-    /// [`decision_memo_capacity`](DedupPipelineBuilder::decision_memo_capacity)
-    /// (always 0 with an unbounded memo — the default).
-    pub memo_evictions: u64,
 }
 
 impl MatchingStats {
@@ -320,10 +317,21 @@ impl DedupResult {
             .partition_point(|&off| off <= row)
             .saturating_sub(1);
         TupleHandle {
-            source: SourceId(source as u16),
+            source: SourceId(source as u32),
             row: (row - self.source_offsets[source]) as u32,
         }
     }
+}
+
+/// Duplicate clusters of size ≥ 2: the transitive closure of the
+/// [`MatchClass::Match`] decisions over `rows` rows — the last step of
+/// every driver.
+pub(crate) fn match_clusters(rows: usize, decisions: &[PairDecision]) -> Vec<Vec<usize>> {
+    let mut uf = UnionFind::new(rows);
+    for d in decisions.iter().filter(|d| d.class == MatchClass::Match) {
+        uf.union(d.pair.0, d.pair.1);
+    }
+    uf.clusters(2)
 }
 
 /// Configuration of the classify-only (bounded) matching mode: the linear
@@ -349,7 +357,34 @@ pub(crate) struct PipelineConfig {
     pub(crate) decider: Decider,
     pub(crate) threads: usize,
     pub(crate) cache_capacity: Option<usize>,
-    pub(crate) memo_capacity: Option<usize>,
+}
+
+impl PipelineConfig {
+    /// The first step of every driver: concatenate `sources` (schemas must
+    /// be structurally compatible) and apply the preparation plan. Returns
+    /// the combined relation with the row offset of each source, or `None`
+    /// for no sources at all.
+    pub(crate) fn combine(
+        &self,
+        sources: &[&XRelation],
+    ) -> Result<Option<(XRelation, Vec<usize>)>, ModelError> {
+        let Some(first) = sources.first() else {
+            return Ok(None);
+        };
+        let mut combined = XRelation::new(first.schema().clone());
+        let mut offsets = Vec::with_capacity(sources.len());
+        for src in sources {
+            if !combined.schema().compatible_with(src.schema()) {
+                return Err(ModelError::IncompatibleSchemas);
+            }
+            offsets.push(combined.len());
+            for t in src.xtuples() {
+                combined.push(t.clone());
+            }
+        }
+        self.preparation.apply(&mut combined);
+        Ok(Some((combined, offsets)))
+    }
 }
 
 /// The configured **one-shot** pipeline. Build with
@@ -377,7 +412,6 @@ pub struct DedupPipelineBuilder {
     bounded: Option<BoundedClassifyConfig>,
     threads: usize,
     cache_capacity: Option<usize>,
-    memo_capacity: Option<usize>,
     memory_budget: Option<u64>,
 }
 
@@ -392,7 +426,6 @@ impl DedupPipeline {
             bounded: None,
             threads: 1,
             cache_capacity: None,
-            memo_capacity: None,
             memory_budget: None,
         }
     }
@@ -497,31 +530,13 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Bound the session's pair-decision memo (the map of every classified
-    /// pair a [`DedupSession`](crate::session::DedupSession) keeps so
-    /// reruns and overlapping ingests never re-classify). Beyond the
-    /// ceiling, cold entries are evicted second-chance style — pairs in
-    /// the **current candidate set are pinned** (the resident view needs
-    /// them), so the memo may transiently exceed the ceiling when the
-    /// candidate set itself is larger. Evicted pairs that re-enter a later
-    /// candidate set are simply re-classified (deterministic, so results
-    /// are unchanged). Evictions are counted in
-    /// [`MatchingStats::memo_evictions`]. `None` (the default) keeps the
-    /// memo unbounded.
-    pub fn decision_memo_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.memo_capacity = capacity;
-        self
-    }
-
-    /// Size the two structures a budget can govern from `budget` bytes: a
-    /// [`BudgetPlan`](crate::shard::BudgetPlan) derives a similarity-cache
-    /// capacity and a decision-memo capacity (explicit
-    /// [`cache_capacity`](Self::cache_capacity) /
-    /// [`decision_memo_capacity`](Self::decision_memo_capacity) settings
-    /// win over the derived ones). The relation, its interned mirrors and
-    /// the candidate pair list are not governed: they stay resident
-    /// whatever the budget says. `None` (the default) leaves both
-    /// unbounded.
+    /// Bound the similarity caches from a byte budget: each per-attribute
+    /// similarity (and verdict) cache gets `budget · 2/5 / 64` entries
+    /// (40 % of the budget at ≈ 64 bytes per entry, at least one), unless
+    /// an explicit [`cache_capacity`](Self::cache_capacity) is set. That
+    /// is all the budget governs: the relation, its interned mirrors, the
+    /// candidate pairs and their decisions stay resident whatever it
+    /// says. `None` (the default) leaves the caches unbounded.
     pub fn memory_budget(mut self, budget: Option<u64>) -> Self {
         self.memory_budget = budget;
         self
@@ -576,13 +591,9 @@ impl DedupPipelineBuilder {
                  decides with its own thresholds and would ignore the model"
             ),
         };
-        let plan = self.memory_budget.map(crate::shard::BudgetPlan::for_budget);
-        let cache_capacity = self
-            .cache_capacity
-            .or(plan.as_ref().map(|p| p.cache_capacity));
-        let memo_capacity = self
-            .memo_capacity
-            .or(plan.as_ref().map(|p| p.memo_capacity));
+        let cache_capacity = self.cache_capacity.or(self
+            .memory_budget
+            .map(|b| ((b * 2 / 5) / 64).max(1) as usize));
         DedupPipeline {
             config: PipelineConfig {
                 preparation: self.preparation,
@@ -591,7 +602,6 @@ impl DedupPipelineBuilder {
                 decider,
                 threads: self.threads,
                 cache_capacity,
-                memo_capacity,
             },
         }
     }

@@ -21,9 +21,12 @@
 //! * the **reduction state** — per-strategy incremental structures
 //!   ([`IncrementalSnm`], [`IncrementalBlocks`], …) that rank-insert new
 //!   tuples into the resident sorted/bucketed order instead of re-sorting;
-//! * the **decision memo** — every classified pair's
-//!   [`PairDecision`], so re-runs and overlapping candidate sets never
-//!   re-classify a pair.
+//! * the **decision memo** — the [`PairDecision`] of every pair in the
+//!   *current* candidate set (the paper's Fig. 12 matrix: each candidate
+//!   is matched once), so an ingest classifies only the pairs it adds and
+//!   [`DedupSession::result`] classifies nothing. A pair that leaves the
+//!   candidate set takes its decision along, so the memo never outgrows
+//!   the candidates ([`DedupSession::decided_count`]).
 //!
 //! Two entry points:
 //!
@@ -97,9 +100,7 @@
 //! assert_eq!(merged.clusters, vec![vec![0, 1]]); // the duplicate John
 //! ```
 
-use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 use probdedup_decision::threshold::MatchClass;
 use probdedup_model::error::ModelError;
@@ -110,17 +111,18 @@ use probdedup_model::snapshot::{
     read_key_pool, read_value_pool, read_xrelation, write_key_pool, write_value_pool,
     write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use probdedup_model::util::{FxHashMap, FxHashSet};
+use probdedup_model::util::FxHashMap;
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
     block_multipass_with_table, cluster_blocking, multipass_snm_with_table, BlockKeying,
-    CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, KeyTable, SnmKeying,
+    CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, KeySpec, KeyTable,
+    SnmKeying,
 };
 
-use crate::cluster::UnionFind;
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
-    DedupPipeline, DedupResult, MatchingStats, PairDecision, PipelineConfig, ReductionStrategy,
+    match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, PipelineConfig,
+    ReductionStrategy,
 };
 use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
@@ -200,6 +202,12 @@ impl IncrementalResult {
 }
 
 /// Per-strategy warm reduction state (see the module docs).
+///
+/// Under `Full`, `Snm`, `Ranked` and `Blocks` a pair that left the
+/// candidate set never returns (appended rows only push window entries
+/// apart and only grow blocks). `Worlds` and `Stateless` regenerate from
+/// the whole corpus, so a pair may leave and re-enter; it is then
+/// classified again — deterministic, so the result is the same.
 enum WarmReduction {
     /// Full comparison: no state, candidates are all pairs.
     Full,
@@ -223,18 +231,24 @@ enum WarmReduction {
 }
 
 impl WarmReduction {
-    fn for_strategy(strategy: &ReductionStrategy) -> Self {
+    /// The warm state of `strategy`: around snapshot-restored key `pools`
+    /// when given, around fresh ones otherwise.
+    fn for_strategy(strategy: &ReductionStrategy, pools: Option<(ValuePool, KeyPool)>) -> Self {
+        let table = |spec: &KeySpec| match pools {
+            Some((values, keys)) => KeyTable::from_pools(spec.clone(), values, keys),
+            None => KeyTable::empty(spec.clone()),
+        };
         match strategy {
             ReductionStrategy::Full => Self::Full,
             ReductionStrategy::SortingAlternatives { spec, window } => Self::Snm(
-                IncrementalSnm::new(spec.clone(), SnmKeying::PerAlternative, *window),
+                IncrementalSnm::with_table(table(spec), SnmKeying::PerAlternative, *window),
             ),
             ReductionStrategy::ConflictResolved {
                 spec,
                 window,
                 strategy,
-            } => Self::Snm(IncrementalSnm::new(
-                spec.clone(),
+            } => Self::Snm(IncrementalSnm::with_table(
+                table(spec),
                 SnmKeying::Resolved(*strategy),
                 *window,
             )),
@@ -244,15 +258,13 @@ impl WarmReduction {
                 ranking,
             } => Self::Ranked(IncrementalRankedSnm::new(spec.clone(), *ranking, *window)),
             ReductionStrategy::BlockingAlternatives { spec } => Self::Blocks(
-                IncrementalBlocks::new(spec.clone(), BlockKeying::PerAlternative),
+                IncrementalBlocks::with_table(table(spec), BlockKeying::PerAlternative),
             ),
             ReductionStrategy::BlockingConflictResolved { spec, strategy } => Self::Blocks(
-                IncrementalBlocks::new(spec.clone(), BlockKeying::Resolved(*strategy)),
+                IncrementalBlocks::with_table(table(spec), BlockKeying::Resolved(*strategy)),
             ),
             ReductionStrategy::MultipassWorlds { spec, .. }
-            | ReductionStrategy::BlockingMultipass { spec, .. } => {
-                Self::Worlds(KeyTable::empty(spec.clone()))
-            }
+            | ReductionStrategy::BlockingMultipass { spec, .. } => Self::Worlds(table(spec)),
             ReductionStrategy::ClusterBlocking { .. } => Self::Stateless,
         }
     }
@@ -337,49 +349,7 @@ impl WarmReduction {
                 context: "reduction table presence",
             });
         }
-        let Some((values, keys)) = pools else {
-            return Ok(Self::for_strategy(strategy));
-        };
-        Ok(match strategy {
-            ReductionStrategy::SortingAlternatives { spec, window } => {
-                Self::Snm(IncrementalSnm::with_table(
-                    KeyTable::from_pools(spec.clone(), values, keys),
-                    SnmKeying::PerAlternative,
-                    *window,
-                ))
-            }
-            ReductionStrategy::ConflictResolved {
-                spec,
-                window,
-                strategy: resolution,
-            } => Self::Snm(IncrementalSnm::with_table(
-                KeyTable::from_pools(spec.clone(), values, keys),
-                SnmKeying::Resolved(*resolution),
-                *window,
-            )),
-            ReductionStrategy::BlockingAlternatives { spec } => {
-                Self::Blocks(IncrementalBlocks::with_table(
-                    KeyTable::from_pools(spec.clone(), values, keys),
-                    BlockKeying::PerAlternative,
-                ))
-            }
-            ReductionStrategy::BlockingConflictResolved {
-                spec,
-                strategy: resolution,
-            } => Self::Blocks(IncrementalBlocks::with_table(
-                KeyTable::from_pools(spec.clone(), values, keys),
-                BlockKeying::Resolved(*resolution),
-            )),
-            ReductionStrategy::MultipassWorlds { spec, .. }
-            | ReductionStrategy::BlockingMultipass { spec, .. } => {
-                Self::Worlds(KeyTable::from_pools(spec.clone(), values, keys))
-            }
-            ReductionStrategy::Full
-            | ReductionStrategy::RankedKeys { .. }
-            | ReductionStrategy::ClusterBlocking { .. } => {
-                unreachable!("table-less strategies return above")
-            }
-        })
+        Ok(Self::for_strategy(strategy, pools))
     }
 
     /// Key renders the warm state has performed (0 for stateless modes).
@@ -390,129 +360,6 @@ impl WarmReduction {
             Self::Blocks(b) => b.render_count(),
             Self::Worlds(table) => table.render_count(),
         }
-    }
-}
-
-/// One memoized pair decision with its second-chance reference bit. The
-/// bit is atomic so the session's **read paths** (`&self` — see
-/// [`DedupSession::classify_pair`]) can mark an entry as recently used
-/// without any lock.
-struct MemoSlot {
-    decision: PairDecision,
-    referenced: AtomicBool,
-}
-
-/// The session's pair-decision memo: every classified pair keyed on
-/// `(lo, hi)` row indices, optionally **bounded**.
-///
-/// Under long-running ingest the memo is the one piece of warm state that
-/// grows with *pairs*, not values — SNM windows slide past old rows and
-/// their decisions would otherwise accumulate forever. With a capacity
-/// ([`DedupPipelineBuilder::decision_memo_capacity`](crate::pipeline::DedupPipelineBuilder::decision_memo_capacity))
-/// the memo evicts second-chance (clock) style, the same machinery the
-/// PR 6 bounded `SymbolCache` uses: a FIFO queue of pairs, each with a
-/// reference bit set on every hit; the sweep clears bits on the first
-/// encounter and evicts on the second. Pairs in the **current candidate
-/// set are pinned** — [`DedupSession::result`] needs their decisions — so
-/// the memo can transiently exceed the ceiling when the candidate set
-/// itself is larger. An evicted pair that re-enters a later candidate set
-/// is re-classified (deterministic, so the partition is unchanged).
-struct DecisionMemo {
-    map: FxHashMap<(usize, usize), MemoSlot>,
-    /// Clock order: exactly one entry per memoized pair.
-    queue: VecDeque<(usize, usize)>,
-    evictions: u64,
-}
-
-impl DecisionMemo {
-    fn new() -> Self {
-        Self {
-            map: FxHashMap::default(),
-            queue: VecDeque::new(),
-            evictions: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Look a pair up, marking it recently used (`&self`: the reference
-    /// bit is atomic, so read paths share this safely).
-    fn get(&self, pair: &(usize, usize)) -> Option<PairDecision> {
-        self.map.get(pair).map(|slot| {
-            slot.referenced.store(true, Relaxed);
-            slot.decision
-        })
-    }
-
-    /// Insert (or refresh) a decision. Returns `true` if the pair was
-    /// already memoized.
-    fn insert(&mut self, decision: PairDecision) -> bool {
-        match self.map.entry(decision.pair) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let slot = e.get_mut();
-                slot.decision = decision;
-                slot.referenced.store(true, Relaxed);
-                true
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(MemoSlot {
-                    decision,
-                    referenced: AtomicBool::new(false),
-                });
-                self.queue.push_back(decision.pair);
-                false
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.queue.clear();
-    }
-
-    /// Second-chance sweep down to `capacity`, never evicting `pinned`
-    /// pairs. Bounded at two full rotations: after that every unpinned
-    /// entry has had its bit cleared once and been revisited once, so the
-    /// memo is either at capacity or everything left is pinned.
-    fn enforce(&mut self, capacity: usize, pinned: &FxHashSet<(usize, usize)>) {
-        let mut scans = self.queue.len().saturating_mul(2);
-        while self.map.len() > capacity && scans > 0 {
-            scans -= 1;
-            let Some(pair) = self.queue.pop_front() else {
-                break;
-            };
-            let Some(slot) = self.map.get(&pair) else {
-                continue;
-            };
-            if pinned.contains(&pair) || slot.referenced.swap(false, Relaxed) {
-                self.queue.push_back(pair);
-            } else {
-                self.map.remove(&pair);
-                self.evictions += 1;
-            }
-        }
-    }
-
-    /// Decisions in sorted pair order (the snapshot codec's canonical
-    /// order).
-    fn sorted_decisions(&self) -> Vec<PairDecision> {
-        let mut entries: Vec<PairDecision> = self.map.values().map(|s| s.decision).collect();
-        entries.sort_unstable_by_key(|d| d.pair);
-        entries
-    }
-
-    /// Rebuild from restored decisions (sorted pair order becomes the
-    /// clock order).
-    fn from_decisions(decisions: Vec<PairDecision>) -> Self {
-        let mut memo = Self::new();
-        memo.map.reserve(decisions.len());
-        memo.queue.reserve(decisions.len());
-        for d in decisions {
-            memo.insert(d);
-        }
-        memo
     }
 }
 
@@ -530,9 +377,10 @@ pub struct DedupSession {
     matching: MatchingEngine,
     /// Current candidate set over the resident corpus.
     candidates: CandidatePairs,
-    /// Every pair ever classified, keyed on `(lo, hi)` row indices —
-    /// optionally bounded (see [`DecisionMemo`]).
-    decided: DecisionMemo,
+    /// The decision of every pair in `candidates`, and of no other pair,
+    /// keyed on `(lo, hi)` row indices: [`run`](Self::run) fills it,
+    /// [`ingest`](Self::ingest) adds what is new and prunes what left.
+    decided: FxHashMap<(usize, usize), PairDecision>,
     /// Accumulated bounded-tier counters (match, nonmatch, possible,
     /// exhausted) across the session's classifications.
     tiers: [u64; 4],
@@ -549,7 +397,7 @@ pub struct DedupSession {
 
 impl DedupSession {
     pub(crate) fn new(config: PipelineConfig) -> Self {
-        let reduction = WarmReduction::for_strategy(&config.reduction);
+        let reduction = WarmReduction::for_strategy(&config.reduction, None);
         let matching = MatchingEngine::new(&config);
         Self {
             config,
@@ -558,7 +406,7 @@ impl DedupSession {
             reduction,
             matching,
             candidates: CandidatePairs::new(0),
-            decided: DecisionMemo::new(),
+            decided: FxHashMap::default(),
             tiers: [0; 4],
             journal_seq: 0,
             entities: Vec::new(),
@@ -618,9 +466,10 @@ impl DedupSession {
         self.candidates.len()
     }
 
-    /// Distinct pairs classified over the session's lifetime (a superset
-    /// of the current candidate set when earlier candidates left a
-    /// window after later ingests).
+    /// Decisions held in the memo: one per current candidate pair, so
+    /// equal to [`candidate_count`](Self::candidate_count) after every
+    /// [`run`](Self::run), [`ingest`](Self::ingest) and
+    /// [`open`](Self::open).
     pub fn decided_count(&self) -> usize {
         self.decided.len()
     }
@@ -648,45 +497,20 @@ impl DedupSession {
     /// render or intern, and memoized similarities for recurring value
     /// pairs carry over.
     pub fn run(&mut self, sources: &[&XRelation]) -> Result<DedupResult, ModelError> {
-        let Some(first) = sources.first() else {
+        let Some((combined, offsets)) = self.config.combine(sources)? else {
             // "The corpus is now nothing": drop the resident rows (the
             // warm pools stay), exactly as running over an empty relation
             // would, so `result()` agrees with what this run returned.
-            self.reduction.reset_rows();
-            self.matching.reset_rows();
-            self.decided.clear();
-            self.tiers = [0; 4];
+            self.reset_rows();
             self.candidates = CandidatePairs::new(0);
             self.relation = None;
             self.source_offsets.clear();
-            self.entities.clear();
             return Ok(DedupResult::empty());
         };
-        // Combine + prepare (cheap relative to matching; also what lets
-        // us detect a warm rerun).
-        let mut combined = XRelation::new(first.schema().clone());
-        let mut offsets = Vec::with_capacity(sources.len());
-        for src in sources {
-            if !combined.schema().compatible_with(src.schema()) {
-                return Err(ModelError::IncompatibleSchemas);
-            }
-            offsets.push(combined.len());
-            for t in src.xtuples() {
-                combined.push(t.clone());
-            }
-        }
-        self.config.preparation.apply(&mut combined);
-
-        let warm = self.relation.as_ref() == Some(&combined);
-        if !warm {
-            // A new corpus invalidates any memoized entity partition (a
-            // warm rerun reproduces identical decisions, so the cache
-            // stays valid there).
-            self.entities.clear();
-            self.reduction.reset_rows();
-            self.matching.reset_rows();
-            self.decided.clear();
-            self.tiers = [0; 4];
+        // A warm rerun reproduces identical decisions, so everything
+        // row-indexed (and any memoized entity partition) stays valid.
+        if self.relation.as_ref() != Some(&combined) {
+            self.reset_rows();
             self.reduction.ingest_rows(combined.xtuples(), 0);
             self.matching.ingest(combined.xtuples());
             self.candidates = self
@@ -700,11 +524,23 @@ impl DedupSession {
         // almost everything) and refresh the decision memo.
         let pairs: Vec<(usize, usize)> = self.candidates.pairs().to_vec();
         let decisions = self.classify(&pairs);
+        // Not `extend`: on a warm rerun every key is already present, and
+        // `extend` would first reserve room for half of them again.
         for d in &decisions {
-            self.decided.insert(*d);
+            self.decided.insert(d.pair, *d);
         }
-        self.enforce_memo_capacity();
         Ok(self.snapshot(decisions))
+    }
+
+    /// Drop everything row-indexed — reduction rows, interned mirrors,
+    /// decisions, tier counters, memoized entity partitions — and keep the
+    /// warm value-keyed pools and caches.
+    fn reset_rows(&mut self) {
+        self.entities.clear();
+        self.reduction.reset_rows();
+        self.matching.reset_rows();
+        self.decided.clear();
+        self.tiers = [0; 4];
     }
 
     /// Append one source to the resident corpus and classify **only** the
@@ -729,7 +565,7 @@ impl DedupSession {
         self.config.preparation.apply(&mut batch);
 
         let start = self.rows();
-        let source_id = SourceId(self.source_offsets.len() as u16);
+        let source_id = SourceId(self.source_offsets.len() as u32);
         self.source_offsets.push(start);
         let rel = self
             .relation
@@ -754,14 +590,23 @@ impl DedupSession {
             .pairs()
             .iter()
             .copied()
-            .filter(|p| self.decided.get(p).is_none())
+            .filter(|p| !self.decided.contains_key(p))
             .collect();
         let new_decisions = self.classify(&todo);
-        for d in &new_decisions {
-            self.decided.insert(*d);
+        self.decided
+            .extend(new_decisions.iter().map(|d| (d.pair, *d)));
+        // The memo now covers the candidates; it is larger only if a pair
+        // left them (a window slid past it). Its other keys are the
+        // previous candidate set, so that list — not the whole table — is
+        // what gets tested against the new pair matrix.
+        if self.decided.len() > candidates.len() {
+            for &(i, j) in self.candidates.pairs() {
+                if !candidates.contains(i, j) {
+                    self.decided.remove(&(i, j));
+                }
+            }
         }
         self.candidates = candidates;
-        self.enforce_memo_capacity();
         Ok(IncrementalResult {
             source: source_id,
             new_rows: start..self.rows(),
@@ -799,11 +644,10 @@ impl DedupSession {
             .pairs()
             .iter()
             .map(|p| {
-                // Invariant: eviction pins the current candidate set, and
-                // every candidate was classified when it entered it.
-                self.decided
+                *self
+                    .decided
                     .get(p)
-                    .expect("current candidates are pinned in the decision memo")
+                    .expect("every candidate was classified when it entered the set")
             })
             .collect();
         self.snapshot(decisions)
@@ -813,9 +657,7 @@ impl DedupSession {
     /// values, bounded-tier disposals across every classification the
     /// session has performed).
     pub fn stats(&self) -> MatchingStats {
-        let mut stats = self.matching.stats(self.tiers);
-        stats.memo_evictions = self.decided.evictions;
-        stats
+        self.matching.stats(self.tiers)
     }
 
     /// Classify one resident pair through **`&self`** — the session's
@@ -823,8 +665,8 @@ impl DedupSession {
     /// (the serving front door multiplexes readers over it while ingest
     /// takes the write path).
     ///
-    /// Answers from the decision memo when the pair was already
-    /// classified; otherwise the pair is classified on the spot through
+    /// Answers from the decision memo when the pair is a current
+    /// candidate; otherwise the pair is classified on the spot through
     /// the warm state — the sharded similarity/verdict caches use
     /// interior mutability (lock-striped shards, atomic counters), so
     /// computed kernel values are still memoized for everyone, but the
@@ -838,23 +680,10 @@ impl DedupSession {
         }
         let pair = (i.min(j), i.max(j));
         if let Some(d) = self.decided.get(&pair) {
-            return Some(d);
+            return Some(*d);
         }
         let (mut decisions, _tiers) = self.classify_shared(&[pair]);
         decisions.pop()
-    }
-
-    /// Sweep the decision memo down to the configured capacity (no-op
-    /// when unbounded or under it); the current candidate set is pinned.
-    fn enforce_memo_capacity(&mut self) {
-        let Some(cap) = self.config.memo_capacity else {
-            return;
-        };
-        if self.decided.len() <= cap {
-            return;
-        }
-        let pinned: FxHashSet<(usize, usize)> = self.candidates.pairs().iter().copied().collect();
-        self.decided.enforce(cap, &pinned);
     }
 
     /// Classify `pairs` through the engine, accumulating bounded-tier
@@ -889,11 +718,7 @@ impl DedupSession {
             Some(rel) => rel.clone(),
             None => return DedupResult::empty(),
         };
-        let mut uf = UnionFind::new(relation.len());
-        for d in decisions.iter().filter(|d| d.class == MatchClass::Match) {
-            uf.union(d.pair.0, d.pair.1);
-        }
-        let clusters = uf.clusters(2);
+        let clusters = match_clusters(relation.len(), &decisions);
         DedupResult {
             relation,
             source_offsets: self.source_offsets.clone(),
@@ -975,9 +800,10 @@ impl DedupSession {
         snap.section(TAG_REDUCTION, w);
 
         let mut w = SectionWriter::new();
-        let entries = self.decided.sorted_decisions();
+        let mut entries: Vec<&PairDecision> = self.decided.values().collect();
+        entries.sort_unstable_by_key(|d| d.pair);
         w.put_len(entries.len());
-        for d in &entries {
+        for d in entries {
             w.put_u64(d.pair.0 as u64);
             w.put_u64(d.pair.1 as u64);
             w.put_f64(d.similarity);
@@ -1338,6 +1164,11 @@ impl DedupSession {
                     });
                 }
             }
+            // Older files also kept the decisions of pairs that had left
+            // the candidate set; those are dropped, never rejected.
+            if decided.len() > candidates.len() {
+                decided.retain(|&(i, j), _| candidates.contains(i, j));
+            }
         }
         matching.import_cache_entries(&cache_dumps)?;
 
@@ -1346,12 +1177,7 @@ impl DedupSession {
         self.reduction = reduction;
         self.matching = matching;
         self.candidates = candidates;
-        // Sorted pair order becomes the restored memo's clock order; a
-        // configured capacity ceiling is re-applied on the next
-        // run/ingest (the restored candidate set stays pinned).
-        let mut sorted: Vec<PairDecision> = decided.into_values().collect();
-        sorted.sort_unstable_by_key(|d| d.pair);
-        self.decided = DecisionMemo::from_decisions(sorted);
+        self.decided = decided;
         self.tiers = tiers;
         self.journal_seq = journal_seq;
         self.entities = entities;
@@ -1735,40 +1561,43 @@ mod tests {
     }
 
     #[test]
-    fn bounded_memo_evicts_but_partition_survives() {
+    fn memo_sheds_decisions_of_pairs_that_left_the_candidates() {
         let sources = corpus();
         let spec = KeySpec::paper_example(0, 1);
-        let strategy = ReductionStrategy::SortingAlternatives { spec, window: 2 };
-        let unbounded = {
-            let mut s = builder(strategy.clone()).session();
-            for src in &sources {
-                s.ingest(src).unwrap();
-            }
-            s.result()
-        };
-        let mut bounded = DedupPipeline::builder()
-            .comparators(AttributeComparators::uniform(
-                &schema(),
-                NormalizedHamming::new(),
-            ))
-            .model(model())
-            .reduction(strategy)
-            .decision_memo_capacity(Some(2))
-            .build_session();
+        let pipeline = builder(ReductionStrategy::SortingAlternatives { spec, window: 2 });
+        let mut session = pipeline.session();
+        let mut classified = 0;
         for src in &sources {
-            bounded.ingest(src).unwrap();
+            classified += session.ingest(src).unwrap().new_decisions.len();
+            assert_eq!(session.decided_count(), session.candidate_count());
         }
-        let merged = bounded.result();
-        assert_eq!(unbounded.decisions, merged.decisions);
-        assert_eq!(unbounded.clusters, merged.clusters);
-        // The ceiling is honoured up to pinned current candidates.
-        assert!(bounded.decided_count() <= bounded.candidate_count().max(2));
-        let stats = bounded.stats();
-        assert!(
-            stats.memo_evictions > 0,
-            "expected evictions with capacity 2, memo holds {}",
-            bounded.decided_count()
-        );
+        // Later batches slid windows past earlier candidates: more pairs
+        // were classified than are resident, and only the resident ones
+        // are still memoized — without changing the merged view.
+        assert!(classified > session.candidate_count());
+        let refs: Vec<&XRelation> = sources.iter().collect();
+        let one_shot = pipeline.run(&refs).unwrap();
+        let merged = session.result();
+        assert_eq!(one_shot.decisions, merged.decisions);
+        assert_eq!(one_shot.clusters, merged.clusters);
+        // What was shed is not written either.
+        let reopened =
+            DedupSession::from_snapshot_bytes(&session.to_snapshot_bytes(), &pipeline).unwrap();
+        assert_eq!(reopened.decided_count(), session.candidate_count());
+    }
+
+    #[test]
+    fn source_ids_do_not_wrap_at_65536_batches() {
+        let mut session = builder(ReductionStrategy::Full).session();
+        let empty = XRelation::new(schema());
+        for _ in 0..65_537 {
+            session.ingest(&empty).unwrap();
+        }
+        let step = session.ingest(&rel(&[("John", "pilot")])).unwrap();
+        assert_eq!(step.source, SourceId(65_537));
+        assert_eq!(step.new_rows, 0..1);
+        let handle = session.result().handle(0);
+        assert_eq!((handle.source, handle.row), (SourceId(65_537), 0));
     }
 
     #[test]

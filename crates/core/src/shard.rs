@@ -33,11 +33,10 @@
 //! through the same matching engine (`engine.rs`) a session uses.
 //!
 //! A [`memory_budget`](crate::pipeline::DedupPipelineBuilder::memory_budget)
-//! reaches this driver only as the two capacities [`BudgetPlan`] derives —
-//! the similarity caches and the decision memo. The relation, its interned
-//! mirrors and the candidate list stay resident whatever the budget says.
+//! reaches this driver only as the similarity-cache capacity derived from
+//! it. The relation, its interned mirrors and the candidate list stay
+//! resident whatever the budget says.
 
-use probdedup_decision::threshold::MatchClass;
 use probdedup_model::error::ModelError;
 use probdedup_model::relation::XRelation;
 use probdedup_model::shard_of_key;
@@ -49,31 +48,10 @@ use probdedup_reduction::{
     sorted_alternative_entries, sorted_resolved_entries, SparsePairSet,
 };
 
-use crate::cluster::UnionFind;
 use crate::engine::MatchingEngine;
-use crate::pipeline::{DedupResult, PairDecision, PipelineConfig, ReductionStrategy};
-
-/// How a byte budget decomposes into the two bounded structures the
-/// budget governs. The per-entry costs are deliberately rough upper
-/// estimates — the plan is a sizing heuristic, not an allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BudgetPlan {
-    /// Memoized pairs per similarity/verdict cache (40% of the budget at
-    /// ~64 bytes per entry).
-    pub cache_capacity: usize,
-    /// Decision-memo entries (20% at ~96 bytes per entry).
-    pub memo_capacity: usize,
-}
-
-impl BudgetPlan {
-    /// Decompose `budget` bytes.
-    pub fn for_budget(budget: u64) -> Self {
-        Self {
-            cache_capacity: ((budget * 2 / 5) / 64).max(1) as usize,
-            memo_capacity: ((budget / 5) / 96).max(1) as usize,
-        }
-    }
-}
+use crate::pipeline::{
+    match_clusters, DedupResult, PairDecision, PipelineConfig, ReductionStrategy,
+};
 
 /// Inert: the sharded driver no longer sorts out of core, so there is
 /// nothing to count. Kept (always 0) solely because the frozen
@@ -146,7 +124,7 @@ impl ShardedPipeline {
         &self,
         sources: &[&XRelation],
     ) -> Result<(DedupResult, ShardStats), ModelError> {
-        let Some(first) = sources.first() else {
+        let Some((combined, offsets)) = self.config.combine(sources)? else {
             return Ok((
                 DedupResult::empty(),
                 ShardStats {
@@ -155,19 +133,6 @@ impl ShardedPipeline {
                 },
             ));
         };
-        // Combine + prepare exactly as the session does.
-        let mut combined = XRelation::new(first.schema().clone());
-        let mut offsets = Vec::with_capacity(sources.len());
-        for src in sources {
-            if !combined.schema().compatible_with(src.schema()) {
-                return Err(ModelError::IncompatibleSchemas);
-            }
-            offsets.push(combined.len());
-            for t in src.xtuples() {
-                combined.push(t.clone());
-            }
-        }
-        self.config.preparation.apply(&mut combined);
         let tuples = combined.xtuples();
 
         // Reduction with shard routing.
@@ -212,11 +177,7 @@ impl ShardedPipeline {
             .collect();
 
         // Merge: transitive closure over the union of per-shard matches.
-        let mut uf = UnionFind::new(tuples.len());
-        for d in decisions.iter().filter(|d| d.class == MatchClass::Match) {
-            uf.union(d.pair.0, d.pair.1);
-        }
-        let clusters = uf.clusters(2);
+        let clusters = match_clusters(tuples.len(), &decisions);
         let stats = engine.stats(tiers);
 
         let candidates = routed.pairs.len();
@@ -467,18 +428,6 @@ mod tests {
         assert_eq!(got.decisions, reference.decisions);
         assert_eq!(got.clusters, reference.clusters);
         assert!(got.stats.cache_evictions > 0);
-        // What must hold at the floor: the plan is sane.
-        let plan = BudgetPlan::for_budget(1);
-        assert_eq!(plan.cache_capacity, 1);
-        assert_eq!(plan.memo_capacity, 1);
-    }
-
-    #[test]
-    fn budget_plan_scales_linearly() {
-        let small = BudgetPlan::for_budget(1 << 20);
-        let big = BudgetPlan::for_budget(1 << 30);
-        assert!(big.cache_capacity > small.cache_capacity * 500);
-        assert!(big.memo_capacity > small.memo_capacity * 500);
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! | 4   | match pool | the matching [`ValuePool`] in dense symbol order      |
 //! | 5   | caches     | per-attribute similarity + verdict memo entries       |
 //! | 6   | reduction  | the warm [`KeyTable`] pools (values, keys, memos)     |
-//! | 7   | decisions  | every classified pair + the bounded-tier counters     |
+//! | 7   | decisions  | every current candidate pair's decision + tier counts |
 //! | 8   | journal    | *(optional)* highest applied WAL sequence number      |
 //! | 9   | entities   | *(optional)* cached entity partitions per strategy    |
+//!
+//! Section 7 of an older file may also hold decisions of pairs that had
+//! left the candidate set by the time it was written; `open` drops them
+//! after checking that the candidates themselves are covered.
 //!
 //! Section 8 couples a snapshot to the write-ahead ingest journal
 //! ([`crate::wal`]): it records the journal sequence number the snapshot's

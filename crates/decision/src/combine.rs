@@ -107,99 +107,6 @@ impl CombinationFunction for WeightedSum {
     }
 }
 
-/// Weighted product `φ(c⃗) = Π cᵢ^{wᵢ}` — a strict conjunction: any
-/// single attribute similarity of 0 zeroes the whole degree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedProduct {
-    weights: Vec<f64>,
-}
-
-impl WeightedProduct {
-    /// Weights as given (finite, non-negative, not all zero).
-    pub fn new<I: IntoIterator<Item = f64>>(weights: I) -> Result<Self, DecisionError> {
-        let weights: Vec<f64> = weights.into_iter().collect();
-        if weights.is_empty()
-            || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-            || weights.iter().sum::<f64>() == 0.0
-        {
-            return Err(DecisionError::InvalidWeights);
-        }
-        Ok(Self { weights })
-    }
-}
-
-impl CombinationFunction for WeightedProduct {
-    fn combine(&self, c: &[f64]) -> f64 {
-        assert_eq!(c.len(), self.weights.len(), "comparison vector arity");
-        self.weights
-            .iter()
-            .zip(c)
-            .map(|(w, x)| if *w == 0.0 { 1.0 } else { x.powf(*w) })
-            .product()
-    }
-
-    fn name(&self) -> &str {
-        "weighted-product"
-    }
-}
-
-/// `φ(c⃗) = min cᵢ` — the weakest link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinCombine;
-
-impl CombinationFunction for MinCombine {
-    fn combine(&self, c: &[f64]) -> f64 {
-        c.iter().copied().fold(1.0, f64::min)
-    }
-    fn name(&self) -> &str {
-        "min"
-    }
-}
-
-/// `φ(c⃗) = max cᵢ` — the strongest signal.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxCombine;
-
-impl CombinationFunction for MaxCombine {
-    fn combine(&self, c: &[f64]) -> f64 {
-        c.iter().copied().fold(0.0, f64::max)
-    }
-    fn name(&self) -> &str {
-        "max"
-    }
-}
-
-/// Logistic combination `σ(b + Σ wᵢ·cᵢ)` — a trained linear classifier's
-/// scoring function; normalized by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Logistic {
-    weights: Vec<f64>,
-    bias: f64,
-}
-
-impl Logistic {
-    /// A logistic scorer with the given weights (any sign) and bias.
-    pub fn new<I: IntoIterator<Item = f64>>(weights: I, bias: f64) -> Result<Self, DecisionError> {
-        let weights: Vec<f64> = weights.into_iter().collect();
-        if weights.is_empty() || weights.iter().any(|w| !w.is_finite()) || !bias.is_finite() {
-            return Err(DecisionError::InvalidWeights);
-        }
-        Ok(Self { weights, bias })
-    }
-}
-
-impl CombinationFunction for Logistic {
-    fn combine(&self, c: &[f64]) -> f64 {
-        assert_eq!(c.len(), self.weights.len(), "comparison vector arity");
-        let z: f64 = self.bias + self.weights.iter().zip(c).map(|(w, x)| w * x).sum::<f64>();
-        1.0 / (1.0 + (-z).exp())
-    }
-
-    fn name(&self) -> &str {
-        "logistic"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,34 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_product_is_conjunctive() {
-        let phi = WeightedProduct::new([1.0, 1.0]).unwrap();
-        assert_eq!(phi.combine(&[0.9, 0.0]), 0.0);
-        assert!((phi.combine(&[0.5, 0.5]) - 0.25).abs() < 1e-12);
-        // Zero weight neutralizes an attribute.
-        let skip = WeightedProduct::new([1.0, 0.0]).unwrap();
-        assert!((skip.combine(&[0.5, 0.0]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_max() {
-        assert_eq!(MinCombine.combine(&[0.9, 0.2, 0.5]), 0.2);
-        assert_eq!(MaxCombine.combine(&[0.9, 0.2, 0.5]), 0.9);
-        assert_eq!(MinCombine.combine(&[]), 1.0);
-        assert_eq!(MaxCombine.combine(&[]), 0.0);
-    }
-
-    #[test]
-    fn logistic_monotone_and_normalized() {
-        let phi = Logistic::new([2.0, 2.0], -2.0).unwrap();
-        let low = phi.combine(&[0.1, 0.1]);
-        let high = phi.combine(&[0.9, 0.9]);
-        assert!(low < high);
-        assert!((0.0..=1.0).contains(&low) && (0.0..=1.0).contains(&high));
-        assert!(Logistic::new([f64::INFINITY], 0.0).is_err());
-    }
-
-    #[test]
     #[should_panic(expected = "arity")]
     fn arity_mismatch_panics() {
         let phi = WeightedSum::new([1.0]).unwrap();
@@ -277,8 +156,9 @@ mod tests {
     fn trait_objects_delegate() {
         let phi: Box<dyn CombinationFunction> = Box::new(WeightedSum::new([1.0]).unwrap());
         assert_eq!(phi.combine(&[0.7]), 0.7);
-        let arc: std::sync::Arc<dyn CombinationFunction> = std::sync::Arc::new(MinCombine);
-        assert_eq!(arc.combine(&[0.3, 0.6]), 0.3);
-        assert_eq!(arc.name(), "min");
+        let arc: std::sync::Arc<dyn CombinationFunction> =
+            std::sync::Arc::new(WeightedSum::mean(2).unwrap());
+        assert!((arc.combine(&[0.3, 0.6]) - 0.45).abs() < 1e-12);
+        assert_eq!(arc.name(), "weighted-sum");
     }
 }

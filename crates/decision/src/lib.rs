@@ -59,7 +59,7 @@ pub mod xmodel;
 pub use budget::{
     classify_comparison_bounded, AttributeBudgets, BoundedDecision, BoundedTier, CERT_MARGIN,
 };
-pub use combine::{CombinationFunction, WeightedProduct, WeightedSum};
+pub use combine::{CombinationFunction, WeightedSum};
 pub use derive_decision::{DecisionDerivation, ExpectedMatchingResult, MatchingWeightDerivation};
 pub use derive_sim::{ExpectedSimilarity, MaxSimilarity, MinSimilarity, SimilarityDerivation};
 pub use em::{fit_em, EmConfig, EmResult};

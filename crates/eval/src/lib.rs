@@ -3,7 +3,7 @@
 //! checked in terms of recall, precision, false negative percentage, false
 //! positive percentage and F₁-measure"* — plus the candidate-set metrics
 //! (pairs completeness, reduction ratio) needed to evaluate search-space
-//! reduction, threshold sweeps, and plain-text report tables.
+//! reduction, and plain-text report tables.
 //!
 //! # Example
 //!
@@ -26,11 +26,9 @@ pub mod confusion;
 pub mod metrics;
 pub mod reduction_metrics;
 pub mod report;
-pub mod sweep;
 
 pub use cluster_metrics::{ClusterMetrics, SizeHistogram};
 pub use confusion::ConfusionCounts;
 pub use metrics::EffectivenessMetrics;
 pub use reduction_metrics::ReductionMetrics;
 pub use report::Table;
-pub use sweep::{best_f1, grid, sweep_thresholds, threshold_for_precision, SweepPoint};

@@ -4,7 +4,6 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use probdedup_eval::sweep::{best_f1, grid, sweep_thresholds};
 use probdedup_eval::{ConfusionCounts, EffectivenessMetrics, ReductionMetrics};
 
 /// Two pair sets over a shared row universe.
@@ -72,20 +71,5 @@ proptest! {
         let m_full = ReductionMetrics::evaluate(&full, &truth, n);
         prop_assert_eq!(m_full.pairs_completeness, 1.0);
         prop_assert_eq!(m_full.reduction_ratio, 0.0);
-    }
-
-    /// Threshold sweeps: recall is non-increasing in the threshold, and
-    /// best_f1 picks an attained maximum.
-    #[test]
-    fn sweep_monotonicity(scored in proptest::collection::vec((0.0f64..=1.0, any::<bool>()), 1..40)) {
-        let universe = (scored.len() * 3) as u64;
-        let points = sweep_thresholds(&scored, 0, universe, &grid(0.0, 1.0, 11));
-        for w in points.windows(2) {
-            prop_assert!(w[1].metrics.recall <= w[0].metrics.recall + 1e-12);
-        }
-        let best = best_f1(&points).unwrap();
-        for p in &points {
-            prop_assert!(best.metrics.f1 >= p.metrics.f1 - 1e-12);
-        }
     }
 }

@@ -40,11 +40,10 @@
 //!
 //! # Example
 //!
-//! The paper's Section IV-A worked example — `sim(t11.name, t22.name)` —
-//! on both paths (the interned one prunes but must agree to rounding):
+//! The paper's Section IV-A worked example — `sim(t11.name, t22.name)`:
 //!
 //! ```
-//! use probdedup_matching::{pvalue_similarity, pvalue_similarity_pruned, ValueComparator};
+//! use probdedup_matching::{pvalue_similarity, ValueComparator};
 //! use probdedup_model::pvalue::PValue;
 //! use probdedup_textsim::NormalizedHamming;
 //!
@@ -53,7 +52,6 @@
 //! let cmp = ValueComparator::text(NormalizedHamming::new());
 //! let plain = pvalue_similarity(&a, &b, &cmp);
 //! assert!((plain - 0.9).abs() < 1e-12); // 0.7·1 + 0.3·(2/3)
-//! assert!((pvalue_similarity_pruned(&a, &b, &cmp) - plain).abs() < 1e-12);
 //! ```
 
 pub mod bounded;
@@ -72,6 +70,6 @@ pub use interned::{
     InternedComparators, InternedPValue, InternedXTuple,
 };
 pub use matrix::{compare_xtuples, ComparisonMatrix};
-pub use pvalue_sim::{pvalue_similarity, pvalue_similarity_pruned};
+pub use pvalue_sim::pvalue_similarity;
 pub use value_cmp::{PreparedValue, ValueComparator};
 pub use vector::{compare_tuples, AttributeComparators, ComparisonVector};

@@ -2,7 +2,6 @@
 //! Eq. 5 (erroneous data).
 
 use probdedup_model::pvalue::PValue;
-use probdedup_model::value::Value;
 
 use crate::value_cmp::ValueComparator;
 
@@ -46,8 +45,7 @@ pub fn pvalue_similarity(a: &PValue, b: &PValue, cmp: &ValueComparator) -> f64 {
     total.clamp(0.0, 1.0)
 }
 
-/// The shared Eq. 5 pruning loop behind [`pvalue_similarity_pruned`] and
-/// the interned hot path
+/// The Eq. 5 pruning loop of the interned hot path
 /// ([`interned_pvalue_similarity`](crate::interned::interned_pvalue_similarity)).
 ///
 /// `a_alts`/`b_alts` must be in **descending probability order** and
@@ -103,36 +101,6 @@ pub(crate) fn support_mass(alts: &[(impl Sized, f64)]) -> f64 {
     alts.iter().map(|(_, p)| p).sum()
 }
 
-/// [`pvalue_similarity`] with **upper-bound pruning**: alternatives are
-/// traversed in descending probability order and the double sum breaks
-/// early once the remaining probability mass cannot contribute (see
-/// `pruned_expected_similarity` for the exact bound). Skewed
-/// distributions with long low-mass tails skip most kernel evaluations;
-/// certain values skip none.
-pub fn pvalue_similarity_pruned(a: &PValue, b: &PValue, cmp: &ValueComparator) -> f64 {
-    // Descending-probability views (ties by value order for determinism —
-    // PValue stores alternatives value-sorted).
-    fn desc(pv: &PValue) -> Vec<(&Value, f64)> {
-        let mut alts: Vec<(&Value, f64)> = pv.alternatives().iter().map(|(v, p)| (v, *p)).collect();
-        alts.sort_by(|(va, pa), (vb, pb)| {
-            pb.partial_cmp(pa)
-                .expect("finite probabilities")
-                .then(va.cmp(vb))
-        });
-        alts
-    }
-    let (a_desc, b_desc) = (desc(a), desc(b));
-    pruned_expected_similarity(
-        &a_desc,
-        support_mass(&a_desc),
-        a.null_prob(),
-        &b_desc,
-        support_mass(&b_desc),
-        b.null_prob(),
-        |va, vb| cmp.similarity(va, vb),
-    )
-}
-
 /// Eq. 4 (error-free data): the probability that both values are equal,
 /// `P(a₁ = a₂)`. Equivalent to [`pvalue_similarity`] with the exact-equality
 /// kernel — a property test asserts this reduction.
@@ -148,6 +116,28 @@ mod tests {
 
     fn hamming() -> ValueComparator {
         ValueComparator::text(NormalizedHamming::new())
+    }
+
+    /// [`pruned_expected_similarity`] over plain values: the descending-
+    /// probability views the loop requires (ties by value order), built
+    /// the way the interned path builds them over symbols.
+    fn pruned(a: &PValue, b: &PValue, cmp: &ValueComparator) -> f64 {
+        fn desc(pv: &PValue) -> Vec<(&Value, f64)> {
+            let mut alts: Vec<(&Value, f64)> =
+                pv.alternatives().iter().map(|(v, p)| (v, *p)).collect();
+            alts.sort_by(|(va, pa), (vb, pb)| pb.total_cmp(pa).then(va.cmp(vb)));
+            alts
+        }
+        let (a_desc, b_desc) = (desc(a), desc(b));
+        pruned_expected_similarity(
+            &a_desc,
+            support_mass(&a_desc),
+            a.null_prob(),
+            &b_desc,
+            support_mass(&b_desc),
+            b.null_prob(),
+            |va, vb| cmp.similarity(va, vb),
+        )
     }
 
     #[test]
@@ -240,7 +230,7 @@ mod tests {
         let c = hamming();
         for (a, b) in &cases {
             let slow = pvalue_similarity(a, b, &c);
-            let fast = pvalue_similarity_pruned(a, b, &c);
+            let fast = pruned(a, b, &c);
             assert!((slow - fast).abs() < 1e-12, "{a} vs {b}: {slow} / {fast}");
         }
     }
@@ -260,7 +250,7 @@ mod tests {
             let a = mk('a', na);
             let b = mk('b', nb);
             let slow = pvalue_similarity(&a, &b, &c);
-            let fast = pvalue_similarity_pruned(&a, &b, &c);
+            let fast = pruned(&a, &b, &c);
             assert!((slow - fast).abs() < 1e-12, "{na}x{nb}: {slow} / {fast}");
         }
     }
@@ -269,7 +259,7 @@ mod tests {
     fn pruned_saturation_break_is_exact() {
         // Identical certain values saturate the sum at exactly 1.
         let a = PValue::certain("machinist");
-        assert_eq!(pvalue_similarity_pruned(&a, &a, &hamming()), 1.0);
+        assert_eq!(pruned(&a, &a, &hamming()), 1.0);
     }
 
     #[test]
@@ -282,7 +272,7 @@ mod tests {
         let a = PValue::certain("aa");
         let c = hamming();
         let slow = pvalue_similarity(&a, &b, &c);
-        let fast = pvalue_similarity_pruned(&a, &b, &c);
+        let fast = pruned(&a, &b, &c);
         assert!((slow - fast).abs() < 1e-12, "{slow} vs {fast}");
     }
 }

@@ -94,17 +94,6 @@ proptest! {
         prop_assert_eq!(c1, c2);
     }
 
-    /// Upper-bound pruning (descending-probability traversal + early
-    /// break) never moves Eq. 5 by more than 1e-12.
-    #[test]
-    fn pruned_agrees_with_unpruned(a in arb_pvalue(), b in arb_pvalue()) {
-        use probdedup_matching::pvalue_similarity_pruned;
-        let cmp = ValueComparator::text(NormalizedHamming::new());
-        let slow = pvalue_similarity(&a, &b, &cmp);
-        let fast = pvalue_similarity_pruned(&a, &b, &cmp);
-        prop_assert!((slow - fast).abs() < 1e-12, "unpruned {slow} vs pruned {fast}");
-    }
-
     /// The interned hot path (symbol pool + sharded similarity cache +
     /// pruning) agrees with the uncached reference to 1e-12 — including on
     /// repeat comparisons, where every kernel evaluation is a cache hit.

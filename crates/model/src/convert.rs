@@ -1,81 +1,12 @@
-//! Conversions between the dependency-free model ([`ProbTuple`]) and the
-//! x-tuple model ([`XTuple`]).
-//!
-//! * [`expand_prob_tuple`] turns attribute-level independence into explicit
-//!   alternatives (the cartesian product of attribute outcomes) — exact but
-//!   potentially exponential, hence the mandatory limit.
-//! * [`marginalize_xtuple`] projects an x-tuple down to independent
-//!   per-attribute marginals — always cheap, but *lossy*: dependencies
-//!   between attribute values are forgotten.
-//!
-//! Round-tripping `expand ∘ marginalize` is the identity only for x-tuples
-//! whose alternatives are already independent combinations; the tests
-//! demonstrate both the lossless and the lossy direction.
+//! Conversion from the x-tuple model ([`XTuple`]) to the dependency-free
+//! model ([`ProbTuple`]): [`marginalize_xtuple`] projects an x-tuple down to
+//! independent per-attribute marginals — always cheap, but *lossy*:
+//! dependencies between attribute values are forgotten.
 
-use crate::error::ModelError;
 use crate::pvalue::PValue;
 use crate::tuple::ProbTuple;
 use crate::value::Value;
-use crate::xtuple::{XAlternative, XTuple};
-
-/// Expand a dependency-free probabilistic tuple into an x-tuple whose
-/// alternatives have **certain** values: one alternative per combination of
-/// attribute outcomes (including ⊥ outcomes), with probability
-/// `p(t) · Π P(attr = outcome)`.
-///
-/// Refuses with [`ModelError::ExpansionLimitExceeded`] if the number of
-/// combinations exceeds `limit`.
-pub fn expand_prob_tuple(t: &ProbTuple, limit: u128) -> Result<XTuple, ModelError> {
-    // Outcome lists per attribute: (value-or-null, probability).
-    let outcome_lists: Vec<Vec<(Option<Value>, f64)>> = t
-        .values()
-        .iter()
-        .map(|pv| {
-            pv.outcomes()
-                .map(|(v, p)| (v.cloned(), p))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let count = outcome_lists
-        .iter()
-        .fold(1u128, |acc, l| acc.saturating_mul(l.len() as u128));
-    if count > limit {
-        return Err(ModelError::ExpansionLimitExceeded { count, limit });
-    }
-
-    let mut alternatives = Vec::with_capacity(count as usize);
-    // Odometer over the outcome lists.
-    let mut cursor = vec![0usize; outcome_lists.len()];
-    loop {
-        let mut values = Vec::with_capacity(cursor.len());
-        let mut p = t.probability();
-        for (i, &pos) in cursor.iter().enumerate() {
-            let (v, q) = &outcome_lists[i][pos];
-            values.push(match v {
-                Some(v) => PValue::certain(v.clone()),
-                None => PValue::null(),
-            });
-            p *= q;
-        }
-        if p > 0.0 {
-            alternatives.push(XAlternative::new(values, p)?);
-        }
-        // Advance.
-        let mut done = true;
-        for i in (0..cursor.len()).rev() {
-            cursor[i] += 1;
-            if cursor[i] < outcome_lists[i].len() {
-                done = false;
-                break;
-            }
-            cursor[i] = 0;
-        }
-        if done {
-            break;
-        }
-    }
-    XTuple::new(alternatives)
-}
+use crate::xtuple::XTuple;
 
 /// Project an x-tuple to a dependency-free tuple by per-attribute
 /// marginalization, conditioning on existence:
@@ -108,78 +39,36 @@ mod tests {
     }
 
     #[test]
-    fn expand_fig4_t11() {
-        // t11 = (Tim, {machinist .7, mechanic .2}), p = 1.0
-        // → 3 alternatives: (Tim, machinist) .7, (Tim, mechanic) .2, (Tim, ⊥) .1.
-        let t = ProbTuple::builder(&schema())
-            .certain("name", "Tim")
-            .dist("job", [("machinist", 0.7), ("mechanic", 0.2)])
-            .build()
-            .unwrap();
-        let x = expand_prob_tuple(&t, 100).unwrap();
-        assert_eq!(x.len(), 3);
-        assert!((x.probability() - 1.0).abs() < 1e-12);
-        let null_alt = x
-            .alternatives()
-            .iter()
-            .find(|a| a.value(1).is_null())
-            .unwrap();
-        assert!((null_alt.probability() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expand_respects_membership_probability() {
-        let t = ProbTuple::builder(&schema())
-            .dist("name", [("Tim", 0.6), ("Tom", 0.4)])
-            .certain("job", "machinist")
-            .probability(0.6)
-            .build()
-            .unwrap();
-        let x = expand_prob_tuple(&t, 100).unwrap();
-        assert_eq!(x.len(), 2);
-        assert!((x.probability() - 0.6).abs() < 1e-12);
-        assert!((x.alternatives()[0].probability() - 0.36).abs() < 1e-12);
-    }
-
-    #[test]
-    fn expand_limit_enforced() {
-        let t = ProbTuple::builder(&schema())
-            .dist("name", [("a", 0.5), ("b", 0.5)])
-            .dist("job", [("x", 0.5), ("y", 0.5)])
-            .build()
-            .unwrap();
-        assert!(matches!(
-            expand_prob_tuple(&t, 3),
-            Err(ModelError::ExpansionLimitExceeded { count: 4, limit: 3 })
-        ));
-        assert_eq!(expand_prob_tuple(&t, 4).unwrap().len(), 4);
-    }
-
-    #[test]
     fn marginalize_recovers_independent_distributions() {
-        let t = ProbTuple::builder(&schema())
-            .dist("name", [("Tim", 0.6), ("Tom", 0.4)])
-            .dist("job", [("x", 0.5), ("y", 0.5)])
-            .probability(0.8)
+        // name ∈ {Tim .6, Tom .4} × job ∈ {x .5, y .5}, p(t) = 0.8, spelled
+        // out as the four independent combinations.
+        let x = XTuple::builder(&schema())
+            .alt(0.24, ["Tim", "x"])
+            .alt(0.24, ["Tim", "y"])
+            .alt(0.16, ["Tom", "x"])
+            .alt(0.16, ["Tom", "y"])
             .build()
             .unwrap();
-        let x = expand_prob_tuple(&t, 100).unwrap();
         let back = marginalize_xtuple(&x);
         assert!((back.probability() - 0.8).abs() < 1e-12);
-        for (orig, rec) in t.values().iter().zip(back.values()) {
-            for (v, p) in orig.alternatives() {
-                assert!(
-                    (rec.prob_of(Some(v)) - p).abs() < 1e-9,
-                    "marginal mismatch for {v}"
-                );
-            }
+        for (attr, v, p) in [
+            (0, "Tim", 0.6),
+            (0, "Tom", 0.4),
+            (1, "x", 0.5),
+            (1, "y", 0.5),
+        ] {
+            assert!(
+                (back.value(attr).prob_of(Some(&Value::from(v))) - p).abs() < 1e-9,
+                "marginal mismatch for {v}"
+            );
         }
     }
 
     #[test]
     fn marginalize_is_lossy_for_dependent_alternatives() {
-        // Perfectly correlated: (a, x) or (b, y). Marginals are uniform, so
-        // re-expansion would also produce the impossible (a, y) combination.
+        // Perfectly correlated: (a, x) or (b, y). Both marginals are
+        // uniform, so the impossible (a, y) has probability 0.25 under
+        // them: the dependency information is gone.
         let x = XTuple::builder(&schema())
             .alt(0.5, ["a", "x"])
             .alt(0.5, ["b", "y"])
@@ -187,8 +76,7 @@ mod tests {
             .unwrap();
         let m = marginalize_xtuple(&x);
         assert!((m.value(0).prob_of(Some(&Value::from("a"))) - 0.5).abs() < 1e-12);
-        let re = expand_prob_tuple(&m, 100).unwrap();
-        assert_eq!(re.len(), 4, "dependency information is gone");
+        assert!((m.value(1).prob_of(Some(&Value::from("y"))) - 0.5).abs() < 1e-12);
     }
 
     #[test]

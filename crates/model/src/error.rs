@@ -49,14 +49,6 @@ pub enum ModelError {
         /// The configured limit.
         limit: u128,
     },
-    /// Expanding attribute-level uncertainty into alternatives would exceed
-    /// the configured limit.
-    ExpansionLimitExceeded {
-        /// Number of alternatives expansion would produce.
-        count: u128,
-        /// The configured limit.
-        limit: u128,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -91,12 +83,6 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "possible-world enumeration of {count} worlds exceeds limit {limit}"
-                )
-            }
-            Self::ExpansionLimitExceeded { count, limit } => {
-                write!(
-                    f,
-                    "expansion into {count} alternatives exceeds limit {limit}"
                 )
             }
         }
@@ -157,13 +143,6 @@ mod tests {
             (ModelError::EmptyDistribution, "must not be empty"),
             (
                 ModelError::WorldLimitExceeded {
-                    count: 10,
-                    limit: 5,
-                },
-                "exceeds limit",
-            ),
-            (
-                ModelError::ExpansionLimitExceeded {
                     count: 10,
                     limit: 5,
                 },

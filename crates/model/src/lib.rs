@@ -79,7 +79,7 @@ pub use intern::{
     shard_of_key, stable_key_hash, KeyPool, KeyRanks, KeySymbol, PoolSnapshot, Symbol, SymbolMap,
     ValuePool,
 };
-pub use lineage::{AlternativeSets, MutexGroups};
+pub use lineage::AlternativeSets;
 pub use pvalue::PValue;
 pub use relation::{Relation, XRelation};
 pub use sample::WorldSampler;

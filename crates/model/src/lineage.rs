@@ -1,4 +1,4 @@
-//! Mutually exclusive tuple groups — the minimal lineage mechanism the
+//! Mutually exclusive tuple sets — the minimal lineage mechanism the
 //! paper's conclusion calls for.
 //!
 //! Section VI: *"by using a probabilistic data model for the target schema,
@@ -8,89 +8,15 @@
 //! be able to represent dependencies between multiple sets of tuples (in the
 //! ULDB model … realized by the concept of lineage)."*
 //!
-//! [`MutexGroups`] records, over the rows of a result [`XRelation`], which
-//! row sets are mutually exclusive: within one group, **at most one row
-//! exists in any possible world**. The pipeline uses this to emit
-//! "possibly-merged" results: a group containing the merged tuple (with
-//! probability = match confidence) and the two unmerged originals.
+//! [`AlternativeSets`] records, over the rows of a result [`XRelation`],
+//! mutually exclusive *sets* of rows: **at most one set exists in any
+//! possible world**. The pipeline uses this to emit "possibly-merged"
+//! results: the merged tuple (with probability = match confidence) or the
+//! two unmerged originals.
 
 use crate::error::ModelError;
 use crate::relation::XRelation;
 use crate::util::PROB_EPS;
-
-/// Mutually exclusive groups over the row indices of a result relation.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MutexGroups {
-    groups: Vec<Vec<usize>>,
-}
-
-impl MutexGroups {
-    /// No groups: all rows independent.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a mutually exclusive group of row indices; returns the group id.
-    /// Groups of fewer than two rows are permitted but carry no constraint.
-    pub fn add_group(&mut self, rows: Vec<usize>) -> usize {
-        self.groups.push(rows);
-        self.groups.len() - 1
-    }
-
-    /// All groups.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// The group containing `row`, if any (a row may appear in at most one
-    /// group; [`MutexGroups::validate`] enforces this).
-    pub fn group_of(&self, row: usize) -> Option<usize> {
-        self.groups.iter().position(|g| g.contains(&row))
-    }
-
-    /// Validate against a result relation:
-    ///
-    /// * every referenced row exists,
-    /// * no row appears in two groups,
-    /// * within each group the membership probabilities sum to ≤ 1
-    ///   (mutual exclusivity must be probabilistically consistent).
-    pub fn validate(&self, relation: &XRelation) -> Result<(), ModelError> {
-        let mut seen = vec![false; relation.len()];
-        for g in &self.groups {
-            let mut mass = 0.0;
-            for &row in g {
-                let t = relation.get(row).ok_or(ModelError::SchemaMismatch {
-                    expected: relation.len(),
-                    got: row,
-                })?;
-                if std::mem::replace(&mut seen[row], true) {
-                    return Err(ModelError::MassExceeded {
-                        sum: f64::NAN,
-                        context: "row referenced by two mutex groups",
-                    });
-                }
-                mass += t.probability();
-            }
-            if mass > 1.0 + PROB_EPS {
-                return Err(ModelError::MassExceeded {
-                    sum: mass,
-                    context: "mutex group membership",
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Whether there are no groups.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-}
 
 /// Mutually exclusive **sets** of rows — the full construct of Section VI:
 /// in any possible world, *at most one option* (a set of rows) of each
@@ -173,54 +99,6 @@ mod tests {
             r.push(XTuple::builder(&s).alt(p, ["v"]).build().unwrap());
         }
         r
-    }
-
-    #[test]
-    fn valid_groups_pass() {
-        let r = relation_with_probs(&[0.6, 0.3, 1.0]);
-        let mut g = MutexGroups::new();
-        let id = g.add_group(vec![0, 1]); // 0.6 + 0.3 ≤ 1 ✓
-        assert_eq!(id, 0);
-        assert!(g.validate(&r).is_ok());
-        assert_eq!(g.group_of(1), Some(0));
-        assert_eq!(g.group_of(2), None);
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
-    fn mass_violation_detected() {
-        let r = relation_with_probs(&[0.8, 0.5]);
-        let mut g = MutexGroups::new();
-        g.add_group(vec![0, 1]); // 1.3 > 1 ✗
-        assert!(matches!(
-            g.validate(&r),
-            Err(ModelError::MassExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn overlapping_groups_detected() {
-        let r = relation_with_probs(&[0.3, 0.3, 0.3]);
-        let mut g = MutexGroups::new();
-        g.add_group(vec![0, 1]);
-        g.add_group(vec![1, 2]);
-        assert!(g.validate(&r).is_err());
-    }
-
-    #[test]
-    fn out_of_range_row_detected() {
-        let r = relation_with_probs(&[0.5]);
-        let mut g = MutexGroups::new();
-        g.add_group(vec![7]);
-        assert!(g.validate(&r).is_err());
-    }
-
-    #[test]
-    fn empty_is_trivially_valid() {
-        let r = relation_with_probs(&[0.5, 0.5]);
-        let g = MutexGroups::new();
-        assert!(g.is_empty());
-        assert!(g.validate(&r).is_ok());
     }
 
     #[test]

@@ -5,10 +5,8 @@ use proptest::prelude::*;
 use probdedup_model::condition::{
     conditioned_world_probability, existence_event_probability, normalized_alternative_probs,
 };
-use probdedup_model::convert::{expand_prob_tuple, marginalize_xtuple};
 use probdedup_model::pvalue::PValue;
 use probdedup_model::schema::Schema;
-use probdedup_model::tuple::ProbTuple;
 use probdedup_model::value::Value;
 use probdedup_model::world::{enumerate_worlds, full_worlds, top_k_worlds, world_count, World};
 use probdedup_model::xtuple::XTuple;
@@ -219,27 +217,5 @@ proptest! {
         let probs = normalized_alternative_probs(&t);
         let sum: f64 = probs.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    /// expand → marginalize is the identity on dependency-free tuples
-    /// (marginals match the original distributions).
-    #[test]
-    fn expand_marginalize_roundtrip(a in arb_pvalue(), b in arb_pvalue(), p in 1u32..=100) {
-        let s = Schema::new(["x", "y"]);
-        let t = ProbTuple::builder(&s)
-            .pvalue("x", a.clone())
-            .pvalue("y", b.clone())
-            .probability(f64::from(p) / 100.0)
-            .build()
-            .unwrap();
-        prop_assume!(expand_prob_tuple(&t, 64).is_ok());
-        let x = expand_prob_tuple(&t, 64).unwrap();
-        let back = marginalize_xtuple(&x);
-        prop_assert!((back.probability() - t.probability()).abs() < 1e-9);
-        for (orig, rec) in t.values().iter().zip(back.values()) {
-            for (v, q) in orig.alternatives() {
-                prop_assert!((rec.prob_of(Some(v)) - q).abs() < 1e-6);
-            }
-        }
     }
 }

@@ -66,13 +66,7 @@ pub struct IncrementalSnm {
 impl IncrementalSnm {
     /// Empty state for `spec`; grow with [`IncrementalSnm::ingest`].
     pub fn new(spec: KeySpec, keying: SnmKeying, window: usize) -> Self {
-        Self {
-            table: KeyTable::empty(spec),
-            keying,
-            window,
-            entries: Vec::new(),
-            n_tuples: 0,
-        }
+        Self::with_table(KeyTable::empty(spec), keying, window)
     }
 
     /// Rebuild state around a warm table restored from a snapshot (no
@@ -277,12 +271,7 @@ pub struct IncrementalBlocks {
 impl IncrementalBlocks {
     /// Empty state for `spec`; grow with [`IncrementalBlocks::ingest`].
     pub fn new(spec: KeySpec, keying: BlockKeying) -> Self {
-        Self {
-            table: KeyTable::empty(spec),
-            keying,
-            blocks: FxHashMap::default(),
-            n_tuples: 0,
-        }
+        Self::with_table(KeyTable::empty(spec), keying)
     }
 
     /// Rebuild state around a warm table restored from a snapshot (no

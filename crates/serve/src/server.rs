@@ -643,7 +643,7 @@ fn handle_stats(state: &ServerState) -> Response {
                     "\"restored\": {}, \"state\": \"{}\", \"journal_seq\": {}, ",
                     "\"key_renders\": {}, \"key_renders_since_open\": {}, ",
                     "\"cache_hits_since_open\": {}, \"cache_misses_since_open\": {}, ",
-                    "\"cache_evictions_since_open\": {}, \"memo_evictions_since_open\": {}}}"
+                    "\"cache_evictions_since_open\": {}}}"
                 ),
                 json_string(&name),
                 s.rows(),
@@ -660,7 +660,6 @@ fn handle_stats(state: &ServerState) -> Response {
                 stats.cache_hits - e.base.stats.cache_hits,
                 stats.cache_misses - e.base.stats.cache_misses,
                 stats.cache_evictions - e.base.stats.cache_evictions,
-                stats.memo_evictions - e.base.stats.memo_evictions,
             )
         })
         .collect();

@@ -368,45 +368,29 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
     running.shutdown().unwrap();
 }
 
-/// Satellite: the decision-memo ceiling holds through the front door —
-/// evictions are reported in `/stats` and the partition is unaffected.
+/// The decision memo is the candidate set, seen through the front door:
+/// after every ingest `/stats` reports exactly one decided pair per
+/// candidate (the second batch slides SNM windows past pairs of the
+/// first, and their decisions leave with them), and there is no memo
+/// eviction counter because nothing is evicted.
 #[test]
-fn bounded_memo_reports_evictions_in_stats() {
-    let srcs = sources();
-    // Unbounded ground truth.
-    let (unbounded, client) = boot(config());
-    for src in &srcs {
-        client
-            .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
-            .unwrap();
-    }
-    let (_, truth) = client.get("/sessions/census/partition").unwrap();
-    let truth = clusters_of(&truth);
-    unbounded.shutdown().unwrap();
-
-    // Same corpus through a memo capped far below the decided-pair count.
-    let (running, client) = boot(ServeConfig::new("127.0.0.1:0", capped_pipeline()));
-    for src in &srcs {
+fn stats_report_one_decided_pair_per_candidate() {
+    let (running, client) = boot(config());
+    for src in &sources() {
         let (status, body) = client
             .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
             .unwrap();
         assert_eq!(status, 200, "{body}");
+        let (_, stats) = client.get("/stats").unwrap();
+        let candidates = json_field(&stats, "candidates").unwrap();
+        assert_ne!(candidates, "0", "{stats}");
+        assert_eq!(
+            json_field(&stats, "decided_pairs"),
+            Some(candidates),
+            "{stats}"
+        );
+        assert!(!stats.contains("memo_evictions"), "{stats}");
     }
-    let (_, body) = client.get("/sessions/census/partition").unwrap();
-    assert_eq!(
-        clusters_of(&body),
-        truth,
-        "bounded memo changed the partition"
-    );
-    let (_, stats) = client.get("/stats").unwrap();
-    let evictions: u64 = json_field(&stats, "memo_evictions_since_open")
-        .unwrap()
-        .parse()
-        .unwrap();
-    assert!(
-        evictions > 0,
-        "capacity 8 over this corpus must evict: {stats}"
-    );
     running.shutdown().unwrap();
 }
 
@@ -783,38 +767,4 @@ fn stalled_connections_are_disconnected_by_the_deadline() {
     let (status, _) = client.get("/health").unwrap();
     assert_eq!(status, 200);
     running.shutdown().unwrap();
-}
-
-/// `default_pipeline(4)` with the decision memo capped at 8 entries.
-fn capped_pipeline() -> probdedup_core::pipeline::DedupPipeline {
-    // Rebuild the default pipeline shape with the memo knob set; the
-    // serve crate has no "rebuild with capacity" shortcut on purpose —
-    // the knob belongs to the core builder.
-    use probdedup_core::pipeline::{DedupPipeline, ReductionStrategy};
-    use probdedup_core::prepare::Preparation;
-    use probdedup_decision::combine::WeightedSum;
-    use probdedup_decision::derive_sim::ExpectedSimilarity;
-    use probdedup_decision::threshold::Thresholds;
-    use probdedup_decision::xmodel::SimilarityBasedModel;
-    use probdedup_matching::vector::AttributeComparators;
-    use probdedup_model::schema::Schema;
-    use probdedup_reduction::{KeyPart, KeySpec};
-    use probdedup_textsim::JaroWinkler;
-
-    let schema = Schema::new((0..4).map(|i| format!("attr{i}")));
-    DedupPipeline::builder()
-        .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
-        .model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(WeightedSum::normalized(vec![3.0, 1.0, 1.0, 1.0]).unwrap()),
-            Arc::new(ExpectedSimilarity),
-            Thresholds::new(0.72, 0.82).unwrap(),
-        )))
-        .reduction(ReductionStrategy::SortingAlternatives {
-            spec: KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)]),
-            window: 6,
-        })
-        .threads(4)
-        .decision_memo_capacity(Some(8))
-        .build()
 }

@@ -1,4 +1,4 @@
-//! Levenshtein and Damerau-Levenshtein edit distances, normalized to `[0,1]`.
+//! Levenshtein edit distance, normalized to `[0,1]`.
 
 use crate::bitparallel::{
     class_absent_bound, class_mask, myers_ascii_64, myers_ascii_64_within, myers_distance,
@@ -253,72 +253,6 @@ impl StringComparator for Levenshtein {
     }
 }
 
-/// Normalized Damerau-Levenshtein similarity (optimal string alignment
-/// variant): like Levenshtein but counting a transposition of two adjacent
-/// characters as a single edit.
-///
-/// Typos are dominated by adjacent transpositions ("teh" → "the"), which is
-/// why record-linkage systems often prefer this kernel over plain
-/// Levenshtein; the synthetic data generator in `probdedup-datagen` injects
-/// such transpositions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DamerauLevenshtein {
-    _priv: (),
-}
-
-impl DamerauLevenshtein {
-    /// A new Damerau-Levenshtein (OSA) comparator.
-    pub fn new() -> Self {
-        Self { _priv: () }
-    }
-
-    /// Raw optimal-string-alignment distance.
-    pub fn distance(&self, a: &str, b: &str) -> usize {
-        // Empty sides short-circuit before the char collections.
-        if a.is_empty() {
-            return b.chars().count();
-        }
-        if b.is_empty() {
-            return a.chars().count();
-        }
-        let av: Vec<char> = a.chars().collect();
-        let bv: Vec<char> = b.chars().collect();
-        let (n, m) = (av.len(), bv.len());
-        // Three rows are enough for the OSA recurrence (needs i-2).
-        let mut row0: Vec<usize> = vec![0; m + 1]; // i-2
-        let mut row1: Vec<usize> = (0..=m).collect(); // i-1
-        let mut row2: Vec<usize> = vec![0; m + 1]; // i
-        for i in 1..=n {
-            row2[0] = i;
-            for j in 1..=m {
-                let cost = usize::from(av[i - 1] != bv[j - 1]);
-                let mut d = (row1[j - 1] + cost).min(row1[j] + 1).min(row2[j - 1] + 1);
-                if i > 1 && j > 1 && av[i - 1] == bv[j - 2] && av[i - 2] == bv[j - 1] {
-                    d = d.min(row0[j - 2] + 1);
-                }
-                row2[j] = d;
-            }
-            std::mem::swap(&mut row0, &mut row1);
-            std::mem::swap(&mut row1, &mut row2);
-        }
-        row1[m]
-    }
-}
-
-impl StringComparator for DamerauLevenshtein {
-    fn similarity(&self, a: &str, b: &str) -> f64 {
-        let max_len = a.chars().count().max(b.chars().count());
-        if max_len == 0 {
-            return 1.0;
-        }
-        1.0 - self.distance(a, b) as f64 / max_len as f64
-    }
-
-    fn name(&self) -> &str {
-        "damerau"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,24 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn damerau_counts_transposition_once() {
-        let d = DamerauLevenshtein::new();
-        assert_eq!(d.distance("teh", "the"), 1);
-        assert_eq!(Levenshtein::new().distance("teh", "the"), 2);
-        assert_eq!(d.distance("ca", "abc"), 3); // OSA, not full Damerau
-        assert_eq!(d.distance("abcdef", "abcdfe"), 1);
-    }
-
-    #[test]
-    fn damerau_reduces_to_levenshtein_without_transpositions() {
-        let d = DamerauLevenshtein::new();
-        let l = Levenshtein::new();
-        for (a, b) in [("kitten", "sitting"), ("abc", ""), ("", ""), ("x", "y")] {
-            assert_eq!(d.distance(a, b), l.distance(a, b), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn unicode_aware() {
         let l = Levenshtein::new();
         assert_eq!(l.distance("café", "cafe"), 1);
@@ -411,10 +327,8 @@ mod tests {
     #[test]
     fn symmetry_on_samples() {
         let l = Levenshtein::new();
-        let d = DamerauLevenshtein::new();
         for (a, b) in [("abcd", "badc"), ("Tim", "Timothy"), ("", "xy")] {
             assert_eq!(l.distance(a, b), l.distance(b, a));
-            assert_eq!(d.distance(a, b), d.distance(b, a));
         }
     }
 }

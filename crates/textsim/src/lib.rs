@@ -15,9 +15,9 @@
 //!
 //! * [`NormalizedHamming`] — the kernel used in every worked example of the
 //!   paper (`sim(Tim, Kim) = 2/3`, `sim(machinist, mechanic) = 5/9`, …).
-//! * [`Levenshtein`] / [`DamerauLevenshtein`] — edit distances, normalized.
+//! * [`Levenshtein`] — edit distance, normalized.
 //! * [`Jaro`] / [`JaroWinkler`] — the record-linkage classics.
-//! * [`AbsoluteScaled`] / [`RelativeNumeric`] — numeric closeness.
+//! * [`AbsoluteScaled`] — numeric closeness.
 //! * [`Exact`] — the equality indicator.
 //!
 //! # Kernel tiers
@@ -69,9 +69,9 @@ pub use bitparallel::{
 };
 pub use hamming::NormalizedHamming;
 pub use jaro::{Jaro, JaroWinkler};
-pub use levenshtein::{DamerauLevenshtein, Levenshtein};
+pub use levenshtein::Levenshtein;
 pub use normalize::Normalizer;
-pub use numeric::{AbsoluteScaled, RelativeNumeric};
+pub use numeric::AbsoluteScaled;
 pub use traits::{Exact, SharedComparator, StringComparator};
 
 #[cfg(test)]
@@ -86,7 +86,6 @@ mod crate_tests {
         let comparators: Vec<Box<dyn StringComparator>> = vec![
             Box::new(NormalizedHamming::new()),
             Box::new(Levenshtein::new()),
-            Box::new(DamerauLevenshtein::new()),
             Box::new(Jaro::new()),
             Box::new(JaroWinkler::default()),
             Box::new(Exact),

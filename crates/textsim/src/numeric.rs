@@ -49,41 +49,6 @@ impl NumericComparator for AbsoluteScaled {
     }
 }
 
-/// Relative-difference kernel: `max(0, 1 − |a − b| / max(|a|, |b|))`,
-/// and `1.0` when both are zero. Scale-free: 100 vs 110 scores like
-/// 1000 vs 1100.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RelativeNumeric {
-    _priv: (),
-}
-
-impl RelativeNumeric {
-    /// A new relative-difference kernel.
-    pub fn new() -> Self {
-        Self { _priv: () }
-    }
-}
-
-impl NumericComparator for RelativeNumeric {
-    fn similarity(&self, a: f64, b: f64) -> f64 {
-        if a == b {
-            return 1.0;
-        }
-        if !a.is_finite() || !b.is_finite() {
-            return 0.0;
-        }
-        let denom = a.abs().max(b.abs());
-        if denom == 0.0 {
-            return 1.0;
-        }
-        (1.0 - (a - b).abs() / denom).max(0.0)
-    }
-
-    fn name(&self) -> &str {
-        "relative"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,24 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn relative_values() {
-        let k = RelativeNumeric::new();
-        assert_eq!(k.similarity(0.0, 0.0), 1.0);
-        assert!((k.similarity(100.0, 110.0) - k.similarity(1000.0, 1100.0)).abs() < 1e-12);
-        assert!((k.similarity(100.0, 110.0) - (1.0 - 10.0 / 110.0)).abs() < 1e-12);
-        assert_eq!(k.similarity(0.0, 5.0), 0.0);
-        assert_eq!(k.similarity(-5.0, 5.0), 0.0);
-    }
-
-    #[test]
     fn range_and_symmetry() {
-        let ks: [&dyn NumericComparator; 2] = [&AbsoluteScaled::new(7.0), &RelativeNumeric::new()];
-        for k in ks {
-            for (a, b) in [(1.0, 2.0), (-3.0, 3.0), (0.0, 0.0), (1e9, 1e9 + 1.0)] {
-                let s = k.similarity(a, b);
-                assert!((0.0..=1.0).contains(&s), "{} out of range: {s}", k.name());
-                assert!((s - k.similarity(b, a)).abs() < 1e-12);
-            }
+        let k: &dyn NumericComparator = &AbsoluteScaled::new(7.0);
+        for (a, b) in [(1.0, 2.0), (-3.0, 3.0), (0.0, 0.0), (1e9, 1e9 + 1.0)] {
+            let s = k.similarity(a, b);
+            assert!((0.0..=1.0).contains(&s), "{} out of range: {s}", k.name());
+            assert!((s - k.similarity(b, a)).abs() < 1e-12);
         }
     }
 }

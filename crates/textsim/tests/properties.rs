@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use probdedup_textsim::{
-    DamerauLevenshtein, Exact, Jaro, JaroWinkler, Levenshtein, NormalizedHamming, StringComparator,
+    Exact, Jaro, JaroWinkler, Levenshtein, NormalizedHamming, StringComparator,
 };
 
 fn all_comparators() -> Vec<Box<dyn StringComparator>> {
@@ -12,7 +12,6 @@ fn all_comparators() -> Vec<Box<dyn StringComparator>> {
         Box::new(NormalizedHamming::new()),
         Box::new(NormalizedHamming::case_insensitive()),
         Box::new(Levenshtein::new()),
-        Box::new(DamerauLevenshtein::new()),
         Box::new(Jaro::new()),
         Box::new(JaroWinkler::new()),
         Box::new(Exact),
@@ -58,12 +57,6 @@ proptest! {
         let bc = l.distance(&b, &c);
         let ac = l.distance(&a, &c);
         prop_assert!(ac <= ab + bc);
-    }
-
-    /// Damerau-Levenshtein is never larger than Levenshtein.
-    #[test]
-    fn damerau_le_levenshtein(a in ".{0,16}", b in ".{0,16}") {
-        prop_assert!(DamerauLevenshtein::new().distance(&a, &b) <= Levenshtein::new().distance(&a, &b));
     }
 
     /// Hamming distance upper-bounds nothing below Levenshtein: the edit

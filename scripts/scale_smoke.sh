@@ -4,7 +4,9 @@
 # dedup it sharded under a deliberately small --memory-budget, dedup it
 # unsharded as the reference, and assert the merged sharded result is
 # identical (modulo the sharded run's extra shard-stats line) and — for
-# the default corpus and shard count — routed exactly as recorded. Then
+# the default corpus and shard count — routed exactly as recorded; the
+# unsharded run under the same budget (the session path with its caches
+# evicting) must be identical too. Then
 # the paper's Section V multi-pass SNM (possible-world selection, then one
 # pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
 # space: the first summary is pinned to the one the dense world search
@@ -61,6 +63,13 @@ diff -u "$WORK/reference.out" "$WORK/sharded.clean" \
     || fail "sharded result differs from the unsharded reference"
 
 echo "PASS: sharded merge identical to the unsharded reference"
+
+echo "== dedup: unsharded under --memory-budget $BUDGET"
+"$BIN" dedup "${COMMON[@]}" --memory-budget "$BUDGET" > "$WORK/budgeted.out"
+diff -u "$WORK/reference.out" "$WORK/budgeted.out" \
+    || fail "budgeted unsharded result differs from the unbudgeted reference"
+
+echo "PASS: unsharded run under the budget identical to the reference"
 
 multipass() { # <entities>: capped snm-multipass run into $WORK/worlds<entities>.out
     echo "== dedup: snm-multipass over $1 entities under ulimit -v 1 GiB"

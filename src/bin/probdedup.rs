@@ -58,9 +58,9 @@ USAGE:
       With --shards > 1 the sharded front door routes the candidate pairs
       by blocking-key hash / key-rank stripe, matches each shard
       independently, and merges — same result, without the unsharded
-      run's dense pair matrix and decision memo. A --memory-budget sizes
-      the similarity caches and the decision memo; the relation and the
-      candidate list stay resident whatever it says.
+      run's dense pair matrix and decision memo. A --memory-budget bounds
+      the similarity caches, sharded or not; the relation, the candidate
+      pairs and their decisions stay resident whatever it says.
 
   probdedup ingest --input FILE.pxr [--input FILE2.pxr ...]
       (same options as dedup)
@@ -118,11 +118,9 @@ COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
   --reduction full|snm-alternatives|snm-ranked|snm-multipass|blocking
   --key attr:len[,attr:len...]   --window W
   --lambda T  --mu T  --threads N
-  --memo-capacity N   bound the session's pair-decision memo to N
-                      entries (second-chance eviction; unbounded default)
-  --memory-budget B   size the similarity caches and the decision memo
-                      from ~B bytes (suffixes k/m/g; nothing else is
-                      governed — see dedup --shards)
+  --memory-budget B   bound the similarity caches from ~B bytes
+                      (suffixes k/m/g; second-chance eviction, unbounded
+                      by default; nothing else is governed)
 
 An option the subcommand does not know is a usage error (exit 2).
 
@@ -420,13 +418,6 @@ fn build_pipeline(
     let weights: Vec<f64> = std::iter::once(3.0)
         .chain(std::iter::repeat_n(1.0, schema.arity() - 1))
         .collect();
-    let memo_capacity = match args.get("memo-capacity") {
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| CliError::Usage(format!("--memo-capacity: cannot parse {v:?}")))?,
-        ),
-        None => None,
-    };
     let memory_budget = match args.get("memory-budget") {
         Some(v) => Some(parse_bytes(v)?),
         None => None,
@@ -441,7 +432,6 @@ fn build_pipeline(
         )))
         .reduction(reduction)
         .threads(threads)
-        .decision_memo_capacity(memo_capacity)
         .memory_budget(memory_budget)
         .build();
     Ok(pipeline)
@@ -607,18 +597,19 @@ fn cmd_ingest(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let (inputs, relations, pipeline) = parse_pipeline(args)?;
     args.reject_unread()?;
     let mut session = pipeline.session();
+    let mut classified = 0;
     for (path, rel) in inputs.iter().zip(&relations) {
         let step = session
             .ingest(rel)
             .map_err(|e| CliError::Parse(e.to_string()))?;
+        classified += step.new_decisions.len();
         writeln!(out, "ingested {path}: {}", step.summary())?;
     }
     writeln!(
         out,
-        "session: {} key renders, {} interned values, {} pairs classified",
+        "session: {} key renders, {} interned values, {classified} pairs classified",
         session.key_render_count(),
         session.interned_value_count(),
-        session.decided_count(),
     )?;
     print_result(out, &session.result())?;
     Ok(())

@@ -24,7 +24,7 @@
 //!   and blocking variants (Figs. 8–14).
 //! * [`datagen`] — seeded synthetic probabilistic datasets with ground truth.
 //! * [`eval`] — verification metrics (Section III-E): precision, recall, F1,
-//!   pairs completeness, reduction ratio, threshold sweeps.
+//!   pairs completeness, reduction ratio.
 //! * [`core`] — the end-to-end pipeline: preparation → reduction → matching
 //!   → decision → clustering (+ fusion and probabilistic results).
 //! * [`entity`] — entity resolution over the pairwise verdicts: match-graph

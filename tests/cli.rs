@@ -537,8 +537,8 @@ fn helpful_errors() {
 }
 
 /// Options nobody reads are a usage error (exit 2) — a typo'd flag must
-/// not silently run with the default, and the `--cache` switch of the
-/// removed plain engine must not be silently ignored either.
+/// not silently run with the default, and the removed `--cache` and
+/// `--memo-capacity` switches must not be silently ignored either.
 #[test]
 fn unknown_options_are_usage_errors() {
     let dir = temp_dir("unknownflags");
@@ -565,15 +565,21 @@ fn unknown_options_are_usage_errors() {
         "a usage error must not run the pipeline"
     );
 
-    // The stale engine switch, on a one-shot and on a session command.
+    // The stale engine switch and the removed memo ceiling, on a one-shot
+    // and on a session command.
     for cmd in ["dedup", "ingest"] {
-        let out = bin()
-            .args([cmd, "--input", &src0, "--cache", "false"])
-            .output()
-            .expect("run with --cache");
-        assert_eq!(out.status.code(), Some(2), "{cmd}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("unknown option --cache"), "{cmd}: {stderr}");
+        for (flag, value) in [("--cache", "false"), ("--memo-capacity", "8")] {
+            let out = bin()
+                .args([cmd, "--input", &src0, flag, value])
+                .output()
+                .expect("run with a removed flag");
+            assert_eq!(out.status.code(), Some(2), "{cmd} {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown option {flag}")),
+                "{cmd}: {stderr}"
+            );
+        }
     }
 
     // Commands without pipeline options check too.

@@ -7,11 +7,12 @@
 //! the exact run is even byte-identical to its unbounded-cache twin (and
 //! agrees with the reference to rounding), and the stats prove eviction
 //! actually happened (`cache_evictions > 0` — the capacities are far
-//! below the workload's distinct symbol pairs).
+//! below the workload's distinct symbol pairs). The same holds when the
+//! capacity is derived from a `memory_budget` on an unsharded run.
 
 use std::sync::Arc;
 
-use probdedup::core::pipeline::{DedupPipeline, ReductionStrategy};
+use probdedup::core::pipeline::{DedupPipeline, DedupPipelineBuilder, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::test_support::{
     assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
@@ -63,13 +64,16 @@ fn model() -> Arc<dyn XTupleDecisionModel> {
     ))
 }
 
-fn pipeline(bounded: bool, capacity: Option<usize>) -> DedupPipeline {
-    let b = DedupPipeline::builder()
+fn builder() -> DedupPipelineBuilder {
+    DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
         .comparators(comparators())
         .reduction(ReductionStrategy::Full)
         .threads(2)
-        .cache_capacity(capacity);
+}
+
+fn pipeline(bounded: bool, capacity: Option<usize>) -> DedupPipeline {
+    let b = builder().cache_capacity(capacity);
     if bounded {
         b.classify_only(phi(), thresholds()).build()
     } else {
@@ -115,4 +119,24 @@ fn exact_decisions_are_byte_identical_under_eviction() {
             "exact capacity={capacity}: expected evictions"
         );
     }
+}
+
+/// A `memory_budget` on the **unsharded** front door is a cache capacity
+/// and nothing else (4 KiB → 25 entries per cache): the session's
+/// candidate pairs and decisions are not governed, so the run is
+/// byte-identical to the unbudgeted one, with evictions to show for it.
+#[test]
+fn unsharded_memory_budget_only_evicts_cache_entries() {
+    let r = source();
+    let reference = pipeline(false, None).run(&[&r]).unwrap();
+    let budgeted = builder()
+        .model(model())
+        .memory_budget(Some(1 << 12))
+        .build()
+        .run(&[&r])
+        .unwrap();
+    assert_eq!(reference.decisions, budgeted.decisions);
+    assert_eq!(reference.clusters, budgeted.clusters);
+    assert_eq!(reference.stats.cache_evictions, 0);
+    assert!(budgeted.stats.cache_evictions > 0, "{:?}", budgeted.stats);
 }

@@ -5,7 +5,10 @@
 //! sources — under the exact decision model and the classify-only
 //! (bounded) mode, across thread counts (the equality contract is stated
 //! in ARCHITECTURE.md, "The engine"). Plus the warm-rerun certificate: re-running an unchanged corpus
-//! performs **zero** key renders and interns zero new values.
+//! performs **zero** key renders and interns zero new values. And the
+//! memo invariant: after every `run`, `ingest` and `open`, under all nine
+//! reduction strategies, the session holds exactly one decision per
+//! current candidate pair.
 //!
 //! [`DedupSession`]: probdedup::core::session::DedupSession
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
@@ -29,7 +32,9 @@ use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::model::xtuple::XTuple;
-use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
+use probdedup::reduction::{
+    ClusterBlockingConfig, ConflictResolution, KeyPart, KeySpec, RankingFunction, WorldSelection,
+};
 use probdedup::textsim::JaroWinkler;
 
 /// The workload corpus: two small dirty sources, concatenated (we re-split
@@ -74,6 +79,35 @@ fn strategies() -> Vec<ReductionStrategy> {
             selection: WorldSelection::TopK(3),
         },
     ]
+}
+
+/// All nine [`ReductionStrategy`] variants: [`strategies`] plus the four
+/// it leaves out.
+fn all_strategies() -> Vec<ReductionStrategy> {
+    let mut all = strategies();
+    all.extend([
+        ReductionStrategy::RankedKeys {
+            spec: key(),
+            window: 4,
+            ranking: RankingFunction::ExpectedScore,
+        },
+        ReductionStrategy::BlockingConflictResolved {
+            spec: key(),
+            strategy: ConflictResolution::MostProbableAlternative,
+        },
+        ReductionStrategy::BlockingMultipass {
+            spec: key(),
+            selection: WorldSelection::TopK(3),
+        },
+        ReductionStrategy::ClusterBlocking {
+            spec: key(),
+            config: ClusterBlockingConfig {
+                k: 5,
+                ..Default::default()
+            },
+        },
+    ]);
+    all
 }
 
 fn comparators() -> AttributeComparators {
@@ -201,6 +235,55 @@ proptest! {
             session.ingest(src).unwrap();
         }
         assert_equivalent(&one_shot, &session.result(), &label);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The decision memo is the candidate set: under every reduction
+    /// strategy and any batch split, after every step — a leading `run`
+    /// or an `ingest`, and a final snapshot round trip — the session
+    /// holds exactly one decision per current candidate (windows that
+    /// slide past a pair take its decision along), and the merged view
+    /// still equals the one-shot run.
+    #[test]
+    fn memo_is_exactly_the_candidate_set(
+        cuts in proptest::collection::vec(0usize..10_000, 0..5),
+        run_first in any::<bool>(),
+        bounded in any::<bool>(),
+    ) {
+        let tuples = corpus();
+        let sources = split_sources(&tuples, &cuts);
+        let refs: Vec<&XRelation> = sources.iter().collect();
+        for strategy in all_strategies() {
+            let label = format!(
+                "{} bounded={bounded} run_first={run_first} batches={}",
+                strategy.name(),
+                sources.len()
+            );
+            let pipe = pipeline(strategy, bounded, 2);
+            let one_shot = pipe.run(&refs).unwrap();
+            let mut session = pipe.session();
+            for (step, src) in sources.iter().enumerate() {
+                if step == 0 && run_first {
+                    session.run(&[src]).unwrap();
+                } else {
+                    session.ingest(src).unwrap();
+                }
+                prop_assert_eq!(
+                    session.decided_count(),
+                    session.candidate_count(),
+                    "{}: after step {}", label, step
+                );
+            }
+            assert_equivalent(&one_shot, &session.result(), &label);
+
+            let reopened =
+                DedupSession::from_snapshot_bytes(&session.to_snapshot_bytes(), &pipe).unwrap();
+            prop_assert_eq!(reopened.decided_count(), one_shot.candidates, "{}: open", label);
+            assert_equivalent(&one_shot, &reopened.result(), &label);
+        }
     }
 }
 

@@ -12,6 +12,9 @@
 //! * **Golden fixture**: a committed format-version-1 snapshot still
 //!   loads — the canary that format changes bump the version instead of
 //!   silently breaking old files.
+//! * **Stale-memo fixture**: a committed format-version-1 snapshot from
+//!   when the decision memo kept every pair ever classified still opens;
+//!   the decisions of pairs that left the candidate set are dropped.
 //! * **Old-engine files**: a format-v1 snapshot written by the removed
 //!   plain (uncached) engine is refused with a typed
 //!   [`SnapshotError::ConfigMismatch`] that says to re-run the corpus.
@@ -36,7 +39,7 @@ use probdedup::decision::threshold::Thresholds;
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
-use probdedup::model::snapshot::{SectionWriter, SnapshotError, SnapshotWriter};
+use probdedup::model::snapshot::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
 use probdedup::reduction::{KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
@@ -355,6 +358,63 @@ fn golden_fixture_still_loads() {
     let restored = reopened.result();
     assert_eq!(fresh_result.decisions, restored.decisions);
     assert_eq!(fresh_result.clusters, restored.clusters);
+}
+
+/// `tests/fixtures/stale-memo-v1.snap` was written by the last commit
+/// whose decision memo kept *every pair ever classified* (a35770c): the
+/// seeded corpus ingested in four batches under SNM window 4, so its
+/// DECIDED section holds 73 decisions for 51 candidates — 22 of pairs a
+/// later batch's windows slid past. Such a file still opens (format v1 is
+/// unchanged): the departed pairs' decisions are dropped, never rejected,
+/// and the partition is the one that commit reported. The current writer
+/// cannot produce such a file, which is why it is a committed fixture
+/// without a regenerator.
+#[test]
+fn stale_memo_fixture_opens_pruned() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/stale-memo-v1.snap"
+    );
+    let bytes = std::fs::read(path).expect("committed fixture tests/fixtures/stale-memo-v1.snap");
+
+    // The file really is stale: skip to its DECIDED section and count.
+    let mut reader = SnapshotReader::open(&bytes).unwrap();
+    for tag in [
+        TAG_CONFIG,
+        TAG_RELATION,
+        TAG_OFFSETS,
+        TAG_MATCH_POOL,
+        TAG_CACHES,
+        TAG_REDUCTION,
+    ] {
+        reader.section(tag, "skipped section").unwrap();
+    }
+    let stored = reader
+        .section(TAG_DECIDED, "decisions section")
+        .unwrap()
+        .take_len(25)
+        .unwrap();
+    assert_eq!(stored, 73);
+
+    let (pipe, _) = canonical_snapshot();
+    let reopened =
+        DedupSession::from_snapshot_bytes(&bytes, &pipe).expect("stale-memo fixture must load");
+    assert_eq!(reopened.candidate_count(), 51);
+    assert_eq!(reopened.decided_count(), 51);
+    let restored = reopened.result();
+    assert_eq!(
+        restored.clusters,
+        [[1, 11], [3, 12], [5, 13], [7, 18], [15, 16]]
+    );
+    assert_eq!(restored.source_offsets, [0, 5, 10, 15]);
+
+    // The same rows in one batch decide every candidate identically, and
+    // what is saved from here on holds the candidates' decisions only.
+    let srcs = sources();
+    let refs: Vec<&XRelation> = srcs.iter().collect();
+    let fresh = pipe.session().run(&refs).unwrap();
+    assert_eq!(fresh.decisions, restored.decisions);
+    assert!(reopened.to_snapshot_bytes().len() < bytes.len());
 }
 
 /// Writes `tests/fixtures/golden-v1.snap`. Ignored in normal runs — the
