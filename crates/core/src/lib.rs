@@ -85,6 +85,7 @@ pub mod snapshot;
 #[doc(hidden)]
 pub mod test_support;
 pub mod wal;
+pub(crate) mod warm;
 
 pub use cluster::UnionFind;
 pub use exec::par_map_index;

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use probdedup_model::relation::XRelation;
 use probdedup_model::value::Value;
+use probdedup_model::xtuple::XTuple;
 use probdedup_textsim::Normalizer;
 
 /// One preparation step.
@@ -94,6 +95,12 @@ impl Preparation {
 
     /// Standardize a relation in place.
     pub fn apply(&self, relation: &mut XRelation) {
+        self.apply_rows(relation.xtuples_mut());
+    }
+
+    /// Standardize `tuples` in place — preparation is per-tuple, so a
+    /// session prepares just the rows a batch appended.
+    pub fn apply_rows(&self, tuples: &mut [XTuple]) {
         for step in &self.steps {
             let (attr, map): (usize, ValueRewrite<'_>) = match step {
                 Step::Normalize(attr, norm) => (
@@ -117,7 +124,7 @@ impl Preparation {
                     )
                 }
             };
-            for t in relation.xtuples_mut() {
+            for t in tuples.iter_mut() {
                 for alt in t.alternatives_mut() {
                     let pv = alt.value_mut(attr);
                     *pv = pv.map_values(&map);

@@ -7,9 +7,10 @@
 //! one-shot [`DedupPipeline`] throws away
 //! exactly the state PRs 1–4 made reusable; a session keeps it resident:
 //!
-//! * the **interner pools** — the matching [`ValuePool`] and the reduction
+//! * the **interner pools** — the matching
+//!   [`ValuePool`](probdedup_model::intern::ValuePool) and the reduction
 //!   key pools inside each warm
-//!   [`KeyTable`]: values and rendered key
+//!   [`KeyTable`](probdedup_reduction::KeyTable): values and rendered key
 //!   prefixes are interned once per distinct sighting, ever;
 //! * the **similarity state** — sharded
 //!   [`SymbolCache`](probdedup_matching::SymbolCache)s, bound-verdict
@@ -19,14 +20,19 @@
 //!   [`InternedComparators`](probdedup_matching::InternedComparators),
 //!   grown append-only via `sync_pool`;
 //! * the **reduction state** — per-strategy incremental structures
-//!   ([`IncrementalSnm`], [`IncrementalBlocks`], …) that rank-insert new
-//!   tuples into the resident sorted/bucketed order instead of re-sorting;
+//!   ([`IncrementalSnm`](probdedup_reduction::IncrementalSnm),
+//!   [`IncrementalBlocks`](probdedup_reduction::IncrementalBlocks), …)
+//!   that rank-insert new tuples into the resident sorted/bucketed order
+//!   instead of re-sorting;
 //! * the **decision memo** — the [`PairDecision`] of every pair in the
 //!   *current* candidate set (the paper's Fig. 12 matrix: each candidate
 //!   is matched once), so an ingest classifies only the pairs it adds and
 //!   [`DedupSession::result`] classifies nothing. A pair that leaves the
-//!   candidate set takes its decision along, so the memo never outgrows
-//!   the candidates ([`DedupSession::decided_count`]).
+//!   candidate set takes its decision along: the memo **is** the
+//!   candidate set ([`DedupSession::candidate_count`]). The ordered
+//!   candidate *list* is a read concern — [`DedupSession::result`]
+//!   regenerates it from the warm reduction state once per ingest
+//!   generation; no write carries it.
 //!
 //! Two entry points:
 //!
@@ -40,14 +46,16 @@
 //! * [`DedupSession::ingest`] — append one new source to the resident
 //!   corpus: intern only the new tuples, grow the reduction state
 //!   incrementally, classify **only** the candidate pairs that involve
-//!   new rows, and merge into the resident result. The contract,
-//!   property-tested in `tests/session_incremental.rs`: ingesting a
-//!   corpus in *any* batch split equals one batch
+//!   new rows, and merge into the memo. Growing the reduction state
+//!   returns what the batch changed (the pairs that arrived, the pairs a
+//!   window slid past — see `WarmReduction`), so a write costs what it
+//!   adds, not what is resident. The contract, property-tested in
+//!   `tests/session_incremental.rs`: after ingesting a corpus in *any*
+//!   batch split, [`result`](DedupSession::result) equals one batch
 //!   [`run`](DedupSession::run) under the engine's equality contract
-//!   (ARCHITECTURE.md, "The engine") — candidate generation is
-//!   regenerated over the warm state each ingest (pure integer work), so
-//!   even world-dependent strategies (multi-pass over possible worlds,
-//!   cluster blocking) stay split-invariant.
+//!   (ARCHITECTURE.md, "The engine") — for the world-dependent strategies
+//!   too (multi-pass over possible worlds, cluster blocking), whose
+//!   candidates depend on the whole corpus and are regenerated per ingest.
 //!
 //! What persists vs. what invalidates: pools, caches and sidecars are
 //! keyed on **values**, so they survive any corpus change and any number
@@ -101,33 +109,28 @@
 //! ```
 
 use std::path::Path;
+use std::sync::OnceLock;
 
 use probdedup_decision::threshold::MatchClass;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::SourceId;
-use probdedup_model::intern::{KeyPool, ValuePool};
 use probdedup_model::relation::XRelation;
 use probdedup_model::snapshot::{
     read_key_pool, read_value_pool, read_xrelation, write_key_pool, write_value_pool,
     write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use probdedup_model::util::FxHashMap;
-use probdedup_model::xtuple::XTuple;
-use probdedup_reduction::{
-    block_multipass_with_table, cluster_blocking, multipass_snm_with_table, BlockKeying,
-    CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, KeySpec, KeyTable,
-    SnmKeying,
-};
+use probdedup_reduction::CandidatePairs;
 
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
     match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, PipelineConfig,
-    ReductionStrategy,
 };
 use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
     TAG_MATCH_POOL, TAG_OFFSETS, TAG_REDUCTION, TAG_RELATION,
 };
+use crate::warm::WarmReduction;
 
 /// A memoized entity partition of the resident corpus, keyed by the
 /// clustering strategy that produced it.
@@ -201,168 +204,6 @@ impl IncrementalResult {
     }
 }
 
-/// Per-strategy warm reduction state (see the module docs).
-///
-/// Under `Full`, `Snm`, `Ranked` and `Blocks` a pair that left the
-/// candidate set never returns (appended rows only push window entries
-/// apart and only grow blocks). `Worlds` and `Stateless` regenerate from
-/// the whole corpus, so a pair may leave and re-enter; it is then
-/// classified again — deterministic, so the result is the same.
-enum WarmReduction {
-    /// Full comparison: no state, candidates are all pairs.
-    Full,
-    /// World-independent SNM (sorting alternatives / conflict-resolved):
-    /// warm table + rank-sorted resident entry list.
-    Snm(IncrementalSnm),
-    /// Probabilistic-ranking SNM: resident ranked order.
-    Ranked(IncrementalRankedSnm),
-    /// Blocking (per-alternative / conflict-resolved): resident blocks.
-    Blocks(IncrementalBlocks),
-    /// World-dependent multi-pass SNM/blocking: world selection depends on
-    /// the whole corpus, so the worlds are re-selected
-    /// ([`top_k_worlds`](probdedup_model::world::top_k_worlds), whose order
-    /// and cost are stated there — ≈ 5 ms on 3 400 benchmark rows) and
-    /// candidates regenerated from the warm extended table each time
-    /// (sort-only — zero renders for seen values).
-    Worlds(KeyTable),
-    /// Cluster blocking: centroids depend on the whole corpus; fully
-    /// regenerated per change.
-    Stateless,
-}
-
-impl WarmReduction {
-    /// The warm state of `strategy`: around snapshot-restored key `pools`
-    /// when given, around fresh ones otherwise.
-    fn for_strategy(strategy: &ReductionStrategy, pools: Option<(ValuePool, KeyPool)>) -> Self {
-        let table = |spec: &KeySpec| match pools {
-            Some((values, keys)) => KeyTable::from_pools(spec.clone(), values, keys),
-            None => KeyTable::empty(spec.clone()),
-        };
-        match strategy {
-            ReductionStrategy::Full => Self::Full,
-            ReductionStrategy::SortingAlternatives { spec, window } => Self::Snm(
-                IncrementalSnm::with_table(table(spec), SnmKeying::PerAlternative, *window),
-            ),
-            ReductionStrategy::ConflictResolved {
-                spec,
-                window,
-                strategy,
-            } => Self::Snm(IncrementalSnm::with_table(
-                table(spec),
-                SnmKeying::Resolved(*strategy),
-                *window,
-            )),
-            ReductionStrategy::RankedKeys {
-                spec,
-                window,
-                ranking,
-            } => Self::Ranked(IncrementalRankedSnm::new(spec.clone(), *ranking, *window)),
-            ReductionStrategy::BlockingAlternatives { spec } => Self::Blocks(
-                IncrementalBlocks::with_table(table(spec), BlockKeying::PerAlternative),
-            ),
-            ReductionStrategy::BlockingConflictResolved { spec, strategy } => Self::Blocks(
-                IncrementalBlocks::with_table(table(spec), BlockKeying::Resolved(*strategy)),
-            ),
-            ReductionStrategy::MultipassWorlds { spec, .. }
-            | ReductionStrategy::BlockingMultipass { spec, .. } => Self::Worlds(table(spec)),
-            ReductionStrategy::ClusterBlocking { .. } => Self::Stateless,
-        }
-    }
-
-    /// Grow the warm state with tuples `start..` of the combined corpus.
-    fn ingest_rows(&mut self, new_tuples: &[XTuple], start: usize) {
-        match self {
-            Self::Full | Self::Stateless => {}
-            Self::Snm(s) => s.ingest(new_tuples, start),
-            Self::Ranked(r) => r.ingest(new_tuples, start),
-            Self::Blocks(b) => b.ingest(new_tuples, start),
-            Self::Worlds(table) => table.extend(new_tuples),
-        }
-    }
-
-    /// Drop row-indexed state, keep the warm pools.
-    fn reset_rows(&mut self) {
-        match self {
-            Self::Full | Self::Stateless => {}
-            Self::Snm(s) => s.reset_rows(),
-            Self::Ranked(r) => r.reset_rows(),
-            Self::Blocks(b) => b.reset_rows(),
-            Self::Worlds(table) => table.clear_rows(),
-        }
-    }
-
-    /// The current full candidate set over the resident corpus — pairs
-    /// and order identical to the one-shot strategy over the same tuples.
-    fn current(&self, tuples: &[XTuple], strategy: &ReductionStrategy) -> CandidatePairs {
-        match self {
-            Self::Full => CandidatePairs::full(tuples.len()),
-            Self::Snm(s) => s.current_pairs(),
-            Self::Ranked(r) => r.current_pairs(),
-            Self::Blocks(b) => b.current_pairs(),
-            Self::Worlds(table) => match strategy {
-                ReductionStrategy::MultipassWorlds {
-                    window, selection, ..
-                } => multipass_snm_with_table(tuples, table, *window, *selection),
-                ReductionStrategy::BlockingMultipass { selection, .. } => {
-                    block_multipass_with_table(tuples, table, *selection)
-                }
-                other => unreachable!("Worlds state for strategy {}", other.name()),
-            },
-            Self::Stateless => match strategy {
-                ReductionStrategy::ClusterBlocking { spec, config } => {
-                    cluster_blocking(tuples, spec, config).0
-                }
-                other => unreachable!("Stateless state for strategy {}", other.name()),
-            },
-        }
-    }
-
-    /// The warm key table, if this strategy keeps one (the snapshot
-    /// persists its pools; `Full`, ranked SNM and cluster blocking carry
-    /// no poolable state).
-    fn table(&self) -> Option<&KeyTable> {
-        match self {
-            Self::Full | Self::Ranked(_) | Self::Stateless => None,
-            Self::Snm(s) => Some(s.table()),
-            Self::Blocks(b) => Some(b.table()),
-            Self::Worlds(table) => Some(table),
-        }
-    }
-
-    /// Rebuild the warm state of `strategy` around snapshot-restored key
-    /// pools. `pools` must be present exactly for the table-keeping
-    /// strategies ([`table`](Self::table)); a mismatch means the snapshot
-    /// was written under a different configuration than the one it is
-    /// being opened with.
-    fn restore(
-        strategy: &ReductionStrategy,
-        pools: Option<(ValuePool, KeyPool)>,
-    ) -> Result<Self, SnapshotError> {
-        let expects_table = !matches!(
-            strategy,
-            ReductionStrategy::Full
-                | ReductionStrategy::RankedKeys { .. }
-                | ReductionStrategy::ClusterBlocking { .. }
-        );
-        if expects_table != pools.is_some() {
-            return Err(SnapshotError::Malformed {
-                context: "reduction table presence",
-            });
-        }
-        Ok(Self::for_strategy(strategy, pools))
-    }
-
-    /// Key renders the warm state has performed (0 for stateless modes).
-    fn render_count(&self) -> u64 {
-        match self {
-            Self::Full | Self::Ranked(_) | Self::Stateless => 0,
-            Self::Snm(s) => s.render_count(),
-            Self::Blocks(b) => b.render_count(),
-            Self::Worlds(table) => table.render_count(),
-        }
-    }
-}
-
 /// A persistent dedup session: the pipeline's warm state plus the
 /// resident corpus and its classified pairs. Build with
 /// [`DedupPipelineBuilder::build_session`](crate::pipeline::DedupPipelineBuilder::build_session)
@@ -375,12 +216,14 @@ pub struct DedupSession {
     source_offsets: Vec<usize>,
     reduction: WarmReduction,
     matching: MatchingEngine,
-    /// Current candidate set over the resident corpus.
-    candidates: CandidatePairs,
-    /// The decision of every pair in `candidates`, and of no other pair,
-    /// keyed on `(lo, hi)` row indices: [`run`](Self::run) fills it,
-    /// [`ingest`](Self::ingest) adds what is new and prunes what left.
+    /// The decision of every current candidate pair, and of no other
+    /// pair, keyed on `(lo, hi)` row indices: [`run`](Self::run) fills it,
+    /// [`ingest`](Self::ingest) adds what arrived and drops what departed.
     decided: FxHashMap<(usize, usize), PairDecision>,
+    /// The candidates in one-shot order, for [`result`](Self::result):
+    /// regenerated from `reduction` on first read, emptied by every write
+    /// that does not regenerate it anyway.
+    order: OnceLock<CandidatePairs>,
     /// Accumulated bounded-tier counters (match, nonmatch, possible,
     /// exhausted) across the session's classifications.
     tiers: [u64; 4],
@@ -405,8 +248,8 @@ impl DedupSession {
             source_offsets: Vec::new(),
             reduction,
             matching,
-            candidates: CandidatePairs::new(0),
             decided: FxHashMap::default(),
+            order: OnceLock::new(),
             tiers: [0; 4],
             journal_seq: 0,
             entities: Vec::new(),
@@ -461,17 +304,24 @@ impl DedupSession {
         self.source_offsets.len()
     }
 
-    /// Size of the current resident candidate set.
+    /// Size of the current resident candidate set — the decision memo's,
+    /// which holds exactly one decision per candidate pair.
     pub fn candidate_count(&self) -> usize {
-        self.candidates.len()
+        self.decided.len()
     }
 
-    /// Decisions held in the memo: one per current candidate pair, so
-    /// equal to [`candidate_count`](Self::candidate_count) after every
-    /// [`run`](Self::run), [`ingest`](Self::ingest) and
-    /// [`open`](Self::open).
+    /// Decisions held in the memo: one per candidate pair, so always equal
+    /// to [`candidate_count`](Self::candidate_count).
     pub fn decided_count(&self) -> usize {
         self.decided.len()
+    }
+
+    /// Every current candidate pair's decision, in no particular order —
+    /// for consumers that are pair-order-invariant (the entity layer's
+    /// match graph) and so need neither the ordered list nor the relation
+    /// clone of [`result`](Self::result).
+    pub fn decisions(&self) -> impl Iterator<Item = &PairDecision> {
+        self.decided.values()
     }
 
     /// Total key-prefix renders the warm reduction state has performed —
@@ -502,7 +352,6 @@ impl DedupSession {
             // warm pools stay), exactly as running over an empty relation
             // would, so `result()` agrees with what this run returned.
             self.reset_rows();
-            self.candidates = CandidatePairs::new(0);
             self.relation = None;
             self.source_offsets.clear();
             return Ok(DedupResult::empty());
@@ -513,16 +362,13 @@ impl DedupSession {
             self.reset_rows();
             self.reduction.ingest_rows(combined.xtuples(), 0);
             self.matching.ingest(combined.xtuples());
-            self.candidates = self
-                .reduction
-                .current(combined.xtuples(), &self.config.reduction);
             self.relation = Some(combined);
         }
         self.source_offsets = offsets;
 
         // Classify every candidate (on a warm rerun the caches answer
         // almost everything) and refresh the decision memo.
-        let pairs: Vec<(usize, usize)> = self.candidates.pairs().to_vec();
+        let pairs: Vec<(usize, usize)> = self.ordered_candidates().pairs().to_vec();
         let decisions = self.classify(&pairs);
         // Not `extend`: on a warm rerun every key is already present, and
         // `extend` would first reserve room for half of them again.
@@ -537,6 +383,7 @@ impl DedupSession {
     /// warm value-keyed pools and caches.
     fn reset_rows(&mut self) {
         self.entities.clear();
+        self.order.take();
         self.reduction.reset_rows();
         self.matching.reset_rows();
         self.decided.clear();
@@ -546,72 +393,76 @@ impl DedupSession {
     /// Append one source to the resident corpus and classify **only** the
     /// new candidate pairs (new-vs-resident and new-vs-new).
     ///
-    /// The candidate set itself is regenerated over the warm incremental
-    /// state (rank-inserted SNM entries, resident blocks, extended key
-    /// tables — integer work, no re-rendering and no re-sorting of
-    /// resident data), which keeps every strategy **split-invariant**:
-    /// after the last ingest, [`result`](Self::result) equals what one
-    /// batch [`run`](Self::run) over the concatenated sources returns.
+    /// Growing the warm reduction state (rank-inserted SNM entries,
+    /// resident blocks — integer work, no re-rendering and no re-sorting of
+    /// resident data) reports what the batch changed: the pairs that
+    /// arrived are classified and join the memo, the pairs a window slid
+    /// past leave it. No resident candidate is visited. (The
+    /// world-dependent strategies regenerate and diff instead — see
+    /// `WarmReduction`.) Every strategy stays **split-invariant**: after
+    /// the last ingest, [`result`](Self::result) equals what one batch
+    /// [`run`](Self::run) over the concatenated sources returns.
     pub fn ingest(&mut self, source: &XRelation) -> Result<IncrementalResult, ModelError> {
         self.validate_ingest(source)?;
-        // New rows and new decisions: any memoized entity partition is
-        // stale from here on.
+        // New rows and new decisions: any memoized entity partition and
+        // the ordered candidate list are stale from here on.
         self.entities.clear();
-        // Prepare the batch in isolation (preparation is per-tuple).
-        let mut batch = XRelation::new(source.schema().clone());
-        for t in source.xtuples() {
-            batch.push(t.clone());
-        }
-        self.config.preparation.apply(&mut batch);
+        self.order.take();
 
         let start = self.rows();
         let source_id = SourceId(self.source_offsets.len() as u32);
         self.source_offsets.push(start);
+        // Append, then prepare the appended rows in place (preparation is
+        // per-tuple).
         let rel = self
             .relation
             .get_or_insert_with(|| XRelation::new(source.schema().clone()));
-        for t in batch.xtuples() {
+        for t in source.xtuples() {
             rel.push(t.clone());
         }
+        self.config
+            .preparation
+            .apply_rows(&mut rel.xtuples_mut()[start..]);
 
-        // Grow the warm state over the new rows only. (The expect is an
-        // invariant, not input validation: `get_or_insert_with` above
-        // guarantees the relation is set.)
-        let rel = self.relation.as_ref().expect("resident relation set");
+        // Grow the warm state over the new rows only.
         let new_tuples = &rel.xtuples()[start..];
-        self.reduction.ingest_rows(new_tuples, start);
+        let delta = self.reduction.ingest_delta(new_tuples, start);
         self.matching.ingest(new_tuples);
 
-        // Regenerate the candidate set and classify what is new.
-        let candidates = self
-            .reduction
-            .current(rel.xtuples(), &self.config.reduction);
-        let todo: Vec<(usize, usize)> = candidates
-            .pairs()
-            .iter()
-            .copied()
-            .filter(|p| !self.decided.contains_key(p))
-            .collect();
-        let new_decisions = self.classify(&todo);
+        let new_decisions = match delta {
+            Some(delta) => {
+                let new_decisions = self.classify(&delta.arrived);
+                for pair in &delta.departed {
+                    self.decided.remove(pair);
+                }
+                new_decisions
+            }
+            None => {
+                // Regenerate, classify what the memo does not hold, and
+                // drop what the memo holds beyond the new candidates.
+                let candidates = self
+                    .reduction
+                    .current(rel.xtuples(), &self.config.reduction);
+                let todo: Vec<(usize, usize)> = candidates
+                    .pairs()
+                    .iter()
+                    .copied()
+                    .filter(|p| !self.decided.contains_key(p))
+                    .collect();
+                if self.decided.len() + todo.len() > candidates.len() {
+                    self.decided.retain(|&(i, j), _| candidates.contains(i, j));
+                }
+                self.order = OnceLock::from(candidates);
+                self.classify(&todo)
+            }
+        };
         self.decided
             .extend(new_decisions.iter().map(|d| (d.pair, *d)));
-        // The memo now covers the candidates; it is larger only if a pair
-        // left them (a window slid past it). Its other keys are the
-        // previous candidate set, so that list — not the whole table — is
-        // what gets tested against the new pair matrix.
-        if self.decided.len() > candidates.len() {
-            for &(i, j) in self.candidates.pairs() {
-                if !candidates.contains(i, j) {
-                    self.decided.remove(&(i, j));
-                }
-            }
-        }
-        self.candidates = candidates;
         Ok(IncrementalResult {
             source: source_id,
             new_rows: start..self.rows(),
             new_decisions,
-            candidates: self.candidates.len(),
+            candidates: self.decided.len(),
         })
     }
 
@@ -640,7 +491,7 @@ impl DedupSession {
     /// run over the same corpus returns (modulo cumulative counters).
     pub fn result(&self) -> DedupResult {
         let decisions: Vec<PairDecision> = self
-            .candidates
+            .ordered_candidates()
             .pairs()
             .iter()
             .map(|p| {
@@ -651,6 +502,18 @@ impl DedupSession {
             })
             .collect();
         self.snapshot(decisions)
+    }
+
+    /// The candidate set in one-shot order: regenerated from the warm
+    /// reduction state on the first call after a write, shared by every
+    /// read until the next one.
+    fn ordered_candidates(&self) -> &CandidatePairs {
+        self.order.get_or_init(|| match &self.relation {
+            Some(rel) => self
+                .reduction
+                .current(rel.xtuples(), &self.config.reduction),
+            None => CandidatePairs::new(0),
+        })
     }
 
     /// Session-cumulative matching counters (cache traffic, interned
@@ -722,7 +585,7 @@ impl DedupSession {
         DedupResult {
             relation,
             source_offsets: self.source_offsets.clone(),
-            candidates: self.candidates.len(),
+            candidates: decisions.len(),
             decisions,
             clusters,
             stats: self.stats(),
@@ -735,7 +598,7 @@ impl DedupSession {
     /// (see the [`crate::snapshot`] module docs for the section layout).
     ///
     /// The bytes capture everything value-keyed — the prepared resident
-    /// relation, the matching [`ValuePool`], every memoized similarity /
+    /// relation, the matching `ValuePool`, every memoized similarity /
     /// verdict cache entry, the reduction key pools with their prefix
     /// memos, the decision memo and the bounded-tier counters. Row-keyed
     /// mirrors are rebuilt on [`open`](Self::open) from the restored pools
@@ -1147,13 +1010,14 @@ impl DedupSession {
         // fresh locals first, so a failure never leaves `self` half-set.
         let mut reduction = WarmReduction::restore(&self.config.reduction, reduction_pools)?;
         let mut matching = MatchingEngine::with_pool(&self.config, match_pool);
-        let mut candidates = CandidatePairs::new(0);
+        let order = OnceLock::new();
         if let Some(rel) = &relation {
             // Re-key and re-intern the resident tuples through the warm
             // pools: every prefix render and symbol lookup is a memo hit.
             reduction.ingest_rows(rel.xtuples(), 0);
             matching.ingest(rel.xtuples());
-            candidates = reduction.current(rel.xtuples(), &self.config.reduction);
+            let candidates =
+                order.get_or_init(|| reduction.current(rel.xtuples(), &self.config.reduction));
             // The memo must cover the regenerated candidate set, or
             // `result()` on the reopened session would have to classify —
             // a coherent snapshot always decided its own candidates.
@@ -1176,7 +1040,7 @@ impl DedupSession {
         self.source_offsets = offsets;
         self.reduction = reduction;
         self.matching = matching;
-        self.candidates = candidates;
+        self.order = order;
         self.decided = decided;
         self.tiers = tiers;
         self.journal_seq = journal_seq;
@@ -1231,7 +1095,7 @@ fn on_off(flag: bool) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::DedupPipeline;
+    use crate::pipeline::{DedupPipeline, ReductionStrategy};
     use probdedup_decision::combine::WeightedSum;
     use probdedup_decision::derive_sim::ExpectedSimilarity;
     use probdedup_decision::threshold::Thresholds;

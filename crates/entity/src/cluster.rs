@@ -67,17 +67,86 @@ pub(crate) fn greedy_pivot(graph: &MatchGraph) -> Vec<usize> {
 /// placement first and the smallest cluster id second, and each move
 /// strictly increases the (bounded) global objective, so the fixed point
 /// — and every step toward it — is a pure function of the graph.
+///
+/// Scores accumulate in a dense per-cluster scratch (one slot per cluster
+/// id, zero between nodes) in adjacency order — positive neighbors
+/// ascending, then negative ascending — so every sum is one fixed `f64`.
 pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
     let n = graph.rows();
     let mut moves = 0u64;
+    let mut next_fresh = assign.iter().copied().max().map_or(0, |m| m + 1);
+    let mut score = vec![0.0f64; next_fresh];
+    // Clusters adjacent to the node at hand (one entry per edge), and the
+    // ones among them that beat its current placement.
+    let mut touched: Vec<usize> = Vec::new();
+    let mut better: Vec<usize> = Vec::new();
+    for _ in 0..MAX_REPAIR_ROUNDS {
+        let mut changed = false;
+        for v in 0..n {
+            let cur = assign[v];
+            for &(u, w) in graph.positive_neighbors(v) {
+                score[assign[u]] += w;
+                touched.push(assign[u]);
+            }
+            for &(u, w) in graph.negative_neighbors(v) {
+                score[assign[u]] -= w;
+                touched.push(assign[u]);
+            }
+            // The running best of an ascending-id scan never drops below
+            // `score[cur]`, so only clusters strictly above it can ever
+            // take the lead: scan those, in ascending id order.
+            better.extend(
+                touched
+                    .iter()
+                    .copied()
+                    .filter(|&c| score[c] > score[cur] + EPS),
+            );
+            better.sort_unstable();
+            let (mut best_c, mut best_s) = (cur, score[cur]);
+            for &c in &better {
+                if score[c] > best_s + EPS {
+                    best_c = c;
+                    best_s = score[c];
+                }
+            }
+            for &c in &touched {
+                score[c] = 0.0;
+            }
+            touched.clear();
+            better.clear();
+            // A fresh singleton scores 0: strictly better ⇒ split v out.
+            if 0.0 > best_s + EPS {
+                best_c = next_fresh;
+            }
+            if best_c != cur {
+                if best_c == next_fresh {
+                    next_fresh += 1;
+                    score.push(0.0);
+                }
+                assign[v] = best_c;
+                moves += 1;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    moves
+}
+
+/// The per-node `BTreeMap` formulation [`repair`] replaced, kept as the
+/// reference the property test holds it to: identical `assign` vector and
+/// move count on every graph (also reports how many rounds made a move).
+#[cfg(test)]
+fn repair_reference(graph: &MatchGraph, assign: &mut [usize]) -> (u64, usize) {
+    let n = graph.rows();
+    let (mut moves, mut productive_rounds) = (0u64, 0);
     let mut next_fresh = assign.iter().copied().max().map_or(0, |m| m + 1);
     for _ in 0..MAX_REPAIR_ROUNDS {
         let mut changed = false;
         for v in 0..n {
             let cur = assign[v];
-            // Net agreement of placing v in each adjacent cluster (the
-            // BTreeMap gives ascending-id iteration, hence deterministic
-            // tie-breaks).
             let mut score: BTreeMap<usize, f64> = BTreeMap::new();
             score.insert(cur, 0.0);
             for &(u, w) in graph.positive_neighbors(v) {
@@ -93,7 +162,6 @@ pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
                     best_s = s;
                 }
             }
-            // A fresh singleton scores 0: strictly better ⇒ split v out.
             if 0.0 > best_s + EPS {
                 best_c = next_fresh;
             }
@@ -109,8 +177,9 @@ pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
         if !changed {
             break;
         }
+        productive_rounds += 1;
     }
-    moves
+    (moves, productive_rounds)
 }
 
 /// Canonicalize an assignment vector into the partition contract shared
@@ -215,6 +284,54 @@ mod tests {
         let before = canonical_partition(&assign);
         assert_eq!(repair(&g, &mut assign), 0);
         assert_eq!(canonical_partition(&assign), before);
+    }
+
+    /// Weights chosen to collide: exact ties, scores within `EPS` of each
+    /// other, and `NonMatch` at similarity 1.0 (a zero-weight negative
+    /// edge that still makes its cluster a scored neighbor).
+    const PALETTE: [f64; 7] = [0.0, 0.1, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.9, 1.0];
+
+    /// The dense-scratch `repair` is the `BTreeMap` reference, move for
+    /// move: random signed graphs (sparse to complete, so negative
+    /// neighborhoods get dense), from the greedy start and from a
+    /// scrambled one — some of which keep moving after the first sweep.
+    #[test]
+    fn repair_equals_the_btreemap_reference() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0x5EED_2010);
+        let mut draw = |bound: u64| (rng.next_u64() % bound) as usize;
+        let mut late_moves = 0;
+        for _ in 0..300 {
+            let n = 2 + draw(26);
+            let density = 1 + draw(8);
+            let mut edges = Vec::new();
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if draw(8) < density {
+                        let class = [
+                            MatchClass::Match,
+                            MatchClass::NonMatch,
+                            MatchClass::Possible,
+                        ][draw(3)];
+                        edges.push((i, j, PALETTE[draw(PALETTE.len() as u64)], class));
+                    }
+                }
+            }
+            let g = graph(n, &edges);
+            let k = 1 + draw(5);
+            let scrambled: Vec<usize> = (0..n).map(|v| (v * 7 + 3) % k).collect();
+            for start in [greedy_pivot(&g), scrambled] {
+                let (mut fast, mut reference) = (start.clone(), start);
+                let moves = repair(&g, &mut fast);
+                let (ref_moves, productive_rounds) = repair_reference(&g, &mut reference);
+                assert_eq!(moves, ref_moves, "n={n} edges={edges:?}");
+                assert_eq!(fast, reference, "n={n} edges={edges:?}");
+                late_moves += usize::from(productive_rounds > 1);
+            }
+        }
+        assert!(
+            late_moves > 20,
+            "only {late_moves} searches moved after round 1"
+        );
     }
 
     #[test]

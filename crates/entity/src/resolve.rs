@@ -126,8 +126,11 @@ impl EntityResolution {
     }
 }
 
-/// Build the match graph of a decision list (streaming, order-invariant).
-fn build_graph(rows: usize, decisions: &[PairDecision]) -> MatchGraph {
+/// Build the match graph of some decisions (streaming, order-invariant).
+fn build_graph<'a>(
+    rows: usize,
+    decisions: impl IntoIterator<Item = &'a PairDecision>,
+) -> MatchGraph {
     let mut builder = MatchGraphBuilder::new(rows);
     for d in decisions {
         builder.add_decision(d);
@@ -227,6 +230,11 @@ impl PipelineEntities for DedupPipeline {
 /// strategy clusters and caches; later resolves — including resolves
 /// after a snapshot save → open round-trip — replay the cached partition
 /// byte-identically and only rebuild the (cheap, linear) graph counters.
+///
+/// Both read the session's decision memo directly
+/// ([`DedupSession::decisions`]): the match graph is pair-order-invariant,
+/// so no [`DedupResult`] — relation clone, ordered candidate list,
+/// transitive closure — is ever assembled for an entity read.
 pub trait SessionEntities {
     /// Resolve under `strategy`, consulting and updating the session's
     /// entity cache.
@@ -239,30 +247,22 @@ pub trait SessionEntities {
 
 impl SessionEntities for DedupSession {
     fn resolve_entities(&mut self, strategy: ClusterStrategy) -> EntityResolution {
-        if let Some(hit) = self.cached_entities(strategy.id()) {
-            let (moves, clusters) = (hit.moves, hit.clusters.clone());
-            let result = self.result();
-            let graph = build_graph(result.relation.len(), &result.decisions);
-            return assemble(&graph, strategy, clusters, moves);
+        let resolution = self.peek_entities(strategy);
+        if self.cached_entities(strategy.id()).is_none() {
+            self.cache_entities(CachedEntities {
+                strategy: strategy.id(),
+                moves: resolution.stats.repair_moves,
+                clusters: resolution.clusters.clone(),
+            });
         }
-        let result = self.result();
-        let resolution = resolve_decisions(result.relation.len(), &result.decisions, strategy);
-        self.cache_entities(CachedEntities {
-            strategy: strategy.id(),
-            moves: resolution.stats.repair_moves,
-            clusters: resolution.clusters.clone(),
-        });
         resolution
     }
 
     fn peek_entities(&self, strategy: ClusterStrategy) -> EntityResolution {
-        let result = self.result();
+        let graph = build_graph(self.rows(), self.decisions());
         match self.cached_entities(strategy.id()) {
-            Some(hit) => {
-                let graph = build_graph(result.relation.len(), &result.decisions);
-                assemble(&graph, strategy, hit.clusters.clone(), hit.moves)
-            }
-            None => resolve_decisions(result.relation.len(), &result.decisions, strategy),
+            Some(hit) => assemble(&graph, strategy, hit.clusters.clone(), hit.moves),
+            None => resolve_graph(&graph, strategy),
         }
     }
 }

@@ -6,37 +6,163 @@
 //! batches of tuples as they arrive:
 //!
 //! * [`IncrementalSnm`] — a [`KeyTable`] plus the rank-sorted entry list.
-//!   Ingesting a batch interns only the new tuples' keys (cached prefix
-//!   renders make already-seen values free) and **rank-inserts** the new
-//!   entries into the resident sorted order — a merge against the resident
-//!   rank order, never a full re-sort. [`IncrementalSnm::current_pairs`]
-//!   then windows the merged list, reproducing the one-shot
-//!   sorted-neighborhood candidate order byte for byte.
+//!   Ingesting a batch interns the new tuples' keys in **one** table
+//!   absorb (cached prefix renders make already-seen values free) and
+//!   **rank-inserts** the new entries into the resident sorted order —
+//!   binary-searched slots, never a full re-sort.
 //! * [`IncrementalRankedSnm`] — the probabilistic-ranking flavour
 //!   (Section V-A.4): per-tuple rank scores are corpus-independent, so new
-//!   tuples binary-insert into the resident ranked order.
+//!   tuples insert into the resident ranked order the same way.
 //! * [`IncrementalBlocks`] — resident symbol-keyed blocks: each new tuple
-//!   joins its blocks with one integer-keyed probe per key;
-//!   [`IncrementalBlocks::current_pairs`] emits within-block pairs in
-//!   sorted-key order, identical to the one-shot blocking output.
+//!   joins its blocks with one integer-keyed probe per key.
 //!
-//! All three share a contract with their one-shot twins, property-tested
-//! in this module and end-to-end in `tests/`: ingesting a corpus in **any
-//! batch split** yields the same candidate pairs, in the same order, as
-//! one batch call — and re-ingesting values the pools have already seen
-//! performs **zero** key renders (asserted via
-//! [`KeyTable::render_count`]).
+//! Each state answers two questions about its candidate set. **What is
+//! it?** — `current_pairs` re-emits the whole set over everything
+//! ingested so far: the same pairs, in the same order, as the one-shot
+//! method over the same corpus, for **any batch split** (property-tested
+//! here and end-to-end in `tests/`). **What did this batch change?** —
+//! `ingest_delta` grows the state and returns a [`CandidateDelta`] read
+//! off the positions the new entries were inserted at (a local window
+//! re-scan around each) or the blocks that gained a member: work
+//! proportional to the batch, not to the corpus. Applying the deltas of
+//! successive batches to a set reproduces `current_pairs` after every
+//! batch, and re-ingesting values the pools have already seen performs
+//! **zero** key renders (asserted via [`KeyTable::render_count`]).
 
 use probdedup_model::intern::KeySymbol;
-use probdedup_model::util::FxHashMap;
+use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 
 use crate::blocking::{emit_block_pairs, Block};
 use crate::conflict::{resolve_key_symbol, ConflictResolution};
-use crate::key::{KeySpec, KeyTable};
+use crate::key::{insert_sorted, KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
 use crate::ranking::{rank_score, RankingFunction};
 use crate::snm::{for_each_window_pair, windowed_pairs, InternedSnmEntry};
+
+/// What ingesting one batch (combined rows `start..`) changed in a
+/// candidate set. Appended rows only push window entries apart and only
+/// grow blocks, so an old–old pair never *enters* the set: everything new
+/// has a new row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CandidateDelta {
+    /// The pairs with at least one new row, `(lo, hi)`, in one-shot
+    /// candidate order restricted to them.
+    pub arrived: Vec<(usize, usize)>,
+    /// The old–old pairs a window slid past (no particular order).
+    pub departed: Vec<(usize, usize)>,
+}
+
+impl CandidateDelta {
+    /// The delta of full comparison growing from `start` to `n` rows: the
+    /// new rows against everything before them and each other, row-major
+    /// as [`CandidatePairs::full`] emits them; nothing ever departs.
+    pub fn full(start: usize, n: usize) -> Self {
+        let arrived = (0..n)
+            .flat_map(|i| ((i + 1).max(start)..n).map(move |j| (i, j)))
+            .collect();
+        Self {
+            arrived,
+            departed: Vec::new(),
+        }
+    }
+}
+
+/// The delta of a window scan over `entries` (sorted, **uncollapsed**)
+/// after the entries at positions `fresh` (ascending; exactly those of
+/// tuples `start..`) were inserted.
+///
+/// Only entries within `window` list places of a fresh one can have
+/// gained or lost a partner, so the scan is local: around each run of
+/// nearby fresh entries, window the region once as it is now and once
+/// with the fresh entries left out. A pair of the first scan with a new
+/// row has arrived; an old pair of the second scan that the first no
+/// longer emits has lost that witness.
+///
+/// With one entry per tuple (`multi` off) a pair has exactly one witness,
+/// so a lost witness is a departure. With several (`multi`: sorting
+/// alternatives, windowed over the list with adjacent same-tuple entries
+/// collapsed, Fig. 11) the same pair may still meet elsewhere;
+/// `still_witnessed` decides.
+fn window_delta<T>(
+    entries: &[T],
+    tuple_of: impl Fn(&T) -> usize,
+    fresh: &[usize],
+    start: usize,
+    window: usize,
+    multi: bool,
+    mut still_witnessed: impl FnMut(usize, usize) -> bool,
+) -> CandidateDelta {
+    let window = window.max(2);
+    let tuple = |q: usize| tuple_of(&entries[q]);
+    // Whether position `q` survives the Fig. 11 collapse.
+    let kept = |q: usize| !multi || q == 0 || tuple(q - 1) != tuple(q);
+    let mut delta = CandidateDelta::default();
+    // Pairs already reported, when a pair can have several witnesses.
+    let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
+    // Per-region scratch: the region's tuples as windowed now and before
+    // the batch, and the old pairs the first scan still emits.
+    let (mut now, mut before) = (Vec::new(), Vec::new());
+    let mut resident: FxHashSet<(usize, usize)> = FxHashSet::default();
+    let mut k = 0;
+    while k < fresh.len() {
+        // The region: `window` kept entries of context on either side of
+        // a maximal run of fresh entries that reach one another.
+        let mut lo = fresh[k];
+        let mut context = 0;
+        while lo > 0 && context < window {
+            lo -= 1;
+            context += usize::from(kept(lo));
+        }
+        let mut hi;
+        loop {
+            (hi, context) = (fresh[k], 0);
+            while hi + 1 < entries.len() && context < window {
+                hi += 1;
+                context += usize::from(kept(hi));
+            }
+            let reached = k;
+            while k + 1 < fresh.len() && fresh[k + 1] <= hi + 1 {
+                k += 1;
+            }
+            if k == reached {
+                break;
+            }
+        }
+        k += 1;
+
+        now.clear();
+        before.clear();
+        resident.clear();
+        for q in lo..=hi {
+            let t = tuple(q);
+            if kept(q) {
+                now.push(t);
+            }
+            if t < start && !(multi && before.last() == Some(&t)) {
+                before.push(t);
+            }
+        }
+        for_each_window_pair(&now, window, |&a, &b| {
+            let pair = (a.min(b), a.max(b));
+            if pair.1 < start {
+                resident.insert(pair);
+            } else if a != b && (!multi || reported.insert(pair)) {
+                delta.arrived.push(pair);
+            }
+        });
+        for_each_window_pair(&before, window, |&a, &b| {
+            let pair = (a.min(b), a.max(b));
+            if a != b
+                && !resident.contains(&pair)
+                && (!multi || (reported.insert(pair) && !still_witnessed(pair.0, pair.1)))
+            {
+                delta.departed.push(pair);
+            }
+        });
+    }
+    delta
+}
 
 /// How each tuple contributes sorted-neighborhood entries (the
 /// world-independent SNM flavours; multi-pass-over-worlds regenerates per
@@ -104,17 +230,44 @@ impl IncrementalSnm {
     }
 
     /// Ingest `tuples` as combined rows `start..start + tuples.len()`:
-    /// intern their keys into the warm table and rank-insert the new
-    /// entries into the resident sorted order (a linear merge — the
-    /// resident list is never re-sorted).
+    /// intern their keys into the warm table (one absorb for the whole
+    /// batch) and rank-insert the new entries into the resident sorted
+    /// order — the resident list is never re-sorted.
     pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
+        self.grow(tuples, start);
+    }
+
+    /// [`ingest`](Self::ingest), returning what the batch changed in the
+    /// candidate set — a local re-scan around the inserted entries, never
+    /// a pass over the resident list (see [`CandidateDelta`]).
+    ///
+    /// Under [`SnmKeying::PerAlternative`] a pair can meet in several
+    /// windows, so a pair that lost a witness next to an insertion only
+    /// departs if no other entries of its two tuples still meet — checked
+    /// by locating the first tuple's entries through its table row.
+    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
+        let fresh = self.grow(tuples, start);
+        let multi = matches!(self.keying, SnmKeying::PerAlternative);
+        window_delta(
+            &self.entries,
+            |e| e.tuple,
+            &fresh,
+            start,
+            self.window,
+            multi,
+            |a, b| self.still_witnessed(a, b),
+        )
+    }
+
+    /// Intern and rank-insert the batch; returns the positions its entries
+    /// landed at, ascending.
+    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
         debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
         let mut fresh: Vec<InternedSnmEntry> = Vec::new();
         match self.keying {
             SnmKeying::PerAlternative => {
                 self.table.extend(tuples);
-                for (offset, _) in tuples.iter().enumerate() {
-                    let i = start + offset;
+                for i in start..start + tuples.len() {
                     for &key in self.table.alternative_keys(i) {
                         fresh.push(InternedSnmEntry::new(key, i));
                     }
@@ -122,16 +275,49 @@ impl IncrementalSnm {
             }
             SnmKeying::Resolved(strategy) => {
                 let spec = self.table.spec().clone();
-                for (offset, t) in tuples.iter().enumerate() {
-                    let key = self
-                        .table
-                        .intern_with(|vp, kp| resolve_key_symbol(t, &spec, strategy, vp, kp));
-                    fresh.push(InternedSnmEntry::new(key, start + offset));
-                }
+                fresh = self.table.intern_with(|vp, kp| {
+                    let key = |t| resolve_key_symbol(t, &spec, strategy, vp, kp);
+                    let entry = |(k, i)| InternedSnmEntry::new(k, i);
+                    tuples.iter().map(key).zip(start..).map(entry).collect()
+                });
             }
         }
         self.n_tuples = start + tuples.len();
-        self.merge_entries(fresh);
+        // New entries sort stably among themselves and insert **after**
+        // resident ties, matching what a stable sort of the concatenated
+        // one-shot entry list produces. The table's rank array already
+        // covers every fresh key, so every comparison is a `(u32, usize)`
+        // integer compare — the ordering `sorted_neighborhood_interned`
+        // sorts by.
+        let ranks = self.table.ranks();
+        let sort_key = |e: &InternedSnmEntry| (ranks.rank(e.key), e.tuple);
+        fresh.sort_by_key(sort_key);
+        insert_sorted(&mut self.entries, fresh, |r, f| sort_key(r) <= sort_key(f))
+    }
+
+    /// Whether tuples `a` and `b` still meet in some window of the
+    /// collapsed list ([`SnmKeying::PerAlternative`] only): every entry of
+    /// `a` is located through its table row and its window searched, in
+    /// both directions, for an entry of `b`.
+    fn still_witnessed(&self, a: usize, b: usize) -> bool {
+        let window = self.window.max(2);
+        let tuple = |q: usize| self.entries[q].tuple;
+        let kept = |q: usize| q == 0 || tuple(q - 1) != tuple(q);
+        let ranks = self.table.ranks();
+        self.table.alternative_keys(a).iter().any(|&key| {
+            let at = (ranks.rank(key), a);
+            let pos = self
+                .entries
+                .partition_point(|e| (ranks.rank(e.key), e.tuple) < at);
+            if !kept(pos) {
+                return false; // collapsed into another entry of `a`
+            }
+            // Kept entries at list distance 1, 2, … `window − 1`.
+            let ahead = (pos + 1..self.entries.len()).filter(|&q| kept(q));
+            let behind = (0..pos).rev().filter(|&q| kept(q));
+            ahead.take(window - 1).any(|q| tuple(q) == b)
+                || behind.take(window - 1).any(|q| tuple(q) == b)
+        })
     }
 
     /// Drop the per-row state (entries + table rows) but keep the warm
@@ -149,42 +335,11 @@ impl IncrementalSnm {
         let skip = matches!(self.keying, SnmKeying::PerAlternative);
         windowed_pairs(&self.entries, self.window, self.n_tuples, skip)
     }
-
-    /// Merge `fresh` (arrival order) into the resident sorted entry list.
-    /// New entries sort stably among themselves and insert **after**
-    /// resident ties, matching what a stable sort of the concatenated
-    /// one-shot entry list produces. The table's rank array already covers
-    /// every fresh key (the ingest that produced them absorbed its new
-    /// symbols), so every comparison is a `(u32, usize)` integer compare —
-    /// the same ordering `sorted_neighborhood_interned` sorts by.
-    fn merge_entries(&mut self, mut fresh: Vec<InternedSnmEntry>) {
-        if fresh.is_empty() {
-            return;
-        }
-        let ranks = self.table.ranks();
-        let sort_key = |e: &InternedSnmEntry| (ranks.rank(e.key), e.tuple);
-        fresh.sort_by_key(sort_key);
-        let old = std::mem::take(&mut self.entries);
-        let mut merged = Vec::with_capacity(old.len() + fresh.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < fresh.len() {
-            if sort_key(&old[i]) <= sort_key(&fresh[j]) {
-                merged.push(old[i]);
-                i += 1;
-            } else {
-                merged.push(fresh[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&old[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-        self.entries = merged;
-    }
 }
 
 /// Persistent ranked-SNM state (Section V-A.4): tuples kept in rank-score
-/// order across ingests. Scores are per-tuple, so a new tuple
-/// binary-inserts without touching the resident order.
+/// order across ingests. Scores are per-tuple, so new tuples insert
+/// without touching the resident order.
 #[derive(Debug, Clone)]
 pub struct IncrementalRankedSnm {
     spec: KeySpec,
@@ -215,21 +370,44 @@ impl IncrementalRankedSnm {
         self.scored.is_empty()
     }
 
-    /// Ingest `tuples` as rows `start..`: score each and binary-insert
-    /// into the resident ranked order.
+    /// Ingest `tuples` as rows `start..`: score each and insert it into
+    /// the resident ranked order.
     pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
-        for (offset, t) in tuples.iter().enumerate() {
-            let idx = start + offset;
-            let (score, key) = rank_score(t, &self.spec, self.f);
-            let pos = self.scored.partition_point(|(s, k, i)| {
-                s.partial_cmp(&score)
-                    .expect("finite scores")
-                    .then(k.as_str().cmp(&key))
-                    .then(i.cmp(&idx))
-                    .is_le()
-            });
-            self.scored.insert(pos, (score, key, idx));
-        }
+        self.grow(tuples, start);
+    }
+
+    /// [`ingest`](Self::ingest), returning what the batch changed in the
+    /// candidate set (one entry per tuple, so a pair has one witness and
+    /// departs exactly when an insertion pushes it out of the window).
+    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
+        let fresh = self.grow(tuples, start);
+        let never = |_, _| false;
+        window_delta(
+            &self.scored,
+            |e| e.2,
+            &fresh,
+            start,
+            self.window,
+            false,
+            never,
+        )
+    }
+
+    /// Score and insert the batch; returns the positions it landed at.
+    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
+        let order = |a: &(f64, String, usize), b: &(f64, String, usize)| {
+            let by_score = a.0.partial_cmp(&b.0).expect("finite scores");
+            by_score.then_with(|| a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+        };
+        let mut fresh: Vec<(f64, String, usize)> = (start..)
+            .zip(tuples)
+            .map(|(idx, t)| {
+                let (score, key) = rank_score(t, &self.spec, self.f);
+                (score, key, idx)
+            })
+            .collect();
+        fresh.sort_by(order);
+        insert_sorted(&mut self.scored, fresh, |r, f| order(r, f).is_le())
     }
 
     /// Drop all rows (ranked scoring keeps no pools to warm).
@@ -308,28 +486,63 @@ impl IncrementalBlocks {
     /// Ingest `tuples` as combined rows `start..`: each joins the blocks
     /// of its keys (per-block membership stays deduplicated).
     pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
+        self.grow(tuples, start);
+    }
+
+    /// [`ingest`](Self::ingest), returning what the batch changed in the
+    /// candidate set: the pairs each block that gained a member emits
+    /// with a new row, blocks in sorted-key order. Blocks only grow, so
+    /// nothing ever departs.
+    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
+        let mut grown = self.grow(tuples, start);
+        let ranks = self.table.ranks();
+        grown.sort_unstable_by_key(|&k| ranks.rank(k));
+        grown.dedup();
+        // Per-alternative keying can put a pair into several blocks.
+        let multi = self.keying == BlockKeying::PerAlternative;
+        let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
+        let mut delta = CandidateDelta::default();
+        for key in grown {
+            // Members ascend (rows arrive in order): the new ones are a
+            // suffix, and `(i, j)` below is already `(lo, hi)`.
+            let members = self.blocks[&key].members();
+            let new_from = members.partition_point(|&m| m < start);
+            for (a, &i) in members.iter().enumerate() {
+                for &j in &members[(a + 1).max(new_from)..] {
+                    if !multi || reported.insert((i, j)) {
+                        delta.arrived.push((i, j));
+                    }
+                }
+            }
+        }
+        delta
+    }
+
+    /// Join the batch to its blocks; returns the key of every insertion
+    /// (repeats included).
+    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<KeySymbol> {
         debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
+        let mut joined: Vec<(KeySymbol, usize)> = Vec::new();
         match self.keying {
             BlockKeying::PerAlternative => {
                 self.table.extend(tuples);
-                for (offset, _) in tuples.iter().enumerate() {
-                    let i = start + offset;
-                    for &key in self.table.alternative_keys(i) {
-                        self.blocks.entry(key).or_default().insert(i);
-                    }
+                for i in start..start + tuples.len() {
+                    joined.extend(self.table.alternative_keys(i).iter().map(|&k| (k, i)));
                 }
             }
             BlockKeying::Resolved(strategy) => {
                 let spec = self.table.spec().clone();
-                for (offset, t) in tuples.iter().enumerate() {
-                    let key = self
-                        .table
-                        .intern_with(|vp, kp| resolve_key_symbol(t, &spec, strategy, vp, kp));
-                    self.blocks.entry(key).or_default().insert(start + offset);
-                }
+                joined = self.table.intern_with(|vp, kp| {
+                    let key = |t| resolve_key_symbol(t, &spec, strategy, vp, kp);
+                    tuples.iter().map(key).zip(start..).collect()
+                });
             }
         }
+        for &(key, i) in &joined {
+            self.blocks.entry(key).or_default().insert(i);
+        }
         self.n_tuples = start + tuples.len();
+        joined.into_iter().map(|(key, _)| key).collect()
     }
 
     /// Drop the blocks and table rows but keep the warm pools.
@@ -507,6 +720,238 @@ mod tests {
             }
             assert_eq!(alt.current_pairs().pairs(), batch_alt.pairs.pairs());
             assert_eq!(res.current_pairs().pairs(), batch_res.pairs.pairs());
+        }
+    }
+
+    /// One of the three states behind a common face, for the delta
+    /// properties below.
+    enum State {
+        Snm(IncrementalSnm),
+        Ranked(IncrementalRankedSnm),
+        Blocks(IncrementalBlocks),
+    }
+
+    impl State {
+        fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
+            match self {
+                Self::Snm(s) => s.ingest_delta(tuples, start),
+                Self::Ranked(r) => r.ingest_delta(tuples, start),
+                Self::Blocks(b) => b.ingest_delta(tuples, start),
+            }
+        }
+
+        fn current_pairs(&self) -> CandidatePairs {
+            match self {
+                Self::Snm(s) => s.current_pairs(),
+                Self::Ranked(r) => r.current_pairs(),
+                Self::Blocks(b) => b.current_pairs(),
+            }
+        }
+    }
+
+    /// Every delta-emitting flavour over `spec` at `window`.
+    fn states(spec: &KeySpec, window: usize) -> Vec<(&'static str, State)> {
+        let mpa = ConflictResolution::MostProbableAlternative;
+        let mpk = ConflictResolution::MostProbableKey;
+        let snm = |keying| State::Snm(IncrementalSnm::new(spec.clone(), keying, window));
+        let blocks = |keying| State::Blocks(IncrementalBlocks::new(spec.clone(), keying));
+        let ranked = |f| State::Ranked(IncrementalRankedSnm::new(spec.clone(), f, window));
+        vec![
+            ("snm per-alternative", snm(SnmKeying::PerAlternative)),
+            ("snm resolved mpa", snm(SnmKeying::Resolved(mpa))),
+            ("snm resolved mpk", snm(SnmKeying::Resolved(mpk))),
+            ("ranked expected", ranked(RankingFunction::ExpectedScore)),
+            ("ranked mpk", ranked(RankingFunction::MostProbableKey)),
+            (
+                "blocks per-alternative",
+                blocks(BlockKeying::PerAlternative),
+            ),
+            ("blocks resolved", blocks(BlockKeying::Resolved(mpa))),
+        ]
+    }
+
+    /// Feed `tuples` in batches of `sizes` and hold every delta to the
+    /// regenerated set: `arrived` is the regenerated list filtered to the
+    /// pairs with a new row (same order), `departed` is exactly what the
+    /// previous set held and the regenerated one does not, and the two
+    /// never overlap.
+    fn assert_deltas_track(label: &str, state: &mut State, tuples: &[XTuple], sizes: &[usize]) {
+        let mut held: FxHashSet<(usize, usize)> = FxHashSet::default();
+        let mut start = 0;
+        for &size in sizes {
+            let delta = state.ingest_delta(&tuples[start..start + size], start);
+            let current = state.current_pairs();
+            let label = format!("{label}, rows {start}..{} of {sizes:?}", start + size);
+            let with_new_row: Vec<(usize, usize)> = current
+                .pairs()
+                .iter()
+                .copied()
+                .filter(|p| p.1 >= start)
+                .collect();
+            assert_eq!(delta.arrived, with_new_row, "{label}: arrived");
+            let mut departed = delta.departed.clone();
+            departed.sort_unstable();
+            let mut gone: Vec<(usize, usize)> = held
+                .iter()
+                .copied()
+                .filter(|&(i, j)| !current.contains(i, j))
+                .collect();
+            gone.sort_unstable();
+            assert_eq!(departed, gone, "{label}: departed");
+            assert!(
+                departed.iter().all(|p| p.1 < start),
+                "{label}: new row left"
+            );
+            for pair in &delta.departed {
+                held.remove(pair);
+            }
+            held.extend(delta.arrived.iter().copied());
+            let regenerated: FxHashSet<(usize, usize)> = current.pairs().iter().copied().collect();
+            assert_eq!(held, regenerated, "{label}: deltas applied");
+            start += size;
+        }
+        assert_eq!(start, tuples.len(), "sizes must cover the corpus");
+    }
+
+    fn tuple(s: &Schema, alts: &[(&str, &str)]) -> XTuple {
+        let mut b = XTuple::builder(s);
+        for (i, (name, job)) in alts.iter().enumerate() {
+            // Distinct masses, most probable first, total < 1.
+            b = b.alt(0.9 / alts.len() as f64 - 0.01 * i as f64, [*name, *job]);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn deltas_track_the_paper_corpus_in_every_split() {
+        let tuples = corpus();
+        for window in [2, 3, 5, 50] {
+            for split in splits(tuples.len()) {
+                for (label, mut state) in states(&spec(), window) {
+                    assert_deltas_track(&format!("{label} w{window}"), &mut state, &tuples, &split);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deltas_survive_adversarial_batches() {
+        let s = Schema::new(["name", "job"]);
+        let one = |name: &str| tuple(&s, &[(name, "x")]);
+        let cases: Vec<(&str, Vec<XTuple>, Vec<usize>)> = vec![
+            // Every key equal: order is arrival order, windows slide far.
+            (
+                "all-equal keys",
+                (0..9).map(|_| one("same")).collect(),
+                vec![3, 0, 1, 4, 1],
+            ),
+            // A batch sorting wholly before / between / after the residents.
+            (
+                "before",
+                ["m", "n", "o", "p", "a", "b", "c"].map(one).to_vec(),
+                vec![4, 3],
+            ),
+            (
+                "between",
+                ["a", "b", "y", "z", "m", "n", "o"].map(one).to_vec(),
+                vec![4, 3],
+            ),
+            (
+                "after",
+                ["a", "b", "c", "d", "x", "y", "z"].map(one).to_vec(),
+                vec![4, 3],
+            ),
+            // Tuple 0's two entries sit next to each other (collapsed,
+            // Fig. 11) until row 3 sorts between them; rows 1 and 2 then
+            // meet tuple 0 through different entries.
+            (
+                "un-collapse",
+                vec![
+                    tuple(&s, &[("ca", "x"), ("cc", "x")]),
+                    one("a"),
+                    one("d"),
+                    one("cb"),
+                    tuple(&s, &[("cb", "x"), ("a", "x"), ("d", "x")]),
+                    one("cab"),
+                ],
+                vec![3, 1, 1, 1],
+            ),
+            // The empty key and multi-byte prefixes.
+            (
+                "empty and multi-byte",
+                vec![
+                    one(""),
+                    one("é"),
+                    tuple(&s, &[("éa", "x"), ("", "x")]),
+                    one("日本"),
+                    one("e"),
+                    tuple(&s, &[("日", "x"), ("é", "x")]),
+                    one(""),
+                ],
+                vec![1, 2, 0, 3, 1],
+            ),
+        ];
+        let spec = KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(1, 1)]);
+        for (name, tuples, sizes) in &cases {
+            for window in [2, 3, 4, 100] {
+                for (label, mut state) in states(&spec, window) {
+                    let label = format!("{name}: {label} w{window}");
+                    assert_deltas_track(&label, &mut state, tuples, sizes);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random small-alphabet corpora (keys collide, alternatives of one
+        /// tuple land next to each other and far apart) in random batch
+        /// splits, empty and single-row batches included.
+        #[test]
+        fn deltas_track_random_corpora(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0usize..9, 0usize..3), 1..4),
+                1..26,
+            ),
+            cuts in proptest::collection::vec(0usize..26, 0..7),
+            window in 2usize..7,
+        ) {
+            const NAMES: [&str; 9] = ["", "a", "ab", "abc", "b", "ba", "é", "éa", "c"];
+            const JOBS: [&str; 3] = ["", "x", "y"];
+            let s = Schema::new(["name", "job"]);
+            let tuples: Vec<XTuple> = rows
+                .iter()
+                .map(|alts| {
+                    let alts: Vec<(&str, &str)> =
+                        alts.iter().map(|&(n, j)| (NAMES[n], JOBS[j])).collect();
+                    tuple(&s, &alts)
+                })
+                .collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (tuples.len() + 1)).collect();
+            bounds.extend([0, tuples.len()]);
+            bounds.sort_unstable();
+            let sizes: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+            let spec = KeySpec::new(vec![KeyPart::prefix(0, 2), KeyPart::prefix(1, 1)]);
+            for (label, mut state) in states(&spec, window) {
+                assert_deltas_track(&format!("{label} w{window}"), &mut state, &tuples, &sizes);
+            }
+        }
+    }
+
+    #[test]
+    fn full_delta_is_the_row_major_suffix() {
+        for (start, n) in [(0, 0), (0, 4), (2, 5), (5, 5), (3, 4)] {
+            let full = CandidatePairs::full(n);
+            let with_new_row: Vec<(usize, usize)> = full
+                .pairs()
+                .iter()
+                .copied()
+                .filter(|p| p.1 >= start)
+                .collect();
+            let delta = CandidateDelta::full(start, n);
+            assert_eq!(delta.arrived, with_new_row, "{start}..{n}");
+            assert!(delta.departed.is_empty());
         }
     }
 

@@ -441,6 +441,39 @@ fn merge_equal_symbols(dist: &mut Vec<(KeySymbol, f64)>, keys: &KeyPool) {
     });
 }
 
+/// Insert the sorted `fresh` into the sorted `resident`, each element
+/// after every resident one that is `le` it (so ties keep residents
+/// first, as a stable sort of the concatenation would): slots are found by
+/// binary search over the resident elements only, then one pass moves the
+/// tail behind the first slot — no compare between two residents. Returns
+/// the final positions of the fresh elements, ascending.
+pub(crate) fn insert_sorted<T>(
+    resident: &mut Vec<T>,
+    fresh: Vec<T>,
+    le: impl Fn(&T, &T) -> bool,
+) -> Vec<usize> {
+    let mut slots = Vec::with_capacity(fresh.len());
+    let mut lo = 0;
+    for f in &fresh {
+        lo += resident[lo..].partition_point(|r| le(r, f));
+        slots.push(lo);
+    }
+    let Some(&first) = slots.first() else {
+        return slots;
+    };
+    let mut tail = resident.split_off(first).into_iter();
+    resident.reserve(tail.len() + fresh.len());
+    let mut taken = first;
+    for (f, slot) in fresh.into_iter().zip(&mut slots) {
+        resident.extend(tail.by_ref().take(*slot - taken));
+        taken = *slot;
+        *slot = resident.len();
+        resident.push(f);
+    }
+    resident.extend(tail);
+    slots
+}
+
 /// The interned key table of one `(KeySpec, tuples)` pair: every
 /// alternative's key as a [`KeySymbol`], the issuing [`KeyPool`], and a
 /// lexicographic rank table.
@@ -546,32 +579,22 @@ impl KeyTable {
         self.alt_keys.clear();
     }
 
-    /// Rank-insert every key symbol interned since the last absorb:
-    /// the new symbols are sorted among themselves and merged with the
-    /// resident order (distinct strings — no ties), then the dense rank
-    /// array is rebuilt in `O(len)`.
+    /// Rank-insert every key symbol interned since the last absorb: the
+    /// new symbols are sorted among themselves and placed into the
+    /// resident order by [`insert_sorted`] (distinct strings — no ties;
+    /// `log` string compares per new key, none between resident keys),
+    /// then the dense rank array is rebuilt in `O(len)`.
     fn absorb_new_keys(&mut self) {
         let known = self.sorted.len();
         if known == self.keys.len() {
             return;
         }
-        let mut fresh: Vec<KeySymbol> = self.keys.iter().skip(known).map(|(k, _)| k).collect();
-        fresh.sort_unstable_by(|&a, &b| self.keys.resolve(a).cmp(self.keys.resolve(b)));
-        let old = std::mem::take(&mut self.sorted);
-        let mut merged = Vec::with_capacity(old.len() + fresh.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() && j < fresh.len() {
-            if self.keys.resolve(old[i]) <= self.keys.resolve(fresh[j]) {
-                merged.push(old[i]);
-                i += 1;
-            } else {
-                merged.push(fresh[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&old[i..]);
-        merged.extend_from_slice(&fresh[j..]);
-        self.sorted = merged;
+        let keys = &self.keys;
+        let mut fresh: Vec<KeySymbol> = keys.iter().skip(known).map(|(k, _)| k).collect();
+        fresh.sort_unstable_by(|&a, &b| keys.resolve(a).cmp(keys.resolve(b)));
+        insert_sorted(&mut self.sorted, fresh, |&r, &f| {
+            keys.resolve(r) <= keys.resolve(f)
+        });
         self.ranks = KeyRanks::from_sorted(&self.sorted);
     }
 
@@ -928,6 +951,109 @@ mod tests {
         // The externally interned key participates in the rank order.
         let k2 = table.intern_with(|_, keys| keys.intern_str("Aaa"));
         assert!(table.rank(k2) < table.rank(k));
+    }
+
+    /// The resident order after any sequence of absorbs is the one a full
+    /// string sort of the pool gives, and the ranks index it.
+    fn assert_sorted_by_string(table: &KeyTable) {
+        let mut by_string: Vec<KeySymbol> = table.keys.iter().map(|(k, _)| k).collect();
+        by_string.sort_by(|&a, &b| table.resolve(a).cmp(table.resolve(b)));
+        assert_eq!(table.sorted, by_string);
+        for (rank, &k) in table.sorted.iter().enumerate() {
+            assert_eq!(table.rank(k) as usize, rank);
+        }
+    }
+
+    proptest::proptest! {
+        /// Binary-search absorb ≡ sorting the whole pool, over random key
+        /// sets (the empty key, shared and multi-byte prefixes, repeats)
+        /// absorbed in random batches.
+        #[test]
+        fn absorb_places_fresh_keys_where_a_full_sort_would(
+            picks in proptest::collection::vec(0usize..14, 0..40),
+            batch in 1usize..9,
+        ) {
+            const KEYS: [&str; 14] = [
+                "", "a", "aa", "ab", "b", "é", "éa", "ée", "e", "日", "日本", "z", "zz", "Z",
+            ];
+            let mut table = KeyTable::empty(spec());
+            for chunk in picks.chunks(batch) {
+                table.intern_with(|_, keys| {
+                    for &i in chunk {
+                        keys.intern_str(KEYS[i]);
+                    }
+                });
+                assert_sorted_by_string(&table);
+            }
+        }
+    }
+
+    #[test]
+    fn insert_sorted_keeps_residents_before_equal_fresh() {
+        let mut resident = vec![(1, 'r'), (3, 'r'), (3, 's'), (7, 'r')];
+        let fresh = vec![(0, 'f'), (3, 'f'), (3, 'g'), (9, 'f')];
+        let at = insert_sorted(&mut resident, fresh, |r, f| r.0 <= f.0);
+        assert_eq!(at, vec![0, 4, 5, 7]);
+        let order: String = resident.iter().map(|e| e.1).collect();
+        assert_eq!(order, "frrsfgrf");
+        assert!(insert_sorted(&mut resident, Vec::new(), |r, f| r.0 <= f.0).is_empty());
+        assert_eq!(resident.len(), 8);
+        let mut empty: Vec<(i32, char)> = Vec::new();
+        assert_eq!(
+            insert_sorted(&mut empty, vec![(2, 'f')], |r, f| r.0 <= f.0),
+            vec![0]
+        );
+    }
+
+    /// One `intern_with` for a whole batch ≡ one per tuple: same symbols,
+    /// same ranks, same resident order.
+    #[test]
+    fn batch_intern_equals_per_tuple_intern() {
+        use crate::conflict::{resolve_key_symbol, ConflictResolution};
+        let s = schema();
+        let tuples: Vec<XTuple> = [
+            &[("John", "pilot"), ("Johan", "pianist")][..],
+            &[("", "x")],
+            &[("Łukasz", "pilot"), ("Lukasz", "pilot")],
+            &[("Jim", "baker")],
+            &[("John", "pilot")],
+        ]
+        .iter()
+        .map(|alts| {
+            let mut b = XTuple::builder(&s);
+            for (i, (n, j)) in alts.iter().enumerate() {
+                b = b.alt(0.5 - 0.1 * i as f64, [*n, *j]);
+            }
+            b.build().unwrap()
+        })
+        .collect();
+        for strategy in [
+            ConflictResolution::MostProbableAlternative,
+            ConflictResolution::MostProbableKey,
+        ] {
+            let spec = spec();
+            let mut one_by_one = KeyTable::empty(spec.clone());
+            let singly: Vec<KeySymbol> = tuples
+                .iter()
+                .map(|t| {
+                    one_by_one.intern_with(|vp, kp| resolve_key_symbol(t, &spec, strategy, vp, kp))
+                })
+                .collect();
+            let mut batched = KeyTable::empty(spec.clone());
+            let at_once: Vec<KeySymbol> = batched.intern_with(|vp, kp| {
+                tuples
+                    .iter()
+                    .map(|t| resolve_key_symbol(t, &spec, strategy, vp, kp))
+                    .collect()
+            });
+            assert_eq!(singly, at_once, "{strategy:?}");
+            assert_eq!(one_by_one.sorted, batched.sorted, "{strategy:?}");
+            assert_sorted_by_string(&batched);
+            for &k in &at_once {
+                assert_eq!(one_by_one.rank(k), batched.rank(k));
+                assert_eq!(one_by_one.resolve(k), batched.resolve(k));
+            }
+        }
     }
 
     #[test]

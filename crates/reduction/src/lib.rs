@@ -99,7 +99,7 @@ pub use conflict::{
     ConflictResolution,
 };
 pub use incremental::{
-    BlockKeying, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, SnmKeying,
+    BlockKeying, CandidateDelta, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, SnmKeying,
 };
 pub use key::{KeyPart, KeySpec, KeyTable};
 pub use multipass::{

@@ -11,6 +11,10 @@
 # pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
 # space: the first summary is pinned to the one the dense world search
 # produced (it needed 2.1 GB and 16 s for it), the second must finish.
+# Last, the streamed front door: a corpus of the same size cut into 16
+# sources, `ingest`ed one file at a time under snm-resolved and under
+# blocking inside the same 1 GiB, its merged result diffed against the
+# one-shot `dedup` of the same files.
 #
 #   cargo build --release && scripts/scale_smoke.sh
 #
@@ -89,3 +93,30 @@ expected="3842 rows, 19212 candidate pairs compared: 1080 matches, 1194 possible
 multipass 6000
 
 echo "PASS: multi-pass world selection pinned and within 1 GiB"
+
+STREAM_ENTITIES=$((ENTITIES / 8))
+echo "== generate: $STREAM_ENTITIES entities across 16 sources"
+"$BIN" generate --out-prefix "$WORK/stream" --entities "$STREAM_ENTITIES" --sources 16 \
+    --seed 20100301 > /dev/null
+STREAM=()
+for i in $(seq 0 15); do STREAM+=(--input "$WORK/stream.source$i.pxr"); done
+
+streamed() { # <reduction>: 16-batch ingest vs one-shot dedup, under ulimit -v 1 GiB
+    echo "== ingest: 16 batches under --reduction $1, ulimit -v 1 GiB"
+    ( ulimit -v 1048576
+      "$BIN" dedup "${STREAM[@]}" --reduction "$1" --window 6 --threads 4 \
+          > "$WORK/stream-$1.dedup"
+      "$BIN" ingest "${STREAM[@]}" --reduction "$1" --window 6 --threads 4 \
+          > "$WORK/stream-$1.ingest" ) \
+        || fail "streamed $1 run did not finish within 1 GiB"
+    grep "^session:" "$WORK/stream-$1.ingest"
+    # The result section is everything after the `session:` line.
+    sed '1,/^session:/d' "$WORK/stream-$1.ingest" > "$WORK/stream-$1.result"
+    diff -u "$WORK/stream-$1.dedup" "$WORK/stream-$1.result" \
+        || fail "16-batch ingest under $1 differs from the one-shot dedup"
+}
+
+streamed snm-resolved
+streamed blocking
+
+echo "PASS: 16-batch streamed ingest identical to one-shot dedup within 1 GiB"

@@ -34,7 +34,9 @@ use probdedup::model::relation::XRelation;
 use probdedup::model::schema::Schema;
 use probdedup::model::snapshot::SnapshotError;
 use probdedup::model::stats::RelationStats;
-use probdedup::reduction::{KeyPart, KeySpec, RankingFunction, WorldSelection};
+use probdedup::reduction::{
+    ClusterBlockingConfig, ConflictResolution, KeyPart, KeySpec, RankingFunction, WorldSelection,
+};
 use probdedup::serve::server::{default_key, ServeConfig, Server};
 use probdedup::textsim::JaroWinkler;
 
@@ -50,7 +52,8 @@ USAGE:
       Print the uncertainty profile of a relation.
 
   probdedup dedup --input FILE.pxr [--input FILE2.pxr ...]
-      [--reduction full|snm-alternatives|snm-ranked|snm-multipass|blocking]
+      [--reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
+                   blocking|blocking-resolved|blocking-multipass|cluster-blocking]
       [--key attr:len[,attr:len...]] [--window W]
       [--lambda T] [--mu T] [--threads N]
       [--shards K] [--memory-budget BYTES[k|m|g]]
@@ -115,7 +118,10 @@ USAGE:
       port).
 
 COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
-  --reduction full|snm-alternatives|snm-ranked|snm-multipass|blocking
+  --reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
+              blocking|blocking-resolved|blocking-multipass|cluster-blocking
+              (-resolved: one key per tuple, its most probable alternative's;
+              -multipass: one pass per selected possible world)
   --key attr:len[,attr:len...]   --window W
   --lambda T  --mu T  --threads N
   --memory-budget B   bound the similarity caches from ~B bytes
@@ -123,6 +129,7 @@ COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
                       by default; nothing else is governed)
 
 An option the subcommand does not know is a usage error (exit 2).
+`probdedup --help` (or -h, or help) prints this text.
 
 EXIT CODES:
   0 success   2 usage error   3 I/O error   4 data parse error
@@ -272,6 +279,10 @@ fn run() -> Result<(), CliError> {
     let (cmd, rest) = raw
         .split_first()
         .ok_or_else(|| CliError::Usage("missing subcommand".to_string()))?;
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        std::io::stdout().lock().write_all(USAGE.as_bytes())?;
+        return Ok(());
+    }
     if cmd == "serve" {
         // The daemon logs to stdout for its whole life; it must not hold
         // the lock the one-shot printers below share.
@@ -395,9 +406,16 @@ fn build_pipeline(
         Some(spec) => parse_key(spec, schema)?,
         None => default_key(schema.arity()),
     };
+    let strategy = ConflictResolution::MostProbableAlternative;
+    let selection = WorldSelection::DiverseTopK { k: 3, pool: 32 };
     let reduction = match args.get("reduction").unwrap_or("snm-alternatives") {
         "full" => ReductionStrategy::Full,
         "snm-alternatives" => ReductionStrategy::SortingAlternatives { spec: key, window },
+        "snm-resolved" => ReductionStrategy::ConflictResolved {
+            spec: key,
+            window,
+            strategy,
+        },
         "snm-ranked" => ReductionStrategy::RankedKeys {
             spec: key,
             window,
@@ -406,9 +424,21 @@ fn build_pipeline(
         "snm-multipass" => ReductionStrategy::MultipassWorlds {
             spec: key,
             window,
-            selection: WorldSelection::DiverseTopK { k: 3, pool: 32 },
+            selection,
         },
         "blocking" => ReductionStrategy::BlockingAlternatives { spec: key },
+        "blocking-resolved" => ReductionStrategy::BlockingConflictResolved {
+            spec: key,
+            strategy,
+        },
+        "blocking-multipass" => ReductionStrategy::BlockingMultipass {
+            spec: key,
+            selection,
+        },
+        "cluster-blocking" => ReductionStrategy::ClusterBlocking {
+            spec: key,
+            config: ClusterBlockingConfig::default(),
+        },
         other => return Err(CliError::Usage(format!("unknown reduction {other:?}"))),
     };
 

@@ -487,6 +487,78 @@ fn serve_wal_flags_and_exit_code() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Asking for help is not an error: all three spellings print the usage
+/// text to stdout and exit 0 (a *wrong* subcommand stays exit 2 with the
+/// usage on stderr — `helpful_errors`).
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for spelling in ["--help", "-h", "help"] {
+        let out = bin().arg(spelling).output().expect("run");
+        assert_eq!(out.status.code(), Some(0), "{spelling}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("USAGE"), "{spelling}: {stdout}");
+        assert!(stdout.contains("probdedup ingest"), "{spelling}: {stdout}");
+        assert!(out.stderr.is_empty(), "{spelling}");
+    }
+}
+
+/// Every `ReductionStrategy` is reachable through `--reduction`, and the
+/// streamed `ingest` prints the result `dedup` prints under each.
+#[test]
+fn every_reduction_strategy_is_reachable_and_split_invariant() {
+    let dir = temp_dir("reductions");
+    let prefix = dir.join("r");
+    let out = bin()
+        .args(["generate", "--out-prefix", prefix.to_str().unwrap()])
+        .args(["--entities", "60", "--sources", "3", "--seed", "5"])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let inputs: Vec<String> = (0..3)
+        .flat_map(|i| {
+            [
+                "--input".to_string(),
+                format!("{}.source{i}.pxr", prefix.display()),
+            ]
+        })
+        .collect();
+    for reduction in [
+        "full",
+        "snm-alternatives",
+        "snm-resolved",
+        "snm-ranked",
+        "snm-multipass",
+        "blocking",
+        "blocking-resolved",
+        "blocking-multipass",
+        "cluster-blocking",
+    ] {
+        let run = |cmd: &str| {
+            let out = bin()
+                .arg(cmd)
+                .args(&inputs)
+                .args(["--reduction", reduction, "--threads", "2"])
+                .output()
+                .expect("run");
+            assert!(
+                out.status.success(),
+                "{cmd} --reduction {reduction}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let dedup = run("dedup");
+        let ingest = run("ingest");
+        // `ingest` prints one line per batch and a `session:` line first.
+        let (_, streamed) = ingest
+            .split_once("session: ")
+            .and_then(|(_, rest)| rest.split_once('\n'))
+            .expect("session line");
+        assert_eq!(streamed, dedup, "--reduction {reduction}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn helpful_errors() {
     // Unknown subcommand.

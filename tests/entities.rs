@@ -175,6 +175,39 @@ fn peek_agrees_and_ingest_invalidates() {
     );
 }
 
+/// A session's entity reads never assemble a `DedupResult` — they build
+/// the match graph straight off the (unordered) decision memo — yet a
+/// memo miss, a memo hit and the resolution of `result()` are one and the
+/// same value, for every strategy, after a streamed ingest and again
+/// after the next batch.
+#[test]
+fn session_memo_hit_equals_miss_equals_result_resolution() {
+    let srcs = sources(14, 0x5E55);
+    let p = pipeline(2);
+    let mut session = p.session();
+    for src in &srcs {
+        session.ingest(src).unwrap();
+        let result = session.result();
+        for strategy in ClusterStrategy::ALL {
+            let from_result = result.resolve_entities(strategy);
+            assert!(session.cached_entities(strategy.id()).is_none());
+            let peek_miss = session.peek_entities(strategy);
+            let miss = session.resolve_entities(strategy);
+            assert!(session.cached_entities(strategy.id()).is_some());
+            let hit = session.resolve_entities(strategy);
+            let peek_hit = session.peek_entities(strategy);
+            for (label, got) in [
+                ("peek miss", &peek_miss),
+                ("miss", &miss),
+                ("hit", &hit),
+                ("peek hit", &peek_hit),
+            ] {
+                assert_eq!(got, &from_result, "{label}, {strategy}");
+            }
+        }
+    }
+}
+
 /// The constructed inconsistent triangle, end to end through the public
 /// resolver: A≈B (strong), B≈C (weaker), A≉C. Transitive closure glues
 /// all three; the repaired correlation clustering cuts the weakest

@@ -7,8 +7,9 @@
 //! in ARCHITECTURE.md, "The engine"). Plus the warm-rerun certificate: re-running an unchanged corpus
 //! performs **zero** key renders and interns zero new values. And the
 //! memo invariant: after every `run`, `ingest` and `open`, under all nine
-//! reduction strategies, the session holds exactly one decision per
-//! current candidate pair.
+//! reduction strategies, the session's view is the one-shot run over the
+//! sources so far — pairs, order, classes, clusters — and each ingest
+//! classified exactly the pairs that run gained.
 //!
 //! [`DedupSession`]: probdedup::core::session::DedupSession
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
@@ -238,15 +239,23 @@ proptest! {
     }
 }
 
+/// `(pair, class)` per decision, in result order.
+fn classes(result: &DedupResult) -> Vec<((usize, usize), MatchClass)> {
+    result.decisions.iter().map(|d| (d.pair, d.class)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The decision memo is the candidate set: under every reduction
-    /// strategy and any batch split, after every step — a leading `run`
-    /// or an `ingest`, and a final snapshot round trip — the session
-    /// holds exactly one decision per current candidate (windows that
-    /// slide past a pair take its decision along), and the merged view
-    /// still equals the one-shot run.
+    /// The decision memo is the candidate set, and every write leaves it
+    /// exactly right: under every reduction strategy and any batch split,
+    /// after every step — a leading `run` or an `ingest` — `result()` is
+    /// the one-shot run over the sources so far in pairs, *order*,
+    /// classes and clusters (bit for bit under the exact model), and the
+    /// step's `new_decisions` are that one-shot list filtered to the
+    /// pairs with a new row (for the strategies that regenerate: to the
+    /// pairs not decided before the step). A final snapshot round trip
+    /// reopens to the same view.
     #[test]
     fn memo_is_exactly_the_candidate_set(
         cuts in proptest::collection::vec(0usize..10_000, 0..5),
@@ -257,32 +266,154 @@ proptest! {
         let sources = split_sources(&tuples, &cuts);
         let refs: Vec<&XRelation> = sources.iter().collect();
         for strategy in all_strategies() {
+            let regenerates = matches!(
+                strategy,
+                ReductionStrategy::MultipassWorlds { .. }
+                    | ReductionStrategy::BlockingMultipass { .. }
+                    | ReductionStrategy::ClusterBlocking { .. }
+            );
             let label = format!(
                 "{} bounded={bounded} run_first={run_first} batches={}",
                 strategy.name(),
                 sources.len()
             );
             let pipe = pipeline(strategy, bounded, 2);
-            let one_shot = pipe.run(&refs).unwrap();
             let mut session = pipe.session();
+            let mut one_shot = pipe.run(&[]).unwrap();
             for (step, src) in sources.iter().enumerate() {
+                let label = format!("{label}: after step {step}");
+                let start = session.rows();
+                let decided_before = class_map(&one_shot);
+                one_shot = pipe.run(&refs[..=step]).unwrap();
                 if step == 0 && run_first {
                     session.run(&[src]).unwrap();
                 } else {
-                    session.ingest(src).unwrap();
+                    let added = session.ingest(src).unwrap();
+                    let expected: Vec<_> = classes(&one_shot)
+                        .into_iter()
+                        .filter(|(pair, _)| match regenerates {
+                            true => !decided_before.contains_key(pair),
+                            false => pair.1 >= start,
+                        })
+                        .collect();
+                    let got: Vec<_> =
+                        added.new_decisions.iter().map(|d| (d.pair, d.class)).collect();
+                    prop_assert_eq!(got, expected, "{}: new_decisions", label);
+                    prop_assert_eq!(added.candidates, one_shot.candidates, "{}", label);
                 }
-                prop_assert_eq!(
-                    session.decided_count(),
-                    session.candidate_count(),
-                    "{}: after step {}", label, step
-                );
+                prop_assert_eq!(session.decided_count(), one_shot.candidates, "{}", label);
+                prop_assert_eq!(session.candidate_count(), one_shot.candidates, "{}", label);
+                let merged = session.result();
+                prop_assert_eq!(classes(&merged), classes(&one_shot), "{}: order", label);
+                prop_assert_eq!(&merged.clusters, &one_shot.clusters, "{}", label);
+                if !bounded {
+                    prop_assert_eq!(&merged.decisions, &one_shot.decisions, "{}", label);
+                }
             }
-            assert_equivalent(&one_shot, &session.result(), &label);
 
             let reopened =
                 DedupSession::from_snapshot_bytes(&session.to_snapshot_bytes(), &pipe).unwrap();
             prop_assert_eq!(reopened.decided_count(), one_shot.candidates, "{}: open", label);
-            assert_equivalent(&one_shot, &reopened.result(), &label);
+            let restored = reopened.result();
+            prop_assert_eq!(classes(&restored), classes(&one_shot), "{}: open", label);
+            prop_assert_eq!(&restored.clusters, &one_shot.clusters, "{}: open", label);
+        }
+    }
+}
+
+/// Inputs chosen against the delta emission: every key equal, a window of
+/// 2 and one wider than the corpus, empty and single-row batches, and an
+/// x-tuple whose two adjacent (collapsed) SNM entries a later row sorts
+/// between. After every ingest the session equals the one-shot run.
+#[test]
+fn adversarial_batches_keep_the_session_equal_to_one_shot() {
+    let schema = corpus_schema();
+    let row = |alts: &[&str]| {
+        let mut b = XTuple::builder(&schema);
+        for (i, name) in alts.iter().enumerate() {
+            b = b.alt(
+                0.9 / alts.len() as f64 - 0.01 * i as f64,
+                [*name, "clerk", "ulm", "40"],
+            );
+        }
+        b.build().unwrap()
+    };
+    let batch = |rows: &[&[&str]]| {
+        let mut r = XRelation::new(schema.clone());
+        for alts in rows {
+            r.push(row(alts));
+        }
+        r
+    };
+    let cases: Vec<(&str, Vec<XRelation>)> = vec![
+        (
+            "all-equal keys",
+            vec![
+                batch(&[&["anna"], &["anna"], &["anna"]]),
+                batch(&[]),
+                batch(&[&["anna"]]),
+                batch(&[&["anna"], &["anna"], &["anna"], &["anna"]]),
+            ],
+        ),
+        (
+            "before / between / after",
+            vec![
+                batch(&[&["mia"], &["noa"], &["ole"]]),
+                batch(&[&["ada"], &["abe"]]),
+                batch(&[&["mio"], &["nia"]]),
+                batch(&[&["zoe"]]),
+            ],
+        ),
+        (
+            "un-collapse",
+            vec![
+                batch(&[&["caa", "ccc"], &["aaa"], &["ddd"]]),
+                batch(&[&["cbb"]]),
+                batch(&[&["cbb", "aaa", "ddd"]]),
+                batch(&[&["cab"]]),
+            ],
+        ),
+    ];
+    for (name, sources) in &cases {
+        let refs: Vec<&XRelation> = sources.iter().collect();
+        for window in [2, 3, 64] {
+            let strategies = [
+                ReductionStrategy::SortingAlternatives {
+                    spec: key(),
+                    window,
+                },
+                ReductionStrategy::ConflictResolved {
+                    spec: key(),
+                    window,
+                    strategy: ConflictResolution::MostProbableAlternative,
+                },
+                ReductionStrategy::RankedKeys {
+                    spec: key(),
+                    window,
+                    ranking: RankingFunction::ExpectedScore,
+                },
+                ReductionStrategy::BlockingAlternatives { spec: key() },
+                ReductionStrategy::Full,
+            ];
+            for strategy in strategies {
+                let label = format!("{name}: {} window {window}", strategy.name());
+                let pipe = pipeline(strategy, false, 1);
+                let mut session = pipe.session();
+                for step in 0..sources.len() {
+                    let start = session.rows();
+                    let added = session.ingest(&sources[step]).unwrap();
+                    let one_shot = pipe.run(&refs[..=step]).unwrap();
+                    assert_eq!(session.result().decisions, one_shot.decisions, "{label}");
+                    assert_eq!(session.result().clusters, one_shot.clusters, "{label}");
+                    let with_new_row: Vec<_> = one_shot
+                        .decisions
+                        .iter()
+                        .copied()
+                        .filter(|d| d.pair.1 >= start)
+                        .collect();
+                    assert_eq!(added.new_decisions, with_new_row, "{label}: step {step}");
+                }
+            }
         }
     }
 }
