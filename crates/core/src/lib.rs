@@ -96,6 +96,6 @@ pub use pipeline::{
 };
 pub use prepare::Preparation;
 pub use prob_result::{probabilistic_result, ProbabilisticResult};
-pub use session::{CachedEntities, DedupSession, IncrementalResult};
+pub use session::{DedupSession, IncrementalResult};
 pub use shard::{ShardStats, ShardedPipeline};
 pub use wal::{SessionJournal, WalReplay};

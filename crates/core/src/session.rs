@@ -132,29 +132,6 @@ use crate::snapshot::{
 };
 use crate::warm::WarmReduction;
 
-/// A memoized entity partition of the resident corpus, keyed by the
-/// clustering strategy that produced it.
-///
-/// Core treats the entry as opaque state: the `probdedup-entity` crate
-/// computes it (its `ClusterStrategy::id` is the `strategy` byte here) and
-/// reads it back through [`DedupSession::cached_entities`]. The session
-/// only guarantees coherence — the cache is dropped on every corpus or
-/// decision mutation ([`DedupSession::run`] / [`DedupSession::ingest`])
-/// and persisted in snapshot section 9 (see [`crate::snapshot`]), so a
-/// restored session serves byte-identical entities without re-clustering.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedEntities {
-    /// Strategy discriminant (the entity crate's `ClusterStrategy::id`).
-    pub strategy: u8,
-    /// Local-search moves the clustering performed (0 for closed-form
-    /// strategies); cached so a memo hit reports the same statistics as
-    /// the run that populated it.
-    pub moves: u64,
-    /// The full partition: every resident row in exactly one cluster,
-    /// clusters ordered by smallest member, members ascending.
-    pub clusters: Vec<Vec<usize>>,
-}
-
 /// What one [`DedupSession::ingest`] call did: the rows it appended, the
 /// pairs it newly classified, and the size of the resident candidate set
 /// afterwards. The merged view of the whole corpus is
@@ -232,10 +209,6 @@ pub struct DedupSession {
     /// [`crate::wal::SessionJournal`], persisted in snapshot section 8 so
     /// boot-time replay can skip records a snapshot already covers.
     journal_seq: u64,
-    /// Memoized entity partitions over the *current* corpus + decisions,
-    /// sorted by strategy id; dropped on every mutation and persisted in
-    /// snapshot section 9 (see [`CachedEntities`]).
-    entities: Vec<CachedEntities>,
 }
 
 impl DedupSession {
@@ -252,28 +225,6 @@ impl DedupSession {
             order: OnceLock::new(),
             tiers: [0; 4],
             journal_seq: 0,
-            entities: Vec::new(),
-        }
-    }
-
-    /// The memoized entity partition for `strategy` (the entity crate's
-    /// `ClusterStrategy::id`), if one was cached since the last mutation.
-    pub fn cached_entities(&self, strategy: u8) -> Option<&CachedEntities> {
-        self.entities.iter().find(|e| e.strategy == strategy)
-    }
-
-    /// Memoize an entity partition for its strategy (replacing any
-    /// previous entry), so later reads — including reads after a snapshot
-    /// round-trip — skip the clustering. The caller owns coherence of the
-    /// partition itself; the session drops the cache on every
-    /// corpus/decision mutation and persists it in snapshot section 9.
-    pub fn cache_entities(&mut self, entry: CachedEntities) {
-        match self
-            .entities
-            .binary_search_by_key(&entry.strategy, |e| e.strategy)
-        {
-            Ok(i) => self.entities[i] = entry,
-            Err(i) => self.entities.insert(i, entry),
         }
     }
 
@@ -357,7 +308,7 @@ impl DedupSession {
             return Ok(DedupResult::empty());
         };
         // A warm rerun reproduces identical decisions, so everything
-        // row-indexed (and any memoized entity partition) stays valid.
+        // row-indexed stays valid.
         if self.relation.as_ref() != Some(&combined) {
             self.reset_rows();
             self.reduction.ingest_rows(combined.xtuples(), 0);
@@ -379,10 +330,9 @@ impl DedupSession {
     }
 
     /// Drop everything row-indexed — reduction rows, interned mirrors,
-    /// decisions, tier counters, memoized entity partitions — and keep the
-    /// warm value-keyed pools and caches.
+    /// decisions, tier counters — and keep the warm value-keyed pools and
+    /// caches.
     fn reset_rows(&mut self) {
-        self.entities.clear();
         self.order.take();
         self.reduction.reset_rows();
         self.matching.reset_rows();
@@ -404,9 +354,8 @@ impl DedupSession {
     /// [`run`](Self::run) over the concatenated sources returns.
     pub fn ingest(&mut self, source: &XRelation) -> Result<IncrementalResult, ModelError> {
         self.validate_ingest(source)?;
-        // New rows and new decisions: any memoized entity partition and
-        // the ordered candidate list are stale from here on.
-        self.entities.clear();
+        // New rows and new decisions: the ordered candidate list is stale
+        // from here on.
         self.order.take();
 
         let start = self.rows();
@@ -681,21 +630,6 @@ impl DedupSession {
         w.put_u64(self.journal_seq);
         snap.section(TAG_JOURNAL, w);
 
-        let mut w = SectionWriter::new();
-        w.put_u32(self.entities.len() as u32);
-        for e in &self.entities {
-            w.put_u8(e.strategy);
-            w.put_u64(e.moves);
-            w.put_len(e.clusters.len());
-            for cluster in &e.clusters {
-                w.put_len(cluster.len());
-                for &row in cluster {
-                    w.put_u64(row as u64);
-                }
-            }
-        }
-        snap.section(TAG_ENTITIES, w);
-
         snap.finish()
     }
 
@@ -933,77 +867,11 @@ impl DedupSession {
             0
         };
 
-        // Section 9 (optional, trailing): memoized entity partitions.
-        // Files from before entity resolution end at section 8 (or 7) and
-        // read as "no cached entities".
-        let entities = if reader.has_more() {
-            let mut r = reader.section(TAG_ENTITIES, "entities section")?;
-            let count = r.take_u32()? as usize;
-            let mut entries: Vec<CachedEntities> = Vec::with_capacity(count.min(64));
-            for _ in 0..count {
-                let strategy = r.take_u8()?;
-                if entries.last().is_some_and(|p| p.strategy >= strategy) {
-                    return Err(SnapshotError::Malformed {
-                        context: "entity strategies not strictly increasing",
-                    });
-                }
-                let moves = r.take_u64()?;
-                let cluster_count = r.take_len(1)?;
-                let mut clusters: Vec<Vec<usize>> = Vec::with_capacity(cluster_count);
-                let mut seen = vec![false; rows];
-                let mut covered = 0usize;
-                for _ in 0..cluster_count {
-                    let len = r.take_len(8)?;
-                    if len == 0 {
-                        return Err(SnapshotError::Malformed {
-                            context: "empty entity cluster",
-                        });
-                    }
-                    let mut cluster = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let row = usize::try_from(r.take_u64()?)
-                            .ok()
-                            .filter(|&m| m < rows)
-                            .ok_or(SnapshotError::Malformed {
-                                context: "entity cluster row out of range",
-                            })?;
-                        if cluster.last().is_some_and(|&prev| prev >= row) {
-                            return Err(SnapshotError::Malformed {
-                                context: "entity cluster members not ascending",
-                            });
-                        }
-                        if seen[row] {
-                            return Err(SnapshotError::Malformed {
-                                context: "entity row in two clusters",
-                            });
-                        }
-                        seen[row] = true;
-                        covered += 1;
-                        cluster.push(row);
-                    }
-                    if clusters.last().is_some_and(|prev| prev[0] >= cluster[0]) {
-                        return Err(SnapshotError::Malformed {
-                            context: "entity clusters not in smallest-member order",
-                        });
-                    }
-                    clusters.push(cluster);
-                }
-                if covered != rows {
-                    return Err(SnapshotError::Malformed {
-                        context: "entity partition does not cover the corpus",
-                    });
-                }
-                entries.push(CachedEntities {
-                    strategy,
-                    moves,
-                    clusters,
-                });
-            }
-            r.finish()?;
-            entries
-        } else {
-            Vec::new()
-        };
+        // Section 9 (legacy, see `crate::snapshot`): frame-checked like
+        // every section, payload ignored.
+        if reader.has_more() {
+            reader.section(TAG_ENTITIES, "entities section")?;
+        }
         reader.finish()?;
 
         // Rebuild the row-keyed warm state from the restored pools —
@@ -1044,7 +912,6 @@ impl DedupSession {
         self.decided = decided;
         self.tiers = tiers;
         self.journal_seq = journal_seq;
-        self.entities = entities;
         Ok(())
     }
 }
@@ -1481,66 +1348,5 @@ mod tests {
         // The warm pools survive, and the session remains usable.
         let again = session.ingest(&sources[0]).unwrap();
         assert_eq!(again.new_rows, 0..2);
-    }
-
-    /// A cached partition over `rows` rows, one entry per strategy id.
-    fn entities_for(session: &DedupSession, strategy: u8) -> CachedEntities {
-        CachedEntities {
-            strategy,
-            moves: u64::from(strategy) * 3,
-            clusters: (0..session.rows()).map(|r| vec![r]).collect(),
-        }
-    }
-
-    #[test]
-    fn entity_cache_is_sorted_replaced_and_invalidated() {
-        let sources = corpus();
-        let mut session = builder(ReductionStrategy::Full).session();
-        session.ingest(&sources[0]).unwrap();
-
-        // Out-of-order inserts land sorted by strategy id; re-inserting
-        // a strategy replaces its entry in place.
-        session.cache_entities(entities_for(&session, 2));
-        session.cache_entities(entities_for(&session, 0));
-        assert!(session.cached_entities(1).is_none());
-        assert_eq!(session.cached_entities(2).unwrap().moves, 6);
-        let replacement = CachedEntities {
-            moves: 99,
-            ..entities_for(&session, 2)
-        };
-        session.cache_entities(replacement);
-        assert_eq!(session.cached_entities(2).unwrap().moves, 99);
-        assert_eq!(session.cached_entities(0).unwrap().moves, 0);
-
-        // New rows invalidate the memo.
-        session.ingest(&sources[1]).unwrap();
-        assert!(session.cached_entities(0).is_none());
-        assert!(session.cached_entities(2).is_none());
-    }
-
-    #[test]
-    fn entity_cache_survives_snapshot_and_warm_rerun() {
-        let sources = corpus();
-        let refs: Vec<&XRelation> = sources.iter().collect();
-        let pipe = builder(ReductionStrategy::Full);
-        let mut session = pipe.session();
-        session.run(&refs).unwrap();
-        session.cache_entities(entities_for(&session, 1));
-
-        let bytes = session.to_snapshot_bytes();
-        let mut reopened = DedupSession::from_snapshot_bytes(&bytes, &pipe).unwrap();
-        assert_eq!(
-            reopened.cached_entities(1),
-            session.cached_entities(1),
-            "section 9 must round-trip the cache"
-        );
-
-        // A warm rerun over the identical corpus reproduces identical
-        // decisions, so the memo legitimately survives...
-        reopened.run(&refs).unwrap();
-        assert!(reopened.cached_entities(1).is_some());
-        // ...but a different corpus must clear it.
-        reopened.run(&refs[..1]).unwrap();
-        assert!(reopened.cached_entities(1).is_none());
     }
 }

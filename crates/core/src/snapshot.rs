@@ -22,7 +22,7 @@
 //! | 6   | reduction  | the warm [`KeyTable`] pools (values, keys, memos)     |
 //! | 7   | decisions  | every current candidate pair's decision + tier counts |
 //! | 8   | journal    | *(optional)* highest applied WAL sequence number      |
-//! | 9   | entities   | *(optional)* cached entity partitions per strategy    |
+//! | 9   | entities   | *(legacy)* verified, ignored, never written           |
 //!
 //! Section 7 of an older file may also hold decisions of pairs that had
 //! left the candidate set by the time it was written; `open` drops them
@@ -37,13 +37,12 @@
 //! the committed golden v1 fixture) read as "journal seq 0" and keep
 //! loading, which is why the format version did not change.
 //!
-//! Section 9 persists the session's memoized entity partitions (the
-//! [`CachedEntities`](crate::session::CachedEntities) entries the
-//! `probdedup-entity` crate computes): one entry per clustering strategy,
-//! each a full partition of the resident rows plus the local-search move
-//! count that produced it. Like section 8 it is trailing and optional —
-//! older files simply read as "no cached entities" and the resolution is
-//! recomputed on demand, so format version 1 still holds.
+//! Section 9 is legacy: while sessions memoized entity partitions, the
+//! writer appended them here. An entity partition is a deterministic
+//! function of the decisions in section 7, so nothing writes the section
+//! any more; `open` still checks its frame (tag, length, checksum, no
+//! bytes after it) and skips the payload, which is why such files keep
+//! loading under format version 1.
 //!
 //! The relation is stored *post-preparation*, so opening never re-runs the
 //! preparation plan; pools are stored in dense symbol order, so re-interning
@@ -96,10 +95,9 @@ pub const TAG_DECIDED: u32 = 7;
 /// Section tag (optional, trailing): highest applied write-ahead-journal
 /// sequence number (see [`crate::wal`]). Absent in pre-WAL snapshots.
 pub const TAG_JOURNAL: u32 = 8;
-/// Section tag (optional, trailing): cached entity partitions per
-/// clustering strategy (see
-/// [`CachedEntities`](crate::session::CachedEntities)). Absent in files
-/// written before entity resolution existed.
+/// Section tag (legacy, optional, trailing): the entity partitions older
+/// writers memoized per clustering strategy. `open` verifies the frame
+/// and ignores the payload; nothing writes it.
 pub const TAG_ENTITIES: u32 = 9;
 
 /// The temp-file path the atomic protocol stages into: `<path>.tmp` in the

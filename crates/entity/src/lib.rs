@@ -29,10 +29,11 @@
 //! guarantees that; bounded+cached matching certifies only the class
 //! partition, so correlation weights may differ there).
 //!
-//! Warm [`DedupSession`](probdedup_core::DedupSession)s memoize
-//! resolutions per strategy through [`SessionEntities`]; the memo rides
-//! snapshot section 9, so a restored session serves byte-identical
-//! entities without re-clustering.
+//! Nothing stores a resolution. [`ResolveEntities`] is implemented for a
+//! finished `DedupResult` and for a warm
+//! [`DedupSession`](probdedup_core::DedupSession) (a `&self` read of its
+//! decision memo); a session restored from a snapshot holds the same
+//! decisions and therefore resolves to the same bytes.
 //!
 //! # Example
 //!
@@ -65,7 +66,6 @@ pub mod strategy;
 
 pub use graph::{MatchGraph, MatchGraphBuilder};
 pub use resolve::{
-    resolve_decisions, resolve_graph, EntityResolution, EntityStats, PipelineEntities,
-    ResolveEntities, SessionEntities,
+    resolve_decisions, resolve_graph, EntityResolution, EntityStats, ResolveEntities,
 };
 pub use strategy::ClusterStrategy;

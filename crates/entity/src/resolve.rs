@@ -1,11 +1,8 @@
 //! Entity resolution proper: turn decided pairs into an
 //! [`EntityResolution`] under a [`ClusterStrategy`], with canonical-record
-//! fusion hooks and session memoization.
+//! fusion hooks.
 
-use probdedup_core::{
-    fuse_xtuples, CachedEntities, DedupPipeline, DedupResult, DedupSession, PairDecision,
-};
-use probdedup_model::error::ModelError;
+use probdedup_core::{fuse_xtuples, DedupResult, DedupSession, PairDecision};
 use probdedup_model::relation::XRelation;
 use probdedup_model::xtuple::XTuple;
 
@@ -138,14 +135,17 @@ fn build_graph<'a>(
     builder.finish()
 }
 
-/// Assemble an [`EntityResolution`] from a graph and a known partition
-/// (either freshly clustered or replayed from a session's entity cache).
-fn assemble(
-    graph: &MatchGraph,
-    strategy: ClusterStrategy,
-    clusters: Vec<Vec<usize>>,
-    repair_moves: u64,
-) -> EntityResolution {
+/// Resolve a finished [`MatchGraph`] under `strategy`.
+pub fn resolve_graph(graph: &MatchGraph, strategy: ClusterStrategy) -> EntityResolution {
+    let (clusters, repair_moves) = match strategy {
+        ClusterStrategy::Components => (components(graph), 0),
+        ClusterStrategy::CorrelationGreedy => (canonical_partition(&greedy_pivot(graph)), 0),
+        ClusterStrategy::CorrelationRepaired => {
+            let mut assign = greedy_pivot(graph);
+            let moves = repair(graph, &mut assign);
+            (canonical_partition(&assign), moves)
+        }
+    };
     let stats = EntityStats {
         rows: graph.rows(),
         entities: clusters.len(),
@@ -166,20 +166,6 @@ fn assemble(
     }
 }
 
-/// Resolve a finished [`MatchGraph`] under `strategy`.
-pub fn resolve_graph(graph: &MatchGraph, strategy: ClusterStrategy) -> EntityResolution {
-    let (clusters, moves) = match strategy {
-        ClusterStrategy::Components => (components(graph), 0),
-        ClusterStrategy::CorrelationGreedy => (canonical_partition(&greedy_pivot(graph)), 0),
-        ClusterStrategy::CorrelationRepaired => {
-            let mut assign = greedy_pivot(graph);
-            let moves = repair(graph, &mut assign);
-            (canonical_partition(&assign), moves)
-        }
-    };
-    assemble(graph, strategy, clusters, moves)
-}
-
 /// Resolve a decision list over `rows` combined-relation rows (any pair
 /// order — the graph build canonicalizes).
 pub fn resolve_decisions(
@@ -190,7 +176,8 @@ pub fn resolve_decisions(
     resolve_graph(&build_graph(rows, decisions), strategy)
 }
 
-/// Entity resolution as a step on a finished [`DedupResult`].
+/// Entity resolution as a read of decided pairs: a pure function of them,
+/// so the value is the same wherever they are held.
 pub trait ResolveEntities {
     /// Cluster the decided pairs into entities under `strategy`.
     fn resolve_entities(&self, strategy: ClusterStrategy) -> EntityResolution;
@@ -202,68 +189,13 @@ impl ResolveEntities for DedupResult {
     }
 }
 
-/// Entity resolution as a pipeline step: run, then cluster.
-pub trait PipelineEntities {
-    /// Run the pipeline over `sources` and resolve the result under
-    /// `strategy`, returning both.
-    fn run_entities(
-        &self,
-        sources: &[&XRelation],
-        strategy: ClusterStrategy,
-    ) -> Result<(DedupResult, EntityResolution), ModelError>;
-}
-
-impl PipelineEntities for DedupPipeline {
-    fn run_entities(
-        &self,
-        sources: &[&XRelation],
-        strategy: ClusterStrategy,
-    ) -> Result<(DedupResult, EntityResolution), ModelError> {
-        let result = self.run(sources)?;
-        let resolution = result.resolve_entities(strategy);
-        Ok((result, resolution))
-    }
-}
-
-/// Entity resolution over a warm [`DedupSession`], memoized through the
-/// session's entity cache (snapshot section 9): the first resolve per
-/// strategy clusters and caches; later resolves — including resolves
-/// after a snapshot save → open round-trip — replay the cached partition
-/// byte-identically and only rebuild the (cheap, linear) graph counters.
-///
-/// Both read the session's decision memo directly
+/// Reads the session's decision memo directly
 /// ([`DedupSession::decisions`]): the match graph is pair-order-invariant,
 /// so no [`DedupResult`] — relation clone, ordered candidate list,
-/// transitive closure — is ever assembled for an entity read.
-pub trait SessionEntities {
-    /// Resolve under `strategy`, consulting and updating the session's
-    /// entity cache.
-    fn resolve_entities(&mut self, strategy: ClusterStrategy) -> EntityResolution;
-
-    /// Read-only resolve: replays the cache when warm, otherwise clusters
-    /// from scratch without memoizing (identical output either way).
-    fn peek_entities(&self, strategy: ClusterStrategy) -> EntityResolution;
-}
-
-impl SessionEntities for DedupSession {
-    fn resolve_entities(&mut self, strategy: ClusterStrategy) -> EntityResolution {
-        let resolution = self.peek_entities(strategy);
-        if self.cached_entities(strategy.id()).is_none() {
-            self.cache_entities(CachedEntities {
-                strategy: strategy.id(),
-                moves: resolution.stats.repair_moves,
-                clusters: resolution.clusters.clone(),
-            });
-        }
-        resolution
-    }
-
-    fn peek_entities(&self, strategy: ClusterStrategy) -> EntityResolution {
-        let graph = build_graph(self.rows(), self.decisions());
-        match self.cached_entities(strategy.id()) {
-            Some(hit) => assemble(&graph, strategy, hit.clusters.clone(), hit.moves),
-            None => resolve_graph(&graph, strategy),
-        }
+/// transitive closure — is assembled, and the session is left untouched.
+impl ResolveEntities for DedupSession {
+    fn resolve_entities(&self, strategy: ClusterStrategy) -> EntityResolution {
+        resolve_graph(&build_graph(self.rows(), self.decisions()), strategy)
     }
 }
 

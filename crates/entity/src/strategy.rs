@@ -30,7 +30,7 @@ pub enum ClusterStrategy {
 }
 
 impl ClusterStrategy {
-    /// Every strategy, in `id` order.
+    /// Every strategy.
     pub const ALL: [ClusterStrategy; 3] = [
         ClusterStrategy::Components,
         ClusterStrategy::CorrelationGreedy,
@@ -47,30 +47,9 @@ impl ClusterStrategy {
         }
     }
 
-    /// Stable discriminant — the `strategy` byte of
-    /// [`CachedEntities`](probdedup_core::CachedEntities) (snapshot
-    /// section 9, so the values are part of the on-disk format).
-    pub const fn id(self) -> u8 {
-        match self {
-            ClusterStrategy::Components => 0,
-            ClusterStrategy::CorrelationGreedy => 1,
-            ClusterStrategy::CorrelationRepaired => 2,
-        }
-    }
-
     /// Parse a [`name`](Self::name); `None` for anything else.
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    /// Inverse of [`id`](Self::id); `None` for unknown discriminants.
-    pub const fn from_id(id: u8) -> Option<Self> {
-        match id {
-            0 => Some(ClusterStrategy::Components),
-            1 => Some(ClusterStrategy::CorrelationGreedy),
-            2 => Some(ClusterStrategy::CorrelationRepaired),
-            _ => None,
-        }
     }
 }
 
@@ -85,20 +64,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_and_ids_round_trip() {
+    fn names_round_trip() {
         for s in ClusterStrategy::ALL {
             assert_eq!(ClusterStrategy::from_name(s.name()), Some(s));
-            assert_eq!(ClusterStrategy::from_id(s.id()), Some(s));
             assert_eq!(s.to_string(), s.name());
         }
         assert_eq!(ClusterStrategy::from_name("nope"), None);
-        assert_eq!(ClusterStrategy::from_id(3), None);
-    }
-
-    #[test]
-    fn ids_are_dense_and_ordered() {
-        for (i, s) in ClusterStrategy::ALL.into_iter().enumerate() {
-            assert_eq!(s.id() as usize, i);
-        }
     }
 }

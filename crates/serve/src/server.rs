@@ -19,7 +19,7 @@ use probdedup_decision::combine::WeightedSum;
 use probdedup_decision::derive_sim::ExpectedSimilarity;
 use probdedup_decision::threshold::{MatchClass, Thresholds};
 use probdedup_decision::xmodel::SimilarityBasedModel;
-use probdedup_entity::{ClusterStrategy, SessionEntities};
+use probdedup_entity::{ClusterStrategy, ResolveEntities};
 use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::format::parse_xrelation;
 use probdedup_model::schema::Schema;
@@ -214,6 +214,10 @@ struct SessionEntry {
     /// The session's write-ahead journal (when the daemon runs with
     /// `--wal-dir`). Lock order: session lock first, journal second.
     journal: Option<Mutex<SessionJournal>>,
+    /// Serialises [`persist`](Self::persist): saves run under the session
+    /// *read* lock, so without it two of them would share one staging
+    /// file. Lock order: session lock, then this, then the journal.
+    saving: Mutex<()>,
     /// Quarantined after a panic poisoned its lock: the in-memory state
     /// may be inconsistent, so the session answers 503 until a restart
     /// recovers it from `snapshot + journal` (the durable state is
@@ -242,6 +246,7 @@ impl SessionEntry {
         Self {
             session: RwLock::new(session),
             journal: journal.map(Mutex::new),
+            saving: Mutex::new(()),
             degraded: AtomicBool::new(false),
             opened: Instant::now(),
             restored,
@@ -294,6 +299,37 @@ impl SessionEntry {
                 Err(degraded_response())
             }
         }
+    }
+
+    /// Save `session` (this entry's, through its read guard) to `path`,
+    /// then compact the journal. The caller's read guard keeps appends
+    /// out (they need the write lock), so the snapshot provably covers
+    /// every sequence the compaction truncates; `saving` keeps other
+    /// savers out from before the staging file is created until after the
+    /// compaction. A compaction failure is logged, not returned — the
+    /// snapshot is durable and the journal merely longer than it must be.
+    fn persist(
+        &self,
+        state: &ServerState,
+        session: &DedupSession,
+        path: &std::path::Path,
+    ) -> Result<(), SnapshotError> {
+        // The mutex guards no data, so a poisoned one is as good as new.
+        let _saving = self.saving.lock().unwrap_or_else(|e| e.into_inner());
+        session.save(path)?;
+        match self.journal_guard(state) {
+            Ok(Some(mut journal)) => {
+                if let Err(e) = journal.compact(session.journal_seq()) {
+                    eprintln!("probdedup-serve: compact {}: {e}", journal.path().display());
+                }
+            }
+            Ok(None) => {}
+            Err(_) => eprintln!(
+                "probdedup-serve: save {}: journal poisoned, session quarantined",
+                path.display()
+            ),
+        }
+        Ok(())
     }
 
     /// The journal guard; a poisoned journal mutex (a panic mid-append)
@@ -516,10 +552,6 @@ impl ServerState {
             let path = self
                 .snapshot_path(&name)
                 .expect("snapshot_dir checked above");
-            // The read guard is held across save *and* compaction: an
-            // append cannot interleave (it needs the write lock), so the
-            // snapshot provably covers every sequence the compaction
-            // truncates.
             let Ok(session) = entry.read_guard(self) else {
                 eprintln!(
                     "probdedup-serve: autosave {}: session degraded, keeping last durable state",
@@ -530,25 +562,8 @@ impl ServerState {
             if session.is_empty() {
                 continue;
             }
-            match session.save(&path) {
-                Ok(()) => {
-                    saved += 1;
-                    match entry.journal_guard(self) {
-                        Ok(Some(mut journal)) => {
-                            if let Err(e) = journal.compact(session.journal_seq()) {
-                                eprintln!(
-                                    "probdedup-serve: compact {}: {e}",
-                                    journal.path().display()
-                                );
-                            }
-                        }
-                        Ok(None) => {}
-                        Err(_) => eprintln!(
-                            "probdedup-serve: autosave {}: journal poisoned, session quarantined",
-                            path.display()
-                        ),
-                    }
-                }
+            match entry.persist(self, &session, &path) {
+                Ok(()) => saved += 1,
                 Err(e) => eprintln!("probdedup-serve: autosave {}: {e}", path.display()),
             }
         }
@@ -979,10 +994,8 @@ fn handle_partition(state: &ServerState, name: &str, req: &Request) -> Response 
 }
 
 /// `GET /sessions/{name}/entities[?strategy=components|correlation-greedy|correlation-repaired]`:
-/// the resident corpus resolved into entities. Takes the session's
-/// *write* path so the resolved partition is memoized into the session —
-/// subsequent requests (and snapshot save/restore round-trips) replay
-/// the cached partition byte-for-byte instead of re-clustering.
+/// the resident corpus resolved into entities — a deterministic function
+/// of the session's decisions, computed per request under the read lock.
 fn handle_entities(state: &ServerState, name: &str, req: &Request) -> Response {
     state.endpoints.entities.fetch_add(1, Ordering::Relaxed);
     let Some(entry) = state.entry(name) else {
@@ -1000,7 +1013,7 @@ fn handle_entities(state: &ServerState, name: &str, req: &Request) -> Response {
             }
         },
     };
-    let mut session = match entry.write_guard(state) {
+    let session = match entry.read_guard(state) {
         Ok(s) => s,
         Err(resp) => return resp,
     };
@@ -1042,15 +1055,8 @@ fn handle_snapshot(state: &ServerState, name: &str) -> Response {
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    match session.save(&path) {
+    match entry.persist(state, &session, &path) {
         Ok(()) => {
-            // Snapshot durable → the journal tail it covers is redundant.
-            // The read guard is still held, so no append can interleave.
-            if let Ok(Some(mut journal)) = entry.journal_guard(state) {
-                if let Err(e) = journal.compact(session.journal_seq()) {
-                    eprintln!("probdedup-serve: compact {}: {e}", journal.path().display());
-                }
-            }
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             Response::json(
                 200,

@@ -8,13 +8,17 @@
 //!   identical partition with **zero** key renders since open (the warm
 //!   restart certificate);
 //! * concurrent readers during an ingest observe either the pre- or the
-//!   post-ingest partition, never a torn one, and the final merged
-//!   result equals a serial one-shot run.
+//!   post-ingest partition (or entity resolution), never a torn one, and
+//!   the final merged result equals a serial one-shot run;
+//! * an entity read leaves no trace in what `snapshot` persists, and
+//!   concurrent saves of one session never collide on the staging file.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use probdedup_core::session::DedupSession;
 use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
+use probdedup_entity::{ClusterStrategy, ResolveEntities};
 use probdedup_model::format::write_xrelation;
 use probdedup_model::relation::XRelation;
 use probdedup_serve::client::{json_field, Client};
@@ -295,68 +299,87 @@ fn interval_autosave_persists_without_shutdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite: N reader threads hammer `partition` while one `ingest`
-/// runs. Every observed partition must be exactly the pre-ingest or the
-/// post-ingest one (the session RwLock forbids torn reads), and the
-/// final merged result equals a serial one-shot run.
+/// Satellite: N reader threads hammer `partition` — half of them
+/// alternating it with `entities` — while one `ingest` runs. Every
+/// observed body must be exactly the pre-ingest or the post-ingest one
+/// (the session RwLock forbids torn reads; both are reads), the entity
+/// bodies are the library's resolution of the pre- and the post-ingest
+/// corpus, and the final merged result equals a serial one-shot run.
 #[test]
 fn concurrent_readers_observe_pre_or_post_ingest_only() {
+    const ENTITIES: &str = "/sessions/census/entities?strategy=correlation-repaired";
     let srcs = sources();
     let (running, client) = boot(config());
+    let mut library = ServeConfig::default_pipeline(4).session();
+    // Ingest on both sides; the daemon's entity body must be the
+    // library's resolution of the same corpus.
+    let mut ingest = |src: &XRelation| {
+        let (status, _) = client
+            .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
+            .unwrap();
+        assert_eq!(status, 200);
+        library.ingest(src).unwrap();
+        let (_, partition) = client.get("/sessions/census/partition").unwrap();
+        let (_, entities) = client.get(ENTITIES).unwrap();
+        let expected = library.resolve_entities(ClusterStrategy::CorrelationRepaired);
+        assert_eq!(clusters_of(&entities), clusters_json(&expected.clusters));
+        (clusters_of(&partition), entities)
+    };
 
-    let (status, _) = client
-        .post(
-            "/sessions/census/ingest",
-            write_xrelation(&srcs[0]).as_bytes(),
-        )
-        .unwrap();
-    assert_eq!(status, 200);
-    let (_, pre_body) = client.get("/sessions/census/partition").unwrap();
-    let pre = clusters_of(&pre_body);
+    let (pre, pre_entities) = ingest(&srcs[0]);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let addr = running.addr();
     let readers: Vec<_> = (0..8)
-        .map(|_| {
+        .map(|reader| {
             let stop = stop.clone();
             std::thread::spawn(move || {
                 let client = Client::new(addr);
-                let mut seen = Vec::new();
+                let (mut partitions, mut entities) = (Vec::new(), Vec::new());
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let (status, body) = client.get("/sessions/census/partition").unwrap();
                     assert_eq!(status, 200);
-                    seen.push(clusters_of(&body));
+                    partitions.push(clusters_of(&body));
+                    if reader % 2 == 0 {
+                        let (status, body) = client.get(ENTITIES).unwrap();
+                        assert_eq!(status, 200);
+                        entities.push(body);
+                    }
                 }
-                seen
+                (partitions, entities)
             })
         })
         .collect();
 
     // Let the readers spin up, then ingest the second source.
     std::thread::sleep(Duration::from_millis(30));
-    let (status, _) = client
-        .post(
-            "/sessions/census/ingest",
-            write_xrelation(&srcs[1]).as_bytes(),
-        )
-        .unwrap();
-    assert_eq!(status, 200);
-    let (_, post_body) = client.get("/sessions/census/partition").unwrap();
-    let post = clusters_of(&post_body);
+    let (post, post_entities) = ingest(&srcs[1]);
+    assert_ne!(pre_entities, post_entities);
     std::thread::sleep(Duration::from_millis(30));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
 
-    let mut observations = 0usize;
+    let mut observations = [0usize; 2];
     for r in readers {
-        for seen in r.join().unwrap() {
+        let (partitions, entities) = r.join().unwrap();
+        for seen in partitions {
             assert!(
                 seen == pre || seen == post,
                 "torn partition observed:\n  seen {seen}\n  pre  {pre}\n  post {post}"
             );
-            observations += 1;
+            observations[0] += 1;
+        }
+        for seen in entities {
+            assert!(
+                seen == pre_entities || seen == post_entities,
+                "torn entities observed:\n  seen {seen}\n  pre  {pre_entities}\n  post {post_entities}"
+            );
+            observations[1] += 1;
         }
     }
-    assert!(observations > 0, "readers never observed a partition");
+    assert!(
+        observations.iter().all(|&n| n > 0),
+        "readers never observed a partition / an entity resolution"
+    );
 
     // Split-invariance through the front door: the merged result equals
     // a serial one-shot run over both sources.
@@ -366,6 +389,71 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
     assert_eq!(post, clusters_json(&expected.clusters));
 
     running.shutdown().unwrap();
+}
+
+/// Saves run under the session *read* lock and stage into one fixed
+/// `<path>.tmp`, so two saves of one session must be serialised per
+/// session or they truncate each other's staging file (the loser's rename
+/// fails; `NAME.snap` can hold a partial file meanwhile). Four clients ×
+/// 200 `POST snapshot`, then one client × 200 racing the autosaver at a
+/// 10 ms interval: every answer is a 200 and the file left behind opens.
+#[test]
+fn concurrent_saves_of_one_session_never_collide() {
+    let srcs = sources();
+    for (posters, autosave) in [(4, None), (1, Some(Duration::from_millis(10)))] {
+        let dir = std::env::temp_dir().join(format!(
+            "probdedup-serve-saves-{posters}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = config().snapshot_dir(&dir);
+        if let Some(interval) = autosave {
+            config = config.autosave_interval(interval);
+        }
+        let (running, client) = boot(config);
+        let (status, _) = client
+            .post(
+                "/sessions/census/ingest",
+                write_xrelation(&srcs[0]).as_bytes(),
+            )
+            .unwrap();
+        assert_eq!(status, 200);
+
+        let addr = running.addr();
+        let start = Arc::new(Barrier::new(posters));
+        let hammers: Vec<_> = (0..posters)
+            .map(|_| {
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    let client = Client::new(addr);
+                    start.wait();
+                    for i in 0..200 {
+                        let (status, body) = client.post("/sessions/census/snapshot", b"").unwrap();
+                        assert_eq!(status, 200, "save {i}: {body}");
+                    }
+                })
+            })
+            .collect();
+        for h in hammers {
+            h.join().expect("every concurrent save answers 200");
+        }
+        if autosave.is_some() {
+            let (_, stats) = client.get("/stats").unwrap();
+            let sweeps: u64 = json_field(&stats, "autosaves").unwrap().parse().unwrap();
+            assert!(sweeps > 0, "the autosaver never raced the posts: {stats}");
+        }
+        running.shutdown().unwrap();
+
+        let reopened =
+            DedupSession::open(dir.join("census.snap"), &ServeConfig::default_pipeline(4))
+                .expect("the snapshot left behind opens");
+        assert_eq!(reopened.rows(), srcs[0].len());
+        assert!(
+            !dir.join("census.snap.tmp").exists(),
+            "staging file left behind"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The decision memo is the candidate set, seen through the front door:
@@ -631,12 +719,11 @@ fn panic_is_contained_and_the_session_quarantined() {
 
 /// Entity resolution through the front door: the endpoint equals the
 /// library resolution for every strategy, rejects unknown strategies,
-/// and a restart over the autosaved snapshot replays the memoized
-/// partition byte-for-byte (snapshot section 9 is load-bearing here).
+/// leaves no trace in what `snapshot` persists, and a restart over the
+/// autosaved snapshot answers byte-for-byte the same — the snapshot holds
+/// the decisions and the clustering is a deterministic function of them.
 #[test]
 fn entities_endpoint_matches_library_and_survives_restart() {
-    use probdedup_entity::{ClusterStrategy, SessionEntities};
-
     let srcs = sources();
     let dir = std::env::temp_dir().join(format!("probdedup-serve-entities-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -654,6 +741,13 @@ fn entities_endpoint_matches_library_and_survives_restart() {
     for src in &srcs {
         session.ingest(src).unwrap();
     }
+
+    let saved_bytes = || {
+        let (status, body) = client.post("/sessions/census/snapshot", b"").unwrap();
+        assert_eq!(status, 200, "{body}");
+        std::fs::read(dir.join("census.snap")).unwrap()
+    };
+    let saved_before_reads = saved_bytes();
 
     let mut first_bodies = Vec::new();
     for strategy in ClusterStrategy::ALL {
@@ -676,6 +770,10 @@ fn entities_endpoint_matches_library_and_survives_restart() {
         );
         first_bodies.push(body);
     }
+    assert!(
+        saved_bytes() == saved_before_reads,
+        "three entity reads changed what `snapshot` persists"
+    );
 
     // No ?strategy= defaults to components; unknown strategies are a 400.
     let (status, body) = client.get("/sessions/census/entities").unwrap();
@@ -697,7 +795,7 @@ fn entities_endpoint_matches_library_and_survives_restart() {
     );
 
     // Second life over the autosaved snapshot: every strategy's response
-    // must come back byte-identical from the restored entity cache.
+    // must come back byte-identical.
     running.shutdown().unwrap();
     let (running, client) = boot(config().snapshot_dir(&dir));
     for (strategy, first) in ClusterStrategy::ALL.iter().zip(&first_bodies) {

@@ -3,7 +3,8 @@
 # way an operator would: boot the release daemon over a fixture corpus,
 # exercise every endpoint with curl, SIGTERM it, restart over the
 # autosaved snapshots, and assert the warm restart — identical partition
-# body and zero key renders since open.
+# and entity bodies (determinism: neither is stored) and zero key renders
+# since open.
 #
 #   cargo build --release && scripts/serve_smoke.sh
 #
@@ -75,6 +76,20 @@ req "http://$ADDR/stats" | grep -q '"requests": ' || fail "stats"
 req -X POST "http://$ADDR/sessions/census/snapshot" | grep -q '"bytes"' \
     || fail "explicit snapshot"
 
+# Two saves of one session at once share one staging file; the daemon
+# serialises them per session, so both must land.
+SNAP_PIDS=""
+for n in 1 2; do
+    curl -s -o /dev/null -w '%{http_code}' --max-time 30 -X POST \
+        "http://$ADDR/sessions/census/snapshot" >"$WORK/snap$n.code" &
+    SNAP_PIDS="$SNAP_PIDS $!"
+done
+wait $SNAP_PIDS
+for n in 1 2; do
+    grep -q 200 "$WORK/snap$n.code" \
+        || fail "parallel snapshot $n answered $(cat "$WORK/snap$n.code")"
+done
+
 # Error paths must answer with errors, not kill the daemon.
 curl -s -o /dev/null -w '%{http_code}' \
     "http://$ADDR/sessions/nope/partition" | grep -q 404 \
@@ -100,9 +115,9 @@ PART2=$(req "http://$ADDR/sessions/census/partition")
   before: $PART1
   after:  $PART2"
 
-# The entity resolution was memoized into the session before the
-# snapshot (section 9), so the restarted daemon must serve the
-# byte-identical body without re-clustering.
+# Nothing stores an entity resolution: the snapshot holds the decisions
+# and the clustering is a deterministic function of them, so the
+# restarted daemon must compute the byte-identical body.
 ENT2=$(req "http://$ADDR/sessions/census/entities?strategy=correlation-repaired")
 [ "$ENT1" = "$ENT2" ] || fail "entity resolution changed across restart:
   before: $ENT1

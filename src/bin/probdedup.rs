@@ -26,7 +26,7 @@ use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
-use probdedup::entity::{ClusterStrategy, PipelineEntities};
+use probdedup::entity::{ClusterStrategy, ResolveEntities};
 use probdedup::eval::ClusterMetrics;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::format::{parse_xrelation, write_xrelation};
@@ -569,9 +569,10 @@ fn cmd_entities(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let truth_path = args.get("truth");
     args.reject_unread()?;
     let refs: Vec<&XRelation> = relations.iter().collect();
-    let (result, resolution) = pipeline
-        .run_entities(&refs, strategy)
+    let result = pipeline
+        .run(&refs)
         .map_err(|e| CliError::Parse(e.to_string()))?;
+    let resolution = result.resolve_entities(strategy);
     writeln!(out, "{}", result.summary())?;
     writeln!(out, "{}", resolution.summary())?;
     writeln!(out, "entity clusters (size ≥ 2):")?;

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use probdedup_core::pipeline::{DedupPipeline, DedupResult};
     pub use probdedup_decision::combine::{CombinationFunction, WeightedSum};
     pub use probdedup_decision::threshold::{MatchClass, Thresholds};
-    pub use probdedup_entity::{ClusterStrategy, PipelineEntities, ResolveEntities};
+    pub use probdedup_entity::{ClusterStrategy, ResolveEntities};
     pub use probdedup_matching::pvalue_sim::pvalue_similarity;
     pub use probdedup_matching::vector::{compare_tuples, AttributeComparators};
     pub use probdedup_model::pvalue::PValue;

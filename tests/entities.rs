@@ -3,8 +3,9 @@
 //!
 //! * **determinism** — the resolution is byte-identical across thread
 //!   counts and invariant under the order the decided pairs arrive in;
-//! * **persistence** — a session's memoized resolutions survive a
-//!   snapshot save → open round-trip bit-for-bit (snapshot section 9);
+//! * **a read is a read** — resolving a session is the same value as
+//!   resolving its `result()`, the one-shot run's and a reopened
+//!   snapshot's, and leaves the session's snapshot bytes unchanged;
 //! * **semantics** — on a constructed inconsistent triangle the
 //!   correlation-repaired strategy splits what connected components
 //!   glue, and on clean corpora all strategies agree.
@@ -28,7 +29,7 @@ use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
-use probdedup::entity::{resolve_decisions, ClusterStrategy, ResolveEntities, SessionEntities};
+use probdedup::entity::{resolve_decisions, ClusterStrategy, ResolveEntities};
 use probdedup::eval::ClusterMetrics;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
@@ -102,109 +103,35 @@ fn resolution_is_identical_across_thread_counts() {
     }
 }
 
-/// A session's memoized resolutions survive save → open byte-for-bit:
-/// the reopened session answers from the restored cache (snapshot
-/// section 9) without re-clustering, and the answers are identical.
+/// An entity read of a session is a pure function of its decisions and
+/// leaves no trace: after **each** streamed batch, for every strategy, the
+/// session resolves to what its `result()`, the one-shot run over the
+/// batches so far and a session reopened from its snapshot resolve to —
+/// and the snapshot bytes are the same before and after the reads.
+/// (`threads(1)`, so the compared bytes cannot depend on scheduling.)
 #[test]
-fn session_snapshot_round_trips_the_entity_cache() {
-    let srcs = sources(12, 0xBEEF);
-    let refs: Vec<&XRelation> = srcs.iter().collect();
-    let p = pipeline(2);
-    let mut session = p.session();
-    session.run(&refs).unwrap();
-
-    let before: Vec<_> = ClusterStrategy::ALL
-        .into_iter()
-        .map(|s| session.resolve_entities(s))
-        .collect();
-
-    let path = std::env::temp_dir().join(format!("probdedup-entities-{}.snap", std::process::id()));
-    session.save(&path).unwrap();
-    let mut reopened = DedupSession::open(&path, &p).unwrap();
-    std::fs::remove_file(&path).ok();
-
-    for (strategy, expected) in ClusterStrategy::ALL.into_iter().zip(&before) {
-        let cached = reopened
-            .cached_entities(strategy.id())
-            .unwrap_or_else(|| panic!("section 9 must restore the {strategy} cache"));
-        assert_eq!(cached.clusters, expected.clusters, "{strategy}: cache");
-        assert_eq!(
-            cached.moves, expected.stats.repair_moves,
-            "{strategy}: cached moves"
-        );
-        assert_eq!(
-            &reopened.resolve_entities(strategy),
-            expected,
-            "{strategy}: resolution after restart"
-        );
-    }
-}
-
-/// `peek_entities` (read-only) agrees with `resolve_entities`
-/// (memoizing), and an ingest invalidates the memo.
-#[test]
-fn peek_agrees_and_ingest_invalidates() {
-    let srcs = sources(10, 42);
-    let p = pipeline(2);
-    let mut session = p.session();
-    session.ingest(&srcs[0]).unwrap();
-
-    let peeked = session.peek_entities(ClusterStrategy::CorrelationRepaired);
-    let resolved = session.resolve_entities(ClusterStrategy::CorrelationRepaired);
-    assert_eq!(peeked, resolved);
-    assert!(session
-        .cached_entities(ClusterStrategy::CorrelationRepaired.id())
-        .is_some());
-
-    session.ingest(&srcs[1]).unwrap();
-    assert!(
-        session
-            .cached_entities(ClusterStrategy::CorrelationRepaired.id())
-            .is_none(),
-        "new rows must invalidate the entity memo"
-    );
-    // Re-resolving over the grown corpus equals the one-shot resolution.
-    let refs: Vec<&XRelation> = srcs.iter().collect();
-    let oneshot = p
-        .run(&refs)
-        .unwrap()
-        .resolve_entities(ClusterStrategy::CorrelationRepaired);
-    assert_eq!(
-        session.resolve_entities(ClusterStrategy::CorrelationRepaired),
-        oneshot
-    );
-}
-
-/// A session's entity reads never assemble a `DedupResult` — they build
-/// the match graph straight off the (unordered) decision memo — yet a
-/// memo miss, a memo hit and the resolution of `result()` are one and the
-/// same value, for every strategy, after a streamed ingest and again
-/// after the next batch.
-#[test]
-fn session_memo_hit_equals_miss_equals_result_resolution() {
+fn session_resolution_equals_every_other_and_leaves_no_trace() {
     let srcs = sources(14, 0x5E55);
-    let p = pipeline(2);
+    let p = pipeline(1);
     let mut session = p.session();
-    for src in &srcs {
+    for (batch, src) in srcs.iter().enumerate() {
         session.ingest(src).unwrap();
+        let before = session.to_snapshot_bytes();
         let result = session.result();
+        let refs: Vec<&XRelation> = srcs[..=batch].iter().collect();
+        let oneshot = p.run(&refs).unwrap();
+        let reopened = DedupSession::from_snapshot_bytes(&before, &p).unwrap();
         for strategy in ClusterStrategy::ALL {
-            let from_result = result.resolve_entities(strategy);
-            assert!(session.cached_entities(strategy.id()).is_none());
-            let peek_miss = session.peek_entities(strategy);
-            let miss = session.resolve_entities(strategy);
-            assert!(session.cached_entities(strategy.id()).is_some());
-            let hit = session.resolve_entities(strategy);
-            let peek_hit = session.peek_entities(strategy);
-            for (label, got) in [
-                ("peek miss", &peek_miss),
-                ("miss", &miss),
-                ("hit", &hit),
-                ("peek hit", &peek_hit),
-            ] {
-                assert_eq!(got, &from_result, "{label}, {strategy}");
-            }
+            let resolved = session.resolve_entities(strategy);
+            assert_eq!(resolved, result.resolve_entities(strategy), "{strategy}");
+            assert_eq!(resolved, oneshot.resolve_entities(strategy), "{strategy}");
+            assert_eq!(resolved, reopened.resolve_entities(strategy), "{strategy}");
         }
+        assert_eq!(
+            session.to_snapshot_bytes(),
+            before,
+            "batch {batch}: an entity read changed what `save` persists"
+        );
     }
 }
 

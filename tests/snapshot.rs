@@ -9,9 +9,12 @@
 //!   [`SnapshotError`] — never a panic, never a silently misread session.
 //! * **Kill points**: a crash at any step of the atomic write-temp →
 //!   fsync → rename protocol leaves the previous snapshot loadable.
-//! * **Golden fixture**: a committed format-version-1 snapshot still
-//!   loads — the canary that format changes bump the version instead of
-//!   silently breaking old files.
+//! * **Golden fixtures**: committed format-version-1 snapshots still
+//!   load — the canary that format changes bump the version instead of
+//!   silently breaking old files. `entity-memo-v1.snap` is one from when
+//!   sessions memoized entity partitions in a trailing section 9: the
+//!   section is still frame-checked, its payload ignored, and nothing
+//!   writes it any more.
 //! * **Stale-memo fixture**: a committed format-version-1 snapshot from
 //!   when the decision memo kept every pair ever classified still opens;
 //!   the decisions of pairs that left the candidate set are dropped.
@@ -37,9 +40,12 @@ use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::Thresholds;
 use probdedup::decision::xmodel::SimilarityBasedModel;
+use probdedup::entity::{ClusterStrategy, ResolveEntities};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
-use probdedup::model::snapshot::{SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter};
+use probdedup::model::snapshot::{
+    fnv1a, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
+};
 use probdedup::reduction::{KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
@@ -125,6 +131,46 @@ fn canonical_snapshot() -> (DedupPipeline, Vec<u8>) {
     (pipeline(strategy, false), bytes)
 }
 
+fn fixture(name: &str) -> Vec<u8> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("committed fixture {path}: {e}"))
+}
+
+/// What the corruption matrix damages: the canonical snapshot, or the
+/// committed file that still carries a legacy section 9 (same pipeline).
+fn corruption_input(legacy: bool) -> (DedupPipeline, Vec<u8>) {
+    let (pipe, canonical) = canonical_snapshot();
+    let bytes = if legacy {
+        fixture("entity-memo-v1.snap")
+    } else {
+        canonical
+    };
+    (pipe, bytes)
+}
+
+/// The sections every file has, in order (8 and 9 are optional trailers).
+const REQUIRED_TAGS: [u32; 7] = [
+    TAG_CONFIG,
+    TAG_RELATION,
+    TAG_OFFSETS,
+    TAG_MATCH_POOL,
+    TAG_CACHES,
+    TAG_REDUCTION,
+    TAG_DECIDED,
+];
+
+/// Assert that `bytes` holds the required sections, then exactly
+/// `trailers`, then nothing.
+fn assert_ends_with_sections(bytes: &[u8], trailers: &[u32], label: &str) {
+    let mut reader = SnapshotReader::open(bytes).unwrap();
+    for tag in REQUIRED_TAGS.iter().chain(trailers) {
+        reader
+            .section(*tag, "section")
+            .unwrap_or_else(|e| panic!("{label}: section {tag}: {e}"));
+    }
+    assert!(!reader.has_more(), "{label}: sections follow {trailers:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -170,9 +216,10 @@ proptest! {
     /// and must never panic or silently misread.
     #[test]
     fn corrupted_snapshot_always_errors(
+        legacy in any::<bool>(),
         flips in proptest::collection::vec((0usize..1_000_000, 1u8..=255), 1..8),
     ) {
-        let (pipe, bytes) = canonical_snapshot();
+        let (pipe, bytes) = corruption_input(legacy);
         let mut corrupt = bytes.clone();
         let mut changed = false;
         for (pos, xor) in flips {
@@ -190,8 +237,8 @@ proptest! {
     /// Truncation at any length — including 0 and mid-header — is a typed
     /// error, never a panic.
     #[test]
-    fn truncated_snapshot_always_errors(cut in 0usize..1_000_000) {
-        let (pipe, bytes) = canonical_snapshot();
+    fn truncated_snapshot_always_errors(legacy in any::<bool>(), cut in 0usize..1_000_000) {
+        let (pipe, bytes) = corruption_input(legacy);
         let cut = cut % bytes.len(); // strictly shorter than the file
         let truncated = &bytes[..cut];
         match DedupSession::from_snapshot_bytes(truncated, &pipe) {
@@ -336,28 +383,132 @@ fn crash_mid_save_preserves_previous_snapshot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The committed format-version-1 fixture still loads and reproduces its
+/// The committed format-version-1 fixtures still load and reproduce their
 /// partition — the canary that format changes bump
 /// [`FORMAT_VERSION`](probdedup::model::snapshot::FORMAT_VERSION) instead
-/// of silently reinterpreting old files. Regenerate (after a deliberate
-/// version bump) with:
+/// of silently reinterpreting old files. `golden-v1.snap` ends at section
+/// 7; `entity-memo-v1.snap` was written by the last commit that memoized
+/// entity partitions (cb19419, all three strategies resolved before the
+/// save) and ends with a section 9 no current writer produces — hence a
+/// committed file without a regenerator. Either way the reopened session
+/// resolves entities like a fresh run, and what it saves ends at section 8.
+/// Regenerate the golden one (after a deliberate version bump) with:
 /// `cargo test --test snapshot regenerate_golden_fixture -- --ignored`.
 #[test]
 fn golden_fixture_still_loads() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden-v1.snap");
-    let bytes =
-        std::fs::read(path).expect("committed golden fixture tests/fixtures/golden-v1.snap");
     let (pipe, _) = canonical_snapshot();
-    let reopened =
-        DedupSession::from_snapshot_bytes(&bytes, &pipe).expect("golden fixture must load");
-    // Its decisions agree with a fresh run of the same seeded corpus.
     let srcs = sources();
     let refs: Vec<&XRelation> = srcs.iter().collect();
     let mut fresh = pipe.session();
     let fresh_result = fresh.run(&refs).unwrap();
-    let restored = reopened.result();
-    assert_eq!(fresh_result.decisions, restored.decisions);
-    assert_eq!(fresh_result.clusters, restored.clusters);
+
+    let fixtures: [(&str, &[u32]); 2] = [
+        ("golden-v1.snap", &[]),
+        ("entity-memo-v1.snap", &[TAG_JOURNAL, TAG_ENTITIES]),
+    ];
+    for (name, trailers) in fixtures {
+        let bytes = fixture(name);
+        assert_ends_with_sections(&bytes, trailers, name);
+
+        let reopened = DedupSession::from_snapshot_bytes(&bytes, &pipe)
+            .unwrap_or_else(|e| panic!("{name} must load: {e}"));
+        // Its decisions agree with a fresh run of the same seeded corpus,
+        // and so does every entity partition computed from them.
+        let restored = reopened.result();
+        assert_eq!(fresh_result.decisions, restored.decisions, "{name}");
+        assert_eq!(fresh_result.clusters, restored.clusters, "{name}");
+        for strategy in ClusterStrategy::ALL {
+            assert_eq!(
+                reopened.resolve_entities(strategy),
+                fresh.resolve_entities(strategy),
+                "{name}: {strategy}"
+            );
+        }
+
+        // Re-saved, the file ends after section 8 and opens again.
+        let resaved = reopened.to_snapshot_bytes();
+        assert_ends_with_sections(&resaved, &[TAG_JOURNAL], name);
+        let again = DedupSession::from_snapshot_bytes(&resaved, &pipe).unwrap();
+        assert_eq!(again.result().decisions, restored.decisions, "{name}");
+    }
+}
+
+/// The legacy section 9 is *verified, then ignored*: damage the fixture's
+/// trailers (sections 8 and 9 and the file checksum; sections 1–7 are the
+/// proptests' ground) at **every** offset — truncation and a bit flip,
+/// both as-is (the whole-file checksum answers) and re-sealed under a
+/// recomputed whole-file checksum (the section frames answer) — and
+/// opening is a typed [`SnapshotError`] each time, never a panic and
+/// never a session, but for the two cuts that leave a well-formed older
+/// file. Re-sealed, a flipped payload byte of section 9 is that section's
+/// `ChecksumMismatch`, and bytes appended after it are `TrailingBytes`.
+#[test]
+fn legacy_entities_section_is_verified_at_every_offset() {
+    let (pipe, bytes) = corruption_input(true);
+    let body = &bytes[..bytes.len() - 8];
+    let reseal = |mut body: Vec<u8>| {
+        let sum = fnv1a(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    };
+    assert_eq!(
+        reseal(body.to_vec()),
+        bytes,
+        "reseal reproduces the envelope"
+    );
+    let open = |bytes: &[u8]| DedupSession::from_snapshot_bytes(bytes, &pipe).err();
+
+    // Section 9 is the last frame: tag · len · payload · checksum.
+    let mut reader = SnapshotReader::open(&bytes).unwrap();
+    for tag in REQUIRED_TAGS.into_iter().chain([TAG_JOURNAL]) {
+        reader.section(tag, "skipped section").unwrap();
+    }
+    let payload_len = reader
+        .section(TAG_ENTITIES, "entities section")
+        .unwrap()
+        .remaining();
+    assert!(payload_len > 0 && !reader.has_more());
+    let payload = body.len() - 8 - payload_len..body.len() - 8;
+    // Sections 8 and 9 are optional, so a file that ends (under a valid
+    // envelope) right after section 7 or section 8 is an older file.
+    let after_journal = payload.start - 12;
+    let after_decided = after_journal - 28;
+
+    for at in after_decided..bytes.len() {
+        assert!(open(&bytes[..at]).is_some(), "cut at {at} opened");
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0x20;
+        assert!(open(&flipped).is_some(), "flip at {at} opened");
+    }
+    for at in after_decided..body.len() {
+        assert_eq!(
+            open(&reseal(body[..at].to_vec())).is_none(),
+            at == after_decided || at == after_journal,
+            "re-sealed cut at {at}"
+        );
+        let mut flipped = body.to_vec();
+        flipped[at] ^= 0x20;
+        let err = open(&reseal(flipped));
+        if payload.contains(&at) {
+            assert!(
+                matches!(
+                    err,
+                    Some(SnapshotError::ChecksumMismatch {
+                        context: "entities section"
+                    })
+                ),
+                "re-sealed flip at {at} inside section 9: {err:?}"
+            );
+        } else {
+            assert!(err.is_some(), "re-sealed flip at {at} opened");
+        }
+    }
+    let mut extended = body.to_vec();
+    extended.push(0);
+    assert!(matches!(
+        open(&reseal(extended)),
+        Some(SnapshotError::TrailingBytes { extra: 1, .. })
+    ));
 }
 
 /// `tests/fixtures/stale-memo-v1.snap` was written by the last commit
@@ -371,23 +522,12 @@ fn golden_fixture_still_loads() {
 /// without a regenerator.
 #[test]
 fn stale_memo_fixture_opens_pruned() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/stale-memo-v1.snap"
-    );
-    let bytes = std::fs::read(path).expect("committed fixture tests/fixtures/stale-memo-v1.snap");
+    let bytes = fixture("stale-memo-v1.snap");
 
     // The file really is stale: skip to its DECIDED section and count.
     let mut reader = SnapshotReader::open(&bytes).unwrap();
-    for tag in [
-        TAG_CONFIG,
-        TAG_RELATION,
-        TAG_OFFSETS,
-        TAG_MATCH_POOL,
-        TAG_CACHES,
-        TAG_REDUCTION,
-    ] {
-        reader.section(tag, "skipped section").unwrap();
+    for tag in &REQUIRED_TAGS[..6] {
+        reader.section(*tag, "skipped section").unwrap();
     }
     let stored = reader
         .section(TAG_DECIDED, "decisions section")
