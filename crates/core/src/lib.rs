@@ -91,7 +91,7 @@ pub use cluster::UnionFind;
 pub use exec::par_map_index;
 pub use fusion::fuse_xtuples;
 pub use pipeline::{
-    BoundedClassifyConfig, DedupPipeline, DedupResult, MatchingStats, PairDecision,
+    BoundedClassifyConfig, DedupPipeline, DedupResult, MatchingStats, PairDecision, Partition,
     ReductionStrategy,
 };
 pub use prepare::Preparation;

@@ -276,26 +276,20 @@ impl DedupResult {
         self.matches().map(|d| d.pair).collect()
     }
 
-    /// One-line report of the run, e.g. `4 rows, 6 candidate pairs
-    /// compared: 1 match, 1 possible, 4 non-matches, 1 duplicate cluster`
-    /// — the shared formatting the CLI and examples print instead of
-    /// ad-hoc strings.
+    /// The counts and clusters of this result (see [`Partition`]).
+    pub fn partition(&self) -> Partition {
+        Partition {
+            rows: self.relation.len(),
+            candidates: self.candidates,
+            matches: self.matches().count(),
+            possible: self.possible_matches().count(),
+            clusters: self.clusters.clone(),
+        }
+    }
+
+    /// One-line report of the run (see [`Partition::summary`]).
     pub fn summary(&self) -> String {
-        let matches = self.matches().count();
-        let possible = self.possible_matches().count();
-        let non = self.decisions.len() - matches - possible;
-        format!(
-            "{} rows, {} candidate pairs compared: {} match{}, {} possible, {} non-match{}, {} duplicate cluster{}",
-            self.relation.len(),
-            self.candidates,
-            matches,
-            if matches == 1 { "" } else { "es" },
-            possible,
-            non,
-            if non == 1 { "" } else { "es" },
-            self.clusters.len(),
-            if self.clusters.len() == 1 { "" } else { "s" },
-        )
+        self.partition().summary()
     }
 
     /// The empty result (what running over zero sources yields).
@@ -323,13 +317,86 @@ impl DedupResult {
     }
 }
 
+/// What a dedup outcome says about the corpus, without the decisions
+/// themselves: row and candidate counts, the match and possible-match
+/// counts, and the duplicate clusters. [`DedupResult::partition`] reads it
+/// off a result; [`DedupSession::partition`](crate::session::DedupSession::partition)
+/// computes it from the decision memo without building one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Partition {
+    /// Rows of the combined relation.
+    pub rows: usize,
+    /// Candidate pairs compared.
+    pub candidates: usize,
+    /// Pairs classified as matches.
+    pub matches: usize,
+    /// Pairs classified as possible matches.
+    pub possible: usize,
+    /// Duplicate clusters (transitive closure of matches), size ≥ 2.
+    pub clusters: Vec<Vec<usize>>,
+}
+
+impl Partition {
+    /// Counts and closure of `decisions` — one per candidate pair, in any
+    /// order — over `rows` rows, in one pass.
+    pub(crate) fn of<'a>(
+        rows: usize,
+        decisions: impl IntoIterator<Item = &'a PairDecision>,
+    ) -> Self {
+        let mut p = Partition {
+            rows,
+            ..Partition::default()
+        };
+        let clusters = match_clusters(rows, decisions.into_iter().inspect(|d| p.count(d.class)));
+        p.clusters = clusters;
+        p
+    }
+
+    /// Count one decision of `class`.
+    fn count(&mut self, class: MatchClass) {
+        self.candidates += 1;
+        match class {
+            MatchClass::Match => self.matches += 1,
+            MatchClass::Possible => self.possible += 1,
+            MatchClass::NonMatch => {}
+        }
+    }
+
+    /// One-line report, e.g. `4 rows, 6 candidate pairs compared: 1
+    /// match, 1 possible, 4 non-matches, 1 duplicate cluster` — the shared
+    /// formatting the CLI, the examples and the daemon print instead of
+    /// ad-hoc strings.
+    pub fn summary(&self) -> String {
+        let non = self.candidates - self.matches - self.possible;
+        let plural = |n: usize, suffix: &'static str| if n == 1 { "" } else { suffix };
+        format!(
+            "{} rows, {} candidate pairs compared: {} match{}, {} possible, {} non-match{}, {} duplicate cluster{}",
+            self.rows,
+            self.candidates,
+            self.matches,
+            plural(self.matches, "es"),
+            self.possible,
+            non,
+            plural(non, "es"),
+            self.clusters.len(),
+            plural(self.clusters.len(), "s"),
+        )
+    }
+}
+
 /// Duplicate clusters of size ≥ 2: the transitive closure of the
 /// [`MatchClass::Match`] decisions over `rows` rows — the last step of
-/// every driver.
-pub(crate) fn match_clusters(rows: usize, decisions: &[PairDecision]) -> Vec<Vec<usize>> {
+/// every driver. The decisions may come in any order: each cluster is
+/// sorted and clusters are ordered by their smallest member.
+pub(crate) fn match_clusters<'a>(
+    rows: usize,
+    decisions: impl IntoIterator<Item = &'a PairDecision>,
+) -> Vec<Vec<usize>> {
     let mut uf = UnionFind::new(rows);
-    for d in decisions.iter().filter(|d| d.class == MatchClass::Match) {
-        uf.union(d.pair.0, d.pair.1);
+    for d in decisions {
+        if d.class == MatchClass::Match {
+            uf.union(d.pair.0, d.pair.1);
+        }
     }
     uf.clusters(2)
 }

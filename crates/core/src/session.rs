@@ -29,10 +29,11 @@
 //!   is matched once), so an ingest classifies only the pairs it adds and
 //!   [`DedupSession::result`] classifies nothing. A pair that leaves the
 //!   candidate set takes its decision along: the memo **is** the
-//!   candidate set ([`DedupSession::candidate_count`]). The ordered
-//!   candidate *list* is a read concern — [`DedupSession::result`]
-//!   regenerates it from the warm reduction state once per ingest
-//!   generation; no write carries it.
+//!   candidate set ([`DedupSession::candidate_count`]), and
+//!   [`DedupSession::partition`] reads the counts and clusters straight
+//!   off it. The ordered candidate *list* is a read concern of
+//!   [`DedupSession::result`] alone, which regenerates it from the warm
+//!   reduction state once per ingest generation; no write carries it.
 //!
 //! Two entry points:
 //!
@@ -124,7 +125,8 @@ use probdedup_reduction::CandidatePairs;
 
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
-    match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, PipelineConfig,
+    match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, Partition,
+    PipelineConfig,
 };
 use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
@@ -451,6 +453,17 @@ impl DedupSession {
             })
             .collect();
         self.snapshot(decisions)
+    }
+
+    /// The merged resident view without its decisions: row, candidate,
+    /// match and possible counts and the duplicate clusters, equal to
+    /// [`result().partition()`](DedupResult::partition). Computed from the
+    /// decision memo alone — it holds exactly one decision per current
+    /// candidate, and the closure does not depend on pair order — so it
+    /// clones no relation, regenerates no ordered candidate list and looks
+    /// nothing up.
+    pub fn partition(&self) -> Partition {
+        Partition::of(self.rows(), self.decided.values())
     }
 
     /// The candidate set in one-shot order: regenerated from the warm
@@ -1123,6 +1136,7 @@ mod tests {
         let merged = session.result();
         assert_eq!(merged.candidates, 6);
         assert!(merged.summary().contains("pairs compared"));
+        assert_eq!(session.partition(), merged.partition());
     }
 
     #[test]
@@ -1145,6 +1159,7 @@ mod tests {
         let snap = session.result();
         assert_eq!(snap.candidates, 0);
         assert!(snap.decisions.is_empty());
+        assert_eq!(session.partition(), snap.partition());
     }
 
     fn temp_snap(tag: &str) -> std::path::PathBuf {

@@ -103,7 +103,14 @@ fn threads8_is_byte_identical_to_threads1_interned() {
     assert!(one.stats.cache_hits > 0 && eight.stats.cache_hits > 0);
     // Hit/miss *totals* must agree run to run (the split may differ: with
     // several threads the same missing pair can be computed twice before
-    // the memo lands, which is benign for results).
+    // the memo lands, which is benign for results). Every exact kernel
+    // probe is one hit or one miss, and which probes run depends on the
+    // values alone — so a lost count in the per-shard counters shows here.
+    assert_eq!(
+        one.stats.cache_hits + one.stats.cache_misses,
+        eight.stats.cache_hits + eight.stats.cache_misses,
+        "cache probe totals"
+    );
     assert_eq!(one.stats.interned_values, eight.stats.interned_values);
 }
 

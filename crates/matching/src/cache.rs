@@ -8,8 +8,10 @@
 //! keyed on canonical `(Symbol, Symbol)` pairs packed into one `u64`
 //! (kernel symmetry halves the table), sharded `SHARDS` ways with an
 //! `RwLock` per shard. Reads (the overwhelmingly common case once the
-//! cache is warm) take a shared lock on one shard only, so worker threads
-//! do not serialize on a single global mutex. The `kernel` closure a
+//! cache is warm) take a shared lock on one shard only and write nothing
+//! another worker reads: each shard sits on its own cache line with its
+//! own hit / miss / certificate counters, and the second-chance reference
+//! bit is kept only under a capacity ceiling. The `kernel` closure a
 //! caller hands to [`SymbolCache::get_or_compute`] is the **only** place
 //! the pipeline touches strings; the interned path points it at
 //! per-symbol [`PreparedValue`](crate::value_cmp::PreparedValue)s so even
@@ -41,29 +43,33 @@ fn hash_u64(key: u64) -> u64 {
     h.finish()
 }
 
-/// Hit/miss/eviction counters.
-#[derive(Debug, Default)]
-struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl CacheCounters {
-    fn snapshot(&self) -> (u64, u64) {
-        (self.hits.load(Relaxed), self.misses.load(Relaxed))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Symbol-keyed sharded cache (the interned hot path).
 // ---------------------------------------------------------------------
+
+/// One lock stripe: its entries and the counters of the probes that land
+/// on it. Aligned to 128 bytes (two 64-byte lines, the adjacent-line
+/// prefetch unit) so a probe's lock acquisition and counter bump dirty
+/// this stripe's line and no neighbour's; [`SymbolCache::stats`] sums the
+/// counters.
+#[repr(align(128))]
+#[derive(Default)]
+struct Shard {
+    map: RwLock<FxHashMap<u64, Slot>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    /// Below-bound certificates of a verdict table (see
+    /// [`SymbolCache::certifies`]).
+    certs: AtomicU64,
+}
 
 /// One memoized similarity with its second-chance reference bit.
 ///
 /// The bit is an [`AtomicBool`](std::sync::atomic::AtomicBool) so the read
 /// paths — which only hold a *shared* shard lock — can mark an entry as
-/// recently used without upgrading to a write lock.
+/// recently used without upgrading to a write lock. Only a cache with a
+/// capacity ceiling keeps it (nothing else reads it), and a hit stores it
+/// only while it is clear, so a hot entry's line stays shared.
 #[derive(Debug)]
 struct Slot {
     value: f64,
@@ -82,10 +88,13 @@ impl Slot {
         }
     }
 
-    /// Mark recently-used through a shared reference (read-lock paths).
+    /// Mark recently-used through a shared reference (read-lock paths);
+    /// a set bit is left alone.
     #[inline]
     fn touch(&self) {
-        self.referenced.store(true, Relaxed);
+        if !self.referenced.load(Relaxed) {
+            self.referenced.store(true, Relaxed);
+        }
     }
 }
 
@@ -101,17 +110,19 @@ impl Slot {
 ///
 /// [`SymbolCache::with_capacity`] caps the number of memoized pairs. The
 /// cap is split evenly across the shards, and a full shard evicts with an
-/// approximate **second-chance** (clock) policy: every lookup hit sets the
-/// entry's reference bit; when an insert finds the shard full, it sweeps
-/// the shard's entries demoting set bits and evicts the first entry whose
-/// bit was already clear (falling back to an arbitrary entry if the sweep
-/// demoted everything). Recently re-used pairs therefore survive one full
-/// sweep longer than cold ones — close enough to LRU for a memo table,
-/// with no per-entry list links and no write traffic on hits. Evictions
-/// are counted (see [`SymbolCache::evictions`]).
+/// approximate **second-chance** (clock) policy: a lookup hit sets the
+/// entry's reference bit if it was clear; when an insert finds the shard
+/// full, it sweeps the shard's entries demoting set bits and evicts the
+/// first entry whose bit was already clear (falling back to an arbitrary
+/// entry if the sweep demoted everything). Recently re-used pairs
+/// therefore survive one full sweep longer than cold ones — close enough
+/// to LRU for a memo table, with no per-entry list links. An unbounded
+/// cache never evicts and keeps no reference bits. Evictions are counted
+/// (see [`SymbolCache::evictions`]).
 pub struct SymbolCache {
-    shards: Box<[RwLock<FxHashMap<u64, Slot>>]>,
-    counters: CacheCounters,
+    shards: Box<[Shard]>,
+    /// Only bumped under a shard's write lock, so it stays cache-wide.
+    evictions: AtomicU64,
     /// Per-shard entry cap; `None` = unbounded (the default).
     shard_cap: Option<usize>,
 }
@@ -134,20 +145,40 @@ impl SymbolCache {
     /// `None` means unbounded.
     pub fn with_capacity(capacity: Option<usize>) -> Self {
         Self {
-            shards: (0..SHARDS)
-                .map(|_| RwLock::new(FxHashMap::default()))
-                .collect(),
-            counters: CacheCounters::default(),
+            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            evictions: AtomicU64::new(0),
             shard_cap: capacity.map(|c| c.div_ceil(SHARDS).max(1)),
         }
+    }
+
+    /// The stripe `key` lives in.
+    #[inline]
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[shard_of(hash_u64(key))]
+    }
+
+    /// Look `key` up under `shard`'s read lock; a hit sets the reference
+    /// bit when (and only when) a capacity ceiling will read it.
+    #[inline]
+    fn probe(&self, shard: &Shard, key: u64) -> Option<f64> {
+        shard
+            .map
+            .read()
+            .expect("cache shard poisoned")
+            .get(&key)
+            .map(|slot| {
+                if self.shard_cap.is_some() {
+                    slot.touch();
+                }
+                slot.value
+            })
     }
 
     /// Store `key → v` under the shard's write lock, enforcing the
     /// capacity ceiling. `keep_min` selects the verdict-table collision
     /// rule (smaller value wins) over plain replacement.
-    fn store(&self, key: u64, v: f64, keep_min: bool) {
-        let shard = &self.shards[shard_of(hash_u64(key))];
-        let mut map = shard.write().expect("cache shard poisoned");
+    fn store(&self, shard: &Shard, key: u64, v: f64, keep_min: bool) {
+        let mut map = shard.map.write().expect("cache shard poisoned");
         if let Some(slot) = map.get_mut(&key) {
             if !keep_min || v < slot.value {
                 slot.value = v;
@@ -158,7 +189,7 @@ impl SymbolCache {
         if let Some(cap) = self.shard_cap {
             if map.len() >= cap {
                 Self::evict_one(&mut map);
-                self.counters.evictions.fetch_add(1, Relaxed);
+                self.evictions.fetch_add(1, Relaxed);
             }
         }
         map.insert(key, Slot::new(v));
@@ -201,15 +232,14 @@ impl SymbolCache {
     #[inline]
     pub fn get_or_compute(&self, a: Symbol, b: Symbol, kernel: impl FnOnce() -> f64) -> f64 {
         let key = Self::key(a, b);
-        let shard = &self.shards[shard_of(hash_u64(key))];
-        if let Some(slot) = shard.read().expect("cache shard poisoned").get(&key) {
-            slot.touch();
-            self.counters.hits.fetch_add(1, Relaxed);
-            return slot.value;
+        let shard = self.shard(key);
+        if let Some(v) = self.probe(shard, key) {
+            shard.hits.fetch_add(1, Relaxed);
+            return v;
         }
         let s = kernel();
-        self.counters.misses.fetch_add(1, Relaxed);
-        self.store(key, s, false);
+        shard.misses.fetch_add(1, Relaxed);
+        self.store(shard, key, s, false);
         s
     }
 
@@ -219,49 +249,39 @@ impl SymbolCache {
     #[inline]
     pub fn get(&self, a: Symbol, b: Symbol) -> Option<f64> {
         let key = Self::key(a, b);
-        let shard = &self.shards[shard_of(hash_u64(key))];
-        let found = shard
-            .read()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .map(|slot| {
-                slot.touch();
-                slot.value
-            });
+        let shard = self.shard(key);
+        let found = self.probe(shard, key);
         match found {
-            Some(_) => self.counters.hits.fetch_add(1, Relaxed),
-            None => self.counters.misses.fetch_add(1, Relaxed),
+            Some(_) => shard.hits.fetch_add(1, Relaxed),
+            None => shard.misses.fetch_add(1, Relaxed),
         };
         found
     }
 
-    /// Counter-free variant of [`get`](Self::get): no hit/miss accounting.
-    /// This is the verdict-table probe of the bounded path — verdict
-    /// tables keep their own certificate counter, and a shared atomic RMW
-    /// per probe is exactly the kind of cross-thread traffic the hot path
-    /// avoids.
+    /// Whether a memoized upper bound `≤ bound` certifies `(a, b)` below
+    /// `bound` — the verdict-table probe of the bounded path. A certificate
+    /// is counted in the pair's shard (see [`certs`](Self::certs)).
     #[inline]
-    pub fn peek(&self, a: Symbol, b: Symbol) -> Option<f64> {
+    pub fn certifies(&self, a: Symbol, b: Symbol, bound: f64) -> bool {
         let key = Self::key(a, b);
-        let shard = &self.shards[shard_of(hash_u64(key))];
-        shard
-            .read()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .map(|slot| {
-                slot.touch();
-                slot.value
-            })
+        let shard = self.shard(key);
+        let certified = self.probe(shard, key).is_some_and(|ub| ub <= bound);
+        if certified {
+            shard.certs.fetch_add(1, Relaxed);
+        }
+        certified
     }
 
     /// Memoize `(a, b) → v` unconditionally (no counter updates — the probe
     /// that preceded the computation already counted).
     #[inline]
     pub fn insert(&self, a: Symbol, b: Symbol, v: f64) {
-        self.store(Self::key(a, b), v, false);
+        let key = Self::key(a, b);
+        self.store(self.shard(key), key, v, false);
     }
 
-    /// Memoize `(a, b) → v` keeping the **smaller** value on collision.
+    /// Memoize `(a, b) → v` keeping the **smaller** value on collision, and
+    /// count the certificate.
     ///
     /// This is the verdict-cache update: entries are certified *upper
     /// bounds* ("the kernel similarity is `< v`"), so a tighter certificate
@@ -269,18 +289,33 @@ impl SymbolCache {
     /// first.
     #[inline]
     pub fn insert_min(&self, a: Symbol, b: Symbol, v: f64) {
-        self.store(Self::key(a, b), v, true);
+        let key = Self::key(a, b);
+        let shard = self.shard(key);
+        shard.certs.fetch_add(1, Relaxed);
+        self.store(shard, key, v, true);
     }
 
-    /// `(hits, misses)` counters.
+    /// Sum of one per-shard counter.
+    fn total(&self, counter: impl Fn(&Shard) -> &AtomicU64) -> u64 {
+        self.shards.iter().map(|s| counter(s).load(Relaxed)).sum()
+    }
+
+    /// `(hits, misses)` counters, summed over the shards.
     pub fn stats(&self) -> (u64, u64) {
-        self.counters.snapshot()
+        (self.total(|s| &s.hits), self.total(|s| &s.misses))
+    }
+
+    /// Below-bound certificates this verdict table answered
+    /// ([`certifies`](Self::certifies)) or recorded
+    /// ([`insert_min`](Self::insert_min)), summed over the shards.
+    pub fn certs(&self) -> u64 {
+        self.total(|s| &s.certs)
     }
 
     /// Number of entries evicted to honour the capacity ceiling (always 0
     /// for unbounded caches).
     pub fn evictions(&self) -> u64 {
-        self.counters.evictions.load(Relaxed)
+        self.evictions.load(Relaxed)
     }
 
     /// The configured capacity ceiling, if any (total across shards, as
@@ -298,7 +333,8 @@ impl SymbolCache {
             .shards
             .iter()
             .flat_map(|s| {
-                s.read()
+                s.map
+                    .read()
                     .expect("cache shard poisoned")
                     .iter()
                     .map(|(&k, slot)| (k, slot.value))
@@ -315,7 +351,7 @@ impl SymbolCache {
     /// that the packed symbols are in range for the owning pool.
     pub fn import_entries(&self, entries: impl IntoIterator<Item = (u64, f64)>) {
         for (key, v) in entries {
-            self.store(key, v, false);
+            self.store(self.shard(key), key, v, false);
         }
     }
 
@@ -324,7 +360,7 @@ impl SymbolCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len())
+            .map(|s| s.map.read().expect("cache shard poisoned").len())
             .sum()
     }
 
@@ -359,6 +395,12 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats(), (1, 1));
         assert!(!cache.is_empty());
+        // An unbounded cache's hit writes no reference bit (nothing reads
+        // it), and every stripe owns its cache lines.
+        let key = SymbolCache::key(a, b);
+        let map = cache.shard(key).map.read().unwrap();
+        assert!(!map[&key].referenced.load(Relaxed));
+        assert_eq!(std::mem::align_of::<Shard>(), 128);
     }
 
     #[test]
@@ -435,10 +477,10 @@ mod tests {
         let (hot_a, hot_b) = (syms[0], syms[1]);
         cache.insert(hot_a, hot_b, 0.75);
         for w in syms[2..].windows(2) {
-            assert_eq!(cache.peek(hot_a, hot_b), Some(0.75), "hot entry evicted");
+            assert_eq!(cache.get(hot_a, hot_b), Some(0.75), "hot entry evicted");
             cache.insert(w[0], w[1], 0.25);
         }
-        assert_eq!(cache.peek(hot_a, hot_b), Some(0.75));
+        assert_eq!(cache.get(hot_a, hot_b), Some(0.75));
         assert!(cache.evictions() > 0);
     }
 
@@ -460,7 +502,7 @@ mod tests {
         assert_eq!(restored.export_entries(), dump);
         // Every restored pair answers without recomputation.
         for (i, w) in syms.windows(2).enumerate() {
-            assert_eq!(restored.peek(w[0], w[1]), Some(i as f64 / 40.0));
+            assert_eq!(restored.get(w[0], w[1]), Some(i as f64 / 40.0));
         }
     }
 
@@ -473,6 +515,12 @@ mod tests {
         cache.insert_min(a, b, 0.8);
         cache.insert_min(a, b, 0.6);
         cache.insert_min(a, b, 0.9); // looser: must not overwrite
-        assert_eq!(cache.peek(a, b), Some(0.6));
+        assert_eq!(cache.get(a, b), Some(0.6));
+        // Three recorded certificates; a probe certifies a cut at or
+        // above the stored bound only.
+        assert_eq!(cache.certs(), 3);
+        assert!(cache.certifies(a, b, 0.6));
+        assert!(!cache.certifies(a, b, 0.5));
+        assert_eq!(cache.certs(), 4);
     }
 }

@@ -24,8 +24,6 @@
 //! `(|supp(a₁)| + 1) · PRUNE_EPS` — far below every tolerance the paper's
 //! figures are checked against (property-tested at 1e-12).
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
 use probdedup_model::intern::{Symbol, SymbolMap, ValuePool};
 use probdedup_model::pvalue::PValue;
 use probdedup_model::xtuple::XTuple;
@@ -299,9 +297,6 @@ pub struct InternedComparators {
     /// attribute — the bounded path's verdict memo (entries mean "kernel
     /// similarity < stored value"). Disjoint from the exact caches.
     bound_caches: Vec<SymbolCache>,
-    /// Kernel evaluations disposed by a below-bound certificate (cached or
-    /// fresh) instead of an exact value.
-    bound_certs: AtomicU64,
     prepared: SymbolMap<PreparedValue>,
     /// Attribute bit mask of kernels that want Myers pattern bits (see
     /// [`AttributeUsage`]); drives sidecar builds in `sync_pool`.
@@ -384,7 +379,6 @@ impl InternedComparators {
             per_attr,
             caches,
             bound_caches,
-            bound_certs: AtomicU64::new(0),
             prepared,
             bits_mask,
         }
@@ -416,8 +410,9 @@ impl InternedComparators {
 
     /// Kernel evaluations disposed by a below-bound certificate instead of
     /// an exact value (see the bounded kernel probe `kernel_within`).
+    /// Counted per verdict-table shard, like the caches' hits and misses.
     pub fn bound_certs(&self) -> u64 {
-        self.bound_certs.load(Relaxed)
+        self.bound_caches.iter().map(SymbolCache::certs).sum()
     }
 
     /// Number of attributes covered.
@@ -551,11 +546,8 @@ impl InternedComparators {
         if let Some(v) = self.caches[attr].get(lo, hi) {
             return Some(v);
         }
-        if let Some(ub) = self.bound_caches[attr].peek(lo, hi) {
-            if ub <= bound {
-                self.bound_certs.fetch_add(1, Relaxed);
-                return None; // similarity < ub ≤ bound
-            }
+        if self.bound_caches[attr].certifies(lo, hi, bound) {
+            return None; // similarity < stored bound ≤ bound
         }
         match self.per_attr[attr].similarity_prepared_within(
             self.prepared.get(lo),
@@ -567,7 +559,6 @@ impl InternedComparators {
                 Some(v)
             }
             None => {
-                self.bound_certs.fetch_add(1, Relaxed);
                 self.bound_caches[attr].insert_min(lo, hi, bound);
                 None
             }

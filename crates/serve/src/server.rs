@@ -11,7 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use probdedup_core::pipeline::{DedupPipeline, DedupResult, MatchingStats, ReductionStrategy};
+use probdedup_core::pipeline::{
+    DedupPipeline, MatchingStats, PairDecision, Partition, ReductionStrategy,
+};
 use probdedup_core::prepare::Preparation;
 use probdedup_core::session::DedupSession;
 use probdedup_core::wal::SessionJournal;
@@ -850,24 +852,26 @@ fn handle_ingest(state: &ServerState, name: &str, body: &[u8]) -> Response {
     }
 }
 
-fn result_json(name: &str, result: &DedupResult, full: bool) -> String {
-    let decisions = if full {
-        let rows: Vec<String> = result
-            .decisions
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"i\": {}, \"j\": {}, \"similarity\": {:.6}, \"class\": \"{}\"}}",
-                    d.pair.0,
-                    d.pair.1,
-                    d.similarity,
-                    class_name(d.class),
-                )
-            })
-            .collect();
-        format!(", \"decisions\": [{}]", rows.join(", "))
-    } else {
-        String::new()
+/// The body of `dedup` and `partition`: counts, clusters and the summary
+/// line, plus — for `partition?full=1` — every decision in candidate order.
+fn partition_json(name: &str, partition: &Partition, decisions: Option<&[PairDecision]>) -> String {
+    let decisions = match decisions {
+        Some(decisions) => {
+            let rows: Vec<String> = decisions
+                .iter()
+                .map(|d| {
+                    format!(
+                        "{{\"i\": {}, \"j\": {}, \"similarity\": {:.6}, \"class\": \"{}\"}}",
+                        d.pair.0,
+                        d.pair.1,
+                        d.similarity,
+                        class_name(d.class),
+                    )
+                })
+                .collect();
+            format!(", \"decisions\": [{}]", rows.join(", "))
+        }
+        None => String::new(),
     };
     format!(
         concat!(
@@ -875,12 +879,12 @@ fn result_json(name: &str, result: &DedupResult, full: bool) -> String {
             "\"possible\": {}, \"clusters\": {}, \"summary\": {}{}}}\n"
         ),
         json_string(name),
-        result.relation.len(),
-        result.candidates,
-        result.matches().count(),
-        result.possible_matches().count(),
-        clusters_json(&result.clusters),
-        json_string(&result.summary()),
+        partition.rows,
+        partition.candidates,
+        partition.matches,
+        partition.possible,
+        clusters_json(&partition.clusters),
+        json_string(&partition.summary()),
         decisions,
     )
 }
@@ -923,7 +927,7 @@ fn handle_dedup(state: &ServerState, name: &str, body: &[u8]) -> Response {
             state
                 .pairs_classified
                 .fetch_add(result.decisions.len() as u64, Ordering::Relaxed);
-            Response::json(200, result_json(name, &result, false))
+            Response::json(200, partition_json(name, &result.partition(), None))
         }
         Err(resp) => resp,
     }
@@ -947,6 +951,12 @@ fn handle_query(state: &ServerState, name: &str, req: &Request) -> Response {
         (Ok(i), Ok(j)) => (i, j),
         (Err(r), _) | (_, Err(r)) => return r,
     };
+    if i == j {
+        return Response::error(
+            400,
+            &format!("rows ({i}, {j}): a row is not a pair with itself"),
+        );
+    }
     let session = match entry.read_guard(state) {
         Ok(s) => s,
         Err(resp) => return resp,
@@ -976,7 +986,9 @@ fn handle_query(state: &ServerState, name: &str, req: &Request) -> Response {
     }
 }
 
-/// `GET /sessions/{name}/partition[?full=1]`: the merged resident view.
+/// `GET /sessions/{name}/partition[?full=1]`: the merged resident view —
+/// read off the decision memo, or off `result()` when `full` asks for the
+/// decisions in candidate order.
 fn handle_partition(state: &ServerState, name: &str, req: &Request) -> Response {
     state.endpoints.partition.fetch_add(1, Ordering::Relaxed);
     let Some(entry) = state.entry(name) else {
@@ -989,8 +1001,14 @@ fn handle_partition(state: &ServerState, name: &str, req: &Request) -> Response 
         Ok(s) => s,
         Err(resp) => return resp,
     };
-    let result = session.result();
-    Response::json(200, result_json(name, &result, full))
+    // Only the decision list needs candidate order, and with it `result()`.
+    let body = if full {
+        let result = session.result();
+        partition_json(name, &result.partition(), Some(&result.decisions))
+    } else {
+        partition_json(name, &session.partition(), None)
+    };
+    Response::json(200, body)
 }
 
 /// `GET /sessions/{name}/entities[?strategy=components|correlation-greedy|correlation-repaired]`:

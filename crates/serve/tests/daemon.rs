@@ -16,6 +16,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use probdedup_core::pipeline::DedupResult;
 use probdedup_core::session::DedupSession;
 use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup_entity::{ClusterStrategy, ResolveEntities};
@@ -65,6 +66,31 @@ fn clusters_of(body: &str) -> String {
     panic!("unterminated clusters array in {body}");
 }
 
+/// A `partition?full=1` body without its trailing decision list — which
+/// must be exactly the plain `partition` body.
+fn without_decisions(full: &str) -> String {
+    let at = full.find(", \"decisions\": [").expect("decisions field");
+    format!("{}}}\n", &full[..at])
+}
+
+/// Assert that a partition body describes the library's merged view,
+/// field by field.
+fn assert_partition_body(body: &str, expected: &DedupResult) {
+    let field = |key: &str| json_field(body, key);
+    assert_eq!(field("rows"), Some(expected.relation.len().to_string()));
+    assert_eq!(field("candidates"), Some(expected.candidates.to_string()));
+    assert_eq!(
+        field("matches"),
+        Some(expected.matches().count().to_string())
+    );
+    assert_eq!(
+        field("possible"),
+        Some(expected.possible_matches().count().to_string())
+    );
+    assert_eq!(clusters_of(body), clusters_json(&expected.clusters));
+    assert_eq!(field("summary"), Some(expected.summary()));
+}
+
 /// Render library clusters in the daemon's JSON shape.
 fn clusters_json(clusters: &[Vec<usize>]) -> String {
     let inner: Vec<String> = clusters
@@ -108,7 +134,12 @@ fn endpoints_match_the_library_session() {
     let srcs = sources();
     let (running, client) = boot(config());
 
-    // Drive the daemon: ingest both sources into one named session.
+    // Drive the daemon — ingest both sources into one named session — and
+    // the library ground truth over the same pipeline and corpus. After
+    // each ingest the plain `partition` (read off the decision memo) is
+    // `?full=1` (read off `result()`) minus its decisions, and both
+    // describe the library's merged view.
+    let mut session = ServeConfig::default_pipeline(4).session();
     for (i, src) in srcs.iter().enumerate() {
         let (status, body) = client
             .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
@@ -118,26 +149,22 @@ fn endpoints_match_the_library_session() {
             json_field(&body, "rows_added").as_deref(),
             Some(src.len().to_string().as_str())
         );
-    }
-
-    // The library ground truth over the same pipeline and corpus.
-    let mut session = ServeConfig::default_pipeline(4).session();
-    for src in &srcs {
         session.ingest(src).unwrap();
+        let expected = session.result();
+
+        let (status, plain) = client.get("/sessions/census/partition").unwrap();
+        assert_eq!(status, 200);
+        let (status, full) = client.get("/sessions/census/partition?full=1").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(plain, without_decisions(&full), "ingest {i}");
+        assert_partition_body(&plain, &expected);
+        assert_eq!(
+            full.matches("\"i\": ").count(),
+            expected.decisions.len(),
+            "ingest {i}: ?full=1 lists every decision"
+        );
     }
     let expected = session.result();
-
-    let (status, body) = client.get("/sessions/census/partition?full=1").unwrap();
-    assert_eq!(status, 200);
-    assert_eq!(clusters_of(&body), clusters_json(&expected.clusters));
-    assert_eq!(
-        json_field(&body, "candidates").as_deref(),
-        Some(expected.candidates.to_string().as_str())
-    );
-    assert_eq!(
-        json_field(&body, "matches").as_deref(),
-        Some(expected.matches().count().to_string().as_str())
-    );
 
     // Query endpoint ≡ classify_pair, including a non-candidate pair
     // classified on the spot through the read path.
@@ -166,8 +193,16 @@ fn endpoints_match_the_library_session() {
 
     let (status, body) = client.get("/sessions/census/query?i=0&j=0").unwrap();
     assert_eq!(status, 400, "i == j is not a pair: {body}");
-    let (status, _) = client.get("/sessions/census/query?i=0&j=999999").unwrap();
+    assert!(
+        json_field(&body, "error").is_some_and(|e| e.contains("a row is not a pair with itself")),
+        "{body}"
+    );
+    let (status, body) = client.get("/sessions/census/query?i=0&j=999999").unwrap();
     assert_eq!(status, 400);
+    assert!(
+        json_field(&body, "error").is_some_and(|e| e.contains("out of range")),
+        "{body}"
+    );
 
     // /stats sees the session and the classified pairs.
     let (status, body) = client.get("/stats").unwrap();
@@ -301,7 +336,7 @@ fn interval_autosave_persists_without_shutdown() {
 
 /// Satellite: N reader threads hammer `partition` — half of them
 /// alternating it with `entities` — while one `ingest` runs. Every
-/// observed body must be exactly the pre-ingest or the post-ingest one
+/// observed body, byte for byte, must be the pre-ingest or the post-ingest one
 /// (the session RwLock forbids torn reads; both are reads), the entity
 /// bodies are the library's resolution of the pre- and the post-ingest
 /// corpus, and the final merged result equals a serial one-shot run.
@@ -320,10 +355,11 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
         assert_eq!(status, 200);
         library.ingest(src).unwrap();
         let (_, partition) = client.get("/sessions/census/partition").unwrap();
+        assert_partition_body(&partition, &library.result());
         let (_, entities) = client.get(ENTITIES).unwrap();
         let expected = library.resolve_entities(ClusterStrategy::CorrelationRepaired);
         assert_eq!(clusters_of(&entities), clusters_json(&expected.clusters));
-        (clusters_of(&partition), entities)
+        (partition, entities)
     };
 
     let (pre, pre_entities) = ingest(&srcs[0]);
@@ -339,7 +375,7 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let (status, body) = client.get("/sessions/census/partition").unwrap();
                     assert_eq!(status, 200);
-                    partitions.push(clusters_of(&body));
+                    partitions.push(body);
                     if reader % 2 == 0 {
                         let (status, body) = client.get(ENTITIES).unwrap();
                         assert_eq!(status, 200);
@@ -386,7 +422,7 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
     let expected = ServeConfig::default_pipeline(4)
         .run(&srcs.iter().collect::<Vec<_>>())
         .unwrap();
-    assert_eq!(post, clusters_json(&expected.clusters));
+    assert_partition_body(&post, &expected);
 
     running.shutdown().unwrap();
 }

@@ -63,6 +63,22 @@ req -X POST --data-binary @"$WORK/census.source1.pxr" \
 PART1=$(req "http://$ADDR/sessions/census/partition")
 echo "$PART1" | grep -q '"clusters"' || fail "partition body"
 
+# The plain partition is read off the decision memo, `?full=1` off the
+# ordered result: both views must describe one partition.
+partition_tokens() {
+    for key in rows candidates matches possible; do
+        echo "$1" | grep -o "\"$key\": [0-9]*"
+    done
+    echo "$1" | sed -n 's/.*\("clusters": \[.*\]\), "summary".*/\1/p'
+}
+FULL1=$(req "http://$ADDR/sessions/census/partition?full=1")
+echo "$FULL1" | grep -q '"decisions": \[{' || fail "partition?full=1 lists no decisions"
+TOKENS=$(partition_tokens "$PART1")
+[ "$(echo "$TOKENS" | wc -l)" -eq 5 ] || fail "partition tokens missing: $TOKENS"
+[ "$TOKENS" = "$(partition_tokens "$FULL1")" ] || fail "partition views disagree:
+  partition:         $TOKENS
+  partition?full=1:  $(partition_tokens "$FULL1")"
+
 ENT1=$(req "http://$ADDR/sessions/census/entities?strategy=correlation-repaired")
 echo "$ENT1" | grep -q '"entities"' || fail "entities body"
 curl -s -o /dev/null -w '%{http_code}' \

@@ -306,6 +306,11 @@ proptest! {
                 let merged = session.result();
                 prop_assert_eq!(classes(&merged), classes(&one_shot), "{}: order", label);
                 prop_assert_eq!(&merged.clusters, &one_shot.clusters, "{}", label);
+                // The memo's view and the ordered view describe one
+                // partition: counts, clusters and the summary line.
+                let partition = session.partition();
+                prop_assert_eq!(&partition, &merged.partition(), "{}: partition", label);
+                prop_assert_eq!(partition.summary(), merged.summary(), "{}", label);
                 if !bounded {
                     prop_assert_eq!(&merged.decisions, &one_shot.decisions, "{}", label);
                 }
