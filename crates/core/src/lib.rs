@@ -81,6 +81,7 @@ pub mod prepare;
 pub mod prob_result;
 pub mod session;
 pub mod shard;
+pub mod shared;
 pub mod snapshot;
 #[doc(hidden)]
 pub mod test_support;
@@ -98,4 +99,5 @@ pub use prepare::Preparation;
 pub use prob_result::{probabilistic_result, ProbabilisticResult};
 pub use session::{DedupSession, IncrementalResult};
 pub use shard::{ShardStats, ShardedPipeline};
+pub use shared::{SharedSession, WriteError};
 pub use wal::{SessionJournal, WalReplay};

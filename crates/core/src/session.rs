@@ -116,12 +116,14 @@ use probdedup_decision::threshold::MatchClass;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::SourceId;
 use probdedup_model::relation::XRelation;
+use probdedup_model::schema::Schema;
 use probdedup_model::snapshot::{
     read_key_pool, read_value_pool, read_xrelation, write_key_pool, write_value_pool,
     write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use probdedup_model::util::FxHashMap;
-use probdedup_reduction::CandidatePairs;
+use probdedup_model::xtuple::XTuple;
+use probdedup_reduction::{CandidateDelta, CandidatePairs};
 
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
@@ -180,6 +182,34 @@ impl IncrementalResult {
             },
             self.candidates,
         )
+    }
+}
+
+/// One ingest batch between the phases of [`DedupSession::ingest`]:
+/// staged (validated, prepared) off the session, grown into its
+/// append-only warm state, classified, and published into the resident
+/// view. Only the two `&mut` phases, grow and publish, write the session;
+/// one batch is in flight at a time.
+pub(crate) struct StagedIngest {
+    schema: Schema,
+    /// The prepared batch: combined rows `start..start + rows.len()` once
+    /// published.
+    rows: Vec<XTuple>,
+    start: usize,
+    /// What the batch changes in the candidate set, set by `grow` for the
+    /// strategies that emit deltas.
+    delta: Option<CandidateDelta>,
+    /// The decisions of `delta.arrived` and their bounded-tier counts.
+    decisions: Vec<PairDecision>,
+    tiers: [u64; 4],
+    /// The journal record this batch was appended as, if journaled.
+    journal_seq: Option<u64>,
+}
+
+impl StagedIngest {
+    /// Record that the batch was durably journaled as record `seq`.
+    pub(crate) fn journaled_as(&mut self, seq: u64) {
+        self.journal_seq = Some(seq);
     }
 }
 
@@ -354,43 +384,102 @@ impl DedupSession {
     /// `WarmReduction`.) Every strategy stays **split-invariant**: after
     /// the last ingest, [`result`](Self::result) equals what one batch
     /// [`run`](Self::run) over the concatenated sources returns.
+    ///
+    /// An ingest is four phases run back to back here — stage, grow,
+    /// classify, publish. A daemon runs the same phases with its session
+    /// lock released between them
+    /// ([`SharedSession::ingest`](crate::shared::SharedSession::ingest)).
     pub fn ingest(&mut self, source: &XRelation) -> Result<IncrementalResult, ModelError> {
+        let staged = self.stage(source)?;
+        Ok(self.apply(staged))
+    }
+
+    /// Phase 1 (`&self`): validate `source` and prepare a copy of its rows
+    /// (preparation is per-tuple). The only phase that can fail.
+    pub(crate) fn stage(&self, source: &XRelation) -> Result<StagedIngest, ModelError> {
         self.validate_ingest(source)?;
+        let mut rows = source.xtuples().to_vec();
+        self.config.preparation.apply_rows(&mut rows);
+        Ok(StagedIngest {
+            schema: source.schema().clone(),
+            rows,
+            start: self.rows(),
+            delta: None,
+            decisions: Vec::new(),
+            tiers: [0; 4],
+            journal_seq: None,
+        })
+    }
+
+    /// Phases 2–4 back to back.
+    pub(crate) fn apply(&mut self, mut staged: StagedIngest) -> IncrementalResult {
+        self.grow(&mut staged);
+        self.classify_arrived(&mut staged);
+        self.publish(staged)
+    }
+
+    /// Phase 2 (`&mut self`, short): grow the append-only warm state over
+    /// the staged rows — the reduction delta of the strategies that emit
+    /// one, the interned mirrors, sidecars and weights. Nothing a reader
+    /// is answered changes: the reads see the published rows only, and
+    /// the grown state is reached from the staged rows alone.
+    pub(crate) fn grow(&mut self, staged: &mut StagedIngest) {
+        debug_assert_eq!(staged.start, self.rows(), "one batch in flight at a time");
+        staged.delta = self.reduction.ingest_delta(&staged.rows, staged.start);
+        self.matching.ingest(&staged.rows);
+    }
+
+    /// Phase 3 (`&self`, the long one): classify the pairs that arrived —
+    /// over the published rows plus the staged ones. The strategies that
+    /// regenerate classify at publish instead.
+    pub(crate) fn classify_arrived(&self, staged: &mut StagedIngest) {
+        if let Some(delta) = &staged.delta {
+            let resident = self.relation.as_ref().map_or(&[][..], XRelation::xtuples);
+            (staged.decisions, staged.tiers) =
+                self.matching
+                    .classify(resident, &staged.rows, &delta.arrived, self.config.threads);
+        }
+    }
+
+    /// Phase 4 (`&mut self`, short): publish the batch — append its rows,
+    /// drop what departed, add what arrived to the memo, and add the tier
+    /// counts and the journal sequence. Every read after this sees the
+    /// batch; every read before it saw none of it.
+    pub(crate) fn publish(&mut self, staged: StagedIngest) -> IncrementalResult {
+        let StagedIngest {
+            schema,
+            rows,
+            start,
+            delta,
+            decisions,
+            tiers,
+            journal_seq,
+        } = staged;
         // New rows and new decisions: the ordered candidate list is stale
         // from here on.
         self.order.take();
-
-        let start = self.rows();
-        let source_id = SourceId(self.source_offsets.len() as u32);
+        let source = SourceId(self.source_offsets.len() as u32);
         self.source_offsets.push(start);
-        // Append, then prepare the appended rows in place (preparation is
-        // per-tuple).
-        let rel = self
-            .relation
-            .get_or_insert_with(|| XRelation::new(source.schema().clone()));
-        for t in source.xtuples() {
-            rel.push(t.clone());
+        let rel = self.relation.get_or_insert_with(|| XRelation::new(schema));
+        for t in rows {
+            rel.push(t);
         }
-        self.config
-            .preparation
-            .apply_rows(&mut rel.xtuples_mut()[start..]);
-
-        // Grow the warm state over the new rows only.
-        let new_tuples = &rel.xtuples()[start..];
-        let delta = self.reduction.ingest_delta(new_tuples, start);
-        self.matching.ingest(new_tuples);
 
         let new_decisions = match delta {
             Some(delta) => {
-                let new_decisions = self.classify(&delta.arrived);
                 for pair in &delta.departed {
                     self.decided.remove(pair);
                 }
-                new_decisions
+                for (acc, t) in self.tiers.iter_mut().zip(tiers) {
+                    *acc += t;
+                }
+                decisions
             }
             None => {
-                // Regenerate, classify what the memo does not hold, and
-                // drop what the memo holds beyond the new candidates.
+                // Grow over the published corpus, regenerate, classify
+                // what the memo does not hold, and drop what the memo
+                // holds beyond the new candidates.
+                self.reduction.ingest_rows(&rel.xtuples()[start..], start);
                 let candidates = self
                     .reduction
                     .current(rel.xtuples(), &self.config.reduction);
@@ -409,12 +498,15 @@ impl DedupSession {
         };
         self.decided
             .extend(new_decisions.iter().map(|d| (d.pair, *d)));
-        Ok(IncrementalResult {
-            source: source_id,
+        if let Some(seq) = journal_seq {
+            self.journal_seq = seq;
+        }
+        IncrementalResult {
+            source,
             new_rows: start..self.rows(),
             new_decisions,
             candidates: self.decided.len(),
-        })
+        }
     }
 
     /// Check that `source` would be accepted by [`ingest`](Self::ingest)
@@ -531,7 +623,7 @@ impl DedupSession {
         match &self.relation {
             Some(rel) => self
                 .matching
-                .classify(rel.xtuples(), pairs, self.config.threads),
+                .classify(rel.xtuples(), &[], pairs, self.config.threads),
             None => (Vec::new(), [0; 4]),
         }
     }
@@ -1344,6 +1436,129 @@ mod tests {
         assert_eq!(step.new_rows, 0..1);
         let handle = session.result().handle(0);
         assert_eq!((handle.source, handle.row), (SourceId(65_537), 0));
+    }
+
+    /// Everything a reader can be answered, minus the cumulative cache
+    /// counters of `result().stats`: the merged view, the memo-backed
+    /// partition and counts, and `classify_pair` over every resident pair
+    /// (its similarity only under the exact engine — classify-only
+    /// certifies a representative that cache warmth may choose
+    /// differently, see ARCHITECTURE.md, "The engine").
+    #[derive(Debug, PartialEq)]
+    struct ReadView {
+        relation: XRelation,
+        decisions: Vec<PairDecision>,
+        clusters: Vec<Vec<usize>>,
+        source_offsets: Vec<usize>,
+        partition: Partition,
+        decided: usize,
+        journal_seq: u64,
+        queried: Vec<(MatchClass, Option<u64>)>,
+    }
+
+    impl ReadView {
+        fn of(session: &DedupSession, exact: bool) -> Self {
+            let result = session.result();
+            let rows = session.rows();
+            let queried = (0..rows)
+                .flat_map(|i| (i + 1..rows).map(move |j| (i, j)))
+                .map(|(i, j)| {
+                    let d = session.classify_pair(i, j).expect("a resident pair");
+                    (d.class, exact.then_some(d.similarity.to_bits()))
+                })
+                .collect();
+            Self {
+                relation: result.relation,
+                decisions: result.decisions,
+                clusters: result.clusters,
+                source_offsets: result.source_offsets,
+                partition: session.partition(),
+                decided: session.decided_count(),
+                journal_seq: session.journal_seq(),
+                queried,
+            }
+        }
+    }
+
+    /// The phases of an ingest, run one by one: once the batch is grown
+    /// and once it is classified, every read still answers what the
+    /// session answered before the batch — under all nine strategies and
+    /// both engine configurations, with the ordered candidates
+    /// regenerated over the grown state — and once published the session
+    /// equals a twin that ran plain `ingest`.
+    #[test]
+    fn a_mid_ingest_read_is_a_pre_ingest_read() {
+        let sources = corpus();
+        for strategy in crate::test_support::all_strategies(&KeySpec::paper_example(0, 1)) {
+            for exact in [true, false] {
+                let label = format!(
+                    "{} {}",
+                    strategy.name(),
+                    ["bounded", "exact"][exact as usize]
+                );
+                let pipeline = if exact {
+                    builder(strategy.clone())
+                } else {
+                    DedupPipeline::builder()
+                        .comparators(AttributeComparators::uniform(
+                            &schema(),
+                            NormalizedHamming::new(),
+                        ))
+                        .classify_only(
+                            WeightedSum::new([0.8, 0.2]).unwrap(),
+                            Thresholds::new(0.6, 0.8).unwrap(),
+                        )
+                        .reduction(strategy.clone())
+                        .build()
+                };
+                let (mut phased, mut plain) = (pipeline.session(), pipeline.session());
+                for (n, src) in sources.iter().enumerate() {
+                    let label = format!("{label}, batch {n}");
+                    let seq = n as u64 + 1;
+                    let before = ReadView::of(&plain, exact);
+                    let mut staged = phased.stage(src).unwrap();
+                    staged.journaled_as(seq);
+                    phased.grow(&mut staged);
+                    // The last read cached the ordered candidates; the
+                    // first read of a generation regenerates them, here
+                    // over the grown state.
+                    phased.order.take();
+                    assert_eq!(ReadView::of(&phased, exact), before, "{label}: grown");
+                    phased.classify_arrived(&mut staged);
+                    assert_eq!(ReadView::of(&phased, exact), before, "{label}: classified");
+                    let step = phased.publish(staged);
+
+                    let want = plain.ingest(src).unwrap();
+                    plain.set_journal_seq(seq);
+                    assert_eq!(step.source, want.source, "{label}");
+                    assert_eq!(step.new_rows, want.new_rows, "{label}");
+                    assert_eq!(step.candidates, want.candidates, "{label}");
+                    let class = |d: &PairDecision| (d.pair, d.class);
+                    assert!(
+                        step.new_decisions
+                            .iter()
+                            .map(class)
+                            .eq(want.new_decisions.iter().map(class)),
+                        "{label}: new decisions"
+                    );
+                    if exact {
+                        assert_eq!(step.new_decisions, want.new_decisions, "{label}");
+                        // Reads touch the same resident pairs on both
+                        // sides, so even the memoized similarities agree.
+                        assert_eq!(
+                            phased.to_snapshot_bytes(),
+                            plain.to_snapshot_bytes(),
+                            "{label}: published"
+                        );
+                    }
+                    assert_eq!(
+                        ReadView::of(&phased, exact),
+                        ReadView::of(&plain, exact),
+                        "{label}: published"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl ShardedPipeline {
             if pairs.is_empty() {
                 continue;
             }
-            let (decisions, shard_tiers) = engine.classify(tuples, pairs, self.config.threads);
+            let (decisions, shard_tiers) = engine.classify(tuples, &[], pairs, self.config.threads);
             for (acc, t) in tiers.iter_mut().zip(shard_tiers) {
                 *acc += t;
             }

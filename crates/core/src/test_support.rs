@@ -13,9 +13,57 @@ use probdedup_decision::threshold::MatchClass;
 use probdedup_decision::xmodel::XTupleDecisionModel;
 use probdedup_matching::matrix::compare_xtuples;
 use probdedup_matching::vector::AttributeComparators;
+use probdedup_reduction::{
+    ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
+};
 
 use crate::cluster::UnionFind;
-use crate::pipeline::{DedupResult, PairDecision};
+use crate::pipeline::{DedupResult, PairDecision, ReductionStrategy};
+
+/// All nine [`ReductionStrategy`] variants over `spec`, at windows, world
+/// counts and cluster counts small enough to cut a handful of rows.
+pub fn all_strategies(spec: &KeySpec) -> Vec<ReductionStrategy> {
+    let mpa = ConflictResolution::MostProbableAlternative;
+    let spec = || spec.clone();
+    vec![
+        ReductionStrategy::Full,
+        ReductionStrategy::SortingAlternatives {
+            spec: spec(),
+            window: 3,
+        },
+        ReductionStrategy::ConflictResolved {
+            spec: spec(),
+            window: 3,
+            strategy: mpa,
+        },
+        ReductionStrategy::RankedKeys {
+            spec: spec(),
+            window: 3,
+            ranking: RankingFunction::ExpectedScore,
+        },
+        ReductionStrategy::BlockingAlternatives { spec: spec() },
+        ReductionStrategy::BlockingConflictResolved {
+            spec: spec(),
+            strategy: mpa,
+        },
+        ReductionStrategy::MultipassWorlds {
+            spec: spec(),
+            window: 2,
+            selection: WorldSelection::TopK(2),
+        },
+        ReductionStrategy::BlockingMultipass {
+            spec: spec(),
+            selection: WorldSelection::TopK(2),
+        },
+        ReductionStrategy::ClusterBlocking {
+            spec: spec(),
+            config: ClusterBlockingConfig {
+                k: 2,
+                ..ClusterBlockingConfig::default()
+            },
+        },
+    ]
+}
 
 /// The paper-literal decisions for `result`'s candidate pairs, in
 /// `result`'s candidate order, over `result`'s prepared relation.

@@ -76,7 +76,7 @@ use probdedup_model::snapshot::{
 };
 
 use crate::pipeline::DedupResult;
-use crate::session::{DedupSession, IncrementalResult};
+use crate::session::{DedupSession, IncrementalResult, StagedIngest};
 
 /// Journal file magic (8 bytes).
 pub const WAL_MAGIC: [u8; 8] = *b"PXDWAL\0\0";
@@ -125,6 +125,9 @@ pub struct SessionJournal {
     /// or the coverage floor when the file is bare. The next append is
     /// `tail_seq + 1`.
     tail_seq: u64,
+    /// File length through the last committed record: the next append
+    /// writes here, and a failed one is truncated back to it.
+    committed_len: u64,
 }
 
 impl SessionJournal {
@@ -204,13 +207,13 @@ impl SessionJournal {
             replay.replayed += 1;
         }
 
-        file.seek(SeekFrom::End(0))?;
         Ok((
             Self {
                 path,
                 file,
                 base_seq,
                 tail_seq,
+                committed_len: good_end as u64,
             },
             replay,
         ))
@@ -225,11 +228,23 @@ impl SessionJournal {
         session: &mut DedupSession,
         batch: &XRelation,
     ) -> Result<IncrementalResult, SnapshotError> {
-        session.validate_ingest(batch)?;
-        let seq = self.append(REC_INGEST, batch)?;
-        let out = session.ingest(batch)?;
-        session.set_journal_seq(seq);
-        Ok(out)
+        let mut staged = session.stage(batch)?;
+        self.append_staged(&mut staged, batch)?;
+        Ok(session.apply(staged))
+    }
+
+    /// Append `batch`, staged by the session it is bound for, durably
+    /// (fsync); the staged batch carries the record's sequence number to
+    /// publish. The one append path of an ingest — [`ingest`](Self::ingest)
+    /// and [`SharedSession`](crate::shared::SharedSession) both run it
+    /// between staging and applying.
+    pub(crate) fn append_staged(
+        &mut self,
+        staged: &mut StagedIngest,
+        batch: &XRelation,
+    ) -> Result<(), SnapshotError> {
+        staged.journaled_as(self.append(REC_INGEST, batch)?);
+        Ok(())
     }
 
     /// Journal-then-apply a corpus replacement ([`DedupSession::run`] over
@@ -265,7 +280,7 @@ impl SessionJournal {
         self.file.sync_data()?;
         self.base_seq = applied_seq;
         self.tail_seq = applied_seq;
-        self.file.seek(SeekFrom::End(0))?;
+        self.committed_len = WAL_HEADER_LEN;
         Ok(())
     }
 
@@ -286,6 +301,13 @@ impl SessionJournal {
     }
 
     /// Frame, append and fsync one record; returns its sequence number.
+    ///
+    /// The record goes at the committed length, not at the end of the
+    /// file, and a failed append truncates back to it: a short write must
+    /// not leave torn bytes ahead of the next record (replay would stop at
+    /// them and drop that record), and a frame whose fsync failed must not
+    /// stay behind under the sequence number the next record reuses
+    /// (replay would apply the refused batch in its place).
     fn append(&mut self, kind: u8, batch: &XRelation) -> Result<u64, SnapshotError> {
         let seq = self.tail_seq + 1;
         let mut w = SectionWriter::new();
@@ -298,9 +320,18 @@ impl SessionJournal {
         frame.extend_from_slice(&payload);
         let cksum = fnv1a(&frame);
         frame.extend_from_slice(&cksum.to_le_bytes());
-        self.file.seek(SeekFrom::End(0))?;
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
+        let written = self
+            .file
+            .seek(SeekFrom::Start(self.committed_len))
+            .and_then(|_| self.file.write_all(&frame))
+            .and_then(|()| self.file.sync_data());
+        if let Err(e) = written {
+            // Best effort: should the truncation fail too, the next append
+            // still overwrites from the committed length.
+            let _ = self.file.set_len(self.committed_len);
+            return Err(e.into());
+        }
+        self.committed_len += frame.len() as u64;
         self.tail_seq = seq;
         Ok(seq)
     }
@@ -560,6 +591,48 @@ mod tests {
             // Restore the full file for the next cut.
             drop(j);
             fs::write(&wal, &full).unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A failed append leaves bytes behind the committed record: a torn
+    /// prefix of its frame (a short write), or the whole frame (its fsync
+    /// failed), under the sequence number the next record takes. The next
+    /// acknowledged record must replay, and the refused batch must not.
+    #[test]
+    fn an_append_after_a_failed_one_is_replayed() {
+        let dir = temp_dir("failed-append");
+        let p = pipeline();
+        let (first, refused, second) = (
+            rel(&[("John", "pilot")]),
+            rel(&[("Refused", "batch"), ("Never", "applied")]),
+            rel(&[("Tim", "smith")]),
+        );
+        // The bytes a failed append of `refused` after `first` leaves.
+        let failed_frame = {
+            let wal = dir.join("frame.wal");
+            let mut session = p.session();
+            let (mut journal, _) = SessionJournal::open_and_replay(&wal, &mut session).unwrap();
+            journal.ingest(&mut session, &first).unwrap();
+            let committed = fs::metadata(&wal).unwrap().len() as usize;
+            journal.ingest(&mut session, &refused).unwrap();
+            fs::read(&wal).unwrap()[committed..].to_vec()
+        };
+        for leftover in [failed_frame.len() / 2, failed_frame.len()] {
+            let wal = dir.join(format!("live-{leftover}.wal"));
+            let mut live = p.session();
+            let (mut journal, _) = SessionJournal::open_and_replay(&wal, &mut live).unwrap();
+            journal.ingest(&mut live, &first).unwrap();
+            let mut file = OpenOptions::new().append(true).open(&wal).unwrap();
+            file.write_all(&failed_frame[..leftover]).unwrap();
+            journal.ingest(&mut live, &second).unwrap();
+            drop(journal);
+
+            let mut recovered = p.session();
+            let (_, replay) = SessionJournal::open_and_replay(&wal, &mut recovered).unwrap();
+            assert_eq!(replay.replayed, 2, "{leftover} leftover bytes");
+            assert_eq!(recovered.rows(), 2, "{leftover} leftover bytes");
+            assert_eq!(recovered.result().decisions, live.result().decisions);
         }
         let _ = fs::remove_dir_all(&dir);
     }

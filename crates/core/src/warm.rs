@@ -101,10 +101,15 @@ impl WarmReduction {
         }
     }
 
-    /// [`ingest_rows`](Self::ingest_rows), returning what the batch changed
-    /// in the candidate set — `None` for the strategies that regenerate
-    /// (see the type docs), whose caller falls back to
-    /// [`current`](Self::current).
+    /// [`ingest_rows`](Self::ingest_rows) for the strategies that emit
+    /// deltas, returning what the batch changed in the candidate set. The
+    /// growth is invisible to [`current`](Self::current) over the rows
+    /// before `start`, so it may run ahead of publishing the rows.
+    ///
+    /// `None`, and nothing grown, for the strategies that regenerate (see
+    /// the type docs): their candidates depend on every row, so their
+    /// caller grows them with `ingest_rows` when it publishes the rows,
+    /// then falls back to `current`.
     pub(crate) fn ingest_delta(
         &mut self,
         new_tuples: &[XTuple],
@@ -115,10 +120,7 @@ impl WarmReduction {
             Self::Snm(s) => Some(s.ingest_delta(new_tuples, start)),
             Self::Ranked(r) => Some(r.ingest_delta(new_tuples, start)),
             Self::Blocks(b) => Some(b.ingest_delta(new_tuples, start)),
-            Self::Worlds(_) | Self::Stateless => {
-                self.ingest_rows(new_tuples, start);
-                None
-            }
+            Self::Worlds(_) | Self::Stateless => None,
         }
     }
 
@@ -133,8 +135,9 @@ impl WarmReduction {
         }
     }
 
-    /// The current full candidate set over the resident corpus — pairs
-    /// and order identical to the one-shot strategy over the same tuples.
+    /// The current full candidate set over `tuples`, the published rows —
+    /// pairs and order identical to the one-shot strategy over the same
+    /// tuples. Rows grown past `tuples.len()` are left out.
     pub(crate) fn current(
         &self,
         tuples: &[XTuple],
@@ -142,9 +145,9 @@ impl WarmReduction {
     ) -> CandidatePairs {
         match self {
             Self::Full => CandidatePairs::full(tuples.len()),
-            Self::Snm(s) => s.current_pairs(),
-            Self::Ranked(r) => r.current_pairs(),
-            Self::Blocks(b) => b.current_pairs(),
+            Self::Snm(s) => s.current_pairs(tuples.len()),
+            Self::Ranked(r) => r.current_pairs(tuples.len()),
+            Self::Blocks(b) => b.current_pairs(tuples.len()),
             Self::Worlds(table) => match strategy {
                 ReductionStrategy::MultipassWorlds {
                     window, selection, ..

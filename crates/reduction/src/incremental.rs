@@ -17,10 +17,12 @@
 //!   joins its blocks with one integer-keyed probe per key.
 //!
 //! Each state answers two questions about its candidate set. **What is
-//! it?** — `current_pairs` re-emits the whole set over everything
-//! ingested so far: the same pairs, in the same order, as the one-shot
-//! method over the same corpus, for **any batch split** (property-tested
-//! here and end-to-end in `tests/`). **What did this batch change?** —
+//! it?** — `current_pairs(rows)` re-emits the whole set over rows
+//! `0..rows`: the same pairs, in the same order, as the one-shot method
+//! over the same corpus, for **any batch split** (property-tested here
+//! and end-to-end in `tests/`). Rows past `rows` are left out, so a batch
+//! grown into the state but not yet published changes nothing a reader
+//! is answered. **What did this batch change?** —
 //! `ingest_delta` grows the state and returns a [`CandidateDelta`] read
 //! off the positions the new entries were inserted at (a local window
 //! re-scan around each) or the blocks that gained a member: work
@@ -28,6 +30,8 @@
 //! successive batches to a set reproduces `current_pairs` after every
 //! batch, and re-ingesting values the pools have already seen performs
 //! **zero** key renders (asserted via [`KeyTable::render_count`]).
+
+use std::borrow::Cow;
 
 use probdedup_model::intern::KeySymbol;
 use probdedup_model::util::{FxHashMap, FxHashSet};
@@ -328,12 +332,25 @@ impl IncrementalSnm {
         self.n_tuples = 0;
     }
 
-    /// The full candidate set over everything ingested so far: a window
-    /// scan of the resident sorted list — byte-identical pairs, in the
-    /// same order, as the one-shot method over the same corpus.
-    pub fn current_pairs(&self) -> CandidatePairs {
+    /// The full candidate set over rows `0..rows`: a window scan of the
+    /// resident sorted list with the entries of later rows left out —
+    /// byte-identical pairs, in the same order, as the one-shot method
+    /// over those rows. Insertion never reorders resident entries, so the
+    /// set over a prefix of the ingested rows is the set as it stood
+    /// before the later rows arrived — what a reader is answered while a
+    /// grown batch is not yet published. `rows = len()` is everything.
+    pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
         let skip = matches!(self.keying, SnmKeying::PerAlternative);
-        windowed_pairs(&self.entries, self.window, self.n_tuples, skip)
+        let entries: Cow<'_, [InternedSnmEntry]> = if rows >= self.n_tuples {
+            Cow::Borrowed(&self.entries)
+        } else {
+            self.entries
+                .iter()
+                .filter(|e| e.tuple < rows)
+                .copied()
+                .collect()
+        };
+        windowed_pairs(&entries, self.window, rows, skip)
     }
 }
 
@@ -415,12 +432,20 @@ impl IncrementalRankedSnm {
         self.scored.clear();
     }
 
-    /// The full candidate set over everything ingested so far — identical
-    /// pairs and order to [`ranked_snm`](crate::ranking::ranked_snm).
-    pub fn current_pairs(&self) -> CandidatePairs {
-        let mut pairs = CandidatePairs::new(self.scored.len());
-        for_each_window_pair(&self.scored, self.window, |(_, _, a), (_, _, b)| {
-            pairs.insert(*a, *b);
+    /// The full candidate set over rows `0..rows` (later rows left out of
+    /// the ranked order, as for [`IncrementalSnm::current_pairs`]) —
+    /// identical pairs and order to [`ranked_snm`](crate::ranking::ranked_snm)
+    /// over those rows.
+    pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
+        let order: Vec<usize> = self
+            .scored
+            .iter()
+            .map(|e| e.2)
+            .filter(|&t| t < rows)
+            .collect();
+        let mut pairs = CandidatePairs::new(rows);
+        for_each_window_pair(&order, self.window, |&a, &b| {
+            pairs.insert(a, b);
         });
         pairs
     }
@@ -552,18 +577,25 @@ impl IncrementalBlocks {
         self.n_tuples = 0;
     }
 
-    /// The full candidate set over everything ingested so far: within-block
-    /// pairs in sorted-key order (by the table's integer ranks — no string
-    /// is resolved) — identical pairs and order to the one-shot
+    /// The full candidate set over rows `0..rows` (later members left out,
+    /// as for [`IncrementalSnm::current_pairs`]): within-block pairs in
+    /// sorted-key order (by the table's integer ranks — no string is
+    /// resolved) — identical pairs and order to the one-shot
     /// [`block_alternatives`](crate::blocking::block_alternatives)
-    /// / [`block_conflict_resolved`](crate::blocking::block_conflict_resolved).
-    pub fn current_pairs(&self) -> CandidatePairs {
+    /// / [`block_conflict_resolved`](crate::blocking::block_conflict_resolved)
+    /// over those rows.
+    pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
         let mut order: Vec<(&KeySymbol, &Block)> = self.blocks.iter().collect();
         let ranks = self.table.ranks();
         order.sort_unstable_by_key(|(k, _)| ranks.rank(**k));
-        let mut pairs = CandidatePairs::new(self.n_tuples);
+        let mut pairs = CandidatePairs::new(rows);
         for (_, block) in order {
-            emit_block_pairs(block.members(), &mut pairs);
+            // Members ascend: the published ones are a prefix.
+            let members = block.members();
+            emit_block_pairs(
+                &members[..members.partition_point(|&m| m < rows)],
+                &mut pairs,
+            );
         }
         pairs
     }
@@ -650,7 +682,7 @@ mod tests {
                     start += size;
                 }
                 assert_eq!(
-                    inc.current_pairs().pairs(),
+                    inc.current_pairs(inc.len()).pairs(),
                     batch.pairs(),
                     "window {window}"
                 );
@@ -674,7 +706,11 @@ mod tests {
                     inc.ingest(&tuples[start..start + size], start);
                     start += size;
                 }
-                assert_eq!(inc.current_pairs().pairs(), batch.pairs(), "{strategy:?}");
+                assert_eq!(
+                    inc.current_pairs(inc.len()).pairs(),
+                    batch.pairs(),
+                    "{strategy:?}"
+                );
             }
         }
     }
@@ -694,7 +730,7 @@ mod tests {
                     inc.ingest(&tuples[start..start + size], start);
                     start += size;
                 }
-                assert_eq!(inc.current_pairs().pairs(), batch.pairs(), "{f:?}");
+                assert_eq!(inc.current_pairs(inc.len()).pairs(), batch.pairs(), "{f:?}");
             }
         }
     }
@@ -718,8 +754,14 @@ mod tests {
                 res.ingest(&tuples[start..start + size], start);
                 start += size;
             }
-            assert_eq!(alt.current_pairs().pairs(), batch_alt.pairs.pairs());
-            assert_eq!(res.current_pairs().pairs(), batch_res.pairs.pairs());
+            assert_eq!(
+                alt.current_pairs(alt.len()).pairs(),
+                batch_alt.pairs.pairs()
+            );
+            assert_eq!(
+                res.current_pairs(res.len()).pairs(),
+                batch_res.pairs.pairs()
+            );
         }
     }
 
@@ -740,11 +782,11 @@ mod tests {
             }
         }
 
-        fn current_pairs(&self) -> CandidatePairs {
+        fn current_pairs(&self, rows: usize) -> CandidatePairs {
             match self {
-                Self::Snm(s) => s.current_pairs(),
-                Self::Ranked(r) => r.current_pairs(),
-                Self::Blocks(b) => b.current_pairs(),
+                Self::Snm(s) => s.current_pairs(rows),
+                Self::Ranked(r) => r.current_pairs(rows),
+                Self::Blocks(b) => b.current_pairs(rows),
             }
         }
     }
@@ -774,14 +816,17 @@ mod tests {
     /// regenerated set: `arrived` is the regenerated list filtered to the
     /// pairs with a new row (same order), `departed` is exactly what the
     /// previous set held and the regenerated one does not, and the two
-    /// never overlap.
+    /// never overlap. The set over the rows before the batch is, after it,
+    /// still the one from before it (the prefix rule).
     fn assert_deltas_track(label: &str, state: &mut State, tuples: &[XTuple], sizes: &[usize]) {
         let mut held: FxHashSet<(usize, usize)> = FxHashSet::default();
         let mut start = 0;
         for &size in sizes {
+            let before = state.current_pairs(start);
             let delta = state.ingest_delta(&tuples[start..start + size], start);
-            let current = state.current_pairs();
+            let current = state.current_pairs(start + size);
             let label = format!("{label}, rows {start}..{} of {sizes:?}", start + size);
+            assert_eq!(state.current_pairs(start), before, "{label}: prefix");
             let with_new_row: Vec<(usize, usize)> = current
                 .pairs()
                 .iter()
@@ -939,6 +984,30 @@ mod tests {
         }
     }
 
+    /// The prefix rule: grown past `rows`, every state still emits over
+    /// rows `0..rows` exactly what a state that only ever saw those rows
+    /// emits — pairs and order.
+    #[test]
+    fn current_pairs_over_a_prefix_ignores_later_rows() {
+        let tuples = corpus();
+        for window in [2, 3, 5] {
+            let mut grown = states(&spec(), window);
+            for (_, state) in &mut grown {
+                state.ingest_delta(&tuples, 0);
+            }
+            for rows in 0..=tuples.len() {
+                for ((label, grown), (_, mut fresh)) in grown.iter().zip(states(&spec(), window)) {
+                    fresh.ingest_delta(&tuples[..rows], 0);
+                    assert_eq!(
+                        grown.current_pairs(rows).pairs(),
+                        fresh.current_pairs(rows).pairs(),
+                        "{label} w{window}: rows 0..{rows}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn full_delta_is_the_row_major_suffix() {
         for (start, n) in [(0, 0), (0, 4), (2, 5), (5, 5), (3, 4)] {
@@ -982,12 +1051,12 @@ mod tests {
     fn empty_states() {
         let inc = IncrementalSnm::new(spec(), SnmKeying::PerAlternative, 2);
         assert!(inc.is_empty());
-        assert!(inc.current_pairs().is_empty());
+        assert!(inc.current_pairs(0).is_empty());
         let ranked = IncrementalRankedSnm::new(spec(), RankingFunction::MostProbableKey, 2);
         assert!(ranked.is_empty());
-        assert!(ranked.current_pairs().is_empty());
+        assert!(ranked.current_pairs(0).is_empty());
         let blocks = IncrementalBlocks::new(spec(), BlockKeying::PerAlternative);
         assert!(blocks.is_empty());
-        assert!(blocks.current_pairs().is_empty());
+        assert!(blocks.current_pairs(0).is_empty());
     }
 }

@@ -11,16 +11,25 @@
 //!
 //! ## Concurrency model
 //!
-//! Each named session is an `Arc<RwLock<DedupSession>>` inside a
-//! registry. `query` and `partition` are **read** endpoints: they take
-//! the session's read lock and classify through
+//! Each named session is a
+//! [`SharedSession`](probdedup_core::shared::SharedSession) inside a
+//! registry: a writer mutex (over the session's journal) and the
+//! session's `RwLock`, always taken in that order. `query`, `partition`
+//! and `entities` are **read** endpoints: they take the session's read
+//! lock only and classify through
 //! [`classify_pair`](probdedup_core::session::DedupSession::classify_pair)
 //! / [`result`](probdedup_core::session::DedupSession::result), both
 //! `&self` — concurrent readers share the warm sharded caches (interior
 //! mutability: lock-striped shards, atomic counters). `ingest`, `dedup`
-//! and `snapshot`-restore take the write lock. A reader therefore
-//! observes either the pre-ingest or the post-ingest partition, never a
-//! torn one.
+//! and `snapshot` hold the writer mutex throughout, so they run one at a
+//! time per session. A `dedup` holds the write lock throughout; an
+//! `ingest` takes it for two short steps only — growing the append-only
+//! warm state and publishing the batch — and journals, fsyncs and
+//! classifies while readers are served. Reads answer from the published
+//! rows, which change at publish only, so a reader observes either the
+//! pre-ingest or the post-ingest partition, never a torn one. A save
+//! takes the writer mutex before the read lock, as every writer does, so
+//! no two of them can wait on each other in a cycle.
 //!
 //! ## Snapshot lifecycle
 //!
@@ -55,8 +64,9 @@
 //! requests past the bound with `503` + `Retry-After` instead of queueing
 //! unboundedly (the ops surface — `/health`, `/stats` — stays exempt);
 //! and a `catch_unwind` boundary per request turns a handler panic into a
-//! `500` while the process keeps serving. A session whose lock was
-//! poisoned by such a panic is *quarantined*: it answers `503` and is
+//! `500` while the process keeps serving. A session whose writer mutex
+//! was poisoned by such a panic (it is held through every phase of a
+//! write) is *quarantined*: it answers `503` and is
 //! skipped by autosave (its durable `snapshot + journal` state is intact,
 //! because journaling precedes mutation) until a restart replays it back.
 //! `/health` reports `"degraded"` while any session is quarantined, and

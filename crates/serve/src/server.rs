@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use probdedup_core::pipeline::{
@@ -16,6 +16,7 @@ use probdedup_core::pipeline::{
 };
 use probdedup_core::prepare::Preparation;
 use probdedup_core::session::DedupSession;
+use probdedup_core::shared::{SharedSession, WriteError};
 use probdedup_core::wal::SessionJournal;
 use probdedup_decision::combine::WeightedSum;
 use probdedup_decision::derive_sim::ExpectedSimilarity;
@@ -212,15 +213,14 @@ struct Baseline {
 
 /// One named resident session.
 struct SessionEntry {
-    session: RwLock<DedupSession>,
-    /// The session's write-ahead journal (when the daemon runs with
-    /// `--wal-dir`). Lock order: session lock first, journal second.
-    journal: Option<Mutex<SessionJournal>>,
-    /// Serialises [`persist`](Self::persist): saves run under the session
-    /// *read* lock, so without it two of them would share one staging
-    /// file. Lock order: session lock, then this, then the journal.
-    saving: Mutex<()>,
-    /// Quarantined after a panic poisoned its lock: the in-memory state
+    /// The session and its write-ahead journal (when the daemon runs with
+    /// `--wal-dir`). Lock order: writer mutex, then session lock. Reads
+    /// take the session read lock only; `ingest`, `dedup` and saves hold
+    /// the writer mutex throughout — one at a time per session — and take
+    /// the session lock as the phases need it (see
+    /// `probdedup_core::shared`).
+    shared: SharedSession,
+    /// Quarantined after a panic poisoned its locks: the in-memory state
     /// may be inconsistent, so the session answers 503 until a restart
     /// recovers it from `snapshot + journal` (the durable state is
     /// untouched — journaling happens before mutation).
@@ -246,9 +246,7 @@ impl SessionEntry {
             key_renders: session.key_render_count(),
         };
         Self {
-            session: RwLock::new(session),
-            journal: journal.map(Mutex::new),
-            saving: Mutex::new(()),
+            shared: SharedSession::new(session, journal),
             degraded: AtomicBool::new(false),
             opened: Instant::now(),
             restored,
@@ -256,20 +254,22 @@ impl SessionEntry {
         }
     }
 
-    /// Mark the session degraded (idempotent; bumps the gauge once).
-    fn mark_degraded(&self, state: &ServerState) {
+    /// Mark the session degraded (idempotent; bumps the gauge once) and
+    /// return the quarantine answer.
+    fn mark_degraded(&self, state: &ServerState) -> Response {
         if !self.degraded.swap(true, Ordering::SeqCst) {
             state.sessions_degraded.fetch_add(1, Ordering::Relaxed);
         }
+        degraded_response()
     }
 
     fn is_degraded(&self) -> bool {
         self.degraded.load(Ordering::SeqCst)
     }
 
-    /// Read access honoring the quarantine: a poisoned lock (a handler
-    /// panicked mid-mutation) degrades the session *here*, instead of
-    /// recovering possibly-inconsistent state and serving it as truth.
+    /// Read access honoring the quarantine: a poisoned session (a handler
+    /// panicked mid-write) degrades *here*, instead of serving
+    /// possibly-inconsistent state as truth.
     fn read_guard(
         &self,
         state: &ServerState,
@@ -277,80 +277,66 @@ impl SessionEntry {
         if self.is_degraded() {
             return Err(degraded_response());
         }
-        match self.session.read() {
-            Ok(g) => Ok(g),
-            Err(_) => {
-                self.mark_degraded(state);
-                Err(degraded_response())
-            }
-        }
+        self.shared.read().map_err(|_| self.mark_degraded(state))
     }
 
-    /// Write access honoring the quarantine (see [`read_guard`](Self::read_guard)).
-    fn write_guard(
+    /// The same session read for the ops views (`/stats`, `/sessions`),
+    /// which report on a quarantined session too.
+    fn peek(&self) -> RwLockReadGuard<'_, DedupSession> {
+        self.shared.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run one write (`ingest` or `dedup`, named `verb`) and count its
+    /// journal append; a refused write becomes its answer.
+    fn write<T>(
         &self,
         state: &ServerState,
-    ) -> Result<RwLockWriteGuard<'_, DedupSession>, Response> {
-        if self.is_degraded() {
-            return Err(degraded_response());
-        }
-        match self.session.write() {
-            Ok(g) => Ok(g),
-            Err(_) => {
-                self.mark_degraded(state);
-                Err(degraded_response())
+        verb: &str,
+        f: impl FnOnce(&SharedSession) -> Result<T, WriteError>,
+    ) -> Result<T, Response> {
+        match f(&self.shared) {
+            Ok(out) => {
+                if self.shared.is_journaled() {
+                    state.wal_appends.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(out)
+            }
+            Err(WriteError::Poisoned) => Err(self.mark_degraded(state)),
+            Err(WriteError::Refused(SnapshotError::Model(e))) => {
+                Err(Response::error(409, &format!("{verb}: {e}")))
+            }
+            Err(WriteError::Refused(e)) => {
+                Err(Response::error(500, &format!("journal append: {e}")))
             }
         }
     }
 
-    /// Save `session` (this entry's, through its read guard) to `path`,
-    /// then compact the journal. The caller's read guard keeps appends
-    /// out (they need the write lock), so the snapshot provably covers
-    /// every sequence the compaction truncates; `saving` keeps other
-    /// savers out from before the staging file is created until after the
-    /// compaction. A compaction failure is logged, not returned — the
-    /// snapshot is durable and the journal merely longer than it must be.
+    /// Save the session to `path`, then compact the journal, with no
+    /// write in flight (`SharedSession::settled`): the snapshot provably
+    /// covers every sequence the compaction truncates, and no two savers
+    /// share the staging file. Readers are not held up. Returns the rows
+    /// and decided pairs saved. A compaction failure is logged, not
+    /// returned — the snapshot is durable and the journal merely longer
+    /// than it must be.
     fn persist(
         &self,
         state: &ServerState,
-        session: &DedupSession,
         path: &std::path::Path,
-    ) -> Result<(), SnapshotError> {
-        // The mutex guards no data, so a poisoned one is as good as new.
-        let _saving = self.saving.lock().unwrap_or_else(|e| e.into_inner());
-        session.save(path)?;
-        match self.journal_guard(state) {
-            Ok(Some(mut journal)) => {
-                if let Err(e) = journal.compact(session.journal_seq()) {
-                    eprintln!("probdedup-serve: compact {}: {e}", journal.path().display());
-                }
-            }
-            Ok(None) => {}
-            Err(_) => eprintln!(
-                "probdedup-serve: save {}: journal poisoned, session quarantined",
-                path.display()
-            ),
+    ) -> Result<Result<(usize, usize), SnapshotError>, Response> {
+        if self.is_degraded() {
+            return Err(degraded_response());
         }
-        Ok(())
-    }
-
-    /// The journal guard; a poisoned journal mutex (a panic mid-append)
-    /// also quarantines — the file tail may be torn, and recovery's
-    /// truncation is the only safe repair.
-    fn journal_guard(
-        &self,
-        state: &ServerState,
-    ) -> Result<Option<MutexGuard<'_, SessionJournal>>, Response> {
-        match &self.journal {
-            None => Ok(None),
-            Some(m) => match m.lock() {
-                Ok(g) => Ok(Some(g)),
-                Err(_) => {
-                    self.mark_degraded(state);
-                    Err(degraded_response())
+        self.shared
+            .settled(|session, journal| {
+                session.save(path)?;
+                if let Some(journal) = journal {
+                    if let Err(e) = journal.compact(session.journal_seq()) {
+                        eprintln!("probdedup-serve: compact {}: {e}", journal.path().display());
+                    }
                 }
-            },
-        }
+                Ok((session.rows(), session.decided_count()))
+            })
+            .ok_or_else(|| self.mark_degraded(state))
     }
 }
 
@@ -554,19 +540,16 @@ impl ServerState {
             let path = self
                 .snapshot_path(&name)
                 .expect("snapshot_dir checked above");
-            let Ok(session) = entry.read_guard(self) else {
-                eprintln!(
-                    "probdedup-serve: autosave {}: session degraded, keeping last durable state",
-                    path.display()
-                );
-                continue;
-            };
-            if session.is_empty() {
+            if entry.read_guard(self).is_ok_and(|s| s.is_empty()) {
                 continue;
             }
-            match entry.persist(self, &session, &path) {
-                Ok(()) => saved += 1,
-                Err(e) => eprintln!("probdedup-serve: autosave {}: {e}", path.display()),
+            match entry.persist(self, &path) {
+                Ok(Ok(_)) => saved += 1,
+                Ok(Err(e)) => eprintln!("probdedup-serve: autosave {}: {e}", path.display()),
+                Err(_) => eprintln!(
+                    "probdedup-serve: autosave {}: session degraded, keeping last durable state",
+                    path.display()
+                ),
             }
         }
         saved
@@ -630,7 +613,7 @@ fn handle_sessions(state: &ServerState) -> Response {
     let rows: Vec<String> = rlock(&state.sessions)
         .iter()
         .map(|(name, e)| {
-            let s = rlock(&e.session);
+            let s = e.peek();
             format!(
                 "{{\"name\": {}, \"rows\": {}, \"sources\": {}, \"restored\": {}, \"state\": \"{}\"}}",
                 json_string(name),
@@ -651,7 +634,7 @@ fn handle_stats(state: &ServerState) -> Response {
         .collect::<Vec<_>>()
         .into_iter()
         .map(|(name, e)| {
-            let s = rlock(&e.session);
+            let s = e.peek();
             let stats = s.stats();
             format!(
                 concat!(
@@ -750,14 +733,17 @@ fn handle_session_route(state: &ServerState, req: &Request) -> Response {
 }
 
 /// `POST /sessions/{name}/debug-panic` (chaos injection, test builds of
-/// the config only): panic while holding the session's write lock —
-/// exactly the failure `catch_unwind` + quarantine must contain.
+/// the config only): panic while holding the session's writer mutex, as a
+/// panicking ingest phase would — exactly the failure `catch_unwind` +
+/// quarantine must contain.
 fn handle_debug_panic(state: &ServerState, name: &str) -> Response {
     let Some(entry) = state.entry(name) else {
         return Response::error(404, "no such session");
     };
-    let _guard = entry.write_guard(state);
-    panic!("injected panic (debug-panic endpoint)");
+    entry
+        .shared
+        .settled(|_, _| -> Response { panic!("injected panic (debug-panic endpoint)") })
+        .unwrap_or_else(degraded_response)
 }
 
 /// `GET /sessions/{name}/debug-sleep?ms=N` (chaos injection): occupy an
@@ -803,53 +789,37 @@ fn handle_ingest(state: &ServerState, name: &str, body: &[u8]) -> Response {
         Ok(e) => e,
         Err(resp) => return resp,
     };
-    let mut session = match entry.write_guard(state) {
-        Ok(s) => s,
+    // Write-ahead discipline: validate, journal + fsync, then mutate —
+    // with reads served throughout but for the two short steps that grow
+    // and publish (see `probdedup_core::shared`). A journal append failure
+    // refuses the batch with memory and disk still in agreement; an
+    // accepted batch is durable before this response is even built.
+    let step = match entry.write(state, "ingest", |s| s.ingest(&rel)) {
+        Ok(step) => step,
         Err(resp) => return resp,
     };
-    // Write-ahead discipline: validate, journal + fsync, then mutate.
-    // A journal append failure refuses the batch with memory and disk
-    // still in agreement; an accepted batch is durable before this
-    // response is even built.
-    let step = match entry.journal_guard(state) {
-        Err(resp) => return resp,
-        Ok(Some(mut journal)) => match journal.ingest(&mut session, &rel) {
-            Ok(step) => {
-                state.wal_appends.fetch_add(1, Ordering::Relaxed);
-                Ok(step)
-            }
-            Err(SnapshotError::Model(e)) => Err(Response::error(409, &format!("ingest: {e}"))),
-            Err(e) => Err(Response::error(500, &format!("journal append: {e}"))),
-        },
-        Ok(None) => session
-            .ingest(&rel)
-            .map_err(|e| Response::error(409, &format!("ingest: {e}"))),
-    };
-    match step {
-        Ok(step) => {
-            state
-                .pairs_classified
-                .fetch_add(step.new_decisions.len() as u64, Ordering::Relaxed);
-            Response::json(
-                200,
-                format!(
-                    concat!(
-                        "{{\"session\": {}, \"rows_added\": {}, \"new_pairs\": {}, ",
-                        "\"new_matches\": {}, \"candidates\": {}, \"rows\": {}, ",
-                        "\"decided_pairs\": {}}}\n"
-                    ),
-                    json_string(name),
-                    step.rows_added(),
-                    step.new_decisions.len(),
-                    step.matches().count(),
-                    step.candidates,
-                    session.rows(),
-                    session.decided_count(),
-                ),
-            )
-        }
-        Err(resp) => resp,
-    }
+    state
+        .pairs_classified
+        .fetch_add(step.new_decisions.len() as u64, Ordering::Relaxed);
+    // After the ingest, rows end where the batch does and the decision
+    // memo holds one decision per candidate.
+    Response::json(
+        200,
+        format!(
+            concat!(
+                "{{\"session\": {}, \"rows_added\": {}, \"new_pairs\": {}, ",
+                "\"new_matches\": {}, \"candidates\": {}, \"rows\": {}, ",
+                "\"decided_pairs\": {}}}\n"
+            ),
+            json_string(name),
+            step.rows_added(),
+            step.new_decisions.len(),
+            step.matches().count(),
+            step.candidates,
+            step.new_rows.end,
+            step.candidates,
+        ),
+    )
 }
 
 /// The body of `dedup` and `partition`: counts, clusters and the summary
@@ -902,40 +872,22 @@ fn handle_dedup(state: &ServerState, name: &str, body: &[u8]) -> Response {
         Ok(e) => e,
         Err(resp) => return resp,
     };
-    let mut session = match entry.write_guard(state) {
-        Ok(s) => s,
-        Err(resp) => return resp,
-    };
     // Corpus replacements journal like ingests: recovery must converge to
     // the same resident corpus (see `probdedup_core::wal`).
-    let result = match entry.journal_guard(state) {
+    let result = match entry.write(state, "dedup", |s| s.run(&rel)) {
+        Ok(result) => result,
         Err(resp) => return resp,
-        Ok(Some(mut journal)) => match journal.run(&mut session, &rel) {
-            Ok(result) => {
-                state.wal_appends.fetch_add(1, Ordering::Relaxed);
-                Ok(result)
-            }
-            Err(SnapshotError::Model(e)) => Err(Response::error(409, &format!("dedup: {e}"))),
-            Err(e) => Err(Response::error(500, &format!("journal append: {e}"))),
-        },
-        Ok(None) => session
-            .run(&[&rel])
-            .map_err(|e| Response::error(409, &format!("dedup: {e}"))),
     };
-    match result {
-        Ok(result) => {
-            state
-                .pairs_classified
-                .fetch_add(result.decisions.len() as u64, Ordering::Relaxed);
-            Response::json(200, partition_json(name, &result.partition(), None))
-        }
-        Err(resp) => resp,
-    }
+    state
+        .pairs_classified
+        .fetch_add(result.decisions.len() as u64, Ordering::Relaxed);
+    Response::json(200, partition_json(name, &result.partition(), None))
 }
 
 /// `GET /sessions/{name}/query?i=..&j=..`: classify one resident pair
 /// through the session's `&self` read path — concurrent with other
-/// readers and blocked only by an in-flight ingest.
+/// readers and with an ingest's classification, blocked only by its two
+/// short write-locked steps (grow, publish) or by a `dedup`.
 fn handle_query(state: &ServerState, name: &str, req: &Request) -> Response {
     state.endpoints.query.fetch_add(1, Ordering::Relaxed);
     let Some(entry) = state.entry(name) else {
@@ -1069,12 +1021,8 @@ fn handle_snapshot(state: &ServerState, name: &str) -> Response {
     let Some(path) = state.snapshot_path(name) else {
         return Response::error(400, "no snapshot directory configured (--snapshot-dir)");
     };
-    let session = match entry.read_guard(state) {
-        Ok(s) => s,
-        Err(resp) => return resp,
-    };
-    match entry.persist(state, &session, &path) {
-        Ok(()) => {
+    match entry.persist(state, &path) {
+        Ok(Ok((rows, decided_pairs))) => {
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             Response::json(
                 200,
@@ -1083,12 +1031,13 @@ fn handle_snapshot(state: &ServerState, name: &str) -> Response {
                     json_string(name),
                     json_string(&path.display().to_string()),
                     bytes,
-                    session.rows(),
-                    session.decided_count(),
+                    rows,
+                    decided_pairs,
                 ),
             )
         }
-        Err(e) => Response::error(500, &format!("snapshot: {e}")),
+        Ok(Err(e)) => Response::error(500, &format!("snapshot: {e}")),
+        Err(resp) => resp,
     }
 }
 

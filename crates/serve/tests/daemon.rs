@@ -14,7 +14,7 @@
 //!   concurrent saves of one session never collide on the staging file.
 
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use probdedup_core::pipeline::DedupResult;
 use probdedup_core::session::DedupSession;
@@ -334,97 +334,166 @@ fn interval_autosave_persists_without_shutdown() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Satellite: N reader threads hammer `partition` — half of them
-/// alternating it with `entities` — while one `ingest` runs. Every
-/// observed body, byte for byte, must be the pre-ingest or the post-ingest one
-/// (the session RwLock forbids torn reads; both are reads), the entity
-/// bodies are the library's resolution of the pre- and the post-ingest
-/// corpus, and the final merged result equals a serial one-shot run.
+/// Fail the test rather than hang it when `handle` is still running at
+/// `deadline` — a lock-order deadlock must fail CI, not time it out.
+fn join_by<T>(handle: std::thread::JoinHandle<T>, deadline: Instant, what: &str) -> T {
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "{what} still running at the deadline (a lock-order deadlock?)"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().unwrap()
+}
+
+/// Satellite: reader threads hammer every read endpoint — `partition`,
+/// `partition?full=1`, `entities` and `query` (on resident pairs and on a
+/// pair the ingest creates) — and one thread loops `POST snapshot`, while
+/// one `ingest` runs. Every observed read, byte for byte, must be the
+/// pre-ingest or the post-ingest one (an ingest publishes in one short
+/// write-locked step), every save answers 200 with the pre- or
+/// post-ingest row count, the entity bodies are the library's resolution
+/// of the pre- and the post-ingest corpus, and the final merged result
+/// equals a serial one-shot run. Every thread is joined under a deadline.
 #[test]
 fn concurrent_readers_observe_pre_or_post_ingest_only() {
     const ENTITIES: &str = "/sessions/census/entities?strategy=correlation-repaired";
+    const FULL: &str = "/sessions/census/partition?full=1";
     let srcs = sources();
-    let (running, client) = boot(config());
+    let dir = std::env::temp_dir().join(format!("probdedup-serve-readers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (running, client) = boot(config().snapshot_dir(&dir));
     let mut library = ServeConfig::default_pipeline(4).session();
-    // Ingest on both sides; the daemon's entity body must be the
-    // library's resolution of the same corpus.
-    let mut ingest = |src: &XRelation| {
-        let (status, _) = client
-            .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
-            .unwrap();
-        assert_eq!(status, 200);
+    let (pre_rows, post_rows) = (srcs[0].len(), srcs[0].len() + srcs[1].len());
+    // Resident pairs, and one that exists only after the second ingest.
+    let queries: Vec<String> = [(0, 1), (2, pre_rows - 1), (1, pre_rows)]
+        .iter()
+        .map(|(i, j)| format!("/sessions/census/query?i={i}&j={j}"))
+        .collect();
+    // Every read endpoint's answer once the daemon has ingested `src`,
+    // which the library then ingests too: the daemon's partition and
+    // entity bodies must be the library's.
+    let mut reads_after = |src: &XRelation| {
         library.ingest(src).unwrap();
         let (_, partition) = client.get("/sessions/census/partition").unwrap();
         assert_partition_body(&partition, &library.result());
         let (_, entities) = client.get(ENTITIES).unwrap();
         let expected = library.resolve_entities(ClusterStrategy::CorrelationRepaired);
         assert_eq!(clusters_of(&entities), clusters_json(&expected.clusters));
-        (partition, entities)
+        let mut reads = vec![partition, entities, client.get(FULL).unwrap().1];
+        for q in &queries {
+            let (status, body) = client.get(q).unwrap();
+            reads.push(format!("{status} {body}"));
+        }
+        reads
     };
-
-    let (pre, pre_entities) = ingest(&srcs[0]);
+    let addr = running.addr();
+    post_ingest_to(addr, &srcs[0]);
+    let pre = reads_after(&srcs[0]);
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let addr = running.addr();
     let readers: Vec<_> = (0..8)
         .map(|reader| {
             let stop = stop.clone();
+            let queries = queries.clone();
             std::thread::spawn(move || {
                 let client = Client::new(addr);
-                let (mut partitions, mut entities) = (Vec::new(), Vec::new());
+                // Per endpoint, as in `reads_after`: partition, entities,
+                // partition?full=1, then one slot per query.
+                let mut seen: Vec<Vec<String>> = vec![Vec::new(); 3 + queries.len()];
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let (status, body) = client.get("/sessions/census/partition").unwrap();
                     assert_eq!(status, 200);
-                    partitions.push(body);
-                    if reader % 2 == 0 {
-                        let (status, body) = client.get(ENTITIES).unwrap();
-                        assert_eq!(status, 200);
-                        entities.push(body);
+                    seen[0].push(body);
+                    match reader % 4 {
+                        0 => seen[1].push(client.get(ENTITIES).unwrap().1),
+                        1 => seen[2].push(client.get(FULL).unwrap().1),
+                        2 => {
+                            for (k, q) in queries.iter().enumerate() {
+                                let (status, body) = client.get(q).unwrap();
+                                seen[3 + k].push(format!("{status} {body}"));
+                            }
+                        }
+                        _ => {}
                     }
                 }
-                (partitions, entities)
+                seen
             })
         })
         .collect();
+    let saver = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let client = Client::new(addr);
+            let mut rows = Vec::new();
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                let (status, body) = client.post("/sessions/census/snapshot", b"").unwrap();
+                assert_eq!(status, 200, "{body}");
+                rows.push(json_field(&body, "rows").unwrap());
+            }
+            rows
+        })
+    };
 
     // Let the readers spin up, then ingest the second source.
     std::thread::sleep(Duration::from_millis(30));
-    let (post, post_entities) = ingest(&srcs[1]);
-    assert_ne!(pre_entities, post_entities);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let batch = srcs[1].clone();
+    join_by(
+        std::thread::spawn(move || post_ingest_to(addr, &batch)),
+        deadline,
+        "the ingest",
+    );
+    let post = reads_after(&srcs[1]);
+    assert_ne!(pre[1], post[1], "the ingest must change the entities");
     std::thread::sleep(Duration::from_millis(30));
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
 
-    let mut observations = [0usize; 2];
+    let mut observations = vec![0usize; pre.len()];
     for r in readers {
-        let (partitions, entities) = r.join().unwrap();
-        for seen in partitions {
-            assert!(
-                seen == pre || seen == post,
-                "torn partition observed:\n  seen {seen}\n  pre  {pre}\n  post {post}"
-            );
-            observations[0] += 1;
-        }
-        for seen in entities {
-            assert!(
-                seen == pre_entities || seen == post_entities,
-                "torn entities observed:\n  seen {seen}\n  pre  {pre_entities}\n  post {post_entities}"
-            );
-            observations[1] += 1;
+        for (k, bodies) in join_by(r, deadline, "a reader").into_iter().enumerate() {
+            for seen in bodies {
+                assert!(
+                    seen == pre[k] || seen == post[k],
+                    "torn read observed:\n  seen {seen}\n  pre  {}\n  post {}",
+                    pre[k],
+                    post[k]
+                );
+                observations[k] += 1;
+            }
         }
     }
     assert!(
         observations.iter().all(|&n| n > 0),
-        "readers never observed a partition / an entity resolution"
+        "some read endpoint was never observed: {observations:?}"
     );
+    let saved = join_by(saver, deadline, "the saver");
+    assert!(!saved.is_empty(), "the saver never saved");
+    for rows in saved {
+        assert!(
+            rows == pre_rows.to_string() || rows == post_rows.to_string(),
+            "a save wrote {rows} rows"
+        );
+    }
 
     // Split-invariance through the front door: the merged result equals
     // a serial one-shot run over both sources.
     let expected = ServeConfig::default_pipeline(4)
         .run(&srcs.iter().collect::<Vec<_>>())
         .unwrap();
-    assert_partition_body(&post, &expected);
+    assert_partition_body(&post[0], &expected);
 
     running.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Ingest `src` into session `census` of the daemon at `addr`.
+fn post_ingest_to(addr: std::net::SocketAddr, src: &XRelation) {
+    let (status, body) = Client::new(addr)
+        .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
 }
 
 /// Saves run under the session *read* lock and stage into one fixed

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the serving front door, driven exactly the
 # way an operator would: boot the release daemon over a fixture corpus,
-# exercise every endpoint with curl, SIGTERM it, restart over the
-# autosaved snapshots, and assert the warm restart — identical partition
-# and entity bodies (determinism: neither is stored) and zero key renders
-# since open.
+# exercise every endpoint with curl (saves and queries racing an
+# ingest included), SIGTERM it, restart over the autosaved snapshots, and
+# assert the warm restart — identical partition and entity bodies
+# (determinism: neither is stored) and zero key renders since open.
 #
 #   cargo build --release && scripts/serve_smoke.sh
 #
@@ -51,14 +51,44 @@ req() { curl -fsS --max-time 30 "$@"; }
 echo "== fixture corpus"
 "$BIN" generate --out-prefix "$WORK/census" --entities 60 --sources 2 --seed 7
 
+# Loop one curl request in the background, under `timeout`, until
+# $WORK/race.stop exists (at least once), logging each status code to
+# the file $1.
+RACE_PIDS=""
+race() {
+    local out=$1
+    shift
+    timeout 60 bash -c 'out=$1 stop=$2; shift 2
+        while :; do
+            curl -s -o /dev/null -w "%{http_code}\n" --max-time 10 "$@" >>"$out"
+            [ -f "$stop" ] && break
+        done' race "$out" "$WORK/race.stop" "$@" &
+    RACE_PIDS="$RACE_PIDS $!"
+}
+
 echo "== first life: boot, ingest, query, stats, snapshot"
 boot "$WORK/serve1.log"
 req -X POST --data-binary @"$WORK/census.source0.pxr" \
     "http://$ADDR/sessions/census/ingest" | grep -q '"rows_added"' \
     || fail "ingest source0"
+
+# Saves and reads racing an ingest: saves hold the session's writer
+# mutex before its lock, as the ingest does, so neither can wait on the
+# other in a cycle — every request must answer 200, none may hang.
+race "$WORK/race.snapshot" -X POST "http://$ADDR/sessions/census/snapshot"
+race "$WORK/race.query" "http://$ADDR/sessions/census/query?i=0&j=1"
 req -X POST --data-binary @"$WORK/census.source1.pxr" \
     "http://$ADDR/sessions/census/ingest" | grep -q '"rows_added"' \
     || fail "ingest source1"
+touch "$WORK/race.stop"
+for pid in $RACE_PIDS; do
+    wait "$pid" || fail "a request loop racing the ingest hung (lock-order deadlock?)"
+done
+for loop in snapshot query; do
+    [ -s "$WORK/race.$loop" ] || fail "the $loop loop never ran"
+    grep -qvx 200 "$WORK/race.$loop" \
+        && fail "a $loop racing the ingest answered $(grep -vx 200 "$WORK/race.$loop" | head -n1)"
+done
 
 PART1=$(req "http://$ADDR/sessions/census/partition")
 echo "$PART1" | grep -q '"clusters"' || fail "partition body"
