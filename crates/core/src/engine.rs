@@ -9,10 +9,11 @@
 //! [`MatchingEngine`] and calls [`MatchingEngine::classify`]; the drivers
 //! keep only what is theirs (decision memo + candidates; routing +
 //! scatter). The engine always works on **interned** tuples: values are
-//! interned once into a [`ValuePool`], Eq. 5 runs over dense symbols with
-//! upper-bound pruning, and kernel results are memoized in the sharded
-//! per-attribute [`SymbolCache`](probdedup_matching::cache::SymbolCache)s
-//! of a long-lived [`InternedComparators`]. The paper-literal path
+//! interned once into a [`ValuePool`], and Eq. 5 runs over dense symbols
+//! with upper-bound pruning and the per-symbol prepared sidecars of a
+//! long-lived [`InternedComparators`]. Every kernel value is computed where
+//! it is needed and memoized nowhere, so a decision is a pure function of
+//! the pair. The paper-literal path
 //! ([`compare_xtuples`](probdedup_matching::matrix::compare_xtuples)
 //! straight off the [`XTuple`]s) is the reference the engine is *tested
 //! against* (`crate::test_support`), not something a driver can select.
@@ -26,7 +27,7 @@
 //!   into running attribute budgets ([`AttributeBudgets`]), every Eq. 5
 //!   evaluation runs against a cut interval, and evaluation stops the
 //!   moment the class is certified. No matrix is materialized;
-//!   `similarity` is a certified representative.
+//!   `similarity` is the representative that walk certifies.
 //!
 //! The equality contract between configurations and across drivers is
 //! stated once, in ARCHITECTURE.md ("The engine").
@@ -37,12 +38,11 @@ use probdedup_decision::budget::{classify_comparison_bounded, AttributeBudgets, 
 use probdedup_decision::xmodel::XTupleDecisionModel;
 use probdedup_matching::interned::{
     compare_xtuples_interned, intern_tuples_into, interned_pvalue_similarity_bounded,
-    AttrCacheDump, AttributeUsage, InternedComparators, InternedXTuple,
+    AttributeUsage, InternedComparators, InternedXTuple,
 };
 use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::condition::normalized_alternative_probs;
 use probdedup_model::intern::ValuePool;
-use probdedup_model::snapshot::SnapshotError;
 use probdedup_model::xtuple::XTuple;
 
 use crate::exec::par_map_index;
@@ -67,12 +67,11 @@ impl Decider {
 }
 
 /// Warm matching state plus the decision step: the value pool, interned
-/// tuple mirrors, the long-lived comparators (caches + sidecars) and, for
+/// tuple mirrors, the long-lived comparators (kernels + sidecars) and, for
 /// classify-only, the per-tuple conditioned alternative weights.
 pub(crate) struct MatchingEngine {
     decider: Decider,
     comparators: AttributeComparators,
-    cache_capacity: Option<usize>,
     pool: ValuePool,
     usage: AttributeUsage,
     /// Symbol-level mirror of the resident tuples (row-indexed).
@@ -96,7 +95,6 @@ impl MatchingEngine {
         Self {
             decider: config.decider.clone(),
             comparators: config.comparators.clone(),
-            cache_capacity: config.cache_capacity,
             pool,
             usage: AttributeUsage::default(),
             interned: Vec::new(),
@@ -116,11 +114,10 @@ impl MatchingEngine {
         ));
         match &mut self.cmps {
             None => {
-                self.cmps = Some(InternedComparators::with_usage_and_capacity(
+                self.cmps = Some(InternedComparators::with_usage(
                     &self.pool,
                     &self.comparators,
                     &self.usage,
-                    self.cache_capacity,
                 ))
             }
             Some(cmps) => cmps.sync_pool(&self.pool, Some(&self.usage)),
@@ -132,7 +129,7 @@ impl MatchingEngine {
     }
 
     /// Drop row-indexed state (interned mirrors, weights); the pool, the
-    /// usage masks and the comparators' caches stay warm.
+    /// usage masks and the comparators' sidecars stay warm.
     pub(crate) fn reset_rows(&mut self) {
         self.interned.clear();
         self.weights.clear();
@@ -148,8 +145,8 @@ impl MatchingEngine {
     /// non-match, early possible, exhausted]` — all zero in the exact
     /// configuration.
     ///
-    /// `&self`: the caches are sharded with interior mutability, so
-    /// concurrent readers of one warm session share this safely.
+    /// `&self`: classifying writes nothing shared, so concurrent readers
+    /// of one warm session share this safely.
     pub(crate) fn classify(
         &self,
         resident: &[XTuple],
@@ -229,57 +226,24 @@ impl MatchingEngine {
         }
     }
 
-    /// The matching-stage counters: cache traffic and interning from the
-    /// comparators, plus the caller's accumulated bounded-tier counts.
+    /// The matching-stage counters: interned values from the comparators,
+    /// plus the caller's accumulated bounded-tier counts.
     pub(crate) fn stats(&self, tiers: [u64; 4]) -> MatchingStats {
-        let mut stats = MatchingStats {
+        MatchingStats {
+            interned_values: self
+                .cmps
+                .as_ref()
+                .map_or(0, InternedComparators::interned_values),
             pairs_early_match: tiers[0],
             pairs_early_nonmatch: tiers[1],
             pairs_early_possible: tiers[2],
             pairs_exhausted: tiers[3],
             ..MatchingStats::default()
-        };
-        if let Some(cmps) = &self.cmps {
-            let (hits, misses) = cmps.cache_stats();
-            stats.cache_hits = hits;
-            stats.cache_misses = misses;
-            stats.cached_pairs = cmps.cached_pairs();
-            stats.interned_values = cmps.interned_values();
-            stats.kernel_bound_certs = cmps.bound_certs();
-            stats.cache_evictions = cmps.cache_evictions();
         }
-        stats
     }
 
     /// The matching value pool (the snapshot persists it).
     pub(crate) fn pool(&self) -> &ValuePool {
         &self.pool
-    }
-
-    /// Deterministic dump of every memoized similarity / verdict, per
-    /// attribute (empty before the first ingest).
-    pub(crate) fn export_cache_entries(&self) -> Vec<AttrCacheDump> {
-        self.cmps
-            .as_ref()
-            .map_or_else(Vec::new, InternedComparators::export_cache_entries)
-    }
-
-    /// Restore a dump made by [`export_cache_entries`](Self::export_cache_entries)
-    /// (validated against the pool's symbol range). An empty dump is a
-    /// no-op.
-    pub(crate) fn import_cache_entries(
-        &mut self,
-        dumps: &[AttrCacheDump],
-    ) -> Result<(), SnapshotError> {
-        if dumps.is_empty() {
-            return Ok(());
-        }
-        // Warm caches but no resident tuples (a session saved after its
-        // corpus was emptied): materialize the comparators directly over
-        // the restored pool.
-        let cmps = self.cmps.get_or_insert_with(|| {
-            InternedComparators::with_capacity(&self.pool, &self.comparators, self.cache_capacity)
-        });
-        cmps.import_cache_entries(dumps)
     }
 }

@@ -8,9 +8,9 @@
 //!    the paper's SNM/blocking adaptations, or the full quadratic scan.
 //! 3. **Attribute value matching** — comparison matrices via
 //!    `probdedup-matching` (Eq. 5 per attribute): the relation is interned
-//!    once and the one matching `engine` runs Eq. 5 over symbols
-//!    through sharded similarity caches on the work-stealing [`exec`]
-//!    pair executor.
+//!    once and the one matching `engine` runs Eq. 5 over symbols and
+//!    their prepared sidecars on the work-stealing [`exec`] pair
+//!    executor.
 //! 4. **Decision model** — any [`XTupleDecisionModel`] (similarity-based or
 //!    decision-based derivation, Fig. 6), or the classify-only linear
 //!    model that stops evaluating a pair once its class is certified.
@@ -25,7 +25,7 @@
 //! mostly-unchanged corpus as new tuples arrive. The [`session`] module
 //! provides the persistent front door: a
 //! [`session::DedupSession`] owns the warm state (interner
-//! pools, key tables, similarity/verdict caches) across runs and supports
+//! pools, key tables, prepared sidecars) across runs and supports
 //! [`ingest`](session::DedupSession::ingest)-style incremental
 //! deduplication — only new-vs-resident candidate pairs are classified,
 //! and the merged result is split-invariant (property-tested equal to a

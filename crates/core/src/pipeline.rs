@@ -6,12 +6,12 @@
 //! wrapper over [`DedupSession`](crate::session::DedupSession): `run`
 //! spins up a fresh session and drops it. Build a session instead
 //! ([`DedupPipelineBuilder::build_session`]) to keep interner pools, key
-//! tables and similarity caches warm across runs and to **ingest** new
+//! tables and prepared sidecars warm across runs and to **ingest** new
 //! batches incrementally.
 //!
 //! The matching stage is the quadratic hot path. Every driver runs it
 //! through the one matching engine (`engine.rs`) — interned symbols,
-//! sharded similarity caches, upper-bound pruning — in one of two
+//! prepared sidecars, upper-bound pruning — in one of two
 //! configurations: **exact** ([`model`](DedupPipelineBuilder::model):
 //! full Fig. 6 comparison matrices handed to a decision model) or
 //! **classify-only** ([`classify_only`](DedupPipelineBuilder::classify_only):
@@ -177,18 +177,15 @@ impl std::fmt::Display for PairDecision {
 ///
 /// The `pairs_*` tier counters are populated only by the classify-only
 /// (bounded) configuration: they partition the candidate pairs by which
-/// bound settled them. In bounded runs `cache_misses` counts probes the exact
-/// cache could not answer; `kernel_bound_certs` says how many kernel
-/// evaluations among those were disposed by a below-bound certificate
-/// (prefilters / banded Myers) instead of a full kernel run.
+/// bound settled them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchingStats {
-    /// Kernel evaluations answered by the sharded similarity cache.
+    /// Always 0: the engine memoizes no kernel result. Kept, with
+    /// `cache_misses`, `kernel_bound_certs` and [`hit_rate`](Self::hit_rate),
+    /// because the frozen `benchmark/` package still reads them.
     pub cache_hits: u64,
-    /// Kernel evaluations that had to run (and were then memoized).
+    /// Always 0 (see `cache_hits`).
     pub cache_misses: u64,
-    /// Distinct value pairs memoized across all attribute caches.
-    pub cached_pairs: usize,
     /// Distinct values interned into the run's `ValuePool`.
     pub interned_values: usize,
     /// Pairs certified `≥ T_μ` before evaluation finished (bounded mode).
@@ -199,16 +196,12 @@ pub struct MatchingStats {
     pub pairs_early_possible: u64,
     /// Pairs whose bounded evaluation ran to completion (bounded mode).
     pub pairs_exhausted: u64,
-    /// Kernel evaluations disposed by a below-bound certificate.
+    /// Always 0 (see `cache_hits`).
     pub kernel_bound_certs: u64,
-    /// Memoized entries evicted to honour a cache capacity ceiling
-    /// (always 0 with unbounded caches — the default).
-    pub cache_evictions: u64,
 }
 
 impl MatchingStats {
-    /// Fraction of kernel evaluations served from the cache (0 when no
-    /// lookups happened).
+    /// Always 0 (see `cache_hits`).
     pub fn hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {
@@ -252,7 +245,7 @@ pub struct DedupResult {
     pub decisions: Vec<PairDecision>,
     /// Duplicate clusters (transitive closure of matches), size ≥ 2.
     pub clusters: Vec<Vec<usize>>,
-    /// Matching-stage counters (cache effectiveness, interning).
+    /// Matching-stage counters (interning, bounded tiers).
     pub stats: MatchingStats,
 }
 
@@ -423,7 +416,6 @@ pub(crate) struct PipelineConfig {
     pub(crate) comparators: AttributeComparators,
     pub(crate) decider: Decider,
     pub(crate) threads: usize,
-    pub(crate) cache_capacity: Option<usize>,
 }
 
 impl PipelineConfig {
@@ -463,7 +455,7 @@ impl PipelineConfig {
 /// it — stateless per invocation, exactly the paper's batch process. Use
 /// [`DedupPipelineBuilder::build_session`] (or
 /// [`DedupPipeline::session`]) when state should persist: warm interner
-/// pools, key tables and similarity/verdict caches across runs, and
+/// pools, key tables and prepared sidecars across runs, and
 /// incremental ingest of new batches against the resident corpus.
 #[derive(Clone)]
 pub struct DedupPipeline {
@@ -478,8 +470,6 @@ pub struct DedupPipelineBuilder {
     model: Option<Arc<dyn XTupleDecisionModel>>,
     bounded: Option<BoundedClassifyConfig>,
     threads: usize,
-    cache_capacity: Option<usize>,
-    memory_budget: Option<u64>,
 }
 
 impl DedupPipeline {
@@ -492,8 +482,6 @@ impl DedupPipeline {
             model: None,
             bounded: None,
             threads: 1,
-            cache_capacity: None,
-            memory_budget: None,
         }
     }
 
@@ -517,7 +505,7 @@ impl DedupPipeline {
 
     /// A fresh persistent session over this pipeline's configuration: the
     /// stateful front door that keeps interner pools, key tables and
-    /// similarity/verdict caches warm across
+    /// prepared sidecars warm across
     /// [`run`](crate::session::DedupSession::run)s and supports
     /// [`ingest`](crate::session::DedupSession::ingest)-style incremental
     /// deduplication.
@@ -579,33 +567,11 @@ impl DedupPipelineBuilder {
         self
     }
 
-    /// Inert: the interned, cached engine is the only matching path, so
-    /// there is nothing left to switch. Kept solely because the frozen
+    /// Inert: the engine memoizes no kernel result, so there is nothing
+    /// left to switch. Kept solely because the frozen
     /// `benchmark/` package still calls it (see ROADMAP).
     #[doc(hidden)]
     pub fn cache_similarities(self, _on: bool) -> Self {
-        self
-    }
-
-    /// Bound the total number of memoized pairs each per-attribute
-    /// similarity (and verdict) cache may hold; beyond the ceiling, cold
-    /// entries are evicted second-chance style and counted in
-    /// [`MatchingStats::cache_evictions`]. `None` (the default) keeps the
-    /// caches unbounded.
-    pub fn cache_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Bound the similarity caches from a byte budget: each per-attribute
-    /// similarity (and verdict) cache gets `budget · 2/5 / 64` entries
-    /// (40 % of the budget at ≈ 64 bytes per entry, at least one), unless
-    /// an explicit [`cache_capacity`](Self::cache_capacity) is set. That
-    /// is all the budget governs: the relation, its interned mirrors, the
-    /// candidate pairs and their decisions stay resident whatever it
-    /// says. `None` (the default) leaves the caches unbounded.
-    pub fn memory_budget(mut self, budget: Option<u64>) -> Self {
-        self.memory_budget = budget;
         self
     }
 
@@ -658,9 +624,6 @@ impl DedupPipelineBuilder {
                  decides with its own thresholds and would ignore the model"
             ),
         };
-        let cache_capacity = self.cache_capacity.or(self
-            .memory_budget
-            .map(|b| ((b * 2 / 5) / 64).max(1) as usize));
         DedupPipeline {
             config: PipelineConfig {
                 preparation: self.preparation,
@@ -668,7 +631,6 @@ impl DedupPipelineBuilder {
                 comparators,
                 decider,
                 threads: self.threads,
-                cache_capacity,
             },
         }
     }
@@ -899,8 +861,8 @@ mod tests {
         big
     }
 
-    /// The engine's (interned, cached) exact run matches the uncached
-    /// paper-literal computation straight off the x-tuples.
+    /// The engine's (interned) exact run matches the paper-literal
+    /// computation straight off the x-tuples.
     #[test]
     fn cached_run_matches_uncached() {
         let (big, b) = (big(), r4());
@@ -912,14 +874,6 @@ mod tests {
             .run(&[&big, &b])
             .unwrap();
         assert_exact_agrees_with_reference(&result, &comparators(), model().as_ref(), "full");
-        // The run actually exercised the interned caches.
-        let (hits, misses) = (result.stats.cache_hits, result.stats.cache_misses);
-        assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
-        assert!(
-            result.stats.hit_rate() > 0.5,
-            "hit rate {}",
-            result.stats.hit_rate()
-        );
         assert!(result.stats.interned_values > 1);
     }
 

@@ -12,13 +12,12 @@
 //!   key pools inside each warm
 //!   [`KeyTable`](probdedup_reduction::KeyTable): values and rendered key
 //!   prefixes are interned once per distinct sighting, ever;
-//! * the **similarity state** — sharded
-//!   [`SymbolCache`](probdedup_matching::SymbolCache)s, bound-verdict
-//!   caches and per-symbol
+//! * the **similarity state** — per-symbol
 //!   [`PreparedValue`](probdedup_matching::PreparedValue) sidecars inside
 //!   the matching engine's long-lived
 //!   [`InternedComparators`](probdedup_matching::InternedComparators),
-//!   grown append-only via `sync_pool`;
+//!   grown append-only via `sync_pool` (kernel results themselves are
+//!   computed, never memoized);
 //! * the **reduction state** — per-strategy incremental structures
 //!   ([`IncrementalSnm`](probdedup_reduction::IncrementalSnm),
 //!   [`IncrementalBlocks`](probdedup_reduction::IncrementalBlocks), …)
@@ -58,7 +57,7 @@
 //!   too (multi-pass over possible worlds, cluster blocking), whose
 //!   candidates depend on the whole corpus and are regenerated per ingest.
 //!
-//! What persists vs. what invalidates: pools, caches and sidecars are
+//! What persists vs. what invalidates: pools and sidecars are
 //! keyed on **values**, so they survive any corpus change and any number
 //! of runs/ingests. Row-indexed state (candidate pairs, decisions,
 //! reduction rows) is invalidated whenever `run` sees a different corpus.
@@ -325,10 +324,9 @@ impl DedupSession {
     /// Same prepared corpus as the resident one → preparation-state
     /// rebuilds, reduction and interning are **skipped** (zero key
     /// renders, zero new symbols); matching re-executes every candidate
-    /// through the warm caches. A different corpus resets the row-indexed
+    /// over the warm sidecars. A different corpus resets the row-indexed
     /// state and re-keys against the warm pools — only never-seen values
-    /// render or intern, and memoized similarities for recurring value
-    /// pairs carry over.
+    /// render or intern.
     pub fn run(&mut self, sources: &[&XRelation]) -> Result<DedupResult, ModelError> {
         let Some((combined, offsets)) = self.config.combine(sources)? else {
             // "The corpus is now nothing": drop the resident rows (the
@@ -349,8 +347,7 @@ impl DedupSession {
         }
         self.source_offsets = offsets;
 
-        // Classify every candidate (on a warm rerun the caches answer
-        // almost everything) and refresh the decision memo.
+        // Classify every candidate and refresh the decision memo.
         let pairs: Vec<(usize, usize)> = self.ordered_candidates().pairs().to_vec();
         let decisions = self.classify(&pairs);
         // Not `extend`: on a warm rerun every key is already present, and
@@ -363,7 +360,7 @@ impl DedupSession {
 
     /// Drop everything row-indexed — reduction rows, interned mirrors,
     /// decisions, tier counters — and keep the warm value-keyed pools and
-    /// caches.
+    /// sidecars.
     fn reset_rows(&mut self) {
         self.order.take();
         self.reduction.reset_rows();
@@ -570,9 +567,9 @@ impl DedupSession {
         })
     }
 
-    /// Session-cumulative matching counters (cache traffic, interned
-    /// values, bounded-tier disposals across every classification the
-    /// session has performed).
+    /// Session-cumulative matching counters (interned values,
+    /// bounded-tier disposals across every classification the session has
+    /// performed).
     pub fn stats(&self) -> MatchingStats {
         self.matching.stats(self.tiers)
     }
@@ -584,12 +581,9 @@ impl DedupSession {
     ///
     /// Answers from the decision memo when the pair is a current
     /// candidate; otherwise the pair is classified on the spot through
-    /// the warm state — the sharded similarity/verdict caches use
-    /// interior mutability (lock-striped shards, atomic counters), so
-    /// computed kernel values are still memoized for everyone, but the
-    /// decision memo and the bounded-tier counters are **not** touched
-    /// (those belong to the write path). Row order is irrelevant;
-    /// `None` for out-of-range rows or `i == j`.
+    /// the warm state, writing nothing: the decision memo and the
+    /// bounded-tier counters belong to the write path. Row order is
+    /// irrelevant; `None` for out-of-range rows or `i == j`.
     pub fn classify_pair(&self, i: usize, j: usize) -> Option<PairDecision> {
         let rows = self.rows();
         if i == j || i >= rows || j >= rows {
@@ -615,8 +609,8 @@ impl DedupSession {
     }
 
     /// The matching stage over the warm state through `&self`: safe for
-    /// concurrent readers (the engine's caches are sharded with interior
-    /// mutability). Returns the decisions plus this call's bounded-tier
+    /// concurrent readers (classifying writes nothing shared). Returns
+    /// the decisions plus this call's bounded-tier
     /// counts — callers on the write path accumulate them, read paths
     /// drop them.
     fn classify_shared(&self, pairs: &[(usize, usize)]) -> (Vec<PairDecision>, [u64; 4]) {
@@ -652,9 +646,9 @@ impl DedupSession {
     /// (see the [`crate::snapshot`] module docs for the section layout).
     ///
     /// The bytes capture everything value-keyed — the prepared resident
-    /// relation, the matching `ValuePool`, every memoized similarity /
-    /// verdict cache entry, the reduction key pools with their prefix
-    /// memos, the decision memo and the bounded-tier counters. Row-keyed
+    /// relation, the matching `ValuePool`, the reduction key pools with
+    /// their prefix memos, the decision memo and the bounded-tier
+    /// counters. Row-keyed
     /// mirrors are rebuilt on [`open`](Self::open) from the restored pools
     /// (pure warm work: zero key renders, zero new symbols).
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
@@ -691,18 +685,10 @@ impl DedupSession {
         write_value_pool(&mut w, self.matching.pool());
         snap.section(TAG_MATCH_POOL, w);
 
+        // Section 5 of format v1 held the retired similarity memo: written
+        // with zero attributes, which older readers import as a no-op.
         let mut w = SectionWriter::new();
-        let dumps = self.matching.export_cache_entries();
-        w.put_u32(dumps.len() as u32);
-        for (exact, bound) in &dumps {
-            for entries in [exact, bound] {
-                w.put_len(entries.len());
-                for &(key, sim) in entries {
-                    w.put_u64(key);
-                    w.put_f64(sim);
-                }
-            }
-        }
+        w.put_u32(0);
         snap.section(TAG_CACHES, w);
 
         let mut w = SectionWriter::new();
@@ -750,8 +736,8 @@ impl DedupSession {
     /// of `pipeline`.
     ///
     /// The pipeline's configuration must agree with the one the snapshot
-    /// was written under (schema arity, reduction strategy, similarity
-    /// cache and bounded-mode flags) — a disagreement is reported as
+    /// was written under (schema arity, reduction strategy, engine and
+    /// bounded-mode flags) — a disagreement is reported as
     /// [`SnapshotError::ConfigMismatch`]. Every corruption mode
     /// (truncation, bit flips, version or checksum disagreement,
     /// out-of-range symbols, inconsistent cross-section state) is a typed
@@ -878,7 +864,9 @@ impl DedupSession {
         let match_pool = read_value_pool(&mut r)?;
         r.finish()?;
 
-        // Section 5: memoized similarity / verdict cache entries.
+        // Section 5 (legacy, see `crate::snapshot`): older files hold the
+        // retired similarity memo. Its entries are decoded and checked
+        // against the pool's symbol range, then dropped.
         let mut r = reader.section(TAG_CACHES, "caches section")?;
         let n_attr = r.take_u32()? as usize;
         if n_attr != 0 && n_attr != own_arity {
@@ -886,25 +874,26 @@ impl DedupSession {
                 context: "cache dump attribute count",
             });
         }
-        let mut cache_dumps = Vec::with_capacity(n_attr);
+        let limit = match_pool.len() as u64;
         for _ in 0..n_attr {
-            let mut both = [Vec::new(), Vec::new()];
-            for entries in &mut both {
-                let n = r.take_len(16)?;
-                entries.reserve(n);
-                for _ in 0..n {
+            for context in ["similarity cache symbol pair", "verdict cache symbol pair"] {
+                for _ in 0..r.take_len(16)? {
                     let key = r.take_u64()?;
-                    let sim = r.take_f64()?;
-                    if !sim.is_finite() {
+                    if !r.take_f64()?.is_finite() {
                         return Err(SnapshotError::Malformed {
                             context: "non-finite cached similarity",
                         });
                     }
-                    entries.push((key, sim));
+                    let (lo, hi) = (key >> 32, key & 0xffff_ffff);
+                    if lo == 0 || lo > hi || hi >= limit {
+                        return Err(SnapshotError::InvalidSymbol {
+                            context,
+                            raw: key,
+                            limit,
+                        });
+                    }
                 }
             }
-            let [exact, bound] = both;
-            cache_dumps.push((exact, bound));
         }
         r.finish()?;
 
@@ -1007,7 +996,6 @@ impl DedupSession {
                 decided.retain(|&(i, j), _| candidates.contains(i, j));
             }
         }
-        matching.import_cache_entries(&cache_dumps)?;
 
         self.relation = relation;
         self.source_offsets = offsets;
@@ -1182,8 +1170,6 @@ mod tests {
         assert_eq!(session.interned_value_count(), interned);
         assert_eq!(first.decisions, again.decisions);
         assert_eq!(first.clusters, again.clusters);
-        // The rerun answered from the warm cache.
-        assert!(session.stats().cache_hits > first.stats.cache_hits);
     }
 
     #[test]
@@ -1438,12 +1424,9 @@ mod tests {
         assert_eq!((handle.source, handle.row), (SourceId(65_537), 0));
     }
 
-    /// Everything a reader can be answered, minus the cumulative cache
-    /// counters of `result().stats`: the merged view, the memo-backed
-    /// partition and counts, and `classify_pair` over every resident pair
-    /// (its similarity only under the exact engine — classify-only
-    /// certifies a representative that cache warmth may choose
-    /// differently, see ARCHITECTURE.md, "The engine").
+    /// Everything a reader can be answered, minus the cumulative counters
+    /// of `result().stats`: the merged view, the memo-backed partition and
+    /// counts, and `classify_pair` over every resident pair.
     #[derive(Debug, PartialEq)]
     struct ReadView {
         relation: XRelation,
@@ -1453,19 +1436,16 @@ mod tests {
         partition: Partition,
         decided: usize,
         journal_seq: u64,
-        queried: Vec<(MatchClass, Option<u64>)>,
+        queried: Vec<PairDecision>,
     }
 
     impl ReadView {
-        fn of(session: &DedupSession, exact: bool) -> Self {
+        fn of(session: &DedupSession) -> Self {
             let result = session.result();
             let rows = session.rows();
             let queried = (0..rows)
                 .flat_map(|i| (i + 1..rows).map(move |j| (i, j)))
-                .map(|(i, j)| {
-                    let d = session.classify_pair(i, j).expect("a resident pair");
-                    (d.class, exact.then_some(d.similarity.to_bits()))
-                })
+                .map(|(i, j)| session.classify_pair(i, j).expect("a resident pair"))
                 .collect();
             Self {
                 relation: result.relation,
@@ -1515,7 +1495,7 @@ mod tests {
                 for (n, src) in sources.iter().enumerate() {
                     let label = format!("{label}, batch {n}");
                     let seq = n as u64 + 1;
-                    let before = ReadView::of(&plain, exact);
+                    let before = ReadView::of(&plain);
                     let mut staged = phased.stage(src).unwrap();
                     staged.journaled_as(seq);
                     phased.grow(&mut staged);
@@ -1523,9 +1503,9 @@ mod tests {
                     // first read of a generation regenerates them, here
                     // over the grown state.
                     phased.order.take();
-                    assert_eq!(ReadView::of(&phased, exact), before, "{label}: grown");
+                    assert_eq!(ReadView::of(&phased), before, "{label}: grown");
                     phased.classify_arrived(&mut staged);
-                    assert_eq!(ReadView::of(&phased, exact), before, "{label}: classified");
+                    assert_eq!(ReadView::of(&phased), before, "{label}: classified");
                     let step = phased.publish(staged);
 
                     let want = plain.ingest(src).unwrap();
@@ -1533,27 +1513,15 @@ mod tests {
                     assert_eq!(step.source, want.source, "{label}");
                     assert_eq!(step.new_rows, want.new_rows, "{label}");
                     assert_eq!(step.candidates, want.candidates, "{label}");
-                    let class = |d: &PairDecision| (d.pair, d.class);
-                    assert!(
-                        step.new_decisions
-                            .iter()
-                            .map(class)
-                            .eq(want.new_decisions.iter().map(class)),
-                        "{label}: new decisions"
-                    );
-                    if exact {
-                        assert_eq!(step.new_decisions, want.new_decisions, "{label}");
-                        // Reads touch the same resident pairs on both
-                        // sides, so even the memoized similarities agree.
-                        assert_eq!(
-                            phased.to_snapshot_bytes(),
-                            plain.to_snapshot_bytes(),
-                            "{label}: published"
-                        );
-                    }
+                    assert_eq!(step.new_decisions, want.new_decisions, "{label}");
                     assert_eq!(
-                        ReadView::of(&phased, exact),
-                        ReadView::of(&plain, exact),
+                        phased.to_snapshot_bytes(),
+                        plain.to_snapshot_bytes(),
+                        "{label}: published"
+                    );
+                    assert_eq!(
+                        ReadView::of(&phased),
+                        ReadView::of(&plain),
                         "{label}: published"
                     );
                 }

@@ -28,7 +28,7 @@
 //! [`DedupSession::rows`] (`current_pairs` ignores rows at or past the
 //! published count). So every read sees the session from before the batch
 //! or from after it, never one in between. The value-keyed counters
-//! (interned values, key renders, cache traffic) may already include a
+//! (interned values, key renders) may already include a
 //! batch in flight. The strategies that regenerate their candidates over
 //! the whole corpus (multi-pass over worlds, cluster blocking) classify at
 //! publish, as [`DedupSession::ingest`] always did.

@@ -14,11 +14,11 @@
 //!
 //! | tag | section    | contents                                              |
 //! |-----|------------|-------------------------------------------------------|
-//! | 1   | config     | arity, reduction-strategy name, cache + bounded flags |
+//! | 1   | config     | arity, reduction name, engine + bounded flags         |
 //! | 2   | relation   | the **prepared** resident [`XRelation`] (or absent)   |
 //! | 3   | offsets    | per-source row offsets into the combined relation     |
 //! | 4   | match pool | the matching [`ValuePool`] in dense symbol order      |
-//! | 5   | caches     | per-attribute similarity + verdict memo entries       |
+//! | 5   | caches     | *(legacy)* written empty; old entries checked+dropped |
 //! | 6   | reduction  | the warm [`KeyTable`] pools (values, keys, memos)     |
 //! | 7   | decisions  | every current candidate pair's decision + tier counts |
 //! | 8   | journal    | *(optional)* highest applied WAL sequence number      |
@@ -37,6 +37,14 @@
 //! the committed golden v1 fixture) read as "journal seq 0" and keep
 //! loading, which is why the format version did not change.
 //!
+//! Section 5 is legacy: while the engine memoized kernel results, the
+//! writer dumped the per-attribute similarity and below-cut verdict tables
+//! here. Kernel values are now computed where they are needed, so the
+//! section is written with zero attributes (which older readers import as
+//! a no-op); `open` still decodes the entries of an older file, refuses a
+//! symbol pair outside the restored pool as
+//! [`SnapshotError::InvalidSymbol`], and drops them.
+//!
 //! Section 9 is legacy: while sessions memoized entity partitions, the
 //! writer appended them here. An entity partition is a deterministic
 //! function of the decisions in section 7, so nothing writes the section
@@ -46,8 +54,7 @@
 //!
 //! The relation is stored *post-preparation*, so opening never re-runs the
 //! preparation plan; pools are stored in dense symbol order, so re-interning
-//! on open reproduces identical symbols and every memoized cache entry keyed
-//! on them stays valid. Everything row-indexed but cheap (interned tuple
+//! on open reproduces identical symbols. Everything row-indexed but cheap (interned tuple
 //! mirrors, `PreparedValue` sidecars, candidate pairs, conditioned
 //! alternative weights) is **rebuilt** from the restored pools on open —
 //! pure warm-pool work with zero key renders, verified by the round-trip
@@ -86,7 +93,8 @@ pub const TAG_RELATION: u32 = 2;
 pub const TAG_OFFSETS: u32 = 3;
 /// Section tag: matching value pool.
 pub const TAG_MATCH_POOL: u32 = 4;
-/// Section tag: per-attribute similarity/verdict cache entries.
+/// Section tag (legacy): the retired per-attribute similarity/verdict
+/// memo — written empty, older entries symbol-checked and dropped.
 pub const TAG_CACHES: u32 = 5;
 /// Section tag: warm reduction key-table pools.
 pub const TAG_REDUCTION: u32 = 6;

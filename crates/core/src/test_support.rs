@@ -6,8 +6,8 @@
 //! Section IV-A writes it — Eq. 5 per attribute straight off the
 //! [`XTuple`](probdedup_model::xtuple::XTuple)s
 //! ([`compare_xtuples`]), the Fig. 6 comparison matrix, then
-//! [`XTupleDecisionModel::decide`] — with no interning, no cache, no
-//! pruning and no bounds.
+//! [`XTupleDecisionModel::decide`] — with no interning, no pruning and no
+//! bounds.
 
 use probdedup_decision::threshold::MatchClass;
 use probdedup_decision::xmodel::XTupleDecisionModel;

@@ -1,9 +1,10 @@
 //! Thread-count determinism: the work-stealing executor must reassemble
 //! decisions in candidate order, so a `threads(8)` run is **byte-identical**
-//! to `threads(1)` on the same input. Similarities are compared via their
-//! raw f64 bit patterns: not approximately equal, identical. What the
-//! bits should *be* is pinned separately, against the paper-literal
-//! reference (`probdedup_core::test_support`).
+//! to `threads(1)` on the same input — in both engine configurations, down
+//! to the session snapshot bytes. Similarities are compared via their raw
+//! f64 bit patterns: not approximately equal, identical. What the bits
+//! should *be* is pinned separately, against the paper-literal reference
+//! (`probdedup_core::test_support`).
 
 use std::sync::Arc;
 
@@ -17,6 +18,7 @@ use probdedup_decision::threshold::Thresholds;
 use probdedup_decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::relation::XRelation;
+use probdedup_reduction::KeySpec;
 use probdedup_textsim::JaroWinkler;
 
 fn dataset() -> probdedup_datagen::SyntheticDataset {
@@ -99,19 +101,62 @@ fn threads8_is_byte_identical_to_threads1_interned() {
     // matches the paper-literal reference to rounding.
     let comparators = AttributeComparators::uniform(&ds.schema, JaroWinkler::new());
     assert_exact_agrees_with_reference(&eight, &comparators, model().as_ref(), "interned");
-    // Both runs exercised the cache.
-    assert!(one.stats.cache_hits > 0 && eight.stats.cache_hits > 0);
-    // Hit/miss *totals* must agree run to run (the split may differ: with
-    // several threads the same missing pair can be computed twice before
-    // the memo lands, which is benign for results). Every exact kernel
-    // probe is one hit or one miss, and which probes run depends on the
-    // values alone — so a lost count in the per-shard counters shows here.
-    assert_eq!(
-        one.stats.cache_hits + one.stats.cache_misses,
-        eight.stats.cache_hits + eight.stats.cache_misses,
-        "cache probe totals"
+    assert_eq!(one.stats, eight.stats);
+}
+
+/// The whole persisted session — decisions, similarities, tier counters —
+/// is one byte string whatever the thread count, under full comparison
+/// and under sorted-neighbourhood, in both engine configurations.
+#[test]
+fn session_snapshot_bytes_are_thread_invariant() {
+    let small = dataset();
+    let large = generate(
+        &Dictionaries::people(),
+        &DatasetConfig {
+            entities: 1500,
+            sources: 2,
+            seed: 0x5A17,
+            ..DatasetConfig::default()
+        },
     );
-    assert_eq!(one.stats.interned_values, eight.stats.interned_values);
+    let snm = ReductionStrategy::SortingAlternatives {
+        spec: KeySpec::paper_example(0, 2),
+        window: 6,
+    };
+    for (ds, reduction) in [(&small, ReductionStrategy::Full), (&large, snm)] {
+        let sources: Vec<&XRelation> = ds.relations.iter().collect();
+        for bounded in [false, true] {
+            let snapshot = |threads: usize| {
+                let b = DedupPipeline::builder()
+                    .preparation(Preparation::standard_all(4))
+                    .comparators(AttributeComparators::uniform(
+                        &ds.schema,
+                        JaroWinkler::new(),
+                    ))
+                    .reduction(reduction.clone())
+                    .threads(threads);
+                let b = if bounded {
+                    b.classify_only(
+                        WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap(),
+                        Thresholds::new(0.72, 0.82).unwrap(),
+                    )
+                } else {
+                    b.model(model())
+                };
+                let mut session = b.build_session();
+                session.run(&sources).expect("session run");
+                session.to_snapshot_bytes()
+            };
+            let one = snapshot(1);
+            for threads in [2, 8] {
+                assert!(
+                    one == snapshot(threads),
+                    "{} bounded={bounded}: threads {threads} snapshot differs from threads 1",
+                    reduction.name()
+                );
+            }
+        }
+    }
 }
 
 #[test]

@@ -25,9 +25,8 @@
 //! order is erased by the graph build, pivots follow row order, and
 //! local-search moves demand strict improvement with deterministic
 //! tie-breaks. Output is therefore byte-stable across thread counts and
-//! shard splits whenever the decisions themselves are (exact matching
-//! guarantees that; bounded+cached matching certifies only the class
-//! partition, so correlation weights may differ there).
+//! shard splits whenever the decisions themselves are, which the engine
+//! guarantees in both configurations.
 //!
 //! Nothing stores a resolution. [`ResolveEntities`] is implemented for a
 //! finished `DedupResult` and for a warm

@@ -31,8 +31,7 @@
 //!
 //! In the rare case where bounded kernels skipped terms but the interval
 //! never settled, the evaluation falls back to the exact pruned sum — the
-//! caches make the re-run cheap, and the attempt cost only prefilter-tier
-//! work.
+//! attempt cost only prefilter-tier work.
 //!
 //! [w]: probdedup_textsim::StringComparator::similarity_within
 
@@ -148,7 +147,7 @@ pub(crate) fn bounded_expected_similarity<K>(
         return BoundedSim::Exact(sum.clamp(0.0, 1.0));
     }
     // Bounded kernels skipped terms but the interval straddles a cut:
-    // resolve exactly (cached kernels make the re-run cheap).
+    // resolve exactly.
     BoundedSim::Exact(pruned_expected_similarity(
         a_alts,
         a_mass,
@@ -160,7 +159,7 @@ pub(crate) fn bounded_expected_similarity<K>(
     ))
 }
 
-/// Bounded Eq. 5 on plain [`PValue`]s through an (uncached)
+/// Bounded Eq. 5 on plain [`PValue`]s through a
 /// [`ValueComparator`] — the bounded twin of
 /// [`pvalue_similarity`](crate::pvalue_similarity). Alternatives are
 /// visited in the stored (value-sorted) order: no per-call sorting, no

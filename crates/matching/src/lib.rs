@@ -28,15 +28,13 @@
 //! * the **interned path** ([`interned`]) — values are interned once into
 //!   a [`ValuePool`](probdedup_model::intern::ValuePool), Eq. 5 runs over
 //!   dense symbols with alternatives in descending probability order
-//!   (enabling upper-bound pruning), and kernel results are memoized in
-//!   the sharded, lock-striped [`cache::SymbolCache`] keyed on packed
-//!   symbol pairs. Cache **misses** — the only place strings are touched
-//!   at all — evaluate the kernel over per-symbol
-//!   [`PreparedValue`]s (ASCII class, character
-//!   length, Myers pattern bitmasks) precomputed once at interning time,
-//!   so the bit-parallel kernels in `probdedup-textsim` skip their
-//!   per-comparison setup. This is what the pipeline's matching engine
-//!   executes — always.
+//!   (enabling upper-bound pruning), and each kernel evaluates over
+//!   per-symbol [`PreparedValue`]s (ASCII class, character length, Myers
+//!   pattern bitmasks) precomputed once at interning time, so the
+//!   bit-parallel kernels in `probdedup-textsim` skip their per-comparison
+//!   setup. Kernel results are computed, not memoized: every similarity
+//!   is a pure function of its two symbols. This is what the pipeline's
+//!   matching engine executes — always.
 //!
 //! # Example
 //!
@@ -55,7 +53,6 @@
 //! ```
 
 pub mod bounded;
-pub mod cache;
 pub mod interned;
 pub mod matrix;
 pub mod pvalue_sim;
@@ -63,7 +60,6 @@ pub mod value_cmp;
 pub mod vector;
 
 pub use bounded::{pvalue_similarity_bounded, BoundedSim};
-pub use cache::SymbolCache;
 pub use interned::{
     compare_xtuples_interned, intern_tuples, intern_tuples_into, intern_tuples_tracked,
     interned_pvalue_similarity, interned_pvalue_similarity_bounded, AttributeUsage,

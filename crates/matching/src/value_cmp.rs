@@ -145,7 +145,7 @@ impl ValueComparator {
 
 /// A [`Value`] with its per-value comparison state precomputed: the
 /// symbol-sidecar entry of the interned matching path (built once per
-/// distinct value, reused by every cache-miss kernel evaluation).
+/// distinct value, reused by every kernel evaluation).
 #[derive(Debug, Clone)]
 pub enum PreparedValue {
     /// `⊥` — the constant-time conventions never reach a kernel.

@@ -94,9 +94,9 @@ proptest! {
         prop_assert_eq!(c1, c2);
     }
 
-    /// The interned hot path (symbol pool + sharded similarity cache +
-    /// pruning) agrees with the uncached reference to 1e-12 — including on
-    /// repeat comparisons, where every kernel evaluation is a cache hit.
+    /// The interned hot path (symbol pool + prepared sidecars + pruning)
+    /// agrees with the plain reference to 1e-12 — on repeat comparisons
+    /// too.
     #[test]
     fn interned_cached_agrees_with_uncached(
         rows in proptest::collection::vec((arb_pvalue(), arb_pvalue()), 1..5)

@@ -5,9 +5,9 @@
 //! heap-allocated string). Across a relation the distinct values are few
 //! relative to the number of candidate pairs, so the pipeline interns every
 //! value once up front into a [`ValuePool`] and works with [`Symbol`]s from
-//! there on: similarity-cache keys become a single `u64`, equality becomes
-//! an integer compare, and no string is touched again until a cache miss
-//! actually needs the kernel.
+//! there on: a symbol pair packs into a single `u64`, equality becomes
+//! an integer compare, and no string is touched again until a kernel
+//! actually needs it.
 //!
 //! ⊥ ([`Value::Null`]) is special-cased as [`Symbol::NULL`] (symbol 0),
 //! reserved at construction so the paper's non-existence conventions
@@ -160,7 +160,7 @@ impl<T> SymbolMap<T> {
     /// was built (or last extended): `f` runs once for each symbol in
     /// `self.len()..pool.len()`, in symbol order. A no-op when the pool
     /// has not grown. Existing entries are untouched, so side state keyed
-    /// on old symbols (caches, tables) stays valid — this is how warm
+    /// on old symbols (sidecars, tables) stays valid — this is how warm
     /// sessions carry per-symbol state across incremental ingests.
     pub fn extend(&mut self, pool: &ValuePool, f: impl FnMut((Symbol, &Value)) -> T) {
         debug_assert!(pool.len() >= self.slots.len(), "pools only grow");

@@ -24,8 +24,8 @@
 //!   by a set of x-tuples, their probabilities, and conditioning on the
 //!   event *B* that all considered tuples exist (Fig. 7).
 //! * **Value interning** — [`intern`]: a [`ValuePool`] mapping each distinct
-//!   [`Value`] to a dense `u32` [`Symbol`], so the matching hot path,
-//!   similarity caches and blocking keys can work with integer comparisons
+//!   [`Value`] to a dense `u32` [`Symbol`], so the matching hot path
+//!   and blocking keys can work with integer comparisons
 //!   instead of cloning and hashing strings.
 //!
 //! The model is deliberately self-contained (no external DB) and

@@ -1,5 +1,5 @@
 //! Crash-safe binary snapshot primitives: a hand-rolled, versioned flat
-//! format for persisting warm session state (pools, caches, resident
+//! format for persisting warm session state (pools, key memos, resident
 //! relations) across restarts.
 //!
 //! The format is deliberately dependency-free (no serde registry, per the
@@ -695,7 +695,7 @@ pub fn read_value_pool(r: &mut SectionReader<'_>) -> Result<ValuePool, SnapshotE
         if sym.index() != i + 1 {
             // A duplicate (or ⊥) in the stream means the pool was not
             // written in dense symbol order — reject rather than let
-            // symbol-keyed caches silently alias.
+            // symbol-keyed state silently alias.
             return Err(SnapshotError::Malformed {
                 context: "value pool symbol order",
             });

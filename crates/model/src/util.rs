@@ -9,7 +9,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// A fast, DoS-*unsafe* hasher for internal hot paths (blocking keys,
-/// similarity caches, q-gram profiles). Do **not** expose it to untrusted
+/// interned key memos, q-gram profiles). Do **not** expose it to untrusted
 /// adversarial input where HashDoS matters; duplicate detection workloads
 /// control their own keys.
 #[derive(Debug, Clone, Copy, Default)]

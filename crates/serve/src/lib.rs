@@ -19,8 +19,8 @@
 //! lock only and classify through
 //! [`classify_pair`](probdedup_core::session::DedupSession::classify_pair)
 //! / [`result`](probdedup_core::session::DedupSession::result), both
-//! `&self` — concurrent readers share the warm sharded caches (interior
-//! mutability: lock-striped shards, atomic counters). `ingest`, `dedup`
+//! `&self` — classifying writes nothing shared, so concurrent readers
+//! never contend on the matching state. `ingest`, `dedup`
 //! and `snapshot` hold the writer mutex throughout, so they run one at a
 //! time per session. A `dedup` holds the write lock throughout; an
 //! `ingest` takes it for two short steps only — growing the append-only

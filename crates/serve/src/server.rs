@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use probdedup_core::pipeline::{
-    DedupPipeline, MatchingStats, PairDecision, Partition, ReductionStrategy,
-};
+use probdedup_core::pipeline::{DedupPipeline, PairDecision, Partition, ReductionStrategy};
 use probdedup_core::prepare::Preparation;
 use probdedup_core::session::DedupSession;
 use probdedup_core::shared::{SharedSession, WriteError};
@@ -153,8 +151,8 @@ impl ServeConfig {
     /// The CLI-equivalent default pipeline over `arity`-attribute
     /// relations: standard preparation, Jaro-Winkler comparators,
     /// similarity-based decision model (λ 0.72, μ 0.82, first attribute
-    /// weighted 3×), sorted-neighborhood reduction over a prefix key,
-    /// warm similarity caches on. Attribute *names* never matter to the
+    /// weighted 3×), sorted-neighborhood reduction over a prefix key.
+    /// Attribute *names* never matter to the
     /// pipeline — only arity — so sessions accept any text relation of
     /// this width.
     pub fn default_pipeline(arity: usize) -> DedupPipeline {
@@ -202,15 +200,6 @@ pub struct ServeSummary {
     pub sessions_saved: usize,
 }
 
-/// Counters the session carried when it was opened/created — `/stats`
-/// reports deltas against these, so a freshly restored session showing
-/// `key_renders_since_open: 0` after a warm replay is the daemon-level
-/// reuse certificate.
-struct Baseline {
-    stats: MatchingStats,
-    key_renders: u64,
-}
-
 /// One named resident session.
 struct SessionEntry {
     /// The session and its write-ahead journal (when the daemon runs with
@@ -228,7 +217,11 @@ struct SessionEntry {
     opened: Instant,
     /// Restored from a snapshot/journal at boot (vs. created by a request).
     restored: bool,
-    base: Baseline,
+    /// Key renders the session carried when it was opened/created —
+    /// `/stats` reports the delta, so a freshly restored session showing
+    /// `key_renders_since_open: 0` after a warm replay is the daemon-level
+    /// reuse certificate.
+    base_key_renders: u64,
 }
 
 /// The quarantine answer for a degraded session.
@@ -241,16 +234,13 @@ fn degraded_response() -> Response {
 
 impl SessionEntry {
     fn new(session: DedupSession, restored: bool, journal: Option<SessionJournal>) -> Self {
-        let base = Baseline {
-            stats: session.stats(),
-            key_renders: session.key_render_count(),
-        };
+        let base_key_renders = session.key_render_count();
         Self {
             shared: SharedSession::new(session, journal),
             degraded: AtomicBool::new(false),
             opened: Instant::now(),
             restored,
-            base,
+            base_key_renders,
         }
     }
 
@@ -635,15 +625,12 @@ fn handle_stats(state: &ServerState) -> Response {
         .into_iter()
         .map(|(name, e)| {
             let s = e.peek();
-            let stats = s.stats();
             format!(
                 concat!(
                     "{{\"name\": {}, \"rows\": {}, \"sources\": {}, \"candidates\": {}, ",
                     "\"decided_pairs\": {}, \"interned_values\": {}, \"uptime_secs\": {:.3}, ",
                     "\"restored\": {}, \"state\": \"{}\", \"journal_seq\": {}, ",
-                    "\"key_renders\": {}, \"key_renders_since_open\": {}, ",
-                    "\"cache_hits_since_open\": {}, \"cache_misses_since_open\": {}, ",
-                    "\"cache_evictions_since_open\": {}}}"
+                    "\"key_renders\": {}, \"key_renders_since_open\": {}}}"
                 ),
                 json_string(&name),
                 s.rows(),
@@ -656,10 +643,7 @@ fn handle_stats(state: &ServerState) -> Response {
                 entry_state(&e),
                 s.journal_seq(),
                 s.key_render_count(),
-                s.key_render_count() - e.base.key_renders,
-                stats.cache_hits - e.base.stats.cache_hits,
-                stats.cache_misses - e.base.stats.cache_misses,
-                stats.cache_evictions - e.base.stats.cache_evictions,
+                s.key_render_count() - e.base_key_renders,
             )
         })
         .collect();
@@ -861,7 +845,7 @@ fn partition_json(name: &str, partition: &Partition, decisions: Option<&[PairDec
 
 /// `POST /sessions/{name}/dedup`: (re)run the session over the posted
 /// relation as the whole corpus — warm state carries over, so re-posting
-/// an unchanged corpus replays from the caches (zero key renders).
+/// an unchanged corpus replays from the warm pools (zero key renders).
 fn handle_dedup(state: &ServerState, name: &str, body: &[u8]) -> Response {
     state.endpoints.dedup.fetch_add(1, Ordering::Relaxed);
     let rel = match parse_body_relation(state, body) {

@@ -1,8 +1,8 @@
 //! Bit-parallel building blocks for the hot string kernels.
 //!
-//! The similarity-cache miss path is the only place the matching pipeline
-//! still touches strings, so the per-miss cost is dominated by the inner
-//! loops of the comparison kernels. This module provides the word-level
+//! Kernel evaluation is the only place the matching pipeline still
+//! touches strings, so its cost is dominated by the inner loops of the
+//! comparison kernels. This module provides the word-level
 //! primitives those kernels dispatch to:
 //!
 //! * [`PatternBits`] + [`myers_distance`] — Myers' 1999 bit-vector

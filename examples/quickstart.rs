@@ -97,8 +97,8 @@ fn main() {
 
     // The same dedup through the **persistent front door**: a session
     // ingests the sources one at a time — only new-vs-resident candidate
-    // pairs are classified per batch, warm interner pools and similarity
-    // caches persist — and the merged view equals the one-shot run.
+    // pairs are classified per batch, warm interner pools and prepared
+    // sidecars persist — and the merged view equals the one-shot run.
     let mut session = DedupPipeline::builder()
         .comparators(AttributeComparators::uniform(
             &paper::schema(),

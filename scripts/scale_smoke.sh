@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Scale smoke test of the sharded front door, driven through the release
 # CLI the way an operator would: generate a 20k-entity two-source corpus,
-# dedup it sharded under a deliberately small --memory-budget, dedup it
-# unsharded as the reference, and assert the merged sharded result is
-# identical (modulo the sharded run's extra shard-stats line) and — for
-# the default corpus and shard count — routed exactly as recorded; the
-# unsharded run under the same budget (the session path with its caches
-# evicting) must be identical too. Then
+# dedup it sharded, dedup it unsharded as the reference, and assert the
+# merged sharded result is identical (modulo the sharded run's extra
+# shard-stats line) and — for the default corpus and shard count — routed
+# exactly as recorded. Then
 # the paper's Section V multi-pass SNM (possible-world selection, then one
 # pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
 # space: the first summary is pinned to the one the dense world search
@@ -19,14 +17,13 @@
 #   cargo build --release && scripts/scale_smoke.sh
 #
 # Environment: BIN overrides the binary under test (default
-# target/release/probdedup); ENTITIES / SHARDS / BUDGET override the
-# corpus size, shard count and memory budget.
+# target/release/probdedup); ENTITIES / SHARDS override the corpus size
+# and shard count.
 set -euo pipefail
 
 BIN=${BIN:-target/release/probdedup}
 ENTITIES=${ENTITIES:-20000}
 SHARDS=${SHARDS:-8}
-BUDGET=${BUDGET:-1m}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -44,9 +41,8 @@ COMMON=(--input "$WORK/scale.source0.pxr" --input "$WORK/scale.source1.pxr"
 echo "== dedup: unsharded reference"
 "$BIN" dedup "${COMMON[@]}" > "$WORK/reference.out"
 
-echo "== dedup: $SHARDS shards under --memory-budget $BUDGET"
-"$BIN" dedup "${COMMON[@]}" --shards "$SHARDS" --memory-budget "$BUDGET" \
-    > "$WORK/sharded.out"
+echo "== dedup: $SHARDS shards"
+"$BIN" dedup "${COMMON[@]}" --shards "$SHARDS" > "$WORK/sharded.out"
 
 grep -q "^sharded over $SHARDS shards:" "$WORK/sharded.out" \
     || fail "sharded run did not report shard stats"
@@ -67,13 +63,6 @@ diff -u "$WORK/reference.out" "$WORK/sharded.clean" \
     || fail "sharded result differs from the unsharded reference"
 
 echo "PASS: sharded merge identical to the unsharded reference"
-
-echo "== dedup: unsharded under --memory-budget $BUDGET"
-"$BIN" dedup "${COMMON[@]}" --memory-budget "$BUDGET" > "$WORK/budgeted.out"
-diff -u "$WORK/reference.out" "$WORK/budgeted.out" \
-    || fail "budgeted unsharded result differs from the unbudgeted reference"
-
-echo "PASS: unsharded run under the budget identical to the reference"
 
 multipass() { # <entities>: capped snm-multipass run into $WORK/worlds<entities>.out
     echo "== dedup: snm-multipass over $1 entities under ulimit -v 1 GiB"

@@ -55,15 +55,12 @@ USAGE:
       [--reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
                    blocking|blocking-resolved|blocking-multipass|cluster-blocking]
       [--key attr:len[,attr:len...]] [--window W]
-      [--lambda T] [--mu T] [--threads N]
-      [--shards K] [--memory-budget BYTES[k|m|g]]
+      [--lambda T] [--mu T] [--threads N] [--shards K]
       Run the one-shot pipeline and print decisions and duplicate clusters.
       With --shards > 1 the sharded front door routes the candidate pairs
       by blocking-key hash / key-rank stripe, matches each shard
       independently, and merges — same result, without the unsharded
-      run's dense pair matrix and decision memo. A --memory-budget bounds
-      the similarity caches, sharded or not; the relation, the candidate
-      pairs and their decisions stay resident whatever it says.
+      run's dense pair matrix and decision memo.
 
   probdedup ingest --input FILE.pxr [--input FILE2.pxr ...]
       (same options as dedup)
@@ -89,7 +86,7 @@ USAGE:
   probdedup snapshot save --out FILE.snap --input FILE.pxr [...]
       (same pipeline options as ingest)
       Run a session over the inputs and persist its warm state —
-      interner pools, similarity caches, key memos, decisions — to
+      interner pools, key memos, decisions — to
       FILE.snap via an atomic crash-safe write.
 
   probdedup snapshot load --snapshot FILE.snap --input FILE.pxr [...]
@@ -124,9 +121,6 @@ COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
               -multipass: one pass per selected possible world)
   --key attr:len[,attr:len...]   --window W
   --lambda T  --mu T  --threads N
-  --memory-budget B   bound the similarity caches from ~B bytes
-                      (suffixes k/m/g; second-chance eviction, unbounded
-                      by default; nothing else is governed)
 
 An option the subcommand does not know is a usage error (exit 2).
 `probdedup --help` (or -h, or help) prints this text.
@@ -448,10 +442,6 @@ fn build_pipeline(
     let weights: Vec<f64> = std::iter::once(3.0)
         .chain(std::iter::repeat_n(1.0, schema.arity() - 1))
         .collect();
-    let memory_budget = match args.get("memory-budget") {
-        Some(v) => Some(parse_bytes(v)?),
-        None => None,
-    };
     let pipeline = DedupPipeline::builder()
         .preparation(Preparation::standard_all(schema.arity()))
         .comparators(AttributeComparators::uniform(schema, JaroWinkler::new()))
@@ -462,26 +452,8 @@ fn build_pipeline(
         )))
         .reduction(reduction)
         .threads(threads)
-        .memory_budget(memory_budget)
         .build();
     Ok(pipeline)
-}
-
-/// Parse a byte count with optional `k`/`m`/`g` suffix (`64m`, `2g`,
-/// `100000`).
-fn parse_bytes(v: &str) -> Result<u64, CliError> {
-    let v = v.trim();
-    let (digits, factor) = match v.char_indices().last() {
-        Some((i, 'k') | (i, 'K')) => (&v[..i], 1u64 << 10),
-        Some((i, 'm') | (i, 'M')) => (&v[..i], 1u64 << 20),
-        Some((i, 'g') | (i, 'G')) => (&v[..i], 1u64 << 30),
-        _ => (v, 1),
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| CliError::Usage(format!("--memory-budget: cannot parse {v:?}")))?;
-    n.checked_mul(factor)
-        .ok_or_else(|| CliError::Usage(format!("--memory-budget: {v:?} overflows")))
 }
 
 /// Print a [`DedupResult`]: summary, matches, possibles, clusters.

@@ -609,8 +609,9 @@ fn helpful_errors() {
 }
 
 /// Options nobody reads are a usage error (exit 2) — a typo'd flag must
-/// not silently run with the default, and the removed `--cache` and
-/// `--memo-capacity` switches must not be silently ignored either.
+/// not silently run with the default, and the removed `--cache`,
+/// `--memo-capacity` and `--memory-budget` switches must not be silently
+/// ignored either.
 #[test]
 fn unknown_options_are_usage_errors() {
     let dir = temp_dir("unknownflags");
@@ -637,10 +638,14 @@ fn unknown_options_are_usage_errors() {
         "a usage error must not run the pipeline"
     );
 
-    // The stale engine switch and the removed memo ceiling, on a one-shot
-    // and on a session command.
+    // The stale engine switch and the removed memo and cache ceilings, on
+    // a one-shot and on a session command.
     for cmd in ["dedup", "ingest"] {
-        for (flag, value) in [("--cache", "false"), ("--memo-capacity", "8")] {
+        for (flag, value) in [
+            ("--cache", "false"),
+            ("--memo-capacity", "8"),
+            ("--memory-budget", "1m"),
+        ] {
             let out = bin()
                 .args([cmd, "--input", &src0, flag, value])
                 .output()

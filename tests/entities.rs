@@ -10,12 +10,8 @@
 //!   correlation-repaired strategy splits what connected components
 //!   glue, and on clean corpora all strategies agree.
 //!
-//! Exactness matters here: these tests run the exact (non-bounded)
-//! matcher, whose certified similarities — the edge weights — are
-//! invariant. Bounded + cached runs certify the same *partition* but
-//! may certify different representative similarities, so only the
-//! weight-blind `Components` strategy is byte-stable there (covered by
-//! the rider in `tests/sharded.rs`).
+//! These tests run the exact (non-bounded) matcher; the rider in
+//! `tests/sharded.rs` resolves classify-only results too.
 
 use std::sync::Arc;
 

@@ -4,17 +4,15 @@
 //! over the same sources.
 //!
 //! "Equals" is the engine's equality contract — ARCHITECTURE.md, "The
-//! engine" — byte identity (`assert_identical`) for the exact
-//! configuration, class and cluster identity (`assert_same_partition`)
-//! for classify-only. Stats are excluded everywhere: cache traffic
-//! legitimately differs between one sweep and `k` per-shard sweeps. The
+//! engine" — byte identity (`assert_identical`) in both configurations.
+//! Stats are excluded: tier counters are per run, not per result. The
 //! one-shot run itself is pinned to the paper-literal reference
 //! (`probdedup::core::test_support`).
 //!
 //! [`ShardedPipeline`]: probdedup::core::shard::ShardedPipeline
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -27,7 +25,7 @@ use probdedup::core::test_support::{
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
-use probdedup::decision::threshold::{MatchClass, Thresholds};
+use probdedup::decision::threshold::Thresholds;
 use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
@@ -158,34 +156,6 @@ fn assert_identical(reference: &DedupResult, sharded: &DedupResult, label: &str)
     );
 }
 
-/// Partition equality: same pairs with the same classes, same clusters —
-/// certified similarities are allowed to differ (classify-only).
-fn assert_same_partition(reference: &DedupResult, sharded: &DedupResult, label: &str) {
-    assert_eq!(
-        reference.candidates, sharded.candidates,
-        "{label}: candidates"
-    );
-    let classes: HashMap<(usize, usize), MatchClass> = sharded
-        .decisions
-        .iter()
-        .map(|d| (d.pair, d.class))
-        .collect();
-    assert_eq!(classes.len(), sharded.decisions.len(), "{label}: dup pairs");
-    for d in &reference.decisions {
-        assert_eq!(
-            classes.get(&d.pair),
-            Some(&d.class),
-            "{label}: pair {:?}",
-            d.pair
-        );
-    }
-    assert_eq!(reference.clusters, sharded.clusters, "{label}: clusters");
-    assert_eq!(
-        reference.source_offsets, sharded.source_offsets,
-        "{label}: offsets"
-    );
-}
-
 /// Exhaustive sweep: every strategy × k ∈ 1..=8 × exact/classify-only
 /// against the one-shot run, which itself must agree with the
 /// paper-literal reference.
@@ -223,14 +193,7 @@ fn shard_invariance_across_strategies() {
                     merged.candidates,
                     "{label}: shard counts"
                 );
-                if bounded {
-                    // Warm caches may certify a different (equally
-                    // valid) representative similarity per pair; the
-                    // partition itself is invariant.
-                    assert_same_partition(&one_shot, &merged, &label);
-                } else {
-                    assert_identical(&one_shot, &merged, &label);
-                }
+                assert_identical(&one_shot, &merged, &label);
             }
         }
     }
@@ -340,40 +303,10 @@ fn shard_routing_is_pinned() {
     }
 }
 
-/// A tight memory budget changes *where* the work happens (cache and
-/// memo evictions), never *what* comes out.
-#[test]
-fn shard_invariance_under_tight_budget() {
-    let srcs = sources(16, 0xBEEF);
-    let refs: Vec<&XRelation> = srcs.iter().collect();
-    let strategy = ReductionStrategy::SortingAlternatives {
-        spec: key(),
-        window: 4,
-    };
-    let reference = pipeline(strategy.clone(), false, 2).run(&refs).unwrap();
-    let tight = DedupPipeline::builder()
-        .preparation(Preparation::standard_all(4))
-        .comparators(comparators())
-        .model(model())
-        .reduction(strategy)
-        .threads(2)
-        .memory_budget(Some(1 << 12)) // 4 KiB: everything tiny
-        .build();
-    for k in [1, 3, 8] {
-        let merged = tight.sharded(k).run(&refs).unwrap();
-        // Exact matching certifies exact similarities regardless of
-        // cache capacity, so even the budgeted run is byte-identical.
-        assert_identical(&reference, &merged, &format!("tight budget k={k}"));
-    }
-}
-
 /// Entity-resolution rider on the shard-invariance harness: resolving
-/// the merged sharded result must equal resolving the one-shot result,
-/// for every strategy. In exact mode the full [`EntityResolution`]
-/// (clusters, stats, possible edges) is byte-identical; classify-only —
-/// where certified similarities may legitimately differ — keeps the
-/// `Components` partition invariant, because connected
-/// components use only the Match/NonMatch classes, never the weights.
+/// the merged sharded result must equal resolving the one-shot result —
+/// the full [`EntityResolution`] (clusters, stats, possible edges), for
+/// every cluster strategy and both engine configurations.
 ///
 /// [`EntityResolution`]: probdedup::entity::EntityResolution
 #[test]
@@ -386,37 +319,17 @@ fn entity_resolution_is_shard_invariant() {
         spec: key(),
         window: 4,
     };
-
-    // Exact mode: decisions are byte-identical, so every strategy's
-    // resolution must be too — including repair moves and stats.
-    let p = pipeline(strategy.clone(), false, 2);
-    let reference = p.run(&refs).unwrap();
-    for k in [1usize, 4] {
-        let merged = p.sharded(k).run(&refs).unwrap();
-        for s in ClusterStrategy::ALL {
-            let a = reference.resolve_entities(s);
-            let b = merged.resolve_entities(s);
-            assert_eq!(a, b, "exact k={k} strategy={s}");
+    for bounded in [false, true] {
+        let p = pipeline(strategy.clone(), bounded, 2);
+        let reference = p.run(&refs).unwrap();
+        for k in [1usize, 4] {
+            let merged = p.sharded(k).run(&refs).unwrap();
+            for s in ClusterStrategy::ALL {
+                let a = reference.resolve_entities(s);
+                let b = merged.resolve_entities(s);
+                assert_eq!(a, b, "bounded={bounded} k={k} strategy={s}");
+            }
         }
-    }
-
-    // Classify-only: certified similarities may differ per shard count,
-    // but Components ignores edge weights entirely.
-    let p = pipeline(strategy, true, 2);
-    let reference = p
-        .run(&refs)
-        .unwrap()
-        .resolve_entities(ClusterStrategy::Components);
-    for k in [1usize, 4] {
-        let merged = p
-            .sharded(k)
-            .run(&refs)
-            .unwrap()
-            .resolve_entities(ClusterStrategy::Components);
-        assert_eq!(
-            reference.clusters, merged.clusters,
-            "classify-only k={k}: components partition"
-        );
     }
 }
 
@@ -443,10 +356,6 @@ proptest! {
         let p = pipeline(strategy, bounded, 2);
         let reference = p.run(&refs).unwrap();
         let merged = p.sharded(k).run(&refs).unwrap();
-        if bounded {
-            assert_same_partition(&reference, &merged, &label);
-        } else {
-            assert_identical(&reference, &merged, &label);
-        }
+        assert_identical(&reference, &merged, &label);
     }
 }

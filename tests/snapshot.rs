@@ -18,6 +18,9 @@
 //! * **Stale-memo fixture**: a committed format-version-1 snapshot from
 //!   when the decision memo kept every pair ever classified still opens;
 //!   the decisions of pairs that left the candidate set are dropped.
+//! * **Similarity-memo fixture**: a committed format-version-1 snapshot
+//!   from when the engine memoized kernel results in section 5 still
+//!   opens; those entries are symbol-checked, then dropped.
 //! * **Old-engine files**: a format-v1 snapshot written by the removed
 //!   plain (uncached) engine is refused with a typed
 //!   [`SnapshotError::ConfigMismatch`] that says to re-run the corpus.
@@ -28,7 +31,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use probdedup::core::pipeline::{DedupPipeline, ReductionStrategy};
+use probdedup::core::pipeline::{DedupPipeline, PairDecision, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
 use probdedup::core::snapshot::{
@@ -555,6 +558,92 @@ fn stale_memo_fixture_opens_pruned() {
     let fresh = pipe.session().run(&refs).unwrap();
     assert_eq!(fresh.decisions, restored.decisions);
     assert!(reopened.to_snapshot_bytes().len() < bytes.len());
+}
+
+/// Rewrite the key of the first entry of list `list` (attribute `list /
+/// 2`; even lists are similarities, odd ones below-cut verdicts) in
+/// section 5 of `bytes`, re-sealing the section and file checksums.
+fn forge_memo_key(bytes: &[u8], list: usize, key: u64) -> Vec<u8> {
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let mut out = bytes.to_vec();
+    let mut frame = 12; // magic + version
+    while u32::from_le_bytes(out[frame..frame + 4].try_into().unwrap()) != TAG_CACHES {
+        frame += 12 + u64_at(&out, frame + 4) as usize + 8;
+    }
+    let len = u64_at(&out, frame + 4) as usize;
+    let payload = frame + 12..frame + 12 + len;
+    let mut at = payload.start + 4; // past the attribute count
+    for _ in 0..list {
+        at += 8 + 16 * u64_at(&out, at) as usize;
+    }
+    assert!(u64_at(&out, at) > 0, "list {list} is empty");
+    out[at + 8..at + 16].copy_from_slice(&key.to_le_bytes());
+    let sum = fnv1a(&out[payload.clone()]);
+    out[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+    let body = out.len() - 8;
+    let sum = fnv1a(&out[..body]);
+    out[body..].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// `tests/fixtures/similarity-memo-v1.snap` was written by the last commit
+/// that memoized kernel results (d17792e): the seeded corpus ingested in
+/// two batches, classify-only under SNM window 4, so its section 5 holds
+/// similarity and below-cut verdict entries. The file opens and serves the
+/// partition that commit reported; every pair keeps its class under a
+/// fresh ingest; re-saved, section 5 is empty. A forged symbol in the old
+/// entries — out of range, ⊥, or out of canonical order, in a similarity
+/// or a verdict list — is still refused as `InvalidSymbol`.
+#[test]
+fn similarity_memo_fixture_opens_and_rejects_forged_symbols() {
+    let bytes = fixture("similarity-memo-v1.snap");
+    let pipe = pipeline(
+        ReductionStrategy::SortingAlternatives {
+            spec: key(),
+            window: 4,
+        },
+        true,
+    );
+    let reopened = DedupSession::from_snapshot_bytes(&bytes, &pipe)
+        .expect("similarity-memo fixture must load");
+    let partition = reopened.partition();
+    assert_eq!((partition.rows, partition.candidates), (19, 51));
+    assert_eq!((partition.matches, partition.possible), (5, 0));
+    assert_eq!(
+        partition.clusters,
+        [[1, 11], [3, 12], [5, 13], [7, 18], [15, 16]]
+    );
+    let mut fresh = pipe.session();
+    for src in &sources() {
+        fresh.ingest(src).unwrap();
+    }
+    let class = |d: &PairDecision| (d.pair, d.class);
+    let restored = reopened.result();
+    assert!(restored
+        .decisions
+        .iter()
+        .map(class)
+        .eq(fresh.result().decisions.iter().map(class)));
+    assert_eq!(restored.source_offsets, [0, 10]);
+
+    let resaved = reopened.to_snapshot_bytes();
+    let mut reader = SnapshotReader::open(&resaved).unwrap();
+    for tag in &REQUIRED_TAGS[..4] {
+        reader.section(*tag, "skipped section").unwrap();
+    }
+    let mut caches = reader.section(TAG_CACHES, "caches section").unwrap();
+    assert_eq!(caches.take_u32().unwrap(), 0);
+    caches.finish().unwrap();
+
+    for list in [0, 3] {
+        for key in [u64::MAX, 1, 3 << 32 | 2] {
+            let forged = forge_memo_key(&bytes, list, key);
+            match DedupSession::from_snapshot_bytes(&forged, &pipe).err() {
+                Some(SnapshotError::InvalidSymbol { raw, .. }) => assert_eq!(raw, key),
+                other => panic!("list {list}, key {key:#x}: expected InvalidSymbol, got {other:?}"),
+            }
+        }
+    }
 }
 
 /// Writes `tests/fixtures/golden-v1.snap`. Ignored in normal runs — the
