@@ -3,17 +3,16 @@
 //!
 //! The paper has one matching step (Section IV-A: Eq. 5 per attribute →
 //! the Fig. 6 comparison matrix → the decision), and so does this crate.
-//! Every driver — the one-shot [`DedupPipeline`](crate::pipeline::DedupPipeline),
-//! the persistent [`DedupSession`](crate::session::DedupSession) and the
-//! [`ShardedPipeline`](crate::shard::ShardedPipeline) — owns a
-//! [`MatchingEngine`] and calls [`MatchingEngine::classify`]; the drivers
-//! keep only what is theirs (decision memo + candidates; routing +
-//! scatter). The engine always works on **interned** tuples: values are
-//! interned once into a [`ValuePool`], and Eq. 5 runs over dense symbols
-//! with upper-bound pruning and the per-symbol prepared sidecars of a
-//! long-lived [`InternedComparators`]. Every kernel value is computed where
-//! it is needed and memoized nowhere, so a decision is a pure function of
-//! the pair. The paper-literal path
+//! Both drivers — the one-shot [`DedupPipeline`](crate::pipeline::DedupPipeline)
+//! and the persistent [`DedupSession`](crate::session::DedupSession) — own
+//! a [`MatchingEngine`] and call [`MatchingEngine::classify`]; the drivers
+//! keep only what is theirs (the one-shot run its candidate list, the
+//! session its decision memo). The engine always works on **interned**
+//! tuples: values are interned once into a [`ValuePool`], and Eq. 5 runs
+//! over dense symbols with upper-bound pruning and the per-symbol prepared
+//! sidecars of a long-lived [`InternedComparators`]. Every kernel value is
+//! computed where it is needed and memoized nowhere, so a decision is a
+//! pure function of the pair. The paper-literal path
 //! ([`compare_xtuples`](probdedup_matching::matrix::compare_xtuples)
 //! straight off the [`XTuple`]s) is the reference the engine is *tested
 //! against* (`crate::test_support`), not something a driver can select.

@@ -80,6 +80,7 @@ pub mod pipeline;
 pub mod prepare;
 pub mod prob_result;
 pub mod session;
+#[doc(hidden)]
 pub mod shard;
 pub mod shared;
 pub mod snapshot;
@@ -98,6 +99,5 @@ pub use pipeline::{
 pub use prepare::Preparation;
 pub use prob_result::{probabilistic_result, ProbabilisticResult};
 pub use session::{DedupSession, IncrementalResult};
-pub use shard::{ShardStats, ShardedPipeline};
 pub use shared::{SharedSession, WriteError};
 pub use wal::{SessionJournal, WalReplay};

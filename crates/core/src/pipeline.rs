@@ -2,12 +2,12 @@
 //! clustering, over one or more probabilistic source relations.
 //!
 //! This is the **one-shot** front door — stateless per invocation, as the
-//! paper describes the process. Since the session redesign it is a thin
-//! wrapper over [`DedupSession`](crate::session::DedupSession): `run`
-//! spins up a fresh session and drops it. Build a session instead
-//! ([`DedupPipelineBuilder::build_session`]) to keep interner pools, key
-//! tables and prepared sidecars warm across runs and to **ingest** new
-//! batches incrementally.
+//! paper describes the process. `run` drives the session's reduction state
+//! and matching engine once and keeps only what its result needs: no
+//! decision memo, no cached candidate order, no relation clone. Build a
+//! session instead ([`DedupPipelineBuilder::build_session`]) to keep
+//! interner pools, key tables and prepared sidecars warm across runs and
+//! to **ingest** new batches incrementally.
 //!
 //! The matching stage is the quadratic hot path. Every driver runs it
 //! through the one matching engine (`engine.rs`) — interned symbols,
@@ -21,7 +21,7 @@
 //! than the exact degree). Candidate pairs execute on the work-stealing
 //! [`par_map_index`](crate::exec::par_map_index) pair executor and are
 //! reassembled in candidate order; the equality contract across thread
-//! counts, shards, ingest splits and restarts is stated once in
+//! counts, drivers, ingest splits and restarts is stated once in
 //! ARCHITECTURE.md ("The engine").
 //!
 //! The reduction stage runs on **interned keys** throughout: every
@@ -46,8 +46,9 @@ use probdedup_reduction::{
 };
 
 use crate::cluster::UnionFind;
-use crate::engine::Decider;
+use crate::engine::{Decider, MatchingEngine};
 use crate::prepare::Preparation;
+use crate::warm::WarmReduction;
 
 /// Which search-space reduction runs before matching.
 #[derive(Clone)]
@@ -449,11 +450,8 @@ impl PipelineConfig {
 /// The configured **one-shot** pipeline. Build with
 /// [`DedupPipeline::builder`].
 ///
-/// Since the session redesign this is a thin wrapper: every
-/// [`run`](DedupPipeline::run) spins up a fresh
-/// [`DedupSession`](crate::session::DedupSession), runs it once, and drops
-/// it — stateless per invocation, exactly the paper's batch process. Use
-/// [`DedupPipelineBuilder::build_session`] (or
+/// Every [`run`](DedupPipeline::run) is stateless, exactly the paper's
+/// batch process. Use [`DedupPipelineBuilder::build_session`] (or
 /// [`DedupPipeline::session`]) when state should persist: warm interner
 /// pools, key tables and prepared sidecars across runs, and
 /// incremental ingest of new batches against the resident corpus.
@@ -486,21 +484,51 @@ impl DedupPipeline {
     }
 
     /// Run over one or more source relations (schemas must be
-    /// structurally compatible). Stateless: a fresh
-    /// [`DedupSession`](crate::session::DedupSession) is created, run once
-    /// and dropped — nothing warm survives into the next call.
+    /// structurally compatible). Stateless: nothing warm survives into the
+    /// next call. The run holds the combined relation (moved into the
+    /// result), the candidate list and the decisions — the reduction state
+    /// is dropped once it has emitted the candidates. Candidates, their
+    /// order and every decision are those of a fresh
+    /// [`DedupSession::run`](crate::session::DedupSession::run), which
+    /// drives the same reduction state and engine.
     pub fn run(&self, sources: &[&XRelation]) -> Result<DedupResult, ModelError> {
-        self.session().run(sources)
+        let Some((relation, source_offsets)) = self.config.combine(sources)? else {
+            return Ok(DedupResult::empty());
+        };
+        let tuples = relation.xtuples();
+        let pairs = {
+            let mut reduction = WarmReduction::for_strategy(&self.config.reduction, None);
+            reduction.ingest_rows(tuples, 0);
+            reduction
+                .current(tuples, &self.config.reduction)
+                .into_pairs()
+        };
+        let mut engine = MatchingEngine::new(&self.config);
+        engine.ingest(tuples);
+        let (decisions, tiers) = engine.classify(tuples, &[], &pairs, self.config.threads);
+        let stats = engine.stats(tiers);
+        // The closure is the run's last allocation; freeing the candidate
+        // list and the interned mirrors first keeps it off the peak.
+        drop((pairs, engine));
+        let clusters = match_clusters(tuples.len(), &decisions);
+        Ok(DedupResult {
+            candidates: decisions.len(),
+            decisions,
+            clusters,
+            stats,
+            source_offsets,
+            relation,
+        })
     }
 
-    /// A sharded front door over this pipeline's configuration: the
-    /// candidate pairs are partitioned into `shards` by blocking-key hash
-    /// (or key-rank stripes for SNM strategies), each shard is matched
-    /// independently, and the per-shard decisions merge into one
-    /// [`DedupResult`] byte-identical to [`run`](Self::run)'s.
-    /// See [`ShardedPipeline`](crate::shard::ShardedPipeline).
-    pub fn sharded(&self, shards: usize) -> crate::shard::ShardedPipeline {
-        crate::shard::ShardedPipeline::new(self.config.clone(), shards)
+    /// [`run`](Self::run) under the retired sharded driver's name, with
+    /// the statistics of one shard. Kept solely because the frozen
+    /// `benchmark/` package still calls it (see ROADMAP).
+    #[doc(hidden)]
+    pub fn sharded(&self, _shards: usize) -> crate::shard::ShardedPipeline {
+        crate::shard::ShardedPipeline {
+            pipeline: self.clone(),
+        }
     }
 
     /// A fresh persistent session over this pipeline's configuration: the

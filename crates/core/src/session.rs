@@ -4,8 +4,8 @@
 //! The paper's pipeline is stateless per invocation, but every realistic
 //! deployment re-deduplicates a mostly-unchanged corpus as new uncertain
 //! tuples arrive (registries accumulating records over time). The
-//! one-shot [`DedupPipeline`] throws away
-//! exactly the state PRs 1–4 made reusable; a session keeps it resident:
+//! one-shot [`DedupPipeline`] drives the same reduction state and matching
+//! engine once and drops them; a session keeps them resident:
 //!
 //! * the **interner pools** — the matching
 //!   [`ValuePool`](probdedup_model::intern::ValuePool) and the reduction

@@ -1,6 +1,8 @@
 //! The warm reduction state a [`DedupSession`](crate::session::DedupSession)
 //! keeps per strategy: what grows with a batch, what a batch changed in
-//! the candidate set, and the candidate set itself in one-shot order.
+//! the candidate set, and the candidate set itself in one-shot order. A
+//! one-shot [`run`](crate::pipeline::DedupPipeline::run) builds the same
+//! state, reads its candidates once and drops it.
 
 use probdedup_model::intern::{KeyPool, ValuePool};
 use probdedup_model::snapshot::SnapshotError;

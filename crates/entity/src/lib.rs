@@ -25,7 +25,7 @@
 //! order is erased by the graph build, pivots follow row order, and
 //! local-search moves demand strict improvement with deterministic
 //! tie-breaks. Output is therefore byte-stable across thread counts and
-//! shard splits whenever the decisions themselves are, which the engine
+//! ingest splits whenever the decisions themselves are, which the engine
 //! guarantees in both configurations.
 //!
 //! Nothing stores a resolution. [`ResolveEntities`] is implemented for a

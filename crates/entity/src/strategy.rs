@@ -6,7 +6,7 @@
 /// All three strategies are deterministic functions of the decided pairs:
 /// nodes are visited in ascending row order, local-search moves require a
 /// strict improvement with deterministic tie-breaks, so the output is
-/// byte-stable across thread counts and shard splits (whenever the
+/// byte-stable across thread counts and ingest splits (whenever the
 /// underlying decisions are — see the crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterStrategy {

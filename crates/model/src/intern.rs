@@ -517,21 +517,6 @@ impl KeyPool {
     pub(crate) fn set_render_count(&mut self, renders: u64) {
         self.renders = renders;
     }
-
-    /// The shard a key symbol belongs to under a `shards`-way partition of
-    /// the key space: `stable_key_hash(resolve(k)) % shards`.
-    ///
-    /// The assignment depends only on the key **string**, never on the
-    /// symbol index — two pools that interned the same keys in different
-    /// orders agree on every shard, which is what lets a sharded pipeline
-    /// partition blocks deterministically. `shards` is clamped to ≥ 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol was issued by a different (larger) pool.
-    pub fn shard_of(&self, k: KeySymbol, shards: usize) -> usize {
-        shard_of_key(self.resolve(k), shards)
-    }
 }
 
 /// One hash bucket of the [`KeyPool`] dedup index: the symbols whose key
@@ -557,32 +542,6 @@ impl KeyBucket {
             KeyBucket::Many(ks) => ks.push(k),
         }
     }
-}
-
-/// A stable hash of a blocking-key string, for shard assignment.
-///
-/// FNV-1a over the UTF-8 bytes: the value depends only on the string
-/// itself, so it is identical across processes, platforms, pool
-/// interning orders, and library versions — the properties a sharded
-/// pipeline needs so that re-running with the same shard count always
-/// routes a key to the same shard. This is deliberately **not**
-/// `hash_key_str` (the `FxHash` dedup-index hash), whose output we
-/// keep free to change.
-pub fn stable_key_hash(key: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in key.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// The shard a key string belongs to under a `shards`-way partition:
-/// `stable_key_hash(key) % shards`, with `shards` clamped to ≥ 1.
-pub fn shard_of_key(key: &str, shards: usize) -> usize {
-    (stable_key_hash(key) % shards.max(1) as u64) as usize
 }
 
 /// The `FxHash` of a key string (the [`KeyPool`] dedup index key).
@@ -654,41 +613,6 @@ impl KeyRanks {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stable_key_hash_matches_fnv1a_reference() {
-        // Pinned FNV-1a test vectors: the shard assignment is part of the
-        // sharded pipeline's determinism contract, so the hash must never
-        // silently change.
-        assert_eq!(stable_key_hash(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(stable_key_hash("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(stable_key_hash("foobar"), 0x8594_4171_f739_67e8);
-    }
-
-    #[test]
-    fn shard_of_is_interning_order_independent() {
-        let mut fwd = KeyPool::new();
-        let mut rev = KeyPool::new();
-        let keys = ["smi49", "jon22", "doe31", "smi50"];
-        let fwd_syms: Vec<_> = keys.iter().map(|k| fwd.intern_str(k)).collect();
-        let rev_syms: Vec<_> = keys.iter().rev().map(|k| rev.intern_str(k)).collect();
-        for shards in 1..=8 {
-            for (i, &s) in fwd_syms.iter().enumerate() {
-                let r = rev_syms[keys.len() - 1 - i];
-                assert_eq!(fwd.shard_of(s, shards), rev.shard_of(r, shards));
-                assert!(fwd.shard_of(s, shards) < shards);
-                assert_eq!(fwd.shard_of(s, shards), shard_of_key(keys[i], shards));
-            }
-        }
-    }
-
-    #[test]
-    fn shard_of_clamps_zero_shards_to_one() {
-        let mut pool = KeyPool::new();
-        let s = pool.intern_str("anything");
-        assert_eq!(pool.shard_of(s, 0), 0);
-        assert_eq!(shard_of_key("anything", 0), 0);
-    }
 
     #[test]
     fn interning_is_idempotent() {

@@ -75,10 +75,7 @@ pub mod xtuple;
 pub use condition::{existence_event_probability, normalized_alternative_probs};
 pub use error::ModelError;
 pub use ids::{SourceId, TupleHandle};
-pub use intern::{
-    shard_of_key, stable_key_hash, KeyPool, KeyRanks, KeySymbol, PoolSnapshot, Symbol, SymbolMap,
-    ValuePool,
-};
+pub use intern::{KeyPool, KeyRanks, KeySymbol, PoolSnapshot, Symbol, SymbolMap, ValuePool};
 pub use lineage::AlternativeSets;
 pub use pvalue::PValue;
 pub use relation::{Relation, XRelation};

@@ -7,7 +7,7 @@
 //! * **adjacent-duplicate omission** — neighboring entries referencing the
 //!   same tuple collapse (matching a tuple with itself is meaningless);
 //! * **executed-matching suppression** — the same tuple pair can meet in
-//!   several windows; a [`crate::pairs::PairMatrix`] (Fig. 12) executes each
+//!   several windows; the [`CandidatePairs`] set (Fig. 12) executes each
 //!   matching exactly once.
 //!
 //! Keys are interned once into a [`KeyTable`] and the sort runs over

@@ -12,8 +12,7 @@
 //! family's only loop over the selected worlds) — handing a sink every
 //! block as `(key, members)` in sorted-key order. The [`BlockingResult`]
 //! functions are sinks that emit within-block pairs and keep the Fig. 14
-//! inspection view; the sharded driver's router is a sink that sends each
-//! block's pairs to the shard its key hashes to.
+//! inspection view.
 //!
 //! **Multi-pass** and conflict-resolved blocking assemble blocks in a
 //! `BlockMap` keyed on **interned key symbols** ([`KeySymbol`]): the

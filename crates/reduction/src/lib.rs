@@ -27,9 +27,8 @@
 //! sorted-key block visitors [`for_each_alternative_block`],
 //! [`for_each_conflict_resolved_block`] and [`for_each_multipass_block`]
 //! (the blocking loop over selected worlds). The `CandidatePairs`-returning
-//! functions, the Fig. 9 / Fig. 14 inspection views and the sharded
-//! driver's router in `probdedup-core` are sinks over those loops, so the
-//! one-shot and the sharded run cannot drift apart on emission order.
+//! functions and the Fig. 9 / Fig. 14 inspection views are sinks over
+//! those loops, so they cannot drift apart on emission order.
 //!
 //! # Interned keys
 //!
@@ -106,7 +105,7 @@ pub use multipass::{
     for_each_world_pass, multipass_snm, multipass_snm_pairs, multipass_snm_with_table,
     MultipassResult, WorldSelection,
 };
-pub use pairs::{CandidatePairs, PairMatrix, SparsePairSet};
+pub use pairs::CandidatePairs;
 pub use ranking::{rank_score, rank_tuples, ranked_snm, RankingFunction};
 pub use snm::{
     for_each_window_pair, sort_entries, sorted_neighborhood, sorted_neighborhood_interned,

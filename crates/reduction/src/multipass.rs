@@ -16,8 +16,7 @@
 //! key symbol and sorts by precomputed lexicographic rank — sort-only,
 //! zero key renders, zero allocation per entry. The loop over the selected
 //! worlds exists once, [`for_each_world_pass`]; the pair-returning entry
-//! points, the Fig. 9 inspection view and the sharded driver's router are
-//! sinks over it. The string-rendering implementation is retained
+//! points and the Fig. 9 inspection view are sinks over it. The string-rendering implementation is retained
 //! test-only (`src/interned_oracle.rs`) and property-tested to produce
 //! identical candidate pairs and pass orders.
 

@@ -2,86 +2,41 @@
 
 use probdedup_model::util::FxHashSet;
 
-/// A triangular bit matrix over `n` tuples recording which matchings have
-/// already been executed — the paper's Fig. 12 device for avoiding repeated
-/// comparisons when the same tuple pair meets in several windows, blocks or
-/// passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairMatrix {
-    n: usize,
-    bits: Vec<u64>,
-}
-
-impl PairMatrix {
-    /// An empty matrix over `n` tuples.
-    pub fn new(n: usize) -> Self {
-        let cells = n.saturating_mul(n.saturating_sub(1)) / 2;
-        Self {
-            n,
-            bits: vec![0; cells.div_ceil(64)],
-        }
-    }
-
-    /// Number of tuples the matrix ranges over.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the matrix covers no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Linear index of the unordered pair `(i, j)`, `i ≠ j`.
-    fn index(&self, i: usize, j: usize) -> usize {
-        assert!(i != j, "self-pairs are meaningless in duplicate detection");
-        assert!(
-            i < self.n && j < self.n,
-            "pair ({i},{j}) out of range {0}",
-            self.n
-        );
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        // Row-wise triangular layout: row `lo` starts after all previous rows.
-        lo * self.n - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-
-    /// Record the pair; returns `true` if it was **new** (not yet executed).
-    pub fn insert(&mut self, i: usize, j: usize) -> bool {
-        let idx = self.index(i, j);
-        let (word, bit) = (idx / 64, idx % 64);
-        let mask = 1u64 << bit;
-        let new = self.bits[word] & mask == 0;
-        self.bits[word] |= mask;
-        new
-    }
-
-    /// Whether the pair has been recorded.
-    pub fn contains(&self, i: usize, j: usize) -> bool {
-        let idx = self.index(i, j);
-        self.bits[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    /// Number of recorded pairs.
-    pub fn count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-}
-
 /// An ordered, deduplicated set of candidate pairs over tuple indices
-/// `0..n` of a combined relation. Insertion order is preserved (figures and
-/// tests depend on it); duplicates are suppressed with a [`PairMatrix`].
-#[derive(Debug, Clone, PartialEq)]
+/// `0..n` of a combined relation — the paper's Fig. 12 device for
+/// executing each matching once when the same tuple pair meets in several
+/// windows, blocks or passes. Insertion order is preserved (figures and
+/// tests depend on it).
+///
+/// Membership is one packed `u64` per pair (`lo` in the high 32 bits, `hi`
+/// in the low 32), so memory scales with the pairs emitted, not with the
+/// `n·(n−1)/2` cells of the universe; the universe must fit in `u32`. The
+/// complete set ([`full`](Self::full)) stores no membership at all: every
+/// in-range pair is a member.
+#[derive(Debug, Clone)]
 pub struct CandidatePairs {
+    n: usize,
     pairs: Vec<(usize, usize)>,
-    seen: PairMatrix,
+    /// The packed members; `None` for the complete set.
+    seen: Option<FxHashSet<u64>>,
+}
+
+impl PartialEq for CandidatePairs {
+    /// Same universe, same pairs in the same order (membership follows
+    /// from the list).
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.pairs == other.pairs
+    }
 }
 
 impl CandidatePairs {
     /// An empty set over `n` tuples.
     pub fn new(n: usize) -> Self {
+        assert_packable(n);
         Self {
+            n,
             pairs: Vec::new(),
-            seen: PairMatrix::new(n),
+            seen: Some(FxHashSet::default()),
         }
     }
 
@@ -90,16 +45,28 @@ impl CandidatePairs {
     /// calls "mostly too inefficient", used by the pipeline's `Full`
     /// strategy and as the reference set for reduction metrics.
     pub fn full(n: usize) -> Self {
-        let mut pairs = Self::new(n);
-        pairs
-            .pairs
-            .reserve(n.saturating_mul(n.saturating_sub(1)) / 2);
+        assert_packable(n);
+        let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
-                pairs.insert(i, j);
+                pairs.push((i, j));
             }
         }
-        pairs
+        Self {
+            n,
+            pairs,
+            seen: None,
+        }
+    }
+
+    /// The packed membership key of the unordered pair `(i, j)`, `i ≠ j`.
+    fn key(&self, i: usize, j: usize) -> u64 {
+        assert!(
+            i < self.n && j < self.n,
+            "pair ({i},{j}) out of range {}",
+            self.n
+        );
+        (i.min(j) as u64) << 32 | i.max(j) as u64
     }
 
     /// Insert the unordered pair `(i, j)`; returns `true` if it was new.
@@ -108,13 +75,13 @@ impl CandidatePairs {
         if i == j {
             return false;
         }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        if self.seen.insert(lo, hi) {
-            self.pairs.push((lo, hi));
-            true
-        } else {
-            false
+        let key = self.key(i, j);
+        // The complete set already holds every in-range pair.
+        let new = self.seen.as_mut().is_some_and(|seen| seen.insert(key));
+        if new {
+            self.pairs.push((i.min(j), i.max(j)));
         }
+        new
     }
 
     /// The pairs in first-insertion order, canonicalized as `(lo, hi)`.
@@ -122,9 +89,18 @@ impl CandidatePairs {
         &self.pairs
     }
 
+    /// The pairs in first-insertion order, without the membership index.
+    pub fn into_pairs(self) -> Vec<(usize, usize)> {
+        self.pairs
+    }
+
     /// Whether `(i, j)` is present.
     pub fn contains(&self, i: usize, j: usize) -> bool {
-        i != j && self.seen.contains(i, j)
+        if i == j {
+            return false;
+        }
+        let key = self.key(i, j);
+        self.seen.as_ref().is_none_or(|seen| seen.contains(&key))
     }
 
     /// Number of distinct pairs.
@@ -139,7 +115,7 @@ impl CandidatePairs {
 
     /// Number of tuples the set ranges over.
     pub fn universe(&self) -> usize {
-        self.seen.len()
+        self.n
     }
 
     /// Merge another pair set over the same universe into this one
@@ -163,61 +139,12 @@ impl CandidatePairs {
     }
 }
 
-/// A sparse executed-matching set: the sharded driver's replacement for
-/// [`PairMatrix`].
-///
-/// The triangular bit matrix is the right tool while `n·(n−1)/2` bits fit
-/// in RAM, but at 10⁵–10⁶ tuples it costs gigabytes even when reduction
-/// leaves only millions of candidates. `SparsePairSet` stores each seen
-/// pair as one packed `u64` (`lo` in the high 32 bits, `hi` in the low
-/// 32), so memory scales with the number of **distinct pairs actually
-/// emitted**, not with the universe. Semantics match [`PairMatrix`]:
-/// unordered pairs, self-pairs rejected, `insert` reports newness.
-///
-/// The `u32` packing caps the universe at `u32::MAX` tuples — comfortably
-/// above the 10⁶-class corpora the sharded pipeline targets; `insert`
-/// asserts the bound.
-#[derive(Debug, Default, Clone)]
-pub struct SparsePairSet {
-    seen: FxHashSet<u64>,
-}
-
-impl SparsePairSet {
-    /// An empty set. No universe size is needed up front — that is the
-    /// point.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn pack(i: usize, j: usize) -> u64 {
-        assert!(i != j, "self-pairs are meaningless in duplicate detection");
-        assert!(
-            i <= u32::MAX as usize && j <= u32::MAX as usize,
-            "SparsePairSet packs indices into u32s; ({i},{j}) out of range"
-        );
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        (lo as u64) << 32 | hi as u64
-    }
-
-    /// Record the unordered pair; returns `true` if it was new.
-    pub fn insert(&mut self, i: usize, j: usize) -> bool {
-        self.seen.insert(Self::pack(i, j))
-    }
-
-    /// Whether the pair has been recorded.
-    pub fn contains(&self, i: usize, j: usize) -> bool {
-        self.seen.contains(&Self::pack(i, j))
-    }
-
-    /// Number of recorded pairs.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether no pairs have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
+/// Membership keys pack row indices into `u32`s.
+fn assert_packable(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a candidate set packs row indices into u32s; {n} rows do not fit"
+    );
 }
 
 #[cfg(test)]
@@ -228,41 +155,75 @@ mod tests {
     fn fig12_matrix_suppresses_repeats() {
         // The Fig. 11/12 walkthrough: (t32,t43) executed once although the
         // window produces it twice.
-        let mut m = PairMatrix::new(5);
+        let mut m = CandidatePairs::new(5);
         assert!(m.insert(1, 4)); // first time: execute
         assert!(!m.insert(4, 1)); // repeat in either order: suppressed
         assert!(m.contains(1, 4));
         assert!(!m.contains(0, 1));
-        assert_eq!(m.count(), 1);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn matrix_indexing_is_bijective() {
         let n = 13;
-        let mut m = PairMatrix::new(n);
-        let mut inserted = 0;
+        let mut m = CandidatePairs::new(n);
         for i in 0..n {
             for j in (i + 1)..n {
-                assert!(m.insert(i, j), "({i},{j}) collided");
-                inserted += 1;
-                assert_eq!(m.count(), inserted);
+                assert!(m.insert(j, i), "({i},{j}) collided");
             }
         }
-        assert_eq!(inserted, n * (n - 1) / 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-pairs")]
-    fn self_pair_panics() {
-        let mut m = PairMatrix::new(3);
-        m.insert(1, 1);
+        assert_eq!(m, CandidatePairs::full(n));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
-        let mut m = PairMatrix::new(3);
+        let mut m = CandidatePairs::new(3);
         m.insert(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_panics_on_the_complete_set() {
+        let mut m = CandidatePairs::full(3);
+        m.insert(3, 1);
+    }
+
+    #[test]
+    fn self_pairs_are_ignored() {
+        for mut m in [CandidatePairs::new(3), CandidatePairs::full(3)] {
+            let before = m.len();
+            assert!(!m.insert(1, 1));
+            assert!(!m.contains(2, 2));
+            assert_eq!(m.len(), before);
+        }
+    }
+
+    #[test]
+    fn full_holds_every_pair_and_absorbs_nothing() {
+        let n = 6;
+        let mut full = CandidatePairs::full(n);
+        assert_eq!(full.len(), n * (n - 1) / 2);
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(full.contains(i, j), i != j, "({i},{j})");
+                assert!(!full.insert(i, j), "({i},{j}) reported new");
+            }
+        }
+        let mut some = CandidatePairs::new(n);
+        some.insert(5, 0);
+        full.absorb(&some);
+        assert_eq!(full, CandidatePairs::full(n));
+        assert_eq!(full.reduction_ratio(), 0.0);
+    }
+
+    #[test]
+    fn into_pairs_keeps_first_insertion_order() {
+        let mut c = CandidatePairs::new(6);
+        for (i, j) in [(4, 1), (0, 5), (1, 4), (3, 2), (5, 0), (2, 0)] {
+            c.insert(i, j);
+        }
+        assert_eq!(c.into_pairs(), vec![(1, 4), (0, 5), (2, 3), (0, 2)]);
     }
 
     #[test]
@@ -302,16 +263,17 @@ mod tests {
 
     #[test]
     fn empty_matrix() {
-        let m = PairMatrix::new(0);
-        assert!(m.is_empty());
-        assert_eq!(m.count(), 0);
+        for m in [CandidatePairs::new(0), CandidatePairs::full(0)] {
+            assert!(m.is_empty());
+            assert_eq!(m.universe(), 0);
+        }
     }
 
     #[test]
     fn sparse_set_agrees_with_matrix() {
         let n = 17;
-        let mut matrix = PairMatrix::new(n);
-        let mut sparse = SparsePairSet::new();
+        let mut dense = vec![false; n * n];
+        let mut sparse = CandidatePairs::new(n);
         // A deterministic scatter of insertions in mixed orientations.
         let mut x = 7usize;
         for _ in 0..200 {
@@ -320,17 +282,12 @@ mod tests {
             if i == j {
                 continue;
             }
-            assert_eq!(sparse.insert(i, j), matrix.insert(i, j), "({i},{j})");
+            let cell = &mut dense[i.min(j) * n + i.max(j)];
+            assert_eq!(sparse.insert(i, j), !*cell, "({i},{j})");
+            *cell = true;
             assert!(sparse.contains(j, i));
         }
-        assert_eq!(sparse.len(), matrix.count());
+        assert_eq!(sparse.len(), dense.iter().filter(|&&c| c).count());
         assert!(!sparse.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "self-pairs")]
-    fn sparse_self_pair_panics() {
-        let mut s = SparsePairSet::new();
-        s.insert(4, 4);
     }
 }

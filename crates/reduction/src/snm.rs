@@ -7,8 +7,8 @@
 //! precomputed lexicographic rank — integer compares, zero allocation,
 //! byte-identical order — and [`for_each_window_pair`] is the **one**
 //! window scan over such a list. [`sorted_neighborhood_interned`],
-//! [`windowed_pairs`], the multi-pass loop of [`crate::multipass`] and the
-//! sharded driver's router are all sinks over it.
+//! [`windowed_pairs`] and the multi-pass loop of [`crate::multipass`] are
+//! sinks over it.
 
 use probdedup_model::intern::{KeyRanks, KeySymbol};
 
@@ -110,13 +110,11 @@ pub fn sort_entries(
     }
 }
 
-/// The window scan — the one loop every interned SNM flavour, ranked SNM,
-/// the incremental states and the sharded driver's router run: visit each
-/// entry of a **sorted, collapsed** list as the anchor of the `window − 1`
-/// entries after it (`window` clamped to ≥ 2), anchor-major. Self-pairs
-/// and repeats are passed through; the consumer's pair set suppresses them
-/// (Fig. 12). `f` receives whole entries so a router can read the anchor's
-/// key rank (or, for ranked SNM, its position).
+/// The window scan — the one loop every interned SNM flavour, ranked SNM
+/// and the incremental states run: visit each entry of a **sorted,
+/// collapsed** list as the anchor of the `window − 1` entries after it
+/// (`window` clamped to ≥ 2), anchor-major. Self-pairs and repeats are
+/// passed through; the consumer's pair set suppresses them (Fig. 12).
 pub fn for_each_window_pair<T>(entries: &[T], window: usize, mut f: impl FnMut(&T, &T)) {
     let window = window.max(2);
     for (i, anchor) in entries.iter().enumerate() {

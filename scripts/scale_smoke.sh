@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
-# Scale smoke test of the sharded front door, driven through the release
-# CLI the way an operator would: generate a 20k-entity two-source corpus,
-# dedup it sharded, dedup it unsharded as the reference, and assert the
-# merged sharded result is identical (modulo the sharded run's extra
-# shard-stats line) and — for the default corpus and shard count — routed
-# exactly as recorded. Then
+# Scale smoke test of the one-shot front door and the session, driven
+# through the release CLI the way an operator would: generate a 20k-entity
+# two-source corpus and dedup it in one shot; for the default corpus the
+# summary line is pinned to the recorded one. Then
 # the paper's Section V multi-pass SNM (possible-world selection, then one
 # pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
 # space: the first summary is pinned to the one the dense world search
@@ -17,13 +15,11 @@
 #   cargo build --release && scripts/scale_smoke.sh
 #
 # Environment: BIN overrides the binary under test (default
-# target/release/probdedup); ENTITIES / SHARDS override the corpus size
-# and shard count.
+# target/release/probdedup); ENTITIES overrides the corpus size.
 set -euo pipefail
 
 BIN=${BIN:-target/release/probdedup}
 ENTITIES=${ENTITIES:-20000}
-SHARDS=${SHARDS:-8}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
@@ -35,34 +31,19 @@ fail() {
 echo "== generate: $ENTITIES entities across 2 sources"
 "$BIN" generate --out-prefix "$WORK/scale" --entities "$ENTITIES" --sources 2 --seed 20100301
 
-COMMON=(--input "$WORK/scale.source0.pxr" --input "$WORK/scale.source1.pxr"
-        --reduction snm-alternatives --window 6 --threads 4)
+echo "== dedup: one shot"
+"$BIN" dedup --input "$WORK/scale.source0.pxr" --input "$WORK/scale.source1.pxr" \
+    --reduction snm-alternatives --window 6 --threads 4 > "$WORK/scale.out"
+head -n 1 "$WORK/scale.out"
 
-echo "== dedup: unsharded reference"
-"$BIN" dedup "${COMMON[@]}" > "$WORK/reference.out"
-
-echo "== dedup: $SHARDS shards"
-"$BIN" dedup "${COMMON[@]}" --shards "$SHARDS" > "$WORK/sharded.out"
-
-grep -q "^sharded over $SHARDS shards:" "$WORK/sharded.out" \
-    || fail "sharded run did not report shard stats"
-grep "^sharded over" "$WORK/sharded.out"
-
-# Routing is stable: the default corpus over the default shard count must
-# land exactly where it always has (candidate count and shard skew).
-if [[ "$ENTITIES" == 20000 && "$SHARDS" == 8 ]]; then
-    expected="sharded over 8 shards: 239831 candidates (skew max 32168 / min 27485)"
-    [[ "$(grep "^sharded over" "$WORK/sharded.out")" == "$expected" ]] \
-        || fail "shard routing moved: expected '$expected'"
+# The default corpus must reduce, match and cluster exactly as recorded.
+if [[ "$ENTITIES" == 20000 ]]; then
+    expected="38311 rows, 239831 candidate pairs compared: 7687 matches, 22661 possible, 209483 non-matches, 4634 duplicate clusters"
+    [[ "$(head -n 1 "$WORK/scale.out")" == "$expected" ]] \
+        || fail "one-shot dedup moved: expected '$expected'"
 fi
 
-# Everything below the stats line must be byte-identical to the
-# unsharded run: same candidates, same decisions, same clusters.
-grep -v "^sharded over" "$WORK/sharded.out" > "$WORK/sharded.clean"
-diff -u "$WORK/reference.out" "$WORK/sharded.clean" \
-    || fail "sharded result differs from the unsharded reference"
-
-echo "PASS: sharded merge identical to the unsharded reference"
+echo "PASS: one-shot dedup over $ENTITIES entities pinned"
 
 multipass() { # <entities>: capped snm-multipass run into $WORK/worlds<entities>.out
     echo "== dedup: snm-multipass over $1 entities under ulimit -v 1 GiB"

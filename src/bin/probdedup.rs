@@ -55,12 +55,8 @@ USAGE:
       [--reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
                    blocking|blocking-resolved|blocking-multipass|cluster-blocking]
       [--key attr:len[,attr:len...]] [--window W]
-      [--lambda T] [--mu T] [--threads N] [--shards K]
+      [--lambda T] [--mu T] [--threads N]
       Run the one-shot pipeline and print decisions and duplicate clusters.
-      With --shards > 1 the sharded front door routes the candidate pairs
-      by blocking-key hash / key-rank stripe, matches each shard
-      independently, and merges — same result, without the unsharded
-      run's dense pair matrix and decision memo.
 
   probdedup ingest --input FILE.pxr [--input FILE2.pxr ...]
       (same options as dedup)
@@ -501,25 +497,10 @@ fn print_clusters<'a>(
 fn cmd_dedup(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let (_, relations, pipeline) = parse_pipeline(args)?;
     let refs: Vec<&XRelation> = relations.iter().collect();
-    let shards = args.get_parsed("shards", 1usize)?;
     args.reject_unread()?;
-    let result = if shards > 1 {
-        let (result, stats) = pipeline
-            .sharded(shards)
-            .run_with_stats(&refs)
-            .map_err(|e| CliError::Parse(e.to_string()))?;
-        let (max, min) = stats.skew();
-        writeln!(
-            out,
-            "sharded over {} shards: {} candidates (skew max {max} / min {min})",
-            stats.shards, result.candidates,
-        )?;
-        result
-    } else {
-        pipeline
-            .run(&refs)
-            .map_err(|e| CliError::Parse(e.to_string()))?
-    };
+    let result = pipeline
+        .run(&refs)
+        .map_err(|e| CliError::Parse(e.to_string()))?;
     print_result(out, &result)?;
     Ok(())
 }

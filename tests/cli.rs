@@ -610,8 +610,8 @@ fn helpful_errors() {
 
 /// Options nobody reads are a usage error (exit 2) — a typo'd flag must
 /// not silently run with the default, and the removed `--cache`,
-/// `--memo-capacity` and `--memory-budget` switches must not be silently
-/// ignored either.
+/// `--memo-capacity`, `--memory-budget` and `--shards` switches must not
+/// be silently ignored either.
 #[test]
 fn unknown_options_are_usage_errors() {
     let dir = temp_dir("unknownflags");
@@ -638,13 +638,14 @@ fn unknown_options_are_usage_errors() {
         "a usage error must not run the pipeline"
     );
 
-    // The stale engine switch and the removed memo and cache ceilings, on
-    // a one-shot and on a session command.
+    // The stale engine switch, the removed memo and cache ceilings and the
+    // retired sharded driver, on a one-shot and on a session command.
     for cmd in ["dedup", "ingest"] {
         for (flag, value) in [
             ("--cache", "false"),
             ("--memo-capacity", "8"),
             ("--memory-budget", "1m"),
+            ("--shards", "2"),
         ] {
             let out = bin()
                 .args([cmd, "--input", &src0, flag, value])
@@ -700,7 +701,6 @@ fn one_attribute_relation_gets_an_in_range_default_key() {
     let full = clusters(&["dedup", "--reduction", "full"]);
     assert!(full.contains("{R0[0], R0[1]}"), "{full}");
     assert_eq!(clusters(&["dedup"]), full);
-    assert_eq!(clusters(&["dedup", "--shards", "2"]), full);
     assert_eq!(clusters(&["ingest"]), full);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,8 +10,7 @@
 //!   correlation-repaired strategy splits what connected components
 //!   glue, and on clean corpora all strategies agree.
 //!
-//! These tests run the exact (non-bounded) matcher; the rider in
-//! `tests/sharded.rs` resolves classify-only results too.
+//! These tests run the exact (non-bounded) matcher.
 
 use std::sync::Arc;
 
@@ -32,8 +31,7 @@ use probdedup::model::relation::XRelation;
 use probdedup::reduction::{KeyPart, KeySpec};
 use probdedup::textsim::JaroWinkler;
 
-/// Two dirty overlapping sources with ground truth (the sharded-suite
-/// recipe).
+/// Two dirty overlapping sources with ground truth.
 fn dataset(entities: usize, seed: u64) -> SyntheticDataset {
     generate(
         &Dictionaries::people(),

@@ -9,7 +9,9 @@
 //! memo invariant: after every `run`, `ingest` and `open`, under all nine
 //! reduction strategies, the session's view is the one-shot run over the
 //! sources so far — pairs, order, classes, clusters — and each ingest
-//! classified exactly the pairs that run gained.
+//! classified exactly the pairs that run gained. And the one-shot run
+//! itself, which keeps no session: it equals a fresh session's `run` byte
+//! for byte.
 //!
 //! [`DedupSession`]: probdedup::core::session::DedupSession
 //! [`DedupPipeline::run`]: probdedup::core::pipeline::DedupPipeline::run
@@ -25,7 +27,7 @@ use probdedup::core::session::DedupSession;
 use probdedup::core::test_support::{
     assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
 };
-use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
+use probdedup::datagen::{generate, DatasetConfig, Dictionaries, SyntheticDataset};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
@@ -38,23 +40,27 @@ use probdedup::reduction::{
 };
 use probdedup::textsim::JaroWinkler;
 
-/// The workload corpus: two small dirty sources, concatenated (we re-split
-/// them ourselves).
-fn corpus() -> Vec<XTuple> {
-    let ds = generate(
+/// Two small dirty sources of `entities` entities.
+fn dataset(entities: usize, seed: u64) -> SyntheticDataset {
+    generate(
         &Dictionaries::people(),
         &DatasetConfig {
-            entities: 14,
+            entities,
             sources: 2,
             typo_rate: 0.3,
             uncertainty_rate: 0.4,
             xtuple_rate: 0.3,
             maybe_rate: 0.2,
-            seed: 0xC0FFEE,
+            seed,
             ..DatasetConfig::default()
         },
-    );
-    ds.combined().xtuples().to_vec()
+    )
+}
+
+/// The workload corpus: two small dirty sources, concatenated (we re-split
+/// them ourselves).
+fn corpus() -> Vec<XTuple> {
+    dataset(14, 0xC0FFEE).combined().xtuples().to_vec()
 }
 
 fn key() -> KeySpec {
@@ -251,7 +257,7 @@ proptest! {
     /// exactly right: under every reduction strategy and any batch split,
     /// after every step — a leading `run` or an `ingest` — `result()` is
     /// the one-shot run over the sources so far in pairs, *order*,
-    /// classes and clusters (bit for bit under the exact model), and the
+    /// classes and clusters (bit for bit in both configurations), and the
     /// step's `new_decisions` are that one-shot list filtered to the
     /// pairs with a new row (for the strategies that regenerate: to the
     /// pairs not decided before the step). A final snapshot round trip
@@ -311,9 +317,7 @@ proptest! {
                 let partition = session.partition();
                 prop_assert_eq!(&partition, &merged.partition(), "{}: partition", label);
                 prop_assert_eq!(partition.summary(), merged.summary(), "{}", label);
-                if !bounded {
-                    prop_assert_eq!(&merged.decisions, &one_shot.decisions, "{}", label);
-                }
+                prop_assert_eq!(&merged.decisions, &one_shot.decisions, "{}", label);
             }
 
             let reopened =
@@ -322,6 +326,41 @@ proptest! {
             let restored = reopened.result();
             prop_assert_eq!(classes(&restored), classes(&one_shot), "{}: open", label);
             prop_assert_eq!(&restored.clusters, &one_shot.clusters, "{}: open", label);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The one-shot run keeps no session, yet on random corpora, under all
+    /// nine reduction strategies and both engine configurations, it equals
+    /// a fresh session's `run` byte for byte: candidates in order,
+    /// decisions, clusters, source offsets, the combined relation and the
+    /// stats. The sources stay separate, so the combination is covered too.
+    #[test]
+    fn one_shot_run_equals_a_fresh_session_run(
+        seed in 0u64..1_000_000,
+        entities in 4usize..20,
+    ) {
+        let sources = dataset(entities, seed).relations;
+        let refs: Vec<&XRelation> = sources.iter().collect();
+        for strategy in all_strategies() {
+            for bounded in [false, true] {
+                let label = format!(
+                    "{} seed={seed} entities={entities} bounded={bounded}",
+                    strategy.name()
+                );
+                let pipe = pipeline(strategy.clone(), bounded, 2);
+                let one_shot = pipe.run(&refs).unwrap();
+                let session = pipe.session().run(&refs).unwrap();
+                prop_assert_eq!(one_shot.candidates, session.candidates, "{}", label);
+                prop_assert_eq!(&one_shot.decisions, &session.decisions, "{}", label);
+                prop_assert_eq!(&one_shot.clusters, &session.clusters, "{}", label);
+                prop_assert_eq!(&one_shot.source_offsets, &session.source_offsets, "{}", label);
+                prop_assert_eq!(&one_shot.relation, &session.relation, "{}", label);
+                prop_assert_eq!(one_shot.stats, session.stats, "{}", label);
+            }
         }
     }
 }
@@ -425,13 +464,13 @@ fn adversarial_batches_keep_the_session_equal_to_one_shot() {
 
 /// What the streamed partition is invariant *to* is pinned against the
 /// paper-literal reference: a session fed in two batches agrees with
-/// `compare_xtuples` + `decide` straight off the x-tuples, for every
-/// strategy and both engine configurations.
+/// `compare_xtuples` + `decide` straight off the x-tuples, for all nine
+/// strategies and both engine configurations.
 #[test]
 fn streamed_result_agrees_with_paper_literal_reference() {
     let tuples = corpus();
     let sources = split_sources(&tuples, &[tuples.len() / 2]);
-    for strategy in strategies() {
+    for strategy in all_strategies() {
         for bounded in [false, true] {
             let label = format!("{} bounded={bounded}", strategy.name());
             let mut session = pipeline(strategy.clone(), bounded, 2).session();
