@@ -85,16 +85,10 @@ pub(crate) struct MatchingEngine {
 
 impl MatchingEngine {
     pub(crate) fn new(config: &PipelineConfig) -> Self {
-        Self::with_pool(config, ValuePool::new())
-    }
-
-    /// An engine over a snapshot-restored pool: re-ingesting the resident
-    /// tuples afterwards is pure warm work (every symbol lookup hits).
-    pub(crate) fn with_pool(config: &PipelineConfig, pool: ValuePool) -> Self {
         Self {
             decider: config.decider.clone(),
             comparators: config.comparators.clone(),
-            pool,
+            pool: ValuePool::new(),
             usage: AttributeUsage::default(),
             interned: Vec::new(),
             cmps: None,
@@ -241,7 +235,7 @@ impl MatchingEngine {
         }
     }
 
-    /// The matching value pool (the snapshot persists it).
+    /// The matching value pool.
     pub(crate) fn pool(&self) -> &ValuePool {
         &self.pool
     }

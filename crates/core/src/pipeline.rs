@@ -497,7 +497,7 @@ impl DedupPipeline {
         };
         let tuples = relation.xtuples();
         let pairs = {
-            let mut reduction = WarmReduction::for_strategy(&self.config.reduction, None);
+            let mut reduction = WarmReduction::for_strategy(&self.config.reduction);
             reduction.ingest_rows(tuples, 0);
             reduction
                 .current(tuples, &self.config.reduction)

@@ -59,7 +59,9 @@
 //!
 //! What persists vs. what invalidates: pools and sidecars are
 //! keyed on **values**, so they survive any corpus change and any number
-//! of runs/ingests. Row-indexed state (candidate pairs, decisions,
+//! of runs/ingests — but not a restart: a snapshot stores the relation
+//! and the decisions, and [`DedupSession::open`] rebuilds the pools from
+//! the relation. Row-indexed state (candidate pairs, decisions,
 //! reduction rows) is invalidated whenever `run` sees a different corpus.
 //! The configuration (schema arity via comparators, kernels, thresholds,
 //! reduction strategy) is fixed at build time — change it by building a
@@ -117,8 +119,7 @@ use probdedup_model::ids::SourceId;
 use probdedup_model::relation::XRelation;
 use probdedup_model::schema::Schema;
 use probdedup_model::snapshot::{
-    read_key_pool, read_value_pool, read_xrelation, write_key_pool, write_value_pool,
-    write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
+    read_xrelation, write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use probdedup_model::util::FxHashMap;
 use probdedup_model::xtuple::XTuple;
@@ -127,7 +128,7 @@ use probdedup_reduction::{CandidateDelta, CandidatePairs};
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
     match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, Partition,
-    PipelineConfig,
+    PipelineConfig, ReductionStrategy,
 };
 use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
@@ -244,7 +245,7 @@ pub struct DedupSession {
 
 impl DedupSession {
     pub(crate) fn new(config: PipelineConfig) -> Self {
-        let reduction = WarmReduction::for_strategy(&config.reduction, None);
+        let reduction = WarmReduction::for_strategy(&config.reduction);
         let matching = MatchingEngine::new(&config);
         Self {
             config,
@@ -340,10 +341,7 @@ impl DedupSession {
         // A warm rerun reproduces identical decisions, so everything
         // row-indexed stays valid.
         if self.relation.as_ref() != Some(&combined) {
-            self.reset_rows();
-            self.reduction.ingest_rows(combined.xtuples(), 0);
-            self.matching.ingest(combined.xtuples());
-            self.relation = Some(combined);
+            self.rekey(combined);
         }
         self.source_offsets = offsets;
 
@@ -356,6 +354,17 @@ impl DedupSession {
             self.decided.insert(d.pair, *d);
         }
         Ok(self.snapshot(decisions))
+    }
+
+    /// Make `relation` the resident corpus: drop everything row-indexed,
+    /// then key and intern its rows through the warm pools — only values
+    /// the pools have never seen render or intern. The decision memo is
+    /// left empty for the caller to fill.
+    fn rekey(&mut self, relation: XRelation) {
+        self.reset_rows();
+        self.reduction.ingest_rows(relation.xtuples(), 0);
+        self.matching.ingest(relation.xtuples());
+        self.relation = Some(relation);
     }
 
     /// Drop everything row-indexed — reduction rows, interned mirrors,
@@ -642,15 +651,15 @@ impl DedupSession {
 
     // -- Crash-safe persistence (see `crate::snapshot` for the layout) ----
 
-    /// Serialize the session's warm state to the versioned snapshot format
+    /// Serialize the session's state to the versioned snapshot format
     /// (see the [`crate::snapshot`] module docs for the section layout).
     ///
-    /// The bytes capture everything value-keyed — the prepared resident
-    /// relation, the matching `ValuePool`, the reduction key pools with
-    /// their prefix memos, the decision memo and the bounded-tier
-    /// counters. Row-keyed
-    /// mirrors are rebuilt on [`open`](Self::open) from the restored pools
-    /// (pure warm work: zero key renders, zero new symbols).
+    /// The bytes hold what cannot be recomputed cheaply — the
+    /// configuration fingerprint, the prepared resident relation, the
+    /// source offsets, the decision memo with the bounded-tier counters,
+    /// and the journal sequence number. The interner pools are caches:
+    /// their sections are written empty, and [`open`](Self::open)
+    /// rebuilds them by re-keying the relation.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
         let mut snap = SnapshotWriter::new();
 
@@ -680,25 +689,34 @@ impl DedupSession {
         }
         snap.section(TAG_OFFSETS, w);
 
+        // Sections 4–6 of format v1 held the interner pools and the
+        // retired similarity memo. They are written as older writers wrote
+        // a fresh session's, so older readers open the file and re-key on
+        // open: section 4 a present, empty value pool; section 5 zero
+        // attributes; section 6, for the strategies that keep a key table,
+        // an empty value pool, an empty key pool, no prefix memo, no concat
+        // memo and zero renders.
         let mut w = SectionWriter::new();
-        w.put_u8(1); // presence flag of format v1: the pool always exists
-        write_value_pool(&mut w, self.matching.pool());
+        w.put_u8(1);
+        w.put_len(0);
         snap.section(TAG_MATCH_POOL, w);
 
-        // Section 5 of format v1 held the retired similarity memo: written
-        // with zero attributes, which older readers import as a no-op.
         let mut w = SectionWriter::new();
         w.put_u32(0);
         snap.section(TAG_CACHES, w);
 
         let mut w = SectionWriter::new();
-        match self.reduction.table() {
-            Some(table) => {
-                w.put_u8(1);
-                write_value_pool(&mut w, table.value_pool());
-                write_key_pool(&mut w, table.key_pool());
+        let keyed = !matches!(
+            self.config.reduction,
+            ReductionStrategy::Full
+                | ReductionStrategy::RankedKeys { .. }
+                | ReductionStrategy::ClusterBlocking { .. }
+        );
+        w.put_u8(u8::from(keyed));
+        if keyed {
+            for _ in 0..5 {
+                w.put_u64(0);
             }
-            None => w.put_u8(0),
         }
         snap.section(TAG_REDUCTION, w);
 
@@ -740,10 +758,13 @@ impl DedupSession {
     /// bounded-mode flags) — a disagreement is reported as
     /// [`SnapshotError::ConfigMismatch`]. Every corruption mode
     /// (truncation, bit flips, version or checksum disagreement,
-    /// out-of-range symbols, inconsistent cross-section state) is a typed
-    /// [`SnapshotError`]; the session is never partially constructed. The
-    /// reopened session answers an identical-corpus [`run`](Self::run)
-    /// entirely from warm state: **zero** key renders and no re-keying —
+    /// inconsistent cross-section state) is a typed [`SnapshotError`]; the
+    /// session is never partially constructed. Opening re-keys and
+    /// re-interns the resident relation into fresh pools, exactly as
+    /// [`run`](Self::run) keys a new corpus, so the reopened pools are
+    /// those of a fresh session over the same rows; the decision memo
+    /// answers [`result`](Self::result) without classifying, and an
+    /// identical-corpus [`run`](Self::run) renders **zero** keys —
     /// property-tested in `tests/snapshot.rs`.
     pub fn open(path: impl AsRef<Path>, pipeline: &DedupPipeline) -> Result<Self, SnapshotError> {
         Self::from_snapshot_bytes(&read_file(path.as_ref())?, pipeline)
@@ -760,9 +781,9 @@ impl DedupSession {
         Ok(session)
     }
 
-    /// Decode, validate and adopt a snapshot. All parsing and cross-section
-    /// validation happens into locals first; `self` is only mutated once
-    /// the whole snapshot has been proven coherent.
+    /// Decode, validate and adopt a snapshot into this fresh session. All
+    /// parsing happens into locals first; the re-key and the memo check
+    /// then run on `self`, which the caller drops on any error.
     fn restore_from_bytes(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut reader = SnapshotReader::open(bytes)?;
 
@@ -854,59 +875,12 @@ impl DedupSession {
             });
         }
 
-        // Section 4: the matching value pool.
-        let mut r = reader.section(TAG_MATCH_POOL, "match pool section")?;
-        if !read_bool(&mut r, "match pool flag")? {
-            return Err(SnapshotError::Malformed {
-                context: "match pool flag disagrees with config",
-            });
-        }
-        let match_pool = read_value_pool(&mut r)?;
-        r.finish()?;
-
-        // Section 5 (legacy, see `crate::snapshot`): older files hold the
-        // retired similarity memo. Its entries are decoded and checked
-        // against the pool's symbol range, then dropped.
-        let mut r = reader.section(TAG_CACHES, "caches section")?;
-        let n_attr = r.take_u32()? as usize;
-        if n_attr != 0 && n_attr != own_arity {
-            return Err(SnapshotError::Malformed {
-                context: "cache dump attribute count",
-            });
-        }
-        let limit = match_pool.len() as u64;
-        for _ in 0..n_attr {
-            for context in ["similarity cache symbol pair", "verdict cache symbol pair"] {
-                for _ in 0..r.take_len(16)? {
-                    let key = r.take_u64()?;
-                    if !r.take_f64()?.is_finite() {
-                        return Err(SnapshotError::Malformed {
-                            context: "non-finite cached similarity",
-                        });
-                    }
-                    let (lo, hi) = (key >> 32, key & 0xffff_ffff);
-                    if lo == 0 || lo > hi || hi >= limit {
-                        return Err(SnapshotError::InvalidSymbol {
-                            context,
-                            raw: key,
-                            limit,
-                        });
-                    }
-                }
-            }
-        }
-        r.finish()?;
-
-        // Section 6: warm reduction key pools.
-        let mut r = reader.section(TAG_REDUCTION, "reduction section")?;
-        let reduction_pools = if read_bool(&mut r, "reduction table flag")? {
-            let values = read_value_pool(&mut r)?;
-            let keys = read_key_pool(&mut r, values.len())?;
-            Some((values, keys))
-        } else {
-            None
-        };
-        r.finish()?;
+        // Sections 4–6 (legacy, see `crate::snapshot`): the interner pools
+        // and the retired similarity memo. Frame-checked like every
+        // section, payloads ignored — open rebuilds the pools.
+        reader.section(TAG_MATCH_POOL, "match pool section")?;
+        reader.section(TAG_CACHES, "caches section")?;
+        reader.section(TAG_REDUCTION, "reduction section")?;
 
         // Section 7: the decision memo and tier counters.
         let mut r = reader.section(TAG_DECIDED, "decisions section")?;
@@ -968,18 +942,11 @@ impl DedupSession {
         }
         reader.finish()?;
 
-        // Rebuild the row-keyed warm state from the restored pools —
-        // fresh locals first, so a failure never leaves `self` half-set.
-        let mut reduction = WarmReduction::restore(&self.config.reduction, reduction_pools)?;
-        let mut matching = MatchingEngine::with_pool(&self.config, match_pool);
-        let order = OnceLock::new();
-        if let Some(rel) = &relation {
-            // Re-key and re-intern the resident tuples through the warm
-            // pools: every prefix render and symbol lookup is a memo hit.
-            reduction.ingest_rows(rel.xtuples(), 0);
-            matching.ingest(rel.xtuples());
-            let candidates =
-                order.get_or_init(|| reduction.current(rel.xtuples(), &self.config.reduction));
+        // Rebuild the pools and every row-indexed structure by re-keying
+        // the resident relation, as `run` does for a new corpus.
+        if let Some(rel) = relation {
+            self.rekey(rel);
+            let candidates = self.ordered_candidates();
             // The memo must cover the regenerated candidate set, or
             // `result()` on the reopened session would have to classify —
             // a coherent snapshot always decided its own candidates.
@@ -997,11 +964,7 @@ impl DedupSession {
             }
         }
 
-        self.relation = relation;
         self.source_offsets = offsets;
-        self.reduction = reduction;
-        self.matching = matching;
-        self.order = order;
         self.decided = decided;
         self.tiers = tiers;
         self.journal_seq = journal_seq;
@@ -1264,10 +1227,12 @@ mod tests {
             let mut reopened = DedupSession::open(&path, &pipeline).unwrap();
             assert_eq!(reopened.rows(), session.rows(), "{}", strategy.name());
             assert_eq!(reopened.decided_count(), session.decided_count());
+            // Open re-keys the corpus into fresh pools: the renders of the
+            // saved session's one run, no more.
             assert_eq!(
                 reopened.key_render_count(),
                 renders,
-                "open re-rendered keys ({})",
+                "open rendered unlike a fresh run ({})",
                 strategy.name()
             );
             // The resident view needs no classification at all.

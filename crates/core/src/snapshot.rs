@@ -7,6 +7,12 @@
 //! *session-specific*: which sections a session file contains, in which
 //! order, and how the file reaches disk without a crash window.
 //!
+//! A snapshot stores **state, not caches**: the prepared relation, where
+//! each source starts in it, and the decision memo — the paper's
+//! x-relation and its executed matchings (Fig. 12). The interner pools,
+//! key tables and sidecars are derived from the relation, so `open`
+//! rebuilds them by re-keying it, exactly as `run` keys a new corpus.
+//!
 //! # Section layout (format version 1)
 //!
 //! Sections appear in exactly this order, each framed as
@@ -17,9 +23,9 @@
 //! | 1   | config     | arity, reduction name, engine + bounded flags         |
 //! | 2   | relation   | the **prepared** resident [`XRelation`] (or absent)   |
 //! | 3   | offsets    | per-source row offsets into the combined relation     |
-//! | 4   | match pool | the matching [`ValuePool`] in dense symbol order      |
-//! | 5   | caches     | *(legacy)* written empty; old entries checked+dropped |
-//! | 6   | reduction  | the warm [`KeyTable`] pools (values, keys, memos)     |
+//! | 4   | match pool | *(legacy)* written empty, verified, ignored           |
+//! | 5   | caches     | *(legacy)* written empty, verified, ignored           |
+//! | 6   | reduction  | *(legacy)* written empty, verified, ignored           |
 //! | 7   | decisions  | every current candidate pair's decision + tier counts |
 //! | 8   | journal    | *(optional)* highest applied WAL sequence number      |
 //! | 9   | entities   | *(legacy)* verified, ignored, never written           |
@@ -37,13 +43,19 @@
 //! the committed golden v1 fixture) read as "journal seq 0" and keep
 //! loading, which is why the format version did not change.
 //!
-//! Section 5 is legacy: while the engine memoized kernel results, the
-//! writer dumped the per-attribute similarity and below-cut verdict tables
-//! here. Kernel values are now computed where they are needed, so the
-//! section is written with zero attributes (which older readers import as
-//! a no-op); `open` still decodes the entries of an older file, refuses a
-//! symbol pair outside the restored pool as
-//! [`SnapshotError::InvalidSymbol`], and drops them.
+//! Sections 4–6 are legacy. Section 4 held the matching [`ValuePool`] and
+//! section 6 the [`KeyTable`]'s value and key pools with their prefix and
+//! concat memos and render counter; section 5 held the per-attribute
+//! similarity and below-cut verdict tables of the retired kernel memo.
+//! All of them are caches. They are still written, as the encodings older
+//! writers produced for a fresh session — section 4 a present flag and an
+//! empty pool (`01`, one zero `u64`); section 5 zero attributes; section 6
+//! `00` for the strategies without a key table (full comparison, ranked
+//! keys, cluster blocking) and otherwise `01` and five zero `u64`s (empty
+//! value pool, empty key pool, no prefix memo, no concat memo, zero
+//! renders) — so older readers open new files and re-key on open. `open`
+//! checks the three frames (tag, length, checksum) of any file and skips
+//! their payloads.
 //!
 //! Section 9 is legacy: while sessions memoized entity partitions, the
 //! writer appended them here. An entity partition is a deterministic
@@ -53,12 +65,11 @@
 //! loading under format version 1.
 //!
 //! The relation is stored *post-preparation*, so opening never re-runs the
-//! preparation plan; pools are stored in dense symbol order, so re-interning
-//! on open reproduces identical symbols. Everything row-indexed but cheap (interned tuple
-//! mirrors, `PreparedValue` sidecars, candidate pairs, conditioned
-//! alternative weights) is **rebuilt** from the restored pools on open —
-//! pure warm-pool work with zero key renders, verified by the round-trip
-//! property tests.
+//! preparation plan. Everything derived (interner pools, key tables,
+//! interned tuple mirrors, `PreparedValue` sidecars, candidate pairs,
+//! conditioned alternative weights) is **rebuilt** from it on open; the
+//! round-trip property tests check that the reopened session decides,
+//! clusters and renders like the one that was saved.
 //!
 //! # Atomic-write protocol
 //!
@@ -91,12 +102,14 @@ pub const TAG_CONFIG: u32 = 1;
 pub const TAG_RELATION: u32 = 2;
 /// Section tag: source row offsets.
 pub const TAG_OFFSETS: u32 = 3;
-/// Section tag: matching value pool.
+/// Section tag (legacy): the matching value pool — written empty, its
+/// frame verified and its payload ignored on open.
 pub const TAG_MATCH_POOL: u32 = 4;
 /// Section tag (legacy): the retired per-attribute similarity/verdict
-/// memo — written empty, older entries symbol-checked and dropped.
+/// memo — written empty, its frame verified and its payload ignored.
 pub const TAG_CACHES: u32 = 5;
-/// Section tag: warm reduction key-table pools.
+/// Section tag (legacy): the key-table pools — written empty, its frame
+/// verified and its payload ignored.
 pub const TAG_REDUCTION: u32 = 6;
 /// Section tag: classified pairs and tier counters.
 pub const TAG_DECIDED: u32 = 7;

@@ -4,13 +4,11 @@
 //! one-shot [`run`](crate::pipeline::DedupPipeline::run) builds the same
 //! state, reads its candidates once and drops it.
 
-use probdedup_model::intern::{KeyPool, ValuePool};
-use probdedup_model::snapshot::SnapshotError;
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
     block_multipass_with_table, cluster_blocking, multipass_snm_with_table, BlockKeying,
     CandidateDelta, CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm,
-    KeySpec, KeyTable, SnmKeying,
+    KeyTable, SnmKeying,
 };
 
 use crate::pipeline::ReductionStrategy;
@@ -51,27 +49,19 @@ pub(crate) enum WarmReduction {
 }
 
 impl WarmReduction {
-    /// The warm state of `strategy`: around snapshot-restored key `pools`
-    /// when given, around fresh ones otherwise.
-    pub(crate) fn for_strategy(
-        strategy: &ReductionStrategy,
-        pools: Option<(ValuePool, KeyPool)>,
-    ) -> Self {
-        let table = |spec: &KeySpec| match pools {
-            Some((values, keys)) => KeyTable::from_pools(spec.clone(), values, keys),
-            None => KeyTable::empty(spec.clone()),
-        };
+    /// The fresh warm state of `strategy`: empty pools, no rows.
+    pub(crate) fn for_strategy(strategy: &ReductionStrategy) -> Self {
         match strategy {
             ReductionStrategy::Full => Self::Full,
             ReductionStrategy::SortingAlternatives { spec, window } => Self::Snm(
-                IncrementalSnm::with_table(table(spec), SnmKeying::PerAlternative, *window),
+                IncrementalSnm::new(spec.clone(), SnmKeying::PerAlternative, *window),
             ),
             ReductionStrategy::ConflictResolved {
                 spec,
                 window,
                 strategy,
-            } => Self::Snm(IncrementalSnm::with_table(
-                table(spec),
+            } => Self::Snm(IncrementalSnm::new(
+                spec.clone(),
                 SnmKeying::Resolved(*strategy),
                 *window,
             )),
@@ -81,13 +71,15 @@ impl WarmReduction {
                 ranking,
             } => Self::Ranked(IncrementalRankedSnm::new(spec.clone(), *ranking, *window)),
             ReductionStrategy::BlockingAlternatives { spec } => Self::Blocks(
-                IncrementalBlocks::with_table(table(spec), BlockKeying::PerAlternative),
+                IncrementalBlocks::new(spec.clone(), BlockKeying::PerAlternative),
             ),
             ReductionStrategy::BlockingConflictResolved { spec, strategy } => Self::Blocks(
-                IncrementalBlocks::with_table(table(spec), BlockKeying::Resolved(*strategy)),
+                IncrementalBlocks::new(spec.clone(), BlockKeying::Resolved(*strategy)),
             ),
             ReductionStrategy::MultipassWorlds { spec, .. }
-            | ReductionStrategy::BlockingMultipass { spec, .. } => Self::Worlds(table(spec)),
+            | ReductionStrategy::BlockingMultipass { spec, .. } => {
+                Self::Worlds(KeyTable::empty(spec.clone()))
+            }
             ReductionStrategy::ClusterBlocking { .. } => Self::Stateless,
         }
     }
@@ -166,41 +158,6 @@ impl WarmReduction {
                 other => unreachable!("Stateless state for strategy {}", other.name()),
             },
         }
-    }
-
-    /// The warm key table, if this strategy keeps one (the snapshot
-    /// persists its pools; `Full`, ranked SNM and cluster blocking carry
-    /// no poolable state).
-    pub(crate) fn table(&self) -> Option<&KeyTable> {
-        match self {
-            Self::Full | Self::Ranked(_) | Self::Stateless => None,
-            Self::Snm(s) => Some(s.table()),
-            Self::Blocks(b) => Some(b.table()),
-            Self::Worlds(table) => Some(table),
-        }
-    }
-
-    /// Rebuild the warm state of `strategy` around snapshot-restored key
-    /// pools. `pools` must be present exactly for the table-keeping
-    /// strategies ([`table`](Self::table)); a mismatch means the snapshot
-    /// was written under a different configuration than the one it is
-    /// being opened with.
-    pub(crate) fn restore(
-        strategy: &ReductionStrategy,
-        pools: Option<(ValuePool, KeyPool)>,
-    ) -> Result<Self, SnapshotError> {
-        let expects_table = !matches!(
-            strategy,
-            ReductionStrategy::Full
-                | ReductionStrategy::RankedKeys { .. }
-                | ReductionStrategy::ClusterBlocking { .. }
-        );
-        if expects_table != pools.is_some() {
-            return Err(SnapshotError::Malformed {
-                context: "reduction table presence",
-            });
-        }
-        Ok(Self::for_strategy(strategy, pools))
     }
 
     /// Key renders the warm state has performed (0 for stateless modes).

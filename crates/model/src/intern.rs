@@ -189,46 +189,6 @@ impl<T> SymbolMap<T> {
     }
 }
 
-/// A point-in-time view of a pool's size and render counter.
-///
-/// Persistent sessions take one before and one after an operation to
-/// **certify reuse**: a warm rerun over already-seen data must show zero
-/// growth (`len` unchanged) and zero renders (`renders` unchanged), and an
-/// incremental ingest's growth is exactly the new data's distinct values.
-/// See [`ValuePool::snapshot`] and [`KeyPool::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolSnapshot {
-    /// Distinct interned entries at snapshot time (including the reserved
-    /// `⊥` / `""` entry).
-    pub len: usize,
-    /// Render counter at snapshot time (always 0 for [`ValuePool`]s, which
-    /// never render).
-    pub renders: u64,
-}
-
-impl PoolSnapshot {
-    /// Entries added between `self` and the `later` snapshot.
-    pub fn grown_by(&self, later: PoolSnapshot) -> usize {
-        later.len.saturating_sub(self.len)
-    }
-
-    /// Renders performed between `self` and the `later` snapshot.
-    pub fn rendered_by(&self, later: PoolSnapshot) -> u64 {
-        later.renders.saturating_sub(self.renders)
-    }
-}
-
-impl ValuePool {
-    /// The pool's current [`PoolSnapshot`] (growth counter; value pools
-    /// never render, so `renders` is always 0).
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            len: self.values.len(),
-            renders: 0,
-        }
-    }
-}
-
 /// A dense handle for one distinct **rendered key string** in a [`KeyPool`].
 ///
 /// Key symbols are the reduction layer's analogue of [`Symbol`]: blocking
@@ -263,13 +223,6 @@ impl KeySymbol {
     #[inline]
     pub fn is_empty_key(self) -> bool {
         self.0 == 0
-    }
-
-    /// Rebuild a symbol from its raw index (snapshot restore only — the
-    /// caller is responsible for range-checking against the owning pool).
-    #[inline]
-    pub(crate) fn from_raw(raw: u32) -> Self {
-        KeySymbol(raw)
     }
 }
 
@@ -454,14 +407,6 @@ impl KeyPool {
         self.renders
     }
 
-    /// The pool's current [`PoolSnapshot`] (size + render counter).
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            len: self.keys.len(),
-            renders: self.renders,
-        }
-    }
-
     /// All interned `(KeySymbol, &str)` entries in symbol order.
     pub fn iter(&self) -> impl Iterator<Item = (KeySymbol, &str)> + '_ {
         self.keys
@@ -485,37 +430,6 @@ impl KeyPool {
             ranks[sym as usize] = rank as u32;
         }
         KeyRanks { ranks }
-    }
-
-    /// The prefix-memo entries `(packed (value symbol, prefix len) key,
-    /// key symbol)` — exported by the snapshot codec so a restored pool
-    /// renders nothing on its first warm pass.
-    pub(crate) fn prefix_cache_entries(&self) -> impl Iterator<Item = (u64, KeySymbol)> + '_ {
-        self.prefix_cache.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// The concat-memo entries `(packed (left, right) key, key symbol)`.
-    pub(crate) fn concat_cache_entries(&self) -> impl Iterator<Item = (u64, KeySymbol)> + '_ {
-        self.concat_cache.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Re-seed one prefix-memo entry (snapshot restore; the codec has
-    /// already range-checked `sym` against this pool).
-    pub(crate) fn restore_prefix_entry(&mut self, cache_key: u64, sym: KeySymbol) {
-        self.prefix_cache.insert(cache_key, sym);
-    }
-
-    /// Re-seed one concat-memo entry (snapshot restore).
-    pub(crate) fn restore_concat_entry(&mut self, cache_key: u64, sym: KeySymbol) {
-        self.concat_cache.insert(cache_key, sym);
-    }
-
-    /// Restore the render counter (snapshot restore): a reopened session
-    /// reports the same lifetime render count it had when saved, so the
-    /// "warm reruns render nothing" delta assertions keep working across
-    /// a save/open boundary.
-    pub(crate) fn set_render_count(&mut self, renders: u64) {
-        self.renders = renders;
     }
 }
 
@@ -811,29 +725,6 @@ mod tests {
         assert_eq!(*map.get(kim), 8);
         // No growth → no-op (the closure must not run).
         map.extend(&pool, |_| panic!("no new symbols"));
-    }
-
-    #[test]
-    fn pool_snapshots_certify_reuse() {
-        let mut vp = ValuePool::new();
-        let before = vp.snapshot();
-        let tim = vp.intern(&Value::from("Tim"));
-        let after = vp.snapshot();
-        assert_eq!(before.grown_by(after), 1);
-        assert_eq!(before.rendered_by(after), 0);
-        // Re-interning is growth-free.
-        vp.intern(&Value::from("Tim"));
-        assert_eq!(vp.snapshot(), after);
-
-        let mut kp = KeyPool::new();
-        let kbefore = kp.snapshot();
-        kp.prefix_of(&vp, tim, 2);
-        let kafter = kp.snapshot();
-        assert_eq!(kbefore.grown_by(kafter), 1);
-        assert_eq!(kbefore.rendered_by(kafter), 1);
-        // A warm repeat neither grows nor renders.
-        kp.prefix_of(&vp, tim, 2);
-        assert_eq!(kp.snapshot(), kafter);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Crash-safe binary snapshot primitives: a hand-rolled, versioned flat
-//! format for persisting warm session state (pools, key memos, resident
-//! relations) across restarts.
+//! format for persisting session state (resident relations, decisions)
+//! across restarts.
 //!
 //! The format is deliberately dependency-free (no serde registry, per the
 //! offline-shims rule) and **paranoid on read**: every load path is
@@ -23,14 +23,13 @@
 //!
 //! This module owns the *primitives* (writer, reader, checksums) and the
 //! codecs for model-layer state ([`Value`], [`PValue`], [`XTuple`],
-//! [`XRelation`], [`ValuePool`], [`KeyPool`]); the session-level file
+//! [`XRelation`]); the session-level file
 //! layout — which sections exist and in what order — is composed by the
 //! core crate's `DedupSession::save`/`open`.
 
 use std::fmt;
 
 use crate::error::ModelError;
-use crate::intern::{KeyPool, KeySymbol, ValuePool};
 use crate::pvalue::PValue;
 use crate::relation::XRelation;
 use crate::schema::{AttrType, Schema};
@@ -85,15 +84,6 @@ pub enum SnapshotError {
         /// Tag found in the file.
         found: u32,
     },
-    /// A stored symbol index is out of range for its pool.
-    InvalidSymbol {
-        /// What was being read.
-        context: &'static str,
-        /// The out-of-range raw index.
-        raw: u64,
-        /// Exclusive upper bound (pool length).
-        limit: u64,
-    },
     /// A structural invariant of the payload is violated (bad enum tag,
     /// invalid UTF-8, impossible count, …).
     Malformed {
@@ -132,14 +122,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadSection { expected, found } => {
                 write!(f, "expected section tag {expected:#x}, found {found:#x}")
             }
-            SnapshotError::InvalidSymbol {
-                context,
-                raw,
-                limit,
-            } => write!(
-                f,
-                "out-of-range symbol {raw} in {context} (pool has {limit} entries)"
-            ),
             SnapshotError::Malformed { context } => write!(f, "malformed snapshot data: {context}"),
             SnapshotError::Model(e) => write!(f, "snapshot data fails model validation: {e}"),
             SnapshotError::ConfigMismatch { detail } => {
@@ -675,127 +657,6 @@ pub fn read_xrelation(r: &mut SectionReader<'_>) -> Result<XRelation, SnapshotEr
     Ok(rel)
 }
 
-/// Encode a [`ValuePool`]'s contents in symbol order (the reserved `⊥` at
-/// symbol 0 is implicit).
-pub fn write_value_pool(w: &mut SectionWriter, pool: &ValuePool) {
-    w.put_len(pool.len() - 1);
-    for (_, v) in pool.iter().skip(1) {
-        write_value(w, v);
-    }
-}
-
-/// Decode a [`ValuePool`], re-interning the values in symbol order so
-/// every symbol lands on the same dense index it had when saved.
-pub fn read_value_pool(r: &mut SectionReader<'_>) -> Result<ValuePool, SnapshotError> {
-    let n = r.take_len(1)?;
-    let mut pool = ValuePool::new();
-    for i in 0..n {
-        let v = read_value(r)?;
-        let sym = pool.intern(&v);
-        if sym.index() != i + 1 {
-            // A duplicate (or ⊥) in the stream means the pool was not
-            // written in dense symbol order — reject rather than let
-            // symbol-keyed state silently alias.
-            return Err(SnapshotError::Malformed {
-                context: "value pool symbol order",
-            });
-        }
-    }
-    Ok(pool)
-}
-
-/// Encode a [`KeyPool`]: key strings in symbol order (the reserved `""`
-/// implicit), then the prefix/concat memo entries and the lifetime render
-/// counter — restoring the memos is what makes the first warm pass over a
-/// reopened session render **zero** keys.
-pub fn write_key_pool(w: &mut SectionWriter, pool: &KeyPool) {
-    w.put_len(pool.len() - 1);
-    for (_, s) in pool.iter().skip(1) {
-        w.put_str(s);
-    }
-    let prefix: Vec<(u64, KeySymbol)> = pool.prefix_cache_entries().collect();
-    w.put_len(prefix.len());
-    for (k, sym) in prefix {
-        w.put_u64(k);
-        w.put_u32(sym.raw());
-    }
-    let concat: Vec<(u64, KeySymbol)> = pool.concat_cache_entries().collect();
-    w.put_len(concat.len());
-    for (k, sym) in concat {
-        w.put_u64(k);
-        w.put_u32(sym.raw());
-    }
-    w.put_u64(pool.render_count());
-}
-
-/// Decode a [`KeyPool`]. `value_pool_len` is the length of the
-/// [`ValuePool`] the prefix memo refers to; memo entries referencing
-/// symbols outside either pool are rejected as
-/// [`SnapshotError::InvalidSymbol`].
-pub fn read_key_pool(
-    r: &mut SectionReader<'_>,
-    value_pool_len: usize,
-) -> Result<KeyPool, SnapshotError> {
-    let n = r.take_len(1)?;
-    let mut pool = KeyPool::new();
-    for i in 0..n {
-        let s = r.take_str()?;
-        let sym = pool.intern_str(s);
-        if sym.index() != i + 1 {
-            return Err(SnapshotError::Malformed {
-                context: "key pool symbol order",
-            });
-        }
-    }
-    let key_len = pool.len() as u64;
-    let n_prefix = r.take_len(12)?;
-    for _ in 0..n_prefix {
-        let cache_key = r.take_u64()?;
-        let raw = r.take_u32()?;
-        let value_sym = cache_key >> 32;
-        if value_sym >= value_pool_len as u64 {
-            return Err(SnapshotError::InvalidSymbol {
-                context: "prefix memo value symbol",
-                raw: value_sym,
-                limit: value_pool_len as u64,
-            });
-        }
-        if u64::from(raw) >= key_len {
-            return Err(SnapshotError::InvalidSymbol {
-                context: "prefix memo key symbol",
-                raw: u64::from(raw),
-                limit: key_len,
-            });
-        }
-        pool.restore_prefix_entry(cache_key, KeySymbol::from_raw(raw));
-    }
-    let n_concat = r.take_len(12)?;
-    for _ in 0..n_concat {
-        let cache_key = r.take_u64()?;
-        let raw = r.take_u32()?;
-        for part in [cache_key >> 32, cache_key & 0xffff_ffff] {
-            if part >= key_len {
-                return Err(SnapshotError::InvalidSymbol {
-                    context: "concat memo operand symbol",
-                    raw: part,
-                    limit: key_len,
-                });
-            }
-        }
-        if u64::from(raw) >= key_len {
-            return Err(SnapshotError::InvalidSymbol {
-                context: "concat memo key symbol",
-                raw: u64::from(raw),
-                limit: key_len,
-            });
-        }
-        pool.restore_concat_entry(cache_key, KeySymbol::from_raw(raw));
-    }
-    let renders = r.take_u64()?;
-    pool.set_render_count(renders);
-    Ok(pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,73 +723,6 @@ mod tests {
         r.finish().unwrap();
         assert_eq!(back, rel);
         assert_eq!(back.xtuples()[0].label(), Some("t32"));
-    }
-
-    #[test]
-    fn value_pool_roundtrip_preserves_symbols() {
-        let mut pool = ValuePool::new();
-        let syms: Vec<_> = [Value::from("Tim"), Value::Int(30), Value::Real(1.5)]
-            .iter()
-            .map(|v| pool.intern(v))
-            .collect();
-        let mut w = SectionWriter::new();
-        write_value_pool(&mut w, &pool);
-        let bytes = w.into_bytes();
-        let mut r = SectionReader::new(&bytes, "test pool");
-        let back = read_value_pool(&mut r).unwrap();
-        assert_eq!(back.len(), pool.len());
-        for (sym, v) in pool.iter() {
-            assert_eq!(back.resolve(sym), v);
-        }
-        assert_eq!(back.lookup(&Value::from("Tim")), Some(syms[0]));
-    }
-
-    #[test]
-    fn key_pool_roundtrip_renders_nothing_after_restore() {
-        let mut vp = ValuePool::new();
-        let john = vp.intern(&Value::from("John"));
-        let pilot = vp.intern(&Value::from("pilot"));
-        let mut kp = KeyPool::new();
-        let a = kp.prefix_of(&vp, john, 3);
-        let b = kp.prefix_of(&vp, pilot, 2);
-        let ab = kp.concat2(a, b);
-        assert_eq!(kp.render_count(), 2);
-
-        let mut w = SectionWriter::new();
-        write_key_pool(&mut w, &kp);
-        let bytes = w.into_bytes();
-        let mut r = SectionReader::new(&bytes, "test key pool");
-        let mut back = read_key_pool(&mut r, vp.len()).unwrap();
-        r.finish().unwrap();
-
-        assert_eq!(back.len(), kp.len());
-        assert_eq!(back.render_count(), 2);
-        // Warm re-derivation is pure memo hits: zero new renders.
-        assert_eq!(back.prefix_of(&vp, john, 3), a);
-        assert_eq!(back.prefix_of(&vp, pilot, 2), b);
-        assert_eq!(back.concat2(a, b), ab);
-        assert_eq!(back.render_count(), 2);
-    }
-
-    #[test]
-    fn key_pool_rejects_out_of_range_memo_symbols() {
-        let mut kp = KeyPool::new();
-        kp.intern_str("Joh");
-        // Forge a prefix memo entry pointing at value symbol 99.
-        let mut w = SectionWriter::new();
-        write_key_pool(&mut w, &kp);
-        let mut w2 = SectionWriter::new();
-        w2.put_len(1);
-        w2.put_str("Joh");
-        w2.put_len(1); // one prefix entry
-        w2.put_u64(99u64 << 32 | 3); // value symbol 99, len 3
-        w2.put_u32(1);
-        w2.put_len(0); // no concat entries
-        w2.put_u64(1);
-        let bytes = w2.into_bytes();
-        let mut r = SectionReader::new(&bytes, "forged key pool");
-        let err = read_key_pool(&mut r, 2).unwrap_err();
-        assert!(matches!(err, SnapshotError::InvalidSymbol { .. }), "{err}");
     }
 
     #[test]

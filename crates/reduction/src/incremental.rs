@@ -196,25 +196,13 @@ pub struct IncrementalSnm {
 impl IncrementalSnm {
     /// Empty state for `spec`; grow with [`IncrementalSnm::ingest`].
     pub fn new(spec: KeySpec, keying: SnmKeying, window: usize) -> Self {
-        Self::with_table(KeyTable::empty(spec), keying, window)
-    }
-
-    /// Rebuild state around a warm table restored from a snapshot (no
-    /// rows yet — the caller re-ingests the resident corpus, which is
-    /// render-free against the restored pools).
-    pub fn with_table(table: KeyTable, keying: SnmKeying, window: usize) -> Self {
         Self {
-            table,
+            table: KeyTable::empty(spec),
             keying,
             window,
             entries: Vec::new(),
             n_tuples: 0,
         }
-    }
-
-    /// The warm key table (snapshot export).
-    pub fn table(&self) -> &KeyTable {
-        &self.table
     }
 
     /// Number of tuples ingested so far.
@@ -474,23 +462,12 @@ pub struct IncrementalBlocks {
 impl IncrementalBlocks {
     /// Empty state for `spec`; grow with [`IncrementalBlocks::ingest`].
     pub fn new(spec: KeySpec, keying: BlockKeying) -> Self {
-        Self::with_table(KeyTable::empty(spec), keying)
-    }
-
-    /// Rebuild state around a warm table restored from a snapshot (no
-    /// rows yet — the caller re-ingests the resident corpus render-free).
-    pub fn with_table(table: KeyTable, keying: BlockKeying) -> Self {
         Self {
-            table,
+            table: KeyTable::empty(spec),
             keying,
             blocks: FxHashMap::default(),
             n_tuples: 0,
         }
-    }
-
-    /// The warm key table (snapshot export).
-    pub fn table(&self) -> &KeyTable {
-        &self.table
     }
 
     /// Number of tuples ingested so far.

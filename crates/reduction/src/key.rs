@@ -522,26 +522,6 @@ impl KeyTable {
         }
     }
 
-    /// Rebuild a table around warm pools restored from a snapshot: the
-    /// sorted order and rank table are re-derived from the key pool's
-    /// contents (deterministic — lexicographic order of the interned
-    /// strings), and the per-tuple rows start empty, ready for
-    /// [`KeyTable::extend`] to re-key the resident corpus with **zero**
-    /// renders (every prefix is already memoized in the restored pool).
-    pub fn from_pools(spec: KeySpec, values: ValuePool, keys: KeyPool) -> Self {
-        let mut sorted: Vec<KeySymbol> = keys.iter().map(|(k, _)| k).collect();
-        sorted.sort_unstable_by(|&a, &b| keys.resolve(a).cmp(keys.resolve(b)));
-        let ranks = KeyRanks::from_sorted(&sorted);
-        Self {
-            spec,
-            values,
-            keys,
-            alt_keys: Vec::new(),
-            sorted,
-            ranks,
-        }
-    }
-
     /// The key spec the table renders.
     pub fn spec(&self) -> &KeySpec {
         &self.spec
@@ -637,11 +617,6 @@ impl KeyTable {
     /// The key pool backing this table.
     pub fn key_pool(&self) -> &KeyPool {
         &self.keys
-    }
-
-    /// The value pool backing this table (key-attribute values only).
-    pub fn value_pool(&self) -> &ValuePool {
-        &self.values
     }
 
     /// How many key-prefix renders (prefix-cache misses reading a value's

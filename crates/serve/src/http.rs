@@ -138,11 +138,18 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request
     // HTTP/1.1 defaults to keep-alive, 1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
 
+    // Read through the blank line that ends the head: whatever follows it
+    // is the body, then the next request on a keep-alive connection.
     let mut content_length = 0usize;
-    for _ in 0..MAX_HEADERS {
+    let mut headers = 0;
+    loop {
         let line = read_line(reader)?.ok_or(HttpError::BadRequest("truncated headers"))?;
         if line.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(HttpError::BadRequest("too many headers"));
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::BadRequest("malformed header"));
@@ -382,6 +389,45 @@ mod tests {
             let err = parse(raw).unwrap_err();
             assert!(matches!(err, HttpError::BadRequest(_)), "{label}: {err:?}");
         }
+    }
+
+    /// A head of `n` header lines, the first `Content-Length: 2`, the body
+    /// `ok`, then a keep-alive `GET /health` on the same connection.
+    fn request_with_headers(n: usize) -> Vec<u8> {
+        let mut raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n".to_vec();
+        for i in 1..n {
+            raw.extend_from_slice(format!("X-Filler-{i}: {i}\r\n").as_bytes());
+        }
+        raw.extend_from_slice(b"\r\nokGET /health HTTP/1.1\r\n\r\n");
+        raw
+    }
+
+    #[test]
+    fn sixty_four_headers_frame_the_next_request() {
+        let raw = request_with_headers(MAX_HEADERS);
+        let mut reader = BufReader::new(raw.as_slice());
+        let first = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (first.method.as_str(), first.body.as_slice()),
+            ("POST", &b"ok"[..])
+        );
+        let second = read_request(&mut reader).unwrap().unwrap();
+        assert_eq!(
+            (second.method.as_str(), second.path.as_str()),
+            ("GET", "/health")
+        );
+        assert!(second.body.is_empty());
+        assert!(read_request(&mut reader).unwrap().is_none());
+    }
+
+    #[test]
+    fn sixty_five_headers_are_a_bad_request() {
+        let err = parse(&request_with_headers(MAX_HEADERS + 1)).unwrap_err();
+        assert!(
+            matches!(err, HttpError::BadRequest("too many headers")),
+            "{err:?}"
+        );
+        assert_eq!(err.status(), 400);
     }
 
     #[test]

@@ -218,9 +218,10 @@ struct SessionEntry {
     /// Restored from a snapshot/journal at boot (vs. created by a request).
     restored: bool,
     /// Key renders the session carried when it was opened/created —
-    /// `/stats` reports the delta, so a freshly restored session showing
-    /// `key_renders_since_open: 0` after a warm replay is the daemon-level
-    /// reuse certificate.
+    /// taken after `open` rebuilt the pools from the snapshot's relation
+    /// and after the journal replay, so `/stats` reports only what served
+    /// requests rendered: `key_renders_since_open: 0` on a restored
+    /// session is the daemon-level reuse certificate.
     base_key_renders: u64,
 }
 

@@ -255,7 +255,8 @@ fn restart_from_autosaved_snapshots_is_warm() {
     assert_eq!(clusters_of(&body), clusters_of(&first_partition));
 
     // Re-running the full corpus through the warm session renders zero
-    // keys: everything replays from the restored pools.
+    // keys: open rebuilt the pools from the stored relation before the
+    // stats baseline was taken.
     let mut combined = XRelation::new(srcs[0].schema().clone());
     for src in &srcs {
         for t in src.xtuples() {

@@ -169,9 +169,10 @@ ENT2=$(req "http://$ADDR/sessions/census/entities?strategy=correlation-repaired"
   before: $ENT1
   after:  $ENT2"
 
-# Drive reads through the restored warm state, then assert nothing
-# re-rendered: the restore rebuilt pools/tables without key renders and
-# the queries answered from the decision memo and warm caches.
+# Drive reads through the restored session, then assert nothing
+# re-rendered since open: the restore rebuilt the pools from the stored
+# relation before the baseline was taken, and the queries answered from
+# the decision memo and the rebuilt pools.
 for pair in "0 1" "2 5" "10 20"; do
     set -- $pair
     req "http://$ADDR/sessions/census/query?i=$1&j=$2" >/dev/null \

@@ -81,14 +81,15 @@ USAGE:
 
   probdedup snapshot save --out FILE.snap --input FILE.pxr [...]
       (same pipeline options as ingest)
-      Run a session over the inputs and persist its warm state —
-      interner pools, key memos, decisions — to
-      FILE.snap via an atomic crash-safe write.
+      Run a session over the inputs and persist its state — the
+      prepared relation and its decisions — to FILE.snap via an atomic
+      crash-safe write.
 
   probdedup snapshot load --snapshot FILE.snap --input FILE.pxr [...]
       (same pipeline options as the save that wrote the snapshot)
-      Re-open the session warm and rerun over the inputs: an unchanged
-      corpus replays entirely from the snapshot (zero key renders).
+      Re-open the session (its pools rebuilt from the stored relation)
+      and rerun over the inputs: an unchanged corpus is answered from
+      the stored decisions and the rebuilt pools (zero key renders).
 
   probdedup serve [--addr HOST:PORT] [--arity N]
       [--snapshot-dir DIR] [--autosave-secs S] [--wal-dir DIR]
@@ -701,8 +702,8 @@ fn cmd_snapshot(rest: &[String], out: &mut impl Write) -> Result<(), CliError> {
     }
 }
 
-/// `snapshot save`: run a session over the inputs, then persist its warm
-/// state atomically to `--out`.
+/// `snapshot save`: run a session over the inputs, then persist its state
+/// atomically to `--out`.
 fn cmd_snapshot_save(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let path = args
         .get("out")
@@ -728,9 +729,10 @@ fn cmd_snapshot_save(args: &Args, out: &mut impl Write) -> Result<(), CliError> 
     Ok(())
 }
 
-/// `snapshot load`: re-open a saved session warm (the pipeline options
-/// must match the save) and rerun over the inputs — an unchanged corpus
-/// replays with zero key renders.
+/// `snapshot load`: re-open a saved session (the pipeline options must
+/// match the save; opening rebuilds the pools from the stored relation)
+/// and rerun over the inputs — an unchanged corpus replays with zero key
+/// renders after open.
 fn cmd_snapshot_load(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let path = args
         .get("snapshot")
