@@ -41,9 +41,7 @@ use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::{SourceId, TupleHandle};
 use probdedup_model::relation::XRelation;
-use probdedup_reduction::{
-    ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
-};
+use probdedup_reduction::{ConflictResolution, KeySpec, WorldSelection};
 
 use crate::cluster::UnionFind;
 use crate::engine::{Decider, MatchingEngine};
@@ -81,15 +79,6 @@ pub enum ReductionStrategy {
         /// SNM window size.
         window: usize,
     },
-    /// Uncertain keys + probabilistic ranking (Section V-A.4).
-    RankedKeys {
-        /// Sorting key.
-        spec: KeySpec,
-        /// SNM window size.
-        window: usize,
-        /// Ranking semantics.
-        ranking: RankingFunction,
-    },
     /// Blocking with per-alternative keys (Section V-B, Fig. 14).
     BlockingAlternatives {
         /// Blocking key.
@@ -109,13 +98,6 @@ pub enum ReductionStrategy {
         /// World selection policy.
         selection: WorldSelection,
     },
-    /// Clustering of uncertain keys (Section V-B, UK-means style).
-    ClusterBlocking {
-        /// Blocking key.
-        spec: KeySpec,
-        /// Clustering configuration.
-        config: ClusterBlockingConfig,
-    },
 }
 
 impl ReductionStrategy {
@@ -127,11 +109,9 @@ impl ReductionStrategy {
             Self::MultipassWorlds { spec, .. }
             | Self::ConflictResolved { spec, .. }
             | Self::SortingAlternatives { spec, .. }
-            | Self::RankedKeys { spec, .. }
             | Self::BlockingAlternatives { spec }
             | Self::BlockingConflictResolved { spec, .. }
-            | Self::BlockingMultipass { spec, .. }
-            | Self::ClusterBlocking { spec, .. } => Some(spec),
+            | Self::BlockingMultipass { spec, .. } => Some(spec),
         }
     }
 
@@ -142,11 +122,9 @@ impl ReductionStrategy {
             Self::MultipassWorlds { .. } => "snm-multipass",
             Self::ConflictResolved { .. } => "snm-conflict-resolved",
             Self::SortingAlternatives { .. } => "snm-alternatives",
-            Self::RankedKeys { .. } => "snm-ranked",
             Self::BlockingAlternatives { .. } => "blocking-alternatives",
             Self::BlockingConflictResolved { .. } => "blocking-conflict-resolved",
             Self::BlockingMultipass { .. } => "blocking-multipass",
-            Self::ClusterBlocking { .. } => "blocking-cluster",
         }
     }
 }
@@ -499,9 +477,7 @@ impl DedupPipeline {
         let pairs = {
             let mut reduction = WarmReduction::for_strategy(&self.config.reduction);
             reduction.ingest_rows(tuples, 0);
-            reduction
-                .current(tuples, &self.config.reduction)
-                .into_pairs()
+            reduction.current(tuples).into_pairs()
         };
         let mut engine = MatchingEngine::new(&self.config);
         engine.ingest(tuples);
@@ -683,7 +659,7 @@ mod tests {
     use probdedup_textsim::NormalizedHamming;
 
     use crate::test_support::{
-        assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+        all_strategies, assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
     };
 
     fn schema() -> Schema {
@@ -775,46 +751,8 @@ mod tests {
     #[test]
     fn reduction_strategies_run_end_to_end() {
         let (a, b) = (r3(), r4());
-        let spec = KeySpec::paper_example(0, 1);
-        let strategies = vec![
-            ReductionStrategy::MultipassWorlds {
-                spec: spec.clone(),
-                window: 2,
-                selection: WorldSelection::TopK(3),
-            },
-            ReductionStrategy::ConflictResolved {
-                spec: spec.clone(),
-                window: 2,
-                strategy: ConflictResolution::MostProbableAlternative,
-            },
-            ReductionStrategy::SortingAlternatives {
-                spec: spec.clone(),
-                window: 2,
-            },
-            ReductionStrategy::RankedKeys {
-                spec: spec.clone(),
-                window: 2,
-                ranking: RankingFunction::MostProbableKey,
-            },
-            ReductionStrategy::BlockingAlternatives { spec: spec.clone() },
-            ReductionStrategy::BlockingConflictResolved {
-                spec: spec.clone(),
-                strategy: ConflictResolution::MostProbableAlternative,
-            },
-            ReductionStrategy::BlockingMultipass {
-                spec: spec.clone(),
-                selection: WorldSelection::TopK(2),
-            },
-            ReductionStrategy::ClusterBlocking {
-                spec,
-                config: ClusterBlockingConfig {
-                    k: 2,
-                    ..Default::default()
-                },
-            },
-        ];
         let full = pipeline(ReductionStrategy::Full).run(&[&a, &b]).unwrap();
-        for strat in strategies {
+        for strat in all_strategies(&KeySpec::paper_example(0, 1)) {
             let name = strat.name();
             let result = pipeline(strat.clone()).run(&[&a, &b]).unwrap();
             assert!(result.candidates <= full.candidates, "{name}");

@@ -54,8 +54,8 @@
 //!   batch split, [`result`](DedupSession::result) equals one batch
 //!   [`run`](DedupSession::run) under the engine's equality contract
 //!   (ARCHITECTURE.md, "The engine") — for the world-dependent strategies
-//!   too (multi-pass over possible worlds, cluster blocking), whose
-//!   candidates depend on the whole corpus and are regenerated per ingest.
+//!   too (multi-pass over possible worlds), whose candidates depend on the
+//!   whole corpus and are regenerated per ingest.
 //!
 //! What persists vs. what invalidates: pools and sidecars are
 //! keyed on **values**, so they survive any corpus change and any number
@@ -486,9 +486,7 @@ impl DedupSession {
                 // what the memo does not hold, and drop what the memo
                 // holds beyond the new candidates.
                 self.reduction.ingest_rows(&rel.xtuples()[start..], start);
-                let candidates = self
-                    .reduction
-                    .current(rel.xtuples(), &self.config.reduction);
+                let candidates = self.reduction.current(rel.xtuples());
                 let todo: Vec<(usize, usize)> = candidates
                     .pairs()
                     .iter()
@@ -569,9 +567,7 @@ impl DedupSession {
     /// read until the next one.
     fn ordered_candidates(&self) -> &CandidatePairs {
         self.order.get_or_init(|| match &self.relation {
-            Some(rel) => self
-                .reduction
-                .current(rel.xtuples(), &self.config.reduction),
+            Some(rel) => self.reduction.current(rel.xtuples()),
             None => CandidatePairs::new(0),
         })
     }
@@ -706,12 +702,7 @@ impl DedupSession {
         snap.section(TAG_CACHES, w);
 
         let mut w = SectionWriter::new();
-        let keyed = !matches!(
-            self.config.reduction,
-            ReductionStrategy::Full
-                | ReductionStrategy::RankedKeys { .. }
-                | ReductionStrategy::ClusterBlocking { .. }
-        );
+        let keyed = !matches!(self.config.reduction, ReductionStrategy::Full);
         w.put_u8(u8::from(keyed));
         if keyed {
             for _ in 0..5 {
@@ -1026,7 +1017,7 @@ mod tests {
     use probdedup_matching::vector::AttributeComparators;
     use probdedup_model::schema::Schema;
     use probdedup_model::xtuple::XTuple;
-    use probdedup_reduction::{KeySpec, WorldSelection};
+    use probdedup_reduction::KeySpec;
     use probdedup_textsim::NormalizedHamming;
     use std::sync::Arc;
 
@@ -1073,20 +1064,7 @@ mod tests {
     }
 
     fn strategies() -> Vec<ReductionStrategy> {
-        let spec = KeySpec::paper_example(0, 1);
-        vec![
-            ReductionStrategy::Full,
-            ReductionStrategy::SortingAlternatives {
-                spec: spec.clone(),
-                window: 3,
-            },
-            ReductionStrategy::BlockingAlternatives { spec: spec.clone() },
-            ReductionStrategy::MultipassWorlds {
-                spec,
-                window: 2,
-                selection: WorldSelection::TopK(2),
-            },
-        ]
+        crate::test_support::all_strategies(&KeySpec::paper_example(0, 1))
     }
 
     #[test]
@@ -1427,14 +1405,14 @@ mod tests {
 
     /// The phases of an ingest, run one by one: once the batch is grown
     /// and once it is classified, every read still answers what the
-    /// session answered before the batch — under all nine strategies and
+    /// session answered before the batch — under all seven strategies and
     /// both engine configurations, with the ordered candidates
     /// regenerated over the grown state — and once published the session
     /// equals a twin that ran plain `ingest`.
     #[test]
     fn a_mid_ingest_read_is_a_pre_ingest_read() {
         let sources = corpus();
-        for strategy in crate::test_support::all_strategies(&KeySpec::paper_example(0, 1)) {
+        for strategy in strategies() {
             for exact in [true, false] {
                 let label = format!(
                     "{} {}",

@@ -30,8 +30,8 @@
 //! or from after it, never one in between. The value-keyed counters
 //! (interned values, key renders) may already include a
 //! batch in flight. The strategies that regenerate their candidates over
-//! the whole corpus (multi-pass over worlds, cluster blocking) classify at
-//! publish, as [`DedupSession::ingest`] always did.
+//! the whole corpus (multi-pass over worlds) classify at publish, as
+//! [`DedupSession::ingest`] always did.
 //!
 //! A panic in any phase poisons the writer mutex (it is held throughout),
 //! so [`read`](SharedSession::read) and every later write report the

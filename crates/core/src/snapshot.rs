@@ -50,12 +50,11 @@
 //! All of them are caches. They are still written, as the encodings older
 //! writers produced for a fresh session — section 4 a present flag and an
 //! empty pool (`01`, one zero `u64`); section 5 zero attributes; section 6
-//! `00` for the strategies without a key table (full comparison, ranked
-//! keys, cluster blocking) and otherwise `01` and five zero `u64`s (empty
-//! value pool, empty key pool, no prefix memo, no concat memo, zero
-//! renders) — so older readers open new files and re-key on open. `open`
-//! checks the three frames (tag, length, checksum) of any file and skips
-//! their payloads.
+//! `00` for full comparison, which keeps no key table, and otherwise `01`
+//! and five zero `u64`s (empty value pool, empty key pool, no prefix memo,
+//! no concat memo, zero renders) — so older readers open new files and
+//! re-key on open. `open` checks the three frames (tag, length, checksum)
+//! of any file and skips their payloads.
 //!
 //! Section 9 is legacy: while sessions memoized entity partitions, the
 //! writer appended them here. An entity partition is a deterministic

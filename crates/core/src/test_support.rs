@@ -13,15 +13,13 @@ use probdedup_decision::threshold::MatchClass;
 use probdedup_decision::xmodel::XTupleDecisionModel;
 use probdedup_matching::matrix::compare_xtuples;
 use probdedup_matching::vector::AttributeComparators;
-use probdedup_reduction::{
-    ClusterBlockingConfig, ConflictResolution, KeySpec, RankingFunction, WorldSelection,
-};
+use probdedup_reduction::{ConflictResolution, KeySpec, WorldSelection};
 
 use crate::cluster::UnionFind;
 use crate::pipeline::{DedupResult, PairDecision, ReductionStrategy};
 
-/// All nine [`ReductionStrategy`] variants over `spec`, at windows, world
-/// counts and cluster counts small enough to cut a handful of rows.
+/// All seven [`ReductionStrategy`] variants over `spec`, at windows and
+/// world counts small enough to cut a handful of rows.
 pub fn all_strategies(spec: &KeySpec) -> Vec<ReductionStrategy> {
     let mpa = ConflictResolution::MostProbableAlternative;
     let spec = || spec.clone();
@@ -36,11 +34,6 @@ pub fn all_strategies(spec: &KeySpec) -> Vec<ReductionStrategy> {
             window: 3,
             strategy: mpa,
         },
-        ReductionStrategy::RankedKeys {
-            spec: spec(),
-            window: 3,
-            ranking: RankingFunction::ExpectedScore,
-        },
         ReductionStrategy::BlockingAlternatives { spec: spec() },
         ReductionStrategy::BlockingConflictResolved {
             spec: spec(),
@@ -54,13 +47,6 @@ pub fn all_strategies(spec: &KeySpec) -> Vec<ReductionStrategy> {
         ReductionStrategy::BlockingMultipass {
             spec: spec(),
             selection: WorldSelection::TopK(2),
-        },
-        ReductionStrategy::ClusterBlocking {
-            spec: spec(),
-            config: ClusterBlockingConfig {
-                k: 2,
-                ..ClusterBlockingConfig::default()
-            },
         },
     ]
 }

@@ -6,34 +6,30 @@
 
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
-    block_multipass_with_table, cluster_blocking, multipass_snm_with_table, BlockKeying,
-    CandidateDelta, CandidatePairs, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm,
-    KeyTable, SnmKeying,
+    block_multipass_with_table, multipass_snm_with_table, BlockKeying, CandidateDelta,
+    CandidatePairs, IncrementalBlocks, IncrementalSnm, KeyTable, SnmKeying, WorldSelection,
 };
 
 use crate::pipeline::ReductionStrategy;
 
 /// Per-strategy warm reduction state.
 ///
-/// `Full`, `Snm`, `Ranked` and `Blocks` emit **deltas**: appended rows
-/// only push window entries apart and only grow blocks, so everything a
-/// batch adds to the candidate set has a new row and is read off where
-/// the batch landed ([`ingest_delta`](Self::ingest_delta) — rows `start..`
-/// against everything before them, a local window re-scan around each
-/// inserted entry, the blocks that gained a member), and a pair that left
-/// never returns. `Worlds` and `Stateless` **regenerate**: which worlds
-/// are selected and where the centroids fall depends on the whole corpus,
-/// so a batch can change candidates between old rows, and a pair may
-/// leave and re-enter; it is then classified again — deterministic, so
-/// the result is the same.
+/// `Full`, `Snm` and `Blocks` emit **deltas**: appended rows only push
+/// window entries apart and only grow blocks, so everything a batch adds
+/// to the candidate set has a new row and is read off where the batch
+/// landed ([`ingest_delta`](Self::ingest_delta) — rows `start..` against
+/// everything before them, a local window re-scan around each inserted
+/// entry, the blocks that gained a member), and a pair that left never
+/// returns. `Worlds` **regenerates**: which worlds are selected depends
+/// on the whole corpus, so a batch can change candidates between old
+/// rows, and a pair may leave and re-enter; it is then classified again —
+/// deterministic, so the result is the same.
 pub(crate) enum WarmReduction {
     /// Full comparison: no state, candidates are all pairs.
     Full,
     /// World-independent SNM (sorting alternatives / conflict-resolved):
     /// warm table + rank-sorted resident entry list.
     Snm(IncrementalSnm),
-    /// Probabilistic-ranking SNM: resident ranked order.
-    Ranked(IncrementalRankedSnm),
     /// Blocking (per-alternative / conflict-resolved): resident blocks.
     Blocks(IncrementalBlocks),
     /// World-dependent multi-pass SNM/blocking: world selection depends on
@@ -42,10 +38,12 @@ pub(crate) enum WarmReduction {
     /// and cost are stated there — ≈ 5 ms on 3 400 benchmark rows) and
     /// candidates regenerated from the warm extended table each time
     /// (sort-only — zero renders for seen values).
-    Worlds(KeyTable),
-    /// Cluster blocking: centroids depend on the whole corpus; fully
-    /// regenerated per change.
-    Stateless,
+    Worlds {
+        table: KeyTable,
+        selection: WorldSelection,
+        /// The SNM window of each pass; `None` blocks each pass instead.
+        window: Option<usize>,
+    },
 }
 
 impl WarmReduction {
@@ -65,33 +63,36 @@ impl WarmReduction {
                 SnmKeying::Resolved(*strategy),
                 *window,
             )),
-            ReductionStrategy::RankedKeys {
-                spec,
-                window,
-                ranking,
-            } => Self::Ranked(IncrementalRankedSnm::new(spec.clone(), *ranking, *window)),
             ReductionStrategy::BlockingAlternatives { spec } => Self::Blocks(
                 IncrementalBlocks::new(spec.clone(), BlockKeying::PerAlternative),
             ),
             ReductionStrategy::BlockingConflictResolved { spec, strategy } => Self::Blocks(
                 IncrementalBlocks::new(spec.clone(), BlockKeying::Resolved(*strategy)),
             ),
-            ReductionStrategy::MultipassWorlds { spec, .. }
-            | ReductionStrategy::BlockingMultipass { spec, .. } => {
-                Self::Worlds(KeyTable::empty(spec.clone()))
-            }
-            ReductionStrategy::ClusterBlocking { .. } => Self::Stateless,
+            ReductionStrategy::MultipassWorlds {
+                spec,
+                window,
+                selection,
+            } => Self::Worlds {
+                table: KeyTable::empty(spec.clone()),
+                selection: *selection,
+                window: Some(*window),
+            },
+            ReductionStrategy::BlockingMultipass { spec, selection } => Self::Worlds {
+                table: KeyTable::empty(spec.clone()),
+                selection: *selection,
+                window: None,
+            },
         }
     }
 
     /// Grow the warm state with tuples `start..` of the combined corpus.
     pub(crate) fn ingest_rows(&mut self, new_tuples: &[XTuple], start: usize) {
         match self {
-            Self::Full | Self::Stateless => {}
+            Self::Full => {}
             Self::Snm(s) => s.ingest(new_tuples, start),
-            Self::Ranked(r) => r.ingest(new_tuples, start),
             Self::Blocks(b) => b.ingest(new_tuples, start),
-            Self::Worlds(table) => table.extend(new_tuples),
+            Self::Worlds { table, .. } => table.extend(new_tuples),
         }
     }
 
@@ -100,10 +101,10 @@ impl WarmReduction {
     /// growth is invisible to [`current`](Self::current) over the rows
     /// before `start`, so it may run ahead of publishing the rows.
     ///
-    /// `None`, and nothing grown, for the strategies that regenerate (see
-    /// the type docs): their candidates depend on every row, so their
-    /// caller grows them with `ingest_rows` when it publishes the rows,
-    /// then falls back to `current`.
+    /// `None`, and nothing grown, for `Worlds`, which regenerates (see the
+    /// type docs): its candidates depend on every row, so its caller grows
+    /// it with `ingest_rows` when it publishes the rows, then falls back
+    /// to `current`.
     pub(crate) fn ingest_delta(
         &mut self,
         new_tuples: &[XTuple],
@@ -112,61 +113,47 @@ impl WarmReduction {
         match self {
             Self::Full => Some(CandidateDelta::full(start, start + new_tuples.len())),
             Self::Snm(s) => Some(s.ingest_delta(new_tuples, start)),
-            Self::Ranked(r) => Some(r.ingest_delta(new_tuples, start)),
             Self::Blocks(b) => Some(b.ingest_delta(new_tuples, start)),
-            Self::Worlds(_) | Self::Stateless => None,
+            Self::Worlds { .. } => None,
         }
     }
 
     /// Drop row-indexed state, keep the warm pools.
     pub(crate) fn reset_rows(&mut self) {
         match self {
-            Self::Full | Self::Stateless => {}
+            Self::Full => {}
             Self::Snm(s) => s.reset_rows(),
-            Self::Ranked(r) => r.reset_rows(),
             Self::Blocks(b) => b.reset_rows(),
-            Self::Worlds(table) => table.clear_rows(),
+            Self::Worlds { table, .. } => table.clear_rows(),
         }
     }
 
     /// The current full candidate set over `tuples`, the published rows —
     /// pairs and order identical to the one-shot strategy over the same
     /// tuples. Rows grown past `tuples.len()` are left out.
-    pub(crate) fn current(
-        &self,
-        tuples: &[XTuple],
-        strategy: &ReductionStrategy,
-    ) -> CandidatePairs {
+    pub(crate) fn current(&self, tuples: &[XTuple]) -> CandidatePairs {
         match self {
             Self::Full => CandidatePairs::full(tuples.len()),
             Self::Snm(s) => s.current_pairs(tuples.len()),
-            Self::Ranked(r) => r.current_pairs(tuples.len()),
             Self::Blocks(b) => b.current_pairs(tuples.len()),
-            Self::Worlds(table) => match strategy {
-                ReductionStrategy::MultipassWorlds {
-                    window, selection, ..
-                } => multipass_snm_with_table(tuples, table, *window, *selection),
-                ReductionStrategy::BlockingMultipass { selection, .. } => {
-                    block_multipass_with_table(tuples, table, *selection)
-                }
-                other => unreachable!("Worlds state for strategy {}", other.name()),
-            },
-            Self::Stateless => match strategy {
-                ReductionStrategy::ClusterBlocking { spec, config } => {
-                    cluster_blocking(tuples, spec, config).0
-                }
-                other => unreachable!("Stateless state for strategy {}", other.name()),
+            Self::Worlds {
+                table,
+                selection,
+                window,
+            } => match window {
+                Some(w) => multipass_snm_with_table(tuples, table, *w, *selection),
+                None => block_multipass_with_table(tuples, table, *selection),
             },
         }
     }
 
-    /// Key renders the warm state has performed (0 for stateless modes).
+    /// Key renders the warm state has performed (0 for full comparison).
     pub(crate) fn render_count(&self) -> u64 {
         match self {
-            Self::Full | Self::Ranked(_) | Self::Stateless => 0,
+            Self::Full => 0,
             Self::Snm(s) => s.render_count(),
             Self::Blocks(b) => b.render_count(),
-            Self::Worlds(table) => table.render_count(),
+            Self::Worlds { table, .. } => table.render_count(),
         }
     }
 }

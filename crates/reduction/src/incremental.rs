@@ -10,9 +10,6 @@
 //!   absorb (cached prefix renders make already-seen values free) and
 //!   **rank-inserts** the new entries into the resident sorted order —
 //!   binary-searched slots, never a full re-sort.
-//! * [`IncrementalRankedSnm`] — the probabilistic-ranking flavour
-//!   (Section V-A.4): per-tuple rank scores are corpus-independent, so new
-//!   tuples insert into the resident ranked order the same way.
 //! * [`IncrementalBlocks`] — resident symbol-keyed blocks: each new tuple
 //!   joins its blocks with one integer-keyed probe per key.
 //!
@@ -41,7 +38,6 @@ use crate::blocking::{emit_block_pairs, Block};
 use crate::conflict::{resolve_key_symbol, ConflictResolution};
 use crate::key::{insert_sorted, KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
-use crate::ranking::{rank_score, RankingFunction};
 use crate::snm::{for_each_window_pair, windowed_pairs, InternedSnmEntry};
 
 /// What ingesting one batch (combined rows `start..`) changed in a
@@ -88,9 +84,8 @@ impl CandidateDelta {
 /// alternatives, windowed over the list with adjacent same-tuple entries
 /// collapsed, Fig. 11) the same pair may still meet elsewhere;
 /// `still_witnessed` decides.
-fn window_delta<T>(
-    entries: &[T],
-    tuple_of: impl Fn(&T) -> usize,
+fn window_delta(
+    entries: &[InternedSnmEntry],
     fresh: &[usize],
     start: usize,
     window: usize,
@@ -98,7 +93,7 @@ fn window_delta<T>(
     mut still_witnessed: impl FnMut(usize, usize) -> bool,
 ) -> CandidateDelta {
     let window = window.max(2);
-    let tuple = |q: usize| tuple_of(&entries[q]);
+    let tuple = |q: usize| entries[q].tuple;
     // Whether position `q` survives the Fig. 11 collapse.
     let kept = |q: usize| !multi || q == 0 || tuple(q - 1) != tuple(q);
     let mut delta = CandidateDelta::default();
@@ -240,15 +235,9 @@ impl IncrementalSnm {
     pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
         let fresh = self.grow(tuples, start);
         let multi = matches!(self.keying, SnmKeying::PerAlternative);
-        window_delta(
-            &self.entries,
-            |e| e.tuple,
-            &fresh,
-            start,
-            self.window,
-            multi,
-            |a, b| self.still_witnessed(a, b),
-        )
+        window_delta(&self.entries, &fresh, start, self.window, multi, |a, b| {
+            self.still_witnessed(a, b)
+        })
     }
 
     /// Intern and rank-insert the batch; returns the positions its entries
@@ -339,103 +328,6 @@ impl IncrementalSnm {
                 .collect()
         };
         windowed_pairs(&entries, self.window, rows, skip)
-    }
-}
-
-/// Persistent ranked-SNM state (Section V-A.4): tuples kept in rank-score
-/// order across ingests. Scores are per-tuple, so new tuples insert
-/// without touching the resident order.
-#[derive(Debug, Clone)]
-pub struct IncrementalRankedSnm {
-    spec: KeySpec,
-    f: RankingFunction,
-    window: usize,
-    /// `(score, display key, tuple)` in the one-shot rank order.
-    scored: Vec<(f64, String, usize)>,
-}
-
-impl IncrementalRankedSnm {
-    /// Empty state; grow with [`IncrementalRankedSnm::ingest`].
-    pub fn new(spec: KeySpec, f: RankingFunction, window: usize) -> Self {
-        Self {
-            spec,
-            f,
-            window,
-            scored: Vec::new(),
-        }
-    }
-
-    /// Number of tuples ingested so far.
-    pub fn len(&self) -> usize {
-        self.scored.len()
-    }
-
-    /// Whether no tuples have been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.scored.is_empty()
-    }
-
-    /// Ingest `tuples` as rows `start..`: score each and insert it into
-    /// the resident ranked order.
-    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
-        self.grow(tuples, start);
-    }
-
-    /// [`ingest`](Self::ingest), returning what the batch changed in the
-    /// candidate set (one entry per tuple, so a pair has one witness and
-    /// departs exactly when an insertion pushes it out of the window).
-    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
-        let fresh = self.grow(tuples, start);
-        let never = |_, _| false;
-        window_delta(
-            &self.scored,
-            |e| e.2,
-            &fresh,
-            start,
-            self.window,
-            false,
-            never,
-        )
-    }
-
-    /// Score and insert the batch; returns the positions it landed at.
-    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
-        let order = |a: &(f64, String, usize), b: &(f64, String, usize)| {
-            let by_score = a.0.partial_cmp(&b.0).expect("finite scores");
-            by_score.then_with(|| a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-        };
-        let mut fresh: Vec<(f64, String, usize)> = (start..)
-            .zip(tuples)
-            .map(|(idx, t)| {
-                let (score, key) = rank_score(t, &self.spec, self.f);
-                (score, key, idx)
-            })
-            .collect();
-        fresh.sort_by(order);
-        insert_sorted(&mut self.scored, fresh, |r, f| order(r, f).is_le())
-    }
-
-    /// Drop all rows (ranked scoring keeps no pools to warm).
-    pub fn reset_rows(&mut self) {
-        self.scored.clear();
-    }
-
-    /// The full candidate set over rows `0..rows` (later rows left out of
-    /// the ranked order, as for [`IncrementalSnm::current_pairs`]) —
-    /// identical pairs and order to [`ranked_snm`](crate::ranking::ranked_snm)
-    /// over those rows.
-    pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
-        let order: Vec<usize> = self
-            .scored
-            .iter()
-            .map(|e| e.2)
-            .filter(|&t| t < rows)
-            .collect();
-        let mut pairs = CandidatePairs::new(rows);
-        for_each_window_pair(&order, self.window, |&a, &b| {
-            pairs.insert(a, b);
-        });
-        pairs
     }
 }
 
@@ -585,7 +477,6 @@ mod tests {
     use crate::blocking::{block_alternatives, block_conflict_resolved};
     use crate::conflict::conflict_resolved_snm;
     use crate::key::KeyPart;
-    use crate::ranking::ranked_snm;
     use probdedup_model::pvalue::PValue;
     use probdedup_model::schema::Schema;
     use probdedup_model::value::Value;
@@ -693,26 +584,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_ranked_matches_one_shot() {
-        let tuples = corpus();
-        for f in [
-            RankingFunction::MostProbableKey,
-            RankingFunction::ExpectedScore,
-        ] {
-            let (batch, _) = ranked_snm(&tuples, &spec(), 3, f);
-            for split in splits(tuples.len()) {
-                let mut inc = IncrementalRankedSnm::new(spec(), f, 3);
-                let mut start = 0;
-                for size in split {
-                    inc.ingest(&tuples[start..start + size], start);
-                    start += size;
-                }
-                assert_eq!(inc.current_pairs(inc.len()).pairs(), batch.pairs(), "{f:?}");
-            }
-        }
-    }
-
-    #[test]
     fn incremental_blocks_match_one_shot() {
         let tuples = corpus();
         let fig14 = KeySpec::new(vec![KeyPart::prefix(0, 1), KeyPart::prefix(1, 1)]);
@@ -742,11 +613,10 @@ mod tests {
         }
     }
 
-    /// One of the three states behind a common face, for the delta
+    /// One of the two states behind a common face, for the delta
     /// properties below.
     enum State {
         Snm(IncrementalSnm),
-        Ranked(IncrementalRankedSnm),
         Blocks(IncrementalBlocks),
     }
 
@@ -754,7 +624,6 @@ mod tests {
         fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
             match self {
                 Self::Snm(s) => s.ingest_delta(tuples, start),
-                Self::Ranked(r) => r.ingest_delta(tuples, start),
                 Self::Blocks(b) => b.ingest_delta(tuples, start),
             }
         }
@@ -762,7 +631,6 @@ mod tests {
         fn current_pairs(&self, rows: usize) -> CandidatePairs {
             match self {
                 Self::Snm(s) => s.current_pairs(rows),
-                Self::Ranked(r) => r.current_pairs(rows),
                 Self::Blocks(b) => b.current_pairs(rows),
             }
         }
@@ -774,13 +642,10 @@ mod tests {
         let mpk = ConflictResolution::MostProbableKey;
         let snm = |keying| State::Snm(IncrementalSnm::new(spec.clone(), keying, window));
         let blocks = |keying| State::Blocks(IncrementalBlocks::new(spec.clone(), keying));
-        let ranked = |f| State::Ranked(IncrementalRankedSnm::new(spec.clone(), f, window));
         vec![
             ("snm per-alternative", snm(SnmKeying::PerAlternative)),
             ("snm resolved mpa", snm(SnmKeying::Resolved(mpa))),
             ("snm resolved mpk", snm(SnmKeying::Resolved(mpk))),
-            ("ranked expected", ranked(RankingFunction::ExpectedScore)),
-            ("ranked mpk", ranked(RankingFunction::MostProbableKey)),
             (
                 "blocks per-alternative",
                 blocks(BlockKeying::PerAlternative),
@@ -1029,9 +894,6 @@ mod tests {
         let inc = IncrementalSnm::new(spec(), SnmKeying::PerAlternative, 2);
         assert!(inc.is_empty());
         assert!(inc.current_pairs(0).is_empty());
-        let ranked = IncrementalRankedSnm::new(spec(), RankingFunction::MostProbableKey, 2);
-        assert!(ranked.is_empty());
-        assert!(ranked.current_pairs(0).is_empty());
         let blocks = IncrementalBlocks::new(spec(), BlockKeying::PerAlternative);
         assert!(blocks.is_empty());
         assert!(blocks.current_pairs(0).is_empty());

@@ -97,16 +97,14 @@ pub use conflict::{
     conflict_resolved_snm, resolve_key, resolve_key_symbol, sorted_resolved_entries,
     ConflictResolution,
 };
-pub use incremental::{
-    BlockKeying, CandidateDelta, IncrementalBlocks, IncrementalRankedSnm, IncrementalSnm, SnmKeying,
-};
+pub use incremental::{BlockKeying, CandidateDelta, IncrementalBlocks, IncrementalSnm, SnmKeying};
 pub use key::{KeyPart, KeySpec, KeyTable};
 pub use multipass::{
     for_each_world_pass, multipass_snm, multipass_snm_pairs, multipass_snm_with_table,
     MultipassResult, WorldSelection,
 };
 pub use pairs::CandidatePairs;
-pub use ranking::{rank_score, rank_tuples, ranked_snm, RankingFunction};
+pub use ranking::{rank_tuples, ranked_snm, RankingFunction};
 pub use snm::{
     for_each_window_pair, sort_entries, sorted_neighborhood, sorted_neighborhood_interned,
     windowed_pairs, InternedSnmEntry, SnmEntry,

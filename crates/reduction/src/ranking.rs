@@ -31,7 +31,10 @@ pub enum RankingFunction {
 /// Map a key string to a lexicographic score in `[0, 1)`: the first
 /// `DEPTH` characters are read as base-96 digits (printable ASCII run;
 /// characters outside clamp to the run's ends). Order-preserving on that
-/// prefix: `a < b ⟹ score(a) ≤ score(b)`.
+/// prefix for printable-ASCII keys only: there `a < b ⟹ score(a) ≤
+/// score(b)`. Clamping folds distinct characters outside the run into one
+/// digit, so elsewhere the order can invert — `"éz" < "êa"`, yet both
+/// first characters clamp to 95 and `score("éz") > score("êa")`.
 pub fn lexicographic_score(key: &str) -> f64 {
     const DEPTH: usize = 8;
     const BASE: f64 = 96.0;
@@ -46,11 +49,8 @@ pub fn lexicographic_score(key: &str) -> f64 {
 }
 
 /// The rank score of one x-tuple's key distribution: the sort score plus
-/// the display key the ranked order carries. Per-tuple and
-/// corpus-independent, which is what lets the incremental SNM state
-/// ([`crate::incremental`]) rank-insert newly ingested tuples into a
-/// resident order.
-pub fn rank_score(t: &XTuple, spec: &KeySpec, f: RankingFunction) -> (f64, String) {
+/// the display key the ranked order carries.
+fn rank_score(t: &XTuple, spec: &KeySpec, f: RankingFunction) -> (f64, String) {
     match f {
         RankingFunction::MostProbableKey => {
             let key = spec.most_probable_key(t);

@@ -132,6 +132,21 @@ proptest! {
         }
     }
 
+    /// Ranking by the most probable key is conflict resolution by the most
+    /// probable key (Fig. 13 = Fig. 10 with that strategy): the same pairs
+    /// in the same order. This is why the session offers no ranked-key
+    /// reduction: `ConflictResolved { strategy: MostProbableKey }` is it.
+    #[test]
+    fn most_probable_key_ranking_is_conflict_resolution(
+        tuples in arb_xtuples(),
+        w in 2usize..5,
+    ) {
+        let s = spec();
+        let (ranked, _) = ranked_snm(&tuples, &s, w, RankingFunction::MostProbableKey);
+        let (resolved, _) = conflict_resolved_snm(&tuples, &s, w, ConflictResolution::MostProbableKey);
+        prop_assert_eq!(ranked.pairs(), resolved.pairs());
+    }
+
     /// Ranked SNM orders every tuple exactly once.
     #[test]
     fn ranking_is_a_permutation(tuples in arb_xtuples()) {

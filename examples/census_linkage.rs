@@ -31,7 +31,9 @@ use probdedup::matching::matrix::compare_xtuples;
 use probdedup::matching::vector::compare_tuples;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::convert::marginalize_xtuple;
-use probdedup::reduction::{block_alternatives, ranked_snm, KeyPart, KeySpec, RankingFunction};
+use probdedup::reduction::{
+    block_alternatives, conflict_resolved_snm, ConflictResolution, KeyPart, KeySpec,
+};
 use probdedup::textsim::JaroWinkler;
 
 fn main() {
@@ -56,22 +58,15 @@ fn main() {
         ds.truth.true_pair_count()
     );
 
-    // --- Candidate generation: ranked SNM over uncertain keys. ----------
-    // Ranking scores the full key *distributions* (Fig. 13), so it stays
-    // on the string path; the blocking comparison below runs on the
-    // interned key path (`KeySymbol` buckets — no key string is rendered
-    // more than once per distinct value prefix).
+    // --- Candidate generation: SNM over each tuple's most probable key
+    // (Fig. 10), next to per-alternative blocking (Fig. 14).
     let spec = KeySpec::new(vec![KeyPart::prefix(0, 4), KeyPart::prefix(2, 2)]);
     let comparators = AttributeComparators::uniform(&ds.schema, JaroWinkler::new());
-    let (candidates, _) = ranked_snm(
-        combined.xtuples(),
-        &spec,
-        12,
-        RankingFunction::ExpectedScore,
-    );
+    let mpk = ConflictResolution::MostProbableKey;
+    let (candidates, _) = conflict_resolved_snm(combined.xtuples(), &spec, 12, mpk);
     let blocked = block_alternatives(combined.xtuples(), &spec);
     println!(
-        "candidate pairs after reduction: {} (ranked SNM; interned-key blocking would give {} in {} blocks)",
+        "candidate pairs after reduction: {} (conflict-resolved SNM; blocking would give {} in {} blocks)",
         candidates.len(),
         blocked.pairs.len(),
         blocked.blocks.len()
@@ -163,10 +158,10 @@ fn main() {
             Arc::new(ExpectedMatchingResult::new()),
             Thresholds::new(0.9, 1.7).expect("outer, [0,2] scale"),
         )))
-        .reduction(ReductionStrategy::RankedKeys {
+        .reduction(ReductionStrategy::ConflictResolved {
             spec,
             window: 8,
-            ranking: RankingFunction::ExpectedScore,
+            strategy: mpk,
         })
         .threads(4)
         .build();

@@ -34,9 +34,7 @@ use probdedup::model::relation::XRelation;
 use probdedup::model::schema::Schema;
 use probdedup::model::snapshot::SnapshotError;
 use probdedup::model::stats::RelationStats;
-use probdedup::reduction::{
-    ClusterBlockingConfig, ConflictResolution, KeyPart, KeySpec, RankingFunction, WorldSelection,
-};
+use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
 use probdedup::serve::server::{default_key, ServeConfig, Server};
 use probdedup::textsim::JaroWinkler;
 
@@ -52,8 +50,8 @@ USAGE:
       Print the uncertainty profile of a relation.
 
   probdedup dedup --input FILE.pxr [--input FILE2.pxr ...]
-      [--reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
-                   blocking|blocking-resolved|blocking-multipass|cluster-blocking]
+      [--reduction full|snm-alternatives|snm-resolved|snm-multipass|
+                   blocking|blocking-resolved|blocking-multipass]
       [--key attr:len[,attr:len...]] [--window W]
       [--lambda T] [--mu T] [--threads N]
       Run the one-shot pipeline and print decisions and duplicate clusters.
@@ -112,8 +110,8 @@ USAGE:
       port).
 
 COMMON PIPELINE OPTIONS (dedup / ingest / snapshot / serve):
-  --reduction full|snm-alternatives|snm-resolved|snm-ranked|snm-multipass|
-              blocking|blocking-resolved|blocking-multipass|cluster-blocking
+  --reduction full|snm-alternatives|snm-resolved|snm-multipass|
+              blocking|blocking-resolved|blocking-multipass
               (-resolved: one key per tuple, its most probable alternative's;
               -multipass: one pass per selected possible world)
   --key attr:len[,attr:len...]   --window W
@@ -407,11 +405,6 @@ fn build_pipeline(
             window,
             strategy,
         },
-        "snm-ranked" => ReductionStrategy::RankedKeys {
-            spec: key,
-            window,
-            ranking: RankingFunction::ExpectedScore,
-        },
         "snm-multipass" => ReductionStrategy::MultipassWorlds {
             spec: key,
             window,
@@ -425,10 +418,6 @@ fn build_pipeline(
         "blocking-multipass" => ReductionStrategy::BlockingMultipass {
             spec: key,
             selection,
-        },
-        "cluster-blocking" => ReductionStrategy::ClusterBlocking {
-            spec: key,
-            config: ClusterBlockingConfig::default(),
         },
         other => return Err(CliError::Usage(format!("unknown reduction {other:?}"))),
     };

@@ -15,7 +15,7 @@ use probdedup::decision::threshold::Thresholds;
 use probdedup::decision::xmodel::{DecisionBasedModel, SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::eval::{ConfusionCounts, EffectivenessMetrics};
 use probdedup::matching::vector::AttributeComparators;
-use probdedup::reduction::{KeyPart, KeySpec, RankingFunction, WorldSelection};
+use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
 fn dataset() -> probdedup::datagen::SyntheticDataset {
@@ -99,10 +99,10 @@ fn reduction_trades_candidates_for_recall() {
             spec: key(),
             window: 6,
         },
-        ReductionStrategy::RankedKeys {
+        ReductionStrategy::ConflictResolved {
             spec: key(),
             window: 6,
-            ranking: RankingFunction::ExpectedScore,
+            strategy: ConflictResolution::MostProbableKey,
         },
         ReductionStrategy::MultipassWorlds {
             spec: key(),

@@ -6,7 +6,7 @@
 //! (bounded) mode, across thread counts (the equality contract is stated
 //! in ARCHITECTURE.md, "The engine"). Plus the warm-rerun certificate: re-running an unchanged corpus
 //! performs **zero** key renders and interns zero new values. And the
-//! memo invariant: after every `run`, `ingest` and `open`, under all nine
+//! memo invariant: after every `run`, `ingest` and `open`, under all seven
 //! reduction strategies, the session's view is the one-shot run over the
 //! sources so far — pairs, order, classes, clusters — and each ingest
 //! classified exactly the pairs that run gained. And the one-shot run
@@ -25,7 +25,7 @@ use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
 use probdedup::core::test_support::{
-    assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
+    all_strategies, assert_classes_agree_with_reference, assert_exact_agrees_with_reference,
 };
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries, SyntheticDataset};
 use probdedup::decision::combine::WeightedSum;
@@ -35,9 +35,7 @@ use probdedup::decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::model::xtuple::XTuple;
-use probdedup::reduction::{
-    ClusterBlockingConfig, ConflictResolution, KeyPart, KeySpec, RankingFunction, WorldSelection,
-};
+use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
 /// Two small dirty sources of `entities` entities.
@@ -65,56 +63,6 @@ fn corpus() -> Vec<XTuple> {
 
 fn key() -> KeySpec {
     KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)])
-}
-
-fn strategies() -> Vec<ReductionStrategy> {
-    vec![
-        ReductionStrategy::Full,
-        ReductionStrategy::SortingAlternatives {
-            spec: key(),
-            window: 4,
-        },
-        ReductionStrategy::ConflictResolved {
-            spec: key(),
-            window: 4,
-            strategy: ConflictResolution::MostProbableAlternative,
-        },
-        ReductionStrategy::BlockingAlternatives { spec: key() },
-        ReductionStrategy::MultipassWorlds {
-            spec: key(),
-            window: 3,
-            selection: WorldSelection::TopK(3),
-        },
-    ]
-}
-
-/// All nine [`ReductionStrategy`] variants: [`strategies`] plus the four
-/// it leaves out.
-fn all_strategies() -> Vec<ReductionStrategy> {
-    let mut all = strategies();
-    all.extend([
-        ReductionStrategy::RankedKeys {
-            spec: key(),
-            window: 4,
-            ranking: RankingFunction::ExpectedScore,
-        },
-        ReductionStrategy::BlockingConflictResolved {
-            spec: key(),
-            strategy: ConflictResolution::MostProbableAlternative,
-        },
-        ReductionStrategy::BlockingMultipass {
-            spec: key(),
-            selection: WorldSelection::TopK(3),
-        },
-        ReductionStrategy::ClusterBlocking {
-            spec: key(),
-            config: ClusterBlockingConfig {
-                k: 5,
-                ..Default::default()
-            },
-        },
-    ]);
-    all
 }
 
 fn comparators() -> AttributeComparators {
@@ -218,7 +166,7 @@ proptest! {
     #[test]
     fn ingest_split_invariance(
         cuts in proptest::collection::vec(0usize..10_000, 0..3),
-        strat_idx in 0usize..5,
+        strat_idx in 0usize..7,
         four_threads in any::<bool>(),
         bounded in any::<bool>(),
     ) {
@@ -226,7 +174,7 @@ proptest! {
         let tuples = corpus();
         let sources = split_sources(&tuples, &cuts);
         let refs: Vec<&XRelation> = sources.iter().collect();
-        let strategy = strategies().swap_remove(strat_idx);
+        let strategy = all_strategies(&key()).swap_remove(strat_idx);
         let label = format!(
             "{} bounded={bounded} threads={threads} batches={}",
             strategy.name(),
@@ -271,12 +219,11 @@ proptest! {
         let tuples = corpus();
         let sources = split_sources(&tuples, &cuts);
         let refs: Vec<&XRelation> = sources.iter().collect();
-        for strategy in all_strategies() {
+        for strategy in all_strategies(&key()) {
             let regenerates = matches!(
                 strategy,
                 ReductionStrategy::MultipassWorlds { .. }
                     | ReductionStrategy::BlockingMultipass { .. }
-                    | ReductionStrategy::ClusterBlocking { .. }
             );
             let label = format!(
                 "{} bounded={bounded} run_first={run_first} batches={}",
@@ -334,7 +281,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The one-shot run keeps no session, yet on random corpora, under all
-    /// nine reduction strategies and both engine configurations, it equals
+    /// seven reduction strategies and both engine configurations, it equals
     /// a fresh session's `run` byte for byte: candidates in order,
     /// decisions, clusters, source offsets, the combined relation and the
     /// stats. The sources stay separate, so the combination is covered too.
@@ -345,7 +292,7 @@ proptest! {
     ) {
         let sources = dataset(entities, seed).relations;
         let refs: Vec<&XRelation> = sources.iter().collect();
-        for strategy in all_strategies() {
+        for strategy in all_strategies(&key()) {
             for bounded in [false, true] {
                 let label = format!(
                     "{} seed={seed} entities={entities} bounded={bounded}",
@@ -431,11 +378,6 @@ fn adversarial_batches_keep_the_session_equal_to_one_shot() {
                     window,
                     strategy: ConflictResolution::MostProbableAlternative,
                 },
-                ReductionStrategy::RankedKeys {
-                    spec: key(),
-                    window,
-                    ranking: RankingFunction::ExpectedScore,
-                },
                 ReductionStrategy::BlockingAlternatives { spec: key() },
                 ReductionStrategy::Full,
             ];
@@ -464,13 +406,13 @@ fn adversarial_batches_keep_the_session_equal_to_one_shot() {
 
 /// What the streamed partition is invariant *to* is pinned against the
 /// paper-literal reference: a session fed in two batches agrees with
-/// `compare_xtuples` + `decide` straight off the x-tuples, for all nine
+/// `compare_xtuples` + `decide` straight off the x-tuples, for all seven
 /// strategies and both engine configurations.
 #[test]
 fn streamed_result_agrees_with_paper_literal_reference() {
     let tuples = corpus();
     let sources = split_sources(&tuples, &[tuples.len() / 2]);
-    for strategy in all_strategies() {
+    for strategy in all_strategies(&key()) {
         for bounded in [false, true] {
             let label = format!("{} bounded={bounded}", strategy.name());
             let mut session = pipeline(strategy.clone(), bounded, 2).session();

@@ -28,6 +28,10 @@
 //! * **Old-engine files**: a format-v1 snapshot written by the removed
 //!   plain (uncached) engine is refused with a typed
 //!   [`SnapshotError::ConfigMismatch`] that says to re-run the corpus.
+//! * **Retired-strategy files**: committed format-v1 snapshots written
+//!   under the retired `snm-ranked` and `blocking-cluster` reductions are
+//!   refused by every current pipeline with a typed
+//!   [`SnapshotError::ConfigMismatch`] that names the retired strategy.
 //!
 //! [`SnapshotError`]: probdedup::model::snapshot::SnapshotError
 
@@ -54,7 +58,7 @@ use probdedup::model::relation::XRelation;
 use probdedup::model::snapshot::{
     fnv1a, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use probdedup::reduction::{KeyPart, KeySpec, WorldSelection};
+use probdedup::reduction::{KeyPart, KeySpec};
 use probdedup::textsim::JaroWinkler;
 
 /// The workload: one seeded dirty corpus split into two sources.
@@ -77,22 +81,6 @@ fn sources() -> Vec<XRelation> {
 
 fn key() -> KeySpec {
     KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)])
-}
-
-fn strategies() -> Vec<ReductionStrategy> {
-    vec![
-        ReductionStrategy::Full,
-        ReductionStrategy::SortingAlternatives {
-            spec: key(),
-            window: 4,
-        },
-        ReductionStrategy::BlockingAlternatives { spec: key() },
-        ReductionStrategy::MultipassWorlds {
-            spec: key(),
-            window: 3,
-            selection: WorldSelection::TopK(3),
-        },
-    ]
 }
 
 /// Build the configured front door (exact model or bounded classify-only).
@@ -187,12 +175,12 @@ proptest! {
     /// identical-corpus rerun renders **zero** keys.
     #[test]
     fn snapshot_roundtrip_reproduces_warm_session(
-        strat_idx in 0usize..4,
+        strat_idx in 0usize..7,
         bounded in any::<bool>(),
     ) {
         let srcs = sources();
         let refs: Vec<&XRelation> = srcs.iter().collect();
-        let strategy = strategies().swap_remove(strat_idx);
+        let strategy = all_strategies(&key()).swap_remove(strat_idx);
         let label = format!("{} bounded={bounded}", strategy.name());
 
         let pipe = pipeline(strategy.clone(), bounded);
@@ -325,6 +313,36 @@ fn old_plain_engine_snapshot_is_refused_typed() {
         }
         Err(other) => panic!("expected ConfigMismatch, got {other}"),
         Ok(_) => panic!("a plain-engine snapshot was accepted"),
+    }
+}
+
+/// `tests/fixtures/snm-ranked-v1.snap` and `blocking-cluster-v1.snap` were
+/// written by the last commit that had the `snm-ranked` (expected-score
+/// ranking, window 4) and `blocking-cluster` (default configuration)
+/// reductions, over the corpus `golden-v1.snap` holds. No current pipeline
+/// opens them: each strategy is refused by name, never reinterpreted as
+/// another. The committed files have no regenerator.
+#[test]
+fn retired_strategy_snapshots_are_refused_by_name() {
+    for (name, retired) in [
+        ("snm-ranked-v1.snap", "snm-ranked"),
+        ("blocking-cluster-v1.snap", "blocking-cluster"),
+    ] {
+        let bytes = fixture(name);
+        assert_ends_with_sections(&bytes, &[TAG_JOURNAL], name);
+        for strategy in all_strategies(&key()) {
+            let label = format!("{name} under {}", strategy.name());
+            match DedupSession::from_snapshot_bytes(&bytes, &pipeline(strategy, false)) {
+                Err(SnapshotError::ConfigMismatch { detail }) => {
+                    assert!(
+                        detail.contains(&format!("'{retired}'")),
+                        "{label}: {detail}"
+                    );
+                }
+                Err(other) => panic!("{label}: expected ConfigMismatch, got {other}"),
+                Ok(_) => panic!("{label}: a retired strategy's snapshot opened"),
+            }
+        }
     }
 }
 
@@ -650,7 +668,7 @@ fn similarity_memo_fixture_opens() {
 /// A save writes sections 4–6 exactly as older writers wrote a fresh
 /// session's empty pools, whatever the session's pools hold: section 4 a
 /// present flag and an empty value pool; section 5 zero attributes;
-/// section 6 `00` for the strategies without a key table, otherwise `01`,
+/// section 6 `00` for full comparison (no key table), otherwise `01`,
 /// an empty value pool, an empty key pool, no prefix memo, no concat memo
 /// and zero renders. Older readers therefore open new files and re-key.
 #[test]
@@ -659,12 +677,7 @@ fn pool_sections_are_written_as_empty_pools() {
     let refs: Vec<&XRelation> = srcs.iter().collect();
     for strategy in all_strategies(&key()) {
         let name = strategy.name();
-        let keyed = !matches!(
-            strategy,
-            ReductionStrategy::Full
-                | ReductionStrategy::RankedKeys { .. }
-                | ReductionStrategy::ClusterBlocking { .. }
-        );
+        let keyed = !matches!(strategy, ReductionStrategy::Full);
         let mut session = pipeline(strategy, false).session();
         session.run(&refs).unwrap();
         assert!(session.interned_value_count() > 1, "{name}");
@@ -690,7 +703,7 @@ fn pool_sections_are_written_as_empty_pools() {
 #[test]
 fn reopened_pools_are_a_fresh_sessions() {
     let srcs = sources();
-    for strategy in strategies() {
+    for strategy in all_strategies(&key()) {
         let name = strategy.name();
         let pipe = pipeline(strategy, false);
         let mut session = pipe.session();
