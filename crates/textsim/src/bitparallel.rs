@@ -12,9 +12,12 @@
 //! * [`hamming_bytes`] — byte-chunked XOR + popcount Hamming distance for
 //!   ASCII inputs: eight positions per `u64` step.
 //! * `jaro_ascii` — the Jaro matching scan over byte strings with a
-//!   `u128` matched-position bitset (and a per-character position-mask
-//!   table for longer inputs) instead of heap-allocated `Vec<char>` /
-//!   `Vec<bool>` scratch.
+//!   matched-position bitset instead of heap-allocated `Vec<char>` /
+//!   `Vec<bool>` scratch. A `b` of at most 16 bytes sits in one `u128`,
+//!   a byte per lane, and each byte of `a` finds its first unmatched
+//!   in-window match with one SWAR equality step (the
+//!   [`hamming_bytes`] identity) and a lowest-set-bit; a longer `b` gets a
+//!   per-character position-mask table.
 //! * [`PreparedText`] — per-string precomputation (ASCII class, character
 //!   length, character-class occupancy mask, optional [`PatternBits`]) that
 //!   callers with a value interner compute **once per distinct string** and
@@ -473,14 +476,45 @@ pub(crate) fn hamming_bytes_ci(a: &[u8], b: &[u8]) -> usize {
 /// `u128` matched-set).
 pub(crate) const JARO_ASCII_MAX: usize = 128;
 
-/// Inputs longer than this get a per-character position-mask table so the
-/// window scan is a constant number of bit operations; below it, the
-/// table build (zeroing 2 KiB) would cost more than the naive byte scan.
-const JARO_TABLE_MIN: usize = 16;
+/// Lanes in one SWAR match step: a `b` of at most this many bytes packs
+/// into a zero-padded `u128`, one byte per lane, and each byte of `a`
+/// finds its match in a constant number of word operations. A longer `b`
+/// gets a per-character position-mask table instead (zeroing its 2 KiB
+/// only pays off once the string no longer fits one word).
+const JARO_LANES: usize = 16;
+
+/// Byte `0x01` in every lane.
+const LANE_ONES: u128 = u128::MAX / 0xff;
+/// The low seven bits of every lane.
+const LANE_LO7: u128 = LANE_ONES * 0x7f;
+/// The top bit of every lane.
+const LANE_HI: u128 = LANE_ONES * 0x80;
+
+/// Top bit of each lane of `packed` set iff that lane equals `c`.
+///
+/// The `nonzero_bytes` identity on `x = packed ^ c·0x01…`: the add
+/// saturates a lane's low seven bits into bit 7 without carrying into the
+/// next lane, so — unlike the borrow-propagating `haszero` trick — no lane
+/// is flagged by its neighbour.
+#[inline]
+fn lanes_equal(packed: u128, c: u8) -> u128 {
+    let x = packed ^ (LANE_ONES * u128::from(c));
+    !(((x & LANE_LO7) + LANE_LO7) | x) & LANE_HI
+}
+
+/// Top bits of lanes `0..k`.
+#[inline]
+fn lane_prefix(k: usize) -> u128 {
+    if k >= JARO_LANES {
+        LANE_HI
+    } else {
+        LANE_HI & ((1u128 << (8 * k)) - 1)
+    }
+}
 
 /// Jaro similarity over ASCII byte strings of at most [`JARO_ASCII_MAX`]
-/// bytes, using a `u128` bitset of matched `b`-positions and a stack
-/// buffer of matched `a`-characters — no heap allocation.
+/// bytes, using a bitset of matched `b`-positions and a stack buffer of
+/// matched `a`-characters — no heap allocation.
 ///
 /// Produces bitwise-identical results to the scalar reference: the same
 /// match set (first unmatched window position wins), the same
@@ -495,16 +529,39 @@ pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
         return 0.0;
     }
     let window = (n.max(m) / 2).saturating_sub(1);
-    let mut b_matched: u128 = 0;
     let mut a_matches = [0u8; JARO_ASCII_MAX];
     let mut matches = 0usize;
-    if m >= JARO_TABLE_MIN {
+    // Matched b-positions: bit `j << lane_shift` stands for position `j`.
+    let (b_matched, lane_shift) = if m <= JARO_LANES {
+        // b in lanes; `open` marks the unmatched lanes inside b, so the
+        // zero padding never matches a NUL in a. `window_lanes` holds
+        // lanes `i − window ..= i + window` (from lane 0 while
+        // `i < window`), advanced one lane per step.
+        let mut lanes = [0u8; JARO_LANES];
+        lanes[..m].copy_from_slice(bv);
+        let packed = u128::from_le_bytes(lanes);
+        let in_b = lane_prefix(m);
+        let mut open = in_b;
+        let mut window_lanes = lane_prefix(window + 1);
+        for (i, &ca) in av.iter().enumerate() {
+            // Branch-free: the write past the last match is overwritten
+            // or ignored, and lands inside the buffer even once all 16
+            // lanes are matched.
+            let cand = lanes_equal(packed, ca) & window_lanes & open;
+            open ^= cand & cand.wrapping_neg(); // lowest candidate
+            a_matches[matches] = ca;
+            matches += usize::from(cand != 0);
+            window_lanes = (window_lanes << 8) | (u128::from(i < window) << 7);
+        }
+        (in_b & !open, 3)
+    } else {
         // Position masks of b: peq[c] has bit j set iff bv[j] == c. One
         // AND + trailing_zeros replaces the inner window scan.
         let mut peq = [0u128; 128];
         for (j, &cb) in bv.iter().enumerate() {
             peq[cb as usize] |= 1 << j;
         }
+        let mut b_matched: u128 = 0;
         for (i, &ca) in av.iter().enumerate() {
             let lo = i.saturating_sub(window);
             let hi = (i + window + 1).min(m);
@@ -517,24 +574,8 @@ pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
                 matches += 1;
             }
         }
-    } else {
-        for (i, &ca) in av.iter().enumerate() {
-            let lo = i.saturating_sub(window);
-            let hi = (i + window + 1).min(m);
-            if lo >= hi {
-                continue; // window entirely past the end of b
-            }
-            for (j, &cb) in bv[lo..hi].iter().enumerate() {
-                let bit = 1u128 << (lo + j);
-                if b_matched & bit == 0 && cb == ca {
-                    b_matched |= bit;
-                    a_matches[matches] = ca;
-                    matches += 1;
-                    break;
-                }
-            }
-        }
-    }
+        (b_matched, 0)
+    };
     if matches == 0 {
         return 0.0;
     }
@@ -542,7 +583,7 @@ pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
     let mut k = 0usize;
     let mut rest = b_matched;
     while rest != 0 {
-        let j = rest.trailing_zeros() as usize;
+        let j = (rest.trailing_zeros() >> lane_shift) as usize;
         rest &= rest - 1;
         transpositions += usize::from(bv[j] != a_matches[k]);
         k += 1;
@@ -777,15 +818,62 @@ mod tests {
     }
 
     #[test]
+    fn lanes_equal_matches_byte_loop() {
+        // Every probe byte against every lane byte, with `c` and `v`
+        // interleaved in both phases (a match right below a mismatch is
+        // where a borrow-propagating form flags the wrong lane) and as a
+        // word of `v` alone.
+        for c in 0..=255u8 {
+            for v in 0..=255u8 {
+                let words: [[u8; JARO_LANES]; 3] = [
+                    std::array::from_fn(|j| if j % 2 == 0 { c } else { v }),
+                    std::array::from_fn(|j| if j % 2 == 0 { v } else { c }),
+                    [v; JARO_LANES],
+                ];
+                for lanes in words {
+                    let want = lanes
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &x)| x == c)
+                        .fold(0u128, |acc, (j, _)| acc | 0x80 << (8 * j));
+                    let got = lanes_equal(u128::from_le_bytes(lanes), c);
+                    assert_eq!(got, want, "probe {c:#04x} in {lanes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn jaro_ascii_table_and_scan_paths_agree() {
-        // Straddle JARO_TABLE_MIN so both inner-loop strategies run.
-        let long_a = "a quarter of longer text with repeats: aabbccdd";
-        let long_b = "a quartet of longish text with repeats: abcdabcd";
-        let got = jaro_ascii(long_a.as_bytes(), long_b.as_bytes());
-        assert!((0.0..=1.0).contains(&got));
-        // Short side < JARO_TABLE_MIN against long side.
-        let mixed = jaro_ascii(b"short one", long_b.as_bytes());
-        assert!((0.0..=1.0).contains(&mixed));
+        // Either side of the 16/17-byte seam between the lane scan and
+        // the position table, against the scalar oracle.
+        let oracle = |a: &[u8], b: &[u8]| {
+            crate::jaro::jaro_similarity_scalar(
+                std::str::from_utf8(a).unwrap(),
+                std::str::from_utf8(b).unwrap(),
+            )
+        };
+        let text = b"a quartet of longish text with repeats: abcdabcd\0\0";
+        for m in [1, 8, 15, 16, 17, 18] {
+            let b = &text[..m];
+            for n in [0, 1, 7, 16, 17, 33, text.len()] {
+                for a in [&text[..n], &text[text.len() - n..]] {
+                    assert_eq!(
+                        jaro_ascii(a, b).to_bits(),
+                        oracle(a, b).to_bits(),
+                        "{a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+        // All 16 lanes matched, then a longer a runs on past them.
+        let full = b"abcdefghijklmnop";
+        let longer = b"abcdefghijklmnopabcdefghijklmnop";
+        assert_eq!(jaro_ascii(full, full), 1.0);
+        assert_eq!(
+            jaro_ascii(longer, full).to_bits(),
+            oracle(longer, full).to_bits()
+        );
     }
 
     #[test]

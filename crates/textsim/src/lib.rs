@@ -29,8 +29,10 @@
 //!    allow it: Myers' 1999 bit-vector algorithm for [`Levenshtein`]
 //!    (single-`u64` for patterns ≤ 64 chars, Hyyrö's blocked multi-word
 //!    form above), byte-chunked XOR + popcount for [`NormalizedHamming`]
-//!    on ASCII, and a `u128`-bitset matching scan for [`Jaro`] /
-//!    [`JaroWinkler`] on ASCII inputs up to 128 bytes.
+//!    on ASCII, and a bitset matching scan for [`Jaro`] / [`JaroWinkler`]
+//!    on ASCII inputs up to 128 bytes — one SWAR equality step per
+//!    character against a second string of at most 16 bytes packed into a
+//!    `u128`, a per-character position table for a longer one.
 //! 2. **Scalar fallback** — the classical character-level loops, taken for
 //!    non-ASCII or oversized inputs and retained as the exactness oracle:
 //!    the fast path must produce bitwise-identical results, which the

@@ -75,6 +75,27 @@ proptest! {
         );
     }
 
+    /// The SWAR lane scan (`b` of at most 16 bytes) and the position-table
+    /// path either side of it, over a three-letter alphabet with NUL so
+    /// that matches are dense, a NUL in `a` meets the zero padding of the
+    /// lanes, and all 16 lanes of `b` get matched before a longer `a` ends.
+    #[test]
+    fn jaro_lane_scan_matches_scalar(a in "[ab\0]{0,128}", b in "[ab\0]{0,17}") {
+        prop_assert_eq!(
+            Jaro::new().similarity(&a, &b).to_bits(),
+            jaro_similarity_scalar(&a, &b).to_bits(),
+            "{:?} vs {:?}", a, b
+        );
+        let jw = JaroWinkler::new();
+        let pa = PreparedText::new(&a, false);
+        let pb = PreparedText::new(&b, false);
+        prop_assert_eq!(
+            jw.similarity_prepared(&pa, &pb).to_bits(),
+            jw.similarity(&a, &b).to_bits(),
+            "{:?} vs {:?}", a, b
+        );
+    }
+
     /// `distance_within(a, b, k)` agrees with `distance(a, b)` clamped at
     /// `k + 1`: `Some(d)` exactly when `d ≤ k`, `None` otherwise — across
     /// mixed Unicode strings and the whole bound range around the true
