@@ -253,11 +253,15 @@ pub struct KeyPool {
     /// per distinct key for the map's own copy.
     map: FxHashMap<u64, KeyBucket>,
     keys: Vec<Box<str>>,
-    /// `(value symbol, prefix length) → key symbol` memo; the only place
-    /// values are rendered.
+    /// `(value symbol, prefix length) → key symbol` memo, packed as
+    /// `sym << 32 | len`; the only place values are rendered. `len` is one
+    /// constant per key part, so the low half of every key is shared — a
+    /// hasher must mix the high half into the bucket bits (the finalizer
+    /// of [`FxHasher`](crate::util::FxHasher) does).
     prefix_cache: FxHashMap<u64, KeySymbol>,
     /// `(left, right) key symbols → concatenated key symbol` memo, packed
-    /// into one `u64` so a cache hit allocates nothing.
+    /// as `left << 32 | right` so a cache hit allocates nothing; many keys
+    /// share a `right` piece, which the hasher's finalizer spreads.
     concat_cache: FxHashMap<u64, KeySymbol>,
     renders: u64,
 }

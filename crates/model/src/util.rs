@@ -12,6 +12,16 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// interned key memos, q-gram profiles). Do **not** expose it to untrusted
 /// adversarial input where HashDoS matters; duplicate detection workloads
 /// control their own keys.
+///
+/// [`finish`](Hasher::finish) ends with a rotation (rustc-hash 2's
+/// finalizer). Without it, hashing one packed `hi << 32 | lo` key leaves
+/// `key · SEED`, whose low 32 bits depend on `lo` alone — and std's
+/// `HashMap` picks the bucket from the low bits, so every key sharing a
+/// `lo` (a prefix memo's constant prefix length, say) would share one
+/// probe chain. The rotation brings the well-mixed high bits down.
+///
+/// Iteration order is layout, never output; every site that emits sorts
+/// first.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -61,7 +71,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash.rotate_left(26)
     }
 }
 
@@ -108,6 +118,36 @@ mod tests {
         let mut s: FxHashSet<u64> = FxHashSet::default();
         s.insert(42);
         assert!(s.contains(&42));
+    }
+
+    /// Packed `hi << 32 | lo` keys (the prefix and concat memos, the
+    /// candidate seen-set) must spread over std's low-bit buckets: without
+    /// the finalizer the first family lands in one bucket.
+    #[test]
+    fn packed_keys_spread_over_low_bit_buckets() {
+        use std::hash::{BuildHasher, Hash};
+        const N: u64 = 4096;
+        fn max_bucket<K: Hash>(keys: impl Iterator<Item = K>) -> u32 {
+            let build = BuildHasherDefault::<FxHasher>::default();
+            let mut counts = vec![0u32; N as usize];
+            for k in keys {
+                counts[(build.hash_one(k) & (N - 1)) as usize] += 1;
+            }
+            assert_eq!(counts.iter().sum::<u32>(), N as u32);
+            counts.into_iter().max().unwrap_or(0)
+        }
+        let families = [
+            ("(k << 32) | 3", max_bucket((0..N).map(|k| (k << 32) | 3))),
+            ("(3 << 32) | k", max_bucket((0..N).map(|k| (3 << 32) | k))),
+            (
+                "(lo << 32) | (lo + d)",
+                max_bucket((0..512u64).flat_map(|lo| (1..=8).map(move |d| (lo << 32) | (lo + d)))),
+            ),
+            ("k as u32", max_bucket((0..N).map(|k| k as u32))),
+        ];
+        for (name, max) in families {
+            assert!(max <= 8, "{name}: {max} keys share one low-12-bit bucket");
+        }
     }
 
     #[test]

@@ -14,18 +14,15 @@
 //! functions are sinks that emit within-block pairs and keep the Fig. 14
 //! inspection view.
 //!
-//! **Multi-pass** and conflict-resolved blocking assemble blocks in a
-//! `BlockMap` keyed on **interned key symbols** ([`KeySymbol`]): the
-//! [`KeyTable`] built up front renders each distinct `(value, prefix)`
-//! once, and every insertion afterwards is a single integer-keyed hash
-//! probe — symbol equality *is* key equality. **Per-alternative** blocking
-//! takes a string-keyed direct path instead (see
-//! [`for_each_alternative_block`]). Per-block membership stays O(1) either
-//! way via a small-vec scan that spills into an `FxHashSet` past a handful
-//! of members. Blocks are visited in sorted-key order, so results remain
-//! byte-for-byte identical across all implementations — the string-keyed
-//! originals are retained test-only as the property-tested oracles
-//! (`src/interned_oracle.rs`).
+//! Every visitor assembles blocks in a `BlockMap` keyed on **interned key
+//! symbols** ([`KeySymbol`]): the [`KeyTable`] built up front renders each
+//! distinct `(value, prefix)` once, and every insertion afterwards is a
+//! single integer-keyed hash probe — symbol equality *is* key equality.
+//! Per-block membership stays O(1) via a small-vec scan that spills into
+//! an `FxHashSet` past a handful of members. Blocks are visited in
+//! sorted-key order, so results remain byte-for-byte identical across all
+//! implementations — the string-keyed originals are retained test-only as
+//! the property-tested oracles (`src/interned_oracle.rs`).
 
 use std::collections::BTreeMap;
 
@@ -120,25 +117,19 @@ impl BlockMap {
     }
 
     /// Visit the blocks in sorted-key order (resolving symbols against
-    /// `keys` — no rendering, no allocation per key).
-    fn visit_sorted(self, keys: &KeyPool, f: impl FnMut(&str, &[usize])) {
-        visit_sorted_blocks(
-            self.slots
-                .into_iter()
-                .map(|(key, block)| (keys.resolve(key), block.members))
-                .collect(),
-            f,
-        );
-    }
-}
-
-/// The sorted-key block visitor every adaptation ends in: `f` sees each
-/// `(key, members)` once, in lexicographic key order — the order all
-/// implementations (and the string oracles) emit pairs in.
-fn visit_sorted_blocks(mut blocks: Vec<(&str, Vec<usize>)>, mut f: impl FnMut(&str, &[usize])) {
-    blocks.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    for (key, members) in &blocks {
-        f(key, members);
+    /// `keys` — no rendering, no allocation per key): `f` sees each
+    /// `(key, members)` once, in lexicographic key order — the order every
+    /// visitor (and the string oracles) emits pairs in.
+    fn visit_sorted(self, keys: &KeyPool, mut f: impl FnMut(&str, &[usize])) {
+        let mut blocks: Vec<(&str, Vec<usize>)> = self
+            .slots
+            .into_iter()
+            .map(|(key, block)| (keys.resolve(key), block.members))
+            .collect();
+        blocks.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        for (key, members) in &blocks {
+            f(key, members);
+        }
     }
 }
 
@@ -153,41 +144,21 @@ pub(crate) fn emit_block_pairs(members: &[usize], pairs: &mut CandidatePairs) {
 }
 
 /// Visit the blocks of blocking with **alternative key values** (Fig. 14):
-/// one block entry per alternative key of each x-tuple.
-///
-/// This is the **hash-dedup'd single-pass path**: each alternative's key is
-/// rendered exactly once and resolved to its block with **one** hash probe
-/// on the key string — no `ValuePool`/`KeyPool` maintenance at all. On a
-/// single pass over mostly-distinct keys the interning layer never
-/// amortizes (it was measured ~2.4× slower than direct rendering on the
-/// typo-heavy synthetic workload), so single-pass blocking bypasses it.
-/// Multi-pass blocking keeps the interned [`KeyTable`] — there the table
-/// is reused across passes and pays for itself.
+/// one block entry per alternative key of each x-tuple, bucketed off the
+/// interned [`KeyTable`].
 pub fn for_each_alternative_block(
     tuples: &[XTuple],
     spec: &KeySpec,
     f: impl FnMut(&str, &[usize]),
 ) {
-    // Key string → index into `blocks`, one probe per alternative.
-    let mut ids: FxHashMap<String, usize> = FxHashMap::default();
-    ids.reserve(tuples.len());
-    let mut blocks: Vec<Block> = Vec::with_capacity(tuples.len());
-    for (i, t) in tuples.iter().enumerate() {
-        for key in spec.alternative_keys(t) {
-            let next = blocks.len();
-            let id = *ids.entry(key).or_insert(next);
-            if id == next {
-                blocks.push(Block::default());
-            }
-            blocks[id].insert(i);
+    let table = spec.key_table(tuples);
+    let mut map = BlockMap::default();
+    for i in 0..table.len() {
+        for &key in table.alternative_keys(i) {
+            map.insert(key, i);
         }
     }
-    visit_sorted_blocks(
-        ids.iter()
-            .map(|(key, &id)| (key.as_str(), std::mem::take(&mut blocks[id].members)))
-            .collect(),
-        f,
-    );
+    map.visit_sorted(table.key_pool(), f);
 }
 
 /// Visit the blocks of blocking over **conflict-resolved certain keys**:
