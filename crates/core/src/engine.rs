@@ -10,9 +10,10 @@
 //! session its decision memo). The engine always works on **interned**
 //! tuples: values are interned once into a [`ValuePool`], and Eq. 5 runs
 //! over dense symbols with upper-bound pruning and the per-symbol prepared
-//! sidecars of a long-lived [`InternedComparators`]. Every kernel value is
-//! computed where it is needed and memoized nowhere, so a decision is a
-//! pure function of the pair. The paper-literal path
+//! sidecars of an [`InternedComparators`] built with the engine and grown
+//! append-only with its pool. Every kernel value is computed where it is
+//! needed and memoized nowhere, so a decision is a pure function of the
+//! pair. The paper-literal path
 //! ([`compare_xtuples`](probdedup_matching::matrix::compare_xtuples)
 //! straight off the [`XTuple`]s) is the reference the engine is *tested
 //! against* (`crate::test_support`), not something a driver can select.
@@ -37,9 +38,8 @@ use probdedup_decision::budget::{classify_comparison_bounded, AttributeBudgets, 
 use probdedup_decision::xmodel::XTupleDecisionModel;
 use probdedup_matching::interned::{
     compare_xtuples_interned, intern_tuples_into, interned_pvalue_similarity_bounded,
-    AttributeUsage, InternedComparators, InternedXTuple,
+    InternedComparators, InternedXTuple,
 };
-use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::condition::normalized_alternative_probs;
 use probdedup_model::intern::ValuePool;
 use probdedup_model::xtuple::XTuple;
@@ -66,18 +66,16 @@ impl Decider {
 }
 
 /// Warm matching state plus the decision step: the value pool, interned
-/// tuple mirrors, the long-lived comparators (kernels + sidecars) and, for
-/// classify-only, the per-tuple conditioned alternative weights.
+/// tuple mirrors, the comparators (kernels + per-symbol sidecars, built
+/// with the engine over its empty pool and synced on every
+/// [`ingest`](Self::ingest)) and, for classify-only, the per-tuple
+/// conditioned alternative weights.
 pub(crate) struct MatchingEngine {
     decider: Decider,
-    comparators: AttributeComparators,
     pool: ValuePool,
-    usage: AttributeUsage,
     /// Symbol-level mirror of the resident tuples (row-indexed).
     interned: Vec<InternedXTuple>,
-    /// Built over the pool at the first [`ingest`](Self::ingest), grown
-    /// append-only afterwards; `None` means no row was ever ingested.
-    cmps: Option<InternedComparators>,
+    cmps: InternedComparators,
     /// Conditioned alternative weights per row (classify-only; the exact
     /// path re-derives them per pair inside the model).
     weights: Vec<Vec<f64>>,
@@ -85,13 +83,12 @@ pub(crate) struct MatchingEngine {
 
 impl MatchingEngine {
     pub(crate) fn new(config: &PipelineConfig) -> Self {
+        let pool = ValuePool::new();
         Self {
             decider: config.decider.clone(),
-            comparators: config.comparators.clone(),
-            pool: ValuePool::new(),
-            usage: AttributeUsage::default(),
+            cmps: InternedComparators::new(&pool, &config.comparators),
+            pool,
             interned: Vec::new(),
-            cmps: None,
             weights: Vec::new(),
         }
     }
@@ -100,29 +97,17 @@ impl MatchingEngine {
     /// them, extend the sidecars over any new symbols, and cache their
     /// conditioned alternative weights (classify-only).
     pub(crate) fn ingest(&mut self, new_tuples: &[XTuple]) {
-        self.interned.extend(intern_tuples_into(
-            &mut self.pool,
-            &mut self.usage,
-            new_tuples,
-        ));
-        match &mut self.cmps {
-            None => {
-                self.cmps = Some(InternedComparators::with_usage(
-                    &self.pool,
-                    &self.comparators,
-                    &self.usage,
-                ))
-            }
-            Some(cmps) => cmps.sync_pool(&self.pool, Some(&self.usage)),
-        }
+        self.interned
+            .extend(intern_tuples_into(&mut self.pool, new_tuples));
+        self.cmps.sync_pool(&self.pool);
         if self.decider.is_classify_only() {
             self.weights
                 .extend(new_tuples.iter().map(normalized_alternative_probs));
         }
     }
 
-    /// Drop row-indexed state (interned mirrors, weights); the pool, the
-    /// usage masks and the comparators' sidecars stay warm.
+    /// Drop row-indexed state (interned mirrors, weights); the pool and the
+    /// comparators' sidecars stay warm.
     pub(crate) fn reset_rows(&mut self) {
         self.interned.clear();
         self.weights.clear();
@@ -147,10 +132,7 @@ impl MatchingEngine {
         pairs: &[(usize, usize)],
         threads: usize,
     ) -> (Vec<PairDecision>, [u64; 4]) {
-        let Some(cmps) = &self.cmps else {
-            // Nothing was ever ingested, so there are no rows to pair.
-            return (Vec::new(), [0; 4]);
-        };
+        let cmps = &self.cmps;
         let itup = self.interned.as_slice();
         let threads = threads.clamp(1, pairs.len().max(1));
         match &self.decider {
@@ -223,10 +205,7 @@ impl MatchingEngine {
     /// plus the caller's accumulated bounded-tier counts.
     pub(crate) fn stats(&self, tiers: [u64; 4]) -> MatchingStats {
         MatchingStats {
-            interned_values: self
-                .cmps
-                .as_ref()
-                .map_or(0, InternedComparators::interned_values),
+            interned_values: self.cmps.interned_values(),
             pairs_early_match: tiers[0],
             pairs_early_nonmatch: tiers[1],
             pairs_early_possible: tiers[2],

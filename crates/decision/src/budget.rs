@@ -194,8 +194,8 @@ fn phi_bounded(
 /// [`normalized_alternative_probs`](probdedup_model::condition::normalized_alternative_probs)),
 /// and `eval(i, j, attr, lo, hi)` evaluates attribute `attr` of
 /// alternative pair `(i, j)` against the cut interval `[lo, hi)` —
-/// typically `interned_pvalue_similarity_bounded` or
-/// `pvalue_similarity_bounded` from `probdedup-matching`.
+/// typically `interned_pvalue_similarity_bounded` from
+/// `probdedup-matching`.
 ///
 /// Classification is **identical** to running the exact model and
 /// thresholding, as long as the exact similarity does not sit within

@@ -5,13 +5,16 @@
 //! interned pruning loop) compute every attribute similarity to full
 //! precision; the decision layer then only compares the value against its
 //! thresholds. For the vast majority of candidate pairs the comparison is
-//! not close, so most of that precision is wasted. This module evaluates
-//! Eq. 5 against a **cut interval** `[lo, hi)` instead:
+//! not close, so most of that precision is wasted. This module holds the
+//! loop that evaluates Eq. 5 against a **cut interval** `[lo, hi)`
+//! instead; its one entry point is the engine's
+//! [`interned_pvalue_similarity_bounded`](crate::interned_pvalue_similarity_bounded),
+//! which runs it over interned supports and prepared sidecars:
 //!
 //! * every visited support term either contributes its *exact* kernel value
 //!   or — through the bounded kernels
-//!   ([`StringComparator::similarity_within`][w], surfaced here via
-//!   [`ValueComparator::similarity_within`](crate::ValueComparator::similarity_within))
+//!   ([`StringComparator::similarity_within`][w] over prepared values,
+//!   [`ValueComparator::similarity_prepared_within`](crate::ValueComparator::similarity_prepared_within))
 //!   — a certificate that its kernel similarity is below the `lo` cut;
 //! * the running certified interval is
 //!   `[exact + ⊥·⊥, exact + skipped·lo + remaining mass + ⊥·⊥]`
@@ -35,12 +38,8 @@
 //!
 //! [w]: probdedup_textsim::StringComparator::similarity_within
 
-use probdedup_model::pvalue::PValue;
-use probdedup_model::value::Value;
-
 use crate::interned::PRUNE_EPS;
-use crate::pvalue_sim::{pruned_expected_similarity, support_mass};
-use crate::value_cmp::ValueComparator;
+use crate::pvalue_sim::pruned_expected_similarity;
 
 /// Outcome of a bounded evaluation against the cut interval `[lo, hi)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,36 +158,17 @@ pub(crate) fn bounded_expected_similarity<K>(
     ))
 }
 
-/// Bounded Eq. 5 on plain [`PValue`]s through a
-/// [`ValueComparator`] — the bounded twin of
-/// [`pvalue_similarity`](crate::pvalue_similarity). Alternatives are
-/// visited in the stored (value-sorted) order: no per-call sorting, no
-/// allocation.
-pub fn pvalue_similarity_bounded(
-    a: &PValue,
-    b: &PValue,
-    cmp: &ValueComparator,
-    lo: f64,
-    hi: f64,
-) -> BoundedSim {
-    bounded_expected_similarity(
-        a.alternatives(),
-        support_mass(a.alternatives()),
-        a.null_prob(),
-        b.alternatives(),
-        support_mass(b.alternatives()),
-        b.null_prob(),
-        lo,
-        hi,
-        |va: &Value, vb: &Value, cut| cmp.similarity_within(va, vb, cut),
-        |va, vb| cmp.similarity(va, vb),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interned::{
+        interned_pvalue_similarity_bounded, InternedComparators, InternedPValue,
+    };
     use crate::pvalue_sim::pvalue_similarity;
+    use crate::value_cmp::ValueComparator;
+    use crate::vector::AttributeComparators;
+    use probdedup_model::intern::ValuePool;
+    use probdedup_model::pvalue::PValue;
     use probdedup_textsim::{JaroWinkler, Levenshtein, NormalizedHamming};
 
     fn kernels() -> Vec<ValueComparator> {
@@ -223,8 +203,23 @@ mod tests {
         ]
     }
 
-    /// Every certificate must agree with the exact value, across a sweep of
-    /// cut intervals.
+    /// The engine's bounded Eq. 5 on one attribute pair `(a, b)` under
+    /// `cmp`: both values interned into a fresh pool, sidecars built over it.
+    fn bounded(a: &PValue, b: &PValue, cmp: &ValueComparator, lo: f64, hi: f64) -> BoundedSim {
+        let mut pool = ValuePool::new();
+        let (ia, ib) = (
+            InternedPValue::from_pvalue(&mut pool, a),
+            InternedPValue::from_pvalue(&mut pool, b),
+        );
+        let cmps = InternedComparators::new(
+            &pool,
+            &AttributeComparators::per_attribute(vec![cmp.clone()]),
+        );
+        interned_pvalue_similarity_bounded(&ia, &ib, 0, &cmps, lo, hi)
+    }
+
+    /// Every certificate must agree with the paper-literal Eq. 5, across a
+    /// sweep of cut intervals.
     #[test]
     fn certificates_agree_with_exact() {
         for cmp in kernels() {
@@ -233,7 +228,7 @@ mod tests {
                 for lo100 in (0..=100).step_by(10) {
                     for hi100 in (lo100..=100).step_by(10) {
                         let (lo, hi) = (f64::from(lo100) / 100.0, f64::from(hi100) / 100.0);
-                        match pvalue_similarity_bounded(&a, &b, &cmp, lo, hi) {
+                        match bounded(&a, &b, &cmp, lo, hi) {
                             BoundedSim::Above => {
                                 assert!(exact >= hi - 1e-9, "{a} vs {b}: {exact} < hi {hi}")
                             }
@@ -254,16 +249,14 @@ mod tests {
     /// but still resolve to exactly 1.
     #[test]
     fn saturation_is_exact() {
-        let cmp = ValueComparator::text(NormalizedHamming::new());
         let a = PValue::certain("machinist");
-        match pvalue_similarity_bounded(&a, &a, &cmp, 0.2, 0.8) {
-            BoundedSim::Above => {}
-            other => panic!("expected Above, got {other:?}"),
+        for cmp in kernels() {
+            match bounded(&a, &a, &cmp, 0.2, 0.8) {
+                BoundedSim::Above => {}
+                other => panic!("expected Above, got {other:?}"),
+            }
+            assert_eq!(bounded(&a, &a, &cmp, 0.0, 1.5), BoundedSim::Exact(1.0));
         }
-        assert_eq!(
-            pvalue_similarity_bounded(&a, &a, &cmp, 0.0, 1.5),
-            BoundedSim::Exact(1.0)
-        );
     }
 
     #[test]

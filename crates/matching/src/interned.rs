@@ -55,60 +55,6 @@ pub struct InternedPValue {
     mass: f64,
 }
 
-/// Which attributes each interned symbol occurs in, as a dense per-symbol
-/// bitmask sidecar (attributes ≥ 63 share the top bit, conservatively).
-///
-/// Recorded during [`intern_tuples_tracked`] and consumed by
-/// [`InternedComparators::with_usage`]: Myers `Peq` tables (~1 KiB per
-/// string) are built **only** for symbols that actually appear in an
-/// attribute whose kernel asks for pattern bits — on mixed-kernel schemas
-/// the shared pool no longer pays for every symbol because one attribute's
-/// kernel is bit-parallel.
-#[derive(Debug, Clone, Default)]
-pub struct AttributeUsage {
-    masks: Vec<u64>,
-}
-
-impl AttributeUsage {
-    /// The bit representing `attr` (attributes ≥ 63 are conflated onto the
-    /// top bit — they can only cause over-building, never under-building).
-    #[inline]
-    fn bit(attr: usize) -> u64 {
-        1u64 << attr.min(63)
-    }
-
-    /// Record that `sym` occurs in attribute `attr`.
-    fn record(&mut self, sym: Symbol, attr: usize) {
-        let idx = sym.index();
-        if idx >= self.masks.len() {
-            self.masks.resize(idx + 1, 0);
-        }
-        self.masks[idx] |= Self::bit(attr);
-    }
-
-    /// Whether `sym` occurs in any attribute of `attr_mask`.
-    #[inline]
-    fn intersects(&self, sym: Symbol, attr_mask: u64) -> bool {
-        self.masks.get(sym.index()).copied().unwrap_or(0) & attr_mask != 0
-    }
-
-    /// The combined bit mask of `attrs` (see [`AttributeUsage::bit`]).
-    fn mask_of(attrs: impl Iterator<Item = usize>) -> u64 {
-        attrs.fold(0u64, |m, a| m | Self::bit(a))
-    }
-}
-
-/// Whether `sym`'s sidecar should carry Myers pattern bits under the
-/// given policy: usage-tracked (lazy) when `usage` is supplied, otherwise
-/// eager for every symbol whenever any kernel wants bits.
-#[inline]
-fn wants_bits(sym: Symbol, bits_mask: u64, usage: Option<&AttributeUsage>) -> bool {
-    match usage {
-        Some(u) => u.intersects(sym, bits_mask),
-        None => bits_mask != 0,
-    }
-}
-
 impl InternedPValue {
     /// Intern one [`PValue`]'s support into `pool`.
     pub fn from_pvalue(pool: &mut ValuePool, pv: &PValue) -> Self {
@@ -171,21 +117,6 @@ pub struct InternedXTuple {
 impl InternedXTuple {
     /// Intern every alternative of `t` into `pool`.
     pub fn from_xtuple(pool: &mut ValuePool, t: &XTuple) -> Self {
-        Self::build(pool, t, None)
-    }
-
-    /// [`from_xtuple`](Self::from_xtuple) while recording which attribute
-    /// each symbol occurs in (for the lazy per-attribute `Peq` sidecars of
-    /// [`InternedComparators::with_usage`]).
-    pub fn from_xtuple_tracked(
-        pool: &mut ValuePool,
-        t: &XTuple,
-        usage: &mut AttributeUsage,
-    ) -> Self {
-        Self::build(pool, t, Some(usage))
-    }
-
-    fn build(pool: &mut ValuePool, t: &XTuple, mut usage: Option<&mut AttributeUsage>) -> Self {
         Self {
             alternatives: t
                 .alternatives()
@@ -194,16 +125,7 @@ impl InternedXTuple {
                     values: alt
                         .values()
                         .iter()
-                        .enumerate()
-                        .map(|(attr, pv)| {
-                            let ipv = InternedPValue::from_pvalue(pool, pv);
-                            if let Some(usage) = usage.as_deref_mut() {
-                                for &(sym, _) in &ipv.alts {
-                                    usage.record(sym, attr);
-                                }
-                            }
-                            ipv
-                        })
+                        .map(|pv| InternedPValue::from_pvalue(pool, pv))
                         .collect(),
                     probability: alt.probability(),
                 })
@@ -231,39 +153,20 @@ impl InternedXTuple {
 /// mirror of `tuples` (index-aligned).
 pub fn intern_tuples(tuples: &[XTuple]) -> (ValuePool, Vec<InternedXTuple>) {
     let mut pool = ValuePool::new();
-    let interned = tuples
-        .iter()
-        .map(|t| InternedXTuple::from_xtuple(&mut pool, t))
-        .collect();
+    let interned = intern_tuples_into(&mut pool, tuples);
     (pool, interned)
 }
 
-/// [`intern_tuples`] with per-attribute symbol-usage tracking — feed the
-/// returned [`AttributeUsage`] to [`InternedComparators::with_usage`] so
-/// Myers tables are only built where a kernel will read them.
-pub fn intern_tuples_tracked(
-    tuples: &[XTuple],
-) -> (ValuePool, Vec<InternedXTuple>, AttributeUsage) {
-    let mut pool = ValuePool::new();
-    let mut usage = AttributeUsage::default();
-    let interned = intern_tuples_into(&mut pool, &mut usage, tuples);
-    (pool, interned, usage)
-}
-
-/// Intern `tuples` into an **existing** pool (growing it append-only) with
-/// usage tracking — the incremental-ingest path of persistent sessions:
-/// values already in the pool cost one hash probe, new tuples' interned
-/// mirrors are returned, and symbols issued earlier stay valid (so the
-/// [`PreparedValue`] sidecars carry over; catch them up with
-/// [`InternedComparators::sync_pool`] afterwards).
-pub fn intern_tuples_into(
-    pool: &mut ValuePool,
-    usage: &mut AttributeUsage,
-    tuples: &[XTuple],
-) -> Vec<InternedXTuple> {
+/// Intern `tuples` into an **existing** pool (growing it append-only) —
+/// the incremental-ingest path of the engine: values already in the pool
+/// cost one hash probe, new tuples' interned mirrors are returned, and
+/// symbols issued earlier stay valid (so the [`PreparedValue`] sidecars
+/// carry over; catch them up with [`InternedComparators::sync_pool`]
+/// afterwards).
+pub fn intern_tuples_into(pool: &mut ValuePool, tuples: &[XTuple]) -> Vec<InternedXTuple> {
     tuples
         .iter()
-        .map(|t| InternedXTuple::from_xtuple_tracked(pool, t, usage))
+        .map(|t| InternedXTuple::from_xtuple(pool, t))
         .collect()
 }
 
@@ -272,13 +175,15 @@ pub fn intern_tuples_into(
 ///
 /// A per-symbol sidecar ([`SymbolMap`]) holds each distinct value's
 /// prepared comparison state ([`PreparedValue`]: ASCII class, character
-/// length, and — when a kernel asks for it — the Myers `Peq` pattern
-/// bitmasks), so a kernel evaluation never re-scans a string it has seen
-/// before: interning pays a second time by hanging the precomputation off
-/// the dense symbol index. Kernel results are **not** memoized — every
-/// evaluation is a pure function of the two symbols, computed where it is
-/// needed, so no result depends on which thread or earlier call saw the
-/// pair first.
+/// length, and the Myers `Peq` pattern bitmasks), so a kernel evaluation
+/// never re-scans a string it has seen before: interning pays a second
+/// time by hanging the precomputation off the dense symbol index. The
+/// sidecars are **eager**: every symbol carries `Peq` bits iff some
+/// attribute's kernel [wants them](ValueComparator::wants_pattern_bits),
+/// whichever attribute the symbol occurs in. Kernel results are **not**
+/// memoized — every evaluation is a pure function of the two symbols,
+/// computed where it is needed, so no result depends on which thread or
+/// earlier call saw the pair first.
 ///
 /// The comparators do **not** own the pool: symbols are dense indices, so
 /// the sidecar only needs the pool's contents at build time. A persistent
@@ -288,9 +193,9 @@ pub fn intern_tuples_into(
 pub struct InternedComparators {
     per_attr: Vec<ValueComparator>,
     prepared: SymbolMap<PreparedValue>,
-    /// Attribute bit mask of kernels that want Myers pattern bits (see
-    /// [`AttributeUsage`]); drives sidecar builds in `sync_pool`.
-    bits_mask: u64,
+    /// Whether some attribute's kernel wants Myers pattern bits; every
+    /// symbol's sidecar carries them iff so.
+    with_bits: bool,
 }
 
 impl InternedComparators {
@@ -298,60 +203,31 @@ impl InternedComparators {
     /// [`PreparedValue`] — including pattern bitmasks iff some attribute's
     /// kernel exploits them.
     pub fn new(pool: &ValuePool, comparators: &AttributeComparators) -> Self {
-        Self::build(pool, comparators, None)
-    }
-
-    /// [`new`](Self::new) with **lazy per-attribute `Peq` sidecars**: a
-    /// symbol's Myers table is built only if the symbol occurs (per
-    /// `usage`) in an attribute whose kernel reports
-    /// [`wants_pattern_bits`](ValueComparator::wants_pattern_bits). On
-    /// mixed-kernel schemas with large shared domains this skips the ~1 KiB
-    /// table for every symbol the bit-parallel kernel never sees.
-    pub fn with_usage(
-        pool: &ValuePool,
-        comparators: &AttributeComparators,
-        usage: &AttributeUsage,
-    ) -> Self {
-        Self::build(pool, comparators, Some(usage))
-    }
-
-    fn build(
-        pool: &ValuePool,
-        comparators: &AttributeComparators,
-        usage: Option<&AttributeUsage>,
-    ) -> Self {
         let per_attr: Vec<ValueComparator> = (0..comparators.arity())
             .map(|i| comparators.get(i).clone())
             .collect();
-        let bits_mask = AttributeUsage::mask_of(
-            (0..comparators.arity()).filter(|&i| comparators.get(i).wants_pattern_bits()),
-        );
-        let prepared = SymbolMap::build(pool, |(sym, v)| {
-            PreparedValue::of(v, wants_bits(sym, bits_mask, usage))
-        });
+        let with_bits = per_attr.iter().any(ValueComparator::wants_pattern_bits);
+        let prepared = SymbolMap::build(pool, |(_, v)| PreparedValue::of(v, with_bits));
         Self {
             per_attr,
             prepared,
-            bits_mask,
+            with_bits,
         }
     }
 
     /// Catch the per-symbol sidecar up with a pool that has **grown
     /// append-only** since this value was built (or last synced): prepared
     /// state is built for the new symbols only, existing entries are
-    /// untouched. Pass the accumulated `usage` to keep the lazy-`Peq`
-    /// policy; `None` builds bits for every new symbol whenever any kernel
-    /// wants them.
+    /// untouched.
     ///
     /// The pool must be the same one (or an equal-prefix successor of the
     /// one) the comparators were built over: symbols are dense indices,
     /// and aliasing a different pool onto them would silently compare the
     /// wrong values.
-    pub fn sync_pool(&mut self, pool: &ValuePool, usage: Option<&AttributeUsage>) {
-        let bits_mask = self.bits_mask;
-        self.prepared.extend(pool, |(sym, v)| {
-            PreparedValue::of(v, wants_bits(sym, bits_mask, usage))
-        });
+    pub fn sync_pool(&mut self, pool: &ValuePool) {
+        let with_bits = self.with_bits;
+        self.prepared
+            .extend(pool, |(_, v)| PreparedValue::of(v, with_bits));
     }
 
     /// The prepared comparison state of `sym` (inspection/testing — the hot
@@ -677,8 +553,8 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        let (pool, interned, usage) = intern_tuples_tracked(&tuples);
-        let icmps = InternedComparators::with_usage(&pool, &cmp, &usage);
+        let (pool, interned) = intern_tuples(&tuples);
+        let icmps = InternedComparators::new(&pool, &cmp);
         for i in 0..interned.len() {
             for j in 0..interned.len() {
                 let a = interned[i].alternatives()[0].value(0);
@@ -721,49 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_peq_sidecars_follow_attribute_usage() {
-        use probdedup_textsim::{Levenshtein, NormalizedHamming};
-        // Attribute 0 wants pattern bits (Levenshtein), attribute 1 does
-        // not (Hamming): symbols appearing only in attribute 1 must not pay
-        // for a Myers table.
-        let s = Schema::new(["name", "job"]);
-        let cmp = AttributeComparators::per_attribute(vec![
-            ValueComparator::text(Levenshtein::new()),
-            ValueComparator::text(NormalizedHamming::new()),
-        ]);
-        let t = XTuple::builder(&s)
-            .alt(1.0, ["OnlyInName", "OnlyInJob"])
-            .build()
-            .unwrap();
-        let shared = XTuple::builder(&s)
-            .alt(1.0, ["Shared", "Shared"])
-            .build()
-            .unwrap();
-        let (pool, _, usage) = intern_tuples_tracked(&[t, shared]);
-        let lookup = |icmps: &InternedComparators, text: &str| -> bool {
-            let sym = pool.lookup(&Value::from(text)).expect("interned");
-            match icmps.prepared(sym) {
-                PreparedValue::Text(p) => p.bits().is_some(),
-                other => panic!("expected text, got {other:?}"),
-            }
-        };
-        let lazy = InternedComparators::with_usage(&pool, &cmp, &usage);
-        assert!(lookup(&lazy, "OnlyInName"), "bits-wanting attribute symbol");
-        assert!(!lookup(&lazy, "OnlyInJob"), "hamming-only symbol got bits");
-        assert!(lookup(&lazy, "Shared"), "shared symbol must keep bits");
-        // The eager constructor still builds bits for the whole pool.
-        let eager = InternedComparators::new(&pool, &cmp);
-        assert!(lookup(&eager, "OnlyInJob"));
-        // Both produce identical kernel values.
-        let a = pool.lookup(&Value::from("OnlyInName")).unwrap();
-        let b = pool.lookup(&Value::from("Shared")).unwrap();
-        assert_eq!(
-            lazy.kernel(0, a, b).to_bits(),
-            eager.kernel(0, a, b).to_bits()
-        );
-    }
-
-    #[test]
     fn sync_pool_extends_sidecars_and_keeps_caches_warm() {
         use probdedup_textsim::Levenshtein;
         let s = Schema::new(["name"]);
@@ -773,9 +606,8 @@ mod tests {
             .map(|v| XTuple::builder(&s).alt(1.0, [*v]).build().unwrap())
             .collect();
         let mut pool = ValuePool::new();
-        let mut usage = AttributeUsage::default();
-        let interned1 = intern_tuples_into(&mut pool, &mut usage, &batch1);
-        let mut icmps = InternedComparators::with_usage(&pool, &cmp, &usage);
+        let interned1 = intern_tuples_into(&mut pool, &batch1);
+        let mut icmps = InternedComparators::new(&pool, &cmp);
         let first = compare_xtuples_interned(&interned1[0], &interned1[1], &icmps);
 
         // Grow the pool with a second batch, sync, and compare across the
@@ -784,12 +616,12 @@ mod tests {
             .iter()
             .map(|v| XTuple::builder(&s).alt(1.0, [*v]).build().unwrap())
             .collect();
-        let interned2 = intern_tuples_into(&mut pool, &mut usage, &batch2);
-        icmps.sync_pool(&pool, Some(&usage));
+        let interned2 = intern_tuples_into(&mut pool, &batch2);
+        icmps.sync_pool(&pool);
         assert_eq!(icmps.interned_values(), pool.len());
         let cross = compare_xtuples_interned(&interned1[0], &interned2[0], &icmps);
         // A cold build over the full pool agrees bitwise.
-        let cold = InternedComparators::with_usage(&pool, &cmp, &usage);
+        let cold = InternedComparators::new(&pool, &cmp);
         let cross_cold = compare_xtuples_interned(&interned1[0], &interned2[0], &cold);
         assert_eq!(cross, cross_cold);
         // The old symbols' sidecars survived the sync untouched.

@@ -21,10 +21,9 @@
 //!
 //! Two implementations of Eq. 5 live here, with different jobs:
 //!
-//! * the **paper-literal reference** ([`pvalue_sim`], [`matrix`], and the
-//!   Value-level [`bounded::pvalue_similarity_bounded`]) — Eq. 5 straight
-//!   off [`PValue`](probdedup_model::pvalue::PValue)s: readable, and what
-//!   the engine is tested against. No pipeline driver runs it;
+//! * the **paper-literal reference** ([`pvalue_sim`], [`matrix`]) — Eq. 5
+//!   straight off [`PValue`](probdedup_model::pvalue::PValue)s: readable,
+//!   and what the engine is tested against. No pipeline driver runs it;
 //! * the **interned path** ([`interned`]) — values are interned once into
 //!   a [`ValuePool`](probdedup_model::intern::ValuePool), Eq. 5 runs over
 //!   dense symbols with alternatives in descending probability order
@@ -33,7 +32,9 @@
 //!   pattern bitmasks) precomputed once at interning time, so the
 //!   bit-parallel kernels in `probdedup-textsim` skip their per-comparison
 //!   setup. Kernel results are computed, not memoized: every similarity
-//!   is a pure function of its two symbols. This is what the pipeline's
+//!   is a pure function of its two symbols. Its bounded entry
+//!   ([`interned_pvalue_similarity_bounded`], the loop of [`bounded`])
+//!   evaluates Eq. 5 against a cut interval. This is what the pipeline's
 //!   matching engine executes — always.
 //!
 //! # Example
@@ -59,11 +60,10 @@ pub mod pvalue_sim;
 pub mod value_cmp;
 pub mod vector;
 
-pub use bounded::{pvalue_similarity_bounded, BoundedSim};
+pub use bounded::BoundedSim;
 pub use interned::{
-    compare_xtuples_interned, intern_tuples, intern_tuples_into, intern_tuples_tracked,
-    interned_pvalue_similarity, interned_pvalue_similarity_bounded, AttributeUsage,
-    InternedComparators, InternedPValue, InternedXTuple,
+    compare_xtuples_interned, intern_tuples, intern_tuples_into, interned_pvalue_similarity,
+    interned_pvalue_similarity_bounded, InternedComparators, InternedPValue, InternedXTuple,
 };
 pub use matrix::{compare_xtuples, ComparisonMatrix};
 pub use pvalue_sim::pvalue_similarity;

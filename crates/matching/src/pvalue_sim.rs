@@ -14,7 +14,7 @@ use crate::value_cmp::ValueComparator;
 /// ```
 ///
 /// `D̂` includes ⊥, whose mass is implicit in [`PValue`]; the ⊥ conventions
-/// live in [`ValueComparator::similarity_opt`]. Runs in
+/// are those of [`ValueComparator::similarity`]. Runs in
 /// `O(|supp(a₁)| · |supp(a₂)|)` kernel evaluations (the ⊥×⊥ term is free).
 ///
 /// ```

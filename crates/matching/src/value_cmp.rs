@@ -14,14 +14,11 @@ use probdedup_textsim::{PreparedText, SharedComparator, StringComparator};
 /// * numeric vs numeric (`Int`/`Real` interchangeable) → the configured
 ///   `NumericComparator`,
 /// * bool vs bool → exact,
-/// * mixed types → `0.0` by default, or compared as rendered strings when
-///   [`ValueComparator::coerce_mixed_to_text`] is enabled (useful for dirty
-///   sources that store numbers as strings).
+/// * mixed types → `0.0`.
 #[derive(Clone)]
 pub struct ValueComparator {
     text: SharedComparator,
     numeric: Arc<dyn NumericComparator>,
-    mixed_as_text: bool,
 }
 
 impl ValueComparator {
@@ -29,28 +26,13 @@ impl ValueComparator {
     /// decays over `numeric_scale` (see
     /// [`AbsoluteScaled`]).
     pub fn new(text: SharedComparator, numeric: Arc<dyn NumericComparator>) -> Self {
-        Self {
-            text,
-            numeric,
-            mixed_as_text: false,
-        }
+        Self { text, numeric }
     }
 
     /// A comparator for text-dominated schemas: the given string kernel plus
     /// an absolute numeric kernel with scale 10.
     pub fn text(cmp: impl StringComparator + 'static) -> Self {
         Self::new(Arc::new(cmp), Arc::new(AbsoluteScaled::new(10.0)))
-    }
-
-    /// Compare mixed-type pairs as rendered strings instead of scoring 0.
-    pub fn coerce_mixed_to_text(mut self) -> Self {
-        self.mixed_as_text = true;
-        self
-    }
-
-    /// The underlying string kernel.
-    pub fn text_kernel(&self) -> &SharedComparator {
-        &self.text
     }
 
     /// Similarity of two concrete values in `[0, 1]`.
@@ -69,19 +51,7 @@ impl ValueComparator {
                 );
                 self.numeric.similarity(x, y)
             }
-            _ if self.mixed_as_text => self.text.similarity(&a.render(), &b.render()),
             _ => 0.0,
-        }
-    }
-
-    /// Similarity of the optional-value encoding used by
-    /// [`PValue::outcomes`](probdedup_model::pvalue::PValue::outcomes):
-    /// `None` stands for ⊥.
-    pub fn similarity_opt(&self, a: Option<&Value>, b: Option<&Value>) -> f64 {
-        match (a, b) {
-            (None, None) => 1.0,
-            (None, Some(_)) | (Some(_), None) => 0.0,
-            (Some(x), Some(y)) => self.similarity(x, y),
         }
     }
 
@@ -91,21 +61,12 @@ impl ValueComparator {
         self.text.wants_pattern_bits()
     }
 
-    /// Bounded similarity: `Some(exact)` or a certificate that the
-    /// similarity is `< bound` (the contract of
+    /// Bounded similarity over [`PreparedValue`]s: `Some(exact)` or a
+    /// certificate that the similarity is `< bound` (the contract of
     /// [`StringComparator::similarity_within`]). Only text pairs have
-    /// bounded kernels; every other routing arm is constant-time anyway
-    /// and returns its exact value.
-    pub fn similarity_within(&self, a: &Value, b: &Value, bound: f64) -> Option<f64> {
-        match (a, b) {
-            (Value::Text(x), Value::Text(y)) => self.text.similarity_within(x, y, bound),
-            _ => Some(self.similarity(a, b)),
-        }
-    }
-
-    /// [`similarity_within`](Self::similarity_within) over
-    /// [`PreparedValue`]s: the prefilters read the precomputed lengths and
-    /// class masks instead of re-scanning the strings.
+    /// bounded kernels, whose prefilters read the precomputed lengths and
+    /// class masks; every other routing arm is constant-time anyway and
+    /// returns its exact value.
     pub fn similarity_prepared_within(
         &self,
         a: &PreparedValue,
@@ -130,14 +91,7 @@ impl ValueComparator {
             (Null, _) | (_, Null) => 0.0,
             (Text(x), Text(y)) => self.text.similarity_prepared(x, y),
             (Other(x), Other(y)) => self.similarity(x, y),
-            // Mixed text/non-text, same convention as `similarity`'s
-            // fallthrough arms (a Text's render is the string itself).
-            (Text(x), Other(y)) if self.mixed_as_text => {
-                self.text.similarity(x.text(), &y.render())
-            }
-            (Other(x), Text(y)) if self.mixed_as_text => {
-                self.text.similarity(&x.render(), y.text())
-            }
+            // Mixed text/non-text, as in `similarity`.
             _ => 0.0,
         }
     }
@@ -176,7 +130,6 @@ impl std::fmt::Debug for ValueComparator {
         f.debug_struct("ValueComparator")
             .field("text", &self.text.name())
             .field("numeric", &self.numeric.name())
-            .field("mixed_as_text", &self.mixed_as_text)
             .finish()
     }
 }
@@ -196,8 +149,6 @@ mod tests {
         assert_eq!(c.similarity(&Value::Null, &Value::Null), 1.0);
         assert_eq!(c.similarity(&Value::Null, &Value::from("x")), 0.0);
         assert_eq!(c.similarity(&Value::from("x"), &Value::Null), 0.0);
-        assert_eq!(c.similarity_opt(None, None), 1.0);
-        assert_eq!(c.similarity_opt(None, Some(&Value::from("x"))), 0.0);
     }
 
     #[test]
@@ -229,13 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_coercion_renders() {
-        let c = cmp().coerce_mixed_to_text();
-        assert_eq!(c.similarity(&Value::from("30"), &Value::Int(30)), 1.0);
-        assert!(c.similarity(&Value::from("31"), &Value::Int(30)) < 1.0);
-    }
-
-    #[test]
     fn debug_formatting_names_kernels() {
         let s = format!("{:?}", cmp());
         assert!(s.contains("hamming"), "{s}");
@@ -252,20 +196,19 @@ mod tests {
             Value::Real(35.0),
             Value::Bool(true),
         ];
-        for c in [cmp(), cmp().coerce_mixed_to_text()] {
-            for with_bits in [false, true] {
-                let prepared: Vec<PreparedValue> = values
-                    .iter()
-                    .map(|v| PreparedValue::of(v, with_bits))
-                    .collect();
-                for (v1, p1) in values.iter().zip(&prepared) {
-                    for (v2, p2) in values.iter().zip(&prepared) {
-                        assert_eq!(
-                            c.similarity_prepared(p1, p2).to_bits(),
-                            c.similarity(v1, v2).to_bits(),
-                            "{v1:?} vs {v2:?} (bits: {with_bits})"
-                        );
-                    }
+        let c = cmp();
+        for with_bits in [false, true] {
+            let prepared: Vec<PreparedValue> = values
+                .iter()
+                .map(|v| PreparedValue::of(v, with_bits))
+                .collect();
+            for (v1, p1) in values.iter().zip(&prepared) {
+                for (v2, p2) in values.iter().zip(&prepared) {
+                    assert_eq!(
+                        c.similarity_prepared(p1, p2).to_bits(),
+                        c.similarity(v1, v2).to_bits(),
+                        "{v1:?} vs {v2:?} (bits: {with_bits})"
+                    );
                 }
             }
         }

@@ -59,23 +59,23 @@ impl KeyPart {
     }
 }
 
+/// Cartesian-product guard for key distributions: a row's key distribution
+/// keeps at most this many combinations, bounding the work a row of
+/// untrusted, widely uncertain input can cause.
+const MAX_EXPANSION: usize = 4096;
+
 /// A sorting/blocking key specification: the concatenation of its parts.
 /// `⊥` values render as the empty string, so `(John, ⊥)` under the paper's
 /// key yields `"Joh"` — exactly tuple `t43`'s first key in Fig. 13.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeySpec {
     parts: Vec<KeyPart>,
-    /// Cartesian-product guard for key distributions.
-    max_expansion: usize,
 }
 
 impl KeySpec {
     /// A key from parts.
     pub fn new(parts: Vec<KeyPart>) -> Self {
-        Self {
-            parts,
-            max_expansion: 4096,
-        }
+        Self { parts }
     }
 
     /// The paper's example key: first 3 characters of attribute `name_attr`
@@ -85,12 +85,6 @@ impl KeySpec {
             KeyPart::prefix(name_attr, 3),
             KeyPart::prefix(job_attr, 2),
         ])
-    }
-
-    /// Override the expansion guard.
-    pub fn with_max_expansion(mut self, max: usize) -> Self {
-        self.max_expansion = max.max(1);
-        self
     }
 
     /// The parts.
@@ -113,7 +107,7 @@ impl KeySpec {
     /// Key distribution of a row of possibly-uncertain values: the cartesian
     /// product of the referenced attributes' outcome distributions, with
     /// equal keys merged. Probabilities sum to 1 (⊥ outcomes contribute the
-    /// empty string for their part). Truncated at `max_expansion`
+    /// empty string for their part). Truncated at `MAX_EXPANSION`
     /// combinations (most probable first is *not* guaranteed under
     /// truncation; the guard exists for pathological inputs).
     pub fn key_distribution(&self, values: &[PValue]) -> Vec<(String, f64)> {
@@ -152,14 +146,14 @@ impl KeySpec {
             for (prefix, p) in &dist {
                 for (piece, q) in &list {
                     next.push((format!("{prefix}{piece}"), p * q));
-                    if next.len() > self.max_expansion {
+                    if next.len() > MAX_EXPANSION {
                         break;
                     }
                 }
             }
             dist = next;
-            if dist.len() > self.max_expansion {
-                dist.truncate(self.max_expansion);
+            if dist.len() > MAX_EXPANSION {
+                dist.truncate(MAX_EXPANSION);
             }
         }
         dist.sort_by(|a, b| a.0.cmp(&b.0));
@@ -269,7 +263,7 @@ impl KeySpec {
     /// Interned twin of [`KeySpec::key_distribution`]: the cartesian
     /// product of the referenced attributes' outcome distributions with
     /// equal keys merged, as symbols. Identical ordering and
-    /// `max_expansion` truncation behaviour as the string path.
+    /// `MAX_EXPANSION` truncation behaviour as the string path.
     pub fn key_symbol_distribution(
         &self,
         pvalues: &[PValue],
@@ -287,14 +281,14 @@ impl KeySpec {
             for (prefix, p) in &dist {
                 for (piece, q) in &list {
                     next.push((keys.concat2(*prefix, *piece), p * q));
-                    if next.len() > self.max_expansion {
+                    if next.len() > MAX_EXPANSION {
                         break;
                     }
                 }
             }
             dist = next;
-            if dist.len() > self.max_expansion {
-                dist.truncate(self.max_expansion);
+            if dist.len() > MAX_EXPANSION {
+                dist.truncate(MAX_EXPANSION);
             }
         }
         merge_equal_symbols(&mut dist, keys);
@@ -374,7 +368,7 @@ impl KeySpec {
     /// Outcome distribution of one part as symbols, string-sorted with
     /// equal renders merged — mirrors the per-part lists of
     /// [`KeySpec::key_distribution`] exactly (including ordering, which the
-    /// `max_expansion` truncation depends on).
+    /// `MAX_EXPANSION` truncation depends on).
     fn part_symbol_distribution(
         &self,
         part: &KeyPart,
@@ -770,12 +764,14 @@ mod tests {
 
     #[test]
     fn expansion_guard_truncates() {
-        let spec =
-            KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(1, 3)]).with_max_expansion(2);
-        let a = PValue::categorical([("aaa", 0.3), ("bbb", 0.3), ("ccc", 0.4)]).unwrap();
-        let b = PValue::categorical([("xxx", 0.5), ("yyy", 0.5)]).unwrap();
-        let dist = spec.key_distribution(&[a, b]);
-        assert!(dist.len() <= 2);
+        // 65 × 65 = 4225 distinct keys, above the guard.
+        let spec = KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(1, 3)]);
+        let wide = |tag: char| PValue::uniform((0..65).map(|i| format!("{tag}{i:02}"))).unwrap();
+        let values = [wide('a'), wide('b')];
+        assert_eq!(spec.key_distribution(&values).len(), MAX_EXPANSION);
+        let (mut pool, mut keys) = (ValuePool::new(), KeyPool::new());
+        let symbols = spec.key_symbol_distribution(&values, &mut pool, &mut keys);
+        assert_eq!(symbols.len(), MAX_EXPANSION);
     }
 
     #[test]

@@ -165,88 +165,55 @@ impl StringComparator for Jaro {
     }
 }
 
+/// Prefix characters that earn the Winkler bonus.
+const MAX_PREFIX: usize = 4;
+/// Bonus per shared prefix character; `MAX_PREFIX · PREFIX_SCALE ≤ 1`
+/// keeps the result in `[0, 1]`.
+const PREFIX_SCALE: f64 = 0.1;
+/// Only a Jaro value at or above this is boosted (Winkler's 0.7).
+const BOOST_THRESHOLD: f64 = 0.7;
+
 /// Jaro-Winkler similarity: Jaro boosted by a common-prefix bonus.
 ///
 /// `JW = J + ℓ · p · (1 − J)` where `ℓ` is the length of the common prefix
-/// (capped at [`JaroWinkler::max_prefix`], conventionally 4) and `p` the
-/// prefix scale (conventionally 0.1; must satisfy `p · max_prefix ≤ 1` so the
-/// result stays in `[0,1]`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JaroWinkler {
-    prefix_scale: f64,
-    max_prefix: usize,
-    /// Only boost when the plain Jaro similarity exceeds this value
-    /// (Winkler's original proposal used 0.7).
-    boost_threshold: f64,
-}
-
-impl Default for JaroWinkler {
-    fn default() -> Self {
-        Self {
-            prefix_scale: 0.1,
-            max_prefix: 4,
-            boost_threshold: 0.7,
-        }
-    }
-}
+/// (capped at 4) and `p = 0.1` the prefix scale; Jaro values below 0.7
+/// are not boosted. These are the conventional parameters, fixed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JaroWinkler;
 
 impl JaroWinkler {
-    /// A Jaro-Winkler comparator with the conventional parameters
-    /// (scale 0.1, prefix cap 4, boost threshold 0.7).
+    /// A Jaro-Winkler comparator.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
-    /// Override the prefix scale. Values are clamped so that
-    /// `scale · max_prefix ≤ 1` (preserving the `[0,1]` range).
-    pub fn with_prefix_scale(mut self, scale: f64) -> Self {
-        let cap = 1.0 / self.max_prefix as f64;
-        self.prefix_scale = scale.clamp(0.0, cap);
-        self
-    }
-
-    /// Override the boost threshold (0 disables the threshold entirely).
-    pub fn with_boost_threshold(mut self, threshold: f64) -> Self {
-        self.boost_threshold = threshold.clamp(0.0, 1.0);
-        self
-    }
-
-    /// The maximum prefix length that receives a bonus.
-    pub fn max_prefix(&self) -> usize {
-        self.max_prefix
-    }
-}
-
-impl JaroWinkler {
     /// The common-prefix boost applied on top of a Jaro similarity `j`.
-    fn boost(&self, j: f64, a: &str, b: &str) -> f64 {
-        if j < self.boost_threshold {
+    fn boost(j: f64, a: &str, b: &str) -> f64 {
+        if j < BOOST_THRESHOLD {
             return j;
         }
         let prefix = a
             .chars()
             .zip(b.chars())
-            .take(self.max_prefix)
+            .take(MAX_PREFIX)
             .take_while(|(x, y)| x == y)
             .count();
-        (j + prefix as f64 * self.prefix_scale * (1.0 - j)).min(1.0)
+        (j + prefix as f64 * PREFIX_SCALE * (1.0 - j)).min(1.0)
     }
-}
 
-impl JaroWinkler {
     /// Upper-bound the **boosted** similarity given an upper bound on the
     /// plain Jaro value: `x ↦ x + ℓ·p·(1 − x)` is non-decreasing for
     /// `ℓ·p ≤ 1`, and a below-threshold Jaro (no boost) is bounded by the
     /// boosted expression too since the bonus is non-negative.
-    fn boost_upper_bound(&self, jaro_ub: f64) -> f64 {
-        let c = self.max_prefix as f64 * self.prefix_scale;
+    fn boost_upper_bound(jaro_ub: f64) -> f64 {
+        let c = MAX_PREFIX as f64 * PREFIX_SCALE;
         (jaro_ub + c * (1.0 - jaro_ub)).min(1.0)
     }
 }
 
 impl StringComparator for JaroWinkler {
     fn similarity(&self, a: &str, b: &str) -> f64 {
-        self.boost(jaro_similarity(a, b), a, b)
+        Self::boost(jaro_similarity(a, b), a, b)
     }
 
     fn name(&self) -> &str {
@@ -254,7 +221,7 @@ impl StringComparator for JaroWinkler {
     }
 
     fn similarity_prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
-        self.boost(jaro_prepared(a, b), a.text(), b.text())
+        Self::boost(jaro_prepared(a, b), a.text(), b.text())
     }
 
     fn similarity_within(&self, a: &str, b: &str, bound: f64) -> Option<f64> {
@@ -266,7 +233,7 @@ impl StringComparator for JaroWinkler {
         ) {
             // No shared characters: Jaro is 0 and the prefix bonus vacuous.
             JaroPrefilter::ExactZero => Some(0.0),
-            JaroPrefilter::UpperBound(ub) if self.boost_upper_bound(ub) + BOUND_SLACK < bound => {
+            JaroPrefilter::UpperBound(ub) if Self::boost_upper_bound(ub) + BOUND_SLACK < bound => {
                 None
             }
             _ => Some(self.similarity(a, b)),
@@ -281,7 +248,7 @@ impl StringComparator for JaroWinkler {
     ) -> Option<f64> {
         match jaro_prefilter(a.char_len(), b.char_len(), a.class(), b.class()) {
             JaroPrefilter::ExactZero => Some(0.0),
-            JaroPrefilter::UpperBound(ub) if self.boost_upper_bound(ub) + BOUND_SLACK < bound => {
+            JaroPrefilter::UpperBound(ub) if Self::boost_upper_bound(ub) + BOUND_SLACK < bound => {
                 None
             }
             _ => Some(self.similarity_prepared(a, b)),
@@ -335,25 +302,6 @@ mod tests {
             ("same", "same"),
         ] {
             assert!(jw.similarity(a, b) >= j.similarity(a, b) - 1e-12);
-        }
-    }
-
-    #[test]
-    fn boost_threshold_suppresses_bonus() {
-        let no_boost = JaroWinkler::new().with_boost_threshold(1.0);
-        let j = Jaro::new();
-        assert!(
-            (no_boost.similarity("MARTHA", "MARHTA") - j.similarity("MARTHA", "MARHTA")).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn prefix_scale_is_clamped() {
-        let jw = JaroWinkler::new().with_prefix_scale(5.0);
-        for (a, b) in [("aaaa", "aaab"), ("prefix", "prefixed")] {
-            let s = jw.similarity(a, b);
-            assert!((0.0..=1.0).contains(&s));
         }
     }
 
@@ -415,6 +363,39 @@ mod tests {
                 jw.similarity_prepared(&pa, &pb).to_bits(),
                 jw.similarity(a, b).to_bits()
             );
+        }
+    }
+
+    /// The conventional parameters, pinned bit for bit through
+    /// `similarity`, `similarity_prepared` and `similarity_prepared_within`
+    /// at a 0.72 bound: the 1e-3 tolerances above cannot see a changed
+    /// scale, cap or threshold.
+    #[test]
+    fn pinned_bits() {
+        use crate::bitparallel::PreparedText;
+        // (a, b, exact bits, certified below 0.72)
+        let pins: [(&str, &str, u64, bool); 9] = [
+            ("MARTHA", "MARHTA", 0x3feec16c16c16c17, false),
+            ("DWAYNE", "DUANE", 0x3feae147ae147ae2, false),
+            ("DIXON", "DICKSONX", 0x3fea06d3a06d3a06, false),
+            // Jaro below the boost threshold: no bonus despite the "m".
+            ("machinist", "mechanic", 0x3fe5555555555555, false),
+            ("smith", "garcia", 0x3fdd27d27d27d27d, true),
+            // Shared prefixes longer than the cap of 4.
+            ("prefixes", "prefixed", 0x3fee666666666666, false),
+            ("Johannes", "Johannsen", 0x3fee7d27d27d27d2, false),
+            // Non-ASCII: the scalar path.
+            ("café liégeois", "cafe liegeois", 0x3fed061632d78a90, false),
+            ("Müller", "Mueller", 0x3fe9bcb564efe898, false),
+        ];
+        let jw = JaroWinkler::new();
+        for (a, b, bits, below) in pins {
+            let (pa, pb) = (PreparedText::new(a, false), PreparedText::new(b, false));
+            assert_eq!(jw.similarity(a, b).to_bits(), bits, "{a:?} vs {b:?}");
+            assert_eq!(jw.similarity_prepared(&pa, &pb).to_bits(), bits);
+            let within = jw.similarity_prepared_within(&pa, &pb, 0.72);
+            let expected = (!below).then(|| f64::from_bits(bits));
+            assert_eq!(within.map(f64::to_bits), expected.map(f64::to_bits));
         }
     }
 }

@@ -89,7 +89,7 @@ mod crate_tests {
             Box::new(NormalizedHamming::new()),
             Box::new(Levenshtein::new()),
             Box::new(Jaro::new()),
-            Box::new(JaroWinkler::default()),
+            Box::new(JaroWinkler::new()),
             Box::new(Exact),
         ];
         let samples = [

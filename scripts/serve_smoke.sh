@@ -32,6 +32,9 @@ fail() {
 # Boot the daemon with the given log file; sets SERVER_PID and ADDR.
 boot() {
     local log=$1
+    # Create the log before the daemon starts, so the first read below
+    # cannot race the backgrounded redirection.
+    : >"$log"
     "$BIN" serve --addr 127.0.0.1:0 --arity 4 --snapshot-dir "$WORK/snaps" \
         --wal-dir "$WORK/wal" \
         >"$log" 2>&1 &

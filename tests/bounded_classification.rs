@@ -25,11 +25,12 @@ use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::matching::vector::AttributeComparators;
+use probdedup::matching::ValueComparator;
 use probdedup::model::pvalue::PValue;
 use probdedup::model::relation::XRelation;
 use probdedup::model::schema::Schema;
 use probdedup::model::xtuple::XTuple;
-use probdedup::textsim::{JaroWinkler, Levenshtein, NormalizedHamming, StringComparator};
+use probdedup::textsim::{JaroWinkler, Levenshtein, NormalizedHamming};
 
 fn schema() -> Schema {
     Schema::new(["name", "job"])
@@ -112,8 +113,7 @@ fn band_splitting_thresholds(sims: &[f64]) -> Option<Thresholds> {
     Thresholds::new(lambda, mu).ok()
 }
 
-fn check_kernel(kernel: impl StringComparator + Clone + 'static, relation: &XRelation) {
-    let comparators = AttributeComparators::uniform(&schema(), kernel);
+fn check_kernel(comparators: AttributeComparators, relation: &XRelation) {
     let phi = WeightedSum::new([0.7, 0.3]).unwrap();
     // First pass with throwaway thresholds to observe the similarity
     // distribution (the exact degrees are threshold-independent).
@@ -192,20 +192,31 @@ proptest! {
     /// the paper's normalized Hamming kernel.
     #[test]
     fn bounded_equals_exact_hamming(r in arb_relation()) {
-        check_kernel(NormalizedHamming::new(), &r);
+        check_kernel(AttributeComparators::uniform(&schema(), NormalizedHamming::new()), &r);
     }
 
     /// … under the banded-Myers Levenshtein kernel (the kernel with the
     /// deepest bounded fast path: prefilters + banded bit-parallel DP).
     #[test]
     fn bounded_equals_exact_levenshtein(r in arb_relation()) {
-        check_kernel(Levenshtein::new(), &r);
+        check_kernel(AttributeComparators::uniform(&schema(), Levenshtein::new()), &r);
     }
 
     /// … under Jaro-Winkler (class-mask prefilter only), the workload
     /// kernel of the benchmarks.
     #[test]
     fn bounded_equals_exact_jaro_winkler(r in arb_relation()) {
-        check_kernel(JaroWinkler::new(), &r);
+        check_kernel(AttributeComparators::uniform(&schema(), JaroWinkler::new()), &r);
+    }
+
+    /// … under a different kernel per attribute: Levenshtein on `name`
+    /// (every symbol's sidecar carries Myers bits) next to Hamming on `job`.
+    #[test]
+    fn bounded_equals_exact_mixed_kernels(r in arb_relation()) {
+        let comparators = AttributeComparators::per_attribute(vec![
+            ValueComparator::text(Levenshtein::new()),
+            ValueComparator::text(NormalizedHamming::new()),
+        ]);
+        check_kernel(comparators, &r);
     }
 }
