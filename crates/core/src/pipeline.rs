@@ -155,8 +155,10 @@ impl std::fmt::Display for PairDecision {
 /// Counters describing the matching stage of one run.
 ///
 /// The `pairs_*` tier counters are populated only by the classify-only
-/// (bounded) configuration: they partition the candidate pairs by which
-/// bound settled them.
+/// (bounded) configuration: they count the classified pairs by which
+/// bound settled them. For a one-shot run they partition the candidate
+/// pairs; a session's count every pair it has classified (see
+/// [`DedupSession::stats`](crate::session::DedupSession::stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchingStats {
     /// Always 0: the engine memoizes no kernel result. Kept, with

@@ -189,13 +189,15 @@ impl IncrementalResult {
 /// staged (validated, prepared) off the session, grown into its
 /// append-only warm state, classified, and published into the resident
 /// view. Only the two `&mut` phases, grow and publish, write the session;
-/// one batch is in flight at a time.
+/// one batch is in flight at a time. Journal replay stages a run of
+/// batches as one (see [`DedupSession::replay_ingests`]).
 pub(crate) struct StagedIngest {
     schema: Schema,
-    /// The prepared batch: combined rows `start..start + rows.len()` once
-    /// published.
+    /// The prepared rows: combined rows `starts[0]..starts[0] + rows.len()`
+    /// once published.
     rows: Vec<XTuple>,
-    start: usize,
+    /// The combined row each staged batch starts at, one source apiece.
+    starts: Vec<usize>,
     /// What the batch changes in the candidate set, set by `grow` for the
     /// strategies that emit deltas.
     delta: Option<CandidateDelta>,
@@ -409,12 +411,40 @@ impl DedupSession {
         Ok(StagedIngest {
             schema: source.schema().clone(),
             rows,
-            start: self.rows(),
+            starts: vec![self.rows()],
             delta: None,
             decisions: Vec::new(),
             tiers: [0; 4],
             journal_seq: None,
         })
+    }
+
+    /// Replay a run of journaled ingest batches as one ingest. Every batch
+    /// is staged on its own before anything is written, so a refused
+    /// batch leaves the session as it was; then the run is grown,
+    /// classified and published once. Each batch keeps its source, so the
+    /// state equals ingesting the batches one by one, up to the
+    /// cumulative tier counters: the run classifies only the candidate
+    /// pairs that survive it.
+    pub(crate) fn replay_ingests<'a>(
+        &mut self,
+        batches: impl IntoIterator<Item = &'a XRelation>,
+    ) -> Result<(), ModelError> {
+        let mut batches = batches.into_iter();
+        let Some(first) = batches.next() else {
+            return Ok(());
+        };
+        let mut run = self.stage(first)?;
+        for batch in batches {
+            let mut staged = self.stage(batch)?;
+            if !run.schema.compatible_with(&staged.schema) {
+                return Err(ModelError::IncompatibleSchemas);
+            }
+            run.starts.push(run.starts[0] + run.rows.len());
+            run.rows.append(&mut staged.rows);
+        }
+        self.apply(run);
+        Ok(())
     }
 
     /// Phases 2–4 back to back.
@@ -430,8 +460,9 @@ impl DedupSession {
     /// is answered changes: the reads see the published rows only, and
     /// the grown state is reached from the staged rows alone.
     pub(crate) fn grow(&mut self, staged: &mut StagedIngest) {
-        debug_assert_eq!(staged.start, self.rows(), "one batch in flight at a time");
-        staged.delta = self.reduction.ingest_delta(&staged.rows, staged.start);
+        let start = staged.starts[0];
+        debug_assert_eq!(start, self.rows(), "one batch in flight at a time");
+        staged.delta = self.reduction.ingest_delta(&staged.rows, start);
         self.matching.ingest(&staged.rows);
     }
 
@@ -447,15 +478,15 @@ impl DedupSession {
         }
     }
 
-    /// Phase 4 (`&mut self`, short): publish the batch — append its rows,
-    /// drop what departed, add what arrived to the memo, and add the tier
-    /// counts and the journal sequence. Every read after this sees the
-    /// batch; every read before it saw none of it.
+    /// Phase 4 (`&mut self`, short): publish the batch — append its rows
+    /// and source offsets, drop what departed, add what arrived to the
+    /// memo, and add the tier counts and the journal sequence. Every read
+    /// after this sees the batch; every read before it saw none of it.
     pub(crate) fn publish(&mut self, staged: StagedIngest) -> IncrementalResult {
         let StagedIngest {
             schema,
             rows,
-            start,
+            starts,
             delta,
             decisions,
             tiers,
@@ -464,8 +495,9 @@ impl DedupSession {
         // New rows and new decisions: the ordered candidate list is stale
         // from here on.
         self.order.take();
+        let start = starts[0];
         let source = SourceId(self.source_offsets.len() as u32);
-        self.source_offsets.push(start);
+        self.source_offsets.extend(starts);
         let rel = self.relation.get_or_insert_with(|| XRelation::new(schema));
         for t in rows {
             rel.push(t);
@@ -574,7 +606,8 @@ impl DedupSession {
 
     /// Session-cumulative matching counters (interned values,
     /// bounded-tier disposals across every classification the session has
-    /// performed).
+    /// performed). The tier counters count work, so they depend on how
+    /// the corpus arrived (ARCHITECTURE.md, "The engine").
     pub fn stats(&self) -> MatchingStats {
         self.matching.stats(self.tiers)
     }

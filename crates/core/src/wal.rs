@@ -7,7 +7,7 @@
 //! closes that window with the classic write-ahead discipline: each
 //! accepted batch is appended to an on-disk journal and fsynced **before**
 //! it mutates the session, so after a `kill -9` the pre-crash state is
-//! exactly `snapshot + journal tail`, replayable record by record.
+//! exactly `snapshot + journal tail`.
 //!
 //! # File format (journal version 1)
 //!
@@ -19,11 +19,21 @@
 //! All integers little-endian; `cksum` is [`fnv1a`] over the record's
 //! header-and-payload bytes (everything before the checksum itself). The
 //! payload is the posted batch — the *raw* [`XRelation`] as received,
-//! encoded with the model-layer codec; replay re-runs preparation through
-//! the normal [`DedupSession::ingest`] / [`run`](DedupSession::run) path,
-//! which is deterministic, so the recovered state is byte-identical to the
-//! pre-crash one. `kind` distinguishes an appended batch (`ingest`) from a
-//! corpus replacement (`run`): both mutate the session, so both journal.
+//! encoded with the model-layer codec. `kind` distinguishes an appended
+//! batch (`ingest`) from a corpus replacement (`run`): both mutate the
+//! session, so both journal.
+//!
+//! Replay decodes the whole tail first, so a tail it cannot replay is
+//! refused before any record of it is applied. A corpus replacement
+//! replays alone through [`DedupSession::run`]. Each maximal run of ingest
+//! records replays as **one** ingest: every batch is validated and
+//! prepared on its own, then the run gets one grow of the reduction
+//! state, one classification of the candidate pairs that survive the
+//! whole run (not those a later batch of it pushes out again) and one
+//! publish, which keeps one source per record. That is the session's
+//! split-invariance contract, so the recovered state equals the pre-crash
+//! one — up to the cumulative tier counters, which count the pairs
+//! classified (ARCHITECTURE.md, "The engine").
 //!
 //! Sequence numbers are strictly contiguous (`seq = previous + 1`), which
 //! is what makes every crash window decidable on reboot:
@@ -34,8 +44,7 @@
 //! * the snapshot stores the highest sequence it covers (section 8, see
 //!   [`crate::snapshot`]) — records at or below it are already baked in
 //!   and are skipped;
-//! * everything above both is replayed, in order, through the same code
-//!   path that applied it originally.
+//! * everything above both is replayed, in order.
 //!
 //! # Compaction protocol
 //!
@@ -134,7 +143,10 @@ impl SessionJournal {
     /// Open (creating if absent) the journal at `path` and replay its
     /// committed tail onto `session`, reconciling every crash window: a
     /// torn trailing record is truncated, records the session's snapshot
-    /// already covers are skipped, and the rest are applied in order.
+    /// already covers are skipped, and the rest are decoded, then applied
+    /// in order — each run of ingest records as one ingest (see the
+    /// module docs). A tail that does not decode is refused before any
+    /// record of it is applied.
     ///
     /// `session` should be freshly restored from its snapshot (or fresh
     /// from the pipeline when no snapshot exists) — afterwards it is
@@ -182,13 +194,15 @@ impl SessionJournal {
             file.sync_data()?;
         }
 
-        // Replay everything above the coverage floor, in order.
+        // Decode everything above the coverage floor before applying any
+        // of it: a tail that cannot be replayed is refused with the
+        // session as its snapshot left it.
         let floor = base_seq.max(session.journal_seq());
         let mut replay = WalReplay {
             truncated_bytes,
             ..WalReplay::default()
         };
-        let mut expected = floor + 1;
+        let mut tail = Vec::new();
         let mut tail_seq = floor;
         for rec in &records {
             tail_seq = tail_seq.max(rec.seq);
@@ -196,16 +210,28 @@ impl SessionJournal {
                 replay.skipped += 1;
                 continue;
             }
-            if rec.seq != expected {
+            if rec.seq != floor + 1 + tail.len() as u64 {
                 return Err(SnapshotError::Malformed {
                     context: "journal gap: committed records missing below the tail",
                 });
             }
-            expected += 1;
-            apply_record(session, rec.kind, &bytes[rec.payload.clone()])?;
-            session.set_journal_seq(rec.seq);
-            replay.replayed += 1;
+            tail.push(decode_record(rec.kind, &bytes[rec.payload.clone()])?);
         }
+
+        // Apply the tail in order: each corpus replacement alone, each
+        // maximal run of ingests as one staged ingest.
+        let mut seq = floor;
+        for run in tail.chunk_by(|a, b| a.0 == REC_INGEST && b.0 == REC_INGEST) {
+            seq += run.len() as u64;
+            match run {
+                [(REC_RUN, corpus)] => {
+                    session.run(&[corpus])?;
+                }
+                _ => session.replay_ingests(run.iter().map(|(_, batch)| batch))?,
+            }
+            session.set_journal_seq(seq);
+        }
+        replay.replayed = tail.len() as u64;
 
         Ok((
             Self {
@@ -425,28 +451,19 @@ fn last_good_end(records: &[RawRecord], header_end: usize) -> usize {
         .map_or(header_end, |r| r.payload.end + 8 /* checksum */)
 }
 
-/// Decode and apply one committed record through the session's normal
-/// mutation path (deterministic, so recovery reproduces the exact state).
-fn apply_record(session: &mut DedupSession, kind: u8, payload: &[u8]) -> Result<(), SnapshotError> {
+/// Decode one committed record into its kind and batch.
+fn decode_record(kind: u8, payload: &[u8]) -> Result<(u8, XRelation), SnapshotError> {
+    if kind != REC_INGEST && kind != REC_RUN {
+        // A checksum-valid frame with an unknown kind was written by
+        // something newer than this reader — refuse, don't guess.
+        return Err(SnapshotError::Malformed {
+            context: "unknown journal record kind",
+        });
+    }
     let mut r = SectionReader::new(payload, "journal record payload");
     let batch = read_xrelation(&mut r)?;
     r.finish()?;
-    match kind {
-        REC_INGEST => {
-            session.ingest(&batch)?;
-        }
-        REC_RUN => {
-            session.run(&[&batch])?;
-        }
-        _ => {
-            // A checksum-valid frame with an unknown kind was written by
-            // something newer than this reader — refuse, don't guess.
-            return Err(SnapshotError::Malformed {
-                context: "unknown journal record kind",
-            });
-        }
-    }
-    Ok(())
+    Ok((kind, batch))
 }
 
 /// Write a pristine header (creation, or recovery from a torn one).
@@ -741,6 +758,9 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A corpus replacement ends a run of ingests: the two ingests before
+    /// it replay as one run it then replaces, the two after it as another
+    /// on top of it, each batch still its own source.
     #[test]
     fn run_records_replay_corpus_replacement() {
         let dir = temp_dir("run");
@@ -752,6 +772,9 @@ mod tests {
         journal
             .ingest(&mut live, &rel(&[("John", "pilot")]))
             .unwrap();
+        journal
+            .ingest(&mut live, &rel(&[("Jon", "pilot"), ("Joan", "pilot")]))
+            .unwrap();
         // Replace the corpus outright, then ingest on top.
         journal
             .run(&mut live, &rel(&[("Ann", "nurse"), ("Anne", "nurse")]))
@@ -759,13 +782,70 @@ mod tests {
         journal
             .ingest(&mut live, &rel(&[("Tim", "smith")]))
             .unwrap();
+        journal
+            .ingest(&mut live, &rel(&[("Tom", "smith"), ("Tim", "smit")]))
+            .unwrap();
 
         let mut recovered = p.session();
         let (_, replay) = SessionJournal::open_and_replay(&wal, &mut recovered).unwrap();
-        assert_eq!(replay.replayed, 3);
-        assert_eq!(recovered.rows(), 3);
-        assert_eq!(recovered.source_count(), 2);
-        assert_eq!(recovered.result().decisions, live.result().decisions);
+        assert_eq!(replay.replayed, 5);
+        assert_eq!(recovered.journal_seq(), 5);
+        assert_eq!(recovered.rows(), 5);
+        assert_eq!(recovered.source_count(), 3);
+        let (got, want) = (recovered.result(), live.result());
+        assert_eq!(got.source_offsets, vec![0, 2, 3]);
+        assert_eq!(got.source_offsets, want.source_offsets);
+        assert_eq!(got.decisions, want.decisions);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A tail that cannot be replayed is refused before any of it is
+    /// applied: here its third record is checksum-valid but of a kind
+    /// this reader does not know, and the session stays exactly as its
+    /// snapshot left it.
+    #[test]
+    fn an_unreplayable_tail_is_refused_before_any_record_applies() {
+        let dir = temp_dir("unknown-kind");
+        let wal = dir.join("s.wal");
+        let p = pipeline();
+
+        let mut live = p.session();
+        let (mut journal, _) = SessionJournal::open_and_replay(&wal, &mut live).unwrap();
+        journal
+            .ingest(&mut live, &rel(&[("John", "pilot")]))
+            .unwrap();
+        let snap = live.to_snapshot_bytes();
+        journal
+            .ingest(&mut live, &rel(&[("Jon", "pilot")]))
+            .unwrap();
+        journal
+            .ingest(&mut live, &rel(&[("Tim", "smith")]))
+            .unwrap();
+        let third = fs::metadata(&wal).unwrap().len() as usize;
+        journal
+            .ingest(&mut live, &rel(&[("Ann", "nurse")]))
+            .unwrap();
+        drop(journal);
+
+        // Re-stamp the last record with an unknown kind, re-checksummed.
+        let mut bytes = fs::read(&wal).unwrap();
+        bytes[third + 8] = 0xEE;
+        let end = bytes.len() - 8;
+        let cksum = fnv1a(&bytes[third..end]);
+        bytes[end..].copy_from_slice(&cksum.to_le_bytes());
+        fs::write(&wal, &bytes).unwrap();
+
+        let mut recovered = DedupSession::from_snapshot_bytes(&snap, &p).unwrap();
+        let before = recovered.result();
+        let err = SessionJournal::open_and_replay(&wal, &mut recovered).unwrap_err();
+        assert!(matches!(err, SnapshotError::Malformed { .. }), "{err}");
+        assert_eq!(recovered.rows(), 1);
+        assert_eq!(recovered.journal_seq(), 1);
+        let after = recovered.result();
+        assert_eq!(after.relation, before.relation);
+        assert_eq!(after.source_offsets, before.source_offsets);
+        assert_eq!(after.decisions, before.decisions);
+        assert_eq!(after.clusters, before.clusters);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -88,8 +88,13 @@ fn render_pvalue(v: &PValue) -> String {
     if v.is_null() {
         return "_".to_string();
     }
-    if v.is_certain() {
-        return v.alternatives()[0].0.render();
+    // A bare literal parses back with mass exactly 1, and as a
+    // distribution if it opens with a brace: anything else keeps braces.
+    if let [(value, p)] = v.alternatives() {
+        let literal = value.render();
+        if *p == 1.0 && !literal.starts_with('{') {
+            return literal;
+        }
     }
     let inner: Vec<String> = v
         .alternatives()

@@ -71,7 +71,9 @@ impl PValue {
                 continue; // joins the implicit ⊥ mass
             }
             match alts.iter_mut().find(|(w, _)| *w == v) {
-                Some((_, q)) => *q += p,
+                // Clamped like every single mass: duplicates may overshoot
+                // 1 by the tolerance.
+                Some((_, q)) => *q = (*q + p).min(1.0),
                 None => alts.push((v, p)),
             }
         }

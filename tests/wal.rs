@@ -2,11 +2,15 @@
 //! at *any* point of the append / snapshot / compaction protocol recovers
 //! (via `snapshot + journal tail`) exactly the partition of the committed
 //! ingest prefix — never a half-applied batch, never a lost acknowledged
-//! one. Three layers:
+//! one. Four layers:
 //!
 //! * a **crash matrix** enumerating every interleaving point of the
 //!   protocol (including the synthesized mid-compaction state a crash
 //!   between the base write and the truncation leaves behind);
+//! * the **run replay**: a multi-record tail replays as one ingest, and
+//!   the recovered session equals the live one in everything but the
+//!   cumulative tier counters, while classifying only the pairs that
+//!   survive the tail;
 //! * a **property test** over random batch splits × crash after any
 //!   prefix of appends × an arbitrary snapshot/compaction point, reusing
 //!   the split-invariance machinery of `tests/session_incremental.rs`;
@@ -20,19 +24,19 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
+use probdedup::core::pipeline::{DedupPipeline, DedupResult, PairDecision, ReductionStrategy};
 use probdedup::core::prepare::Preparation;
 use probdedup::core::session::DedupSession;
 use probdedup::core::wal::{SessionJournal, WAL_HEADER_LEN};
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup::decision::combine::WeightedSum;
 use probdedup::decision::derive_sim::ExpectedSimilarity;
-use probdedup::decision::threshold::Thresholds;
+use probdedup::decision::threshold::{MatchClass, Thresholds};
 use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::model::xtuple::XTuple;
-use probdedup::reduction::{KeyPart, KeySpec};
+use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
 use probdedup::textsim::JaroWinkler;
 
 /// The workload corpus: two small dirty sources, concatenated (the tests
@@ -65,22 +69,42 @@ fn corpus_schema() -> probdedup::model::schema::Schema {
     .schema
 }
 
+fn key() -> KeySpec {
+    KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)])
+}
+
 fn pipeline() -> DedupPipeline {
+    pipeline_with(
+        ReductionStrategy::SortingAlternatives {
+            spec: key(),
+            window: 4,
+        },
+        true,
+    )
+}
+
+/// The crash-matrix pipeline under `reduction`, in the exact or the
+/// classify-only (bounded) configuration.
+fn pipeline_with(reduction: ReductionStrategy, exact: bool) -> DedupPipeline {
     let schema = corpus_schema();
-    DedupPipeline::builder()
+    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
+    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
+    let builder = DedupPipeline::builder()
         .preparation(Preparation::standard_all(4))
         .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
-        .model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap()),
-            Arc::new(ExpectedSimilarity),
-            Thresholds::new(0.72, 0.82).unwrap(),
-        )))
-        .reduction(ReductionStrategy::SortingAlternatives {
-            spec: KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)]),
-            window: 4,
-        })
-        .threads(2)
-        .build()
+        .reduction(reduction)
+        .threads(2);
+    if exact {
+        builder
+            .model(Arc::new(SimilarityBasedModel::new(
+                Arc::new(phi),
+                Arc::new(ExpectedSimilarity),
+                thresholds,
+            )))
+            .build()
+    } else {
+        builder.classify_only(phi, thresholds).build()
+    }
 }
 
 /// Split `tuples` into 1..=4 batches at the given relative cut points
@@ -268,6 +292,136 @@ fn crash_matrix_recovers_every_interleaving_point() {
             &references[state.committed],
             &state.label,
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A live journaled session that ingested the corpus in five batches,
+/// snapshotted (and compacted) after the first, and that snapshot: the
+/// journal at `wal` holds the other four batches as its tail.
+fn journaled(pipeline: &DedupPipeline, wal: &Path) -> (DedupSession, Vec<u8>) {
+    let tuples = corpus();
+    let n = tuples.len();
+    let batches = split_sources(&tuples, &[n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5]);
+    assert_eq!(batches.len(), 5, "corpus too small to split five ways");
+    let mut live = pipeline.session();
+    let (mut journal, _) = SessionJournal::open_and_replay(wal, &mut live).unwrap();
+    journal.ingest(&mut live, &batches[0]).unwrap();
+    let snap = live.to_snapshot_bytes();
+    journal.compact(live.journal_seq()).unwrap();
+    for batch in &batches[1..] {
+        journal.ingest(&mut live, batch).unwrap();
+    }
+    (live, snap)
+}
+
+/// Recover `snapshot + journal tail`, returning the session and the
+/// number of records replayed.
+fn recover_tail(pipeline: &DedupPipeline, snap: &[u8], wal: &Path) -> (DedupSession, u64) {
+    let mut session = DedupSession::from_snapshot_bytes(snap, pipeline).unwrap();
+    let (_, replay) = SessionJournal::open_and_replay(wal, &mut session).unwrap();
+    (session, replay.replayed)
+}
+
+/// Decisions down to the bits of their similarity.
+fn decision_bits(decisions: &[PairDecision]) -> Vec<((usize, usize), u64, MatchClass)> {
+    decisions
+        .iter()
+        .map(|d| (d.pair, d.similarity.to_bits(), d.class))
+        .collect()
+}
+
+/// Pairs the bounded configuration has classified, over all four tiers.
+fn classified(session: &DedupSession) -> u64 {
+    let s = session.stats();
+    s.pairs_early_match + s.pairs_early_nonmatch + s.pairs_early_possible + s.pairs_exhausted
+}
+
+/// Replay applies the tail's run of ingest records as one ingest; the
+/// recovered session must still equal the live one that ingested them
+/// one by one, in everything but the cumulative tier counters — under a
+/// delta strategy and a world strategy, in both configurations.
+#[test]
+fn a_replayed_tail_equals_the_live_session() {
+    let dir = scratch();
+    let strategies = [
+        ReductionStrategy::SortingAlternatives {
+            spec: key(),
+            window: 4,
+        },
+        ReductionStrategy::MultipassWorlds {
+            spec: key(),
+            window: 4,
+            selection: WorldSelection::TopK(2),
+        },
+    ];
+    for reduction in strategies {
+        for exact in [true, false] {
+            let label = format!("{} exact={exact}", reduction.name());
+            let p = pipeline_with(reduction.clone(), exact);
+            let wal = dir.join(format!("{}-{exact}.wal", reduction.name()));
+            let (live, snap) = journaled(&p, &wal);
+            let (recovered, replayed) = recover_tail(&p, &snap, &wal);
+            assert_eq!(replayed, 4, "{label}");
+            let (got, want) = (recovered.result(), live.result());
+            assert_eq!(got.relation, want.relation, "{label}");
+            assert_eq!(got.source_offsets, want.source_offsets, "{label}");
+            assert_eq!(
+                decision_bits(&got.decisions),
+                decision_bits(&want.decisions),
+                "{label}"
+            );
+            assert_eq!(got.clusters, want.clusters, "{label}");
+            assert_eq!(
+                recovered.candidate_count(),
+                live.candidate_count(),
+                "{label}"
+            );
+            assert_eq!(recovered.journal_seq(), live.journal_seq(), "{label}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay classifies each pair that survives the tail once, and no pair
+/// the tail pushes out again: over a four-record tail, the bounded tier
+/// counters grow by exactly the final candidate pairs with a tail row.
+/// Batch-by-batch replay, as the live session ingested, classifies the
+/// pairs a later batch slid a window past as well.
+#[test]
+fn a_replayed_tail_classifies_only_the_pairs_that_survive_it() {
+    let dir = scratch();
+    let strategies = [
+        ReductionStrategy::ConflictResolved {
+            spec: key(),
+            window: 4,
+            strategy: ConflictResolution::MostProbableAlternative,
+        },
+        ReductionStrategy::BlockingAlternatives { spec: key() },
+        ReductionStrategy::Full,
+    ];
+    for reduction in strategies {
+        let label = reduction.name();
+        let p = pipeline_with(reduction.clone(), false);
+        let wal = dir.join(format!("{label}.wal"));
+        let (live, snap) = journaled(&p, &wal);
+        let snapshot = DedupSession::from_snapshot_bytes(&snap, &p).unwrap();
+        let (recovered, replayed) = recover_tail(&p, &snap, &wal);
+        assert_eq!(replayed, 4, "{label}");
+        let surviving = recovered
+            .result()
+            .decisions
+            .iter()
+            .filter(|d| d.pair.1 >= snapshot.rows())
+            .count() as u64;
+        let replay_classified = classified(&recovered) - classified(&snapshot);
+        assert_eq!(replay_classified, surviving, "{label}");
+        let live_classified = classified(&live) - classified(&snapshot);
+        if matches!(reduction, ReductionStrategy::ConflictResolved { .. }) {
+            assert!(live_classified > surviving, "{label}: no pair departed");
+        } else {
+            assert_eq!(live_classified, surviving, "{label}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
