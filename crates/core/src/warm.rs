@@ -6,8 +6,8 @@
 
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
-    block_multipass_with_table, multipass_snm_with_table, BlockKeying, CandidateDelta,
-    CandidatePairs, IncrementalBlocks, IncrementalSnm, KeyTable, SnmKeying, WorldSelection,
+    block_multipass_with_table, multipass_snm_with_table, CandidateDelta, CandidatePairs,
+    IncrementalBlocks, IncrementalSnm, KeyTable, Keying, WorldSelection,
 };
 
 use crate::pipeline::ReductionStrategy;
@@ -52,7 +52,7 @@ impl WarmReduction {
         match strategy {
             ReductionStrategy::Full => Self::Full,
             ReductionStrategy::SortingAlternatives { spec, window } => Self::Snm(
-                IncrementalSnm::new(spec.clone(), SnmKeying::PerAlternative, *window),
+                IncrementalSnm::new(spec.clone(), Keying::PerAlternative, *window),
             ),
             ReductionStrategy::ConflictResolved {
                 spec,
@@ -60,14 +60,14 @@ impl WarmReduction {
                 strategy,
             } => Self::Snm(IncrementalSnm::new(
                 spec.clone(),
-                SnmKeying::Resolved(*strategy),
+                Keying::Resolved(*strategy),
                 *window,
             )),
-            ReductionStrategy::BlockingAlternatives { spec } => Self::Blocks(
-                IncrementalBlocks::new(spec.clone(), BlockKeying::PerAlternative),
-            ),
+            ReductionStrategy::BlockingAlternatives { spec } => {
+                Self::Blocks(IncrementalBlocks::new(spec.clone(), Keying::PerAlternative))
+            }
             ReductionStrategy::BlockingConflictResolved { spec, strategy } => Self::Blocks(
-                IncrementalBlocks::new(spec.clone(), BlockKeying::Resolved(*strategy)),
+                IncrementalBlocks::new(spec.clone(), Keying::Resolved(*strategy)),
             ),
             ReductionStrategy::MultipassWorlds {
                 spec,

@@ -10,15 +10,17 @@
 //!   several windows; the [`CandidatePairs`] set (Fig. 12) executes each
 //!   matching exactly once.
 //!
-//! Keys are interned once into a [`KeyTable`] and the sort runs over
-//! lexicographic ranks; the string-rendering implementation is kept
-//! test-only as the property-tested oracle (`src/interned_oracle.rs`).
+//! The method is the warm [`IncrementalSnm`] under
+//! [`Keying::PerAlternative`], fed once; the string-rendering
+//! implementation is kept test-only as the property-tested oracle
+//! (`src/interned_oracle.rs`).
 
 use probdedup_model::xtuple::XTuple;
 
-use crate::key::{KeySpec, KeyTable};
+use crate::incremental::{IncrementalSnm, Keying};
+use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
-use crate::snm::{sort_entries, windowed_pairs, InternedSnmEntry, SnmEntry};
+use crate::snm::SnmEntry;
 
 /// Result of the sorting-alternatives method.
 #[derive(Debug, Clone)]
@@ -32,41 +34,23 @@ pub struct SortingAlternativesResult {
     pub raw_entries: usize,
 }
 
-/// One entry per alternative key of every tuple in `table`, sorted by
-/// `(rank, tuple)` with adjacent same-tuple entries omitted — the
-/// right-hand list of Fig. 11 in interned form, ready for
-/// [`for_each_window_pair`](crate::snm::for_each_window_pair).
-pub fn sorted_alternative_entries(table: &KeyTable) -> Vec<InternedSnmEntry> {
-    let mut entries: Vec<InternedSnmEntry> = (0..table.len())
-        .flat_map(|i| {
-            table
-                .alternative_keys(i)
-                .iter()
-                .map(move |&key| InternedSnmEntry::new(key, i))
-        })
-        .collect();
-    sort_entries(&mut entries, table.ranks(), true);
-    entries
-}
-
-/// Run sorting-alternatives over the x-tuples (interned keys; the
-/// returned [`SnmEntry`] strings are resolved from the pool for display).
+/// Run sorting-alternatives over the x-tuples: a fresh [`IncrementalSnm`]
+/// fed them once. The order is its [`order`](IncrementalSnm::order) with
+/// adjacent same-tuple entries collapsed (Fig. 11).
 pub fn sorting_alternatives(
     tuples: &[XTuple],
     spec: &KeySpec,
     window: usize,
 ) -> SortingAlternativesResult {
-    let table = spec.key_table(tuples);
-    let entries = sorted_alternative_entries(&table);
+    let mut state = IncrementalSnm::new(spec.clone(), Keying::PerAlternative, window);
+    state.ingest(tuples, 0);
+    let mut order = state.order();
+    let raw_entries = order.len();
+    order.dedup_by(|next, prev| next.tuple == prev.tuple);
     SortingAlternativesResult {
-        pairs: windowed_pairs(&entries, window, tuples.len(), false),
-        order: entries
-            .iter()
-            .map(|e| SnmEntry::new(table.resolve(e.key), e.tuple))
-            .collect(),
-        raw_entries: (0..table.len())
-            .map(|i| table.alternative_keys(i).len())
-            .sum(),
+        pairs: state.current_pairs(tuples.len()),
+        order,
+        raw_entries,
     }
 }
 

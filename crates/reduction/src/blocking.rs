@@ -7,30 +7,29 @@
 //! the same tuple within one block are removed, and repeated matchings
 //! across blocks are suppressed — Fig. 14's walkthrough).
 //!
-//! Each adaptation is one **block visitor** — [`for_each_alternative_block`],
-//! [`for_each_conflict_resolved_block`], [`for_each_multipass_block`] (the
-//! family's only loop over the selected worlds) — handing a sink every
-//! block as `(key, members)` in sorted-key order. The [`BlockingResult`]
-//! functions are sinks that emit within-block pairs and keep the Fig. 14
-//! inspection view.
+//! The two world-independent adaptations have one implementation, the
+//! warm [`IncrementalBlocks`]: [`block_alternatives`] and
+//! [`block_conflict_resolved`] feed a fresh state once and read its pairs
+//! and its Fig. 14 block view. Multi-pass blocking buckets each selected
+//! world afresh off one shared [`KeyTable`].
 //!
-//! Every visitor assembles blocks in a `BlockMap` keyed on **interned key
-//! symbols** ([`KeySymbol`]): the [`KeyTable`] built up front renders each
-//! distinct `(value, prefix)` once, and every insertion afterwards is a
-//! single integer-keyed hash probe — symbol equality *is* key equality.
-//! Per-block membership stays O(1) via a small-vec scan that spills into
-//! an `FxHashSet` past a handful of members. Blocks are visited in
-//! sorted-key order, so results remain byte-for-byte identical across all
-//! implementations — the string-keyed originals are retained test-only as
-//! the property-tested oracles (`src/interned_oracle.rs`).
+//! Blocks are keyed on **interned key symbols** ([`KeySymbol`]): the key
+//! table renders each distinct `(value, prefix)` once, and every insertion
+//! afterwards is a single integer-keyed hash probe — symbol equality *is*
+//! key equality. Per-block membership stays O(1) via a small-vec scan that
+//! spills into an `FxHashSet` past a handful of members. Blocks emit their
+//! pairs in sorted-key order (by integer rank), so results are byte-for-byte
+//! identical to the string-keyed oracles kept test-only in
+//! `src/interned_oracle.rs`.
 
 use std::collections::BTreeMap;
 
-use probdedup_model::intern::{KeyPool, KeySymbol};
+use probdedup_model::intern::{KeyRanks, KeySymbol};
 use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 
-use crate::conflict::{resolved_key_symbols, ConflictResolution};
+use crate::conflict::ConflictResolution;
+use crate::incremental::{IncrementalBlocks, Keying};
 use crate::key::{KeySpec, KeyTable};
 use crate::multipass::{select_worlds, WorldSelection};
 use crate::pairs::CandidatePairs;
@@ -45,28 +44,12 @@ pub struct BlockingResult {
     pub blocks: BTreeMap<String, Vec<usize>>,
 }
 
-impl BlockingResult {
-    fn new(n_tuples: usize) -> Self {
-        Self {
-            pairs: CandidatePairs::new(n_tuples),
-            blocks: BTreeMap::new(),
-        }
-    }
-
-    /// The inspecting sink: emit the block's pairs and keep it in the view.
-    fn push_block(&mut self, key: &str, members: &[usize]) {
-        emit_block_pairs(members, &mut self.pairs);
-        self.blocks.insert(key.to_string(), members.to_vec());
-    }
-}
-
 /// Members beyond which a block's membership test spills from a linear
 /// small-vec scan into a hash set.
 const SPILL_THRESHOLD: usize = 16;
 
 /// One block under construction: members in first-insertion order and
-/// (for large blocks) a spill set for O(1) membership tests. Shared with
-/// the incremental blocking state of [`crate::incremental`].
+/// (for large blocks) a spill set for O(1) membership tests.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Block {
     members: Vec<usize>,
@@ -102,79 +85,25 @@ impl Block {
     }
 }
 
-/// Symbol-keyed block accumulator (see the module docs). Insertion is one
-/// integer hash probe; key strings only appear when the blocks are visited.
-#[derive(Debug, Clone, Default)]
-struct BlockMap {
-    slots: FxHashMap<KeySymbol, Block>,
+/// The blocks of `blocks` in sorted-key order, by integer rank — the
+/// order every blocking adaptation (and the string oracles) emits pairs
+/// in.
+pub(crate) fn sorted_blocks<'a>(
+    blocks: &'a FxHashMap<KeySymbol, Block>,
+    ranks: &KeyRanks,
+) -> Vec<(KeySymbol, &'a Block)> {
+    let mut order: Vec<(KeySymbol, &Block)> = blocks.iter().map(|(&k, b)| (k, b)).collect();
+    order.sort_unstable_by_key(|&(k, _)| ranks.rank(k));
+    order
 }
 
-impl BlockMap {
-    /// Insert `tuple` into the block of `key` (creating the block on first
-    /// sight of the key symbol).
-    fn insert(&mut self, key: KeySymbol, tuple: usize) {
-        self.slots.entry(key).or_default().insert(tuple);
-    }
-
-    /// Visit the blocks in sorted-key order (resolving symbols against
-    /// `keys` — no rendering, no allocation per key): `f` sees each
-    /// `(key, members)` once, in lexicographic key order — the order every
-    /// visitor (and the string oracles) emits pairs in.
-    fn visit_sorted(self, keys: &KeyPool, mut f: impl FnMut(&str, &[usize])) {
-        let mut blocks: Vec<(&str, Vec<usize>)> = self
-            .slots
-            .into_iter()
-            .map(|(key, block)| (keys.resolve(key), block.members))
-            .collect();
-        blocks.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        for (key, members) in &blocks {
-            f(key, members);
-        }
-    }
-}
-
-/// All within-block pairs of one block, in member order — what the
-/// pair-collecting sinks do with a visited block.
+/// All within-block pairs of one block, in member order.
 pub(crate) fn emit_block_pairs(members: &[usize], pairs: &mut CandidatePairs) {
     for (a, &i) in members.iter().enumerate() {
         for &j in members.iter().skip(a + 1) {
             pairs.insert(i, j);
         }
     }
-}
-
-/// Visit the blocks of blocking with **alternative key values** (Fig. 14):
-/// one block entry per alternative key of each x-tuple, bucketed off the
-/// interned [`KeyTable`].
-pub fn for_each_alternative_block(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    f: impl FnMut(&str, &[usize]),
-) {
-    let table = spec.key_table(tuples);
-    let mut map = BlockMap::default();
-    for i in 0..table.len() {
-        for &key in table.alternative_keys(i) {
-            map.insert(key, i);
-        }
-    }
-    map.visit_sorted(table.key_pool(), f);
-}
-
-/// Visit the blocks of blocking over **conflict-resolved certain keys**:
-/// every tuple joins the one block of its resolved key.
-pub fn for_each_conflict_resolved_block(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    strategy: ConflictResolution,
-    f: impl FnMut(&str, &[usize]),
-) {
-    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
-    let mut map = BlockMap::default();
-    for (i, &key) in syms.iter().enumerate() {
-        map.insert(key, i);
-    }
-    map.visit_sorted(&keys, f);
 }
 
 /// The loop over the selected worlds — the only one the blocking family
@@ -185,7 +114,7 @@ pub fn for_each_conflict_resolved_block(
 /// sorted-key order as `f(pass, key, members)`. Pure integer work per
 /// pass — zero key renders, which the reduction property tests assert via
 /// [`KeyTable::render_count`]. `table` must cover `tuples`.
-pub fn for_each_multipass_block(
+pub(crate) fn for_each_multipass_block(
     tuples: &[XTuple],
     table: &KeyTable,
     selection: WorldSelection,
@@ -193,22 +122,33 @@ pub fn for_each_multipass_block(
 ) {
     debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
     for (pass, world) in select_worlds(tuples, selection).iter().enumerate() {
-        let mut map = BlockMap::default();
+        let mut blocks: FxHashMap<KeySymbol, Block> = FxHashMap::default();
         for i in 0..table.len() {
             let alt = world.choices[i].expect("full world");
-            map.insert(table.alternative_keys(i)[alt], i);
+            let key = table.alternative_keys(i)[alt];
+            blocks.entry(key).or_default().insert(i);
         }
-        map.visit_sorted(table.key_pool(), |key, members| f(pass, key, members));
+        for (key, block) in sorted_blocks(&blocks, table.ranks()) {
+            f(pass, table.resolve(key), block.members());
+        }
     }
 }
 
-/// Blocking with **alternative key values** (Fig. 14): the pairs and block
-/// view of [`for_each_alternative_block`]. Output is byte-identical to the
+/// A fresh [`IncrementalBlocks`] fed `tuples` once: its pairs and blocks.
+fn block_once(tuples: &[XTuple], spec: &KeySpec, keying: Keying) -> BlockingResult {
+    let mut state = IncrementalBlocks::new(spec.clone(), keying);
+    state.ingest(tuples, 0);
+    BlockingResult {
+        pairs: state.current_pairs(tuples.len()),
+        blocks: state.blocks(),
+    }
+}
+
+/// Blocking with **alternative key values** (Fig. 14): one block entry per
+/// alternative key of each x-tuple. Output is byte-identical to the
 /// string-key oracle (property-tested in `src/interned_oracle.rs`).
 pub fn block_alternatives(tuples: &[XTuple], spec: &KeySpec) -> BlockingResult {
-    let mut result = BlockingResult::new(tuples.len());
-    for_each_alternative_block(tuples, spec, |key, members| result.push_block(key, members));
-    result
+    block_once(tuples, spec, Keying::PerAlternative)
 }
 
 /// Blocking over **conflict-resolved certain keys** (Section V-B: "conflict
@@ -219,18 +159,13 @@ pub fn block_conflict_resolved(
     spec: &KeySpec,
     strategy: ConflictResolution,
 ) -> BlockingResult {
-    let mut result = BlockingResult::new(tuples.len());
-    for_each_conflict_resolved_block(tuples, spec, strategy, |key, members| {
-        result.push_block(key, members)
-    });
-    result
+    block_once(tuples, spec, Keying::Resolved(strategy))
 }
 
 /// Multi-pass blocking over selected possible worlds ("a multi-pass over
 /// some finely chosen worlds seems to be an option"). Pairs are unioned;
 /// the returned blocks are those of the **first** pass (for inspection).
-/// The [`KeyTable`] is built once; every pass is then
-/// [`for_each_multipass_block`]'s integer bucketing.
+/// The [`KeyTable`] is built once; every pass is then integer bucketing.
 pub fn block_multipass(
     tuples: &[XTuple],
     spec: &KeySpec,
@@ -239,15 +174,15 @@ pub fn block_multipass(
     // Per-alternative keys are world-independent; intern them once instead
     // of once per (world, tuple).
     let table = spec.key_table(tuples);
-    let mut result = BlockingResult::new(tuples.len());
+    let mut pairs = CandidatePairs::new(tuples.len());
+    let mut blocks = BTreeMap::new();
     for_each_multipass_block(tuples, &table, selection, |pass, key, members| {
+        emit_block_pairs(members, &mut pairs);
         if pass == 0 {
-            result.push_block(key, members);
-        } else {
-            emit_block_pairs(members, &mut result.pairs);
+            blocks.insert(key.to_string(), members.to_vec());
         }
     });
-    result
+    BlockingResult { pairs, blocks }
 }
 
 /// [`block_multipass`] with a caller-supplied [`KeyTable`] and without the

@@ -8,12 +8,13 @@
 //! a **subset** of the multi-pass matchings — proven as a test here and as
 //! a property test in `tests/properties.rs`.
 
-use probdedup_model::intern::{KeyPool, KeyRanks, KeySymbol, ValuePool};
+use probdedup_model::intern::{KeyPool, KeySymbol, ValuePool};
 use probdedup_model::xtuple::XTuple;
 
+use crate::incremental::{IncrementalSnm, Keying};
 use crate::key::KeySpec;
 use crate::pairs::CandidatePairs;
-use crate::snm::{sort_entries, windowed_pairs, InternedSnmEntry, SnmEntry};
+use crate::snm::SnmEntry;
 
 /// Strategy unifying an x-tuple's alternatives into one certain key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -46,7 +47,7 @@ fn most_probable_alternative(t: &XTuple) -> usize {
 }
 
 /// The certain key of one x-tuple under a strategy (string path — the
-/// oracle the interned [`resolve_key_symbol`] is tested against).
+/// oracle the interned warm states are tested against).
 pub fn resolve_key(t: &XTuple, spec: &KeySpec, strategy: ConflictResolution) -> String {
     match strategy {
         ConflictResolution::MostProbableAlternative => {
@@ -59,7 +60,7 @@ pub fn resolve_key(t: &XTuple, spec: &KeySpec, strategy: ConflictResolution) -> 
 
 /// Interned twin of [`resolve_key`]: the certain key as a [`KeySymbol`],
 /// rendering each distinct value prefix at most once across all tuples.
-pub fn resolve_key_symbol(
+pub(crate) fn resolve_key_symbol(
     t: &XTuple,
     spec: &KeySpec,
     strategy: ConflictResolution,
@@ -75,60 +76,21 @@ pub fn resolve_key_symbol(
     }
 }
 
-/// The conflict-resolved key symbols of all tuples plus the issuing pool —
-/// the shared front half of interned conflict-resolved SNM and blocking.
-pub(crate) fn resolved_key_symbols(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    strategy: ConflictResolution,
-) -> (KeyPool, Vec<KeySymbol>) {
-    let mut values = ValuePool::new();
-    let mut keys = KeyPool::new();
-    let syms = tuples
-        .iter()
-        .map(|t| resolve_key_symbol(t, spec, strategy, &mut values, &mut keys))
-        .collect();
-    (keys, syms)
-}
-
-/// One entry per tuple under its conflict-resolved certain key, sorted by
-/// `(rank, tuple)` — Fig. 10's list in interned form, ready for
-/// [`for_each_window_pair`](crate::snm::for_each_window_pair) — plus the
-/// pool that resolves the key symbols and the ranks that order them.
-pub fn sorted_resolved_entries(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    strategy: ConflictResolution,
-) -> (KeyPool, KeyRanks, Vec<InternedSnmEntry>) {
-    let (keys, syms) = resolved_key_symbols(tuples, spec, strategy);
-    let ranks = keys.lexicographic_ranks();
-    let mut entries: Vec<InternedSnmEntry> = syms
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| InternedSnmEntry::new(k, i))
-        .collect();
-    sort_entries(&mut entries, &ranks, false);
-    (keys, ranks, entries)
-}
-
 /// SNM over conflict-resolved certain keys: one key per x-tuple, one pass.
 /// Returns the pairs and the sorted key list (Fig. 10 prints it).
 ///
-/// Keys are interned ([`resolve_key_symbol`]) and the sort runs over
-/// lexicographic ranks; the strings in the returned [`SnmEntry`] list are
-/// resolved from the pool for display only.
+/// A fresh [`IncrementalSnm`] under [`Keying::Resolved`] fed the tuples
+/// once; the strings in the returned [`SnmEntry`] list are resolved from
+/// its pool for display only.
 pub fn conflict_resolved_snm(
     tuples: &[XTuple],
     spec: &KeySpec,
     window: usize,
     strategy: ConflictResolution,
 ) -> (CandidatePairs, Vec<SnmEntry>) {
-    let (keys, _, entries) = sorted_resolved_entries(tuples, spec, strategy);
-    let order = entries
-        .iter()
-        .map(|e| SnmEntry::new(keys.resolve(e.key), e.tuple))
-        .collect();
-    (windowed_pairs(&entries, window, tuples.len(), false), order)
+    let mut state = IncrementalSnm::new(spec.clone(), Keying::Resolved(strategy), window);
+    state.ingest(tuples, 0);
+    (state.current_pairs(tuples.len()), state.order())
 }
 
 #[cfg(test)]

@@ -1,9 +1,14 @@
-//! Incrementally growable reduction state for persistent sessions.
+//! The warm reduction states: the one implementation of each keyed §V
+//! adaptation — conflict-resolved SNM (Fig. 10), sorting alternatives
+//! (Fig. 11) and blocking by alternative or resolved keys (Fig. 14).
 //!
-//! The one-shot entry points of this crate rebuild their key state from
-//! scratch on every call. A persistent session (the `DedupSession` of
-//! `probdedup-core`) instead keeps the state **resident** and feeds it
-//! batches of tuples as they arrive:
+//! A persistent session (the `DedupSession` of `probdedup-core`) keeps a
+//! state **resident** and feeds it batches of tuples as they arrive; the
+//! one-shot [`sorting_alternatives`](crate::alternatives::sorting_alternatives),
+//! [`conflict_resolved_snm`](crate::conflict::conflict_resolved_snm),
+//! [`block_alternatives`](crate::blocking::block_alternatives) and
+//! [`block_conflict_resolved`](crate::blocking::block_conflict_resolved)
+//! are a fresh state fed once and read once:
 //!
 //! * [`IncrementalSnm`] — a [`KeyTable`] plus the rank-sorted entry list.
 //!   Ingesting a batch interns the new tuples' keys in **one** table
@@ -13,13 +18,16 @@
 //! * [`IncrementalBlocks`] — resident symbol-keyed blocks: each new tuple
 //!   joins its blocks with one integer-keyed probe per key.
 //!
+//! [`Keying`] picks the adaptation: one key per alternative, or one
+//! conflict-resolved key per tuple.
+//!
 //! Each state answers two questions about its candidate set. **What is
 //! it?** — `current_pairs(rows)` re-emits the whole set over rows
-//! `0..rows`: the same pairs, in the same order, as the one-shot method
-//! over the same corpus, for **any batch split** (property-tested here
-//! and end-to-end in `tests/`). Rows past `rows` are left out, so a batch
-//! grown into the state but not yet published changes nothing a reader
-//! is answered. **What did this batch change?** —
+//! `0..rows`: the same pairs, in the same order, as the string oracle
+//! over the same corpus, for **any batch split** (property-tested in
+//! `src/interned_oracle.rs` and end-to-end in `tests/`). Rows past `rows`
+//! are left out, so a batch grown into the state but not yet published
+//! changes nothing a reader is answered. **What did this batch change?** —
 //! `ingest_delta` grows the state and returns a [`CandidateDelta`] read
 //! off the positions the new entries were inserted at (a local window
 //! re-scan around each) or the blocks that gained a member: work
@@ -27,18 +35,21 @@
 //! successive batches to a set reproduces `current_pairs` after every
 //! batch, and re-ingesting values the pools have already seen performs
 //! **zero** key renders (asserted via [`KeyTable::render_count`]).
+//! [`IncrementalSnm::order`] and [`IncrementalBlocks::blocks`] are the
+//! inspection views the figures print.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 use probdedup_model::intern::KeySymbol;
 use probdedup_model::util::{FxHashMap, FxHashSet};
 use probdedup_model::xtuple::XTuple;
 
-use crate::blocking::{emit_block_pairs, Block};
+use crate::blocking::{emit_block_pairs, sorted_blocks, Block};
 use crate::conflict::{resolve_key_symbol, ConflictResolution};
 use crate::key::{insert_sorted, KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
-use crate::snm::{for_each_window_pair, windowed_pairs, InternedSnmEntry};
+use crate::snm::{for_each_window_pair, sort_entries, windowed_pairs, InternedSnmEntry, SnmEntry};
 
 /// What ingesting one batch (combined rows `start..`) changed in a
 /// candidate set. Appended rows only push window entries apart and only
@@ -163,16 +174,50 @@ fn window_delta(
     delta
 }
 
-/// How each tuple contributes sorted-neighborhood entries (the
-/// world-independent SNM flavours; multi-pass-over-worlds regenerates per
-/// pass from the shared [`KeyTable`] instead).
+/// How each tuple contributes keys to a warm state — sorted-neighborhood
+/// entries or block memberships (the world-independent flavours;
+/// multi-pass over worlds regenerates per pass from a shared [`KeyTable`]
+/// instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnmKeying {
-    /// One entry per alternative key (sorting alternatives, Fig. 11),
-    /// windowed with the adjacent-same-tuple omission rule.
+pub enum Keying {
+    /// One key per alternative: sorting alternatives (Fig. 11, windowed
+    /// with the adjacent-same-tuple omission rule) or per-alternative
+    /// blocking (Fig. 14).
     PerAlternative,
-    /// One entry per tuple: its conflict-resolved certain key (Fig. 10).
+    /// One key per tuple: its conflict-resolved certain key (Fig. 10, and
+    /// blocking over resolved keys).
     Resolved(ConflictResolution),
+}
+
+/// Intern the keys of `tuples`, combined rows `start..`, into `table`
+/// under `keying` (one absorb for the whole batch): one entry per key, in
+/// row order.
+fn intern_keys(
+    table: &mut KeyTable,
+    keying: Keying,
+    tuples: &[XTuple],
+    start: usize,
+) -> Vec<InternedSnmEntry> {
+    match keying {
+        Keying::PerAlternative => {
+            table.extend(tuples);
+            let table = &*table;
+            (start..start + tuples.len())
+                .flat_map(|i| {
+                    let keys = table.alternative_keys(i).iter();
+                    keys.map(move |&key| InternedSnmEntry::new(key, i))
+                })
+                .collect()
+        }
+        Keying::Resolved(strategy) => {
+            let spec = table.spec().clone();
+            table.intern_with(|vp, kp| {
+                let key = |t| resolve_key_symbol(t, &spec, strategy, vp, kp);
+                let entry = |(k, i)| InternedSnmEntry::new(k, i);
+                tuples.iter().map(key).zip(start..).map(entry).collect()
+            })
+        }
+    }
 }
 
 /// Persistent sorted-neighborhood state: the warm [`KeyTable`] and the
@@ -180,7 +225,7 @@ pub enum SnmKeying {
 #[derive(Debug, Clone)]
 pub struct IncrementalSnm {
     table: KeyTable,
-    keying: SnmKeying,
+    keying: Keying,
     window: usize,
     /// Sorted by `(resolved key, tuple)`, stable by arrival order —
     /// exactly the order a one-shot stable sort of all entries produces.
@@ -190,7 +235,7 @@ pub struct IncrementalSnm {
 
 impl IncrementalSnm {
     /// Empty state for `spec`; grow with [`IncrementalSnm::ingest`].
-    pub fn new(spec: KeySpec, keying: SnmKeying, window: usize) -> Self {
+    pub fn new(spec: KeySpec, keying: Keying, window: usize) -> Self {
         Self {
             table: KeyTable::empty(spec),
             keying,
@@ -228,13 +273,13 @@ impl IncrementalSnm {
     /// candidate set — a local re-scan around the inserted entries, never
     /// a pass over the resident list (see [`CandidateDelta`]).
     ///
-    /// Under [`SnmKeying::PerAlternative`] a pair can meet in several
+    /// Under [`Keying::PerAlternative`] a pair can meet in several
     /// windows, so a pair that lost a witness next to an insertion only
     /// departs if no other entries of its two tuples still meet — checked
     /// by locating the first tuple's entries through its table row.
     pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
         let fresh = self.grow(tuples, start);
-        let multi = matches!(self.keying, SnmKeying::PerAlternative);
+        let multi = self.keying == Keying::PerAlternative;
         window_delta(&self.entries, &fresh, start, self.window, multi, |a, b| {
             self.still_witnessed(a, b)
         })
@@ -244,40 +289,21 @@ impl IncrementalSnm {
     /// landed at, ascending.
     fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
         debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
-        let mut fresh: Vec<InternedSnmEntry> = Vec::new();
-        match self.keying {
-            SnmKeying::PerAlternative => {
-                self.table.extend(tuples);
-                for i in start..start + tuples.len() {
-                    for &key in self.table.alternative_keys(i) {
-                        fresh.push(InternedSnmEntry::new(key, i));
-                    }
-                }
-            }
-            SnmKeying::Resolved(strategy) => {
-                let spec = self.table.spec().clone();
-                fresh = self.table.intern_with(|vp, kp| {
-                    let key = |t| resolve_key_symbol(t, &spec, strategy, vp, kp);
-                    let entry = |(k, i)| InternedSnmEntry::new(k, i);
-                    tuples.iter().map(key).zip(start..).map(entry).collect()
-                });
-            }
-        }
+        let mut fresh = intern_keys(&mut self.table, self.keying, tuples, start);
         self.n_tuples = start + tuples.len();
         // New entries sort stably among themselves and insert **after**
         // resident ties, matching what a stable sort of the concatenated
-        // one-shot entry list produces. The table's rank array already
-        // covers every fresh key, so every comparison is a `(u32, usize)`
-        // integer compare — the ordering `sorted_neighborhood_interned`
-        // sorts by.
+        // entry list produces. The table's rank array already covers every
+        // fresh key, so every comparison is a `(u32, usize)` integer
+        // compare.
         let ranks = self.table.ranks();
+        sort_entries(&mut fresh, ranks);
         let sort_key = |e: &InternedSnmEntry| (ranks.rank(e.key), e.tuple);
-        fresh.sort_by_key(sort_key);
         insert_sorted(&mut self.entries, fresh, |r, f| sort_key(r) <= sort_key(f))
     }
 
     /// Whether tuples `a` and `b` still meet in some window of the
-    /// collapsed list ([`SnmKeying::PerAlternative`] only): every entry of
+    /// collapsed list ([`Keying::PerAlternative`] only): every entry of
     /// `a` is located through its table row and its window searched, in
     /// both directions, for an entry of `b`.
     fn still_witnessed(&self, a: usize, b: usize) -> bool {
@@ -311,13 +337,13 @@ impl IncrementalSnm {
 
     /// The full candidate set over rows `0..rows`: a window scan of the
     /// resident sorted list with the entries of later rows left out —
-    /// byte-identical pairs, in the same order, as the one-shot method
-    /// over those rows. Insertion never reorders resident entries, so the
-    /// set over a prefix of the ingested rows is the set as it stood
-    /// before the later rows arrived — what a reader is answered while a
-    /// grown batch is not yet published. `rows = len()` is everything.
+    /// byte-identical pairs, in the same order, as the string oracle over
+    /// those rows. Insertion never reorders resident entries, so the set
+    /// over a prefix of the ingested rows is the set as it stood before
+    /// the later rows arrived — what a reader is answered while a grown
+    /// batch is not yet published. `rows = len()` is everything.
     pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
-        let skip = matches!(self.keying, SnmKeying::PerAlternative);
+        let skip = self.keying == Keying::PerAlternative;
         let entries: Cow<'_, [InternedSnmEntry]> = if rows >= self.n_tuples {
             Cow::Borrowed(&self.entries)
         } else {
@@ -329,15 +355,15 @@ impl IncrementalSnm {
         };
         windowed_pairs(&entries, self.window, rows, skip)
     }
-}
 
-/// How each tuple joins blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockKeying {
-    /// One block per alternative key (Fig. 14).
-    PerAlternative,
-    /// One block per tuple: its conflict-resolved certain key.
-    Resolved(ConflictResolution),
+    /// Every ingested entry in sorted order, keys resolved to strings —
+    /// Fig. 10's list under [`Keying::Resolved`]; under
+    /// [`Keying::PerAlternative`] the right-hand list of Fig. 11 with its
+    /// struck-out rows (adjacent entries of one tuple) still in.
+    pub fn order(&self) -> Vec<SnmEntry> {
+        let entry = |e: &InternedSnmEntry| SnmEntry::new(self.table.resolve(e.key), e.tuple);
+        self.entries.iter().map(entry).collect()
+    }
 }
 
 /// Persistent blocking state: resident symbol-keyed blocks over a warm
@@ -346,14 +372,14 @@ pub enum BlockKeying {
 #[derive(Debug, Clone)]
 pub struct IncrementalBlocks {
     table: KeyTable,
-    keying: BlockKeying,
+    keying: Keying,
     blocks: FxHashMap<KeySymbol, Block>,
     n_tuples: usize,
 }
 
 impl IncrementalBlocks {
     /// Empty state for `spec`; grow with [`IncrementalBlocks::ingest`].
-    pub fn new(spec: KeySpec, keying: BlockKeying) -> Self {
+    pub fn new(spec: KeySpec, keying: Keying) -> Self {
         Self {
             table: KeyTable::empty(spec),
             keying,
@@ -393,7 +419,7 @@ impl IncrementalBlocks {
         grown.sort_unstable_by_key(|&k| ranks.rank(k));
         grown.dedup();
         // Per-alternative keying can put a pair into several blocks.
-        let multi = self.keying == BlockKeying::PerAlternative;
+        let multi = self.keying == Keying::PerAlternative;
         let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
         let mut delta = CandidateDelta::default();
         for key in grown {
@@ -416,27 +442,12 @@ impl IncrementalBlocks {
     /// (repeats included).
     fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<KeySymbol> {
         debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
-        let mut joined: Vec<(KeySymbol, usize)> = Vec::new();
-        match self.keying {
-            BlockKeying::PerAlternative => {
-                self.table.extend(tuples);
-                for i in start..start + tuples.len() {
-                    joined.extend(self.table.alternative_keys(i).iter().map(|&k| (k, i)));
-                }
-            }
-            BlockKeying::Resolved(strategy) => {
-                let spec = self.table.spec().clone();
-                joined = self.table.intern_with(|vp, kp| {
-                    let key = |t| resolve_key_symbol(t, &spec, strategy, vp, kp);
-                    tuples.iter().map(key).zip(start..).collect()
-                });
-            }
-        }
-        for &(key, i) in &joined {
-            self.blocks.entry(key).or_default().insert(i);
+        let joined = intern_keys(&mut self.table, self.keying, tuples, start);
+        for e in &joined {
+            self.blocks.entry(e.key).or_default().insert(e.tuple);
         }
         self.n_tuples = start + tuples.len();
-        joined.into_iter().map(|(key, _)| key).collect()
+        joined.into_iter().map(|e| e.key).collect()
     }
 
     /// Drop the blocks and table rows but keep the warm pools.
@@ -449,16 +460,11 @@ impl IncrementalBlocks {
     /// The full candidate set over rows `0..rows` (later members left out,
     /// as for [`IncrementalSnm::current_pairs`]): within-block pairs in
     /// sorted-key order (by the table's integer ranks — no string is
-    /// resolved) — identical pairs and order to the one-shot
-    /// [`block_alternatives`](crate::blocking::block_alternatives)
-    /// / [`block_conflict_resolved`](crate::blocking::block_conflict_resolved)
-    /// over those rows.
+    /// resolved), identical pairs and order to the string oracle over
+    /// those rows.
     pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
-        let mut order: Vec<(&KeySymbol, &Block)> = self.blocks.iter().collect();
-        let ranks = self.table.ranks();
-        order.sort_unstable_by_key(|(k, _)| ranks.rank(**k));
         let mut pairs = CandidatePairs::new(rows);
-        for (_, block) in order {
+        for (_, block) in sorted_blocks(&self.blocks, self.table.ranks()) {
             // Members ascend: the published ones are a prefix.
             let members = block.members();
             emit_block_pairs(
@@ -468,14 +474,24 @@ impl IncrementalBlocks {
         }
         pairs
     }
+
+    /// Every block of the ingested rows: key → members in first-insertion
+    /// order (Fig. 14).
+    pub fn blocks(&self) -> BTreeMap<String, Vec<usize>> {
+        let block = |(&k, b): (&KeySymbol, &Block)| {
+            (self.table.resolve(k).to_string(), b.members().to_vec())
+        };
+        self.blocks.iter().map(block).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alternatives::sorting_alternatives;
-    use crate::blocking::{block_alternatives, block_conflict_resolved};
-    use crate::conflict::conflict_resolved_snm;
+    use crate::interned_oracle::{
+        block_alternatives_oracle, block_conflict_resolved_oracle, conflict_resolved_snm_oracle,
+        sorting_alternatives_oracle,
+    };
     use crate::key::KeyPart;
     use probdedup_model::pvalue::PValue;
     use probdedup_model::schema::Schema;
@@ -537,13 +553,17 @@ mod tests {
         ]
     }
 
+    // The three tests below feed the paper corpus in fixed splits and
+    // compare against the one-shot string oracles (the random-split
+    // property is `interned_oracle::warm_states_fed_in_batches_match_oracles`).
+
     #[test]
     fn incremental_snm_alternatives_matches_one_shot() {
         let tuples = corpus();
         for window in [2, 3, 5] {
-            let batch = sorting_alternatives(&tuples, &spec(), window).pairs;
+            let batch = sorting_alternatives_oracle(&tuples, &spec(), window).pairs;
             for split in splits(tuples.len()) {
-                let mut inc = IncrementalSnm::new(spec(), SnmKeying::PerAlternative, window);
+                let mut inc = IncrementalSnm::new(spec(), Keying::PerAlternative, window);
                 let mut start = 0;
                 for size in split {
                     inc.ingest(&tuples[start..start + size], start);
@@ -566,9 +586,9 @@ mod tests {
             ConflictResolution::MostProbableKey,
             ConflictResolution::FirstAlternative,
         ] {
-            let (batch, _) = conflict_resolved_snm(&tuples, &spec(), 3, strategy);
+            let (batch, _) = conflict_resolved_snm_oracle(&tuples, &spec(), 3, strategy);
             for split in splits(tuples.len()) {
-                let mut inc = IncrementalSnm::new(spec(), SnmKeying::Resolved(strategy), 3);
+                let mut inc = IncrementalSnm::new(spec(), Keying::Resolved(strategy), 3);
                 let mut start = 0;
                 for size in split {
                     inc.ingest(&tuples[start..start + size], start);
@@ -587,14 +607,17 @@ mod tests {
     fn incremental_blocks_match_one_shot() {
         let tuples = corpus();
         let fig14 = KeySpec::new(vec![KeyPart::prefix(0, 1), KeyPart::prefix(1, 1)]);
-        let batch_alt = block_alternatives(&tuples, &fig14);
-        let batch_res =
-            block_conflict_resolved(&tuples, &fig14, ConflictResolution::MostProbableAlternative);
+        let batch_alt = block_alternatives_oracle(&tuples, &fig14);
+        let batch_res = block_conflict_resolved_oracle(
+            &tuples,
+            &fig14,
+            ConflictResolution::MostProbableAlternative,
+        );
         for split in splits(tuples.len()) {
-            let mut alt = IncrementalBlocks::new(fig14.clone(), BlockKeying::PerAlternative);
+            let mut alt = IncrementalBlocks::new(fig14.clone(), Keying::PerAlternative);
             let mut res = IncrementalBlocks::new(
                 fig14.clone(),
-                BlockKeying::Resolved(ConflictResolution::MostProbableAlternative),
+                Keying::Resolved(ConflictResolution::MostProbableAlternative),
             );
             let mut start = 0;
             for &size in &split {
@@ -643,14 +666,11 @@ mod tests {
         let snm = |keying| State::Snm(IncrementalSnm::new(spec.clone(), keying, window));
         let blocks = |keying| State::Blocks(IncrementalBlocks::new(spec.clone(), keying));
         vec![
-            ("snm per-alternative", snm(SnmKeying::PerAlternative)),
-            ("snm resolved mpa", snm(SnmKeying::Resolved(mpa))),
-            ("snm resolved mpk", snm(SnmKeying::Resolved(mpk))),
-            (
-                "blocks per-alternative",
-                blocks(BlockKeying::PerAlternative),
-            ),
-            ("blocks resolved", blocks(BlockKeying::Resolved(mpa))),
+            ("snm per-alternative", snm(Keying::PerAlternative)),
+            ("snm resolved mpa", snm(Keying::Resolved(mpa))),
+            ("snm resolved mpk", snm(Keying::Resolved(mpk))),
+            ("blocks per-alternative", blocks(Keying::PerAlternative)),
+            ("blocks resolved", blocks(Keying::Resolved(mpa))),
         ]
     }
 
@@ -869,7 +889,7 @@ mod tests {
     #[test]
     fn warm_reingest_renders_nothing_new() {
         let tuples = corpus();
-        let mut inc = IncrementalSnm::new(spec(), SnmKeying::PerAlternative, 3);
+        let mut inc = IncrementalSnm::new(spec(), Keying::PerAlternative, 3);
         inc.ingest(&tuples, 0);
         let renders = inc.render_count();
         assert!(renders > 0);
@@ -881,7 +901,7 @@ mod tests {
         inc.ingest(&tuples[..2], tuples.len());
         assert_eq!(inc.render_count(), renders);
 
-        let mut blocks = IncrementalBlocks::new(spec(), BlockKeying::PerAlternative);
+        let mut blocks = IncrementalBlocks::new(spec(), Keying::PerAlternative);
         blocks.ingest(&tuples, 0);
         let renders = blocks.render_count();
         blocks.reset_rows();
@@ -891,10 +911,10 @@ mod tests {
 
     #[test]
     fn empty_states() {
-        let inc = IncrementalSnm::new(spec(), SnmKeying::PerAlternative, 2);
+        let inc = IncrementalSnm::new(spec(), Keying::PerAlternative, 2);
         assert!(inc.is_empty());
         assert!(inc.current_pairs(0).is_empty());
-        let blocks = IncrementalBlocks::new(spec(), BlockKeying::PerAlternative);
+        let blocks = IncrementalBlocks::new(spec(), Keying::PerAlternative);
         assert!(blocks.is_empty());
         assert!(blocks.current_pairs(0).is_empty());
     }

@@ -1,15 +1,16 @@
 //! Interned-key reduction vs the string-key oracle.
 //!
-//! Every SNM/blocking entry point runs over interned
+//! Every SNM/blocking implementation runs over interned
 //! [`KeySymbol`](probdedup_model::intern::KeySymbol)s; the string-rendering
 //! implementations they replaced live on here, test-only, as the `*_oracle`
 //! functions. The property tests below assert the two paths produce
 //! **identical** candidate-pair sets, sorted orders and block views across
 //! generated schemas — prefix lengths 0 (whole value) through 8, multi-byte
 //! UTF-8 values, empty strings, explicit ⊥ mass, and uncertain values inside
-//! alternatives — plus the headline multi-pass guarantee: passes ≥ 2 perform
-//! **zero** key renders (observed through the `KeyPool` render counter, the
-//! only place key text is ever rendered).
+//! alternatives — for the one-shot functions and for the warm states fed
+//! batch by batch, plus the headline multi-pass guarantee: passes ≥ 2
+//! perform **zero** key renders (observed through the `KeyPool` render
+//! counter, the only place key text is ever rendered).
 
 use std::collections::BTreeMap;
 
@@ -26,16 +27,16 @@ use crate::blocking::{
     block_alternatives, block_conflict_resolved, block_multipass, emit_block_pairs, BlockingResult,
 };
 use crate::conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
+use crate::incremental::{IncrementalBlocks, IncrementalSnm, Keying};
 use crate::key::{KeyPart, KeySpec};
 use crate::multipass::{
-    multipass_snm, multipass_snm_pairs, multipass_snm_with_table, select_worlds, MultipassResult,
-    WorldSelection,
+    multipass_snm, multipass_snm_with_table, select_worlds, MultipassResult, WorldSelection,
 };
 use crate::pairs::CandidatePairs;
 use crate::snm::{sorted_neighborhood, SnmEntry};
 
 /// String-path oracle of [`sorting_alternatives`].
-fn sorting_alternatives_oracle(
+pub(crate) fn sorting_alternatives_oracle(
     tuples: &[XTuple],
     spec: &KeySpec,
     window: usize,
@@ -57,7 +58,7 @@ fn sorting_alternatives_oracle(
 
 /// String-path oracle of [`conflict_resolved_snm`]: renders one key per
 /// tuple per call.
-fn conflict_resolved_snm_oracle(
+pub(crate) fn conflict_resolved_snm_oracle(
     tuples: &[XTuple],
     spec: &KeySpec,
     window: usize,
@@ -295,6 +296,17 @@ fn arb_case() -> impl Strategy<Value = (Vec<XTuple>, KeySpec)> {
     (1usize..4).prop_flat_map(|n_attrs| (arb_tuples(n_attrs), arb_spec(n_attrs)))
 }
 
+/// Cut `n` rows at `cuts` (each taken modulo `n + 1`; repeats give empty
+/// batches) and hand `ingest` every batch with its first row, in order.
+fn feed_in_batches(n: usize, cuts: &[usize], mut ingest: impl FnMut(std::ops::Range<usize>)) {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+    bounds.extend([0, n]);
+    bounds.sort_unstable();
+    for w in bounds.windows(2) {
+        ingest(w[0]..w[1]);
+    }
+}
+
 const SELECTIONS: [WorldSelection; 3] = [
     WorldSelection::All { limit: 48 },
     WorldSelection::TopK(3),
@@ -336,7 +348,7 @@ proptest! {
                 prop_assert_eq!(&wa.choices, &wb.choices);
                 prop_assert_eq!(oa, ob, "{:?}", selection);
             }
-            let lean = multipass_snm_pairs(&tuples, &spec, 3, selection);
+            let lean = multipass_snm_with_table(&tuples, &spec.key_table(&tuples), 3, selection);
             prop_assert_eq!(lean.pairs(), b.pairs.pairs(), "{:?}", selection);
         }
     }
@@ -372,6 +384,49 @@ proptest! {
             let b = block_multipass_oracle(&tuples, &spec, selection);
             prop_assert_eq!(a.pairs.pairs(), b.pairs.pairs(), "{:?}", selection);
             prop_assert_eq!(&a.blocks, &b.blocks, "{:?}", selection);
+        }
+    }
+
+    /// The warm states fed batch by batch, under every [`Keying`]: the
+    /// oracle's pairs (same order) and its Fig. 10 / 11 / 14 views.
+    #[test]
+    fn warm_states_fed_in_batches_match_oracles(
+        (tuples, spec) in arb_case(),
+        cuts in proptest::collection::vec(0usize..8, 0..4),
+    ) {
+        let n = tuples.len();
+        let keyings = STRATEGIES.map(Keying::Resolved);
+        for keying in [Keying::PerAlternative].into_iter().chain(keyings) {
+            for window in [2usize, 3, 5] {
+                let mut state = IncrementalSnm::new(spec.clone(), keying, window);
+                feed_in_batches(n, &cuts, |rows| state.ingest(&tuples[rows.clone()], rows.start));
+                let mut order = state.order();
+                let (pairs, oracle_order) = match keying {
+                    Keying::PerAlternative => {
+                        let b = sorting_alternatives_oracle(&tuples, &spec, window);
+                        prop_assert_eq!(order.len(), b.raw_entries);
+                        order.dedup_by(|next, prev| next.tuple == prev.tuple);
+                        (b.pairs, b.order)
+                    }
+                    Keying::Resolved(strategy) => {
+                        conflict_resolved_snm_oracle(&tuples, &spec, window, strategy)
+                    }
+                };
+                let label = format!("{keying:?} window {window} cuts {cuts:?}");
+                let got = state.current_pairs(n);
+                prop_assert_eq!(got.pairs(), pairs.pairs(), "{}", &label);
+                prop_assert_eq!(&order, &oracle_order, "{}", &label);
+            }
+            let mut state = IncrementalBlocks::new(spec.clone(), keying);
+            feed_in_batches(n, &cuts, |rows| state.ingest(&tuples[rows.clone()], rows.start));
+            let b = match keying {
+                Keying::PerAlternative => block_alternatives_oracle(&tuples, &spec),
+                Keying::Resolved(s) => block_conflict_resolved_oracle(&tuples, &spec, s),
+            };
+            let label = format!("{keying:?} blocks cuts {cuts:?}");
+            let got = state.current_pairs(n);
+            prop_assert_eq!(got.pairs(), b.pairs.pairs(), "{}", &label);
+            prop_assert_eq!(&state.blocks(), &b.blocks, "{}", &label);
         }
     }
 

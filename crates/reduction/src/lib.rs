@@ -21,28 +21,32 @@
 //! tuple indices of one (combined) x-relation, ready for the matching and
 //! decision layers.
 //!
-//! Each family has **one emission loop** that consumers hand a sink: the
-//! window scan [`for_each_window_pair`] over a sorted entry list (with
-//! [`for_each_world_pass`] as the SNM loop over selected worlds), and the
-//! sorted-key block visitors [`for_each_alternative_block`],
-//! [`for_each_conflict_resolved_block`] and [`for_each_multipass_block`]
-//! (the blocking loop over selected worlds). The `CandidatePairs`-returning
-//! functions and the Fig. 9 / Fig. 14 inspection views are sinks over
-//! those loops, so they cannot drift apart on emission order.
+//! Each keyed adaptation has **one implementation**. The
+//! world-independent ones — conflict-resolved SNM, sorting alternatives and
+//! blocking by alternative or resolved keys — are the warm states of
+//! [`incremental`], [`IncrementalSnm`] and [`IncrementalBlocks`], that a
+//! persistent session feeds batch by batch; the one-shot
+//! [`conflict_resolved_snm`], [`sorting_alternatives`],
+//! [`block_alternatives`] and [`block_conflict_resolved`] are a fresh state
+//! fed once and read once, its Fig. 10 / 11 / 14 views included. The
+//! world-dependent multi-pass methods have one loop over the selected
+//! worlds each, and their pair-returning functions and Fig. 9 view are
+//! sinks over it.
 //!
 //! # Interned keys
 //!
-//! Every SNM/blocking entry point runs over **interned keys**: a
-//! [`key::KeyTable`] built once per call renders each distinct
-//! `(value, prefix length)` exactly once into a
+//! Every SNM/blocking implementation runs over **interned keys**: a
+//! [`key::KeyTable`] renders each distinct `(value, prefix length)`
+//! exactly once into a
 //! [`KeyPool`](probdedup_model::intern::KeyPool), and from there blocking
 //! buckets on dense [`KeySymbol`](probdedup_model::intern::KeySymbol)s
 //! while SNM sorts by precomputed lexicographic rank — so multi-pass
 //! methods are sort-only from pass 2 on (zero renders, asserted by the
-//! property tests). The string-rendering implementations are retained
-//! test-only as the `*_oracle` functions of `src/interned_oracle.rs` and
-//! property-tested to produce identical candidate-pair sets and
-//! inspection views.
+//! property tests), and a warm state renders only values it has not seen.
+//! The string-rendering implementations are retained test-only as the
+//! `*_oracle` functions of `src/interned_oracle.rs` and property-tested to
+//! produce identical candidate-pair sets and inspection views, one-shot
+//! and fed batch by batch.
 //!
 //! # Example
 //!
@@ -84,28 +88,16 @@ pub mod pairs;
 pub mod ranking;
 pub mod snm;
 
-pub use alternatives::{
-    sorted_alternative_entries, sorting_alternatives, SortingAlternativesResult,
-};
+pub use alternatives::{sorting_alternatives, SortingAlternativesResult};
 pub use blocking::{
     block_alternatives, block_conflict_resolved, block_multipass, block_multipass_with_table,
-    for_each_alternative_block, for_each_conflict_resolved_block, for_each_multipass_block,
     BlockingResult,
 };
 pub use cluster::{cluster_blocking, ClusterBlockingConfig};
-pub use conflict::{
-    conflict_resolved_snm, resolve_key, resolve_key_symbol, sorted_resolved_entries,
-    ConflictResolution,
-};
-pub use incremental::{BlockKeying, CandidateDelta, IncrementalBlocks, IncrementalSnm, SnmKeying};
+pub use conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
+pub use incremental::{CandidateDelta, IncrementalBlocks, IncrementalSnm, Keying};
 pub use key::{KeyPart, KeySpec, KeyTable};
-pub use multipass::{
-    for_each_world_pass, multipass_snm, multipass_snm_pairs, multipass_snm_with_table,
-    MultipassResult, WorldSelection,
-};
+pub use multipass::{multipass_snm, multipass_snm_with_table, MultipassResult, WorldSelection};
 pub use pairs::CandidatePairs;
-pub use ranking::{rank_tuples, ranked_snm, RankingFunction};
-pub use snm::{
-    for_each_window_pair, sort_entries, sorted_neighborhood, sorted_neighborhood_interned,
-    windowed_pairs, InternedSnmEntry, SnmEntry,
-};
+pub use ranking::{ranked_snm, RankingFunction};
+pub use snm::{sorted_neighborhood, SnmEntry};

@@ -15,10 +15,11 @@
 //! first pass: every later pass only picks each tuple's chosen-alternative
 //! key symbol and sorts by precomputed lexicographic rank — sort-only,
 //! zero key renders, zero allocation per entry. The loop over the selected
-//! worlds exists once, [`for_each_world_pass`]; the pair-returning entry
-//! points and the Fig. 9 inspection view are sinks over it. The string-rendering implementation is retained
-//! test-only (`src/interned_oracle.rs`) and property-tested to produce
-//! identical candidate pairs and pass orders.
+//! worlds exists once; [`multipass_snm`] (with its Fig. 9 inspection view)
+//! and [`multipass_snm_with_table`] are sinks over it. The
+//! string-rendering implementation is retained test-only
+//! (`src/interned_oracle.rs`) and property-tested to produce identical
+//! candidate pairs and pass orders.
 
 use probdedup_model::world::{full_worlds, top_k_worlds, World};
 use probdedup_model::xtuple::XTuple;
@@ -138,7 +139,7 @@ pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec
 /// list (one entry per tuple, keyed by the chosen alternative's symbol off
 /// `table`) sorted by `(rank, tuple)`, ready for
 /// [`for_each_window_pair`]. `table` must cover `tuples`.
-pub fn for_each_world_pass(
+pub(crate) fn for_each_world_pass(
     tuples: &[XTuple],
     table: &KeyTable,
     selection: WorldSelection,
@@ -147,7 +148,7 @@ pub fn for_each_world_pass(
     debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
     for world in select_worlds(tuples, selection) {
         let mut entries = world_entries_interned(table, &world);
-        sort_entries(&mut entries, table.ranks(), false);
+        sort_entries(&mut entries, table.ranks());
         f(world, &entries);
     }
 }
@@ -158,8 +159,8 @@ pub fn for_each_world_pass(
 /// plus windowing — passes ≥ 2 perform **zero** key renders (asserted by
 /// the property tests via [`KeyTable::render_count`]). The per-pass
 /// [`SnmEntry`] strings in the result are resolved from the pool for
-/// figures and tests; use [`multipass_snm_pairs`] when only the candidate
-/// set matters.
+/// figures and tests; use [`multipass_snm_with_table`] when only the
+/// candidate set matters.
 pub fn multipass_snm(
     tuples: &[XTuple],
     spec: &KeySpec,
@@ -182,22 +183,12 @@ pub fn multipass_snm(
     MultipassResult { pairs, passes }
 }
 
-/// [`multipass_snm`] without materializing the per-pass inspection views:
-/// the lean path — after the key table is built, each pass allocates
-/// nothing but its entry vector.
-pub fn multipass_snm_pairs(
-    tuples: &[XTuple],
-    spec: &KeySpec,
-    window: usize,
-    selection: WorldSelection,
-) -> CandidatePairs {
-    multipass_snm_with_table(tuples, &spec.key_table(tuples), window, selection)
-}
-
-/// Multi-pass SNM with a caller-supplied [`KeyTable`] — lets callers reuse
-/// one table across several window sizes or selections (sessions keep it
-/// warm across ingests), and lets tests observe the render counter across
-/// passes.
+/// [`multipass_snm`] with a caller-supplied [`KeyTable`] and without the
+/// per-pass inspection views — lets callers reuse one table across
+/// several window sizes or selections (sessions keep it warm across
+/// ingests), and lets tests observe the render counter across passes.
+/// After the table is built, each pass allocates nothing but its entry
+/// vector.
 pub fn multipass_snm_with_table(
     tuples: &[XTuple],
     table: &KeyTable,

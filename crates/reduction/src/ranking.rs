@@ -85,7 +85,7 @@ fn rank_score(t: &XTuple, spec: &KeySpec, f: RankingFunction) -> (f64, String) {
 /// Rank the x-tuples by their uncertain keys; returns tuple indices in rank
 /// order. `O(n · keys + n log n)`, matching the complexity the paper cites
 /// for probabilistic ranking functions.
-pub fn rank_tuples(tuples: &[XTuple], spec: &KeySpec, f: RankingFunction) -> Vec<usize> {
+pub(crate) fn rank_tuples(tuples: &[XTuple], spec: &KeySpec, f: RankingFunction) -> Vec<usize> {
     let mut scored: Vec<(usize, f64, String)> = tuples
         .iter()
         .enumerate()

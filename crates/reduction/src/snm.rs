@@ -2,13 +2,12 @@
 //! entries, slide a window, emit candidate pairs.
 //!
 //! [`sorted_neighborhood`] sorts owned key `String`s (the paper-literal
-//! path the test-only oracles run on). Everything else runs on
-//! [`InternedSnmEntry`]s: [`sort_entries`] orders [`KeySymbol`]s by a
-//! precomputed lexicographic rank — integer compares, zero allocation,
-//! byte-identical order — and [`for_each_window_pair`] is the **one**
-//! window scan over such a list. [`sorted_neighborhood_interned`],
-//! [`windowed_pairs`] and the multi-pass loop of [`crate::multipass`] are
-//! sinks over it.
+//! path the test-only oracles run on). Everything else runs on interned
+//! entries (a key symbol and a tuple): they sort by a precomputed
+//! lexicographic rank — integer compares, zero allocation, byte-identical
+//! order — and one window scan serves ranked SNM, the multi-pass loop of
+//! [`crate::multipass`] and the warm
+//! [`IncrementalSnm`](crate::incremental::IncrementalSnm).
 
 use probdedup_model::intern::{KeyRanks, KeySymbol};
 
@@ -74,48 +73,34 @@ pub fn sorted_neighborhood(
 /// One sortable **interned** entry: a key symbol and the tuple it
 /// references — the allocation-free twin of [`SnmEntry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InternedSnmEntry {
+pub(crate) struct InternedSnmEntry {
     /// The key symbol (resolve against the issuing
     /// [`KeyPool`](probdedup_model::intern::KeyPool) for display).
-    pub key: KeySymbol,
+    pub(crate) key: KeySymbol,
     /// Index of the referenced tuple.
-    pub tuple: usize,
+    pub(crate) tuple: usize,
 }
 
 impl InternedSnmEntry {
     /// A new entry.
-    pub fn new(key: KeySymbol, tuple: usize) -> Self {
+    pub(crate) fn new(key: KeySymbol, tuple: usize) -> Self {
         Self { key, tuple }
     }
 }
 
 /// Sort interned entries by `(rank(key), tuple)` — byte-identical order to
 /// the string path, since `ranks` agrees with the key strings'
-/// lexicographic order — and, if `skip_adjacent_same_tuple` is set,
-/// collapse neighboring entries of the same tuple (Fig. 11's omission
-/// rule). The result is what [`for_each_window_pair`] scans.
-pub fn sort_entries(
-    entries: &mut Vec<InternedSnmEntry>,
-    ranks: &KeyRanks,
-    skip_adjacent_same_tuple: bool,
-) {
-    entries.sort_by(|a, b| {
-        ranks
-            .rank(a.key)
-            .cmp(&ranks.rank(b.key))
-            .then(a.tuple.cmp(&b.tuple))
-    });
-    if skip_adjacent_same_tuple {
-        entries.dedup_by(|next, prev| next.tuple == prev.tuple);
-    }
+/// lexicographic order. Stable, so equal entries keep their input order.
+pub(crate) fn sort_entries(entries: &mut [InternedSnmEntry], ranks: &KeyRanks) {
+    entries.sort_by_key(|e| (ranks.rank(e.key), e.tuple));
 }
 
-/// The window scan — the one loop every interned SNM flavour, ranked SNM
-/// and the incremental states run: visit each entry of a **sorted,
-/// collapsed** list as the anchor of the `window − 1` entries after it
-/// (`window` clamped to ≥ 2), anchor-major. Self-pairs and repeats are
-/// passed through; the consumer's pair set suppresses them (Fig. 12).
-pub fn for_each_window_pair<T>(entries: &[T], window: usize, mut f: impl FnMut(&T, &T)) {
+/// The window scan — the one loop ranked SNM, multi-pass SNM and the
+/// incremental states run: visit each entry of a **sorted, collapsed**
+/// list as the anchor of the `window − 1` entries after it (`window`
+/// clamped to ≥ 2), anchor-major. Self-pairs and repeats are passed
+/// through; the consumer's pair set suppresses them (Fig. 12).
+pub(crate) fn for_each_window_pair<T>(entries: &[T], window: usize, mut f: impl FnMut(&T, &T)) {
     let window = window.max(2);
     for (i, anchor) in entries.iter().enumerate() {
         for other in entries.iter().skip(i + 1).take(window - 1) {
@@ -124,26 +109,13 @@ pub fn for_each_window_pair<T>(entries: &[T], window: usize, mut f: impl FnMut(&
     }
 }
 
-/// [`sorted_neighborhood`] over interned entries: [`sort_entries`], then
-/// window identically. No string is touched.
-pub fn sorted_neighborhood_interned(
-    mut entries: Vec<InternedSnmEntry>,
-    ranks: &KeyRanks,
-    window: usize,
-    n_tuples: usize,
-    skip_adjacent_same_tuple: bool,
-) -> (CandidatePairs, Vec<InternedSnmEntry>) {
-    sort_entries(&mut entries, ranks, skip_adjacent_same_tuple);
-    let pairs = windowed_pairs(&entries, window, n_tuples, false);
-    (pairs, entries)
-}
-
-/// [`for_each_window_pair`] into a fresh pair set — the back half of
-/// [`sorted_neighborhood_interned`] and of the incremental SNM state
-/// (which keeps its sorted entry list resident, uncollapsed, and
-/// rank-**inserts** new entries instead of re-sorting). Pairs come out in
+/// [`for_each_window_pair`] into a fresh pair set — the back half of the
+/// incremental SNM state (which keeps its sorted entry list resident,
+/// uncollapsed, and rank-**inserts** new entries instead of re-sorting).
+/// If `skip_adjacent_same_tuple` is set, neighboring entries of the same
+/// tuple collapse first (Fig. 11's omission rule). Pairs come out in
 /// window order, deduplicated.
-pub fn windowed_pairs(
+pub(crate) fn windowed_pairs(
     entries: &[InternedSnmEntry],
     window: usize,
     n_tuples: usize,
@@ -274,16 +246,20 @@ mod tests {
             .map(|&(k, t)| InternedSnmEntry::new(kp.intern_str(k), t))
             .collect();
         let ranks = kp.lexicographic_ranks();
+        let mut sorted = interned;
+        sort_entries(&mut sorted, &ranks);
         for window in [2, 3, 4] {
             for skip in [false, true] {
                 let (sp, so) = sorted_neighborhood(entries(list), window, 5, skip);
-                let (ip, io) =
-                    sorted_neighborhood_interned(interned.clone(), &ranks, window, 5, skip);
+                let ip = windowed_pairs(&sorted, window, 5, skip);
                 assert_eq!(sp.pairs(), ip.pairs(), "window {window} skip {skip}");
-                let resolved: Vec<(String, usize)> = io
+                let mut resolved: Vec<(String, usize)> = sorted
                     .iter()
                     .map(|e| (kp.resolve(e.key).to_string(), e.tuple))
                     .collect();
+                if skip {
+                    resolved.dedup_by(|next, prev| next.1 == prev.1);
+                }
                 let strings: Vec<(String, usize)> =
                     so.iter().map(|e| (e.key.clone(), e.tuple)).collect();
                 assert_eq!(resolved, strings, "window {window} skip {skip}");
