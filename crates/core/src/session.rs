@@ -780,7 +780,11 @@ impl DedupSession {
     /// The pipeline's configuration must agree with the one the snapshot
     /// was written under (schema arity, reduction strategy, engine and
     /// bounded-mode flags) — a disagreement is reported as
-    /// [`SnapshotError::ConfigMismatch`]. Every corruption mode
+    /// [`SnapshotError::ConfigMismatch`]. So is a decision memo that misses
+    /// some of the candidates this pipeline regenerates: the file does not
+    /// record key, window, world selection or conflict resolution, and
+    /// another one of them is the only way checksum-valid sections get
+    /// there. Every corruption mode
     /// (truncation, bit flips, version or checksum disagreement,
     /// inconsistent cross-section state) is a typed [`SnapshotError`]; the
     /// session is never partially constructed. Opening re-keys and
@@ -972,17 +976,28 @@ impl DedupSession {
             self.rekey(rel);
             let candidates = self.ordered_candidates();
             // The memo must cover the regenerated candidate set, or
-            // `result()` on the reopened session would have to classify —
-            // a coherent snapshot always decided its own candidates.
-            for pair in candidates.pairs() {
-                if !decided.contains_key(pair) {
-                    return Err(SnapshotError::Malformed {
-                        context: "decision memo incomplete",
-                    });
-                }
+            // `result()` on the reopened session would have to classify.
+            // A snapshot always decided its own candidates and every
+            // section passed its checksum, so a missing pair means the
+            // pipeline regenerates other candidates than the writer did.
+            if candidates
+                .pairs()
+                .iter()
+                .any(|pair| !decided.contains_key(pair))
+            {
+                return Err(SnapshotError::ConfigMismatch {
+                    detail: "the decision memo does not cover the candidates this \
+                             pipeline generates; the snapshot was written under another \
+                             key, window, world selection or conflict resolution"
+                        .to_string(),
+                });
             }
             // Older files also kept the decisions of pairs that had left
-            // the candidate set; those are dropped, never rejected.
+            // the candidate set; those are dropped, never rejected. A
+            // narrower window (or any configuration whose candidates are a
+            // subset of the writer's) lands here too and prunes silently:
+            // CONFIG records neither key nor window, so nothing can tell
+            // the two apart until it does.
             if decided.len() > candidates.len() {
                 decided.retain(|&(i, j), _| candidates.contains(i, j));
             }

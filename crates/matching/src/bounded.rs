@@ -13,7 +13,7 @@
 //!
 //! * every visited support term either contributes its *exact* kernel value
 //!   or — through the bounded kernels
-//!   ([`StringComparator::similarity_within`][w] over prepared values,
+//!   ([`StringComparator::similarity_prepared_within`][w] under
 //!   [`ValueComparator::similarity_prepared_within`](crate::ValueComparator::similarity_prepared_within))
 //!   — a certificate that its kernel similarity is below the `lo` cut;
 //! * the running certified interval is
@@ -36,7 +36,7 @@
 //! never settled, the evaluation falls back to the exact pruned sum — the
 //! attempt cost only prefilter-tier work.
 //!
-//! [w]: probdedup_textsim::StringComparator::similarity_within
+//! [w]: probdedup_textsim::StringComparator::similarity_prepared_within
 
 use crate::interned::PRUNE_EPS;
 use crate::pvalue_sim::pruned_expected_similarity;

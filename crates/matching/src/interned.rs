@@ -175,12 +175,11 @@ pub fn intern_tuples_into(pool: &mut ValuePool, tuples: &[XTuple]) -> Vec<Intern
 ///
 /// A per-symbol sidecar ([`SymbolMap`]) holds each distinct value's
 /// prepared comparison state ([`PreparedValue`]: ASCII class, character
-/// length, and the Myers `Peq` pattern bitmasks), so a kernel evaluation
-/// never re-scans a string it has seen before: interning pays a second
-/// time by hanging the precomputation off the dense symbol index. The
-/// sidecars are **eager**: every symbol carries `Peq` bits iff some
-/// attribute's kernel [wants them](ValueComparator::wants_pattern_bits),
-/// whichever attribute the symbol occurs in. Kernel results are **not**
+/// length, class mask), so a kernel evaluation never re-scans a string it
+/// has seen before: interning pays a second time by hanging the
+/// precomputation off the dense symbol index. The sidecars are **eager**
+/// (every symbol is prepared when it enters the pool) and the same for
+/// every kernel. Kernel results are **not**
 /// memoized — every evaluation is a pure function of the two symbols,
 /// computed where it is needed, so no result depends on which thread or
 /// earlier call saw the pair first.
@@ -193,26 +192,17 @@ pub fn intern_tuples_into(pool: &mut ValuePool, tuples: &[XTuple]) -> Vec<Intern
 pub struct InternedComparators {
     per_attr: Vec<ValueComparator>,
     prepared: SymbolMap<PreparedValue>,
-    /// Whether some attribute's kernel wants Myers pattern bits; every
-    /// symbol's sidecar carries them iff so.
-    with_bits: bool,
 }
 
 impl InternedComparators {
     /// Bind `comparators` to `pool` and precompute every symbol's
-    /// [`PreparedValue`] — including pattern bitmasks iff some attribute's
-    /// kernel exploits them.
+    /// [`PreparedValue`].
     pub fn new(pool: &ValuePool, comparators: &AttributeComparators) -> Self {
         let per_attr: Vec<ValueComparator> = (0..comparators.arity())
             .map(|i| comparators.get(i).clone())
             .collect();
-        let with_bits = per_attr.iter().any(ValueComparator::wants_pattern_bits);
-        let prepared = SymbolMap::build(pool, |(_, v)| PreparedValue::of(v, with_bits));
-        Self {
-            per_attr,
-            prepared,
-            with_bits,
-        }
+        let prepared = SymbolMap::build(pool, |(_, v)| PreparedValue::of(v));
+        Self { per_attr, prepared }
     }
 
     /// Catch the per-symbol sidecar up with a pool that has **grown
@@ -225,9 +215,7 @@ impl InternedComparators {
     /// and aliasing a different pool onto them would silently compare the
     /// wrong values.
     pub fn sync_pool(&mut self, pool: &ValuePool) {
-        let with_bits = self.with_bits;
-        self.prepared
-            .extend(pool, |(_, v)| PreparedValue::of(v, with_bits));
+        self.prepared.extend(pool, |(_, v)| PreparedValue::of(v));
     }
 
     /// The prepared comparison state of `sym` (inspection/testing — the hot

@@ -28,11 +28,11 @@
 //!   a [`ValuePool`](probdedup_model::intern::ValuePool), Eq. 5 runs over
 //!   dense symbols with alternatives in descending probability order
 //!   (enabling upper-bound pruning), and each kernel evaluates over
-//!   per-symbol [`PreparedValue`]s (ASCII class, character length, Myers
-//!   pattern bitmasks) precomputed once at interning time, so the
-//!   bit-parallel kernels in `probdedup-textsim` skip their per-comparison
-//!   setup. Kernel results are computed, not memoized: every similarity
-//!   is a pure function of its two symbols. Its bounded entry
+//!   per-symbol [`PreparedValue`]s (ASCII class, character length, class
+//!   mask) precomputed once at interning time, so the bit-parallel kernels
+//!   in `probdedup-textsim` skip their per-comparison scans. Kernel
+//!   results are computed, not memoized: every similarity is a pure
+//!   function of its two symbols. Its bounded entry
 //!   ([`interned_pvalue_similarity_bounded`], the loop of [`bounded`])
 //!   evaluates Eq. 5 against a cut interval. This is what the pipeline's
 //!   matching engine executes — always.

@@ -55,18 +55,12 @@ impl ValueComparator {
         }
     }
 
-    /// Whether this comparator's text kernel exploits precomputed Myers
-    /// pattern bitmasks (see [`PreparedValue::of`]).
-    pub fn wants_pattern_bits(&self) -> bool {
-        self.text.wants_pattern_bits()
-    }
-
     /// Bounded similarity over [`PreparedValue`]s: `Some(exact)` or a
     /// certificate that the similarity is `< bound` (the contract of
-    /// [`StringComparator::similarity_within`]). Only text pairs have
-    /// bounded kernels, whose prefilters read the precomputed lengths and
-    /// class masks; every other routing arm is constant-time anyway and
-    /// returns its exact value.
+    /// [`StringComparator::similarity_prepared_within`]). Only text pairs
+    /// have bounded kernels, whose prefilters read the precomputed lengths
+    /// and class masks; every other routing arm is constant-time anyway
+    /// and returns its exact value.
     pub fn similarity_prepared_within(
         &self,
         a: &PreparedValue,
@@ -105,21 +99,18 @@ pub enum PreparedValue {
     /// `⊥` — the constant-time conventions never reach a kernel.
     Null,
     /// A text value with its [`PreparedText`] (ASCII class, character
-    /// length, and — when `with_bits` — the Myers `Peq` table).
+    /// length, class mask).
     Text(PreparedText),
     /// Any non-text value; compared through the unprepared routing.
     Other(Value),
 }
 
 impl PreparedValue {
-    /// Prepare `v`. `with_bits` controls whether text values also build
-    /// their Myers pattern bitmasks
-    /// ([`ValueComparator::wants_pattern_bits`] says if the kernel pays
-    /// that off).
-    pub fn of(v: &Value, with_bits: bool) -> Self {
+    /// Prepare `v`.
+    pub fn of(v: &Value) -> Self {
         match v {
             Value::Null => Self::Null,
-            Value::Text(s) => Self::Text(PreparedText::new(s, with_bits)),
+            Value::Text(s) => Self::Text(PreparedText::new(s)),
             other => Self::Other(other.clone()),
         }
     }
@@ -197,27 +188,15 @@ mod tests {
             Value::Bool(true),
         ];
         let c = cmp();
-        for with_bits in [false, true] {
-            let prepared: Vec<PreparedValue> = values
-                .iter()
-                .map(|v| PreparedValue::of(v, with_bits))
-                .collect();
-            for (v1, p1) in values.iter().zip(&prepared) {
-                for (v2, p2) in values.iter().zip(&prepared) {
-                    assert_eq!(
-                        c.similarity_prepared(p1, p2).to_bits(),
-                        c.similarity(v1, v2).to_bits(),
-                        "{v1:?} vs {v2:?} (bits: {with_bits})"
-                    );
-                }
+        let prepared: Vec<PreparedValue> = values.iter().map(PreparedValue::of).collect();
+        for (v1, p1) in values.iter().zip(&prepared) {
+            for (v2, p2) in values.iter().zip(&prepared) {
+                assert_eq!(
+                    c.similarity_prepared(p1, p2).to_bits(),
+                    c.similarity(v1, v2).to_bits(),
+                    "{v1:?} vs {v2:?}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn wants_pattern_bits_follows_text_kernel() {
-        use probdedup_textsim::Levenshtein;
-        assert!(!cmp().wants_pattern_bits());
-        assert!(ValueComparator::text(Levenshtein::new()).wants_pattern_bits());
     }
 }

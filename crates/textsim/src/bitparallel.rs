@@ -19,12 +19,15 @@
 //!   [`hamming_bytes`] identity) and a lowest-set-bit; a longer `b` gets a
 //!   per-character position-mask table.
 //! * [`PreparedText`] — per-string precomputation (ASCII class, character
-//!   length, character-class occupancy mask, optional [`PatternBits`]) that
-//!   callers with a value interner compute **once per distinct string** and
-//!   reuse across every comparison (see `probdedup_matching`'s interned
-//!   miss path).
-//! * [`myers_distance_within`] (and the stack-`Peq` ASCII twin
-//!   `myers_ascii_64_within`) — the **bounded**
+//!   length, character-class occupancy mask) that callers with a value
+//!   interner compute **once per distinct string** and reuse across every
+//!   comparison (see `probdedup_matching`'s interned kernel path). The
+//!   Myers `Peq` table is not part of it: building a short ASCII pattern's
+//!   table on the stack per call measured cheaper than reading a stored
+//!   one (ARCHITECTURE.md, "How interning flows through the layers").
+//! * [`myers_distance_within`] (over a [`PatternBits`]) and
+//!   `myers_ascii_64_within` (over a stack `Peq`, for ASCII patterns of at
+//!   most 64 bytes) — the **bounded**
 //!   Myers kernels: given an edit-distance budget `k` they either return
 //!   the exact distance (when it is ≤ `k`) or certify `> k` and stop,
 //!   typically long before the full column loop finishes. The single-word
@@ -460,18 +463,6 @@ pub fn hamming_bytes(a: &[u8], b: &[u8]) -> usize {
     dist
 }
 
-/// Case-insensitive ASCII Hamming distance over byte strings (byte loop —
-/// still allocation- and `char`-free, which is where the scalar path
-/// spends its time).
-pub(crate) fn hamming_bytes_ci(a: &[u8], b: &[u8]) -> usize {
-    let n = a.len().min(b.len());
-    let mut dist = a.len().max(b.len()) - n;
-    for (pa, pb) in a[..n].iter().zip(&b[..n]) {
-        dist += usize::from(!pa.eq_ignore_ascii_case(pb));
-    }
-    dist
-}
-
 /// Maximum byte length [`jaro_ascii`] accepts (positions must fit a
 /// `u128` matched-set).
 pub(crate) const JARO_ASCII_MAX: usize = 128;
@@ -598,29 +589,25 @@ pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
 /// off the `ValuePool`'s dense symbol index) and consumed by
 /// [`StringComparator::similarity_prepared`](crate::StringComparator::similarity_prepared):
 /// the ASCII class and character length replace the per-comparison
-/// `is_ascii`/`chars().count()` scans, and the optional [`PatternBits`]
-/// lets Myers' algorithm skip its per-comparison `Peq` build entirely.
+/// `is_ascii`/`chars().count()` scans, and the class mask feeds the
+/// bounded kernels' prefilters.
 #[derive(Debug, Clone)]
 pub struct PreparedText {
     text: Box<str>,
     char_len: usize,
     ascii: bool,
     class: u128,
-    bits: Option<PatternBits>,
 }
 
 impl PreparedText {
-    /// Prepare `s`. `with_bits` additionally precomputes the Myers `Peq`
-    /// table — worthwhile only when the kernel consuming this asks for it
-    /// ([`StringComparator::wants_pattern_bits`](crate::StringComparator::wants_pattern_bits)).
-    pub fn new(s: &str, with_bits: bool) -> Self {
+    /// Prepare `s`.
+    pub fn new(s: &str) -> Self {
         let ascii = s.is_ascii();
         Self {
             text: s.into(),
             char_len: if ascii { s.len() } else { s.chars().count() },
             ascii,
             class: class_mask(s),
-            bits: with_bits.then(|| PatternBits::new(s)),
         }
     }
 
@@ -646,12 +633,6 @@ impl PreparedText {
     #[inline]
     pub fn class(&self) -> u128 {
         self.class
-    }
-
-    /// The precomputed Myers table, if requested at construction.
-    #[inline]
-    pub fn bits(&self) -> Option<&PatternBits> {
-        self.bits.as_ref()
     }
 }
 
@@ -793,12 +774,6 @@ mod tests {
     }
 
     #[test]
-    fn hamming_bytes_ci_folds_case() {
-        assert_eq!(hamming_bytes_ci(b"TIM", b"tim"), 0);
-        assert_eq!(hamming_bytes_ci(b"TIM", b"tom"), 1);
-    }
-
-    #[test]
     fn nonzero_bytes_counts() {
         assert_eq!(nonzero_bytes(0), 0);
         assert_eq!(nonzero_bytes(u64::MAX), 8);
@@ -878,15 +853,14 @@ mod tests {
 
     #[test]
     fn prepared_text_classifies() {
-        let p = PreparedText::new("machinist", false);
+        let p = PreparedText::new("machinist");
         assert!(p.is_ascii());
         assert_eq!(p.char_len(), 9);
         assert_eq!(p.text(), "machinist");
-        assert!(p.bits().is_none());
-        let q = PreparedText::new("café", true);
+        assert_eq!(p.class(), class_mask("machinist"));
+        let q = PreparedText::new("café");
         assert!(!q.is_ascii());
         assert_eq!(q.char_len(), 4);
-        assert_eq!(q.bits().expect("bits requested").len(), 4);
     }
 
     /// Textbook two-row DP, used as an in-module oracle (the crate-level

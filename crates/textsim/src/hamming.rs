@@ -1,8 +1,6 @@
 //! Normalized Hamming similarity — the kernel of the paper's worked examples.
 
-use crate::bitparallel::{
-    class_absent_bound, class_mask, hamming_bytes, hamming_bytes_ci, PreparedText,
-};
+use crate::bitparallel::{class_absent_bound, hamming_bytes, PreparedText};
 use crate::traits::{StringComparator, BOUND_SLACK};
 
 /// Normalized Hamming similarity.
@@ -17,25 +15,15 @@ use crate::traits::{StringComparator, BOUND_SLACK};
 /// * `sim(Jim, Tom) = 1/3`, `sim(Tim, Tom) = 2/3` (Fig. 7 discussion).
 ///
 /// Comparison is on Unicode scalar values (`char`), not bytes, so multi-byte
-/// characters count as single positions.
+/// characters count as single positions. Comparison is case-sensitive, as
+/// in the paper; `Normalizer::standard` lower-cases values before matching.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NormalizedHamming {
-    case_insensitive: bool,
-}
+pub struct NormalizedHamming;
 
 impl NormalizedHamming {
-    /// Case-sensitive normalized Hamming similarity (the paper's variant).
+    /// A normalized Hamming comparator.
     pub fn new() -> Self {
-        Self {
-            case_insensitive: false,
-        }
-    }
-
-    /// Case-insensitive variant: characters are compared after ASCII-folding.
-    pub fn case_insensitive() -> Self {
-        Self {
-            case_insensitive: true,
-        }
+        Self
     }
 
     /// Raw Hamming distance: number of differing positions, counting the
@@ -46,11 +34,7 @@ impl NormalizedHamming {
     /// character walk of [`distance_scalar`](Self::distance_scalar).
     pub fn distance(&self, a: &str, b: &str) -> usize {
         if a.is_ascii() && b.is_ascii() {
-            if self.case_insensitive {
-                hamming_bytes_ci(a.as_bytes(), b.as_bytes())
-            } else {
-                hamming_bytes(a.as_bytes(), b.as_bytes())
-            }
+            hamming_bytes(a.as_bytes(), b.as_bytes())
         } else {
             self.distance_scalar(a, b)
         }
@@ -68,9 +52,7 @@ impl NormalizedHamming {
                 (Some(ca), Some(cb)) => {
                     len_a += 1;
                     len_b += 1;
-                    if !self.chars_eq(ca, cb) {
-                        dist += 1;
-                    }
+                    dist += usize::from(ca != cb);
                 }
                 (Some(_), None) => {
                     len_a += 1;
@@ -85,14 +67,6 @@ impl NormalizedHamming {
         }
         debug_assert!(dist <= len_a.max(len_b));
         dist
-    }
-
-    fn chars_eq(&self, a: char, b: char) -> bool {
-        if self.case_insensitive {
-            a.eq_ignore_ascii_case(&b)
-        } else {
-            a == b
-        }
     }
 }
 
@@ -117,34 +91,11 @@ impl StringComparator for NormalizedHamming {
         // The prepared ASCII class replaces the per-comparison is_ascii
         // scans of `distance`.
         let d = if a.is_ascii() && b.is_ascii() {
-            if self.case_insensitive {
-                hamming_bytes_ci(a.text().as_bytes(), b.text().as_bytes())
-            } else {
-                hamming_bytes(a.text().as_bytes(), b.text().as_bytes())
-            }
+            hamming_bytes(a.text().as_bytes(), b.text().as_bytes())
         } else {
             self.distance_scalar(a.text(), b.text())
         };
         1.0 - d as f64 / max_len as f64
-    }
-
-    fn similarity_within(&self, a: &str, b: &str, bound: f64) -> Option<f64> {
-        let (la, lb) = (a.chars().count(), b.chars().count());
-        let max_len = la.max(lb);
-        if max_len == 0 {
-            return Some(1.0);
-        }
-        // d ≥ length gap always; the class-mask bound additionally holds
-        // for the case-sensitive variant (case folding can match characters
-        // whose masks differ).
-        let mut d_lb = la.abs_diff(lb);
-        if !self.case_insensitive {
-            d_lb = d_lb.max(class_absent_bound(class_mask(a), class_mask(b)));
-        }
-        if 1.0 - d_lb as f64 / max_len as f64 + BOUND_SLACK < bound {
-            return None;
-        }
-        Some(self.similarity(a, b))
     }
 
     fn similarity_prepared_within(
@@ -157,10 +108,12 @@ impl StringComparator for NormalizedHamming {
         if max_len == 0 {
             return Some(1.0);
         }
-        let mut d_lb = a.char_len().abs_diff(b.char_len());
-        if !self.case_insensitive {
-            d_lb = d_lb.max(class_absent_bound(a.class(), b.class()));
-        }
+        // Every unmatched position counts: d ≥ the length gap, and d ≥ the
+        // distinct characters of one side absent from the other.
+        let d_lb = a
+            .char_len()
+            .abs_diff(b.char_len())
+            .max(class_absent_bound(a.class(), b.class()));
         if 1.0 - d_lb as f64 / max_len as f64 + BOUND_SLACK < bound {
             return None;
         }
@@ -221,14 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn case_insensitive_variant() {
-        let h = NormalizedHamming::case_insensitive();
-        assert_eq!(h.similarity("TIM", "tim"), 1.0);
-        let strict = NormalizedHamming::new();
-        assert!(strict.similarity("TIM", "tim") < 1.0);
-    }
-
-    #[test]
     fn unicode_chars_count_as_single_positions() {
         let h = NormalizedHamming::new();
         // "né" vs "ne": one of two positions differs.
@@ -239,18 +184,14 @@ mod tests {
     fn byte_sliced_path_agrees_with_scalar_oracle() {
         let long_a = "a fairly long ascii string, enough for two u64 chunks";
         let long_b = "a fairly long ASCII string; enough for two u64 chunks!";
-        for h in [
-            NormalizedHamming::new(),
-            NormalizedHamming::case_insensitive(),
+        let h = NormalizedHamming::new();
+        for (a, b) in [
+            ("Tim", "Kim"),
+            ("machinist", "mechanic"),
+            ("", "abcd"),
+            (long_a, long_b),
         ] {
-            for (a, b) in [
-                ("Tim", "Kim"),
-                ("machinist", "mechanic"),
-                ("", "abcd"),
-                (long_a, long_b),
-            ] {
-                assert_eq!(h.distance(a, b), h.distance_scalar(a, b), "{a:?} vs {b:?}");
-            }
+            assert_eq!(h.distance(a, b), h.distance_scalar(a, b), "{a:?} vs {b:?}");
         }
     }
 
@@ -259,8 +200,8 @@ mod tests {
         use crate::bitparallel::PreparedText;
         let h = NormalizedHamming::new();
         for (a, b) in [("Tim", "Kim"), ("né", "ne"), ("", ""), ("ab", "abcd")] {
-            let pa = PreparedText::new(a, false);
-            let pb = PreparedText::new(b, false);
+            let pa = PreparedText::new(a);
+            let pb = PreparedText::new(b);
             assert_eq!(
                 h.similarity_prepared(&pa, &pb).to_bits(),
                 h.similarity(a, b).to_bits(),

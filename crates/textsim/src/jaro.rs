@@ -1,9 +1,7 @@
 //! Jaro and Jaro-Winkler similarity, the record-linkage standards cited by
 //! the paper ("edit- or jaro distance", Section III-C).
 
-use crate::bitparallel::{
-    class_absent_counts, class_mask, jaro_ascii, PreparedText, JARO_ASCII_MAX,
-};
+use crate::bitparallel::{class_absent_counts, jaro_ascii, PreparedText, JARO_ASCII_MAX};
 use crate::traits::{StringComparator, BOUND_SLACK};
 
 /// What the class-mask prefilter can say about a Jaro-family similarity.
@@ -138,19 +136,6 @@ impl StringComparator for Jaro {
         jaro_prepared(a, b)
     }
 
-    fn similarity_within(&self, a: &str, b: &str, bound: f64) -> Option<f64> {
-        match jaro_prefilter(
-            a.chars().count(),
-            b.chars().count(),
-            class_mask(a),
-            class_mask(b),
-        ) {
-            JaroPrefilter::ExactZero => Some(0.0),
-            JaroPrefilter::UpperBound(ub) if ub + BOUND_SLACK < bound => None,
-            _ => Some(jaro_similarity(a, b)),
-        }
-    }
-
     fn similarity_prepared_within(
         &self,
         a: &PreparedText,
@@ -224,22 +209,6 @@ impl StringComparator for JaroWinkler {
         Self::boost(jaro_prepared(a, b), a.text(), b.text())
     }
 
-    fn similarity_within(&self, a: &str, b: &str, bound: f64) -> Option<f64> {
-        match jaro_prefilter(
-            a.chars().count(),
-            b.chars().count(),
-            class_mask(a),
-            class_mask(b),
-        ) {
-            // No shared characters: Jaro is 0 and the prefix bonus vacuous.
-            JaroPrefilter::ExactZero => Some(0.0),
-            JaroPrefilter::UpperBound(ub) if Self::boost_upper_bound(ub) + BOUND_SLACK < bound => {
-                None
-            }
-            _ => Some(self.similarity(a, b)),
-        }
-    }
-
     fn similarity_prepared_within(
         &self,
         a: &PreparedText,
@@ -247,6 +216,7 @@ impl StringComparator for JaroWinkler {
         bound: f64,
     ) -> Option<f64> {
         match jaro_prefilter(a.char_len(), b.char_len(), a.class(), b.class()) {
+            // No shared characters: Jaro is 0 and the prefix bonus vacuous.
             JaroPrefilter::ExactZero => Some(0.0),
             JaroPrefilter::UpperBound(ub) if Self::boost_upper_bound(ub) + BOUND_SLACK < bound => {
                 None
@@ -353,8 +323,8 @@ mod tests {
             ("", ""),
             ("pref", "prefix"),
         ] {
-            let pa = PreparedText::new(a, false);
-            let pb = PreparedText::new(b, false);
+            let pa = PreparedText::new(a);
+            let pb = PreparedText::new(b);
             assert_eq!(
                 j.similarity_prepared(&pa, &pb).to_bits(),
                 j.similarity(a, b).to_bits()
@@ -390,7 +360,7 @@ mod tests {
         ];
         let jw = JaroWinkler::new();
         for (a, b, bits, below) in pins {
-            let (pa, pb) = (PreparedText::new(a, false), PreparedText::new(b, false));
+            let (pa, pb) = (PreparedText::new(a), PreparedText::new(b));
             assert_eq!(jw.similarity(a, b).to_bits(), bits, "{a:?} vs {b:?}");
             assert_eq!(jw.similarity_prepared(&pa, &pb).to_bits(), bits);
             let within = jw.similarity_prepared_within(&pa, &pb, 0.72);

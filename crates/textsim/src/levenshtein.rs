@@ -1,7 +1,7 @@
 //! Levenshtein edit distance, normalized to `[0,1]`.
 
 use crate::bitparallel::{
-    class_absent_bound, class_mask, myers_ascii_64, myers_ascii_64_within, myers_distance,
+    class_absent_bound, myers_ascii_64, myers_ascii_64_within, myers_distance,
     myers_distance_within, PatternBits, PreparedText,
 };
 use crate::traits::StringComparator;
@@ -93,65 +93,35 @@ impl Levenshtein {
         prev[short.len()]
     }
 
-    /// Bounded edit distance: `Some(d)` iff `d ≤ bound` (with `d` exact),
-    /// `None` certifying `d > bound` — usually without running the full
-    /// distance. Three tiers, each cheaper than the next:
+    /// Edit distance of two prepared strings: the prepared lengths and
+    /// ASCII class pick the kernel without rescanning either string — the
+    /// stack-`Peq` single-word Myers for an ASCII pattern of at most 64
+    /// bytes, a per-call [`PatternBits`] otherwise (the shorter side as
+    /// pattern minimizes words).
+    fn distance_prepared(&self, a: &PreparedText, b: &PreparedText) -> usize {
+        let (la, lb) = (a.char_len(), b.char_len());
+        if la == 0 || lb == 0 {
+            return la.max(lb);
+        }
+        let (pat, text) = if la <= lb { (a, b) } else { (b, a) };
+        if pat.is_ascii() && text.is_ascii() && pat.char_len() <= 64 {
+            return myers_ascii_64(pat.text().as_bytes(), text.text().as_bytes());
+        }
+        myers_distance(&PatternBits::new(pat.text()), text.text())
+    }
+
+    /// Bounded edit distance of two prepared strings: `Some(d)` iff
+    /// `d ≤ bound` (with `d` exact), `None` certifying `d > bound` —
+    /// usually without running the full distance. Three tiers, each
+    /// cheaper than the next, all reading the preparation:
     ///
-    /// 1. **length-difference prefilter** — `d ≥ ||a| − |b||` (byte lengths
-    ///    suffice for ASCII pairs);
+    /// 1. **length-difference prefilter** — `d ≥ ||a| − |b||`;
     /// 2. **ASCII-class prefilter** — `d ≥` the number of distinct
     ///    characters of either string absent from the other
     ///    ([`class_absent_bound`]);
-    /// 3. **banded Myers** — [`myers_distance_within`] (or its stack-`Peq`
-    ///    ASCII twin), which aborts mid-column-loop once the band
-    ///    certifies the bound.
-    pub fn distance_within(&self, a: &str, b: &str, bound: usize) -> Option<usize> {
-        let ascii = a.is_ascii() && b.is_ascii();
-        let (la, lb) = if ascii {
-            (a.len(), b.len())
-        } else {
-            (a.chars().count(), b.chars().count())
-        };
-        self.distance_within_with_lens(a, b, la, lb, ascii, bound)
-    }
-
-    /// [`distance_within`](Self::distance_within) with the character
-    /// lengths and ASCII class already known — callers that derived the
-    /// bound from `max(la, lb)` (the similarity adapters) avoid a second
-    /// scan of both strings.
-    fn distance_within_with_lens(
-        &self,
-        a: &str,
-        b: &str,
-        la: usize,
-        lb: usize,
-        ascii: bool,
-        bound: usize,
-    ) -> Option<usize> {
-        if la.abs_diff(lb) > bound {
-            return None;
-        }
-        if la == 0 || lb == 0 {
-            let d = la.max(lb);
-            return (d <= bound).then_some(d); // gap check above ⇒ d ≤ bound
-        }
-        if bound >= la.max(lb) {
-            // The bound cannot fail; skip the prefilter scans.
-            return Some(self.distance(a, b));
-        }
-        if class_absent_bound(class_mask(a), class_mask(b)) > bound {
-            return None;
-        }
-        let (pat, text) = if la <= lb { (a, b) } else { (b, a) };
-        if ascii && pat.len() <= 64 {
-            return myers_ascii_64_within(pat.as_bytes(), text.as_bytes(), bound);
-        }
-        myers_distance_within(&PatternBits::new(pat), text, bound)
-    }
-
-    /// [`distance_within`](Self::distance_within) over prepared strings:
-    /// lengths and class masks come from the preparation, and a precomputed
-    /// Myers table (either side's) feeds the banded kernel directly.
+    /// 3. **banded Myers** — `myers_ascii_64_within` for an ASCII pattern
+    ///    of at most 64 bytes, [`myers_distance_within`] otherwise, which
+    ///    abort mid-column-loop once the band certifies the bound.
     pub fn distance_prepared_within(
         &self,
         a: &PreparedText,
@@ -164,17 +134,16 @@ impl Levenshtein {
         }
         if la == 0 || lb == 0 {
             let d = la.max(lb);
-            return (d <= bound).then_some(d);
+            return (d <= bound).then_some(d); // gap check above ⇒ d ≤ bound
         }
-        if bound < la.max(lb) && class_absent_bound(a.class(), b.class()) > bound {
+        if class_absent_bound(a.class(), b.class()) > bound {
             return None;
         }
         let (pat, text) = if la <= lb { (a, b) } else { (b, a) };
-        match (pat.bits(), text.bits()) {
-            (Some(bits), _) => myers_distance_within(bits, text.text(), bound),
-            (None, Some(bits)) => myers_distance_within(bits, pat.text(), bound),
-            (None, None) => self.distance_within(pat.text(), text.text(), bound),
+        if pat.is_ascii() && text.is_ascii() && pat.char_len() <= 64 {
+            return myers_ascii_64_within(pat.text().as_bytes(), text.text().as_bytes(), bound);
         }
+        myers_distance_within(&PatternBits::new(pat.text()), text.text(), bound)
     }
 }
 
@@ -191,48 +160,12 @@ impl StringComparator for Levenshtein {
         "levenshtein"
     }
 
-    fn wants_pattern_bits(&self) -> bool {
-        true
-    }
-
     fn similarity_prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
         let max_len = a.char_len().max(b.char_len());
         if max_len == 0 {
             return 1.0;
         }
-        let d = if a.char_len() == 0 || b.char_len() == 0 {
-            max_len
-        } else {
-            let (pat, text) = if a.char_len() <= b.char_len() {
-                (a, b)
-            } else {
-                (b, a)
-            };
-            match (pat.bits(), text.bits()) {
-                (Some(bits), _) => myers_distance(bits, text.text()),
-                (None, Some(bits)) => myers_distance(bits, pat.text()),
-                (None, None) => self.distance(pat.text(), text.text()),
-            }
-        };
-        1.0 - d as f64 / max_len as f64
-    }
-
-    fn similarity_within(&self, a: &str, b: &str, bound: f64) -> Option<f64> {
-        let ascii = a.is_ascii() && b.is_ascii();
-        let (la, lb) = if ascii {
-            (a.len(), b.len())
-        } else {
-            (a.chars().count(), b.chars().count())
-        };
-        let max_len = la.max(lb);
-        if max_len == 0 {
-            return Some(1.0);
-        }
-        let Some(k) = distance_budget(bound, max_len) else {
-            return Some(self.similarity(a, b));
-        };
-        let d = self.distance_within_with_lens(a, b, la, lb, ascii, k)?;
-        Some(1.0 - d as f64 / max_len as f64)
+        1.0 - self.distance_prepared(a, b) as f64 / max_len as f64
     }
 
     fn similarity_prepared_within(
@@ -288,10 +221,9 @@ mod tests {
     fn prepared_similarity_matches_unprepared() {
         use crate::bitparallel::PreparedText;
         let l = Levenshtein::new();
-        assert!(l.wants_pattern_bits());
         for (a, b) in [("kitten", "sitting"), ("", "x"), ("café", "cafe"), ("", "")] {
-            let pa = PreparedText::new(a, true);
-            let pb = PreparedText::new(b, true);
+            let pa = PreparedText::new(a);
+            let pb = PreparedText::new(b);
             assert_eq!(
                 l.similarity_prepared(&pa, &pb).to_bits(),
                 l.similarity(a, b).to_bits(),
@@ -311,10 +243,13 @@ mod tests {
     #[test]
     fn distance_within_bound() {
         let l = Levenshtein::new();
-        assert_eq!(l.distance_within("kitten", "sitting", 3), Some(3));
-        assert_eq!(l.distance_within("kitten", "sitting", 2), None);
+        let within = |a: &str, b: &str, k| {
+            l.distance_prepared_within(&PreparedText::new(a), &PreparedText::new(b), k)
+        };
+        assert_eq!(within("kitten", "sitting", 3), Some(3));
+        assert_eq!(within("kitten", "sitting", 2), None);
         // Length-difference shortcut.
-        assert_eq!(l.distance_within("a", "abcdefgh", 2), None);
+        assert_eq!(within("a", "abcdefgh", 2), None);
     }
 
     #[test]

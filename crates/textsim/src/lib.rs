@@ -40,12 +40,14 @@
 //!    strings across the 64/65-char word boundary.
 //!
 //! Callers that compare the same strings many times (the interned matching
-//! path in `probdedup-matching`) can additionally precompute a
-//! [`PreparedText`] per distinct string —
-//! [`StringComparator::similarity_prepared`] then skips the per-comparison
-//! ASCII scans, length counts and Myers `Peq` table builds. The
-//! [`Normalizer`] has a matching single-allocation fast path for ASCII
-//! inputs on the preparation side.
+//! path in `probdedup-matching`) precompute a [`PreparedText`] per distinct
+//! string. Each kernel's one fast evaluation reads it:
+//! [`StringComparator::similarity_prepared`] (exact) and
+//! [`StringComparator::similarity_prepared_within`] (bounded: prefilters on
+//! the prepared lengths and class masks, then the exact core) skip the
+//! per-comparison ASCII scans and length counts. The [`Normalizer`] has a
+//! matching single-allocation fast path for ASCII inputs on the
+//! preparation side.
 //!
 //! # Example
 //!

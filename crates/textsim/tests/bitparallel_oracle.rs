@@ -15,6 +15,9 @@ use probdedup_textsim::{
 /// byte-sliced fast paths and the Unicode fallbacks are exercised (the
 /// shim's `.` only draws printable ASCII).
 const MIXED: &str = "[aAbB xyz09àéüßñ日本語中]{0,200}";
+/// A short edit appended to a prefix for near duplicates (often empty, so
+/// the pair is a prefix pair).
+const TAIL: &str = "[aAbB xyz09àéüßñ日本語中]{0,3}";
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -33,27 +36,26 @@ proptest! {
         prop_assert_eq!(l.distance(&a, &b), l.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
     }
 
-    /// The prepared path (per-string Peq tables) is bitwise-identical to
-    /// the unprepared similarity, with and without pattern bits.
+    /// The prepared path (lengths and ASCII class from the preparation)
+    /// is bitwise-identical to the unprepared similarity.
     #[test]
-    fn levenshtein_prepared_matches(a in MIXED, b in MIXED, bits in any::<bool>()) {
+    fn levenshtein_prepared_matches(a in MIXED, b in MIXED) {
         let l = Levenshtein::new();
-        let pa = PreparedText::new(&a, bits);
-        let pb = PreparedText::new(&b, bits);
+        let pa = PreparedText::new(&a);
+        let pb = PreparedText::new(&b);
         prop_assert_eq!(
             l.similarity_prepared(&pa, &pb).to_bits(),
             l.similarity(&a, &b).to_bits(),
-            "{:?} vs {:?} (bits: {})", a, b, bits
+            "{:?} vs {:?}", a, b
         );
     }
 
     /// Byte-sliced XOR+popcount Hamming equals the character walk.
     #[test]
     fn hamming_matches_scalar(a in ".{0,200}", b in MIXED) {
-        for h in [NormalizedHamming::new(), NormalizedHamming::case_insensitive()] {
-            prop_assert_eq!(h.distance(&a, &b), h.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
-            prop_assert_eq!(h.distance(&a, &a), 0);
-        }
+        let h = NormalizedHamming::new();
+        prop_assert_eq!(h.distance(&a, &b), h.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
+        prop_assert_eq!(h.distance(&a, &a), 0);
     }
 
     /// The bitset Jaro scan is bitwise-identical to the scalar Jaro, and
@@ -66,8 +68,8 @@ proptest! {
             "{:?} vs {:?}", a, b
         );
         let jw = JaroWinkler::new();
-        let pa = PreparedText::new(&a, false);
-        let pb = PreparedText::new(&b, false);
+        let pa = PreparedText::new(&a);
+        let pb = PreparedText::new(&b);
         prop_assert_eq!(
             jw.similarity_prepared(&pa, &pb).to_bits(),
             jw.similarity(&a, &b).to_bits(),
@@ -87,8 +89,8 @@ proptest! {
             "{:?} vs {:?}", a, b
         );
         let jw = JaroWinkler::new();
-        let pa = PreparedText::new(&a, false);
-        let pb = PreparedText::new(&b, false);
+        let pa = PreparedText::new(&a);
+        let pb = PreparedText::new(&b);
         prop_assert_eq!(
             jw.similarity_prepared(&pa, &pb).to_bits(),
             jw.similarity(&a, &b).to_bits(),
@@ -96,68 +98,80 @@ proptest! {
         );
     }
 
-    /// `distance_within(a, b, k)` agrees with `distance(a, b)` clamped at
-    /// `k + 1`: `Some(d)` exactly when `d ≤ k`, `None` otherwise — across
-    /// mixed Unicode strings and the whole bound range around the true
-    /// distance.
+    /// `distance_prepared_within(a, b, k)` agrees with the scalar distance
+    /// clamped at `k + 1`: `Some(d)` exactly when `d ≤ k`, `None`
+    /// otherwise — across mixed Unicode strings (the per-call
+    /// `PatternBits` arm) and the whole bound range around the true
+    /// distance, on an unrelated pair and on a near duplicate.
     #[test]
-    fn distance_within_matches_clamped_distance(a in MIXED, b in MIXED, extra in 0usize..6) {
+    fn distance_within_matches_clamped_distance(
+        a in MIXED,
+        b in MIXED,
+        keep in 0usize..=200,
+        tail in TAIL,
+        extra in 0usize..6,
+    ) {
         let l = Levenshtein::new();
-        let d = l.distance_scalar(&a, &b);
-        for k in [0, d.saturating_sub(2), d.saturating_sub(1), d, d + 1, d + extra] {
-            let got = l.distance_within(&a, &b, k);
-            prop_assert_eq!(got, (d <= k).then_some(d), "{:?} vs {:?} at k={}", a, b, k);
-        }
-        // Prepared twin, with and without precomputed pattern bits.
-        for bits in [false, true] {
-            let pa = PreparedText::new(&a, bits);
-            let pb = PreparedText::new(&b, bits);
-            for k in [0, d.saturating_sub(1), d, d + extra] {
+        let near = near_duplicate(&a, keep, &tail);
+        for (x, y) in [(&a, &b), (&a, &near)] {
+            let d = l.distance_scalar(x, y);
+            let (px, py) = (PreparedText::new(x), PreparedText::new(y));
+            for k in [0, d.saturating_sub(2), d.saturating_sub(1), d, d + 1, d + extra] {
                 prop_assert_eq!(
-                    l.distance_prepared_within(&pa, &pb, k),
+                    l.distance_prepared_within(&px, &py, k),
                     (d <= k).then_some(d),
-                    "prepared {:?} vs {:?} at k={} (bits {})", a, b, k, bits
+                    "{:?} vs {:?} at k={}", x, y, k
                 );
             }
         }
     }
 
-    /// `similarity_within` certificates are sound and `Some` values exact,
-    /// for every bounded kernel, on arbitrary bounds.
+    /// `similarity_prepared_within` certificates are sound and `Some`
+    /// values exact (bitwise equal to the unprepared similarity), for
+    /// every bounded kernel, on an arbitrary cut and on the exact
+    /// similarity itself (where any certificate is wrong), over an
+    /// unrelated pair and a near duplicate (where the prefilters' bounds
+    /// are often tight).
     #[test]
-    fn similarity_within_certificates_sound(a in MIXED, b in MIXED, cut in 0u32..=100) {
-        let bound = f64::from(cut) / 100.0;
-        let kernels: [&dyn StringComparator; 5] = [
+    fn similarity_within_certificates_sound(
+        a in MIXED,
+        b in MIXED,
+        keep in 0usize..=200,
+        tail in TAIL,
+        cut in 0u32..=100,
+    ) {
+        let kernels: [&dyn StringComparator; 4] = [
             &Levenshtein::new(),
             &Jaro::new(),
             &JaroWinkler::new(),
             &NormalizedHamming::new(),
-            &NormalizedHamming::case_insensitive(),
         ];
-        for k in kernels {
-            let exact = k.similarity(&a, &b);
-            match k.similarity_within(&a, &b, bound) {
-                Some(s) => prop_assert_eq!(
-                    s.to_bits(), exact.to_bits(),
-                    "{}: inexact Some on {:?} vs {:?}", k.name(), a, b
-                ),
-                None => prop_assert!(
-                    exact < bound,
-                    "{}: bad certificate on {:?} vs {:?}: {} >= {}",
-                    k.name(), a, b, exact, bound
-                ),
-            }
-            let pa = PreparedText::new(&a, k.wants_pattern_bits());
-            let pb = PreparedText::new(&b, k.wants_pattern_bits());
-            match k.similarity_prepared_within(&pa, &pb, bound) {
-                Some(s) => prop_assert_eq!(s.to_bits(), exact.to_bits(), "{} prepared", k.name()),
-                None => prop_assert!(exact < bound, "{} prepared certificate", k.name()),
+        let near = near_duplicate(&a, keep, &tail);
+        for (x, y) in [(&a, &b), (&a, &near)] {
+            let (px, py) = (PreparedText::new(x), PreparedText::new(y));
+            for k in kernels {
+                let exact = k.similarity(x, y);
+                for bound in [f64::from(cut) / 100.0, exact] {
+                    match k.similarity_prepared_within(&px, &py, bound) {
+                        Some(s) => prop_assert_eq!(
+                            s.to_bits(), exact.to_bits(),
+                            "{}: inexact Some on {:?} vs {:?}", k.name(), x, y
+                        ),
+                        None => prop_assert!(
+                            exact < bound,
+                            "{}: bad certificate on {:?} vs {:?}: {} >= {}",
+                            k.name(), x, y, exact, bound
+                        ),
+                    }
+                }
             }
         }
     }
 
-    /// Bounded Myers around the 64/65-char word boundary: the banded
-    /// multi-word path must agree with the clamped scalar distance.
+    /// Bounded Myers around the 64/65-char word boundary: the prepared
+    /// bounded distance — the stack-`Peq` arm up to 64 pattern bytes, the
+    /// per-call `PatternBits` banded multi-word arm above — must agree
+    /// with the clamped scalar distance.
     #[test]
     fn distance_within_word_boundary(
         pat_len in 60usize..=68,
@@ -171,7 +185,7 @@ proptest! {
         let l = Levenshtein::new();
         let d = l.distance_scalar(&pattern, &text);
         prop_assert_eq!(
-            l.distance_within(&pattern, &text, k),
+            l.distance_prepared_within(&PreparedText::new(&pattern), &PreparedText::new(&text), k),
             (d <= k).then_some(d),
             "len {} pattern vs {:?} at k={}", pat_len, text, k
         );
@@ -204,6 +218,11 @@ proptest! {
             l.distance_scalar(&pattern, &text)
         );
     }
+}
+
+/// A near duplicate of `a`: its first `keep` characters plus `tail`.
+fn near_duplicate(a: &str, keep: usize, tail: &str) -> String {
+    a.chars().take(keep).chain(tail.chars()).collect()
 }
 
 /// Drive `myers_distance` directly (no length-based pattern/text swap) so

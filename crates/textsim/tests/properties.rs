@@ -10,7 +10,6 @@ use probdedup_textsim::{
 fn all_comparators() -> Vec<Box<dyn StringComparator>> {
     vec![
         Box::new(NormalizedHamming::new()),
-        Box::new(NormalizedHamming::case_insensitive()),
         Box::new(Levenshtein::new()),
         Box::new(Jaro::new()),
         Box::new(JaroWinkler::new()),

@@ -32,6 +32,9 @@
 //!   under the retired `snm-ranked` and `blocking-cluster` reductions are
 //!   refused by every current pipeline with a typed
 //!   [`SnapshotError::ConfigMismatch`] that names the retired strategy.
+//! * **Undecided candidates**: a snapshot opened under a wider window or
+//!   another key, whose decisions miss some regenerated candidates, is a
+//!   [`SnapshotError::ConfigMismatch`], not `Malformed`.
 //!
 //! [`SnapshotError`]: probdedup::model::snapshot::SnapshotError
 
@@ -257,6 +260,34 @@ fn mismatched_pipeline_is_refused() {
         }
         Err(other) => panic!("expected ConfigMismatch, got {other}"),
         Ok(_) => panic!("mismatched configuration accepted"),
+    }
+}
+
+/// The same `snm-alternatives` strategy under a wider window or another key
+/// regenerates candidates the snapshot never decided. Every section is
+/// checksum-valid, so that is a [`SnapshotError::ConfigMismatch`] naming
+/// the configuration fields CONFIG does not record — not corruption.
+#[test]
+fn uncovered_candidates_are_a_config_mismatch() {
+    let (_, bytes) = canonical_snapshot();
+    let wider = ReductionStrategy::SortingAlternatives {
+        spec: key(),
+        window: 8,
+    };
+    let other_key = ReductionStrategy::SortingAlternatives {
+        spec: KeySpec::new(vec![KeyPart::prefix(1, 3), KeyPart::prefix(3, 2)]),
+        window: 4,
+    };
+    for (label, strategy) in [("window 8", wider), ("another key", other_key)] {
+        match DedupSession::from_snapshot_bytes(&bytes, &pipeline(strategy, false)) {
+            Err(SnapshotError::ConfigMismatch { detail }) => {
+                for field in ["key", "window", "world selection", "conflict resolution"] {
+                    assert!(detail.contains(field), "{label}: {detail}");
+                }
+            }
+            Err(other) => panic!("{label}: expected ConfigMismatch, got {other}"),
+            Ok(_) => panic!("{label}: a snapshot opened with undecided candidates"),
+        }
     }
 }
 
