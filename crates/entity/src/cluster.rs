@@ -3,11 +3,9 @@
 //!
 //! [`ClusterStrategy`]: crate::ClusterStrategy
 
-use std::collections::BTreeMap;
-
 use probdedup_core::UnionFind;
 
-use crate::graph::MatchGraph;
+use crate::graph::{seek, MatchGraph};
 
 /// Strict-improvement threshold of the local search: a move must beat the
 /// current placement by more than this, so floating-point noise cannot
@@ -68,52 +66,59 @@ pub(crate) fn greedy_pivot(graph: &MatchGraph) -> Vec<usize> {
 /// strictly increases the (bounded) global objective, so the fixed point
 /// — and every step toward it — is a pure function of the graph.
 ///
-/// Scores accumulate in a dense per-cluster scratch (one slot per cluster
-/// id, zero between nodes) in adjacency order — positive neighbors
-/// ascending, then negative ascending — so every sum is one fixed `f64`.
+/// A node's candidates are its own cluster and its positive neighbors'
+/// clusters: a cluster it reaches only through negative edges scores
+/// `≤ 0` (each weight is `1 − agreement ≥ 0`), so it cannot beat a current
+/// placement scoring `≥ −EPS`. Each candidate sums its positive
+/// contributions by ascending neighbor, then its negative ones by
+/// ascending member (looked up in the node's sorted negative adjacency),
+/// so a round costs the Match edges, not the NonMatch edges. A node
+/// scoring below `−EPS` where it sits will move, and any cluster may
+/// receive it: it alone takes the full scan of [`dense_best`]. Either
+/// way every score is the `f64` of the full scan's adjacency order.
 pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
     let n = graph.rows();
     let mut moves = 0u64;
     let mut next_fresh = assign.iter().copied().max().map_or(0, |m| m + 1);
     let mut score = vec![0.0f64; next_fresh];
-    // Clusters adjacent to the node at hand (one entry per edge), and the
-    // ones among them that beat its current placement.
+    let mut members = Members::new(assign, next_fresh);
+    // Clusters scored for the node at hand.
     let mut touched: Vec<usize> = Vec::new();
-    let mut better: Vec<usize> = Vec::new();
     for _ in 0..MAX_REPAIR_ROUNDS {
         let mut changed = false;
         for v in 0..n {
             let cur = assign[v];
+            touched.push(cur);
             for &(u, w) in graph.positive_neighbors(v) {
                 score[assign[u]] += w;
                 touched.push(assign[u]);
             }
-            for &(u, w) in graph.negative_neighbors(v) {
-                score[assign[u]] -= w;
-                touched.push(assign[u]);
-            }
-            // The running best of an ascending-id scan never drops below
-            // `score[cur]`, so only clusters strictly above it can ever
-            // take the lead: scan those, in ascending id order.
-            better.extend(
-                touched
-                    .iter()
-                    .copied()
-                    .filter(|&c| score[c] > score[cur] + EPS),
-            );
-            better.sort_unstable();
-            let (mut best_c, mut best_s) = (cur, score[cur]);
-            for &c in &better {
-                if score[c] > best_s + EPS {
-                    best_c = c;
-                    best_s = score[c];
+            touched.sort_unstable();
+            touched.dedup();
+            for &c in &touched {
+                let mut neg = graph.negative_neighbors(v);
+                for m in members.of(c) {
+                    if neg.is_empty() {
+                        break;
+                    }
+                    if let Some(w) = seek(&mut neg, m) {
+                        score[c] -= w;
+                    }
                 }
             }
+            let (mut best_c, best_s) = if score[cur] < -EPS {
+                for &c in &touched {
+                    score[c] = 0.0;
+                }
+                touched.clear();
+                dense_best(graph, assign, v, &mut score, &mut touched)
+            } else {
+                best_of(&score, cur, &touched)
+            };
             for &c in &touched {
                 score[c] = 0.0;
             }
             touched.clear();
-            better.clear();
             // A fresh singleton scores 0: strictly better ⇒ split v out.
             if 0.0 > best_s + EPS {
                 best_c = next_fresh;
@@ -122,7 +127,10 @@ pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
                 if best_c == next_fresh {
                     next_fresh += 1;
                     score.push(0.0);
+                    members.head.push(NONE);
                 }
+                members.remove(v, cur);
+                members.insert(v, best_c);
                 assign[v] = best_c;
                 moves += 1;
                 changed = true;
@@ -133,6 +141,107 @@ pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
         }
     }
     moves
+}
+
+/// The running best of an ascending-id scan of `candidates` from `cur`:
+/// only a strict improvement by more than `EPS` takes the lead.
+fn best_of(score: &[f64], cur: usize, candidates: &[usize]) -> (usize, f64) {
+    let (mut best_c, mut best_s) = (cur, score[cur]);
+    for &c in candidates {
+        if score[c] > best_s + EPS {
+            best_c = c;
+            best_s = score[c];
+        }
+    }
+    (best_c, best_s)
+}
+
+/// [`repair`]'s full scan for node `v`: every edge of `v` scored into the
+/// dense per-cluster scratch (one slot per cluster id, zero between
+/// nodes) in adjacency order — positive neighbors ascending, then
+/// negative ascending. Leaves the scored clusters in `touched` for the
+/// caller to zero.
+fn dense_best(
+    graph: &MatchGraph,
+    assign: &[usize],
+    v: usize,
+    score: &mut [f64],
+    touched: &mut Vec<usize>,
+) -> (usize, f64) {
+    let cur = assign[v];
+    for &(u, w) in graph.positive_neighbors(v) {
+        score[assign[u]] += w;
+        touched.push(assign[u]);
+    }
+    for &(u, w) in graph.negative_neighbors(v) {
+        score[assign[u]] -= w;
+        touched.push(assign[u]);
+    }
+    // The running best never drops below `score[cur]`, so only clusters
+    // strictly above it can ever take the lead: scan those.
+    let mut better: Vec<usize> = touched
+        .iter()
+        .copied()
+        .filter(|&c| score[c] > score[cur] + EPS)
+        .collect();
+    better.sort_unstable();
+    best_of(score, cur, &better)
+}
+
+/// End of a member list.
+const NONE: usize = usize::MAX;
+
+/// Every cluster's members as an ascending intrusive list: `head[c]` is
+/// the smallest member of cluster `c`, `next[v]` the member after `v`.
+/// Two flat vectors, so no cluster owns an allocation.
+struct Members {
+    head: Vec<usize>,
+    next: Vec<usize>,
+}
+
+impl Members {
+    fn new(assign: &[usize], clusters: usize) -> Self {
+        let mut head = vec![NONE; clusters];
+        let mut next = vec![NONE; assign.len()];
+        for v in (0..assign.len()).rev() {
+            next[v] = head[assign[v]];
+            head[assign[v]] = v;
+        }
+        Self { head, next }
+    }
+
+    /// Members of cluster `c`, ascending.
+    fn of(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |m: usize| (m != NONE).then_some(m);
+        std::iter::successors(live(self.head[c]), move |&m| live(self.next[m]))
+    }
+
+    fn remove(&mut self, v: usize, c: usize) {
+        let (mut prev, mut m) = (NONE, self.head[c]);
+        while m != v {
+            (prev, m) = (m, self.next[m]);
+        }
+        self.link(prev, c, self.next[v]);
+    }
+
+    fn insert(&mut self, v: usize, c: usize) {
+        let (mut prev, mut m) = (NONE, self.head[c]);
+        while m != NONE && m < v {
+            (prev, m) = (m, self.next[m]);
+        }
+        self.next[v] = m;
+        self.link(prev, c, v);
+    }
+
+    /// Point `prev`'s successor (the head of `c` when `prev` is `NONE`)
+    /// at `to`.
+    fn link(&mut self, prev: usize, c: usize, to: usize) {
+        if prev == NONE {
+            self.head[c] = to;
+        } else {
+            self.next[prev] = to;
+        }
+    }
 }
 
 /// The per-node `BTreeMap` formulation [`repair`] replaced, kept as the
@@ -147,7 +256,7 @@ fn repair_reference(graph: &MatchGraph, assign: &mut [usize]) -> (u64, usize) {
         let mut changed = false;
         for v in 0..n {
             let cur = assign[v];
-            let mut score: BTreeMap<usize, f64> = BTreeMap::new();
+            let mut score = std::collections::BTreeMap::new();
             score.insert(cur, 0.0);
             for &(u, w) in graph.positive_neighbors(v) {
                 *score.entry(assign[u]).or_insert(0.0) += w;
@@ -187,14 +296,16 @@ fn repair_reference(graph: &MatchGraph, assign: &mut [usize]) -> (u64, usize) {
 /// member, members ascending (first-seen order over ascending nodes *is*
 /// smallest-member order).
 pub(crate) fn canonical_partition(assign: &[usize]) -> Vec<Vec<usize>> {
-    let mut slot: BTreeMap<usize, usize> = BTreeMap::new();
+    // Cluster ids are dense (below the repair's next fresh id), so a slot
+    // vector maps them.
+    let mut slot = vec![NONE; assign.iter().max().map_or(0, |&m| m + 1)];
     let mut clusters: Vec<Vec<usize>> = Vec::new();
     for (v, &a) in assign.iter().enumerate() {
-        let s = *slot.entry(a).or_insert_with(|| {
+        if slot[a] == NONE {
+            slot[a] = clusters.len();
             clusters.push(Vec::new());
-            clusters.len() - 1
-        });
-        clusters[s].push(v);
+        }
+        clusters[slot[a]].push(v);
     }
     clusters
 }
@@ -202,7 +313,7 @@ pub(crate) fn canonical_partition(assign: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraphBuilder;
+    use crate::graph::{inconsistent_triangles_by_negative_edge, MatchGraphBuilder};
     use probdedup_core::PairDecision;
     use probdedup_decision::MatchClass;
 
@@ -291,9 +402,31 @@ mod tests {
     /// edge that still makes its cluster a scored neighbor).
     const PALETTE: [f64; 7] = [0.0, 0.1, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.9, 1.0];
 
-    /// The dense-scratch `repair` is the `BTreeMap` reference, move for
-    /// move: random signed graphs (sparse to complete, so negative
-    /// neighborhoods get dense), from the greedy start and from a
+    /// A random signed graph over `2..28` rows, sparse to complete (so
+    /// negative neighborhoods get dense), weights from [`PALETTE`].
+    fn random_signed_graph(
+        draw: &mut impl FnMut(u64) -> usize,
+    ) -> (usize, Vec<(usize, usize, f64, MatchClass)>) {
+        let n = 2 + draw(26);
+        let density = 1 + draw(8);
+        let mut edges = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if draw(8) < density {
+                    let class = [
+                        MatchClass::Match,
+                        MatchClass::NonMatch,
+                        MatchClass::Possible,
+                    ][draw(3)];
+                    edges.push((i, j, PALETTE[draw(PALETTE.len() as u64)], class));
+                }
+            }
+        }
+        (n, edges)
+    }
+
+    /// The candidate-cluster `repair` is the `BTreeMap` reference, move
+    /// for move: random signed graphs, from the greedy start and from a
     /// scrambled one — some of which keep moving after the first sweep.
     #[test]
     fn repair_equals_the_btreemap_reference() {
@@ -301,21 +434,7 @@ mod tests {
         let mut draw = |bound: u64| (rng.next_u64() % bound) as usize;
         let mut late_moves = 0;
         for _ in 0..300 {
-            let n = 2 + draw(26);
-            let density = 1 + draw(8);
-            let mut edges = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if draw(8) < density {
-                        let class = [
-                            MatchClass::Match,
-                            MatchClass::NonMatch,
-                            MatchClass::Possible,
-                        ][draw(3)];
-                        edges.push((i, j, PALETTE[draw(PALETTE.len() as u64)], class));
-                    }
-                }
-            }
+            let (n, edges) = random_signed_graph(&mut draw);
             let g = graph(n, &edges);
             let k = 1 + draw(5);
             let scrambled: Vec<usize> = (0..n).map(|v| (v * 7 + 3) % k).collect();
@@ -331,6 +450,55 @@ mod tests {
         assert!(
             late_moves > 20,
             "only {late_moves} searches moved after round 1"
+        );
+    }
+
+    /// A row netting below `−EPS` where it sits moves, and a cluster it
+    /// reaches only through a zero-weight NonMatch edge (similarity 1.0)
+    /// scores 0 — not below the fresh singleton, and ahead of it by id.
+    /// Only the full scan sees that cluster: row 2 must join row 3.
+    #[test]
+    fn a_row_below_zero_joins_a_cluster_reached_only_by_a_zero_weight_nonmatch() {
+        let g = graph(
+            4,
+            &[
+                (0, 1, 0.9, MatchClass::Match),
+                (0, 2, 0.1, MatchClass::NonMatch),
+                (1, 2, 0.1, MatchClass::NonMatch),
+                (2, 3, 1.0, MatchClass::NonMatch),
+            ],
+        );
+        let start = vec![0, 0, 0, 1];
+        let (mut fast, mut reference) = (start.clone(), start);
+        let moves = repair(&g, &mut fast);
+        assert_eq!(moves, repair_reference(&g, &mut reference).0);
+        assert_eq!(fast, reference);
+        assert_eq!(moves, 1);
+        assert_eq!(fast, vec![0, 0, 1, 1]);
+    }
+
+    /// The Match-wedge triangle count is the per-NonMatch-edge
+    /// intersection count it replaced, on the random signed graphs of
+    /// `repair_equals_the_btreemap_reference`.
+    #[test]
+    fn wedge_triangle_count_equals_the_negative_edge_oracle() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0x5EED_2010);
+        let mut draw = |bound: u64| (rng.next_u64() % bound) as usize;
+        let mut with_triangles = 0;
+        for _ in 0..300 {
+            let (n, edges) = random_signed_graph(&mut draw);
+            let g = graph(n, &edges);
+            let expected = inconsistent_triangles_by_negative_edge(&g);
+            assert_eq!(
+                g.inconsistent_triangles(),
+                expected,
+                "n={n} edges={edges:?}"
+            );
+            with_triangles += usize::from(expected > 0);
+        }
+        assert!(
+            with_triangles > 100,
+            "only {with_triangles} graphs had an inconsistent triangle"
         );
     }
 

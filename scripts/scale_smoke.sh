@@ -7,10 +7,13 @@
 # pass per world) over 2 000 and 6 000 entities inside 1 GiB of address
 # space: the first summary is pinned to the one the dense world search
 # produced (it needed 2.1 GB and 16 s for it), the second must finish.
-# Last, the streamed front door: a corpus of the same size cut into 16
+# Then the streamed front door: a corpus of the same size cut into 16
 # sources, `ingest`ed one file at a time under snm-resolved and under
 # blocking inside the same 1 GiB, its merged result diffed against the
-# one-shot `dedup` of the same files.
+# one-shot `dedup` of the same files. Last, a dense entity resolution:
+# 600 entities compared in full (every pair decided, so nearly every row
+# has a NonMatch edge to every other) and clustered by the repair
+# strategy, its summary line pinned.
 #
 #   cargo build --release && scripts/scale_smoke.sh
 #
@@ -90,3 +93,15 @@ streamed snm-resolved
 streamed blocking
 
 echo "PASS: 16-batch streamed ingest identical to one-shot dedup within 1 GiB"
+
+echo "== entities: 600 entities, full comparison, correlation-repaired"
+"$BIN" generate --out-prefix "$WORK/dense" --entities 600 --sources 2 \
+    --seed 20100301 > /dev/null
+"$BIN" entities --input "$WORK/dense.source0.pxr" --input "$WORK/dense.source1.pxr" \
+    --reduction full --strategy correlation-repaired > "$WORK/dense.out"
+grep "^strategy " "$WORK/dense.out"
+expected="strategy correlation-repaired: 1197 rows → 704 entities (348 duplicate clusters, largest 7); 7 inconsistent triangles, 35 repair moves, 1159 possible edges left to review"
+[[ "$(grep "^strategy " "$WORK/dense.out")" == "$expected" ]] \
+    || fail "dense entity resolution moved: expected '$expected'"
+
+echo "PASS: dense entity resolution pinned"
