@@ -295,12 +295,6 @@ impl DedupSession {
         self.decided.len()
     }
 
-    /// Decisions held in the memo: one per candidate pair, so always equal
-    /// to [`candidate_count`](Self::candidate_count).
-    pub fn decided_count(&self) -> usize {
-        self.decided.len()
-    }
-
     /// Every current candidate pair's decision, in no particular order —
     /// for consumers that are pair-order-invariant (the entity layer's
     /// match graph) and so need neither the ordered list nor the relation
@@ -1222,7 +1216,6 @@ mod tests {
         let session = builder(ReductionStrategy::Full).session();
         assert!(session.is_empty());
         assert_eq!(session.candidate_count(), 0);
-        assert_eq!(session.decided_count(), 0);
         let snap = session.result();
         assert_eq!(snap.candidates, 0);
         assert!(snap.decisions.is_empty());
@@ -1252,7 +1245,7 @@ mod tests {
 
             let mut reopened = DedupSession::open(&path, &pipeline).unwrap();
             assert_eq!(reopened.rows(), session.rows(), "{}", strategy.name());
-            assert_eq!(reopened.decided_count(), session.decided_count());
+            assert_eq!(reopened.candidate_count(), session.candidate_count());
             // Open re-keys the corpus into fresh pools: the renders of the
             // saved session's one run, no more.
             assert_eq!(
@@ -1321,7 +1314,7 @@ mod tests {
         let bytes = session.to_snapshot_bytes();
         let reopened = DedupSession::from_snapshot_bytes(&bytes, &pipeline).unwrap();
         assert!(reopened.is_empty());
-        assert_eq!(reopened.decided_count(), 0);
+        assert_eq!(reopened.candidate_count(), 0);
     }
 
     #[test]
@@ -1363,13 +1356,13 @@ mod tests {
             builder(ReductionStrategy::SortingAlternatives { spec, window: 2 }).session();
         session.run(&refs).unwrap();
         let full = builder(ReductionStrategy::Full).run(&refs).unwrap();
-        let decided_before = session.decided_count();
+        let decided_before = session.candidate_count();
         for d in &full.decisions {
             let q = session.classify_pair(d.pair.0, d.pair.1).unwrap();
             assert_eq!(q.class, d.class, "pair {:?}", d.pair);
         }
         assert_eq!(
-            session.decided_count(),
+            session.candidate_count(),
             decided_before,
             "read path must not grow the decision memo"
         );
@@ -1384,7 +1377,6 @@ mod tests {
         let mut classified = 0;
         for src in &sources {
             classified += session.ingest(src).unwrap().new_decisions.len();
-            assert_eq!(session.decided_count(), session.candidate_count());
         }
         // Later batches slid windows past earlier candidates: more pairs
         // were classified than are resident, and only the resident ones
@@ -1398,7 +1390,7 @@ mod tests {
         // What was shed is not written either.
         let reopened =
             DedupSession::from_snapshot_bytes(&session.to_snapshot_bytes(), &pipeline).unwrap();
-        assert_eq!(reopened.decided_count(), session.candidate_count());
+        assert_eq!(reopened.candidate_count(), session.candidate_count());
     }
 
     #[test]
@@ -1425,7 +1417,7 @@ mod tests {
         clusters: Vec<Vec<usize>>,
         source_offsets: Vec<usize>,
         partition: Partition,
-        decided: usize,
+        candidates: usize,
         journal_seq: u64,
         queried: Vec<PairDecision>,
     }
@@ -1444,7 +1436,7 @@ mod tests {
                 clusters: result.clusters,
                 source_offsets: result.source_offsets,
                 partition: session.partition(),
-                decided: session.decided_count(),
+                candidates: session.candidate_count(),
                 journal_seq: session.journal_seq(),
                 queried,
             }

@@ -148,23 +148,6 @@ impl DecisionDerivation for ExpectedMatchingResult {
     }
 }
 
-/// Majority-mass vote: the similarity is the conditioned mass of the
-/// matching class minus the mass of the non-matching class, in `[-1, 1]`.
-/// A simple symmetric alternative.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MassMargin;
-
-impl DecisionDerivation for MassMargin {
-    fn derive(&self, input: &AlternativeDecisions<'_>) -> f64 {
-        let (pm, _, pu) = input.class_masses();
-        pm - pu
-    }
-
-    fn name(&self) -> &str {
-        "mass-margin"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,18 +233,6 @@ mod tests {
             w2: &w2,
         };
         assert_eq!(MatchingWeightDerivation::new().derive(&all_unmatch), 0.0);
-    }
-
-    #[test]
-    fn mass_margin_symmetry() {
-        let (classes, w1, w2) = fig7_input();
-        let input = AlternativeDecisions {
-            classes: &classes,
-            w1: &w1,
-            w2: &w2,
-        };
-        // 3/9 − 4/9 = −1/9.
-        assert!((MassMargin.derive(&input) + 1.0 / 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -88,6 +88,14 @@ pub(crate) fn repair(graph: &MatchGraph, assign: &mut [usize]) -> u64 {
         let mut changed = false;
         for v in 0..n {
             let cur = assign[v];
+            // A row with no Match edge alone in its cluster stays: its
+            // only candidate is its own cluster, which scores 0 (no edge
+            // reaches another member), not below `−EPS`, and a fresh
+            // singleton's 0 does not beat that. With a member beside it a
+            // NonMatch edge can sink it below `−EPS`, and then it moves.
+            if graph.positive_neighbors(v).is_empty() && members.is_singleton(v, cur) {
+                continue;
+            }
             touched.push(cur);
             for &(u, w) in graph.positive_neighbors(v) {
                 score[assign[u]] += w;
@@ -210,6 +218,11 @@ impl Members {
         Self { head, next }
     }
 
+    /// Whether `v` is the only member of its cluster `c`.
+    fn is_singleton(&self, v: usize, c: usize) -> bool {
+        self.head[c] == v && self.next[v] == NONE
+    }
+
     /// Members of cluster `c`, ascending.
     fn of(&self, c: usize) -> impl Iterator<Item = usize> + '_ {
         let live = |m: usize| (m != NONE).then_some(m);
@@ -313,7 +326,9 @@ pub(crate) fn canonical_partition(assign: &[usize]) -> Vec<Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{inconsistent_triangles_by_negative_edge, MatchGraphBuilder};
+    use crate::graph::{
+        inconsistent_triangles_by_negative_edge, random_signed_graph, MatchGraphBuilder,
+    };
     use probdedup_core::PairDecision;
     use probdedup_decision::MatchClass;
 
@@ -397,48 +412,26 @@ mod tests {
         assert_eq!(canonical_partition(&assign), before);
     }
 
-    /// Weights chosen to collide: exact ties, scores within `EPS` of each
-    /// other, and `NonMatch` at similarity 1.0 (a zero-weight negative
-    /// edge that still makes its cluster a scored neighbor).
-    const PALETTE: [f64; 7] = [0.0, 0.1, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.9, 1.0];
-
-    /// A random signed graph over `2..28` rows, sparse to complete (so
-    /// negative neighborhoods get dense), weights from [`PALETTE`].
-    fn random_signed_graph(
-        draw: &mut impl FnMut(u64) -> usize,
-    ) -> (usize, Vec<(usize, usize, f64, MatchClass)>) {
-        let n = 2 + draw(26);
-        let density = 1 + draw(8);
-        let mut edges = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if draw(8) < density {
-                    let class = [
-                        MatchClass::Match,
-                        MatchClass::NonMatch,
-                        MatchClass::Possible,
-                    ][draw(3)];
-                    edges.push((i, j, PALETTE[draw(PALETTE.len() as u64)], class));
-                }
-            }
-        }
-        (n, edges)
-    }
-
     /// The candidate-cluster `repair` is the `BTreeMap` reference, move
     /// for move: random signed graphs, from the greedy start and from a
-    /// scrambled one — some of which keep moving after the first sweep.
+    /// scrambled one — some of which keep moving after the first sweep,
+    /// and some of which start with a row that has no Match edge alone in
+    /// its cluster (the rows `repair` skips).
     #[test]
     fn repair_equals_the_btreemap_reference() {
         let mut rng = proptest::test_runner::TestRng::from_seed(0x5EED_2010);
         let mut draw = |bound: u64| (rng.next_u64() % bound) as usize;
-        let mut late_moves = 0;
+        let (mut late_moves, mut isolated_singletons) = (0, 0);
         for _ in 0..300 {
             let (n, edges) = random_signed_graph(&mut draw);
             let g = graph(n, &edges);
             let k = 1 + draw(5);
             let scrambled: Vec<usize> = (0..n).map(|v| (v * 7 + 3) % k).collect();
             for start in [greedy_pivot(&g), scrambled] {
+                isolated_singletons += usize::from((0..n).any(|v| {
+                    g.positive_neighbors(v).is_empty()
+                        && start.iter().filter(|&&c| c == start[v]).count() == 1
+                }));
                 let (mut fast, mut reference) = (start.clone(), start);
                 let moves = repair(&g, &mut fast);
                 let (ref_moves, productive_rounds) = repair_reference(&g, &mut reference);
@@ -450,6 +443,10 @@ mod tests {
         assert!(
             late_moves > 20,
             "only {late_moves} searches moved after round 1"
+        );
+        assert!(
+            isolated_singletons > 0,
+            "no search started with an isolated singleton"
         );
     }
 

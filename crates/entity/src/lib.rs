@@ -2,10 +2,10 @@
 //! the paper's pipeline stops short of.
 //!
 //! The dedup pipeline ends with a Match / Possible / NonMatch partition
-//! of the candidate pairs; this crate turns that into *entities*: a
-//! streaming [`MatchGraphBuilder`] collects the verdicts into a signed,
-//! similarity-weighted [`MatchGraph`], a [`ClusterStrategy`] partitions
-//! it, and [`EntityResolution::canonical_records`] fuses each cluster
+//! of the candidate pairs; this crate turns that into *entities*: the
+//! verdicts are built into a signed, similarity-weighted [`MatchGraph`]
+//! (one CSR per sign, in two reads of the decisions), a
+//! [`ClusterStrategy`] partitions it, and [`EntityResolution::canonical_records`] fuses each cluster
 //! into one canonical record through `probdedup_core::fuse_xtuples`.
 //!
 //! Three strategies compete on measured quality (`probdedup-eval`'s

@@ -7,7 +7,7 @@ use probdedup_model::relation::XRelation;
 use probdedup_model::xtuple::XTuple;
 
 use crate::cluster::{canonical_partition, components, greedy_pivot, repair};
-use crate::graph::{MatchGraph, MatchGraphBuilder};
+use crate::graph::{build, MatchGraph};
 use crate::strategy::ClusterStrategy;
 
 /// Counters describing one resolution (graph shape + clustering work).
@@ -123,18 +123,6 @@ impl EntityResolution {
     }
 }
 
-/// Build the match graph of some decisions (streaming, order-invariant).
-fn build_graph<'a>(
-    rows: usize,
-    decisions: impl IntoIterator<Item = &'a PairDecision>,
-) -> MatchGraph {
-    let mut builder = MatchGraphBuilder::new(rows);
-    for d in decisions {
-        builder.add_decision(d);
-    }
-    builder.finish()
-}
-
 /// Resolve a finished [`MatchGraph`] under `strategy`.
 pub fn resolve_graph(graph: &MatchGraph, strategy: ClusterStrategy) -> EntityResolution {
     let (clusters, repair_moves) = match strategy {
@@ -173,7 +161,7 @@ pub fn resolve_decisions(
     decisions: &[PairDecision],
     strategy: ClusterStrategy,
 ) -> EntityResolution {
-    resolve_graph(&build_graph(rows, decisions), strategy)
+    resolve_graph(&build(rows, || decisions.iter()), strategy)
 }
 
 /// Entity resolution as a read of decided pairs: a pure function of them,
@@ -195,7 +183,7 @@ impl ResolveEntities for DedupResult {
 /// transitive closure — is assembled, and the session is left untouched.
 impl ResolveEntities for DedupSession {
     fn resolve_entities(&self, strategy: ClusterStrategy) -> EntityResolution {
-        resolve_graph(&build_graph(self.rows(), self.decisions()), strategy)
+        resolve_graph(&build(self.rows(), || self.decisions()), strategy)
     }
 }
 

@@ -325,7 +325,7 @@ impl SessionEntry {
                         eprintln!("probdedup-serve: compact {}: {e}", journal.path().display());
                     }
                 }
-                Ok((session.rows(), session.decided_count()))
+                Ok((session.rows(), session.candidate_count()))
             })
             .ok_or_else(|| self.mark_degraded(state))
     }
@@ -637,7 +637,7 @@ fn handle_stats(state: &ServerState) -> Response {
                 s.rows(),
                 s.source_count(),
                 s.candidate_count(),
-                s.decided_count(),
+                s.candidate_count(),
                 s.interned_value_count(),
                 e.opened.elapsed().as_secs_f64(),
                 e.restored,

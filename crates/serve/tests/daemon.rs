@@ -209,7 +209,7 @@ fn endpoints_match_the_library_session() {
     assert_eq!(status, 200);
     assert_eq!(
         json_field(&body, "decided_pairs").as_deref(),
-        Some(session.decided_count().to_string().as_str())
+        Some(session.candidate_count().to_string().as_str())
     );
     assert_eq!(json_field(&body, "requests_ingest").as_deref(), Some("2"));
     assert!(

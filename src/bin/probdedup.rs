@@ -710,7 +710,7 @@ fn cmd_snapshot_save(args: &Args, out: &mut impl Write) -> Result<(), CliError> 
         out,
         "saved {path}: {} rows, {} decided pairs, {} interned values, {} key renders",
         session.rows(),
-        session.decided_count(),
+        session.candidate_count(),
         session.interned_value_count(),
         session.key_render_count(),
     )?;
@@ -735,7 +735,7 @@ fn cmd_snapshot_load(args: &Args, out: &mut impl Write) -> Result<(), CliError> 
         out,
         "loaded {path}: {} rows, {} decided pairs, {} interned values",
         session.rows(),
-        session.decided_count(),
+        session.candidate_count(),
         session.interned_value_count(),
     )?;
     let refs: Vec<&XRelation> = relations.iter().collect();

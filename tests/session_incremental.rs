@@ -254,7 +254,6 @@ proptest! {
                     prop_assert_eq!(got, expected, "{}: new_decisions", label);
                     prop_assert_eq!(added.candidates, one_shot.candidates, "{}", label);
                 }
-                prop_assert_eq!(session.decided_count(), one_shot.candidates, "{}", label);
                 prop_assert_eq!(session.candidate_count(), one_shot.candidates, "{}", label);
                 let merged = session.result();
                 prop_assert_eq!(classes(&merged), classes(&one_shot), "{}: order", label);
@@ -269,7 +268,7 @@ proptest! {
 
             let reopened =
                 DedupSession::from_snapshot_bytes(&session.to_snapshot_bytes(), &pipe).unwrap();
-            prop_assert_eq!(reopened.decided_count(), one_shot.candidates, "{}: open", label);
+            prop_assert_eq!(reopened.candidate_count(), one_shot.candidates, "{}: open", label);
             let restored = reopened.result();
             prop_assert_eq!(classes(&restored), classes(&one_shot), "{}: open", label);
             prop_assert_eq!(&restored.clusters, &one_shot.clusters, "{}: open", label);
