@@ -93,8 +93,8 @@ pub use cluster::UnionFind;
 pub use exec::par_map_index;
 pub use fusion::fuse_xtuples;
 pub use pipeline::{
-    BoundedClassifyConfig, DedupPipeline, DedupResult, MatchingStats, PairDecision, Partition,
-    ReductionStrategy,
+    BoundedClassifyConfig, DedupPipeline, DedupResult, Defaults, MatchingStats, PairDecision,
+    Partition, ReductionStrategy,
 };
 pub use prepare::Preparation;
 pub use prob_result::{probabilistic_result, ProbabilisticResult};

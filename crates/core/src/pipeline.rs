@@ -35,13 +35,16 @@
 use std::sync::Arc;
 
 use probdedup_decision::combine::WeightedSum;
+use probdedup_decision::derive_sim::ExpectedSimilarity;
 use probdedup_decision::threshold::{MatchClass, Thresholds};
-use probdedup_decision::xmodel::XTupleDecisionModel;
+use probdedup_decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
+use probdedup_matching::value_cmp::ValueComparator;
 use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::error::ModelError;
 use probdedup_model::ids::{SourceId, TupleHandle};
 use probdedup_model::relation::XRelation;
-use probdedup_reduction::{ConflictResolution, KeySpec, WorldSelection};
+use probdedup_reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
+use probdedup_textsim::JaroWinkler;
 
 use crate::cluster::UnionFind;
 use crate::engine::{Decider, MatchingEngine};
@@ -649,13 +652,73 @@ impl DedupPipelineBuilder {
     }
 }
 
+/// The product's default configuration over `arity`-attribute relations,
+/// stated once: the CLI sets the fields its flags name and builds from
+/// it, and `probdedup serve` runs the CLI's pipeline.
+#[derive(Debug, Clone)]
+pub struct Defaults {
+    /// The reduction key: a 3-prefix of the first attribute, plus a
+    /// 2-prefix of attribute `arity − 2` (at least 1) when `arity ≥ 2`.
+    pub key: KeySpec,
+    /// The sorted-neighborhood window.
+    pub window: usize,
+    /// The Eq. 6 weights, one per attribute: 3, 1, …, 1, normalized.
+    pub weights: WeightedSum,
+    /// The similarity-based model's `(T_λ, T_μ)`.
+    pub thresholds: Thresholds,
+    /// Comparison threads.
+    pub threads: usize,
+}
+
+impl Defaults {
+    /// The defaults over `arity`-attribute relations (attribute names
+    /// never matter to the pipeline). Panics if `arity` is 0: the front
+    /// doors refuse an empty schema first.
+    pub fn for_arity(arity: usize) -> Self {
+        assert!(arity >= 1, "a relation has at least one attribute");
+        let mut key = vec![KeyPart::prefix(0, 3)];
+        if arity >= 2 {
+            key.push(KeyPart::prefix((arity - 2).max(1), 2));
+        }
+        let weights = std::iter::once(3.0).chain(std::iter::repeat_n(1.0, arity - 1));
+        Self {
+            key: KeySpec::new(key),
+            window: 6,
+            weights: WeightedSum::normalized(weights).expect("weights are positive"),
+            thresholds: Thresholds::new(0.72, 0.82).expect("thresholds are ordered"),
+            threads: 4,
+        }
+    }
+
+    /// A builder preset to this configuration: standard preparation,
+    /// Jaro–Winkler on every attribute, the similarity-based model over
+    /// `weights` and `thresholds`, sorting alternatives over `key` at
+    /// `window`, and `threads`. Any stage can still be overridden.
+    pub fn builder(&self) -> DedupPipelineBuilder {
+        let arity = self.weights.weights().len();
+        DedupPipeline::builder()
+            .preparation(Preparation::standard_all(arity))
+            .comparators(AttributeComparators::per_attribute(
+                (0..arity)
+                    .map(|_| ValueComparator::text(JaroWinkler::new()))
+                    .collect(),
+            ))
+            .model(Arc::new(SimilarityBasedModel::new(
+                Arc::new(self.weights.clone()),
+                Arc::new(ExpectedSimilarity),
+                self.thresholds,
+            )))
+            .reduction(ReductionStrategy::SortingAlternatives {
+                spec: self.key.clone(),
+                window: self.window,
+            })
+            .threads(self.threads)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use probdedup_decision::combine::WeightedSum;
-    use probdedup_decision::derive_sim::ExpectedSimilarity;
-    use probdedup_decision::threshold::Thresholds;
-    use probdedup_decision::xmodel::SimilarityBasedModel;
     use probdedup_model::schema::Schema;
     use probdedup_model::xtuple::XTuple;
     use probdedup_textsim::NormalizedHamming;
@@ -956,6 +1019,24 @@ mod tests {
                 window: 2,
             })
             .build();
+    }
+
+    #[test]
+    fn defaults_fit_every_arity() {
+        for arity in 1..=7 {
+            let d = Defaults::for_arity(arity);
+            assert_eq!(d.builder().build().arity(), arity);
+            assert!(d.key.parts().iter().all(|part| part.attr < arity));
+            assert_eq!(d.weights.weights().len(), arity);
+        }
+        let one = Defaults::for_arity(1).key;
+        assert!(one.parts().iter().all(|part| part.attr == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "a relation has at least one attribute")]
+    fn defaults_refuse_arity_zero() {
+        let _ = Defaults::for_arity(0);
     }
 
     fn build_with_selection(selection: WorldSelection) {

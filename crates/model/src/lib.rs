@@ -62,7 +62,6 @@ pub mod intern;
 pub mod lineage;
 pub mod pvalue;
 pub mod relation;
-pub mod sample;
 pub mod schema;
 pub mod snapshot;
 pub mod stats;
@@ -79,7 +78,6 @@ pub use intern::{KeyPool, KeyRanks, KeySymbol, Symbol, SymbolMap, ValuePool};
 pub use lineage::AlternativeSets;
 pub use pvalue::PValue;
 pub use relation::{Relation, XRelation};
-pub use sample::WorldSampler;
 pub use schema::{AttrType, Schema};
 pub use snapshot::SnapshotError;
 pub use tuple::ProbTuple;

@@ -52,11 +52,6 @@ impl Relation {
         &self.tuples
     }
 
-    /// Mutable tuple access (data preparation).
-    pub fn tuples_mut(&mut self) -> &mut [ProbTuple] {
-        &mut self.tuples
-    }
-
     /// Number of tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()

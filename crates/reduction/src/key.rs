@@ -608,11 +608,6 @@ impl KeyTable {
         self.keys.resolve(k)
     }
 
-    /// The key pool backing this table.
-    pub fn key_pool(&self) -> &KeyPool {
-        &self.keys
-    }
-
     /// How many key-prefix renders (prefix-cache misses reading a value's
     /// text — see [`KeyPool::render_count`]) building this table has cost.
     /// Flat outside growth operations: multi-pass consumers assert it

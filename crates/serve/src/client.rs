@@ -14,26 +14,19 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+/// The per-request socket read/write timeout.
+const TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Blocking client bound to one daemon address.
 #[derive(Debug, Clone)]
 pub struct Client {
     addr: SocketAddr,
-    timeout: Duration,
 }
 
 impl Client {
     /// A client for the daemon at `addr`.
     pub fn new(addr: SocketAddr) -> Self {
-        Self {
-            addr,
-            timeout: Duration::from_secs(30),
-        }
-    }
-
-    /// Override the per-request socket timeout (default 30 s).
-    pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = timeout;
-        self
+        Self { addr }
     }
 
     /// `GET path` → `(status, body)`.
@@ -49,8 +42,8 @@ impl Client {
     /// One request over a fresh connection.
     pub fn request(&self, method: &str, path: &str, body: &[u8]) -> std::io::Result<(u16, String)> {
         let mut stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(TIMEOUT))?;
+        stream.set_write_timeout(Some(TIMEOUT))?;
         write_request(&mut stream, method, path, body, false)?;
         let mut reader = BufReader::new(stream);
         read_response(&mut reader)
@@ -60,8 +53,8 @@ impl Client {
     /// benchmark's hot loop — connect once, measure request cost only).
     pub fn keep_alive(&self) -> std::io::Result<Connection> {
         let stream = TcpStream::connect(self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(TIMEOUT))?;
+        stream.set_write_timeout(Some(TIMEOUT))?;
         stream.set_nodelay(true)?;
         Ok(Connection {
             reader: BufReader::new(stream),

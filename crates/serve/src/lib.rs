@@ -75,12 +75,13 @@
 //! `sessions_degraded`, `inflight_peak`).
 //!
 //! ```
+//! use probdedup_core::Defaults;
 //! use probdedup_serve::server::{ServeConfig, Server};
 //! use probdedup_serve::client::Client;
 //!
-//! // A default pipeline over 2-attribute relations, bound to an
+//! // The default pipeline over 2-attribute relations, bound to an
 //! // ephemeral port:
-//! let config = ServeConfig::new("127.0.0.1:0", ServeConfig::default_pipeline(2));
+//! let config = ServeConfig::new("127.0.0.1:0", Defaults::for_arity(2).builder().build());
 //! let running = Server::bind(config).unwrap().spawn();
 //! let client = Client::new(running.addr());
 //!

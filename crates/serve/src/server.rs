@@ -11,22 +11,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use probdedup_core::pipeline::{DedupPipeline, PairDecision, Partition, ReductionStrategy};
-use probdedup_core::prepare::Preparation;
+use probdedup_core::pipeline::{DedupPipeline, PairDecision, Partition};
 use probdedup_core::session::DedupSession;
 use probdedup_core::shared::{SharedSession, WriteError};
 use probdedup_core::wal::SessionJournal;
-use probdedup_decision::combine::WeightedSum;
-use probdedup_decision::derive_sim::ExpectedSimilarity;
-use probdedup_decision::threshold::{MatchClass, Thresholds};
-use probdedup_decision::xmodel::SimilarityBasedModel;
+use probdedup_decision::threshold::MatchClass;
 use probdedup_entity::{ClusterStrategy, ResolveEntities};
-use probdedup_matching::vector::AttributeComparators;
 use probdedup_model::format::parse_xrelation;
-use probdedup_model::schema::Schema;
 use probdedup_model::snapshot::SnapshotError;
-use probdedup_reduction::{KeyPart, KeySpec};
-use probdedup_textsim::JaroWinkler;
 
 use crate::http::{json_string, read_request, write_response, HttpError, Request, Response};
 
@@ -147,47 +139,6 @@ impl ServeConfig {
         self.debug_endpoints = enabled;
         self
     }
-
-    /// The CLI-equivalent default pipeline over `arity`-attribute
-    /// relations: standard preparation, Jaro-Winkler comparators,
-    /// similarity-based decision model (λ 0.72, μ 0.82, first attribute
-    /// weighted 3×), sorted-neighborhood reduction over a prefix key.
-    /// Attribute *names* never matter to the
-    /// pipeline — only arity — so sessions accept any text relation of
-    /// this width.
-    pub fn default_pipeline(arity: usize) -> DedupPipeline {
-        let arity = arity.max(1);
-        let schema = Schema::new((0..arity).map(|i| format!("attr{i}")));
-        let weights: Vec<f64> = std::iter::once(3.0)
-            .chain(std::iter::repeat_n(1.0, arity - 1))
-            .collect();
-        DedupPipeline::builder()
-            .preparation(Preparation::standard_all(arity))
-            .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
-            .model(Arc::new(SimilarityBasedModel::new(
-                Arc::new(WeightedSum::normalized(weights).expect("weights are positive")),
-                Arc::new(ExpectedSimilarity),
-                Thresholds::new(0.72, 0.82).expect("static thresholds are ordered"),
-            )))
-            .reduction(ReductionStrategy::SortingAlternatives {
-                spec: default_key(arity),
-                window: 6,
-            })
-            .threads(4)
-            .build()
-    }
-}
-
-/// The reduction key the CLI and [`ServeConfig::default_pipeline`] fall
-/// back to over `arity`-attribute relations: a 3-prefix of the first
-/// attribute, plus — when there is a second attribute to take it from — a
-/// 2-prefix of the last text attribute (`arity − 2`, at least attribute 1).
-pub fn default_key(arity: usize) -> KeySpec {
-    let mut parts = vec![KeyPart::prefix(0, 3)];
-    if arity >= 2 {
-        parts.push(KeyPart::prefix((arity - 2).max(1), 2));
-    }
-    KeySpec::new(parts)
 }
 
 /// What one finished server run did (returned by [`Server::run`] /
@@ -1395,13 +1346,6 @@ mod tests {
         assert!(!valid_name("has space"));
         assert!(!valid_name(&"x".repeat(65)));
         assert!(!valid_name("-leading-dash"));
-    }
-
-    #[test]
-    fn default_pipeline_matches_requested_arity() {
-        for arity in [1, 2, 4, 7] {
-            assert_eq!(ServeConfig::default_pipeline(arity).arity(), arity);
-        }
     }
 
     #[test]

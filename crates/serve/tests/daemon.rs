@@ -16,14 +16,14 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use probdedup_core::pipeline::DedupResult;
+use probdedup_core::pipeline::{DedupPipeline, DedupResult, Defaults};
 use probdedup_core::session::DedupSession;
 use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup_entity::{ClusterStrategy, ResolveEntities};
 use probdedup_model::format::write_xrelation;
 use probdedup_model::relation::XRelation;
 use probdedup_serve::client::{json_field, Client};
-use probdedup_serve::server::{default_key, RunningServer, ServeConfig, Server};
+use probdedup_serve::server::{RunningServer, ServeConfig, Server};
 
 /// Two small sources with overlapping entities (people schema, arity 4).
 fn sources() -> Vec<XRelation> {
@@ -42,8 +42,13 @@ fn boot(config: ServeConfig) -> (RunningServer, Client) {
     (running, client)
 }
 
+/// The default pipeline over the people schema.
+fn pipeline() -> DedupPipeline {
+    Defaults::for_arity(4).builder().build()
+}
+
 fn config() -> ServeConfig {
-    ServeConfig::new("127.0.0.1:0", ServeConfig::default_pipeline(4))
+    ServeConfig::new("127.0.0.1:0", pipeline())
 }
 
 /// The `"clusters": [...]` token of a partition/dedup response body.
@@ -139,7 +144,7 @@ fn endpoints_match_the_library_session() {
     // each ingest the plain `partition` (read off the decision memo) is
     // `?full=1` (read off `result()`) minus its decisions, and both
     // describe the library's merged view.
-    let mut session = ServeConfig::default_pipeline(4).session();
+    let mut session = pipeline().session();
     for (i, src) in srcs.iter().enumerate() {
         let (status, body) = client
             .post("/sessions/census/ingest", write_xrelation(src).as_bytes())
@@ -365,7 +370,7 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
     let dir = std::env::temp_dir().join(format!("probdedup-serve-readers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (running, client) = boot(config().snapshot_dir(&dir));
-    let mut library = ServeConfig::default_pipeline(4).session();
+    let mut library = pipeline().session();
     let (pre_rows, post_rows) = (srcs[0].len(), srcs[0].len() + srcs[1].len());
     // Resident pairs, and one that exists only after the second ingest.
     let queries: Vec<String> = [(0, 1), (2, pre_rows - 1), (1, pre_rows)]
@@ -480,9 +485,7 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
 
     // Split-invariance through the front door: the merged result equals
     // a serial one-shot run over both sources.
-    let expected = ServeConfig::default_pipeline(4)
-        .run(&srcs.iter().collect::<Vec<_>>())
-        .unwrap();
+    let expected = pipeline().run(&srcs.iter().collect::<Vec<_>>()).unwrap();
     assert_partition_body(&post[0], &expected);
 
     running.shutdown().unwrap();
@@ -550,9 +553,8 @@ fn concurrent_saves_of_one_session_never_collide() {
         }
         running.shutdown().unwrap();
 
-        let reopened =
-            DedupSession::open(dir.join("census.snap"), &ServeConfig::default_pipeline(4))
-                .expect("the snapshot left behind opens");
+        let reopened = DedupSession::open(dir.join("census.snap"), &pipeline())
+            .expect("the snapshot left behind opens");
         assert_eq!(reopened.rows(), srcs[0].len());
         assert!(
             !dir.join("census.snap.tmp").exists(),
@@ -677,10 +679,10 @@ fn wal_recovery_equals_the_pre_crash_partition() {
 /// batch replays and the partition is the one served before.
 #[test]
 fn one_attribute_daemon_replays_its_journal() {
-    assert!(default_key(1).parts().iter().all(|part| part.attr == 0));
     let wal = std::env::temp_dir().join(format!("probdedup-serve-arity1-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal);
-    let config = || ServeConfig::new("127.0.0.1:0", ServeConfig::default_pipeline(1)).wal_dir(&wal);
+    let config =
+        || ServeConfig::new("127.0.0.1:0", Defaults::for_arity(1).builder().build()).wal_dir(&wal);
     let batch = "schema name:text\nxtuple\n  alt 1 | Johnathan\n\
                  xtuple\n  alt 0.9 | Johnathan\nxtuple\n  alt 1 | Tim\n";
 
@@ -843,7 +845,7 @@ fn entities_endpoint_matches_library_and_survives_restart() {
     }
 
     // The library ground truth over the same pipeline and corpus.
-    let mut session = ServeConfig::default_pipeline(4).session();
+    let mut session = pipeline().session();
     for src in &srcs {
         session.ingest(src).unwrap();
     }

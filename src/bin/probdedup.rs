@@ -15,28 +15,21 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::io::Write;
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use probdedup::core::pipeline::{DedupPipeline, ReductionStrategy};
-use probdedup::core::prepare::Preparation;
+use probdedup::core::pipeline::{DedupPipeline, Defaults, ReductionStrategy};
 use probdedup::core::session::DedupSession;
 use probdedup::datagen::GroundTruth;
 use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
-use probdedup::decision::combine::WeightedSum;
-use probdedup::decision::derive_sim::ExpectedSimilarity;
 use probdedup::decision::threshold::{MatchClass, Thresholds};
-use probdedup::decision::xmodel::SimilarityBasedModel;
 use probdedup::entity::{ClusterStrategy, ResolveEntities};
 use probdedup::eval::ClusterMetrics;
-use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::format::{parse_xrelation, write_xrelation};
 use probdedup::model::relation::XRelation;
 use probdedup::model::schema::Schema;
 use probdedup::model::snapshot::SnapshotError;
 use probdedup::model::stats::RelationStats;
 use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
-use probdedup::serve::server::{default_key, ServeConfig, Server};
-use probdedup::textsim::JaroWinkler;
+use probdedup::serve::server::{ServeConfig, Server};
 
 const USAGE: &str = "\
 probdedup — duplicate detection in probabilistic data (Panse et al., ICDE 2010)
@@ -382,64 +375,45 @@ fn parse_pipeline(args: &Args) -> Result<(Vec<String>, Vec<XRelation>, DedupPipe
     Ok((inputs, relations, pipeline))
 }
 
-/// Build the configured pipeline over `schema` from the shared flags —
-/// the input-driven commands pass the schema of their first input,
-/// `serve` a placeholder schema of `--arity` width (only arity and
-/// attribute names for `--key` matter to the pipeline).
+/// Build the configured pipeline over `schema`: the flags given, applied
+/// over [`Defaults`] — the input-driven commands pass the schema of their
+/// first input, `serve` a placeholder schema of `--arity` width (only
+/// arity and attribute names for `--key` matter to the pipeline).
 fn build_pipeline(
     args: &Args,
     schema: &probdedup::model::schema::Schema,
 ) -> Result<DedupPipeline, CliError> {
-    let window = args.get_parsed("window", 6usize)?;
-    let key = match args.get("key") {
-        Some(spec) => parse_key(spec, schema)?,
-        None => default_key(schema.arity()),
-    };
+    let mut d = Defaults::for_arity(schema.arity());
+    d.window = args.get_parsed("window", d.window)?;
+    if let Some(spec) = args.get("key") {
+        d.key = parse_key(spec, schema)?;
+    }
+    let (spec, window) = (d.key.clone(), d.window);
     let strategy = ConflictResolution::MostProbableAlternative;
     let selection = WorldSelection::DiverseTopK { k: 3, pool: 32 };
     let reduction = match args.get("reduction").unwrap_or("snm-alternatives") {
         "full" => ReductionStrategy::Full,
-        "snm-alternatives" => ReductionStrategy::SortingAlternatives { spec: key, window },
+        "snm-alternatives" => ReductionStrategy::SortingAlternatives { spec, window },
         "snm-resolved" => ReductionStrategy::ConflictResolved {
-            spec: key,
+            spec,
             window,
             strategy,
         },
         "snm-multipass" => ReductionStrategy::MultipassWorlds {
-            spec: key,
+            spec,
             window,
             selection,
         },
-        "blocking" => ReductionStrategy::BlockingAlternatives { spec: key },
-        "blocking-resolved" => ReductionStrategy::BlockingConflictResolved {
-            spec: key,
-            strategy,
-        },
-        "blocking-multipass" => ReductionStrategy::BlockingMultipass {
-            spec: key,
-            selection,
-        },
+        "blocking" => ReductionStrategy::BlockingAlternatives { spec },
+        "blocking-resolved" => ReductionStrategy::BlockingConflictResolved { spec, strategy },
+        "blocking-multipass" => ReductionStrategy::BlockingMultipass { spec, selection },
         other => return Err(CliError::Usage(format!("unknown reduction {other:?}"))),
     };
-
-    let lambda = args.get_parsed("lambda", 0.72f64)?;
-    let mu = args.get_parsed("mu", 0.82f64)?;
-    let threads = args.get_parsed("threads", 4usize)?;
-    let weights: Vec<f64> = std::iter::once(3.0)
-        .chain(std::iter::repeat_n(1.0, schema.arity() - 1))
-        .collect();
-    let pipeline = DedupPipeline::builder()
-        .preparation(Preparation::standard_all(schema.arity()))
-        .comparators(AttributeComparators::uniform(schema, JaroWinkler::new()))
-        .model(Arc::new(SimilarityBasedModel::new(
-            Arc::new(WeightedSum::normalized(weights).map_err(|e| CliError::Usage(e.to_string()))?),
-            Arc::new(ExpectedSimilarity),
-            Thresholds::new(lambda, mu).map_err(|e| CliError::Usage(e.to_string()))?,
-        )))
-        .reduction(reduction)
-        .threads(threads)
-        .build();
-    Ok(pipeline)
+    let lambda = args.get_parsed("lambda", d.thresholds.lambda())?;
+    let mu = args.get_parsed("mu", d.thresholds.mu())?;
+    d.threads = args.get_parsed("threads", d.threads)?;
+    d.thresholds = Thresholds::new(lambda, mu).map_err(|e| CliError::Usage(e.to_string()))?;
+    Ok(d.builder().reduction(reduction).build())
 }
 
 /// Print a [`DedupResult`]: summary, matches, possibles, clusters.

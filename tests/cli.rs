@@ -727,6 +727,57 @@ fn one_attribute_relation_gets_an_in_range_default_key() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `dedup` with no pipeline flag runs the library's default
+/// configuration: the same summary line and the same duplicate clusters
+/// as [`Defaults::for_arity`](probdedup::core::Defaults::for_arity) over
+/// the same sources.
+#[test]
+fn dedup_without_pipeline_flags_is_the_library_default() {
+    let dir = temp_dir("defaults");
+    let prefix = dir.join("d");
+    let prefix_str = prefix.to_str().unwrap();
+    let out = bin()
+        .args(["generate", "--out-prefix", prefix_str, "--entities", "150"])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let inputs = [0, 1].map(|i| format!("{prefix_str}.source{i}.pxr"));
+    let out = bin()
+        .args(["dedup", "--input", &inputs[0], "--input", &inputs[1]])
+        .output()
+        .expect("run dedup");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+
+    let relations = inputs.map(|path| {
+        let text = std::fs::read_to_string(path).unwrap();
+        probdedup::model::format::parse_xrelation(&text).expect("valid .pxr")
+    });
+    assert_eq!(relations[0].schema().arity(), 4);
+    let result = probdedup::core::Defaults::for_arity(4)
+        .builder()
+        .build()
+        .run(&[&relations[0], &relations[1]])
+        .unwrap();
+    assert!(result.clusters.iter().any(|c| c.len() > 1));
+    let mut expected = String::from("duplicate clusters:\n");
+    for cluster in &result.clusters {
+        let members: Vec<String> = cluster
+            .iter()
+            .map(|&row| result.handle(row).to_string())
+            .collect();
+        expected += &format!("  {{{}}}\n", members.join(", "));
+    }
+    assert_eq!(stdout.lines().next(), Some(result.summary().as_str()));
+    let from = stdout.find("duplicate clusters:").expect("clusters");
+    assert_eq!(stdout[from..], expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `probdedup dedup … | head -1`: a reader that goes away ends the run
 /// quietly — no `println!` panic, no backtrace, no failure exit.
 #[test]
