@@ -114,21 +114,16 @@ impl MatchingEngine {
     }
 
     /// Classify `pairs` on the work-stealing pair executor. Row indices
-    /// address the rows this engine ingested, viewed as two slices: row
-    /// `i` is `resident[i]` below `resident.len()` and `grown[i −
-    /// resident.len()]` from there (a session classifies a batch it has
-    /// ingested here before appending it to its relation; every other
-    /// caller passes no `grown` rows). Returns the decisions in `pairs`
-    /// order plus this call's bounded-tier counts `[early match, early
-    /// non-match, early possible, exhausted]` — all zero in the exact
-    /// configuration.
+    /// address `tuples`, the rows this engine ingested (or a prefix of
+    /// them). Returns the decisions in `pairs` order plus this call's
+    /// bounded-tier counts `[early match, early non-match, early possible,
+    /// exhausted]` — all zero in the exact configuration.
     ///
     /// `&self`: classifying writes nothing shared, so concurrent readers
     /// of one warm session share this safely.
     pub(crate) fn classify(
         &self,
-        resident: &[XTuple],
-        grown: &[XTuple],
+        tuples: &[XTuple],
         pairs: &[(usize, usize)],
         threads: usize,
     ) -> (Vec<PairDecision>, [u64; 4]) {
@@ -138,15 +133,10 @@ impl MatchingEngine {
         match &self.decider {
             Decider::Model(model) => {
                 let model = model.as_ref();
-                let row = |i: usize| {
-                    resident
-                        .get(i)
-                        .unwrap_or_else(|| &grown[i - resident.len()])
-                };
                 let decisions = par_map_index(threads, pairs.len(), |idx| {
                     let (i, j) = pairs[idx];
                     let matrix = compare_xtuples_interned(&itup[i], &itup[j], cmps);
-                    let d = model.decide(row(i), row(j), &matrix);
+                    let d = model.decide(&tuples[i], &tuples[j], &matrix);
                     PairDecision {
                         pair: (i, j),
                         similarity: d.similarity,

@@ -486,7 +486,7 @@ impl DedupPipeline {
         };
         let mut engine = MatchingEngine::new(&self.config);
         engine.ingest(tuples);
-        let (decisions, tiers) = engine.classify(tuples, &[], &pairs, self.config.threads);
+        let (decisions, tiers) = engine.classify(tuples, &pairs, self.config.threads);
         let stats = engine.stats(tiers);
         // The closure is the run's last allocation; freeing the candidate
         // list and the interned mirrors first keeps it off the peak.

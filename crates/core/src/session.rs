@@ -47,9 +47,9 @@
 //!   corpus: intern only the new tuples, grow the reduction state
 //!   incrementally, classify **only** the candidate pairs that involve
 //!   new rows, and merge into the memo. Growing the reduction state
-//!   returns what the batch changed (the pairs that arrived, the pairs a
-//!   window slid past — see `WarmReduction`), so a write costs what it
-//!   adds, not what is resident. The contract, property-tested in
+//!   returns what it inserted, and what the batch changed (the pairs that
+//!   arrived, the pairs a window slid past — see `WarmReduction`) is read
+//!   off that, so a write costs what it adds, not what is resident. The contract, property-tested in
 //!   `tests/session_incremental.rs`: after ingesting a corpus in *any*
 //!   batch split, [`result`](DedupSession::result) equals one batch
 //!   [`run`](DedupSession::run) under the engine's equality contract
@@ -119,11 +119,12 @@ use probdedup_model::ids::SourceId;
 use probdedup_model::relation::XRelation;
 use probdedup_model::schema::Schema;
 use probdedup_model::snapshot::{
-    read_xrelation, write_xrelation, SectionWriter, SnapshotError, SnapshotReader, SnapshotWriter,
+    read_xrelation, write_schema, write_xtuple, SectionWriter, SnapshotError, SnapshotReader,
+    SnapshotWriter,
 };
 use probdedup_model::util::FxHashMap;
 use probdedup_model::xtuple::XTuple;
-use probdedup_reduction::{CandidateDelta, CandidatePairs};
+use probdedup_reduction::CandidatePairs;
 
 use crate::engine::MatchingEngine;
 use crate::pipeline::{
@@ -134,7 +135,7 @@ use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
     TAG_MATCH_POOL, TAG_OFFSETS, TAG_REDUCTION, TAG_RELATION,
 };
-use crate::warm::WarmReduction;
+use crate::warm::{Inserted, WarmReduction};
 
 /// What one [`DedupSession::ingest`] call did: the rows it appended, the
 /// pairs it newly classified, and the size of the resident candidate set
@@ -187,21 +188,25 @@ impl IncrementalResult {
 
 /// One ingest batch between the phases of [`DedupSession::ingest`]:
 /// staged (validated, prepared) off the session, grown into its
-/// append-only warm state, classified, and published into the resident
-/// view. Only the two `&mut` phases, grow and publish, write the session;
-/// one batch is in flight at a time. Journal replay stages a run of
-/// batches as one (see [`DedupSession::replay_ingests`]).
+/// append-only relation and warm state, classified, and published into
+/// the resident view. Only the two `&mut` phases, grow and publish, write
+/// the session; one batch is in flight at a time. Journal replay stages a
+/// run of batches as one (see [`DedupSession::replay_ingests`]).
 pub(crate) struct StagedIngest {
     schema: Schema,
-    /// The prepared rows: combined rows `starts[0]..starts[0] + rows.len()`
-    /// once published.
+    /// The prepared rows, until `grow` moves them into the relation as
+    /// combined rows `starts[0]..`.
     rows: Vec<XTuple>,
     /// The combined row each staged batch starts at, one source apiece.
     starts: Vec<usize>,
-    /// What the batch changes in the candidate set, set by `grow` for the
-    /// strategies that emit deltas.
-    delta: Option<CandidateDelta>,
-    /// The decisions of `delta.arrived` and their bounded-tier counts.
+    /// What `grow` inserted into the warm reduction state.
+    inserted: Inserted,
+    /// The memo pairs that leave the candidate set, set by `classify`.
+    departed: Vec<(usize, usize)>,
+    /// The candidates in one-shot order, when `classify` regenerated them.
+    order: Option<CandidatePairs>,
+    /// The decisions of the pairs that arrived and their bounded-tier
+    /// counts.
     decisions: Vec<PairDecision>,
     tiers: [u64; 4],
     /// The journal record this batch was appended as, if journaled.
@@ -222,8 +227,15 @@ impl StagedIngest {
 /// see the module docs for the lifecycle.
 pub struct DedupSession {
     config: PipelineConfig,
-    /// The prepared resident relation; `None` until the first run/ingest.
+    /// The prepared relation, append-only between runs; `None` until the
+    /// first run/ingest. An ingest appends its rows at grow, ahead of
+    /// publishing them.
     relation: Option<XRelation>,
+    /// How many rows of `relation` are published: every read sees
+    /// `relation.xtuples()[..published]` and nothing past it, and no
+    /// relation while `None` — a relation the first batch's grow created
+    /// is not published until that batch is.
+    published: Option<usize>,
     source_offsets: Vec<usize>,
     reduction: WarmReduction,
     matching: MatchingEngine,
@@ -252,6 +264,7 @@ impl DedupSession {
         Self {
             config,
             relation: None,
+            published: None,
             source_offsets: Vec::new(),
             reduction,
             matching,
@@ -276,7 +289,13 @@ impl DedupSession {
 
     /// Number of resident combined rows.
     pub fn rows(&self) -> usize {
-        self.relation.as_ref().map_or(0, XRelation::len)
+        self.published.unwrap_or(0)
+    }
+
+    /// The published relation and its published rows (see `published`).
+    fn published(&self) -> Option<(&XRelation, &[XTuple])> {
+        let rel = self.relation.as_ref()?;
+        Some((rel, &rel.xtuples()[..self.published?]))
     }
 
     /// Whether the session holds no resident rows yet.
@@ -331,6 +350,7 @@ impl DedupSession {
             // would, so `result()` agrees with what this run returned.
             self.reset_rows();
             self.relation = None;
+            self.published = None;
             self.source_offsets.clear();
             return Ok(DedupResult::empty());
         };
@@ -360,6 +380,7 @@ impl DedupSession {
         self.reset_rows();
         self.reduction.ingest_rows(relation.xtuples(), 0);
         self.matching.ingest(relation.xtuples());
+        self.published = Some(relation.len());
         self.relation = Some(relation);
     }
 
@@ -379,11 +400,12 @@ impl DedupSession {
     ///
     /// Growing the warm reduction state (rank-inserted SNM entries,
     /// resident blocks — integer work, no re-rendering and no re-sorting of
-    /// resident data) reports what the batch changed: the pairs that
+    /// resident data) tells what the batch changed: the pairs that
     /// arrived are classified and join the memo, the pairs a window slid
     /// past leave it. No resident candidate is visited. (The
-    /// world-dependent strategies regenerate and diff instead — see
-    /// `WarmReduction`.) Every strategy stays **split-invariant**: after
+    /// world-dependent strategies regenerate and diff against the memo
+    /// instead — see `WarmReduction`.) Every strategy stays
+    /// **split-invariant**: after
     /// the last ingest, [`result`](Self::result) equals what one batch
     /// [`run`](Self::run) over the concatenated sources returns.
     ///
@@ -406,7 +428,9 @@ impl DedupSession {
             schema: source.schema().clone(),
             rows,
             starts: vec![self.rows()],
-            delta: None,
+            inserted: Inserted::Nothing,
+            departed: Vec::new(),
+            order: None,
             decisions: Vec::new(),
             tiers: [0; 4],
             journal_seq: None,
@@ -448,93 +472,107 @@ impl DedupSession {
         self.publish(staged)
     }
 
-    /// Phase 2 (`&mut self`, short): grow the append-only warm state over
-    /// the staged rows — the reduction delta of the strategies that emit
-    /// one, the interned mirrors, sidecars and weights. Nothing a reader
-    /// is answered changes: the reads see the published rows only, and
-    /// the grown state is reached from the staged rows alone.
+    /// Phase 2 (`&mut self`, short): move the staged rows into the
+    /// relation and grow the append-only warm state over them — the
+    /// reduction state, the interned mirrors, sidecars and weights.
+    /// Nothing a reader is answered changes: the reads see the published
+    /// rows only, and the grown state is reached from the new rows alone.
     pub(crate) fn grow(&mut self, staged: &mut StagedIngest) {
         let start = staged.starts[0];
         debug_assert_eq!(start, self.rows(), "one batch in flight at a time");
-        staged.delta = self.reduction.ingest_delta(&staged.rows, start);
-        self.matching.ingest(&staged.rows);
-    }
-
-    /// Phase 3 (`&self`, the long one): classify the pairs that arrived —
-    /// over the published rows plus the staged ones. The strategies that
-    /// regenerate classify at publish instead.
-    pub(crate) fn classify_arrived(&self, staged: &mut StagedIngest) {
-        if let Some(delta) = &staged.delta {
-            let resident = self.relation.as_ref().map_or(&[][..], XRelation::xtuples);
-            (staged.decisions, staged.tiers) =
-                self.matching
-                    .classify(resident, &staged.rows, &delta.arrived, self.config.threads);
-        }
-    }
-
-    /// Phase 4 (`&mut self`, short): publish the batch — append its rows
-    /// and source offsets, drop what departed, add what arrived to the
-    /// memo, and add the tier counts and the journal sequence. Every read
-    /// after this sees the batch; every read before it saw none of it.
-    pub(crate) fn publish(&mut self, staged: StagedIngest) -> IncrementalResult {
-        let StagedIngest {
-            schema,
-            rows,
-            starts,
-            delta,
-            decisions,
-            tiers,
-            journal_seq,
-        } = staged;
-        // New rows and new decisions: the ordered candidate list is stale
-        // from here on.
-        self.order.take();
-        let start = starts[0];
-        let source = SourceId(self.source_offsets.len() as u32);
-        self.source_offsets.extend(starts);
-        let rel = self.relation.get_or_insert_with(|| XRelation::new(schema));
-        for t in rows {
+        let rel = self
+            .relation
+            .get_or_insert_with(|| XRelation::new(staged.schema.clone()));
+        for t in std::mem::take(&mut staged.rows) {
             rel.push(t);
         }
+        let new_rows = &rel.xtuples()[start..];
+        staged.inserted = self.reduction.ingest_rows(new_rows, start);
+        self.matching.ingest(new_rows);
+    }
 
-        let new_decisions = match delta {
+    /// Phase 3 (`&self`, the long one): compute what the batch changes in
+    /// the candidate set and classify the pairs that arrived, over the
+    /// published rows plus the grown ones. The strategies that emit
+    /// deltas read theirs off what grow inserted; the regenerating ones
+    /// regenerate over every row and diff against the memo, which holds
+    /// exactly the published candidates.
+    pub(crate) fn classify_arrived(&self, staged: &mut StagedIngest) {
+        let tuples = self
+            .relation
+            .as_ref()
+            .expect("grow created the relation")
+            .xtuples();
+        let start = staged.starts[0];
+        let arrived = match self.reduction.delta(&staged.inserted, start, tuples.len()) {
             Some(delta) => {
-                for pair in &delta.departed {
-                    self.decided.remove(pair);
-                }
-                for (acc, t) in self.tiers.iter_mut().zip(tiers) {
-                    *acc += t;
-                }
-                decisions
+                staged.departed = delta.departed;
+                delta.arrived
             }
             None => {
-                // Grow over the published corpus, regenerate, classify
-                // what the memo does not hold, and drop what the memo
-                // holds beyond the new candidates.
-                self.reduction.ingest_rows(&rel.xtuples()[start..], start);
-                let candidates = self.reduction.current(rel.xtuples());
-                let todo: Vec<(usize, usize)> = candidates
+                let candidates = self.reduction.current(tuples);
+                let arrived: Vec<(usize, usize)> = candidates
                     .pairs()
                     .iter()
                     .copied()
                     .filter(|p| !self.decided.contains_key(p))
                     .collect();
-                if self.decided.len() + todo.len() > candidates.len() {
-                    self.decided.retain(|&(i, j), _| candidates.contains(i, j));
+                // Only a memo larger than the surviving candidates holds
+                // pairs that departed; otherwise it is not scanned.
+                if self.decided.len() + arrived.len() > candidates.len() {
+                    staged.departed = self
+                        .decided
+                        .keys()
+                        .copied()
+                        .filter(|&(i, j)| !candidates.contains(i, j))
+                        .collect();
                 }
-                self.order = OnceLock::from(candidates);
-                self.classify(&todo)
+                staged.order = Some(candidates);
+                arrived
             }
         };
-        self.decided
-            .extend(new_decisions.iter().map(|d| (d.pair, *d)));
+        (staged.decisions, staged.tiers) =
+            self.matching
+                .classify(tuples, &arrived, self.config.threads);
+    }
+
+    /// Phase 4 (`&mut self`, short): publish the batch — count its rows
+    /// as published, append its source offsets, drop what departed from
+    /// the memo and add what arrived, install the regenerated candidate
+    /// order, and add the tier counts and the journal sequence. Every read
+    /// after this sees the batch; every read before it saw none of it.
+    pub(crate) fn publish(&mut self, staged: StagedIngest) -> IncrementalResult {
+        let StagedIngest {
+            starts,
+            departed,
+            order,
+            decisions,
+            tiers,
+            journal_seq,
+            ..
+        } = staged;
+        let start = starts[0];
+        let source = SourceId(self.source_offsets.len() as u32);
+        self.source_offsets.extend(starts);
+        let rows = self.relation.as_ref().map_or(0, XRelation::len);
+        self.published = Some(rows);
+        for pair in &departed {
+            self.decided.remove(pair);
+        }
+        self.decided.extend(decisions.iter().map(|d| (d.pair, *d)));
+        for (acc, t) in self.tiers.iter_mut().zip(tiers) {
+            *acc += t;
+        }
+        // New rows and new decisions: the ordered candidate list is the
+        // regenerated one, or stale.
+        self.order = order.map_or_else(OnceLock::new, OnceLock::from);
         if let Some(seq) = journal_seq {
             self.journal_seq = seq;
         }
         IncrementalResult {
             source,
-            new_rows: start..self.rows(),
-            new_decisions,
+            new_rows: start..rows,
+            new_decisions: decisions,
             candidates: self.decided.len(),
         }
     }
@@ -592,8 +630,8 @@ impl DedupSession {
     /// reduction state on the first call after a write, shared by every
     /// read until the next one.
     fn ordered_candidates(&self) -> &CandidatePairs {
-        self.order.get_or_init(|| match &self.relation {
-            Some(rel) => self.reduction.current(rel.xtuples()),
+        self.order.get_or_init(|| match self.published() {
+            Some((_, rows)) => self.reduction.current(rows),
             None => CandidatePairs::new(0),
         })
     }
@@ -646,10 +684,8 @@ impl DedupSession {
     /// counts — callers on the write path accumulate them, read paths
     /// drop them.
     fn classify_shared(&self, pairs: &[(usize, usize)]) -> (Vec<PairDecision>, [u64; 4]) {
-        match &self.relation {
-            Some(rel) => self
-                .matching
-                .classify(rel.xtuples(), &[], pairs, self.config.threads),
+        match self.published() {
+            Some((_, rows)) => self.matching.classify(rows, pairs, self.config.threads),
             None => (Vec::new(), [0; 4]),
         }
     }
@@ -657,10 +693,13 @@ impl DedupSession {
     /// Assemble a [`DedupResult`] snapshot from `decisions` (aligned with
     /// the current candidate order).
     fn snapshot(&self, decisions: Vec<PairDecision>) -> DedupResult {
-        let relation = match &self.relation {
-            Some(rel) => rel.clone(),
-            None => return DedupResult::empty(),
+        let Some((rel, rows)) = self.published() else {
+            return DedupResult::empty();
         };
+        let mut relation = XRelation::new(rel.schema().clone());
+        for t in rows {
+            relation.push(t.clone());
+        }
         let clusters = match_clusters(relation.len(), &decisions);
         DedupResult {
             relation,
@@ -695,11 +734,16 @@ impl DedupSession {
         w.put_u8(u8::from(self.config.decider.is_classify_only()));
         snap.section(TAG_CONFIG, w);
 
+        // The published relation, as `write_xrelation` encodes one.
         let mut w = SectionWriter::new();
-        match &self.relation {
-            Some(rel) => {
+        match self.published() {
+            Some((rel, rows)) => {
                 w.put_u8(1);
-                write_xrelation(&mut w, rel);
+                write_schema(&mut w, rel.schema());
+                w.put_len(rows.len());
+                for t in rows {
+                    write_xtuple(&mut w, t);
+                }
             }
             None => w.put_u8(0),
         }
@@ -1446,13 +1490,20 @@ mod tests {
     /// The phases of an ingest, run one by one: once the batch is grown
     /// and once it is classified, every read still answers what the
     /// session answered before the batch — under all seven strategies and
-    /// both engine configurations, with the ordered candidates
-    /// regenerated over the grown state — and once published the session
-    /// equals a twin that ran plain `ingest`.
+    /// both engine configurations, the first batch into an empty session
+    /// included, with the ordered candidates regenerated over a relation
+    /// and a warm state grown past the published rows. Classify leaves
+    /// publish nothing to classify: the staged batch already holds every
+    /// decision the ingest reports. Once published the session equals a
+    /// twin that ran plain `ingest`.
     #[test]
     fn a_mid_ingest_read_is_a_pre_ingest_read() {
-        let sources = corpus();
-        for strategy in strategies() {
+        // The corpus, and the corpus after an empty first batch.
+        let feeds = [corpus(), [rel(&[])].into_iter().chain(corpus()).collect()];
+        for (strategy, sources) in strategies()
+            .into_iter()
+            .flat_map(|s| [(s.clone(), &feeds[0]), (s, &feeds[1])])
+        {
             for exact in [true, false] {
                 let label = format!(
                     "{} {}",
@@ -1476,20 +1527,31 @@ mod tests {
                 };
                 let (mut phased, mut plain) = (pipeline.session(), pipeline.session());
                 for (n, src) in sources.iter().enumerate() {
-                    let label = format!("{label}, batch {n}");
+                    let label = format!("{label}, batch {n} of {}", sources.len());
                     let seq = n as u64 + 1;
                     let before = ReadView::of(&plain);
                     let mut staged = phased.stage(src).unwrap();
                     staged.journaled_as(seq);
                     phased.grow(&mut staged);
+                    assert_eq!(
+                        phased.relation.as_ref().map(XRelation::len),
+                        Some(staged.starts[0] + src.len()),
+                        "{label}: grow appends the rows"
+                    );
                     // The last read cached the ordered candidates; the
                     // first read of a generation regenerates them, here
                     // over the grown state.
                     phased.order.take();
                     assert_eq!(ReadView::of(&phased), before, "{label}: grown");
                     phased.classify_arrived(&mut staged);
+                    phased.order.take();
                     assert_eq!(ReadView::of(&phased), before, "{label}: classified");
+                    let classified = staged.decisions.clone();
                     let step = phased.publish(staged);
+                    assert_eq!(
+                        classified, step.new_decisions,
+                        "{label}: publish classified"
+                    );
 
                     let want = plain.ingest(src).unwrap();
                     plain.set_journal_seq(seq);

@@ -16,22 +16,26 @@
 //! ```text
 //!  writer ─┬─ read:  stage (validate, prepare a copy of the batch)
 //!          │         journal append + fsync     (no session lock)
-//!          ├─ write: grow  (reduction delta, intern, sidecars, weights)
-//!          ├─ read:  classify what arrived     (Eq. 5 — most of the cost)
-//!          └─ write: publish (rows, memo, departed, tiers, journal seq)
+//!          ├─ write: grow    (append the rows; grow the reduction state,
+//!          │                  interned mirrors, sidecars, weights)
+//!          ├─ read:  classify (the candidate delta — window scan, block
+//!          │                  enumeration, or world regeneration and its
+//!          │                  diff against the memo — then Eq. 5 over
+//!          │                  what arrived: most of the cost)
+//!          └─ write: publish (row count, offsets, memo, order, tiers,
+//!                             journal seq — no computation)
 //! ```
 //!
-//! Readers in between are answered from the *published prefix*: the
-//! relation, the decision memo, the source offsets, the tier counters and
-//! the journal sequence change at publish only, and the grown matching and
-//! reduction state is append-only and never reached from a row below
-//! [`DedupSession::rows`] (`current_pairs` ignores rows at or past the
-//! published count). So every read sees the session from before the batch
-//! or from after it, never one in between. The value-keyed counters
-//! (interned values, key renders) may already include a
-//! batch in flight. The strategies that regenerate their candidates over
-//! the whole corpus (multi-pass over worlds) classify at publish, as
-//! [`DedupSession::ingest`] always did.
+//! Readers in between are answered from the *published prefix*: every
+//! read sees the relation's first [`DedupSession::rows`] rows and nothing
+//! past them, and the decision memo, the source offsets, the tier counters
+//! and the journal sequence change at publish only. The grown relation and
+//! the grown matching and reduction state are append-only and never
+//! reached from a published row (`current_pairs` and the world passes
+//! ignore rows at or past the published count). So every read sees the
+//! session from before the batch or from after it, never one in between,
+//! under all seven strategies. The value-keyed counters (interned values,
+//! key renders) may already include a batch in flight.
 //!
 //! A panic in any phase poisons the writer mutex (it is held throughout),
 //! so [`read`](SharedSession::read) and every later write report the

@@ -4,6 +4,7 @@
 //! one-shot [`run`](crate::pipeline::DedupPipeline::run) builds the same
 //! state, reads its candidates once and drops it.
 
+use probdedup_model::intern::KeySymbol;
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::{
     block_multipass_with_table, multipass_snm_with_table, CandidateDelta, CandidatePairs,
@@ -12,17 +13,29 @@ use probdedup_reduction::{
 
 use crate::pipeline::ReductionStrategy;
 
+/// What one [`WarmReduction::ingest_rows`] inserted, for
+/// [`WarmReduction::delta`].
+pub(crate) enum Inserted {
+    /// Nothing kept: full comparison and the regenerating `Worlds`.
+    Nothing,
+    /// The positions the new SNM entries landed at, ascending.
+    Entries(Vec<usize>),
+    /// The block key of every insertion.
+    Blocks(Vec<KeySymbol>),
+}
+
 /// Per-strategy warm reduction state.
 ///
 /// `Full`, `Snm` and `Blocks` emit **deltas**: appended rows only push
 /// window entries apart and only grow blocks, so everything a batch adds
 /// to the candidate set has a new row and is read off where the batch
-/// landed ([`ingest_delta`](Self::ingest_delta) — rows `start..` against
-/// everything before them, a local window re-scan around each inserted
-/// entry, the blocks that gained a member), and a pair that left never
-/// returns. `Worlds` **regenerates**: which worlds are selected depends
-/// on the whole corpus, so a batch can change candidates between old
-/// rows, and a pair may leave and re-enter; it is then classified again —
+/// landed ([`delta`](Self::delta) — rows `start..` against everything
+/// before them, a local window re-scan around each inserted entry, the
+/// blocks that gained a member), and a pair that left never returns.
+/// `Worlds` **regenerates**: which worlds are selected depends on the
+/// whole corpus, so a batch can change candidates between old rows, and a
+/// pair may leave and re-enter; its caller diffs [`current`](Self::current)
+/// against what it holds, and a pair that re-enters is classified again —
 /// deterministic, so the result is the same.
 pub(crate) enum WarmReduction {
     /// Full comparison: no state, candidates are all pairs.
@@ -86,35 +99,38 @@ impl WarmReduction {
         }
     }
 
-    /// Grow the warm state with tuples `start..` of the combined corpus.
-    pub(crate) fn ingest_rows(&mut self, new_tuples: &[XTuple], start: usize) {
+    /// Grow the warm state with tuples `start..` of the combined corpus,
+    /// returning what it inserted. The growth is invisible to
+    /// [`current`](Self::current) over the rows before `start`, so it may
+    /// run ahead of publishing the rows.
+    pub(crate) fn ingest_rows(&mut self, new_tuples: &[XTuple], start: usize) -> Inserted {
         match self {
-            Self::Full => {}
-            Self::Snm(s) => s.ingest(new_tuples, start),
-            Self::Blocks(b) => b.ingest(new_tuples, start),
-            Self::Worlds { table, .. } => table.extend(new_tuples),
+            Self::Full => Inserted::Nothing,
+            Self::Snm(s) => Inserted::Entries(s.ingest(new_tuples, start)),
+            Self::Blocks(b) => Inserted::Blocks(b.ingest(new_tuples, start)),
+            Self::Worlds { table, .. } => {
+                table.extend(new_tuples);
+                Inserted::Nothing
+            }
         }
     }
 
-    /// [`ingest_rows`](Self::ingest_rows) for the strategies that emit
-    /// deltas, returning what the batch changed in the candidate set. The
-    /// growth is invisible to [`current`](Self::current) over the rows
-    /// before `start`, so it may run ahead of publishing the rows.
-    ///
-    /// `None`, and nothing grown, for `Worlds`, which regenerates (see the
-    /// type docs): its candidates depend on every row, so its caller grows
-    /// it with `ingest_rows` when it publishes the rows, then falls back
-    /// to `current`.
-    pub(crate) fn ingest_delta(
-        &mut self,
-        new_tuples: &[XTuple],
+    /// What the last [`ingest_rows`](Self::ingest_rows) — rows
+    /// `start..end`, `inserted` — changed in the candidate set, read
+    /// through `&self`. `None` for `Worlds`, which regenerates (see the
+    /// type docs).
+    pub(crate) fn delta(
+        &self,
+        inserted: &Inserted,
         start: usize,
+        end: usize,
     ) -> Option<CandidateDelta> {
-        match self {
-            Self::Full => Some(CandidateDelta::full(start, start + new_tuples.len())),
-            Self::Snm(s) => Some(s.ingest_delta(new_tuples, start)),
-            Self::Blocks(b) => Some(b.ingest_delta(new_tuples, start)),
-            Self::Worlds { .. } => None,
+        match (self, inserted) {
+            (Self::Full, _) => Some(CandidateDelta::full(start, end)),
+            (Self::Snm(s), Inserted::Entries(fresh)) => Some(s.delta(fresh, start)),
+            (Self::Blocks(b), Inserted::Blocks(grown)) => Some(b.delta(grown, start)),
+            (Self::Worlds { .. }, _) => None,
+            _ => unreachable!("inserted by another strategy"),
         }
     }
 
@@ -128,9 +144,9 @@ impl WarmReduction {
         }
     }
 
-    /// The current full candidate set over `tuples`, the published rows —
-    /// pairs and order identical to the one-shot strategy over the same
-    /// tuples. Rows grown past `tuples.len()` are left out.
+    /// The current full candidate set over `tuples`, a prefix of the
+    /// ingested rows — pairs and order identical to the one-shot strategy
+    /// over the same tuples. Rows grown past `tuples.len()` are left out.
     pub(crate) fn current(&self, tuples: &[XTuple]) -> CandidatePairs {
         match self {
             Self::Full => CandidatePairs::full(tuples.len()),

@@ -28,10 +28,12 @@
 //! `src/interned_oracle.rs` and end-to-end in `tests/`). Rows past `rows`
 //! are left out, so a batch grown into the state but not yet published
 //! changes nothing a reader is answered. **What did this batch change?** —
-//! `ingest_delta` grows the state and returns a [`CandidateDelta`] read
-//! off the positions the new entries were inserted at (a local window
-//! re-scan around each) or the blocks that gained a member: work
-//! proportional to the batch, not to the corpus. Applying the deltas of
+//! `ingest` grows the state and returns what it inserted (the positions
+//! the new entries landed at, or the keys of the blocks they joined);
+//! `delta` reads a [`CandidateDelta`] off that through `&self` (a local
+//! window re-scan around each new entry, or the blocks that gained a
+//! member): work proportional to the batch, not to the corpus, and no
+//! write. Applying the deltas of
 //! successive batches to a set reproduces `current_pairs` after every
 //! batch, and re-ingesting values the pools have already seen performs
 //! **zero** key renders (asserted via [`KeyTable::render_count`]).
@@ -264,30 +266,9 @@ impl IncrementalSnm {
     /// Ingest `tuples` as combined rows `start..start + tuples.len()`:
     /// intern their keys into the warm table (one absorb for the whole
     /// batch) and rank-insert the new entries into the resident sorted
-    /// order — the resident list is never re-sorted.
-    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
-        self.grow(tuples, start);
-    }
-
-    /// [`ingest`](Self::ingest), returning what the batch changed in the
-    /// candidate set — a local re-scan around the inserted entries, never
-    /// a pass over the resident list (see [`CandidateDelta`]).
-    ///
-    /// Under [`Keying::PerAlternative`] a pair can meet in several
-    /// windows, so a pair that lost a witness next to an insertion only
-    /// departs if no other entries of its two tuples still meet — checked
-    /// by locating the first tuple's entries through its table row.
-    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
-        let fresh = self.grow(tuples, start);
-        let multi = self.keying == Keying::PerAlternative;
-        window_delta(&self.entries, &fresh, start, self.window, multi, |a, b| {
-            self.still_witnessed(a, b)
-        })
-    }
-
-    /// Intern and rank-insert the batch; returns the positions its entries
-    /// landed at, ascending.
-    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
+    /// order — the resident list is never re-sorted. Returns the positions
+    /// the new entries landed at, ascending, for [`delta`](Self::delta).
+    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) -> Vec<usize> {
         debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
         let mut fresh = intern_keys(&mut self.table, self.keying, tuples, start);
         self.n_tuples = start + tuples.len();
@@ -300,6 +281,22 @@ impl IncrementalSnm {
         sort_entries(&mut fresh, ranks);
         let sort_key = |e: &InternedSnmEntry| (ranks.rank(e.key), e.tuple);
         insert_sorted(&mut self.entries, fresh, |r, f| sort_key(r) <= sort_key(f))
+    }
+
+    /// What the last [`ingest`](Self::ingest) — rows `start..`, its
+    /// entries at `fresh` — changed in the candidate set: a local re-scan
+    /// around the inserted entries, never a pass over the resident list
+    /// (see [`CandidateDelta`]). Valid until the next write.
+    ///
+    /// Under [`Keying::PerAlternative`] a pair can meet in several
+    /// windows, so a pair that lost a witness next to an insertion only
+    /// departs if no other entries of its two tuples still meet — checked
+    /// by locating the first tuple's entries through its table row.
+    pub fn delta(&self, fresh: &[usize], start: usize) -> CandidateDelta {
+        let multi = self.keying == Keying::PerAlternative;
+        window_delta(&self.entries, fresh, start, self.window, multi, |a, b| {
+            self.still_witnessed(a, b)
+        })
     }
 
     /// Whether tuples `a` and `b` still meet in some window of the
@@ -404,17 +401,26 @@ impl IncrementalBlocks {
     }
 
     /// Ingest `tuples` as combined rows `start..`: each joins the blocks
-    /// of its keys (per-block membership stays deduplicated).
-    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) {
-        self.grow(tuples, start);
+    /// of its keys (per-block membership stays deduplicated). Returns the
+    /// key of every insertion, repeats included, for
+    /// [`delta`](Self::delta).
+    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) -> Vec<KeySymbol> {
+        debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
+        let joined = intern_keys(&mut self.table, self.keying, tuples, start);
+        for e in &joined {
+            self.blocks.entry(e.key).or_default().insert(e.tuple);
+        }
+        self.n_tuples = start + tuples.len();
+        joined.into_iter().map(|e| e.key).collect()
     }
 
-    /// [`ingest`](Self::ingest), returning what the batch changed in the
-    /// candidate set: the pairs each block that gained a member emits
-    /// with a new row, blocks in sorted-key order. Blocks only grow, so
-    /// nothing ever departs.
-    pub fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
-        let mut grown = self.grow(tuples, start);
+    /// What the last [`ingest`](Self::ingest) — rows `start..`, joined to
+    /// the blocks `grown` — changed in the candidate set: the pairs each
+    /// block that gained a member emits with a new row, blocks in
+    /// sorted-key order. Blocks only grow, so nothing ever departs. Valid
+    /// until the next write.
+    pub fn delta(&self, grown: &[KeySymbol], start: usize) -> CandidateDelta {
+        let mut grown = grown.to_vec();
         let ranks = self.table.ranks();
         grown.sort_unstable_by_key(|&k| ranks.rank(k));
         grown.dedup();
@@ -436,18 +442,6 @@ impl IncrementalBlocks {
             }
         }
         delta
-    }
-
-    /// Join the batch to its blocks; returns the key of every insertion
-    /// (repeats included).
-    fn grow(&mut self, tuples: &[XTuple], start: usize) -> Vec<KeySymbol> {
-        debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
-        let joined = intern_keys(&mut self.table, self.keying, tuples, start);
-        for e in &joined {
-            self.blocks.entry(e.key).or_default().insert(e.tuple);
-        }
-        self.n_tuples = start + tuples.len();
-        joined.into_iter().map(|e| e.key).collect()
     }
 
     /// Drop the blocks and table rows but keep the warm pools.
@@ -646,8 +640,14 @@ mod tests {
     impl State {
         fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
             match self {
-                Self::Snm(s) => s.ingest_delta(tuples, start),
-                Self::Blocks(b) => b.ingest_delta(tuples, start),
+                Self::Snm(s) => {
+                    let fresh = s.ingest(tuples, start);
+                    s.delta(&fresh, start)
+                }
+                Self::Blocks(b) => {
+                    let grown = b.ingest(tuples, start);
+                    b.delta(&grown, start)
+                }
             }
         }
 

@@ -24,7 +24,8 @@ use probdedup_model::xtuple::XTuple;
 
 use crate::alternatives::{sorting_alternatives, SortingAlternativesResult};
 use crate::blocking::{
-    block_alternatives, block_conflict_resolved, block_multipass, emit_block_pairs, BlockingResult,
+    block_alternatives, block_conflict_resolved, block_multipass, block_multipass_with_table,
+    emit_block_pairs, BlockingResult,
 };
 use crate::conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
 use crate::incremental::{IncrementalBlocks, IncrementalSnm, Keying};
@@ -387,6 +388,33 @@ proptest! {
         }
     }
 
+    /// World passes cover the rows handed in: over `tuples[..k]`, a key
+    /// table extended past them to all of `tuples` yields the pairs, in
+    /// the same order, of the table built from `tuples[..k]` alone —
+    /// under every selection, for SNM and blocking.
+    #[test]
+    fn world_passes_over_a_prefix_ignore_later_table_rows(
+        (tuples, spec) in arb_case(),
+        cut in 0usize..8,
+    ) {
+        let k = cut % (tuples.len() + 1);
+        let prefix = &tuples[..k];
+        let own = spec.key_table(prefix);
+        let mut grown = spec.key_table(prefix);
+        grown.extend(&tuples[k..]);
+        for selection in SELECTIONS {
+            let label = format!("{selection:?}, rows 0..{k} of {}", tuples.len());
+            for window in [2usize, 3] {
+                let got = multipass_snm_with_table(prefix, &grown, window, selection);
+                let want = multipass_snm_with_table(prefix, &own, window, selection);
+                prop_assert_eq!(got.pairs(), want.pairs(), "window {}, {}", window, &label);
+            }
+            let got = block_multipass_with_table(prefix, &grown, selection);
+            let want = block_multipass_with_table(prefix, &own, selection);
+            prop_assert_eq!(got.pairs(), want.pairs(), "blocks, {}", &label);
+        }
+    }
+
     /// The warm states fed batch by batch, under every [`Keying`]: the
     /// oracle's pairs (same order) and its Fig. 10 / 11 / 14 views.
     #[test]
@@ -399,7 +427,9 @@ proptest! {
         for keying in [Keying::PerAlternative].into_iter().chain(keyings) {
             for window in [2usize, 3, 5] {
                 let mut state = IncrementalSnm::new(spec.clone(), keying, window);
-                feed_in_batches(n, &cuts, |rows| state.ingest(&tuples[rows.clone()], rows.start));
+                feed_in_batches(n, &cuts, |rows| {
+                    state.ingest(&tuples[rows.clone()], rows.start);
+                });
                 let mut order = state.order();
                 let (pairs, oracle_order) = match keying {
                     Keying::PerAlternative => {
@@ -418,7 +448,9 @@ proptest! {
                 prop_assert_eq!(&order, &oracle_order, "{}", &label);
             }
             let mut state = IncrementalBlocks::new(spec.clone(), keying);
-            feed_in_batches(n, &cuts, |rows| state.ingest(&tuples[rows.clone()], rows.start));
+            feed_in_batches(n, &cuts, |rows| {
+                state.ingest(&tuples[rows.clone()], rows.start);
+            });
             let b = match keying {
                 Keying::PerAlternative => block_alternatives_oracle(&tuples, &spec),
                 Keying::Resolved(s) => block_conflict_resolved_oracle(&tuples, &spec, s),

@@ -107,13 +107,14 @@ pub(crate) fn select_diverse_worlds(mut pool: Vec<World>, k: usize) -> Vec<World
 }
 
 /// Interned key entries of one world off a prebuilt [`KeyTable`]: a table
-/// lookup per tuple, no rendering.
+/// lookup per tuple of the world, no rendering. Table rows past the
+/// world's tuples are left out.
 fn world_entries_interned(table: &KeyTable, world: &World) -> Vec<InternedSnmEntry> {
     debug_assert!(
         world.is_full(),
         "multi-pass uses worlds containing all tuples"
     );
-    (0..table.len())
+    (0..world.choices.len())
         .map(|i| {
             let alt = world.choices[i].expect("full world");
             InternedSnmEntry::new(table.alternative_keys(i)[alt], i)
@@ -138,14 +139,16 @@ pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec
 /// resolve `selection`, and per world hand `f` the world and its entry
 /// list (one entry per tuple, keyed by the chosen alternative's symbol off
 /// `table`) sorted by `(rank, tuple)`, ready for
-/// [`for_each_window_pair`]. `table` must cover `tuples`.
+/// [`for_each_window_pair`]. `table` must cover `tuples` and may cover
+/// later rows too: the passes run over `tuples` alone, and ranks order the
+/// keys of a prefix as they order them in a table built for it.
 pub(crate) fn for_each_world_pass(
     tuples: &[XTuple],
     table: &KeyTable,
     selection: WorldSelection,
     mut f: impl FnMut(World, &[InternedSnmEntry]),
 ) {
-    debug_assert_eq!(tuples.len(), table.len(), "table must cover the corpus");
+    debug_assert!(tuples.len() <= table.len(), "table must cover the corpus");
     for world in select_worlds(tuples, selection) {
         let mut entries = world_entries_interned(table, &world);
         sort_entries(&mut entries, table.ranks());
@@ -187,6 +190,8 @@ pub fn multipass_snm(
 /// per-pass inspection views — lets callers reuse one table across
 /// several window sizes or selections (sessions keep it warm across
 /// ingests), and lets tests observe the render counter across passes.
+/// The table may cover rows past `tuples`: the candidates are those of a
+/// table built from `tuples` alone, pairs and order.
 /// After the table is built, each pass allocates nothing but its entry
 /// vector.
 pub fn multipass_snm_with_table(

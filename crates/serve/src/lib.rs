@@ -23,9 +23,10 @@
 //! never contend on the matching state. `ingest`, `dedup`
 //! and `snapshot` hold the writer mutex throughout, so they run one at a
 //! time per session. A `dedup` holds the write lock throughout; an
-//! `ingest` takes it for two short steps only — growing the append-only
-//! warm state and publishing the batch — and journals, fsyncs and
-//! classifies while readers are served. Reads answer from the published
+//! `ingest` takes it for two short steps only — appending the batch's
+//! rows and growing the append-only warm state, then publishing the
+//! batch — and journals, fsyncs, computes the candidate delta and
+//! classifies while readers are served, under every reduction strategy. Reads answer from the published
 //! rows, which change at publish only, so a reader observes either the
 //! pre-ingest or the post-ingest partition, never a torn one. A save
 //! takes the writer mutex before the read lock, as every writer does, so

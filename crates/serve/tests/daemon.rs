@@ -16,12 +16,13 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use probdedup_core::pipeline::{DedupPipeline, DedupResult, Defaults};
+use probdedup_core::pipeline::{DedupPipeline, DedupResult, Defaults, ReductionStrategy};
 use probdedup_core::session::DedupSession;
 use probdedup_datagen::{generate, DatasetConfig, Dictionaries};
 use probdedup_entity::{ClusterStrategy, ResolveEntities};
 use probdedup_model::format::write_xrelation;
 use probdedup_model::relation::XRelation;
+use probdedup_reduction::WorldSelection;
 use probdedup_serve::client::{json_field, Client};
 use probdedup_serve::server::{RunningServer, ServeConfig, Server};
 
@@ -364,13 +365,36 @@ fn join_by<T>(handle: std::thread::JoinHandle<T>, deadline: Instant, what: &str)
 /// equals a serial one-shot run. Every thread is joined under a deadline.
 #[test]
 fn concurrent_readers_observe_pre_or_post_ingest_only() {
+    race_readers_against_an_ingest(pipeline(), "snm");
+}
+
+/// The same race under multi-pass blocking over the top-4 worlds, whose
+/// ingest regenerates the candidates over every row: the ordered read
+/// (`partition?full=1`) regenerates over the published rows while the
+/// warm key table already covers the batch in flight.
+#[test]
+fn concurrent_readers_observe_pre_or_post_multipass_ingest_only() {
+    let d = Defaults::for_arity(4);
+    let reduction = ReductionStrategy::BlockingMultipass {
+        spec: d.key.clone(),
+        selection: WorldSelection::TopK(4),
+    };
+    race_readers_against_an_ingest(d.builder().reduction(reduction).build(), "worlds");
+}
+
+/// The body of the reader race, over a daemon running `pipeline`.
+fn race_readers_against_an_ingest(pipeline: DedupPipeline, tag: &str) {
     const ENTITIES: &str = "/sessions/census/entities?strategy=correlation-repaired";
     const FULL: &str = "/sessions/census/partition?full=1";
     let srcs = sources();
-    let dir = std::env::temp_dir().join(format!("probdedup-serve-readers-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "probdedup-serve-readers-{tag}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
-    let (running, client) = boot(config().snapshot_dir(&dir));
-    let mut library = pipeline().session();
+    let config = ServeConfig::new("127.0.0.1:0", pipeline.clone());
+    let (running, client) = boot(config.snapshot_dir(&dir));
+    let mut library = pipeline.session();
     let (pre_rows, post_rows) = (srcs[0].len(), srcs[0].len() + srcs[1].len());
     // Resident pairs, and one that exists only after the second ingest.
     let queries: Vec<String> = [(0, 1), (2, pre_rows - 1), (1, pre_rows)]
@@ -485,7 +509,7 @@ fn concurrent_readers_observe_pre_or_post_ingest_only() {
 
     // Split-invariance through the front door: the merged result equals
     // a serial one-shot run over both sources.
-    let expected = pipeline().run(&srcs.iter().collect::<Vec<_>>()).unwrap();
+    let expected = pipeline.run(&srcs.iter().collect::<Vec<_>>()).unwrap();
     assert_partition_body(&post[0], &expected);
 
     running.shutdown().unwrap();

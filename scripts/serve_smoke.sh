@@ -77,9 +77,12 @@ req -X POST --data-binary @"$WORK/census.source0.pxr" \
 
 # Saves and reads racing an ingest: saves hold the session's writer
 # mutex before its lock, as the ingest does, so neither can wait on the
-# other in a cycle — every request must answer 200, none may hang.
+# other in a cycle — every request must answer 200, none may hang. The
+# ordered read (`partition?full=1`) regenerates the candidates over the
+# published rows while the ingest has grown the warm state past them.
 race "$WORK/race.snapshot" -X POST "http://$ADDR/sessions/census/snapshot"
 race "$WORK/race.query" "http://$ADDR/sessions/census/query?i=0&j=1"
+race "$WORK/race.full" "http://$ADDR/sessions/census/partition?full=1"
 req -X POST --data-binary @"$WORK/census.source1.pxr" \
     "http://$ADDR/sessions/census/ingest" | grep -q '"rows_added"' \
     || fail "ingest source1"
@@ -87,7 +90,7 @@ touch "$WORK/race.stop"
 for pid in $RACE_PIDS; do
     wait "$pid" || fail "a request loop racing the ingest hung (lock-order deadlock?)"
 done
-for loop in snapshot query; do
+for loop in snapshot query full; do
     [ -s "$WORK/race.$loop" ] || fail "the $loop loop never ran"
     grep -qvx 200 "$WORK/race.$loop" \
         && fail "a $loop racing the ingest answered $(grep -vx 200 "$WORK/race.$loop" | head -n1)"

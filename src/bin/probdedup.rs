@@ -86,7 +86,8 @@ USAGE:
       [--snapshot-dir DIR] [--autosave-secs S] [--wal-dir DIR]
       [--max-inflight N] [--request-timeout-secs S]
       (same pipeline options as ingest; --arity fixes the relation width,
-      default 4, since the daemon builds its pipeline before any input)
+      default 4, since the daemon builds its pipeline before any input,
+      so its --key names the attributes attr0 … attrN-1 of that width)
       Run the HTTP serving front door: named warm sessions with dedup /
       ingest / query / partition / snapshot endpoints plus /stats,
       /health, /sessions and /shutdown. With --snapshot-dir, sessions
@@ -344,9 +345,13 @@ fn parse_key(spec: &str, schema: &probdedup::model::schema::Schema) -> Result<Ke
         let (attr, len) = item
             .split_once(':')
             .ok_or_else(|| CliError::Usage(format!("key part {item:?} needs attr:len")))?;
-        let idx = schema
-            .index_of(attr.trim())
-            .ok_or_else(|| CliError::Usage(format!("unknown key attribute {attr:?}")))?;
+        let idx = schema.index_of(attr.trim()).ok_or_else(|| {
+            let names: Vec<&str> = (0..schema.arity()).map(|i| schema.name_of(i)).collect();
+            CliError::Usage(format!(
+                "unknown key attribute {attr:?} (the attributes are {})",
+                names.join(", ")
+            ))
+        })?;
         let len: usize = len
             .trim()
             .parse()

@@ -511,6 +511,21 @@ fn serve_wal_flags_and_exit_code() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The daemon builds its pipeline over a placeholder schema before any
+/// input arrives, so a `--key` naming a real attribute is a usage error
+/// whose message lists the names it takes (exit 2, nothing bound).
+#[test]
+fn serve_key_error_names_the_placeholder_attributes() {
+    let out = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--key", "name:3"])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("\"name\""), "{stderr}");
+    assert!(stderr.contains("attr0, attr1, attr2, attr3"), "{stderr}");
+}
+
 /// Asking for help is not an error: all three spellings print the usage
 /// text to stdout and exit 0 (a *wrong* subcommand stays exit 2 with the
 /// usage on stderr — `helpful_errors`).
