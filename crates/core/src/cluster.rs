@@ -66,12 +66,33 @@ impl UnionFind {
 
     /// All clusters of size ≥ `min_size`, each sorted ascending; clusters
     /// ordered by their smallest member (deterministic).
+    ///
+    /// Two passes over the elements: the first sizes every component at
+    /// its root, the second allocates each kept cluster once, at its exact
+    /// size, when its smallest member comes by. A dropped component costs
+    /// no allocation.
     pub fn clusters(&mut self, min_size: usize) -> Vec<Vec<usize>> {
-        let (clusters, _) = self.clusters_with_map();
+        let n = self.len();
+        let mut size = vec![0usize; n];
+        for x in 0..n {
+            let r = self.find(x);
+            size[r] += 1;
+        }
+        // Every path is compressed now: `parent[x]` is `x`'s root.
+        let mut slot = vec![usize::MAX; n];
+        let mut clusters: Vec<Vec<usize>> = Vec::new();
+        for x in 0..n {
+            let r = self.parent[x];
+            if size[r] < min_size {
+                continue;
+            }
+            if slot[r] == usize::MAX {
+                slot[r] = clusters.len();
+                clusters.push(Vec::with_capacity(size[r]));
+            }
+            clusters[slot[r]].push(x);
+        }
         clusters
-            .into_iter()
-            .filter(|c| c.len() >= min_size)
-            .collect()
     }
 
     /// Every cluster (singletons included) plus the cluster index of each
@@ -178,6 +199,34 @@ mod tests {
         let (clusters, map) = uf.clusters_with_map();
         assert!(clusters.is_empty());
         assert!(map.is_empty());
+    }
+
+    /// `clusters(min_size)` is `clusters_with_map` filtered by size, on
+    /// random forests from empty to fully merged, for `min_size` 0–4.
+    #[test]
+    fn clusters_equal_the_filtered_full_partition() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(0xC105_7E25);
+        let mut draw = |bound: usize| (rng.next_u64() % bound as u64) as usize;
+        for _ in 0..300 {
+            let n = draw(40);
+            let mut uf = UnionFind::new(n);
+            for _ in 0..draw(2 * n + 1) {
+                uf.union(draw(n), draw(n));
+            }
+            let (all, _) = uf.clone().clusters_with_map();
+            for min_size in 0..=4 {
+                let want: Vec<Vec<usize>> = all
+                    .iter()
+                    .filter(|c| c.len() >= min_size)
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    uf.clone().clusters(min_size),
+                    want,
+                    "{n} rows, ≥ {min_size}"
+                );
+            }
+        }
     }
 
     #[test]

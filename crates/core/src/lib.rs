@@ -76,6 +76,7 @@ pub mod cluster;
 pub(crate) mod engine;
 pub mod exec;
 pub mod fusion;
+pub(crate) mod memo;
 pub mod pipeline;
 pub mod prepare;
 pub mod prob_result;

@@ -315,7 +315,9 @@ pub struct Partition {
 
 impl Partition {
     /// Counts and closure of `decisions` — one per candidate pair, in any
-    /// order — over `rows` rows, in one pass.
+    /// order — over `rows` rows, in one pass: the reference the decision
+    /// memo's column read is tested against.
+    #[cfg(test)]
     pub(crate) fn of<'a>(
         rows: usize,
         decisions: impl IntoIterator<Item = &'a PairDecision>,
@@ -330,7 +332,7 @@ impl Partition {
     }
 
     /// Count one decision of `class`.
-    fn count(&mut self, class: MatchClass) {
+    pub(crate) fn count(&mut self, class: MatchClass) {
         self.candidates += 1;
         match class {
             MatchClass::Match => self.matches += 1,

@@ -28,9 +28,13 @@
 //!   is matched once), so an ingest classifies only the pairs it adds and
 //!   [`DedupSession::result`] classifies nothing. A pair that leaves the
 //!   candidate set takes its decision along: the memo **is** the
-//!   candidate set ([`DedupSession::candidate_count`]), and
-//!   [`DedupSession::partition`] reads the counts and clusters straight
-//!   off it. The ordered candidate *list* is a read concern of
+//!   candidate set ([`DedupSession::candidate_count`]). It is three dense
+//!   columns — packed pair, similarity, class — behind one position index
+//!   from pair to slot: [`DedupSession::partition`] counts the class
+//!   column and closes the Match slots, [`DedupSession::decisions`] walks
+//!   the columns in no particular order, lookups go through the index,
+//!   and snapshot section 7 writes the entries sorted by pair. The
+//!   ordered candidate *list* is a read concern of
 //!   [`DedupSession::result`] alone, which regenerates it from the warm
 //!   reduction state once per ingest generation; no write carries it.
 //!
@@ -122,11 +126,11 @@ use probdedup_model::snapshot::{
     read_xrelation, write_schema, write_xtuple, SectionWriter, SnapshotError, SnapshotReader,
     SnapshotWriter,
 };
-use probdedup_model::util::FxHashMap;
 use probdedup_model::xtuple::XTuple;
 use probdedup_reduction::CandidatePairs;
 
 use crate::engine::MatchingEngine;
+use crate::memo::DecisionMemo;
 use crate::pipeline::{
     match_clusters, DedupPipeline, DedupResult, MatchingStats, PairDecision, Partition,
     PipelineConfig, ReductionStrategy,
@@ -240,9 +244,9 @@ pub struct DedupSession {
     reduction: WarmReduction,
     matching: MatchingEngine,
     /// The decision of every current candidate pair, and of no other
-    /// pair, keyed on `(lo, hi)` row indices: [`run`](Self::run) fills it,
-    /// [`ingest`](Self::ingest) adds what arrived and drops what departed.
-    decided: FxHashMap<(usize, usize), PairDecision>,
+    /// pair: [`run`](Self::run) fills it, [`ingest`](Self::ingest) adds
+    /// what arrived and drops what departed.
+    memo: DecisionMemo,
     /// The candidates in one-shot order, for [`result`](Self::result):
     /// regenerated from `reduction` on first read, emptied by every write
     /// that does not regenerate it anyway.
@@ -268,7 +272,7 @@ impl DedupSession {
             source_offsets: Vec::new(),
             reduction,
             matching,
-            decided: FxHashMap::default(),
+            memo: DecisionMemo::default(),
             order: OnceLock::new(),
             tiers: [0; 4],
             journal_seq: 0,
@@ -311,15 +315,15 @@ impl DedupSession {
     /// Size of the current resident candidate set — the decision memo's,
     /// which holds exactly one decision per candidate pair.
     pub fn candidate_count(&self) -> usize {
-        self.decided.len()
+        self.memo.len()
     }
 
     /// Every current candidate pair's decision, in no particular order —
     /// for consumers that are pair-order-invariant (the entity layer's
     /// match graph) and so need neither the ordered list nor the relation
-    /// clone of [`result`](Self::result).
-    pub fn decisions(&self) -> impl Iterator<Item = &PairDecision> {
-        self.decided.values()
+    /// clone of [`result`](Self::result). A read of the memo's columns.
+    pub fn decisions(&self) -> impl Iterator<Item = PairDecision> + '_ {
+        self.memo.decisions()
     }
 
     /// Total key-prefix renders the warm reduction state has performed —
@@ -364,10 +368,12 @@ impl DedupSession {
         // Classify every candidate and refresh the decision memo.
         let pairs: Vec<(usize, usize)> = self.ordered_candidates().pairs().to_vec();
         let decisions = self.classify(&pairs);
-        // Not `extend`: on a warm rerun every key is already present, and
-        // `extend` would first reserve room for half of them again.
+        // A warm rerun replaces every decision in its slot and needs no
+        // room; a new corpus starts from an empty memo.
+        self.memo
+            .reserve(decisions.len().saturating_sub(self.memo.len()));
         for d in &decisions {
-            self.decided.insert(d.pair, *d);
+            self.memo.insert(*d);
         }
         Ok(self.snapshot(decisions))
     }
@@ -391,7 +397,7 @@ impl DedupSession {
         self.order.take();
         self.reduction.reset_rows();
         self.matching.reset_rows();
-        self.decided.clear();
+        self.memo.clear();
         self.tiers = [0; 4];
     }
 
@@ -515,15 +521,14 @@ impl DedupSession {
                     .pairs()
                     .iter()
                     .copied()
-                    .filter(|p| !self.decided.contains_key(p))
+                    .filter(|&p| !self.memo.contains(p))
                     .collect();
                 // Only a memo larger than the surviving candidates holds
                 // pairs that departed; otherwise it is not scanned.
-                if self.decided.len() + arrived.len() > candidates.len() {
+                if self.memo.len() + arrived.len() > candidates.len() {
                     staged.departed = self
-                        .decided
-                        .keys()
-                        .copied()
+                        .memo
+                        .pairs()
                         .filter(|&(i, j)| !candidates.contains(i, j))
                         .collect();
                 }
@@ -556,10 +561,13 @@ impl DedupSession {
         self.source_offsets.extend(starts);
         let rows = self.relation.as_ref().map_or(0, XRelation::len);
         self.published = Some(rows);
-        for pair in &departed {
-            self.decided.remove(pair);
+        for &pair in &departed {
+            self.memo.remove(pair);
         }
-        self.decided.extend(decisions.iter().map(|d| (d.pair, *d)));
+        self.memo.reserve(decisions.len());
+        for d in &decisions {
+            self.memo.insert(*d);
+        }
         for (acc, t) in self.tiers.iter_mut().zip(tiers) {
             *acc += t;
         }
@@ -573,7 +581,7 @@ impl DedupSession {
             source,
             new_rows: start..rows,
             new_decisions: decisions,
-            candidates: self.decided.len(),
+            candidates: self.memo.len(),
         }
     }
 
@@ -605,9 +613,8 @@ impl DedupSession {
             .ordered_candidates()
             .pairs()
             .iter()
-            .map(|p| {
-                *self
-                    .decided
+            .map(|&p| {
+                self.memo
                     .get(p)
                     .expect("every candidate was classified when it entered the set")
             })
@@ -621,9 +628,10 @@ impl DedupSession {
     /// decision memo alone — it holds exactly one decision per current
     /// candidate, and the closure does not depend on pair order — so it
     /// clones no relation, regenerates no ordered candidate list and looks
-    /// nothing up.
+    /// nothing up: it counts the memo's class column and closes the Match
+    /// slots.
     pub fn partition(&self) -> Partition {
-        Partition::of(self.rows(), self.decided.values())
+        self.memo.partition(self.rows())
     }
 
     /// The candidate set in one-shot order: regenerated from the warm
@@ -660,8 +668,8 @@ impl DedupSession {
             return None;
         }
         let pair = (i.min(j), i.max(j));
-        if let Some(d) = self.decided.get(&pair) {
-            return Some(*d);
+        if let Some(d) = self.memo.get(pair) {
+            return Some(d);
         }
         let (mut decisions, _tiers) = self.classify_shared(&[pair]);
         decisions.pop()
@@ -783,15 +791,7 @@ impl DedupSession {
         snap.section(TAG_REDUCTION, w);
 
         let mut w = SectionWriter::new();
-        let mut entries: Vec<&PairDecision> = self.decided.values().collect();
-        entries.sort_unstable_by_key(|d| d.pair);
-        w.put_len(entries.len());
-        for d in entries {
-            w.put_u64(d.pair.0 as u64);
-            w.put_u64(d.pair.1 as u64);
-            w.put_f64(d.similarity);
-            w.put_u8(class_to_byte(d.class));
-        }
+        self.memo.write_section(&mut w);
         for t in self.tiers {
             w.put_u64(t);
         }
@@ -950,39 +950,7 @@ impl DedupSession {
 
         // Section 7: the decision memo and tier counters.
         let mut r = reader.section(TAG_DECIDED, "decisions section")?;
-        let n = r.take_len(25)?;
-        let mut decided: FxHashMap<(usize, usize), PairDecision> = FxHashMap::default();
-        decided.reserve(n);
-        for _ in 0..n {
-            let i = usize::try_from(r.take_u64()?).map_err(|_| SnapshotError::Malformed {
-                context: "decision row index",
-            })?;
-            let j = usize::try_from(r.take_u64()?).map_err(|_| SnapshotError::Malformed {
-                context: "decision row index",
-            })?;
-            if i >= j || j >= rows {
-                return Err(SnapshotError::Malformed {
-                    context: "decision pair out of range",
-                });
-            }
-            let similarity = r.take_f64()?;
-            if !similarity.is_finite() {
-                return Err(SnapshotError::Malformed {
-                    context: "non-finite decision similarity",
-                });
-            }
-            let class = class_from_byte(r.take_u8()?)?;
-            let decision = PairDecision {
-                pair: (i, j),
-                similarity,
-                class,
-            };
-            if decided.insert((i, j), decision).is_some() {
-                return Err(SnapshotError::Malformed {
-                    context: "duplicate decision pair",
-                });
-            }
-        }
+        let mut memo = DecisionMemo::read_section(&mut r, rows)?;
         let mut tiers = [0u64; 4];
         for t in &mut tiers {
             *t = r.take_u64()?;
@@ -1018,11 +986,7 @@ impl DedupSession {
             // A snapshot always decided its own candidates and every
             // section passed its checksum, so a missing pair means the
             // pipeline regenerates other candidates than the writer did.
-            if candidates
-                .pairs()
-                .iter()
-                .any(|pair| !decided.contains_key(pair))
-            {
+            if candidates.pairs().iter().any(|&pair| !memo.contains(pair)) {
                 return Err(SnapshotError::ConfigMismatch {
                     detail: "the decision memo does not cover the candidates this \
                              pipeline generates; the snapshot was written under another \
@@ -1036,38 +1000,22 @@ impl DedupSession {
             // subset of the writer's) lands here too and prunes silently:
             // CONFIG records neither key nor window, so nothing can tell
             // the two apart until it does.
-            if decided.len() > candidates.len() {
-                decided.retain(|&(i, j), _| candidates.contains(i, j));
+            if memo.len() > candidates.len() {
+                let departed: Vec<(usize, usize)> = memo
+                    .pairs()
+                    .filter(|&(i, j)| !candidates.contains(i, j))
+                    .collect();
+                for pair in departed {
+                    memo.remove(pair);
+                }
             }
         }
 
         self.source_offsets = offsets;
-        self.decided = decided;
+        self.memo = memo;
         self.tiers = tiers;
         self.journal_seq = journal_seq;
         Ok(())
-    }
-}
-
-/// Snapshot byte for a [`MatchClass`] (`Match`=0, `Possible`=1,
-/// `NonMatch`=2 — part of format version 1).
-fn class_to_byte(class: MatchClass) -> u8 {
-    match class {
-        MatchClass::Match => 0,
-        MatchClass::Possible => 1,
-        MatchClass::NonMatch => 2,
-    }
-}
-
-/// Inverse of [`class_to_byte`]; any other byte is a corrupt snapshot.
-fn class_from_byte(byte: u8) -> Result<MatchClass, SnapshotError> {
-    match byte {
-        0 => Ok(MatchClass::Match),
-        1 => Ok(MatchClass::Possible),
-        2 => Ok(MatchClass::NonMatch),
-        _ => Err(SnapshotError::Malformed {
-            context: "decision class byte",
-        }),
     }
 }
 
@@ -1102,6 +1050,7 @@ mod tests {
     use probdedup_decision::xmodel::{SimilarityBasedModel, XTupleDecisionModel};
     use probdedup_matching::vector::AttributeComparators;
     use probdedup_model::schema::Schema;
+    use probdedup_model::util::FxHashMap;
     use probdedup_model::xtuple::XTuple;
     use probdedup_reduction::KeySpec;
     use probdedup_textsim::NormalizedHamming;

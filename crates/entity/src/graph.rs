@@ -64,51 +64,56 @@ impl MatchGraphBuilder {
 
     /// Build the graph. It carries no trace of insertion order.
     pub fn finish(self) -> MatchGraph {
-        build(self.rows, || self.decisions.iter())
+        build(self.rows, || self.decisions.iter().copied())
     }
 }
 
 /// Build the match graph of the decisions `decisions()` yields over
-/// `rows` nodes, reading them twice and copying none.
+/// `rows` nodes, reading them twice and storing none.
 ///
 /// The first read counts both signs' degrees, collects the Possible edges
-/// and checks whether the pairs ascend. The second writes the edges:
-/// straight into place when they ascend (a one-shot full comparison's
-/// order), else through [`Csr::fill_from_lower_halves`].
-pub(crate) fn build<'a, I>(rows: usize, decisions: impl Fn() -> I) -> MatchGraph
+/// and checks whether every row receives its neighbours in ascending
+/// order, with one last-neighbour slot per row. The second writes the
+/// edges: straight into place when they do (ascending pairs, a one-shot
+/// full comparison's order, and a full-comparison session's memo, grown
+/// batch by batch in that order), else through
+/// [`Csr::fill_from_lower_halves`].
+pub(crate) fn build<I>(rows: usize, decisions: impl Fn() -> I) -> MatchGraph
 where
-    I: Iterator<Item = &'a PairDecision>,
+    I: Iterator<Item = PairDecision>,
 {
     // Row `v`'s degree lands in `degrees[sign][v + 1]`, summed into the
     // offsets by `Csr::with_degrees`.
     let mut degrees = [vec![0; rows + 1], vec![0; rows + 1]];
     let mut possible = Vec::new();
+    // One past the last neighbour row `v` received, over both signs.
+    let mut next = vec![0; rows];
     let mut ascending = true;
-    let mut last = (0, 0);
     for d in decisions() {
         let (i, j) = d.pair;
         debug_assert!(i < j && j < rows, "canonical in-range pair");
-        ascending &= last <= d.pair;
-        last = d.pair;
-        match signed_edge(d) {
+        match signed_edge(&d) {
             Some((sign, _)) => {
                 degrees[sign][i + 1] += 1;
                 degrees[sign][j + 1] += 1;
+                ascending &= next[i] <= j && next[j] <= i;
+                next[i] = j + 1;
+                next[j] = i + 1;
             }
             None => possible.push((i, j, d.similarity)),
         }
     }
+    drop(next);
     possible.sort_unstable_by_key(|&(i, j, _)| (i, j));
     let mut signs = degrees.map(Csr::with_degrees);
     let mut at = signs.each_ref().map(Csr::row_starts);
     for d in decisions() {
-        let Some((sign, w)) = signed_edge(d) else {
+        let Some((sign, w)) = signed_edge(&d) else {
             continue;
         };
         let ((i, j), g, at) = (d.pair, &mut signs[sign], &mut at[sign]);
-        // Ascending pairs meet row `v`'s neighbours below it first, as the
-        // `j` of `(u, v)`, `u` ascending, then those above it, as the `i`
-        // of `(v, u)`, `u` ascending: arrival order is neighbour order.
+        // Every row received its neighbours ascending: arrival order is
+        // neighbour order.
         if ascending {
             g.edges[at[i]] = (j, w);
             at[i] += 1;
@@ -461,12 +466,15 @@ mod tests {
 
     /// The CSR graph equals the per-row-sort reference — every row's two
     /// slices, the Possible edges and both edge counts — on random signed
-    /// graphs fed in row-major order (the in-place scatter), reversed and
-    /// shuffled (the two counting passes), and on edgeless graphs.
+    /// graphs fed in orders that give every row its neighbours ascending
+    /// (the in-place scatter): row-major, column-major, and row-major
+    /// followed by batches of new rows in full-comparison delta order; and
+    /// in orders that do not (the two counting passes): reversed and
+    /// shuffled; and on edgeless graphs.
     #[test]
     fn csr_build_equals_the_row_sort_reference() {
         fn check(rows: usize, decisions: &[PairDecision]) {
-            let g = build(rows, || decisions.iter());
+            let g = build(rows, || decisions.iter().copied());
             let r = RowSortedGraph::build(rows, decisions);
             assert_eq!(g.rows(), rows);
             for v in 0..rows {
@@ -489,6 +497,18 @@ mod tests {
                 .iter()
                 .map(|&(i, j, similarity, class)| decision((i, j), similarity, class))
                 .collect();
+            check(n, &decisions);
+            decisions.sort_unstable_by_key(|d| (d.pair.1, d.pair.0));
+            check(n, &decisions);
+            // Rows `0..starts[0]` in one run, then each batch of rows
+            // `starts[b]..starts[b + 1]` against everything before it and
+            // itself, row-major (`CandidateDelta::full`).
+            let mut starts: Vec<usize> = (0..draw(4)).map(|_| draw(n as u64)).collect();
+            starts.sort_unstable();
+            decisions.sort_unstable_by_key(|d| {
+                let batch = starts.partition_point(|&s| s <= d.pair.1);
+                (batch, d.pair)
+            });
             check(n, &decisions);
             decisions.reverse();
             check(n, &decisions);

@@ -161,7 +161,7 @@ pub fn resolve_decisions(
     decisions: &[PairDecision],
     strategy: ClusterStrategy,
 ) -> EntityResolution {
-    resolve_graph(&build(rows, || decisions.iter()), strategy)
+    resolve_graph(&build(rows, || decisions.iter().copied()), strategy)
 }
 
 /// Entity resolution as a read of decided pairs: a pure function of them,

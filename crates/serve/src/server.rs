@@ -400,15 +400,28 @@ fn class_name(class: MatchClass) -> &'static str {
     }
 }
 
+/// `[[0, 3], [1, 6, 7]]`, rendered into one `String` sized up front: a
+/// row takes at most the digits of the largest row plus `", "`, a cluster
+/// its brackets plus `", "`.
 fn clusters_json(clusters: &[Vec<usize>]) -> String {
-    let inner: Vec<String> = clusters
-        .iter()
-        .map(|c| {
-            let rows: Vec<String> = c.iter().map(usize::to_string).collect();
-            format!("[{}]", rows.join(", "))
-        })
-        .collect();
-    format!("[{}]", inner.join(", "))
+    use std::fmt::Write;
+    let largest = clusters.iter().filter_map(|c| c.last()).max().copied();
+    let digits = largest.map_or(1, |r| r.checked_ilog10().unwrap_or(0) as usize + 1);
+    let rows: usize = clusters.iter().map(Vec::len).sum();
+    let mut out = String::with_capacity(2 + 4 * clusters.len() + (digits + 2) * rows);
+    out.push('[');
+    for (k, cluster) in clusters.iter().enumerate() {
+        out.push_str(if k == 0 { "[" } else { ", [" });
+        for (x, row) in cluster.iter().enumerate() {
+            if x > 0 {
+                out.push_str(", ");
+            }
+            write!(out, "{row}").expect("writing to a String cannot fail");
+        }
+        out.push(']');
+    }
+    out.push(']');
+    out
 }
 
 impl ServerState {
@@ -1351,9 +1364,18 @@ mod tests {
     #[test]
     fn clusters_render_as_nested_arrays() {
         assert_eq!(clusters_json(&[]), "[]");
+        assert_eq!(clusters_json(&[vec![0]]), "[[0]]");
+        assert_eq!(
+            clusters_json(&[vec![0, 3], vec![1, 6, 7]]),
+            "[[0, 3], [1, 6, 7]]"
+        );
         assert_eq!(
             clusters_json(&[vec![0, 3], vec![5, 6, 9]]),
             "[[0, 3], [5, 6, 9]]"
+        );
+        assert_eq!(
+            clusters_json(&[vec![7, 10, 999], vec![1000, 123_456]]),
+            "[[7, 10, 999], [1000, 123456]]"
         );
     }
 }
