@@ -54,7 +54,7 @@
 //!   returns what it inserted, and what the batch changed (the pairs that
 //!   arrived, the pairs a window slid past — see `WarmReduction`) is read
 //!   off that, so a write costs what it adds, not what is resident. The contract, property-tested in
-//!   `tests/session_incremental.rs`: after ingesting a corpus in *any*
+//!   `tests/invariance.rs`: after ingesting a corpus in *any*
 //!   batch split, [`result`](DedupSession::result) equals one batch
 //!   [`run`](DedupSession::run) under the engine's equality contract
 //!   (ARCHITECTURE.md, "The engine") — for the world-dependent strategies
@@ -424,10 +424,16 @@ impl DedupSession {
         Ok(self.apply(staged))
     }
 
-    /// Phase 1 (`&self`): validate `source` and prepare a copy of its rows
-    /// (preparation is per-tuple). The only phase that can fail.
+    /// Phase 1 (`&self`): check `source` against the resident schema and
+    /// prepare a copy of its rows (preparation is per-tuple). The only
+    /// phase that can fail, so a batch staged here cannot fail to apply —
+    /// what lets a journal append it before the session changes.
     pub(crate) fn stage(&self, source: &XRelation) -> Result<StagedIngest, ModelError> {
-        self.validate_ingest(source)?;
+        if let Some(rel) = &self.relation {
+            if !rel.schema().compatible_with(source.schema()) {
+                return Err(ModelError::IncompatibleSchemas);
+            }
+        }
         let mut rows = source.xtuples().to_vec();
         self.config.preparation.apply_rows(&mut rows);
         Ok(StagedIngest {
@@ -583,25 +589,6 @@ impl DedupSession {
             new_decisions: decisions,
             candidates: self.memo.len(),
         }
-    }
-
-    /// Check that `source` would be accepted by [`ingest`](Self::ingest)
-    /// without mutating anything — [`ingest`]'s only failure mode is this
-    /// schema gate, so a batch that passes here cannot fail to apply.
-    ///
-    /// This split is what keeps the write-ahead journal sound: the serving
-    /// daemon validates first, appends the batch to the journal, and only
-    /// then mutates the session, so every journaled record is guaranteed
-    /// to replay cleanly on recovery.
-    ///
-    /// [`ingest`]: Self::ingest
-    pub fn validate_ingest(&self, source: &XRelation) -> Result<(), ModelError> {
-        if let Some(rel) = &self.relation {
-            if !rel.schema().compatible_with(source.schema()) {
-                return Err(ModelError::IncompatibleSchemas);
-            }
-        }
-        Ok(())
     }
 
     /// The merged resident view: every current candidate pair with its

@@ -115,12 +115,18 @@ impl SharedSession {
         self.journaled
     }
 
-    /// Read access to the published session. Poisoned when a panic
-    /// interrupted a write or a save; the guard inside the error still
-    /// reads (for counters), but the state is suspect.
+    /// Whether a panic interrupted a write or a save: the in-memory state
+    /// is suspect from then on (the writer mutex is held through both).
+    pub fn is_poisoned(&self) -> bool {
+        self.writer.is_poisoned()
+    }
+
+    /// Read access to the published session. Poisoned when
+    /// [`is_poisoned`](Self::is_poisoned); the guard inside the error
+    /// still reads (for counters), but the state is suspect.
     pub fn read(&self) -> LockResult<RwLockReadGuard<'_, DedupSession>> {
         let guard = self.session.read();
-        if self.writer.is_poisoned() {
+        if self.is_poisoned() {
             return Err(PoisonError::new(
                 guard.unwrap_or_else(PoisonError::into_inner),
             ));

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -158,13 +158,12 @@ struct SessionEntry {
     /// take the session read lock only; `ingest`, `dedup` and saves hold
     /// the writer mutex throughout — one at a time per session — and take
     /// the session lock as the phases need it (see
-    /// `probdedup_core::shared`).
-    shared: SharedSession,
-    /// Quarantined after a panic poisoned its locks: the in-memory state
-    /// may be inconsistent, so the session answers 503 until a restart
+    /// `probdedup_core::shared`). A panic in a write or a save poisons
+    /// the writer mutex, which quarantines the session: its in-memory
+    /// state may be inconsistent, so it answers 503 until a restart
     /// recovers it from `snapshot + journal` (the durable state is
     /// untouched — journaling happens before mutation).
-    degraded: AtomicBool,
+    shared: SharedSession,
     opened: Instant,
     /// Restored from a snapshot/journal at boot (vs. created by a request).
     restored: bool,
@@ -189,37 +188,17 @@ impl SessionEntry {
         let base_key_renders = session.key_render_count();
         Self {
             shared: SharedSession::new(session, journal),
-            degraded: AtomicBool::new(false),
             opened: Instant::now(),
             restored,
             base_key_renders,
         }
     }
 
-    /// Mark the session degraded (idempotent; bumps the gauge once) and
-    /// return the quarantine answer.
-    fn mark_degraded(&self, state: &ServerState) -> Response {
-        if !self.degraded.swap(true, Ordering::SeqCst) {
-            state.sessions_degraded.fetch_add(1, Ordering::Relaxed);
-        }
-        degraded_response()
-    }
-
-    fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
-
     /// Read access honoring the quarantine: a poisoned session (a handler
-    /// panicked mid-write) degrades *here*, instead of serving
+    /// panicked mid-write) answers 503 instead of serving
     /// possibly-inconsistent state as truth.
-    fn read_guard(
-        &self,
-        state: &ServerState,
-    ) -> Result<RwLockReadGuard<'_, DedupSession>, Response> {
-        if self.is_degraded() {
-            return Err(degraded_response());
-        }
-        self.shared.read().map_err(|_| self.mark_degraded(state))
+    fn read_guard(&self) -> Result<RwLockReadGuard<'_, DedupSession>, Response> {
+        self.shared.read().map_err(|_| degraded_response())
     }
 
     /// The same session read for the ops views (`/stats`, `/sessions`),
@@ -243,7 +222,7 @@ impl SessionEntry {
                 }
                 Ok(out)
             }
-            Err(WriteError::Poisoned) => Err(self.mark_degraded(state)),
+            Err(WriteError::Poisoned) => Err(degraded_response()),
             Err(WriteError::Refused(SnapshotError::Model(e))) => {
                 Err(Response::error(409, &format!("{verb}: {e}")))
             }
@@ -262,12 +241,8 @@ impl SessionEntry {
     /// than it must be.
     fn persist(
         &self,
-        state: &ServerState,
         path: &std::path::Path,
     ) -> Result<Result<(usize, usize), SnapshotError>, Response> {
-        if self.is_degraded() {
-            return Err(degraded_response());
-        }
         self.shared
             .settled(|session, journal| {
                 session.save(path)?;
@@ -278,8 +253,30 @@ impl SessionEntry {
                 }
                 Ok((session.rows(), session.candidate_count()))
             })
-            .ok_or_else(|| self.mark_degraded(state))
+            .ok_or_else(degraded_response)
     }
+}
+
+/// Open a named session: from its snapshot when there is one, else fresh,
+/// then replay its journal when the daemon journals. Returns the session,
+/// its journal and the number of records replayed — what boot and a
+/// session's first contact both need.
+fn open_session(
+    pipeline: &DedupPipeline,
+    snapshot: Option<&Path>,
+    wal: Option<PathBuf>,
+) -> Result<(DedupSession, Option<SessionJournal>, u64), ServeError> {
+    let mut session = match snapshot {
+        Some(path) => DedupSession::open(path, pipeline)
+            .map_err(|e| ServeError::Snapshot(path.to_path_buf(), e))?,
+        None => pipeline.session(),
+    };
+    let Some(path) = wal else {
+        return Ok((session, None, 0));
+    };
+    let (journal, replay) = SessionJournal::open_and_replay(&path, &mut session)
+        .map_err(|e| ServeError::Wal(path, e))?;
+    Ok((session, Some(journal), replay.replayed))
 }
 
 /// Per-endpoint request counters (reported by `/stats`).
@@ -313,9 +310,9 @@ struct ServerState {
     inflight_peak: AtomicU64,
     requests_shed: AtomicU64,
     /// Handler panics caught at the connection boundary (the process
-    /// lives; the affected session is quarantined on next touch).
+    /// lives; a session whose writer mutex the panic poisoned is
+    /// quarantined).
     panics_caught: AtomicU64,
-    sessions_degraded: AtomicU64,
     /// Journal records appended / replayed since open.
     wal_appends: AtomicU64,
     wal_replayed: AtomicU64,
@@ -452,23 +449,9 @@ impl ServerState {
         if let Some(e) = registry.get(name) {
             return Ok(e.clone());
         }
-        let mut session = self.pipeline.session();
-        let journal = match self.wal_path(name) {
-            None => None,
-            Some(path) => match SessionJournal::open_and_replay(&path, &mut session) {
-                Ok((journal, replay)) => {
-                    self.wal_replayed
-                        .fetch_add(replay.replayed, Ordering::Relaxed);
-                    Some(journal)
-                }
-                Err(e) => {
-                    return Err(Response::error(
-                        500,
-                        &format!("cannot open journal {}: {e}", path.display()),
-                    ));
-                }
-            },
-        };
+        let (session, journal, replayed) = open_session(&self.pipeline, None, self.wal_path(name))
+            .map_err(|e| Response::error(500, &format!("cannot open {e}")))?;
+        self.wal_replayed.fetch_add(replayed, Ordering::Relaxed);
         let entry = Arc::new(SessionEntry::new(session, false, journal));
         registry.insert(name.to_string(), entry.clone());
         Ok(entry)
@@ -476,6 +459,14 @@ impl ServerState {
 
     fn entry(&self, name: &str) -> Option<Arc<SessionEntry>> {
         rlock(&self.sessions).get(name).cloned()
+    }
+
+    /// Sessions quarantined by a panic (their writer mutex is poisoned).
+    fn sessions_degraded(&self) -> usize {
+        rlock(&self.sessions)
+            .values()
+            .filter(|e| e.shared.is_poisoned())
+            .count()
     }
 
     /// Persist every non-empty session to the snapshot directory and
@@ -495,10 +486,10 @@ impl ServerState {
             let path = self
                 .snapshot_path(&name)
                 .expect("snapshot_dir checked above");
-            if entry.read_guard(self).is_ok_and(|s| s.is_empty()) {
+            if entry.read_guard().is_ok_and(|s| s.is_empty()) {
                 continue;
             }
-            match entry.persist(self, &path) {
+            match entry.persist(&path) {
                 Ok(Ok(_)) => saved += 1,
                 Ok(Err(e)) => eprintln!("probdedup-serve: autosave {}: {e}", path.display()),
                 Err(_) => eprintln!(
@@ -539,7 +530,7 @@ fn handle_request(state: &ServerState, req: &Request) -> Response {
 }
 
 fn handle_health(state: &ServerState) -> Response {
-    let degraded = state.sessions_degraded.load(Ordering::Relaxed);
+    let degraded = state.sessions_degraded();
     Response::json(
         200,
         format!(
@@ -557,7 +548,7 @@ fn handle_health(state: &ServerState) -> Response {
 
 /// `"ok"` / `"degraded"` for a session's health-state field.
 fn entry_state(e: &SessionEntry) -> &'static str {
-    if e.is_degraded() {
+    if e.shared.is_poisoned() {
         "degraded"
     } else {
         "ok"
@@ -644,7 +635,7 @@ fn handle_stats(state: &ServerState) -> Response {
             wal_replayed,
             state.requests_shed.load(Ordering::Relaxed),
             state.panics_caught.load(Ordering::Relaxed),
-            state.sessions_degraded.load(Ordering::Relaxed),
+            state.sessions_degraded(),
             state.inflight_peak.load(Ordering::Relaxed),
             session_rows.join(", "),
         ),
@@ -858,7 +849,7 @@ fn handle_query(state: &ServerState, name: &str, req: &Request) -> Response {
             &format!("rows ({i}, {j}): a row is not a pair with itself"),
         );
     }
-    let session = match entry.read_guard(state) {
+    let session = match entry.read_guard() {
         Ok(s) => s,
         Err(resp) => return resp,
     };
@@ -898,7 +889,7 @@ fn handle_partition(state: &ServerState, name: &str, req: &Request) -> Response 
     let full = req
         .query_value("full")
         .is_some_and(|v| v == "1" || v == "true");
-    let session = match entry.read_guard(state) {
+    let session = match entry.read_guard() {
         Ok(s) => s,
         Err(resp) => return resp,
     };
@@ -932,7 +923,7 @@ fn handle_entities(state: &ServerState, name: &str, req: &Request) -> Response {
             }
         },
     };
-    let session = match entry.read_guard(state) {
+    let session = match entry.read_guard() {
         Ok(s) => s,
         Err(resp) => return resp,
     };
@@ -970,7 +961,7 @@ fn handle_snapshot(state: &ServerState, name: &str) -> Response {
     let Some(path) = state.snapshot_path(name) else {
         return Response::error(400, "no snapshot directory configured (--snapshot-dir)");
     };
-    match entry.persist(state, &path) {
+    match entry.persist(&path) {
         Ok(Ok((rows, decided_pairs))) => {
             let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             Response::json(
@@ -1195,23 +1186,14 @@ impl Server {
                 .as_ref()
                 .map(|d| d.join(format!("{name}.snap")))
                 .filter(|p| p.is_file());
-            let mut restored = snap_path.is_some();
-            let mut session = match &snap_path {
-                Some(path) => DedupSession::open(path, &config.pipeline)
-                    .map_err(|e| ServeError::Snapshot(path.clone(), e))?,
-                None => config.pipeline.session(),
-            };
-            let journal = match &config.wal_dir {
-                None => None,
-                Some(dir) => {
-                    let path = dir.join(format!("{name}.wal"));
-                    let (journal, replay) = SessionJournal::open_and_replay(&path, &mut session)
-                        .map_err(|e| ServeError::Wal(path.clone(), e))?;
-                    wal_replayed_total += replay.replayed;
-                    restored |= replay.replayed > 0;
-                    Some(journal)
-                }
-            };
+            let wal_path = config
+                .wal_dir
+                .as_ref()
+                .map(|d| d.join(format!("{name}.wal")));
+            let (session, journal, replayed) =
+                open_session(&config.pipeline, snap_path.as_deref(), wal_path)?;
+            wal_replayed_total += replayed;
+            let restored = snap_path.is_some() || replayed > 0;
             sessions.insert(
                 name,
                 Arc::new(SessionEntry::new(session, restored, journal)),
@@ -1235,7 +1217,6 @@ impl Server {
             inflight_peak: AtomicU64::new(0),
             requests_shed: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
-            sessions_degraded: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
             wal_replayed: AtomicU64::new(wal_replayed_total),
             request_timeout: config.request_timeout,

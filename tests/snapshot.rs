@@ -1,9 +1,9 @@
 //! The crash-safety contract of session snapshots, end to end:
 //!
-//! * **Round trip** (property): save → open reproduces the warm session —
-//!   identical match / possible / non-match partition, identical clusters,
-//!   and an identical-corpus rerun performs **zero** key renders, across
-//!   exact/classify-only and reduction strategies.
+//! * **Round trip** (property): save → open after any batch reproduces
+//!   the session — it equals the one-shot run over the sources so far,
+//!   and an identical-corpus rerun performs **zero** key renders (a
+//!   harness draw, `tests/common/mod.rs`).
 //! * **State, not caches**: sections 4–6 (the interner pools and the
 //!   retired similarity memo) are written as empty pools, and any payload
 //!   there is frame-checked and ignored; `open` rebuilds the pools by
@@ -37,6 +37,8 @@
 //!   [`SnapshotError::ConfigMismatch`], not `Malformed`.
 //!
 //! [`SnapshotError`]: probdedup::model::snapshot::SnapshotError
+
+mod common;
 
 use std::sync::Arc;
 
@@ -173,42 +175,18 @@ fn assert_ends_with_sections(bytes: &[u8], trailers: &[u32], label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// save → open over any strategy/mode reproduces the session: same
-    /// partition, same clusters, and the reopened session's
+    /// save → open after any batch of any split, under any strategy and
+    /// configuration, reproduces the session, and the reopened session's
     /// identical-corpus rerun renders **zero** keys.
     #[test]
     fn snapshot_roundtrip_reproduces_warm_session(
-        strat_idx in 0usize..7,
+        strategy in 0usize..7,
         bounded in any::<bool>(),
+        cuts in proptest::collection::vec(0usize..10_000, 0..3),
+        reopen in 0usize..8,
     ) {
-        let srcs = sources();
-        let refs: Vec<&XRelation> = srcs.iter().collect();
-        let strategy = all_strategies(&key()).swap_remove(strat_idx);
-        let label = format!("{} bounded={bounded}", strategy.name());
-
-        let pipe = pipeline(strategy.clone(), bounded);
-        let mut session = pipe.session();
-        let before = session.run(&refs).unwrap();
-        let renders = session.key_render_count();
-        let bytes = session.to_snapshot_bytes();
-
-        let mut reopened = DedupSession::from_snapshot_bytes(&bytes, &pipe)
-            .unwrap_or_else(|e| panic!("{label}: reopen failed: {e}"));
-        // Opening re-keys the resident corpus into fresh pools: one render
-        // per distinct (value, prefix), as many as the saved session's
-        // single run cost. The decision memo answers `result()` without
-        // classifying anything.
-        prop_assert_eq!(reopened.key_render_count(), renders, "{}: open rendered", label);
-        let restored = reopened.result();
-        prop_assert_eq!(&before.decisions, &restored.decisions, "{}: partition", label);
-        prop_assert_eq!(&before.clusters, &restored.clusters, "{}: clusters", label);
-        prop_assert_eq!(&before.source_offsets, &restored.source_offsets, "{}", label);
-
-        // An identical-corpus rerun on the reopened session stays fully
-        // warm: the pools open rebuilt already hold every key.
-        let again = reopened.run(&refs).unwrap();
-        prop_assert_eq!(reopened.key_render_count(), renders, "{}: rerun rendered", label);
-        prop_assert_eq!(&before.decisions, &again.decisions, "{}: rerun partition", label);
+        let draw = common::Draw { cuts, bounded, threads: 2, restart: (1, reopen, 0), ..Default::default() };
+        common::check_draw(&draw, [strategy]);
     }
 
     /// Corruption matrix: flip 1–8 arbitrary bytes of a valid snapshot —

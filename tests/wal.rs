@@ -12,136 +12,39 @@
 //!   cumulative tier counters, while classifying only the pairs that
 //!   survive the tail;
 //! * a **property test** over random batch splits × crash after any
-//!   prefix of appends × an arbitrary snapshot/compaction point, reusing
-//!   the split-invariance machinery of `tests/session_incremental.rs`;
+//!   prefix of appends × an arbitrary snapshot/compaction point (a
+//!   harness draw, `tests/common/mod.rs`);
 //! * a **fuzz pass** over torn and bit-flipped journal tails: recovery
 //!   must never panic, and whatever it applies must equal the partition
 //!   of exactly the records it reports replayed.
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+mod common;
+
+use std::path::Path;
 
 use proptest::prelude::*;
 
-use probdedup::core::pipeline::{DedupPipeline, DedupResult, PairDecision, ReductionStrategy};
-use probdedup::core::prepare::Preparation;
+use probdedup::core::pipeline::{DedupPipeline, DedupResult, ReductionStrategy};
 use probdedup::core::session::DedupSession;
 use probdedup::core::wal::{SessionJournal, WAL_HEADER_LEN};
-use probdedup::datagen::{generate, DatasetConfig, Dictionaries};
-use probdedup::decision::combine::WeightedSum;
-use probdedup::decision::derive_sim::ExpectedSimilarity;
-use probdedup::decision::threshold::{MatchClass, Thresholds};
-use probdedup::decision::xmodel::SimilarityBasedModel;
-use probdedup::matching::vector::AttributeComparators;
 use probdedup::model::relation::XRelation;
 use probdedup::model::xtuple::XTuple;
-use probdedup::reduction::{ConflictResolution, KeyPart, KeySpec, WorldSelection};
-use probdedup::textsim::JaroWinkler;
+use probdedup::reduction::ConflictResolution;
 
-/// The workload corpus: two small dirty sources, concatenated (the tests
-/// re-split them into ingest batches themselves).
+use common::{key, scratch, split_sources};
+
+/// The workload corpus: two small dirty sources, concatenated.
 fn corpus() -> Vec<XTuple> {
-    let ds = generate(
-        &Dictionaries::people(),
-        &DatasetConfig {
-            entities: 12,
-            sources: 2,
-            typo_rate: 0.3,
-            uncertainty_rate: 0.4,
-            xtuple_rate: 0.3,
-            maybe_rate: 0.2,
-            seed: 0x5EED_CAFE,
-            ..DatasetConfig::default()
-        },
-    );
-    ds.combined().xtuples().to_vec()
+    common::corpus(12, 0x5EED_CAFE)
 }
 
-fn corpus_schema() -> probdedup::model::schema::Schema {
-    generate(
-        &Dictionaries::people(),
-        &DatasetConfig {
-            entities: 1,
-            ..DatasetConfig::default()
-        },
-    )
-    .schema
-}
-
-fn key() -> KeySpec {
-    KeySpec::new(vec![KeyPart::prefix(0, 3), KeyPart::prefix(2, 2)])
-}
-
+/// The crash-matrix pipeline: exact, sorted neighbourhood at window 4.
 fn pipeline() -> DedupPipeline {
-    pipeline_with(
-        ReductionStrategy::SortingAlternatives {
-            spec: key(),
-            window: 4,
-        },
-        true,
-    )
-}
-
-/// The crash-matrix pipeline under `reduction`, in the exact or the
-/// classify-only (bounded) configuration.
-fn pipeline_with(reduction: ReductionStrategy, exact: bool) -> DedupPipeline {
-    let schema = corpus_schema();
-    let phi = WeightedSum::normalized([3.0, 1.0, 1.5, 0.5]).unwrap();
-    let thresholds = Thresholds::new(0.72, 0.82).unwrap();
-    let builder = DedupPipeline::builder()
-        .preparation(Preparation::standard_all(4))
-        .comparators(AttributeComparators::uniform(&schema, JaroWinkler::new()))
-        .reduction(reduction)
-        .threads(2);
-    if exact {
-        builder
-            .model(Arc::new(SimilarityBasedModel::new(
-                Arc::new(phi),
-                Arc::new(ExpectedSimilarity),
-                thresholds,
-            )))
-            .build()
-    } else {
-        builder.classify_only(phi, thresholds).build()
-    }
-}
-
-/// Split `tuples` into 1..=4 batches at the given relative cut points
-/// (the machinery of `tests/session_incremental.rs`).
-fn split_sources(tuples: &[XTuple], cuts: &[usize]) -> Vec<XRelation> {
-    let schema = corpus_schema();
-    let n = tuples.len();
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
-    bounds.push(0);
-    bounds.push(n);
-    bounds.sort_unstable();
-    bounds.dedup();
-    bounds
-        .windows(2)
-        .map(|w| {
-            let mut r = XRelation::new(schema.clone());
-            for t in &tuples[w[0]..w[1]] {
-                r.push(t.clone());
-            }
-            r
-        })
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// A fresh scratch directory (unique per call — proptest cases run many
-/// recoveries in one process).
-fn scratch() -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "probdedup-wal-matrix-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+    let snm = ReductionStrategy::SortingAlternatives {
+        spec: key(),
+        window: 4,
+    };
+    common::pipeline(snm, false, 2)
 }
 
 /// The partition after ingesting the first `k` batches (the reference a
@@ -194,7 +97,7 @@ fn crash_matrix_recovers_every_interleaving_point() {
     let batches = split_sources(&tuples, &[n / 3, 2 * n / 3]);
     assert_eq!(batches.len(), 3, "corpus too small to split three ways");
 
-    let dir = scratch();
+    let dir = scratch("wal-matrix");
     let wal_path = dir.join("live.wal");
     let mut states: Vec<CrashState> = Vec::new();
     let wal_bytes = || std::fs::read(&wal_path).unwrap();
@@ -323,14 +226,6 @@ fn recover_tail(pipeline: &DedupPipeline, snap: &[u8], wal: &Path) -> (DedupSess
     (session, replay.replayed)
 }
 
-/// Decisions down to the bits of their similarity.
-fn decision_bits(decisions: &[PairDecision]) -> Vec<((usize, usize), u64, MatchClass)> {
-    decisions
-        .iter()
-        .map(|d| (d.pair, d.similarity.to_bits(), d.class))
-        .collect()
-}
-
 /// Pairs the bounded configuration has classified, over all four tiers.
 fn classified(session: &DedupSession) -> u64 {
     let s = session.stats();
@@ -338,49 +233,27 @@ fn classified(session: &DedupSession) -> u64 {
 }
 
 /// Replay applies the tail's run of ingest records as one ingest; the
-/// recovered session must still equal the live one that ingested them
-/// one by one, in everything but the cumulative tier counters — under a
-/// delta strategy and a world strategy, in both configurations.
+/// recovered session must still equal the one-shot run over the batches
+/// the live session ingested one by one — under a delta strategy and a
+/// world strategy, in both configurations, over a four-record tail.
 #[test]
 fn a_replayed_tail_equals_the_live_session() {
-    let dir = scratch();
-    let strategies = [
-        ReductionStrategy::SortingAlternatives {
-            spec: key(),
-            window: 4,
-        },
-        ReductionStrategy::MultipassWorlds {
-            spec: key(),
-            window: 4,
-            selection: WorldSelection::TopK(2),
-        },
-    ];
-    for reduction in strategies {
-        for exact in [true, false] {
-            let label = format!("{} exact={exact}", reduction.name());
-            let p = pipeline_with(reduction.clone(), exact);
-            let wal = dir.join(format!("{}-{exact}.wal", reduction.name()));
-            let (live, snap) = journaled(&p, &wal);
-            let (recovered, replayed) = recover_tail(&p, &snap, &wal);
-            assert_eq!(replayed, 4, "{label}");
-            let (got, want) = (recovered.result(), live.result());
-            assert_eq!(got.relation, want.relation, "{label}");
-            assert_eq!(got.source_offsets, want.source_offsets, "{label}");
-            assert_eq!(
-                decision_bits(&got.decisions),
-                decision_bits(&want.decisions),
-                "{label}"
-            );
-            assert_eq!(got.clusters, want.clusters, "{label}");
-            assert_eq!(
-                recovered.candidate_count(),
-                live.candidate_count(),
-                "{label}"
-            );
-            assert_eq!(recovered.journal_seq(), live.journal_seq(), "{label}");
-        }
+    let tuples = corpus();
+    let n = tuples.len();
+    let cuts = vec![n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5];
+    assert_eq!(split_sources(&tuples, &cuts).len(), 5, "too few batches");
+    for bounded in [false, true] {
+        let draw = common::Draw {
+            entities: 12,
+            seed: 0x5EED_CAFE,
+            cuts: cuts.clone(),
+            bounded,
+            threads: 2,
+            restart: (2, 1, 5),
+            ..Default::default()
+        };
+        common::check_draw(&draw, [1, 5]);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Replay classifies each pair that survives the tail once, and no pair
@@ -390,7 +263,7 @@ fn a_replayed_tail_equals_the_live_session() {
 /// pairs a later batch slid a window past as well.
 #[test]
 fn a_replayed_tail_classifies_only_the_pairs_that_survive_it() {
-    let dir = scratch();
+    let dir = scratch("wal-matrix");
     let strategies = [
         ReductionStrategy::ConflictResolved {
             spec: key(),
@@ -402,7 +275,7 @@ fn a_replayed_tail_classifies_only_the_pairs_that_survive_it() {
     ];
     for reduction in strategies {
         let label = reduction.name();
-        let p = pipeline_with(reduction.clone(), false);
+        let p = common::pipeline(reduction.clone(), true, 2);
         let wal = dir.join(format!("{label}.wal"));
         let (live, snap) = journaled(&p, &wal);
         let snapshot = DedupSession::from_snapshot_bytes(&snap, &p).unwrap();
@@ -431,54 +304,23 @@ proptest! {
 
     /// Any split of the corpus into ingest batches × a crash after any
     /// prefix of journal appends × an arbitrary snapshot/compaction point
-    /// within that prefix recovers exactly the committed prefix's
-    /// partition.
+    /// within that prefix recovers exactly the committed prefix (sorted
+    /// neighbourhood, exact).
     #[test]
     fn any_split_and_crash_point_recovers_the_committed_prefix(
         cuts in proptest::collection::vec(0usize..10_000, 0..3),
         snap_raw in 0usize..8,
         crash_raw in 0usize..8,
     ) {
-        let tuples = corpus();
-        let batches = split_sources(&tuples, &cuts);
-        let crash_after = crash_raw % (batches.len() + 1);
-        // Snapshot point ≤ crash point (a snapshot after the crash never
-        // happened); equal means "snapshot just before the crash".
-        let snap_at = snap_raw % (crash_after + 1);
-
-        let dir = scratch();
-        let wal_path = dir.join("s.wal");
-        let mut live = pipeline().session();
-        let (mut journal, _) = SessionJournal::open_and_replay(&wal_path, &mut live).unwrap();
-        let mut snap: Option<Vec<u8>> = None;
-        for (i, batch) in batches.iter().take(crash_after).enumerate() {
-            if i == snap_at {
-                snap = Some(live.to_snapshot_bytes());
-                journal.compact(live.journal_seq()).unwrap();
-            }
-            journal.ingest(&mut live, batch).unwrap();
-        }
-        if crash_after == snap_at {
-            snap = Some(live.to_snapshot_bytes());
-            journal.compact(live.journal_seq()).unwrap();
-        }
-        drop(journal); // kill -9
-
-        let mut recovered = match &snap {
-            Some(bytes) => DedupSession::from_snapshot_bytes(bytes, &pipeline()).unwrap(),
-            None => pipeline().session(),
+        let draw = common::Draw {
+            entities: 12,
+            seed: 0x5EED_CAFE,
+            cuts,
+            threads: 2,
+            restart: (2, snap_raw, crash_raw),
+            ..Default::default()
         };
-        SessionJournal::open_and_replay(&wal_path, &mut recovered).unwrap();
-        let reference = reference_prefix(&batches, crash_after);
-        assert_partition_eq(
-            &recovered.result(),
-            &reference,
-            &format!(
-                "batches={} snap_at={snap_at} crash_after={crash_after}",
-                batches.len()
-            ),
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        common::check_draw(&draw, [1]);
     }
 
     /// Torn and bit-flipped journal tails: recovery never panics, and a
@@ -496,7 +338,7 @@ proptest! {
         let n = tuples.len();
         let batches = split_sources(&tuples, &[n / 3, 2 * n / 3]);
 
-        let dir = scratch();
+        let dir = scratch("wal-matrix");
         let wal_path = dir.join("s.wal");
         let mut live = pipeline().session();
         let (mut journal, _) = SessionJournal::open_and_replay(&wal_path, &mut live).unwrap();
