@@ -27,10 +27,11 @@
 //! The reduction stage runs on **interned keys** throughout: every
 //! [`ReductionStrategy`] variant builds a
 //! [`KeyTable`](probdedup_reduction::KeyTable) once (all key-prefix
-//! rendering happens there), then buckets blocks on
-//! [`KeySymbol`](probdedup_model::intern::KeySymbol)s and sorts SNM
-//! entries by precomputed lexicographic rank — multi-pass SNM and blocking
-//! are sort-only from the second pass on.
+//! rendering happens there), then sorts
+//! [`KeySymbol`](probdedup_model::intern::KeySymbol) entries by
+//! precomputed lexicographic rank, windowed for SNM and read by runs of
+//! equal keys for blocking — multi-pass SNM and blocking are sort-only
+//! from the second pass on.
 
 use std::sync::Arc;
 

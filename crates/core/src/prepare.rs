@@ -7,36 +7,21 @@
 //! their probability mass (e.g. `{Tim: 0.5, tim: 0.4}` → `{tim: 0.9}`),
 //! which is uncertainty *reduction* for free.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use probdedup_model::relation::XRelation;
 use probdedup_model::value::Value;
 use probdedup_model::xtuple::XTuple;
 use probdedup_textsim::Normalizer;
 
-/// One preparation step.
+/// One preparation step: apply a [`Normalizer`] to text values of the
+/// attribute.
 #[derive(Clone)]
-enum Step {
-    /// Apply a [`Normalizer`] to text values of the attribute.
-    Normalize(usize, Normalizer),
-    /// Replace whole values via a canonicalization dictionary
-    /// (nickname → canonical form, unit synonyms, …).
-    Canonicalize(usize, Arc<HashMap<String, String>>),
-}
+struct Step(usize, Normalizer);
 
 impl std::fmt::Debug for Step {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Step::Normalize(a, _) => write!(f, "Normalize(attr {a})"),
-            Step::Canonicalize(a, m) => write!(f, "Canonicalize(attr {a}, {} entries)", m.len()),
-        }
+        write!(f, "Normalize(attr {})", self.0)
     }
 }
-
-/// A whole-value rewrite applied to one attribute's distributions (may
-/// borrow from the step that created it).
-type ValueRewrite<'a> = Box<dyn Fn(&Value) -> Value + 'a>;
 
 /// Per-attribute standardization plan.
 #[derive(Debug, Clone, Default)]
@@ -53,29 +38,7 @@ impl Preparation {
 
     /// Apply `normalizer` to text values of attribute `attr`.
     pub fn normalize_attr(mut self, attr: usize, normalizer: Normalizer) -> Self {
-        self.steps.push(Step::Normalize(attr, normalizer));
-        self
-    }
-
-    /// Replace whole text values of attribute `attr` through a
-    /// canonicalization dictionary — the paper's "unification of
-    /// conventions": nicknames to given names ("Johnny" → "John"),
-    /// occupation synonyms ("confectionist" → "confectioner"), units.
-    /// Lookups are exact on the full value; combine with
-    /// [`Preparation::normalize_attr`] (applied earlier) for
-    /// case-insensitive matching. Alternatives that collide after
-    /// canonicalization merge their probability mass.
-    pub fn canonicalize_attr<I, K, V>(mut self, attr: usize, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: Into<String>,
-        V: Into<String>,
-    {
-        let map: HashMap<String, String> = entries
-            .into_iter()
-            .map(|(k, v)| (k.into(), v.into()))
-            .collect();
-        self.steps.push(Step::Canonicalize(attr, Arc::new(map)));
+        self.steps.push(Step(attr, normalizer));
         self
     }
 
@@ -101,33 +64,15 @@ impl Preparation {
     /// Standardize `tuples` in place — preparation is per-tuple, so a
     /// session prepares just the rows a batch appended.
     pub fn apply_rows(&self, tuples: &mut [XTuple]) {
-        for step in &self.steps {
-            let (attr, map): (usize, ValueRewrite<'_>) = match step {
-                Step::Normalize(attr, norm) => (
-                    *attr,
-                    Box::new(move |v: &Value| match v {
-                        Value::Text(s) => Value::Text(norm.apply(s)),
-                        other => other.clone(),
-                    }),
-                ),
-                Step::Canonicalize(attr, dict) => {
-                    let dict = Arc::clone(dict);
-                    (
-                        *attr,
-                        Box::new(move |v: &Value| match v {
-                            Value::Text(s) => match dict.get(s) {
-                                Some(canon) => Value::Text(canon.clone()),
-                                None => v.clone(),
-                            },
-                            other => other.clone(),
-                        }),
-                    )
-                }
+        for Step(attr, norm) in &self.steps {
+            let map = |v: &Value| match v {
+                Value::Text(s) => Value::Text(norm.apply(s)),
+                other => other.clone(),
             };
             for t in tuples.iter_mut() {
                 for alt in t.alternatives_mut() {
-                    let pv = alt.value_mut(attr);
-                    *pv = pv.map_values(&map);
+                    let pv = alt.value_mut(*attr);
+                    *pv = pv.map_values(map);
                 }
             }
         }
@@ -209,57 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn canonicalization_replaces_whole_values() {
-        let s = Schema::new(["name", "job"]);
-        let mut r = XRelation::new(s.clone());
-        r.push(
-            XTuple::builder(&s)
-                .alt_pvalues(
-                    1.0,
-                    [
-                        PValue::categorical([("Johnny", 0.6), ("John", 0.4)]).unwrap(),
-                        PValue::certain("confectionist"),
-                    ],
-                )
-                .build()
-                .unwrap(),
-        );
-        Preparation::new()
-            .canonicalize_attr(0, [("Johnny", "John"), ("Jon", "John")])
-            .canonicalize_attr(1, [("confectionist", "confectioner")])
-            .apply(&mut r);
-        let name = r.xtuples()[0].alternatives()[0].value(0);
-        // Johnny → John merges with the existing John alternative.
-        assert_eq!(name.support_len(), 1);
-        assert!((name.prob_of(Some(&Value::from("John"))) - 1.0).abs() < 1e-12);
-        let job = r.xtuples()[0].alternatives()[0].value(1);
-        assert_eq!(job.alternatives()[0].0.render(), "confectioner");
-    }
-
-    #[test]
-    fn canonicalization_is_exact_match_only() {
-        let s = Schema::new(["name"]);
-        let mut r = XRelation::new(s.clone());
-        r.push(XTuple::builder(&s).alt(1.0, ["Johnny B"]).build().unwrap());
-        Preparation::new()
-            .canonicalize_attr(0, [("Johnny", "John")])
-            .apply(&mut r);
-        // No substring replacement: the full value differs, so unchanged.
-        assert_eq!(
-            r.xtuples()[0].alternatives()[0].value(0).alternatives()[0]
-                .0
-                .render(),
-            "Johnny B"
-        );
-    }
-
-    #[test]
     fn debug_formatting_of_steps() {
         let p = Preparation::new()
             .normalize_attr(0, Normalizer::standard())
-            .canonicalize_attr(1, [("a", "b")]);
+            .normalize_attr(1, Normalizer::standard());
         let dbg = format!("{p:?}");
         assert!(dbg.contains("Normalize(attr 0)"), "{dbg}");
-        assert!(dbg.contains("Canonicalize(attr 1, 1 entries)"), "{dbg}");
+        assert!(dbg.contains("Normalize(attr 1)"), "{dbg}");
     }
 }

@@ -18,11 +18,10 @@
 //!   [`InternedComparators`](probdedup_matching::InternedComparators),
 //!   grown append-only via `sync_pool` (kernel results themselves are
 //!   computed, never memoized);
-//! * the **reduction state** — per-strategy incremental structures
-//!   ([`IncrementalSnm`](probdedup_reduction::IncrementalSnm),
-//!   [`IncrementalBlocks`](probdedup_reduction::IncrementalBlocks), …)
-//!   that rank-insert new tuples into the resident sorted/bucketed order
-//!   instead of re-sorting;
+//! * the **reduction state** — per strategy, the rank-sorted entry list of
+//!   [`IncrementalSnm`](probdedup_reduction::IncrementalSnm), windowed for
+//!   SNM and read by runs of equal keys for blocking, into which new
+//!   tuples are rank-inserted instead of re-sorting;
 //! * the **decision memo** — the [`PairDecision`] of every pair in the
 //!   *current* candidate set (the paper's Fig. 12 matrix: each candidate
 //!   is matched once), so an ingest classifies only the pairs it adds and
@@ -139,7 +138,7 @@ use crate::snapshot::{
     atomic_write, read_file, TAG_CACHES, TAG_CONFIG, TAG_DECIDED, TAG_ENTITIES, TAG_JOURNAL,
     TAG_MATCH_POOL, TAG_OFFSETS, TAG_REDUCTION, TAG_RELATION,
 };
-use crate::warm::{Inserted, WarmReduction};
+use crate::warm::WarmReduction;
 
 /// What one [`DedupSession::ingest`] call did: the rows it appended, the
 /// pairs it newly classified, and the size of the resident candidate set
@@ -203,8 +202,9 @@ pub(crate) struct StagedIngest {
     rows: Vec<XTuple>,
     /// The combined row each staged batch starts at, one source apiece.
     starts: Vec<usize>,
-    /// What `grow` inserted into the warm reduction state.
-    inserted: Inserted,
+    /// Where `grow` inserted the batch's entries into the warm reduction
+    /// state's sorted list.
+    inserted: Vec<usize>,
     /// The memo pairs that leave the candidate set, set by `classify`.
     departed: Vec<(usize, usize)>,
     /// The candidates in one-shot order, when `classify` regenerated them.
@@ -404,9 +404,9 @@ impl DedupSession {
     /// Append one source to the resident corpus and classify **only** the
     /// new candidate pairs (new-vs-resident and new-vs-new).
     ///
-    /// Growing the warm reduction state (rank-inserted SNM entries,
-    /// resident blocks — integer work, no re-rendering and no re-sorting of
-    /// resident data) tells what the batch changed: the pairs that
+    /// Growing the warm reduction state (rank-inserted sorted entries —
+    /// integer work, no re-rendering and no re-sorting of resident data)
+    /// tells what the batch changed: the pairs that
     /// arrived are classified and join the memo, the pairs a window slid
     /// past leave it. No resident candidate is visited. (The
     /// world-dependent strategies regenerate and diff against the memo
@@ -440,7 +440,7 @@ impl DedupSession {
             schema: source.schema().clone(),
             rows,
             starts: vec![self.rows()],
-            inserted: Inserted::Nothing,
+            inserted: Vec::new(),
             departed: Vec::new(),
             order: None,
             decisions: Vec::new(),
@@ -1202,13 +1202,25 @@ mod tests {
         assert_eq!(session.partition(), snap.partition());
     }
 
-    fn temp_snap(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "probdedup-session-snap-{tag}-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("session.snap")
+    /// A per-test directory under the temp directory, removed with
+    /// everything in it when dropped — a failing assertion included.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "probdedup-session-snap-{tag}-{}",
+                std::process::id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            Self(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -1220,7 +1232,8 @@ mod tests {
             let mut session = pipeline.session();
             let before = session.run(&refs).unwrap();
             let renders = session.key_render_count();
-            let path = temp_snap(strategy.name());
+            let dir = TempDir::new(strategy.name());
+            let path = dir.0.join("session.snap");
             session.save(&path).unwrap();
 
             let mut reopened = DedupSession::open(&path, &pipeline).unwrap();
@@ -1243,7 +1256,6 @@ mod tests {
             let again = reopened.run(&refs).unwrap();
             assert_eq!(reopened.key_render_count(), renders, "{}", strategy.name());
             assert_eq!(before.decisions, again.decisions);
-            let _ = std::fs::remove_file(&path);
         }
     }
 

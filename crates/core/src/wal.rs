@@ -310,12 +310,6 @@ impl SessionJournal {
         Ok(())
     }
 
-    /// Highest sequence number this journal has committed (the value a
-    /// snapshot saved *now* should be compacted at).
-    pub fn last_seq(&self) -> u64 {
-        self.tail_seq
-    }
-
     /// The sequence floor recorded at the last compaction.
     pub fn base_seq(&self) -> u64 {
         self.base_seq
@@ -557,7 +551,7 @@ mod tests {
         journal
             .ingest(&mut live, &rel(&[("Tim", "smith")]))
             .unwrap();
-        assert_eq!(journal.last_seq(), 2);
+        assert_eq!(journal.tail_seq, 2);
         assert_eq!(live.journal_seq(), 2);
 
         // "kill -9": recover a fresh session purely from the journal.
@@ -566,7 +560,7 @@ mod tests {
         assert_eq!(replay.replayed, 2);
         assert_eq!(replay.skipped, 0);
         assert_eq!(replay.truncated_bytes, 0);
-        assert_eq!(journal2.last_seq(), 2);
+        assert_eq!(journal2.tail_seq, 2);
         assert_eq!(recovered.rows(), live.rows());
         assert_eq!(recovered.result().decisions, live.result().decisions);
         let _ = fs::remove_dir_all(&dir);
@@ -599,7 +593,7 @@ mod tests {
             assert_eq!(replay.replayed, 1, "cut at {cut}");
             assert_eq!(replay.truncated_bytes, cut - committed_len, "cut at {cut}");
             assert_eq!(recovered.rows(), 1, "cut at {cut}");
-            assert_eq!(j.last_seq(), 1);
+            assert_eq!(j.tail_seq, 1);
             assert_eq!(
                 fs::metadata(&wal).unwrap().len(),
                 committed_len,
@@ -679,7 +673,7 @@ mod tests {
         journal
             .ingest(&mut live, &rel(&[("Ann", "nurse")]))
             .unwrap();
-        assert_eq!(journal.last_seq(), 3);
+        assert_eq!(journal.tail_seq, 3);
         drop(journal);
 
         // Recover from snapshot + journal tail: only record 3 replays.
@@ -719,7 +713,7 @@ mod tests {
         let (j, replay) = SessionJournal::open_and_replay(&wal, &mut recovered).unwrap();
         assert_eq!(replay.replayed, 0);
         assert_eq!(replay.skipped, 2);
-        assert_eq!(j.last_seq(), 2);
+        assert_eq!(j.tail_seq, 2);
         assert_eq!(recovered.result().decisions, live.result().decisions);
         let _ = fs::remove_dir_all(&dir);
     }

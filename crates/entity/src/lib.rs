@@ -4,9 +4,8 @@
 //! The dedup pipeline ends with a Match / Possible / NonMatch partition
 //! of the candidate pairs; this crate turns that into *entities*: the
 //! verdicts are built into a signed, similarity-weighted [`MatchGraph`]
-//! (one CSR per sign, in two reads of the decisions), a
-//! [`ClusterStrategy`] partitions it, and [`EntityResolution::canonical_records`] fuses each cluster
-//! into one canonical record through `probdedup_core::fuse_xtuples`.
+//! (one CSR per sign, in two reads of the decisions), and a
+//! [`ClusterStrategy`] partitions it into entities.
 //!
 //! Three strategies compete on measured quality (`probdedup-eval`'s
 //! cluster metrics):

@@ -1,10 +1,7 @@
 //! Entity resolution proper: turn decided pairs into an
-//! [`EntityResolution`] under a [`ClusterStrategy`], with canonical-record
-//! fusion hooks.
+//! [`EntityResolution`] under a [`ClusterStrategy`].
 
-use probdedup_core::{fuse_xtuples, DedupResult, DedupSession, PairDecision};
-use probdedup_model::relation::XRelation;
-use probdedup_model::xtuple::XTuple;
+use probdedup_core::{DedupResult, DedupSession, PairDecision};
 
 use crate::cluster::{canonical_partition, components, greedy_pivot, repair};
 use crate::graph::{build, MatchGraph};
@@ -59,32 +56,6 @@ impl EntityResolution {
             .iter()
             .filter(|c| c.len() >= 2)
             .map(Vec::as_slice)
-    }
-
-    /// One canonical record per entity, in cluster order: cluster members
-    /// fused pairwise through [`fuse_xtuples`] (ascending row order, so
-    /// the fold is deterministic); singletons pass through unchanged.
-    /// `relation` must be the combined relation the resolution was
-    /// computed over.
-    pub fn canonical_records(&self, relation: &XRelation) -> Vec<XTuple> {
-        self.clusters
-            .iter()
-            .map(|cluster| {
-                let mut fused = relation
-                    .get(cluster[0])
-                    .expect("resolution rows index its relation")
-                    .clone();
-                for &row in &cluster[1..] {
-                    fused = fuse_xtuples(
-                        &fused,
-                        relation
-                            .get(row)
-                            .expect("resolution rows index its relation"),
-                    );
-                }
-                fused
-            })
-            .collect()
     }
 
     /// One-line report, e.g. `strategy correlation-repaired: 50 rows → 31

@@ -35,11 +35,6 @@ impl SizeHistogram {
     pub fn clusters(&self) -> usize {
         self.buckets.iter().map(|&(_, n)| n).sum()
     }
-
-    /// Largest cluster size (0 for an empty partition).
-    pub fn max_size(&self) -> usize {
-        self.buckets.last().map_or(0, |&(size, _)| size)
-    }
 }
 
 impl std::fmt::Display for SizeHistogram {
@@ -230,7 +225,6 @@ mod tests {
         assert_eq!(m.pairwise.f1, 1.0);
         assert_eq!(m.closest_cluster_f1, 1.0);
         assert_eq!(m.predicted_sizes.buckets, vec![(1, 4)]);
-        assert_eq!(m.predicted_sizes.max_size(), 1);
         assert_eq!(m.predicted_sizes.clusters(), 4);
     }
 

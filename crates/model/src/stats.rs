@@ -2,7 +2,7 @@
 //! experiment harness to characterize synthetic datasets and by examples to
 //! show what a dataset looks like.
 
-use crate::relation::{Relation, XRelation};
+use crate::relation::XRelation;
 use crate::world::world_count;
 use crate::xtuple::XTuple;
 
@@ -32,12 +32,6 @@ impl RelationStats {
     /// Compute statistics for an x-relation.
     pub fn for_xrelation(r: &XRelation) -> Self {
         Self::for_xtuples(r.xtuples())
-    }
-
-    /// Compute statistics for a dependency-free relation (via its x-view).
-    pub fn for_relation(r: &Relation) -> Self {
-        let xs: Vec<XTuple> = r.tuples().iter().map(XTuple::from_prob_tuple).collect();
-        Self::for_xtuples(&xs)
     }
 
     fn for_xtuples(xs: &[XTuple]) -> Self {
@@ -154,15 +148,15 @@ mod tests {
     #[test]
     fn stats_count_uncertain_values() {
         let s = Schema::new(["name", "job"]);
-        let mut r = Relation::new(s.clone());
-        r.push(
-            ProbTuple::builder(&s)
+        let mut r = XRelation::new(s.clone());
+        r.push(XTuple::from_prob_tuple(
+            &ProbTuple::builder(&s)
                 .dist("name", [("Tim", 0.6), ("Tom", 0.4)])
                 .pvalue("job", PValue::certain("machinist"))
                 .build()
                 .unwrap(),
-        );
-        let st = RelationStats::for_relation(&r);
+        ));
+        let st = RelationStats::for_xrelation(&r);
         assert_eq!(st.uncertain_values, 1);
         assert!(st.mean_value_entropy > 0.0);
     }

@@ -67,28 +67,9 @@ impl ProbTuple {
         self.probability
     }
 
-    /// Replace the membership probability (used by tests asserting that
-    /// similarity is invariant under membership scaling).
-    pub fn with_probability(mut self, p: f64) -> Result<Self, ModelError> {
-        let p = check_probability(p, "tuple membership")?;
-        if p == 0.0 {
-            return Err(ModelError::InvalidProbability {
-                value: 0.0,
-                context: "tuple membership (must be positive)",
-            });
-        }
-        self.probability = p;
-        Ok(self)
-    }
-
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.values.len()
-    }
-
-    /// Whether any attribute value is uncertain.
-    pub fn has_uncertain_values(&self) -> bool {
-        self.values.iter().any(|v| !v.is_certain())
     }
 }
 
@@ -194,7 +175,7 @@ mod tests {
         assert!((t.probability() - 0.6).abs() < 1e-12);
         assert_eq!(t.value(0).support_len(), 2);
         assert!(t.value(1).is_certain());
-        assert!(t.has_uncertain_values());
+        assert!(!t.value(0).is_certain());
     }
 
     #[test]
@@ -226,18 +207,6 @@ mod tests {
         assert!(r.is_err());
         let r = ProbTuple::builder(&schema()).probability(-0.5).build();
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn with_probability_replaces() {
-        let t = ProbTuple::builder(&schema())
-            .certain("name", "Tim")
-            .build()
-            .unwrap();
-        let t2 = t.clone().with_probability(0.25).unwrap();
-        assert!((t2.probability() - 0.25).abs() < 1e-12);
-        assert_eq!(t.values(), t2.values());
-        assert!(t.clone().with_probability(0.0).is_err());
     }
 
     #[test]

@@ -84,12 +84,6 @@ pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 /// Tolerance used when validating probability sums.
 pub const PROB_EPS: f64 = 1e-9;
 
-/// Whether two floats are equal within `eps` (absolute).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
-    (a - b).abs() <= eps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,11 +142,5 @@ mod tests {
         for (name, max) in families {
             assert!(max <= 8, "{name}: {max} keys share one low-12-bit bucket");
         }
-    }
-
-    #[test]
-    fn approx_eq_tolerance() {
-        assert!(approx_eq(0.1 + 0.2, 0.3, 1e-12));
-        assert!(!approx_eq(0.1, 0.2, 1e-3));
     }
 }

@@ -7,32 +7,32 @@
 //! the same tuple within one block are removed, and repeated matchings
 //! across blocks are suppressed — Fig. 14's walkthrough).
 //!
-//! The two world-independent adaptations have one implementation, the
-//! warm [`IncrementalBlocks`]: [`block_alternatives`] and
-//! [`block_conflict_resolved`] feed a fresh state once and read its pairs
-//! and its Fig. 14 block view. Multi-pass blocking buckets each selected
-//! world afresh off one shared [`KeyTable`].
+//! A block is a **run of equal keys** in the `(rank, tuple)`-sorted entry
+//! list SNM already keeps ([`for_each_block`]): blocking and SNM share the
+//! list and differ only in what they emit from it — every pair of a run,
+//! or every pair within a window. The two world-independent adaptations
+//! are the warm [`IncrementalSnm`] under run emission:
+//! [`block_alternatives`] and [`block_conflict_resolved`] feed a fresh
+//! state once and read its pairs and its Fig. 14 block view. Multi-pass
+//! blocking is a run sink over the world passes of [`crate::multipass`].
 //!
-//! Blocks are keyed on **interned key symbols** ([`KeySymbol`]): the key
-//! table renders each distinct `(value, prefix)` once, and every insertion
-//! afterwards is a single integer-keyed hash probe — symbol equality *is*
-//! key equality. Per-block membership stays O(1) via a small-vec scan that
-//! spills into an `FxHashSet` past a handful of members. Blocks emit their
-//! pairs in sorted-key order (by integer rank), so results are byte-for-byte
+//! Keys are **interned key symbols** ([`KeySymbol`]) sorted by integer
+//! rank, so symbol equality *is* key equality and runs come out in
+//! sorted-key order, members ascending — results are byte-for-byte
 //! identical to the string-keyed oracles kept test-only in
 //! `src/interned_oracle.rs`.
 
 use std::collections::BTreeMap;
 
-use probdedup_model::intern::{KeyRanks, KeySymbol};
-use probdedup_model::util::{FxHashMap, FxHashSet};
+use probdedup_model::intern::KeySymbol;
 use probdedup_model::xtuple::XTuple;
 
 use crate::conflict::ConflictResolution;
-use crate::incremental::{IncrementalBlocks, Keying};
+use crate::incremental::{IncrementalSnm, Keying};
 use crate::key::{KeySpec, KeyTable};
-use crate::multipass::{select_worlds, WorldSelection};
+use crate::multipass::{for_each_world_pass, WorldSelection};
 use crate::pairs::CandidatePairs;
+use crate::snm::InternedSnmEntry;
 
 /// Result of a blocking run: candidate pairs plus the blocks themselves
 /// (deterministically ordered by key) for inspection and figures.
@@ -44,57 +44,26 @@ pub struct BlockingResult {
     pub blocks: BTreeMap<String, Vec<usize>>,
 }
 
-/// Members beyond which a block's membership test spills from a linear
-/// small-vec scan into a hash set.
-const SPILL_THRESHOLD: usize = 16;
-
-/// One block under construction: members in first-insertion order and
-/// (for large blocks) a spill set for O(1) membership tests.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Block {
-    members: Vec<usize>,
-    spill: Option<FxHashSet<usize>>,
+/// The tuples of `run`, a run of equal keys of a sorted entry list, into
+/// `members`: ascending, each once ("if an x-tuple is allocated to a
+/// single block for multiple times, except for one, all entries of this
+/// tuple are removed" — Fig. 14). Entries sort by `(rank, tuple)`, so a
+/// tuple's repeats within a run are adjacent.
+pub(crate) fn run_members(run: &[InternedSnmEntry], members: &mut Vec<usize>) {
+    members.clear();
+    members.extend(run.iter().map(|e| e.tuple));
+    members.dedup();
 }
 
-impl Block {
-    /// The members in first-insertion order.
-    pub(crate) fn members(&self) -> &[usize] {
-        &self.members
+/// The blocks of a sorted entry list: every maximal run of equal keys, in
+/// list (sorted-key) order, as `f(key, members)` with the members of
+/// [`run_members`].
+pub(crate) fn for_each_block(entries: &[InternedSnmEntry], mut f: impl FnMut(KeySymbol, &[usize])) {
+    let mut members = Vec::new();
+    for run in entries.chunk_by(|a, b| a.key == b.key) {
+        run_members(run, &mut members);
+        f(run[0].key, &members);
     }
-
-    /// Insert `tuple` unless already present ("if an x-tuple is allocated
-    /// to a single block for multiple times, except for one, all entries of
-    /// this tuple are removed" — Fig. 14). O(1): small blocks scan ≤
-    /// [`SPILL_THRESHOLD`] entries, larger ones consult the spill set.
-    pub(crate) fn insert(&mut self, tuple: usize) {
-        match &mut self.spill {
-            Some(set) => {
-                if set.insert(tuple) {
-                    self.members.push(tuple);
-                }
-            }
-            None => {
-                if !self.members.contains(&tuple) {
-                    self.members.push(tuple);
-                    if self.members.len() > SPILL_THRESHOLD {
-                        self.spill = Some(self.members.iter().copied().collect());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The blocks of `blocks` in sorted-key order, by integer rank — the
-/// order every blocking adaptation (and the string oracles) emits pairs
-/// in.
-pub(crate) fn sorted_blocks<'a>(
-    blocks: &'a FxHashMap<KeySymbol, Block>,
-    ranks: &KeyRanks,
-) -> Vec<(KeySymbol, &'a Block)> {
-    let mut order: Vec<(KeySymbol, &Block)> = blocks.iter().map(|(&k, b)| (k, b)).collect();
-    order.sort_unstable_by_key(|&(k, _)| ranks.rank(k));
-    order
 }
 
 /// All within-block pairs of one block, in member order.
@@ -106,38 +75,10 @@ pub(crate) fn emit_block_pairs(members: &[usize], pairs: &mut CandidatePairs) {
     }
 }
 
-/// The loop over the selected worlds — the only one the blocking family
-/// has: resolve `selection` (which worlds, in which order, at what cost:
-/// [`top_k_worlds`](probdedup_model::world::top_k_worlds)), and per world
-/// (pass `0, 1, …` in selection order) bucket every tuple under its chosen
-/// alternative's key symbol off `table` and visit that world's blocks in
-/// sorted-key order as `f(pass, key, members)`. Pure integer work per
-/// pass — zero key renders, which the reduction property tests assert via
-/// [`KeyTable::render_count`]. `table` must cover `tuples` and may cover
-/// later rows, which are left out.
-pub(crate) fn for_each_multipass_block(
-    tuples: &[XTuple],
-    table: &KeyTable,
-    selection: WorldSelection,
-    mut f: impl FnMut(usize, &str, &[usize]),
-) {
-    debug_assert!(tuples.len() <= table.len(), "table must cover the corpus");
-    for (pass, world) in select_worlds(tuples, selection).iter().enumerate() {
-        let mut blocks: FxHashMap<KeySymbol, Block> = FxHashMap::default();
-        for i in 0..tuples.len() {
-            let alt = world.choices[i].expect("full world");
-            let key = table.alternative_keys(i)[alt];
-            blocks.entry(key).or_default().insert(i);
-        }
-        for (key, block) in sorted_blocks(&blocks, table.ranks()) {
-            f(pass, table.resolve(key), block.members());
-        }
-    }
-}
-
-/// A fresh [`IncrementalBlocks`] fed `tuples` once: its pairs and blocks.
+/// A fresh run-emitting [`IncrementalSnm`] fed `tuples` once: its pairs
+/// and blocks.
 fn block_once(tuples: &[XTuple], spec: &KeySpec, keying: Keying) -> BlockingResult {
-    let mut state = IncrementalBlocks::new(spec.clone(), keying);
+    let mut state = IncrementalSnm::blocking(spec.clone(), keying);
     state.ingest(tuples, 0);
     BlockingResult {
         pairs: state.current_pairs(tuples.len()),
@@ -166,7 +107,7 @@ pub fn block_conflict_resolved(
 /// Multi-pass blocking over selected possible worlds ("a multi-pass over
 /// some finely chosen worlds seems to be an option"). Pairs are unioned;
 /// the returned blocks are those of the **first** pass (for inspection).
-/// The [`KeyTable`] is built once; every pass is then integer bucketing.
+/// The [`KeyTable`] is built once; every pass is then a rank sort.
 pub fn block_multipass(
     tuples: &[XTuple],
     spec: &KeySpec,
@@ -177,11 +118,15 @@ pub fn block_multipass(
     let table = spec.key_table(tuples);
     let mut pairs = CandidatePairs::new(tuples.len());
     let mut blocks = BTreeMap::new();
-    for_each_multipass_block(tuples, &table, selection, |pass, key, members| {
-        emit_block_pairs(members, &mut pairs);
-        if pass == 0 {
-            blocks.insert(key.to_string(), members.to_vec());
-        }
+    let mut first = true;
+    for_each_world_pass(tuples, &table, selection, |_, entries| {
+        for_each_block(entries, |key, members| {
+            emit_block_pairs(members, &mut pairs);
+            if first {
+                blocks.insert(table.resolve(key).to_string(), members.to_vec());
+            }
+        });
+        first = false;
     });
     BlockingResult { pairs, blocks }
 }
@@ -198,8 +143,8 @@ pub fn block_multipass_with_table(
     selection: WorldSelection,
 ) -> CandidatePairs {
     let mut pairs = CandidatePairs::new(tuples.len());
-    for_each_multipass_block(tuples, table, selection, |_, _, members| {
-        emit_block_pairs(members, &mut pairs)
+    for_each_world_pass(tuples, table, selection, |_, entries| {
+        for_each_block(entries, |_, members| emit_block_pairs(members, &mut pairs));
     });
     pairs
 }
@@ -354,13 +299,12 @@ mod tests {
     }
 
     #[test]
-    fn large_block_membership_spills_and_stays_deduped() {
-        // Enough same-key tuples to cross SPILL_THRESHOLD, each with two
-        // identical alternative keys (forcing a duplicate insertion per
-        // tuple): membership must stay deduped across the spill boundary
-        // and insertion order preserved.
+    fn repeated_alternative_keys_in_a_large_block_stay_deduped() {
+        // Many same-key tuples, each with two identical alternative keys
+        // (a duplicate entry per tuple in one long run): every tuple joins
+        // the block once, in insertion order.
         let s = Schema::new(["name", "job"]);
-        let n = 3 * SPILL_THRESHOLD;
+        let n = 48;
         let tuples: Vec<XTuple> = (0..n)
             .map(|_| {
                 XTuple::builder(&s)

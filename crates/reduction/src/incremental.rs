@@ -1,4 +1,4 @@
-//! The warm reduction states: the one implementation of each keyed §V
+//! The warm reduction state: the one implementation of each keyed §V
 //! adaptation — conflict-resolved SNM (Fig. 10), sorting alternatives
 //! (Fig. 11) and blocking by alternative or resolved keys (Fig. 14).
 //!
@@ -8,46 +8,43 @@
 //! [`conflict_resolved_snm`](crate::conflict::conflict_resolved_snm),
 //! [`block_alternatives`](crate::blocking::block_alternatives) and
 //! [`block_conflict_resolved`](crate::blocking::block_conflict_resolved)
-//! are a fresh state fed once and read once:
+//! are a fresh state fed once and read once.
 //!
-//! * [`IncrementalSnm`] — a [`KeyTable`] plus the rank-sorted entry list.
-//!   Ingesting a batch interns the new tuples' keys in **one** table
-//!   absorb (cached prefix renders make already-seen values free) and
-//!   **rank-inserts** the new entries into the resident sorted order —
-//!   binary-searched slots, never a full re-sort.
-//! * [`IncrementalBlocks`] — resident symbol-keyed blocks: each new tuple
-//!   joins its blocks with one integer-keyed probe per key.
+//! The state, [`IncrementalSnm`], is a [`KeyTable`] plus the rank-sorted
+//! entry list. Ingesting a batch interns the new tuples' keys in **one**
+//! table absorb (cached prefix renders make already-seen values free) and
+//! **rank-inserts** the new entries into the resident sorted order —
+//! binary-searched slots, never a full re-sort. [`Keying`] picks which
+//! keys enter the list: one per alternative, or one conflict-resolved key
+//! per tuple. The strategy picks the emission rule: SNM windows of `w`
+//! entries ([`IncrementalSnm::new`]) or blocking, where each run of equal
+//! keys is a block ([`IncrementalSnm::blocking`]).
 //!
-//! [`Keying`] picks the adaptation: one key per alternative, or one
-//! conflict-resolved key per tuple.
-//!
-//! Each state answers two questions about its candidate set. **What is
+//! The state answers two questions about its candidate set. **What is
 //! it?** — `current_pairs(rows)` re-emits the whole set over rows
 //! `0..rows`: the same pairs, in the same order, as the string oracle
 //! over the same corpus, for **any batch split** (property-tested in
 //! `src/interned_oracle.rs` and end-to-end in `tests/`). Rows past `rows`
 //! are left out, so a batch grown into the state but not yet published
 //! changes nothing a reader is answered. **What did this batch change?** —
-//! `ingest` grows the state and returns what it inserted (the positions
-//! the new entries landed at, or the keys of the blocks they joined);
-//! `delta` reads a [`CandidateDelta`] off that through `&self` (a local
-//! window re-scan around each new entry, or the blocks that gained a
-//! member): work proportional to the batch, not to the corpus, and no
+//! `ingest` grows the state and returns the positions the new entries
+//! landed at; `delta` reads a [`CandidateDelta`] off them through `&self`
+//! (a local window re-scan around each new entry, or the runs that gained
+//! an entry): work proportional to the batch, not to the corpus, and no
 //! write. Applying the deltas of
 //! successive batches to a set reproduces `current_pairs` after every
 //! batch, and re-ingesting values the pools have already seen performs
 //! **zero** key renders (asserted via [`KeyTable::render_count`]).
-//! [`IncrementalSnm::order`] and [`IncrementalBlocks::blocks`] are the
+//! [`IncrementalSnm::order`] and [`IncrementalSnm::blocks`] are the
 //! inspection views the figures print.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use probdedup_model::intern::KeySymbol;
-use probdedup_model::util::{FxHashMap, FxHashSet};
+use probdedup_model::util::FxHashSet;
 use probdedup_model::xtuple::XTuple;
 
-use crate::blocking::{emit_block_pairs, sorted_blocks, Block};
+use crate::blocking::{emit_block_pairs, for_each_block, run_members};
 use crate::conflict::{resolve_key_symbol, ConflictResolution};
 use crate::key::{insert_sorted, KeySpec, KeyTable};
 use crate::pairs::CandidatePairs;
@@ -176,10 +173,53 @@ fn window_delta(
     delta
 }
 
-/// How each tuple contributes keys to a warm state — sorted-neighborhood
-/// entries or block memberships (the world-independent flavours;
-/// multi-pass over worlds regenerates per pass from a shared [`KeyTable`]
-/// instead).
+/// The delta of run emission over `entries` (sorted) after the entries at
+/// positions `fresh` (ascending; exactly those of tuples `start..`) were
+/// inserted: every run of equal keys holding a fresh position emits its
+/// pairs with a new row, runs in list order. Runs only grow, so nothing
+/// departs. With one key per alternative (`multi`) a pair can share
+/// several runs and is reported at the first.
+fn run_delta(
+    entries: &[InternedSnmEntry],
+    fresh: &[usize],
+    start: usize,
+    multi: bool,
+) -> CandidateDelta {
+    let mut delta = CandidateDelta::default();
+    let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
+    let mut members = Vec::new();
+    let mut k = 0;
+    while k < fresh.len() {
+        let key = entries[fresh[k]].key;
+        let lo = entries[..fresh[k]]
+            .iter()
+            .rposition(|e| e.key != key)
+            .map_or(0, |q| q + 1);
+        let hi = entries[fresh[k]..]
+            .iter()
+            .position(|e| e.key != key)
+            .map_or(entries.len(), |q| fresh[k] + q);
+        while k < fresh.len() && fresh[k] < hi {
+            k += 1;
+        }
+        // Members ascend: the new ones are a suffix, and each `(i, j)`
+        // below already has `i < j`.
+        run_members(&entries[lo..hi], &mut members);
+        let new_from = members.partition_point(|&m| m < start);
+        for (a, &i) in members.iter().enumerate() {
+            for &j in &members[(a + 1).max(new_from)..] {
+                if !multi || reported.insert((i, j)) {
+                    delta.arrived.push((i, j));
+                }
+            }
+        }
+    }
+    delta
+}
+
+/// Which keys each tuple contributes to the sorted entry list (the
+/// world-independent flavours; multi-pass over worlds regenerates per
+/// pass from a shared [`KeyTable`] instead).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keying {
     /// One key per alternative: sorting alternatives (Fig. 11, windowed
@@ -222,13 +262,16 @@ fn intern_keys(
     }
 }
 
-/// Persistent sorted-neighborhood state: the warm [`KeyTable`] and the
-/// entry list kept sorted by `(key string, tuple)` across ingests.
+/// Persistent sorted-entry state: the warm [`KeyTable`] and the entry
+/// list kept sorted by `(key string, tuple)` across ingests, emitting SNM
+/// windows or blocking runs.
 #[derive(Debug, Clone)]
 pub struct IncrementalSnm {
     table: KeyTable,
     keying: Keying,
-    window: usize,
+    /// The SNM window; `None` emits each run of equal keys as a block
+    /// instead.
+    window: Option<usize>,
     /// Sorted by `(resolved key, tuple)`, stable by arrival order —
     /// exactly the order a one-shot stable sort of all entries produces.
     entries: Vec<InternedSnmEntry>,
@@ -236,8 +279,18 @@ pub struct IncrementalSnm {
 }
 
 impl IncrementalSnm {
-    /// Empty state for `spec`; grow with [`IncrementalSnm::ingest`].
+    /// Empty SNM state for `spec`, windowed at `window`; grow with
+    /// [`IncrementalSnm::ingest`].
     pub fn new(spec: KeySpec, keying: Keying, window: usize) -> Self {
+        Self::with_window(spec, keying, Some(window))
+    }
+
+    /// Empty blocking state for `spec`: each run of equal keys is a block.
+    pub fn blocking(spec: KeySpec, keying: Keying) -> Self {
+        Self::with_window(spec, keying, None)
+    }
+
+    fn with_window(spec: KeySpec, keying: Keying, window: Option<usize>) -> Self {
         Self {
             table: KeyTable::empty(spec),
             keying,
@@ -285,8 +338,9 @@ impl IncrementalSnm {
 
     /// What the last [`ingest`](Self::ingest) — rows `start..`, its
     /// entries at `fresh` — changed in the candidate set: a local re-scan
-    /// around the inserted entries, never a pass over the resident list
-    /// (see [`CandidateDelta`]). Valid until the next write.
+    /// around the inserted entries, or the runs they joined, never a pass
+    /// over the resident list (see [`CandidateDelta`]). Valid until the
+    /// next write.
     ///
     /// Under [`Keying::PerAlternative`] a pair can meet in several
     /// windows, so a pair that lost a witness next to an insertion only
@@ -294,17 +348,20 @@ impl IncrementalSnm {
     /// by locating the first tuple's entries through its table row.
     pub fn delta(&self, fresh: &[usize], start: usize) -> CandidateDelta {
         let multi = self.keying == Keying::PerAlternative;
-        window_delta(&self.entries, fresh, start, self.window, multi, |a, b| {
-            self.still_witnessed(a, b)
-        })
+        match self.window {
+            Some(window) => window_delta(&self.entries, fresh, start, window, multi, |a, b| {
+                self.still_witnessed(a, b, window)
+            }),
+            None => run_delta(&self.entries, fresh, start, multi),
+        }
     }
 
     /// Whether tuples `a` and `b` still meet in some window of the
     /// collapsed list ([`Keying::PerAlternative`] only): every entry of
     /// `a` is located through its table row and its window searched, in
     /// both directions, for an entry of `b`.
-    fn still_witnessed(&self, a: usize, b: usize) -> bool {
-        let window = self.window.max(2);
+    fn still_witnessed(&self, a: usize, b: usize, window: usize) -> bool {
+        let window = window.max(2);
         let tuple = |q: usize| self.entries[q].tuple;
         let kept = |q: usize| q == 0 || tuple(q - 1) != tuple(q);
         let ranks = self.table.ranks();
@@ -332,15 +389,15 @@ impl IncrementalSnm {
         self.n_tuples = 0;
     }
 
-    /// The full candidate set over rows `0..rows`: a window scan of the
-    /// resident sorted list with the entries of later rows left out —
-    /// byte-identical pairs, in the same order, as the string oracle over
-    /// those rows. Insertion never reorders resident entries, so the set
-    /// over a prefix of the ingested rows is the set as it stood before
-    /// the later rows arrived — what a reader is answered while a grown
-    /// batch is not yet published. `rows = len()` is everything.
+    /// The full candidate set over rows `0..rows`: a window scan, or a
+    /// walk over the runs, of the resident sorted list with the entries of
+    /// later rows left out — byte-identical pairs, in the same order, as
+    /// the string oracle over those rows. Insertion never reorders
+    /// resident entries, so the set over a prefix of the ingested rows is
+    /// the set as it stood before the later rows arrived — what a reader
+    /// is answered while a grown batch is not yet published. `rows =
+    /// len()` is everything.
     pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
-        let skip = self.keying == Keying::PerAlternative;
         let entries: Cow<'_, [InternedSnmEntry]> = if rows >= self.n_tuples {
             Cow::Borrowed(&self.entries)
         } else {
@@ -350,7 +407,17 @@ impl IncrementalSnm {
                 .copied()
                 .collect()
         };
-        windowed_pairs(&entries, self.window, rows, skip)
+        match self.window {
+            Some(window) => {
+                let skip = self.keying == Keying::PerAlternative;
+                windowed_pairs(&entries, window, rows, skip)
+            }
+            None => {
+                let mut pairs = CandidatePairs::new(rows);
+                for_each_block(&entries, |_, members| emit_block_pairs(members, &mut pairs));
+                pairs
+            }
+        }
     }
 
     /// Every ingested entry in sorted order, keys resolved to strings —
@@ -361,121 +428,15 @@ impl IncrementalSnm {
         let entry = |e: &InternedSnmEntry| SnmEntry::new(self.table.resolve(e.key), e.tuple);
         self.entries.iter().map(entry).collect()
     }
-}
 
-/// Persistent blocking state: resident symbol-keyed blocks over a warm
-/// [`KeyTable`]. Ingesting a tuple is one integer-keyed probe per key;
-/// no key string is re-rendered, hashed or compared.
-#[derive(Debug, Clone)]
-pub struct IncrementalBlocks {
-    table: KeyTable,
-    keying: Keying,
-    blocks: FxHashMap<KeySymbol, Block>,
-    n_tuples: usize,
-}
-
-impl IncrementalBlocks {
-    /// Empty state for `spec`; grow with [`IncrementalBlocks::ingest`].
-    pub fn new(spec: KeySpec, keying: Keying) -> Self {
-        Self {
-            table: KeyTable::empty(spec),
-            keying,
-            blocks: FxHashMap::default(),
-            n_tuples: 0,
-        }
-    }
-
-    /// Number of tuples ingested so far.
-    pub fn len(&self) -> usize {
-        self.n_tuples
-    }
-
-    /// Whether no tuples have been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.n_tuples == 0
-    }
-
-    /// Key renders performed since construction.
-    pub fn render_count(&self) -> u64 {
-        self.table.render_count()
-    }
-
-    /// Ingest `tuples` as combined rows `start..`: each joins the blocks
-    /// of its keys (per-block membership stays deduplicated). Returns the
-    /// key of every insertion, repeats included, for
-    /// [`delta`](Self::delta).
-    pub fn ingest(&mut self, tuples: &[XTuple], start: usize) -> Vec<KeySymbol> {
-        debug_assert_eq!(start, self.n_tuples, "batches must arrive in row order");
-        let joined = intern_keys(&mut self.table, self.keying, tuples, start);
-        for e in &joined {
-            self.blocks.entry(e.key).or_default().insert(e.tuple);
-        }
-        self.n_tuples = start + tuples.len();
-        joined.into_iter().map(|e| e.key).collect()
-    }
-
-    /// What the last [`ingest`](Self::ingest) — rows `start..`, joined to
-    /// the blocks `grown` — changed in the candidate set: the pairs each
-    /// block that gained a member emits with a new row, blocks in
-    /// sorted-key order. Blocks only grow, so nothing ever departs. Valid
-    /// until the next write.
-    pub fn delta(&self, grown: &[KeySymbol], start: usize) -> CandidateDelta {
-        let mut grown = grown.to_vec();
-        let ranks = self.table.ranks();
-        grown.sort_unstable_by_key(|&k| ranks.rank(k));
-        grown.dedup();
-        // Per-alternative keying can put a pair into several blocks.
-        let multi = self.keying == Keying::PerAlternative;
-        let mut reported: FxHashSet<(usize, usize)> = FxHashSet::default();
-        let mut delta = CandidateDelta::default();
-        for key in grown {
-            // Members ascend (rows arrive in order): the new ones are a
-            // suffix, and `(i, j)` below is already `(lo, hi)`.
-            let members = self.blocks[&key].members();
-            let new_from = members.partition_point(|&m| m < start);
-            for (a, &i) in members.iter().enumerate() {
-                for &j in &members[(a + 1).max(new_from)..] {
-                    if !multi || reported.insert((i, j)) {
-                        delta.arrived.push((i, j));
-                    }
-                }
-            }
-        }
-        delta
-    }
-
-    /// Drop the blocks and table rows but keep the warm pools.
-    pub fn reset_rows(&mut self) {
-        self.blocks.clear();
-        self.table.clear_rows();
-        self.n_tuples = 0;
-    }
-
-    /// The full candidate set over rows `0..rows` (later members left out,
-    /// as for [`IncrementalSnm::current_pairs`]): within-block pairs in
-    /// sorted-key order (by the table's integer ranks — no string is
-    /// resolved), identical pairs and order to the string oracle over
-    /// those rows.
-    pub fn current_pairs(&self, rows: usize) -> CandidatePairs {
-        let mut pairs = CandidatePairs::new(rows);
-        for (_, block) in sorted_blocks(&self.blocks, self.table.ranks()) {
-            // Members ascend: the published ones are a prefix.
-            let members = block.members();
-            emit_block_pairs(
-                &members[..members.partition_point(|&m| m < rows)],
-                &mut pairs,
-            );
-        }
-        pairs
-    }
-
-    /// Every block of the ingested rows: key → members in first-insertion
-    /// order (Fig. 14).
+    /// Every block of the ingested rows — the runs of equal keys: key →
+    /// members in first-insertion order (Fig. 14).
     pub fn blocks(&self) -> BTreeMap<String, Vec<usize>> {
-        let block = |(&k, b): (&KeySymbol, &Block)| {
-            (self.table.resolve(k).to_string(), b.members().to_vec())
-        };
-        self.blocks.iter().map(block).collect()
+        let mut blocks = BTreeMap::new();
+        for_each_block(&self.entries, |key, members| {
+            blocks.insert(self.table.resolve(key).to_string(), members.to_vec());
+        });
+        blocks
     }
 }
 
@@ -608,8 +569,8 @@ mod tests {
             ConflictResolution::MostProbableAlternative,
         );
         for split in splits(tuples.len()) {
-            let mut alt = IncrementalBlocks::new(fig14.clone(), Keying::PerAlternative);
-            let mut res = IncrementalBlocks::new(
+            let mut alt = IncrementalSnm::blocking(fig14.clone(), Keying::PerAlternative);
+            let mut res = IncrementalSnm::blocking(
                 fig14.clone(),
                 Keying::Resolved(ConflictResolution::MostProbableAlternative),
             );
@@ -630,41 +591,18 @@ mod tests {
         }
     }
 
-    /// One of the two states behind a common face, for the delta
-    /// properties below.
-    enum State {
-        Snm(IncrementalSnm),
-        Blocks(IncrementalBlocks),
-    }
-
-    impl State {
-        fn ingest_delta(&mut self, tuples: &[XTuple], start: usize) -> CandidateDelta {
-            match self {
-                Self::Snm(s) => {
-                    let fresh = s.ingest(tuples, start);
-                    s.delta(&fresh, start)
-                }
-                Self::Blocks(b) => {
-                    let grown = b.ingest(tuples, start);
-                    b.delta(&grown, start)
-                }
-            }
-        }
-
-        fn current_pairs(&self, rows: usize) -> CandidatePairs {
-            match self {
-                Self::Snm(s) => s.current_pairs(rows),
-                Self::Blocks(b) => b.current_pairs(rows),
-            }
-        }
+    /// Ingest one batch and read its delta.
+    fn ingest_delta(state: &mut IncrementalSnm, tuples: &[XTuple], start: usize) -> CandidateDelta {
+        let fresh = state.ingest(tuples, start);
+        state.delta(&fresh, start)
     }
 
     /// Every delta-emitting flavour over `spec` at `window`.
-    fn states(spec: &KeySpec, window: usize) -> Vec<(&'static str, State)> {
+    fn states(spec: &KeySpec, window: usize) -> Vec<(&'static str, IncrementalSnm)> {
         let mpa = ConflictResolution::MostProbableAlternative;
         let mpk = ConflictResolution::MostProbableKey;
-        let snm = |keying| State::Snm(IncrementalSnm::new(spec.clone(), keying, window));
-        let blocks = |keying| State::Blocks(IncrementalBlocks::new(spec.clone(), keying));
+        let snm = |keying| IncrementalSnm::new(spec.clone(), keying, window);
+        let blocks = |keying| IncrementalSnm::blocking(spec.clone(), keying);
         vec![
             ("snm per-alternative", snm(Keying::PerAlternative)),
             ("snm resolved mpa", snm(Keying::Resolved(mpa))),
@@ -680,12 +618,17 @@ mod tests {
     /// previous set held and the regenerated one does not, and the two
     /// never overlap. The set over the rows before the batch is, after it,
     /// still the one from before it (the prefix rule).
-    fn assert_deltas_track(label: &str, state: &mut State, tuples: &[XTuple], sizes: &[usize]) {
+    fn assert_deltas_track(
+        label: &str,
+        state: &mut IncrementalSnm,
+        tuples: &[XTuple],
+        sizes: &[usize],
+    ) {
         let mut held: FxHashSet<(usize, usize)> = FxHashSet::default();
         let mut start = 0;
         for &size in sizes {
             let before = state.current_pairs(start);
-            let delta = state.ingest_delta(&tuples[start..start + size], start);
+            let delta = ingest_delta(state, &tuples[start..start + size], start);
             let current = state.current_pairs(start + size);
             let label = format!("{label}, rows {start}..{} of {sizes:?}", start + size);
             assert_eq!(state.current_pairs(start), before, "{label}: prefix");
@@ -855,11 +798,11 @@ mod tests {
         for window in [2, 3, 5] {
             let mut grown = states(&spec(), window);
             for (_, state) in &mut grown {
-                state.ingest_delta(&tuples, 0);
+                ingest_delta(state, &tuples, 0);
             }
             for rows in 0..=tuples.len() {
                 for ((label, grown), (_, mut fresh)) in grown.iter().zip(states(&spec(), window)) {
-                    fresh.ingest_delta(&tuples[..rows], 0);
+                    ingest_delta(&mut fresh, &tuples[..rows], 0);
                     assert_eq!(
                         grown.current_pairs(rows).pairs(),
                         fresh.current_pairs(rows).pairs(),
@@ -901,7 +844,7 @@ mod tests {
         inc.ingest(&tuples[..2], tuples.len());
         assert_eq!(inc.render_count(), renders);
 
-        let mut blocks = IncrementalBlocks::new(spec(), Keying::PerAlternative);
+        let mut blocks = IncrementalSnm::blocking(spec(), Keying::PerAlternative);
         blocks.ingest(&tuples, 0);
         let renders = blocks.render_count();
         blocks.reset_rows();
@@ -914,7 +857,7 @@ mod tests {
         let inc = IncrementalSnm::new(spec(), Keying::PerAlternative, 2);
         assert!(inc.is_empty());
         assert!(inc.current_pairs(0).is_empty());
-        let blocks = IncrementalBlocks::new(spec(), Keying::PerAlternative);
+        let blocks = IncrementalSnm::blocking(spec(), Keying::PerAlternative);
         assert!(blocks.is_empty());
         assert!(blocks.current_pairs(0).is_empty());
     }

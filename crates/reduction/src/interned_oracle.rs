@@ -28,7 +28,7 @@ use crate::blocking::{
     emit_block_pairs, BlockingResult,
 };
 use crate::conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
-use crate::incremental::{IncrementalBlocks, IncrementalSnm, Keying};
+use crate::incremental::{IncrementalSnm, Keying};
 use crate::key::{KeyPart, KeySpec};
 use crate::multipass::{
     multipass_snm, multipass_snm_with_table, select_worlds, MultipassResult, WorldSelection,
@@ -447,7 +447,7 @@ proptest! {
                 prop_assert_eq!(got.pairs(), pairs.pairs(), "{}", &label);
                 prop_assert_eq!(&order, &oracle_order, "{}", &label);
             }
-            let mut state = IncrementalBlocks::new(spec.clone(), keying);
+            let mut state = IncrementalSnm::blocking(spec.clone(), keying);
             feed_in_batches(n, &cuts, |rows| {
                 state.ingest(&tuples[rows.clone()], rows.start);
             });

@@ -16,8 +16,8 @@
 //! * the **interned path** ([`KeyTable`], built by [`KeySpec::key_table`])
 //!   renders each distinct `(value, prefix length)` once into a
 //!   [`KeyPool`] and hands out dense
-//!   [`KeySymbol`]s plus a lexicographic rank table, so blocking buckets
-//!   and SNM sorts are pure integer work — multi-pass methods become
+//!   [`KeySymbol`]s plus a lexicographic rank table, so the SNM and
+//!   blocking sorts are pure integer work — multi-pass methods become
 //!   sort-only after the table is built.
 
 use probdedup_model::intern::{KeyPool, KeyRanks, KeySymbol, ValuePool};
@@ -90,18 +90,6 @@ impl KeySpec {
     /// The parts.
     pub fn parts(&self) -> &[KeyPart] {
         &self.parts
-    }
-
-    /// Key for a row of **certain** outcomes (one `Option<&Value>` per
-    /// attribute; `None` = ⊥).
-    pub fn key_of_outcomes(&self, outcomes: &[Option<&Value>]) -> String {
-        let mut key = String::new();
-        for part in &self.parts {
-            if let Some(v) = outcomes[part.attr] {
-                key.push_str(&part.render(v));
-            }
-        }
-        key
     }
 
     /// Key distribution of a row of possibly-uncertain values: the cartesian
@@ -229,7 +217,7 @@ impl KeySpec {
 
     /// Build the cached key table of this spec over `tuples`: every
     /// alternative's key as a [`KeySymbol`], with all prefix rendering done
-    /// **here, once** — consumers (blocking buckets, SNM passes) never
+    /// **here, once** — consumers (SNM and blocking passes) never
     /// touch key strings again. See [`KeyTable`].
     pub fn key_table(&self, tuples: &[XTuple]) -> KeyTable {
         let mut table = KeyTable::empty(self.clone());
@@ -473,9 +461,9 @@ pub(crate) fn insert_sorted<T>(
 /// lexicographic rank table.
 ///
 /// Built by [`KeySpec::key_table`] — this is where **all** key rendering
-/// happens. Between growth operations the table is read-only: blocking
-/// buckets on `KeySymbol`s directly, SNM sorts by [`KeyTable::rank`]
-/// (integer compares, byte-identical order to string sorting), and
+/// happens. Between growth operations the table is read-only: SNM and
+/// blocking sort by [`KeyTable::rank`] (integer compares, byte-identical
+/// order to string sorting; a block is a run of equal symbols), and
 /// multi-pass methods reuse the same table across passes, so passes ≥ 2
 /// perform zero renders and zero allocations — the property tests assert
 /// this via [`KeyTable::render_count`].
@@ -633,18 +621,17 @@ mod tests {
 
     #[test]
     fn certain_key_construction() {
-        let john = Value::from("John");
-        let pilot = Value::from("pilot");
-        let outcomes = [Some(&john), Some(&pilot)];
-        assert_eq!(spec().key_of_outcomes(&outcomes), "Johpi");
+        let values = [PValue::certain("John"), PValue::certain("pilot")];
+        let dist = spec().key_distribution(&values);
+        assert_eq!(dist, vec![("Johpi".to_string(), 1.0)]);
     }
 
     #[test]
     fn null_renders_empty() {
         // Fig. 13: t43's alternative (John, ⊥) → key "Joh".
-        let john = Value::from("John");
-        let outcomes: [Option<&Value>; 2] = [Some(&john), None];
-        assert_eq!(spec().key_of_outcomes(&outcomes), "Joh");
+        let values = [PValue::certain("John"), PValue::null()];
+        let dist = spec().key_distribution(&values);
+        assert_eq!(dist, vec![("Joh".to_string(), 1.0)]);
     }
 
     #[test]

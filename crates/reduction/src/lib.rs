@@ -21,26 +21,28 @@
 //! tuple indices of one (combined) x-relation, ready for the matching and
 //! decision layers.
 //!
-//! Each keyed adaptation has **one implementation**. The
-//! world-independent ones — conflict-resolved SNM, sorting alternatives and
-//! blocking by alternative or resolved keys — are the warm states of
-//! [`incremental`], [`IncrementalSnm`] and [`IncrementalBlocks`], that a
-//! persistent session feeds batch by batch; the one-shot
-//! [`conflict_resolved_snm`], [`sorting_alternatives`],
-//! [`block_alternatives`] and [`block_conflict_resolved`] are a fresh state
-//! fed once and read once, its Fig. 10 / 11 / 14 views included. The
-//! world-dependent multi-pass methods have one loop over the selected
-//! worlds each, and their pair-returning functions and Fig. 9 view are
-//! sinks over it.
+//! Each keyed adaptation has **one implementation**, over one structure:
+//! a `(rank, tuple)`-sorted entry list, from which SNM emits every window
+//! of `w` entries and blocking every run of equal keys (a block). The
+//! world-independent adaptations — conflict-resolved SNM, sorting
+//! alternatives and blocking by alternative or resolved keys — are the
+//! warm [`IncrementalSnm`] of [`incremental`], that a persistent session
+//! feeds batch by batch; the one-shot [`conflict_resolved_snm`],
+//! [`sorting_alternatives`], [`block_alternatives`] and
+//! [`block_conflict_resolved`] are a fresh state fed once and read once,
+//! its Fig. 10 / 11 / 14 views included. The world-dependent multi-pass
+//! methods share one loop over the selected worlds, which sorts each
+//! world's entry list; their pair-returning functions and Fig. 9 view are
+//! window or run sinks over it.
 //!
 //! # Interned keys
 //!
 //! Every SNM/blocking implementation runs over **interned keys**: a
 //! [`key::KeyTable`] renders each distinct `(value, prefix length)`
 //! exactly once into a
-//! [`KeyPool`](probdedup_model::intern::KeyPool), and from there blocking
-//! buckets on dense [`KeySymbol`](probdedup_model::intern::KeySymbol)s
-//! while SNM sorts by precomputed lexicographic rank — so multi-pass
+//! [`KeyPool`](probdedup_model::intern::KeyPool), and from there SNM and
+//! blocking sort dense [`KeySymbol`](probdedup_model::intern::KeySymbol)s
+//! by precomputed lexicographic rank — so multi-pass
 //! methods are sort-only from pass 2 on (zero renders, asserted by the
 //! property tests), and a warm state renders only values it has not seen.
 //! The string-rendering implementations are retained test-only as the
@@ -95,7 +97,7 @@ pub use blocking::{
 };
 pub use cluster::{cluster_blocking, ClusterBlockingConfig};
 pub use conflict::{conflict_resolved_snm, resolve_key, ConflictResolution};
-pub use incremental::{CandidateDelta, IncrementalBlocks, IncrementalSnm, Keying};
+pub use incremental::{CandidateDelta, IncrementalSnm, Keying};
 pub use key::{KeyPart, KeySpec, KeyTable};
 pub use multipass::{multipass_snm, multipass_snm_with_table, MultipassResult, WorldSelection};
 pub use pairs::CandidatePairs;

@@ -73,9 +73,8 @@ pub struct MultipassResult {
     pub passes: Vec<(World, Vec<SnmEntry>)>,
 }
 
-/// Greedy max-min-distance selection of `k` worlds from `pool` (shared
-/// with multi-pass blocking).
-pub(crate) fn select_diverse_worlds(mut pool: Vec<World>, k: usize) -> Vec<World> {
+/// Greedy max-min-distance selection of `k` worlds from `pool`.
+fn select_diverse_worlds(mut pool: Vec<World>, k: usize) -> Vec<World> {
     if pool.is_empty() || k == 0 {
         return Vec::new();
     }
@@ -122,9 +121,7 @@ fn world_entries_interned(table: &KeyTable, world: &World) -> Vec<InternedSnmEnt
         .collect()
 }
 
-/// Resolve a [`WorldSelection`] to concrete worlds (shared with the
-/// blocking module so SNM and blocking can never drift apart on policy).
-/// Order and cost of the `TopK` / `DiverseTopK` pool: [`top_k_worlds`].
+/// Resolve a [`WorldSelection`] to concrete worlds. Order and cost of the `TopK` / `DiverseTopK` pool: [`top_k_worlds`].
 pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec<World> {
     match selection {
         WorldSelection::All { limit } => full_worlds(tuples).take(limit).collect(),
@@ -135,11 +132,12 @@ pub(crate) fn select_worlds(tuples: &[XTuple], selection: WorldSelection) -> Vec
     }
 }
 
-/// The loop over the selected worlds — the only one the SNM family has:
-/// resolve `selection`, and per world hand `f` the world and its entry
-/// list (one entry per tuple, keyed by the chosen alternative's symbol off
-/// `table`) sorted by `(rank, tuple)`, ready for
-/// [`for_each_window_pair`]. `table` must cover `tuples` and may cover
+/// The loop over the selected worlds — the only one multi-pass SNM and
+/// multi-pass blocking have: resolve `selection`, and per world hand `f`
+/// the world and its entry list (one entry per tuple, keyed by the chosen
+/// alternative's symbol off `table`) sorted by `(rank, tuple)`, ready for
+/// [`for_each_window_pair`] or
+/// [`for_each_block`](crate::blocking::for_each_block). `table` must cover `tuples` and may cover
 /// later rows too: the passes run over `tuples` alone, and ranks order the
 /// keys of a prefix as they order them in a table built for it.
 pub(crate) fn for_each_world_pass(
