@@ -32,7 +32,7 @@ use probdedup_model::xtuple::XTuple;
 use crate::bounded::BoundedSim;
 use crate::matrix::ComparisonMatrix;
 use crate::value_cmp::{PreparedValue, ValueComparator};
-use crate::vector::{AttributeComparators, ComparisonVector};
+use crate::vector::AttributeComparators;
 
 /// Mass threshold below which remaining Eq. 5 terms are pruned: their total
 /// contribution is bounded by this value, three orders of magnitude below
@@ -175,7 +175,8 @@ pub fn intern_tuples_into(pool: &mut ValuePool, tuples: &[XTuple]) -> Vec<Intern
 ///
 /// A per-symbol sidecar ([`SymbolMap`]) holds each distinct value's
 /// prepared comparison state ([`PreparedValue`]: ASCII class, character
-/// length, class mask), so a kernel evaluation never re-scans a string it
+/// length, class mask, and the 16-byte lanes of a short ASCII string), so
+/// a kernel evaluation never re-scans a string it
 /// has seen before: interning pays a second time by hanging the
 /// precomputation off the dense symbol index. The sidecars are **eager**
 /// (every symbol is prepared when it enters the pool) and the same for
@@ -331,18 +332,10 @@ pub fn compare_xtuples_interned(
     t2: &InternedXTuple,
     cmps: &InternedComparators,
 ) -> ComparisonMatrix {
-    let k = t1.len();
-    let l = t2.len();
-    let mut vectors = Vec::with_capacity(k * l);
-    for a1 in &t1.alternatives {
-        for a2 in &t2.alternatives {
-            let v: ComparisonVector = (0..cmps.arity())
-                .map(|i| interned_pvalue_similarity(a1.value(i), a2.value(i), i, cmps))
-                .collect();
-            vectors.push(v);
-        }
-    }
-    ComparisonMatrix::from_vectors(k, l, vectors)
+    let (alts1, alts2) = (&t1.alternatives, &t2.alternatives);
+    ComparisonMatrix::build(alts1.len(), alts2.len(), cmps.arity(), |i, j, a| {
+        interned_pvalue_similarity(alts1[i].value(a), alts2[j].value(a), a, cmps)
+    })
 }
 
 #[cfg(test)]
@@ -429,6 +422,54 @@ mod tests {
         let icmps = InternedComparators::new(&pool, &cmp);
         let plain = crate::matrix::compare_xtuples(&t1, &t2, &cmp);
         let fast = compare_xtuples_interned(&interned[0], &interned[1], &icmps);
+        for (i, j, v) in plain.iter() {
+            let w = fast.vector(i, j);
+            for (x, y) in v.iter().zip(w) {
+                assert_eq!(x.to_bits(), y.to_bits(), "({i},{j}): {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn jaro_winkler_flat_matrix_agrees_with_plain_path_bitwise() {
+        use probdedup_textsim::JaroWinkler;
+        // Names of 15, 16 and 17 bytes sit either side of the 16-byte
+        // lanes the prepared sidecars keep; "smíth" takes the scalar path.
+        // Every value of `t2` is interned after every value of `t1`, so
+        // the interned path's canonical orientation is the plain one.
+        let s = Schema::new(["name", "job"]);
+        let cmp = AttributeComparators::uniform(&s, JaroWinkler::new());
+        let t1 = XTuple::builder(&s)
+            .alt(0.5, ["alexandra smith", "machinist"])
+            .alt_pvalues(
+                0.4,
+                [
+                    PValue::certain("alexandra smythe"),
+                    PValue::categorical([("mechanic", 0.6), ("machinist", 0.3)]).unwrap(),
+                ],
+            )
+            .build()
+            .unwrap();
+        let t2 = XTuple::builder(&s)
+            .alt(0.3, ["alexandra smithee", "mechanic engineer"])
+            .alt(0.3, ["alexandra smíth", "machine operator"])
+            .alt(0.3, ["alexander smith", "mechanician"])
+            .build()
+            .unwrap();
+        let (pool, interned) = intern_tuples(&[t1.clone(), t2.clone()]);
+        let icmps = InternedComparators::new(&pool, &cmp);
+        let plain = crate::matrix::compare_xtuples(&t1, &t2, &cmp);
+        let fast = compare_xtuples_interned(&interned[0], &interned[1], &icmps);
+        assert_eq!((fast.k(), fast.l(), fast.len()), (2, 3, 6));
+        let coords: Vec<(usize, usize)> = fast
+            .iter()
+            .map(|(i, j, v)| {
+                assert_eq!(v, fast.vector(i, j));
+                assert_eq!(v.len(), icmps.arity());
+                (i, j)
+            })
+            .collect();
+        assert_eq!(coords, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]);
         for (i, j, v) in plain.iter() {
             let w = fast.vector(i, j);
             for (x, y) in v.iter().zip(w) {

@@ -3,27 +3,47 @@
 //! When comparing two x-tuples `t₁ = {t₁¹…t₁ᵏ}` and `t₂ = {t₂¹…t₂ˡ}`, all
 //! alternative tuples are compared pairwise, producing `k × l` comparison
 //! vectors instead of one: the comparison matrix `c⃗(t₁,t₂) = [c⃗¹¹ … c⃗ᵏˡ]`.
+//! The matrix is one row-major allocation of `k · l · arity` similarities.
 
 use probdedup_model::xtuple::XTuple;
 
 use crate::pvalue_sim::pvalue_similarity;
-use crate::vector::{AttributeComparators, ComparisonVector};
+use crate::vector::AttributeComparators;
 
 /// A `k × l` matrix of comparison vectors for an x-tuple pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ComparisonMatrix {
     k: usize,
     l: usize,
-    /// Row-major: entry `(i, j)` at index `i * l + j`.
-    vectors: Vec<ComparisonVector>,
+    arity: usize,
+    /// Row-major: vector `(i, j)` at `(i * l + j) * arity ..` for `arity`
+    /// values.
+    values: Vec<f64>,
 }
 
 impl ComparisonMatrix {
-    /// Assemble a matrix from row-major vectors (used by the interned
-    /// comparison path; `vectors.len()` must equal `k · l`).
-    pub(crate) fn from_vectors(k: usize, l: usize, vectors: Vec<ComparisonVector>) -> Self {
-        debug_assert_eq!(vectors.len(), k * l);
-        Self { k, l, vectors }
+    /// A `k × l` matrix of `arity`-vectors filled in row-major order:
+    /// `sim(i, j, attr)` is attribute `attr` of alternative pair `(i, j)`.
+    pub(crate) fn build(
+        k: usize,
+        l: usize,
+        arity: usize,
+        mut sim: impl FnMut(usize, usize, usize) -> f64,
+    ) -> Self {
+        let mut values = Vec::with_capacity(k * l * arity);
+        for i in 0..k {
+            for j in 0..l {
+                for attr in 0..arity {
+                    values.push(sim(i, j, attr));
+                }
+            }
+        }
+        Self {
+            k,
+            l,
+            arity,
+            values,
+        }
     }
 
     /// Number of alternatives of the first x-tuple.
@@ -37,32 +57,34 @@ impl ComparisonMatrix {
     }
 
     /// The comparison vector of alternative pair `(i, j)`.
-    pub fn vector(&self, i: usize, j: usize) -> &ComparisonVector {
+    pub fn vector(&self, i: usize, j: usize) -> &[f64] {
         assert!(
             i < self.k && j < self.l,
             "({i},{j}) out of {0}×{1}",
             self.k,
             self.l
         );
-        &self.vectors[i * self.l + j]
+        self.at(i * self.l + j)
     }
 
     /// Iterate `(i, j, c⃗ᵢⱼ)` in row-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &ComparisonVector)> {
-        self.vectors
-            .iter()
-            .enumerate()
-            .map(move |(idx, v)| (idx / self.l, idx % self.l, v))
+    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, &[f64])> {
+        (0..self.len()).map(move |idx| (idx / self.l, idx % self.l, self.at(idx)))
+    }
+
+    /// The vector at row-major position `idx`.
+    fn at(&self, idx: usize) -> &[f64] {
+        &self.values[idx * self.arity..(idx + 1) * self.arity]
     }
 
     /// Total number of alternative pairs (`k · l`).
     pub fn len(&self) -> usize {
-        self.vectors.len()
+        self.k * self.l
     }
 
     /// Whether the matrix is empty (never true for valid x-tuples).
     pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.len() == 0
     }
 }
 
@@ -74,18 +96,10 @@ pub fn compare_xtuples(
     t2: &XTuple,
     comparators: &AttributeComparators,
 ) -> ComparisonMatrix {
-    let k = t1.len();
-    let l = t2.len();
-    let mut vectors = Vec::with_capacity(k * l);
-    for a1 in t1.alternatives() {
-        for a2 in t2.alternatives() {
-            let v: ComparisonVector = (0..comparators.arity())
-                .map(|i| pvalue_similarity(a1.value(i), a2.value(i), comparators.get(i)))
-                .collect();
-            vectors.push(v);
-        }
-    }
-    ComparisonMatrix { k, l, vectors }
+    let (alts1, alts2) = (t1.alternatives(), t2.alternatives());
+    ComparisonMatrix::build(alts1.len(), alts2.len(), comparators.arity(), |i, j, a| {
+        pvalue_similarity(alts1[i].value(a), alts2[j].value(a), comparators.get(a))
+    })
 }
 
 #[cfg(test)]
@@ -167,8 +181,8 @@ mod tests {
         assert_eq!(coords, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
         assert!(!m.is_empty());
         // Diagonal pairs are identical: c = [1, 1].
-        assert_eq!(m.vector(0, 0), &vec![1.0, 1.0]);
-        assert_eq!(m.vector(1, 1), &vec![1.0, 1.0]);
+        assert_eq!(m.vector(0, 0), [1.0, 1.0]);
+        assert_eq!(m.vector(1, 1), [1.0, 1.0]);
     }
 
     #[test]

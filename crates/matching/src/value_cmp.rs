@@ -99,7 +99,7 @@ pub enum PreparedValue {
     /// `⊥` — the constant-time conventions never reach a kernel.
     Null,
     /// A text value with its [`PreparedText`] (ASCII class, character
-    /// length, class mask).
+    /// length, class mask, lanes of a short ASCII string).
     Text(PreparedText),
     /// Any non-text value; compared through the unprepared routing.
     Other(Value),

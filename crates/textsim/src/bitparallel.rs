@@ -13,18 +13,23 @@
 //!   ASCII inputs: eight positions per `u64` step.
 //! * `jaro_ascii` — the Jaro matching scan over byte strings with a
 //!   matched-position bitset instead of heap-allocated `Vec<char>` /
-//!   `Vec<bool>` scratch. A `b` of at most 16 bytes sits in one `u128`,
-//!   a byte per lane, and each byte of `a` finds its first unmatched
-//!   in-window match with one SWAR equality step (the
-//!   [`hamming_bytes`] identity) and a lowest-set-bit; a longer `b` gets a
-//!   per-character position-mask table.
+//!   `Vec<bool>` scratch. A `b` of at most 16 bytes sits in zero-padded
+//!   [`Lanes`], a byte per lane, and each byte of `a` finds its first
+//!   unmatched in-window match with one 16-lane compare returning a
+//!   `u16` mask ([`lane_matches`]: SSE2 `pcmpeqb` + `pmovmskb` on x86_64,
+//!   part of its baseline; the SWAR [`lane_matches_swar`], the
+//!   [`hamming_bytes`] identity, elsewhere) and a lowest-set-bit; a longer
+//!   `b` gets a per-character position-mask table.
 //! * [`PreparedText`] — per-string precomputation (ASCII class, character
-//!   length, character-class occupancy mask) that callers with a value
-//!   interner compute **once per distinct string** and reuse across every
-//!   comparison (see `probdedup_matching`'s interned kernel path). The
-//!   Myers `Peq` table is not part of it: building a short ASCII pattern's
-//!   table on the stack per call measured cheaper than reading a stored
-//!   one (ARCHITECTURE.md, "How interning flows through the layers").
+//!   length, character-class occupancy mask, and the string's lanes when
+//!   it is ASCII and at most 16 bytes) that callers with a value interner
+//!   compute **once per distinct string** and reuse across every
+//!   comparison (see `probdedup_matching`'s interned kernel path): the
+//!   prepared Jaro scan reads both sidecars' lanes, with no copy and no
+//!   dereference of the text. The Myers `Peq` table is not part of it:
+//!   building a short ASCII pattern's table on the stack per call
+//!   measured cheaper than reading a stored one (ARCHITECTURE.md, "How
+//!   interning flows through the layers").
 //! * [`myers_distance_within`] (over a [`PatternBits`]) and
 //!   `myers_ascii_64_within` (over a stack `Peq`, for ASCII patterns of at
 //!   most 64 bytes) — the **bounded**
@@ -467,12 +472,16 @@ pub fn hamming_bytes(a: &[u8], b: &[u8]) -> usize {
 /// `u128` matched-set).
 pub(crate) const JARO_ASCII_MAX: usize = 128;
 
-/// Lanes in one SWAR match step: a `b` of at most this many bytes packs
-/// into a zero-padded `u128`, one byte per lane, and each byte of `a`
-/// finds its match in a constant number of word operations. A longer `b`
-/// gets a per-character position-mask table instead (zeroing its 2 KiB
-/// only pays off once the string no longer fits one word).
-const JARO_LANES: usize = 16;
+/// Lanes in one match step: a `b` of at most this many bytes sits in one
+/// zero-padded [`Lanes`] block, one byte per lane, and each byte of `a`
+/// finds its candidates with one 16-lane compare. A longer `b` gets a
+/// per-character position-mask table instead (zeroing its 2 KiB only pays
+/// off once the string no longer fits one block).
+pub const JARO_LANES: usize = 16;
+
+/// A string of at most [`JARO_LANES`] bytes, zero-padded, one byte per
+/// lane.
+pub type Lanes = [u8; JARO_LANES];
 
 /// Byte `0x01` in every lane.
 const LANE_ONES: u128 = u128::MAX / 0xff;
@@ -493,93 +502,152 @@ fn lanes_equal(packed: u128, c: u8) -> u128 {
     !(((x & LANE_LO7) + LANE_LO7) | x) & LANE_HI
 }
 
-/// Top bits of lanes `0..k`.
+/// The lanes equal to `c`, bit `j` for lane `j`: the portable SWAR compare
+/// ([`lanes_equal`] on the lanes as one `u128`, its lane top bits gathered
+/// into a `u16`). [`lane_matches`] on targets without a vector compare.
 #[inline]
-fn lane_prefix(k: usize) -> u128 {
-    if k >= JARO_LANES {
-        LANE_HI
-    } else {
-        LANE_HI & ((1u128 << (8 * k)) - 1)
+pub fn lane_matches_swar(lanes: &Lanes, c: u8) -> u16 {
+    // After `>> 7` a half's flags sit at bits 8k; the multiply moves bit
+    // 8k to bit 56 + k, and no two partial products share a bit there.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let gather = |half: u64| ((half >> 7).wrapping_mul(GATHER) >> 56) as u16;
+    let top = lanes_equal(u128::from_le_bytes(*lanes), c);
+    gather(top as u64) | gather((top >> 64) as u64) << 8
+}
+
+/// The lanes equal to `c`, bit `j` for lane `j`: one SSE2 byte compare and
+/// a movemask. Same set of lanes as [`lane_matches_swar`].
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub fn lane_matches(lanes: &Lanes, c: u8) -> u16 {
+    use std::arch::x86_64::{_mm_cmpeq_epi8, _mm_loadu_si128, _mm_movemask_epi8, _mm_set1_epi8};
+    // SAFETY: SSE2 is part of the x86_64 baseline, so these intrinsics
+    // exist on every x86_64 CPU; the unaligned load reads exactly the 16
+    // bytes `lanes` borrows.
+    unsafe {
+        let block = _mm_loadu_si128(lanes.as_ptr().cast());
+        _mm_movemask_epi8(_mm_cmpeq_epi8(block, _mm_set1_epi8(c as i8))) as u16
     }
+}
+
+/// The lanes equal to `c`, bit `j` for lane `j` ([`lane_matches_swar`]).
+#[cfg(not(target_arch = "x86_64"))]
+#[inline]
+pub fn lane_matches(lanes: &Lanes, c: u8) -> u16 {
+    lane_matches_swar(lanes, c)
+}
+
+/// Bits of lanes `0..k`, saturating at all [`JARO_LANES`].
+#[inline]
+fn lane_prefix(k: usize) -> u16 {
+    if k >= JARO_LANES {
+        u16::MAX
+    } else {
+        (1 << k) - 1
+    }
+}
+
+/// `s` zero-padded into lanes, if it fits.
+#[inline]
+fn to_lanes(s: &[u8]) -> Option<Lanes> {
+    (s.len() <= JARO_LANES).then(|| {
+        let mut lanes = [0u8; JARO_LANES];
+        lanes[..s.len()].copy_from_slice(s);
+        lanes
+    })
 }
 
 /// Jaro similarity over ASCII byte strings of at most [`JARO_ASCII_MAX`]
 /// bytes, using a bitset of matched `b`-positions and a stack buffer of
-/// matched `a`-characters — no heap allocation.
+/// matched `a`-characters — no heap allocation. A `b` of at most
+/// [`JARO_LANES`] bytes is padded into a stack [`Lanes`] block for
+/// [`jaro_lanes`]; a longer one takes the position-mask table.
 ///
 /// Produces bitwise-identical results to the scalar reference: the same
 /// match set (first unmatched window position wins), the same
 /// transposition count, and the same final expression.
 pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
-    let (n, m) = (av.len(), bv.len());
-    debug_assert!(n <= JARO_ASCII_MAX && m <= JARO_ASCII_MAX);
-    if n == 0 && m == 0 {
-        return 1.0;
+    match to_lanes(bv) {
+        Some(lanes) => jaro_lanes(av, &lanes, bv.len()),
+        None => jaro_table(av, bv),
     }
-    if n == 0 || m == 0 {
-        return 0.0;
-    }
+}
+
+/// The lane scan of [`jaro_ascii`]: `b` is the first `m` lanes of `b`
+/// (`m ≤ 16`, zero-padded), `av` at most [`JARO_ASCII_MAX`] bytes. Each
+/// byte of `a` is compared with all 16 lanes at once ([`lane_matches`])
+/// and takes the lowest open lane inside its window. The prepared entry
+/// points pass the lanes stored in the `b` sidecar.
+pub(crate) fn jaro_lanes(av: &[u8], b: &Lanes, m: usize) -> f64 {
+    let n = av.len();
+    debug_assert!(n <= JARO_ASCII_MAX && m <= JARO_LANES);
     let window = (n.max(m) / 2).saturating_sub(1);
     let mut a_matches = [0u8; JARO_ASCII_MAX];
     let mut matches = 0usize;
-    // Matched b-positions: bit `j << lane_shift` stands for position `j`.
-    let (b_matched, lane_shift) = if m <= JARO_LANES {
-        // b in lanes; `open` marks the unmatched lanes inside b, so the
-        // zero padding never matches a NUL in a. `window_lanes` holds
-        // lanes `i − window ..= i + window` (from lane 0 while
-        // `i < window`), advanced one lane per step.
-        let mut lanes = [0u8; JARO_LANES];
-        lanes[..m].copy_from_slice(bv);
-        let packed = u128::from_le_bytes(lanes);
-        let in_b = lane_prefix(m);
-        let mut open = in_b;
-        let mut window_lanes = lane_prefix(window + 1);
-        for (i, &ca) in av.iter().enumerate() {
-            // Branch-free: the write past the last match is overwritten
-            // or ignored, and lands inside the buffer even once all 16
-            // lanes are matched.
-            let cand = lanes_equal(packed, ca) & window_lanes & open;
-            open ^= cand & cand.wrapping_neg(); // lowest candidate
+    // `open` marks the unmatched lanes inside b, so the zero padding never
+    // matches a NUL in a. `window_lanes` holds lanes `i − window ..= i +
+    // window` (from lane 0 while `i < window`), advanced one lane per step.
+    let in_b = lane_prefix(m);
+    let mut open = in_b;
+    let mut window_lanes = lane_prefix(window + 1);
+    for (i, &ca) in av.iter().enumerate() {
+        // Branch-free: the write past the last match is overwritten or
+        // ignored, and lands inside the buffer even once all 16 lanes are
+        // matched.
+        let cand = lane_matches(b, ca) & window_lanes & open;
+        open ^= cand & cand.wrapping_neg(); // lowest candidate
+        a_matches[matches] = ca;
+        matches += usize::from(cand != 0);
+        window_lanes = (window_lanes << 1) | u16::from(i < window);
+    }
+    jaro_score(n, m, &a_matches[..matches], u128::from(in_b & !open), b)
+}
+
+/// The position-table path of [`jaro_ascii`] for a `b` longer than
+/// [`JARO_LANES`]: `peq[c]` has bit `j` set iff `bv[j] == c`, and one AND +
+/// lowest-set-bit replaces the inner window scan.
+fn jaro_table(av: &[u8], bv: &[u8]) -> f64 {
+    let (n, m) = (av.len(), bv.len());
+    debug_assert!(n <= JARO_ASCII_MAX && m <= JARO_ASCII_MAX);
+    let window = (n.max(m) / 2).saturating_sub(1);
+    let mut a_matches = [0u8; JARO_ASCII_MAX];
+    let mut matches = 0usize;
+    let mut peq = [0u128; 128];
+    for (j, &cb) in bv.iter().enumerate() {
+        peq[cb as usize] |= 1 << j;
+    }
+    let mut b_matched: u128 = 0;
+    for (i, &ca) in av.iter().enumerate() {
+        let lo = i.saturating_sub(window);
+        let hi = (i + window + 1).min(m);
+        let hi_mask = if hi >= 128 { !0u128 } else { (1u128 << hi) - 1 };
+        let window_mask = hi_mask & !((1u128 << lo) - 1);
+        let cand = peq[ca as usize] & window_mask & !b_matched;
+        if cand != 0 {
+            b_matched |= cand & cand.wrapping_neg(); // lowest candidate
             a_matches[matches] = ca;
-            matches += usize::from(cand != 0);
-            window_lanes = (window_lanes << 8) | (u128::from(i < window) << 7);
+            matches += 1;
         }
-        (in_b & !open, 3)
-    } else {
-        // Position masks of b: peq[c] has bit j set iff bv[j] == c. One
-        // AND + trailing_zeros replaces the inner window scan.
-        let mut peq = [0u128; 128];
-        for (j, &cb) in bv.iter().enumerate() {
-            peq[cb as usize] |= 1 << j;
-        }
-        let mut b_matched: u128 = 0;
-        for (i, &ca) in av.iter().enumerate() {
-            let lo = i.saturating_sub(window);
-            let hi = (i + window + 1).min(m);
-            let hi_mask = if hi >= 128 { !0u128 } else { (1u128 << hi) - 1 };
-            let window_mask = hi_mask & !((1u128 << lo) - 1);
-            let cand = peq[ca as usize] & window_mask & !b_matched;
-            if cand != 0 {
-                b_matched |= cand & cand.wrapping_neg(); // lowest candidate
-                a_matches[matches] = ca;
-                matches += 1;
-            }
-        }
-        (b_matched, 0)
-    };
-    if matches == 0 {
-        return 0.0;
+    }
+    jaro_score(n, m, &a_matches[..matches], b_matched, bv)
+}
+
+/// The Jaro expression from the match set: `a_matches` in `a` order, bit
+/// `j` of `b_matched` for each matched position `j` of `bv` (as many bits
+/// as `a_matches` has bytes).
+fn jaro_score(n: usize, m: usize, a_matches: &[u8], b_matched: u128, bv: &[u8]) -> f64 {
+    if a_matches.is_empty() {
+        // 1.0 iff both strings are empty; no matches otherwise score 0.
+        return if n == 0 && m == 0 { 1.0 } else { 0.0 };
     }
     let mut transpositions = 0usize;
-    let mut k = 0usize;
     let mut rest = b_matched;
-    while rest != 0 {
-        let j = (rest.trailing_zeros() >> lane_shift) as usize;
+    for &ca in a_matches {
+        let j = rest.trailing_zeros() as usize;
         rest &= rest - 1;
-        transpositions += usize::from(bv[j] != a_matches[k]);
-        k += 1;
+        transpositions += usize::from(bv[j] != ca);
     }
-    let m_f = matches as f64;
+    let m_f = a_matches.len() as f64;
     (m_f / n as f64 + m_f / m as f64 + (m_f - transpositions as f64 / 2.0) / m_f) / 3.0
 }
 
@@ -589,14 +657,17 @@ pub(crate) fn jaro_ascii(av: &[u8], bv: &[u8]) -> f64 {
 /// off the `ValuePool`'s dense symbol index) and consumed by
 /// [`StringComparator::similarity_prepared`](crate::StringComparator::similarity_prepared):
 /// the ASCII class and character length replace the per-comparison
-/// `is_ascii`/`chars().count()` scans, and the class mask feeds the
-/// bounded kernels' prefilters.
+/// `is_ascii`/`chars().count()` scans, the class mask feeds the bounded
+/// kernels' prefilters, and an ASCII string of at most [`JARO_LANES`]
+/// bytes is also kept as zero-padded [`Lanes`], which the Jaro lane scan
+/// and the Winkler prefix read without copying or dereferencing the text.
 #[derive(Debug, Clone)]
 pub struct PreparedText {
     text: Box<str>,
     char_len: usize,
     ascii: bool,
     class: u128,
+    lanes: Option<Lanes>,
 }
 
 impl PreparedText {
@@ -608,6 +679,7 @@ impl PreparedText {
             char_len: if ascii { s.len() } else { s.chars().count() },
             ascii,
             class: class_mask(s),
+            lanes: if ascii { to_lanes(s.as_bytes()) } else { None },
         }
     }
 
@@ -633,6 +705,22 @@ impl PreparedText {
     #[inline]
     pub fn class(&self) -> u128 {
         self.class
+    }
+
+    /// The string as zero-padded lanes: `Some` iff it is ASCII and at most
+    /// [`JARO_LANES`] bytes long.
+    #[inline]
+    pub(crate) fn lanes(&self) -> Option<&Lanes> {
+        self.lanes.as_ref()
+    }
+
+    /// The string's bytes, read from the lanes when it has them.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match &self.lanes {
+            Some(lanes) => &lanes[..self.char_len],
+            None => self.text.as_bytes(),
+        }
     }
 }
 
@@ -858,9 +946,14 @@ mod tests {
         assert_eq!(p.char_len(), 9);
         assert_eq!(p.text(), "machinist");
         assert_eq!(p.class(), class_mask("machinist"));
+        assert_eq!(p.lanes(), Some(b"machinist\0\0\0\0\0\0\0"));
         let q = PreparedText::new("café");
         assert!(!q.is_ascii());
         assert_eq!(q.char_len(), 4);
+        assert_eq!(q.lanes(), None);
+        // Lanes hold at most 16 bytes.
+        assert!(PreparedText::new(&"x".repeat(16)).lanes().is_some());
+        assert!(PreparedText::new(&"x".repeat(17)).lanes().is_none());
     }
 
     /// Textbook two-row DP, used as an in-module oracle (the crate-level

@@ -1,7 +1,18 @@
 //! Jaro and Jaro-Winkler similarity, the record-linkage standards cited by
 //! the paper ("edit- or jaro distance", Section III-C).
+//!
+//! ASCII inputs of at most 128 bytes take the lane scan of
+//! [`bitparallel`](crate::bitparallel): a second string of at most 16
+//! bytes sits in zero-padded lanes, and each character of the first is
+//! matched against all of them with one compare (SSE2 on x86_64, SWAR
+//! elsewhere). The `&str` entry points pad it on the stack per call; the
+//! prepared entry points read the lanes stored in the [`PreparedText`]
+//! sidecars, which also give the Winkler prefix from one XOR of the first
+//! four lane bytes.
 
-use crate::bitparallel::{class_absent_counts, jaro_ascii, PreparedText, JARO_ASCII_MAX};
+use crate::bitparallel::{
+    class_absent_counts, jaro_ascii, jaro_lanes, PreparedText, JARO_ASCII_MAX,
+};
 use crate::traits::{StringComparator, BOUND_SLACK};
 
 /// What the class-mask prefilter can say about a Jaro-family similarity.
@@ -110,16 +121,20 @@ pub fn jaro_similarity_scalar(a: &str, b: &str) -> f64 {
 }
 
 /// [`jaro_similarity`] over prepared strings: the precomputed ASCII class
-/// replaces the per-comparison `is_ascii` scans.
+/// replaces the per-comparison `is_ascii` scans, and a `b` with stored
+/// lanes goes straight to the lane scan (`a` read from its own lanes when
+/// it has them).
 fn jaro_prepared(a: &PreparedText, b: &PreparedText) -> f64 {
-    if a.is_ascii()
+    if !(a.is_ascii()
         && b.is_ascii()
         && a.char_len() <= JARO_ASCII_MAX
-        && b.char_len() <= JARO_ASCII_MAX
+        && b.char_len() <= JARO_ASCII_MAX)
     {
-        jaro_ascii(a.text().as_bytes(), b.text().as_bytes())
-    } else {
-        jaro_similarity_scalar(a.text(), b.text())
+        return jaro_similarity_scalar(a.text(), b.text());
+    }
+    match b.lanes() {
+        Some(lanes) => jaro_lanes(a.bytes(), lanes, b.char_len()),
+        None => jaro_ascii(a.bytes(), b.bytes()),
     }
 }
 
@@ -172,18 +187,35 @@ impl JaroWinkler {
         Self
     }
 
-    /// The common-prefix boost applied on top of a Jaro similarity `j`.
-    fn boost(j: f64, a: &str, b: &str) -> f64 {
+    /// The common-prefix boost applied on top of a Jaro similarity `j`;
+    /// `prefix` (Winkler's `ℓ`) runs only when `j` earns a boost.
+    fn boost(j: f64, prefix: impl FnOnce() -> usize) -> f64 {
         if j < BOOST_THRESHOLD {
             return j;
         }
-        let prefix = a
-            .chars()
-            .zip(b.chars())
-            .take(MAX_PREFIX)
-            .take_while(|(x, y)| x == y)
-            .count();
-        (j + prefix as f64 * PREFIX_SCALE * (1.0 - j)).min(1.0)
+        (j + prefix() as f64 * PREFIX_SCALE * (1.0 - j)).min(1.0)
+    }
+
+    /// Winkler's `ℓ`: the length of the common prefix of `a` and `b` in
+    /// characters, capped at 4.
+    ///
+    /// When the first four bytes of both strings are ASCII, this is the
+    /// XOR of those bytes (zero-padded) capped at `min(|a|, |b|, 4)`: the
+    /// lowest differing byte ends the prefix, and the cap keeps the padding
+    /// from matching a NUL. Otherwise the characters are zipped.
+    pub fn prefix_len(a: &str, b: &str) -> usize {
+        prefix_from_heads(head4(a.as_bytes()), head4(b.as_bytes()), a, b)
+    }
+
+    /// [`prefix_len`](Self::prefix_len) over prepared strings: a string
+    /// with stored lanes gives its first four bytes without touching the
+    /// text.
+    pub fn prefix_len_prepared(a: &PreparedText, b: &PreparedText) -> usize {
+        let head = |p: &PreparedText| match p.lanes() {
+            Some(lanes) => u32::from_le_bytes([lanes[0], lanes[1], lanes[2], lanes[3]]),
+            None => head4(p.text().as_bytes()),
+        };
+        prefix_from_heads(head(a), head(b), a.text(), b.text())
     }
 
     /// Upper-bound the **boosted** similarity given an upper bound on the
@@ -196,9 +228,36 @@ impl JaroWinkler {
     }
 }
 
+/// The first four bytes of `s`, zero-padded, as a little-endian word.
+#[inline]
+fn head4(s: &[u8]) -> u32 {
+    let mut head = [0u8; MAX_PREFIX];
+    let k = s.len().min(MAX_PREFIX);
+    head[..k].copy_from_slice(&s[..k]);
+    u32::from_le_bytes(head)
+}
+
+/// [`JaroWinkler::prefix_len`] from the strings' [`head4`] words: one XOR
+/// when both heads are ASCII, the character zip otherwise. Below four
+/// bytes an ASCII head is the whole string, so byte lengths cap it.
+#[inline]
+fn prefix_from_heads(ha: u32, hb: u32, a: &str, b: &str) -> usize {
+    if (ha | hb) & 0x8080_8080 == 0 {
+        ((ha ^ hb).trailing_zeros() as usize / 8)
+            .min(a.len())
+            .min(b.len())
+    } else {
+        a.chars()
+            .zip(b.chars())
+            .take(MAX_PREFIX)
+            .take_while(|(x, y)| x == y)
+            .count()
+    }
+}
+
 impl StringComparator for JaroWinkler {
     fn similarity(&self, a: &str, b: &str) -> f64 {
-        Self::boost(jaro_similarity(a, b), a, b)
+        Self::boost(jaro_similarity(a, b), || Self::prefix_len(a, b))
     }
 
     fn name(&self) -> &str {
@@ -206,7 +265,7 @@ impl StringComparator for JaroWinkler {
     }
 
     fn similarity_prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
-        Self::boost(jaro_prepared(a, b), a.text(), b.text())
+        Self::boost(jaro_prepared(a, b), || Self::prefix_len_prepared(a, b))
     }
 
     fn similarity_prepared_within(

@@ -30,9 +30,10 @@
 //!    (single-`u64` for patterns ≤ 64 chars, Hyyrö's blocked multi-word
 //!    form above), byte-chunked XOR + popcount for [`NormalizedHamming`]
 //!    on ASCII, and a bitset matching scan for [`Jaro`] / [`JaroWinkler`]
-//!    on ASCII inputs up to 128 bytes — one SWAR equality step per
-//!    character against a second string of at most 16 bytes packed into a
-//!    `u128`, a per-character position table for a longer one.
+//!    on ASCII inputs up to 128 bytes — one 16-lane compare per character
+//!    (SSE2 on x86_64, SWAR elsewhere) against a second string of at most
+//!    16 bytes held in zero-padded lanes, a per-character position table
+//!    for a longer one.
 //! 2. **Scalar fallback** — the classical character-level loops, taken for
 //!    non-ASCII or oversized inputs and retained as the exactness oracle:
 //!    the fast path must produce bitwise-identical results, which the
@@ -45,7 +46,8 @@
 //! [`StringComparator::similarity_prepared`] (exact) and
 //! [`StringComparator::similarity_prepared_within`] (bounded: prefilters on
 //! the prepared lengths and class masks, then the exact core) skip the
-//! per-comparison ASCII scans and length counts. The [`Normalizer`] has a
+//! per-comparison ASCII scans and length counts, and the Jaro family reads
+//! a short ASCII string's stored lanes. The [`Normalizer`] has a
 //! matching single-allocation fast path for ASCII inputs on the
 //! preparation side.
 //!

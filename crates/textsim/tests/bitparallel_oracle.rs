@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use probdedup_textsim::bitparallel::{lane_matches, lane_matches_swar, Lanes, JARO_LANES};
 use probdedup_textsim::jaro::jaro_similarity_scalar;
 use probdedup_textsim::{
     Jaro, JaroWinkler, Levenshtein, NormalizedHamming, PatternBits, PreparedText, StringComparator,
@@ -77,7 +78,7 @@ proptest! {
         );
     }
 
-    /// The SWAR lane scan (`b` of at most 16 bytes) and the position-table
+    /// The lane scan (`b` of at most 16 bytes) and the position-table
     /// path either side of it, over a three-letter alphabet with NUL so
     /// that matches are dense, a NUL in `a` meets the zero padding of the
     /// lanes, and all 16 lanes of `b` get matched before a longer `a` ends.
@@ -272,4 +273,147 @@ fn empty_input_short_circuits() {
     assert_eq!(l.distance("", "日本語"), 3);
     assert_eq!(l.distance("abc", ""), 3);
     assert_eq!(l.similarity("", ""), 1.0);
+}
+
+/// The vector lane compare (SSE2 on x86_64) and the portable SWAR one
+/// return the same lanes as a byte loop, for every probe byte against
+/// every lane byte, `m` of the 16 lanes filled and the rest zero padding:
+/// this keeps the fallback of other targets checked on x86_64 too.
+#[test]
+fn lane_compares_agree_exhaustively() {
+    for m in 0..=JARO_LANES {
+        for c in 0..=127u8 {
+            for v in 0..=127u8 {
+                let fills: [[u8; JARO_LANES]; 3] = [
+                    std::array::from_fn(|j| if j % 2 == 0 { c } else { v }),
+                    std::array::from_fn(|j| if j % 2 == 0 { v } else { c }),
+                    [v; JARO_LANES],
+                ];
+                for fill in fills {
+                    let mut lanes: Lanes = [0; JARO_LANES];
+                    lanes[..m].copy_from_slice(&fill[..m]);
+                    let want = (0..JARO_LANES)
+                        .filter(|&j| lanes[j] == c)
+                        .fold(0u16, |acc, j| acc | 1 << j);
+                    assert_eq!(lane_matches(&lanes, c), want, "{c:#04x} in {lanes:?}");
+                    assert_eq!(lane_matches_swar(&lanes, c), want, "{c:#04x} in {lanes:?}");
+                }
+            }
+        }
+    }
+}
+
+/// `len` bytes drawn from `alphabet` by a xorshift stream.
+fn draw(state: &mut u64, len: usize, alphabet: &[u8]) -> String {
+    (0..len)
+        .map(|_| {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            char::from(alphabet[(*state % alphabet.len() as u64) as usize])
+        })
+        .collect()
+}
+
+/// Jaro-Winkler from the scalar Jaro and the zipped character prefix —
+/// the reference the lane paths are held to.
+fn jaro_winkler_reference(a: &str, b: &str) -> f64 {
+    let j = jaro_similarity_scalar(a, b);
+    if j < 0.7 {
+        return j;
+    }
+    let prefix = a
+        .chars()
+        .zip(b.chars())
+        .take(4)
+        .take_while(|(x, y)| x == y)
+        .count();
+    (j + prefix as f64 * 0.1 * (1.0 - j)).min(1.0)
+}
+
+/// Jaro and Jaro-Winkler through the `&str` and the prepared entry points
+/// equal the references bit for bit.
+fn assert_jaro_family_exact(a: &str, b: &str) {
+    let (pa, pb) = (PreparedText::new(a), PreparedText::new(b));
+    let (jaro, jw) = (Jaro::new(), JaroWinkler::new());
+    let want = jaro_similarity_scalar(a, b).to_bits();
+    assert_eq!(jaro.similarity(a, b).to_bits(), want, "{a:?} vs {b:?}");
+    assert_eq!(
+        jaro.similarity_prepared(&pa, &pb).to_bits(),
+        want,
+        "{a:?} vs {b:?}"
+    );
+    let want = jaro_winkler_reference(a, b).to_bits();
+    assert_eq!(jw.similarity(a, b).to_bits(), want, "{a:?} vs {b:?}");
+    assert_eq!(
+        jw.similarity_prepared(&pa, &pb).to_bits(),
+        want,
+        "{a:?} vs {b:?}"
+    );
+}
+
+/// The lane scan either side of the 16-byte lane block: a `b` of 15, 16
+/// or 17 bytes against an `a` of every length up to 128 (so the window
+/// passes and saturates the 16 lanes), over a dense alphabet with NUL
+/// (a NUL in `a` meets the zero padding) and a wider one, on random pairs
+/// and on near duplicates that earn the Winkler boost. Each pair runs in
+/// both orientations, so the prepared path sees lanes on both sides, on
+/// one side only (the other longer than 16 bytes), and on neither; the
+/// `&str` entry points pad on the stack.
+#[test]
+fn lane_scan_matches_scalar_around_sixteen_bytes() {
+    let mut state = 0x9e37_79b9_7f4a_7c15;
+    for m in [15, 16, 17] {
+        for n in 0..=128 {
+            for alphabet in [&b"ab\0"[..], b"abcdefgh\0"] {
+                let b = draw(&mut state, m, alphabet);
+                let a = draw(&mut state, n, alphabet);
+                let mut near: String = b.chars().cycle().take(n).collect();
+                if n > 2 {
+                    near.replace_range(n / 2..n / 2 + 1, "\0");
+                }
+                for a in [a, near] {
+                    assert_jaro_family_exact(&a, &b);
+                    assert_jaro_family_exact(&b, &a);
+                }
+            }
+        }
+    }
+}
+
+/// The Winkler prefix from one XOR of the first four bytes equals the
+/// zipped character prefix (capped at 4), on every pair of strings of up
+/// to five characters over `a`, NUL and the two-byte `é` and `è` (one
+/// lead byte): pairs that share 0–4 leading bytes, strings shorter than
+/// four bytes (whose zero padding must not match a NUL), and non-ASCII
+/// heads that agree in their first bytes but not their characters.
+#[test]
+fn winkler_prefix_equals_character_prefix() {
+    let letters = ['a', '\0', 'é', 'è'];
+    let mut words = vec![String::new()];
+    let mut last = words.clone();
+    for _ in 0..5 {
+        last = last
+            .iter()
+            .flat_map(|w| letters.iter().map(move |&c| format!("{w}{c}")))
+            .collect();
+        words.extend(last.iter().cloned());
+    }
+    let prepared: Vec<PreparedText> = words.iter().map(|w| PreparedText::new(w)).collect();
+    for (a, pa) in words.iter().zip(&prepared) {
+        for (b, pb) in words.iter().zip(&prepared) {
+            let want = a
+                .chars()
+                .zip(b.chars())
+                .take(4)
+                .take_while(|(x, y)| x == y)
+                .count();
+            assert_eq!(JaroWinkler::prefix_len(a, b), want, "{a:?} vs {b:?}");
+            assert_eq!(
+                JaroWinkler::prefix_len_prepared(pa, pb),
+                want,
+                "{a:?} vs {b:?}"
+            );
+        }
+    }
 }
