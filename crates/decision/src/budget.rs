@@ -22,8 +22,8 @@
 //! per-attribute cut derivations of `phi_cuts` / `phi_bounded`); the
 //! attribute evaluator answers with a
 //! [`BoundedSim`] — typically produced by the bounded Eq. 5 loop of
-//! `probdedup-matching`, which in turn hands per-term cuts to the banded
-//! text kernels. Thresholds flow *down* the whole stack; exact values flow
+//! `probdedup-matching`, which in turn hands per-term cuts to the text
+//! kernels' bounded entry points. Thresholds flow *down* the whole stack; exact values flow
 //! up only as far as they are needed.
 //!
 //! **Certificate margin.** All cut derivations happen in floating point,

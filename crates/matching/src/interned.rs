@@ -257,8 +257,9 @@ impl InternedComparators {
     /// **Bounded** kernel similarity of two non-⊥ symbols: `Some(exact)`
     /// or a certificate that the similarity is `< bound` — the
     /// [`kernel`](Self::kernel) conventions over the kernel's bounded
-    /// entry point, whose prefilters and banded evaluation can dispose of
-    /// a pair without computing its exact value.
+    /// entry point, whose prefilter (the Jaro family's; every other kernel
+    /// answers exactly) can dispose of a pair without computing its exact
+    /// value.
     #[inline]
     fn kernel_within(&self, attr: usize, a: Symbol, b: Symbol, bound: f64) -> Option<f64> {
         debug_assert!(!a.is_null() && !b.is_null());
@@ -391,13 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn bits_wanting_kernel_agrees_with_plain_path() {
+    fn default_prepared_kernel_agrees_with_plain_path_bitwise() {
         use probdedup_textsim::Levenshtein;
-        // Levenshtein asks for per-symbol Myers tables; the sidecar path
-        // must still match the plain (unprepared) evaluation bitwise.
+        // Levenshtein answers `similarity_prepared` through the trait
+        // default: the interned matrix over its sidecars must equal the
+        // plain (unprepared) evaluation bit for bit, on a 90-character
+        // value and on non-ASCII ones.
         let s = Schema::new(["name", "note"]);
         let cmp = AttributeComparators::uniform(&s, Levenshtein::new());
-        let long: String = ('a'..='z').cycle().take(90).collect(); // multi-word Myers
+        let long: String = ('a'..='z').cycle().take(90).collect();
         let t1 = XTuple::builder(&s)
             .alt_pvalues(
                 1.0,

@@ -29,8 +29,8 @@
 //!   dense symbols with alternatives in descending probability order
 //!   (enabling upper-bound pruning), and each kernel evaluates over
 //!   per-symbol [`PreparedValue`]s (ASCII class, character length, class
-//!   mask) precomputed once at interning time, so the bit-parallel kernels
-//!   in `probdedup-textsim` skip their per-comparison scans. Kernel
+//!   mask) precomputed once at interning time, so the Jaro family's lane
+//!   scan in `probdedup-textsim` skips its per-comparison scans. Kernel
 //!   results are computed, not memoized: every similarity is a pure
 //!   function of its two symbols. Its bounded entry
 //!   ([`interned_pvalue_similarity_bounded`], the loop of [`bounded`])

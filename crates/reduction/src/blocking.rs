@@ -8,7 +8,7 @@
 //! across blocks are suppressed — Fig. 14's walkthrough).
 //!
 //! A block is a **run of equal keys** in the `(rank, tuple)`-sorted entry
-//! list SNM already keeps ([`for_each_block`]): blocking and SNM share the
+//! list SNM already keeps (`for_each_block`): blocking and SNM share the
 //! list and differ only in what they emit from it — every pair of a run,
 //! or every pair within a window. The two world-independent adaptations
 //! are the warm [`IncrementalSnm`] under run emission:

@@ -140,7 +140,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request
 
     // Read through the blank line that ends the head: whatever follows it
     // is the body, then the next request on a keep-alive connection.
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut headers = 0;
     loop {
         let line = read_line(reader)?.ok_or(HttpError::BadRequest("truncated headers"))?;
@@ -156,12 +156,22 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
+            // 1*DIGIT only: `usize::from_str` would also take a leading
+            // `+`. A repeated header must repeat the length, or the frame
+            // has no one body boundary (RFC 9110 §8.6, RFC 9112 §6.3).
+            if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(HttpError::BadRequest("bad Content-Length"));
+            }
+            let length: usize = value
                 .parse()
                 .map_err(|_| HttpError::BadRequest("bad Content-Length"))?;
-            if content_length > MAX_BODY {
+            if content_length.is_some_and(|seen| seen != length) {
+                return Err(HttpError::BadRequest("conflicting Content-Length headers"));
+            }
+            if length > MAX_BODY {
                 return Err(HttpError::TooLarge);
             }
+            content_length = Some(length);
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -173,6 +183,7 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Option<Request
     // protocol violation (→ 400), not an I/O failure: a client that closes
     // mid-body sent a frame that disagrees with its own declared length,
     // and the truncated bytes must never be parsed as a complete body.
+    let content_length = content_length.unwrap_or(0);
     let mut body = vec![0u8; content_length];
     let mut filled = 0;
     while filled < content_length {
@@ -389,6 +400,43 @@ mod tests {
             let err = parse(raw).unwrap_err();
             assert!(matches!(err, HttpError::BadRequest(_)), "{label}: {err:?}");
         }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_bad_request() {
+        // Two lengths leave the body boundary ambiguous; taking either one
+        // lets a peer that reads the other desynchronise the connection.
+        for raw in [
+            b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nhello".as_slice(),
+            b"POST /x HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 2\r\n\r\nhello".as_slice(),
+        ] {
+            let err = parse(raw).unwrap_err();
+            assert!(matches!(err, HttpError::BadRequest(_)), "{err:?}");
+            assert_eq!(err.status(), 400);
+        }
+        // The same length twice still frames one body.
+        let req = parse(b"POST /x HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn content_length_is_digits_only() {
+        for value in ["+5", "+0", "-0", "5 5", "0x5", ""] {
+            let raw = format!("POST /x HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            let err = parse(raw.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, HttpError::BadRequest(_)),
+                "{value:?}: {err:?}"
+            );
+            assert_eq!(err.status(), 400, "{value:?}");
+        }
+        // Optional whitespace around the value is not part of it.
+        let req = parse(b"POST /x HTTP/1.1\r\nContent-Length:  5 \r\n\r\nhello")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     /// A head of `n` header lines, the first `Content-Length: 2`, the body

@@ -1,7 +1,6 @@
 //! Normalized Hamming similarity — the kernel of the paper's worked examples.
 
-use crate::bitparallel::{class_absent_bound, hamming_bytes, PreparedText};
-use crate::traits::{StringComparator, BOUND_SLACK};
+use crate::traits::StringComparator;
 
 /// Normalized Hamming similarity.
 ///
@@ -27,23 +26,9 @@ impl NormalizedHamming {
     }
 
     /// Raw Hamming distance: number of differing positions, counting the
-    /// length difference as mismatches.
-    ///
-    /// ASCII pairs take a byte-sliced path (XOR + popcount, eight
-    /// positions per `u64` step); anything else falls back to the scalar
-    /// character walk of [`distance_scalar`](Self::distance_scalar).
+    /// length difference as mismatches. One walk over both strings'
+    /// characters.
     pub fn distance(&self, a: &str, b: &str) -> usize {
-        if a.is_ascii() && b.is_ascii() {
-            hamming_bytes(a.as_bytes(), b.as_bytes())
-        } else {
-            self.distance_scalar(a, b)
-        }
-    }
-
-    /// The scalar character-by-character walk: the non-ASCII path of
-    /// [`distance`](Self::distance) and the exactness oracle its byte-
-    /// sliced fast path is property-tested against.
-    pub fn distance_scalar(&self, a: &str, b: &str) -> usize {
         let (mut dist, mut len_a, mut len_b) = (0usize, 0usize, 0usize);
         let mut ita = a.chars();
         let mut itb = b.chars();
@@ -81,43 +66,6 @@ impl StringComparator for NormalizedHamming {
 
     fn name(&self) -> &str {
         "hamming"
-    }
-
-    fn similarity_prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
-        let max_len = a.char_len().max(b.char_len());
-        if max_len == 0 {
-            return 1.0;
-        }
-        // The prepared ASCII class replaces the per-comparison is_ascii
-        // scans of `distance`.
-        let d = if a.is_ascii() && b.is_ascii() {
-            hamming_bytes(a.text().as_bytes(), b.text().as_bytes())
-        } else {
-            self.distance_scalar(a.text(), b.text())
-        };
-        1.0 - d as f64 / max_len as f64
-    }
-
-    fn similarity_prepared_within(
-        &self,
-        a: &PreparedText,
-        b: &PreparedText,
-        bound: f64,
-    ) -> Option<f64> {
-        let max_len = a.char_len().max(b.char_len());
-        if max_len == 0 {
-            return Some(1.0);
-        }
-        // Every unmatched position counts: d ≥ the length gap, and d ≥ the
-        // distinct characters of one side absent from the other.
-        let d_lb = a
-            .char_len()
-            .abs_diff(b.char_len())
-            .max(class_absent_bound(a.class(), b.class()));
-        if 1.0 - d_lb as f64 / max_len as f64 + BOUND_SLACK < bound {
-            return None;
-        }
-        Some(self.similarity_prepared(a, b))
     }
 }
 
@@ -178,21 +126,6 @@ mod tests {
         let h = NormalizedHamming::new();
         // "né" vs "ne": one of two positions differs.
         assert!((h.similarity("né", "ne") - 0.5).abs() < EPS);
-    }
-
-    #[test]
-    fn byte_sliced_path_agrees_with_scalar_oracle() {
-        let long_a = "a fairly long ascii string, enough for two u64 chunks";
-        let long_b = "a fairly long ASCII string; enough for two u64 chunks!";
-        let h = NormalizedHamming::new();
-        for (a, b) in [
-            ("Tim", "Kim"),
-            ("machinist", "mechanic"),
-            ("", "abcd"),
-            (long_a, long_b),
-        ] {
-            assert_eq!(h.distance(a, b), h.distance_scalar(a, b), "{a:?} vs {b:?}");
-        }
     }
 
     #[test]

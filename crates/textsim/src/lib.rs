@@ -22,34 +22,31 @@
 //!
 //! # Kernel tiers
 //!
-//! The hot kernels are layered so every input gets the fastest exact
-//! implementation available (see [`bitparallel`]):
+//! The product matches with [`JaroWinkler`], so the Jaro family is the one
+//! kernel with a fast path (see [`bitparallel`]):
 //!
-//! 1. **Bit-parallel fast path** — chosen automatically when the inputs
-//!    allow it: Myers' 1999 bit-vector algorithm for [`Levenshtein`]
-//!    (single-`u64` for patterns ≤ 64 chars, Hyyrö's blocked multi-word
-//!    form above), byte-chunked XOR + popcount for [`NormalizedHamming`]
-//!    on ASCII, and a bitset matching scan for [`Jaro`] / [`JaroWinkler`]
-//!    on ASCII inputs up to 128 bytes — one 16-lane compare per character
-//!    (SSE2 on x86_64, SWAR elsewhere) against a second string of at most
-//!    16 bytes held in zero-padded lanes, a per-character position table
-//!    for a longer one.
-//! 2. **Scalar fallback** — the classical character-level loops, taken for
-//!    non-ASCII or oversized inputs and retained as the exactness oracle:
-//!    the fast path must produce bitwise-identical results, which the
-//!    `bitparallel_oracle` property tests enforce on arbitrary Unicode
-//!    strings across the 64/65-char word boundary.
+//! 1. **Lane scan** — taken for ASCII inputs up to 128 bytes: one 16-lane
+//!    compare per character (SSE2 on x86_64, SWAR elsewhere) against a
+//!    second string of at most 16 bytes held in zero-padded lanes, a
+//!    per-character position table for a longer one.
+//! 2. **Scalar reference** — the classical character-level loop, taken
+//!    for non-ASCII or oversized inputs and retained as the exactness
+//!    oracle: the lane scan must produce bitwise-identical results, which
+//!    the `bitparallel_oracle` tests enforce on arbitrary Unicode strings.
+//!
+//! [`Levenshtein`] and [`NormalizedHamming`] have one implementation each,
+//! the classical character-level loop.
 //!
 //! Callers that compare the same strings many times (the interned matching
 //! path in `probdedup-matching`) precompute a [`PreparedText`] per distinct
-//! string. Each kernel's one fast evaluation reads it:
-//! [`StringComparator::similarity_prepared`] (exact) and
-//! [`StringComparator::similarity_prepared_within`] (bounded: prefilters on
-//! the prepared lengths and class masks, then the exact core) skip the
-//! per-comparison ASCII scans and length counts, and the Jaro family reads
-//! a short ASCII string's stored lanes. The [`Normalizer`] has a
-//! matching single-allocation fast path for ASCII inputs on the
-//! preparation side.
+//! string. [`StringComparator::similarity_prepared`] (exact) and
+//! [`StringComparator::similarity_prepared_within`] (bounded) read it. The
+//! Jaro family overrides both: the prepared lengths and class masks give
+//! its bounded prefilter, the prepared ASCII class skips the
+//! per-comparison scans, and a short ASCII string's stored lanes feed the
+//! scan. Every other kernel answers both through the trait defaults, which
+//! evaluate exactly. The [`Normalizer`] has a matching single-allocation
+//! fast path for ASCII inputs on the preparation side.
 //!
 //! # Example
 //!
@@ -69,10 +66,7 @@ pub mod normalize;
 pub mod numeric;
 pub mod traits;
 
-pub use bitparallel::{
-    class_absent_bound, class_mask, hamming_bytes, myers_distance, myers_distance_within,
-    PatternBits, PreparedText,
-};
+pub use bitparallel::{class_mask, PreparedText};
 pub use hamming::NormalizedHamming;
 pub use jaro::{Jaro, JaroWinkler};
 pub use levenshtein::Levenshtein;

@@ -29,8 +29,8 @@ pub trait StringComparator: Send + Sync {
     ///
     /// Must return the **same value** as `similarity(a.text(), b.text())`
     /// — preparation is a performance contract, not a semantic one. The
-    /// default delegates; kernels with a bit-parallel fast path override it
-    /// to reuse the precomputed ASCII class and character length.
+    /// default delegates; the Jaro family overrides it to reuse the
+    /// precomputed ASCII class, character length and lanes.
     fn similarity_prepared(&self, a: &PreparedText, b: &PreparedText) -> f64 {
         self.similarity(a.text(), b.text())
     }
@@ -40,15 +40,12 @@ pub trait StringComparator: Send + Sync {
     ///
     /// Contract: `Some(s)` means `s == similarity_prepared(a, b)` exactly
     /// (bitwise); `None` **certifies** that similarity is `< bound`. A
-    /// kernel may always return `Some` (the default does), but kernels
-    /// with a cheap bounded evaluation — banded Myers for
-    /// [`Levenshtein`](crate::Levenshtein), length-difference and
-    /// ASCII-class prefilters over the prepared lengths and class masks —
-    /// override this to stop as soon as the verdict is certain. Callers
-    /// that only need to know which side of a threshold the similarity
-    /// falls on (the bounded-classification path of `probdedup-matching`)
-    /// pay for a full kernel evaluation only when the answer is genuinely
-    /// close.
+    /// kernel may always return `Some` (the default does, exactly); the
+    /// Jaro family overrides this with a length and ASCII-class prefilter
+    /// over the prepared lengths and class masks, so callers that only
+    /// need to know which side of a threshold the similarity falls on (the
+    /// bounded-classification path of `probdedup-matching`) skip the scan
+    /// when the bound already decides.
     fn similarity_prepared_within(
         &self,
         a: &PreparedText,

@@ -1,20 +1,21 @@
-//! Exactness property tests for the bit-parallel kernel tier: the
-//! word-level fast paths must produce the **same integers** (and hence
-//! bitwise-identical normalized similarities) as the scalar reference
-//! implementations they replace, on arbitrary Unicode strings up to
-//! length 200 — comfortably past the 64/65-character Myers word boundary.
+//! Exactness tests for the Jaro family's lane scan and for the prepared
+//! and bounded kernel contracts: the lane scan must produce
+//! bitwise-identical similarities to the scalar reference on arbitrary
+//! Unicode strings, either side of the 16-byte lane block, and every
+//! exported kernel's prepared and bounded entry points must agree with its
+//! plain similarity.
 
 use proptest::prelude::*;
 
 use probdedup_textsim::bitparallel::{lane_matches, lane_matches_swar, Lanes, JARO_LANES};
 use probdedup_textsim::jaro::jaro_similarity_scalar;
 use probdedup_textsim::{
-    Jaro, JaroWinkler, Levenshtein, NormalizedHamming, PatternBits, PreparedText, StringComparator,
+    Exact, Jaro, JaroWinkler, Levenshtein, NormalizedHamming, PreparedText, StringComparator,
 };
 
 /// A character class mixing ASCII with multi-byte scalars so both the
-/// byte-sliced fast paths and the Unicode fallbacks are exercised (the
-/// shim's `.` only draws printable ASCII).
+/// lane scan and the Unicode fallback are exercised (the shim's `.` only
+/// draws printable ASCII).
 const MIXED: &str = "[aAbB xyz09àéüßñ日本語中]{0,200}";
 /// A short edit appended to a prefix for near duplicates (often empty, so
 /// the pair is a prefix pair).
@@ -23,40 +24,19 @@ const TAIL: &str = "[aAbB xyz09àéüßñ日本語中]{0,3}";
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Myers' bit-vector Levenshtein equals the two-row DP, printable ASCII.
+    /// Every exported kernel's prepared path is bitwise-identical to its
+    /// unprepared similarity: preparation is a performance contract, not a
+    /// semantic one.
     #[test]
-    fn levenshtein_matches_scalar_ascii(a in ".{0,200}", b in ".{0,200}") {
-        let l = Levenshtein::new();
-        prop_assert_eq!(l.distance(&a, &b), l.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
-    }
-
-    /// Myers' bit-vector Levenshtein equals the two-row DP, mixed Unicode.
-    #[test]
-    fn levenshtein_matches_scalar_unicode(a in MIXED, b in MIXED) {
-        let l = Levenshtein::new();
-        prop_assert_eq!(l.distance(&a, &b), l.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
-    }
-
-    /// The prepared path (lengths and ASCII class from the preparation)
-    /// is bitwise-identical to the unprepared similarity.
-    #[test]
-    fn levenshtein_prepared_matches(a in MIXED, b in MIXED) {
-        let l = Levenshtein::new();
-        let pa = PreparedText::new(&a);
-        let pb = PreparedText::new(&b);
-        prop_assert_eq!(
-            l.similarity_prepared(&pa, &pb).to_bits(),
-            l.similarity(&a, &b).to_bits(),
-            "{:?} vs {:?}", a, b
-        );
-    }
-
-    /// Byte-sliced XOR+popcount Hamming equals the character walk.
-    #[test]
-    fn hamming_matches_scalar(a in ".{0,200}", b in MIXED) {
-        let h = NormalizedHamming::new();
-        prop_assert_eq!(h.distance(&a, &b), h.distance_scalar(&a, &b), "{:?} vs {:?}", a, b);
-        prop_assert_eq!(h.distance(&a, &a), 0);
+    fn prepared_similarity_matches_unprepared(a in MIXED, b in MIXED) {
+        let (pa, pb) = (PreparedText::new(&a), PreparedText::new(&b));
+        for k in kernels() {
+            prop_assert_eq!(
+                k.similarity_prepared(&pa, &pb).to_bits(),
+                k.similarity(&a, &b).to_bits(),
+                "{}: {:?} vs {:?}", k.name(), a, b
+            );
+        }
     }
 
     /// The bitset Jaro scan is bitwise-identical to the scalar Jaro, and
@@ -99,39 +79,12 @@ proptest! {
         );
     }
 
-    /// `distance_prepared_within(a, b, k)` agrees with the scalar distance
-    /// clamped at `k + 1`: `Some(d)` exactly when `d ≤ k`, `None`
-    /// otherwise — across mixed Unicode strings (the per-call
-    /// `PatternBits` arm) and the whole bound range around the true
-    /// distance, on an unrelated pair and on a near duplicate.
-    #[test]
-    fn distance_within_matches_clamped_distance(
-        a in MIXED,
-        b in MIXED,
-        keep in 0usize..=200,
-        tail in TAIL,
-        extra in 0usize..6,
-    ) {
-        let l = Levenshtein::new();
-        let near = near_duplicate(&a, keep, &tail);
-        for (x, y) in [(&a, &b), (&a, &near)] {
-            let d = l.distance_scalar(x, y);
-            let (px, py) = (PreparedText::new(x), PreparedText::new(y));
-            for k in [0, d.saturating_sub(2), d.saturating_sub(1), d, d + 1, d + extra] {
-                prop_assert_eq!(
-                    l.distance_prepared_within(&px, &py, k),
-                    (d <= k).then_some(d),
-                    "{:?} vs {:?} at k={}", x, y, k
-                );
-            }
-        }
-    }
-
     /// `similarity_prepared_within` certificates are sound and `Some`
     /// values exact (bitwise equal to the unprepared similarity), for
-    /// every bounded kernel, on an arbitrary cut and on the exact
-    /// similarity itself (where any certificate is wrong), over an
-    /// unrelated pair and a near duplicate (where the prefilters' bounds
+    /// every exported kernel — the Jaro family's prefilter and the trait
+    /// default the others answer through — on an arbitrary cut and on the
+    /// exact similarity itself (where any certificate is wrong), over an
+    /// unrelated pair and a near duplicate (where the prefilter's bounds
     /// are often tight).
     #[test]
     fn similarity_within_certificates_sound(
@@ -141,16 +94,10 @@ proptest! {
         tail in TAIL,
         cut in 0u32..=100,
     ) {
-        let kernels: [&dyn StringComparator; 4] = [
-            &Levenshtein::new(),
-            &Jaro::new(),
-            &JaroWinkler::new(),
-            &NormalizedHamming::new(),
-        ];
         let near = near_duplicate(&a, keep, &tail);
         for (x, y) in [(&a, &b), (&a, &near)] {
             let (px, py) = (PreparedText::new(x), PreparedText::new(y));
-            for k in kernels {
+            for k in kernels() {
                 let exact = k.similarity(x, y);
                 for bound in [f64::from(cut) / 100.0, exact] {
                     match k.similarity_prepared_within(&px, &py, bound) {
@@ -168,57 +115,6 @@ proptest! {
             }
         }
     }
-
-    /// Bounded Myers around the 64/65-char word boundary: the prepared
-    /// bounded distance — the stack-`Peq` arm up to 64 pattern bytes, the
-    /// per-call `PatternBits` banded multi-word arm above — must agree
-    /// with the clamped scalar distance.
-    #[test]
-    fn distance_within_word_boundary(
-        pat_len in 60usize..=68,
-        text in ".{0,200}",
-        seed in any::<u64>(),
-        k in 0usize..100,
-    ) {
-        let pattern: String = (0..pat_len)
-            .map(|i| char::from(b'a' + ((seed.wrapping_mul(31).wrapping_add(i as u64 * 7)) % 26) as u8))
-            .collect();
-        let l = Levenshtein::new();
-        let d = l.distance_scalar(&pattern, &text);
-        prop_assert_eq!(
-            l.distance_prepared_within(&PreparedText::new(&pattern), &PreparedText::new(&text), k),
-            (d <= k).then_some(d),
-            "len {} pattern vs {:?} at k={}", pat_len, text, k
-        );
-        // Drive the banded kernel directly (no pattern/text swap) so the
-        // multi-word band runs even when the text is the shorter side.
-        if pattern.chars().count().abs_diff(text.chars().count()) <= k {
-            prop_assert_eq!(
-                probdedup_textsim::myers_distance_within(&PatternBits::new(&pattern), &text, k),
-                (d <= k).then_some(d)
-            );
-        }
-    }
-
-    /// The single-word / multi-word Myers hand-off: patterns drawn right
-    /// around 64 characters against texts of any length.
-    #[test]
-    fn myers_word_boundary(pat_len in 60usize..=68, text in ".{0,200}", seed in any::<u64>()) {
-        // Deterministic pseudo-random ASCII pattern of exactly pat_len.
-        let pattern: String = (0..pat_len)
-            .map(|i| char::from(b'a' + ((seed.wrapping_mul(31).wrapping_add(i as u64 * 7)) % 26) as u8))
-            .collect();
-        let l = Levenshtein::new();
-        prop_assert_eq!(
-            l.distance(&pattern, &text),
-            l.distance_scalar(&pattern, &text),
-            "len {} pattern vs {:?}", pat_len, text
-        );
-        prop_assert_eq!(
-            myers_at(&pattern, &text),
-            l.distance_scalar(&pattern, &text)
-        );
-    }
 }
 
 /// A near duplicate of `a`: its first `keep` characters plus `tail`.
@@ -226,46 +122,18 @@ fn near_duplicate(a: &str, keep: usize, tail: &str) -> String {
     a.chars().take(keep).chain(tail.chars()).collect()
 }
 
-/// Drive `myers_distance` directly (no length-based pattern/text swap) so
-/// the blocked path is hit whenever the pattern exceeds 64 chars even if
-/// the text is shorter.
-fn myers_at(pattern: &str, text: &str) -> usize {
-    probdedup_textsim::myers_distance(&PatternBits::new(pattern), text)
+/// Every string kernel the crate exports.
+fn kernels() -> [Box<dyn StringComparator>; 5] {
+    [
+        Box::new(Levenshtein::new()),
+        Box::new(Jaro::new()),
+        Box::new(JaroWinkler::new()),
+        Box::new(NormalizedHamming::new()),
+        Box::new(Exact),
+    ]
 }
 
-/// Exhaustive sweep of the 63/64/65 boundary with edits planted on the
-/// word seam — the off-by-one trap the blocked carry logic must survive.
-#[test]
-fn myers_block_boundary_sweep() {
-    let l = Levenshtein::new();
-    for len in [63usize, 64, 65, 66, 127, 128, 129, 200] {
-        let a: String = ('a'..='z').cycle().take(len).collect();
-        // Substitution at the last position of word 0 and first of word 1.
-        for edit_at in [0usize, 62, 63, 64, 65].iter().filter(|&&i| i + 1 < len) {
-            let mut b: Vec<char> = a.chars().collect();
-            b[*edit_at] = 'Z';
-            let b: String = b.into_iter().collect();
-            assert_eq!(
-                l.distance(&a, &b),
-                l.distance_scalar(&a, &b),
-                "len {len}, edit at {edit_at}"
-            );
-            assert_eq!(myers_at(&a, &b), l.distance_scalar(&a, &b));
-        }
-        // Deletion straddling the seam changes alignment, not just cost.
-        if len > 65 {
-            let b: String = a.chars().take(63).chain(a.chars().skip(66)).collect();
-            assert_eq!(
-                l.distance(&a, &b),
-                l.distance_scalar(&a, &b),
-                "len {len} deletion"
-            );
-        }
-    }
-}
-
-/// Empty-input short-circuits (the allocation bugfix) keep exact
-/// semantics.
+/// Empty inputs: the distance is the other side's character count.
 #[test]
 fn empty_input_short_circuits() {
     let l = Levenshtein::new();

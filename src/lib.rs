@@ -8,9 +8,9 @@
 //! * [`model`] — a probabilistic relational data model: uncertain attribute
 //!   values with explicit non-existence (⊥), tuple-membership probabilities,
 //!   Trio-style x-tuples, possible-world semantics and conditioning.
-//! * [`textsim`] — normalized string/numeric/semantic comparison functions
-//!   (normalized Hamming, Levenshtein, Jaro(-Winkler), q-grams, LCS,
-//!   Soundex, Monge-Elkan, glossaries, taxonomies).
+//! * [`textsim`] — normalized string and numeric comparison functions
+//!   (normalized Hamming, Levenshtein, Jaro(-Winkler), numeric closeness,
+//!   exact equality) and the value normalizer.
 //! * [`matching`] — attribute value matching for uncertain values: the
 //!   expected-similarity formulas (Eqs. 4/5), comparison vectors and the
 //!   k×l comparison matrices of x-tuple pairs.
@@ -28,8 +28,8 @@
 //! * [`core`] — the end-to-end pipeline: preparation → reduction → matching
 //!   → decision → clustering (+ fusion and probabilistic results).
 //! * [`entity`] — entity resolution over the pairwise verdicts: match-graph
-//!   build, connected components vs. correlation-clustering repair, and
-//!   canonical-record fusion.
+//!   build, and connected components vs. greedy or repaired correlation
+//!   clustering.
 //!
 //! ## Quickstart
 //!

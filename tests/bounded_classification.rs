@@ -195,22 +195,24 @@ proptest! {
         check_kernel(AttributeComparators::uniform(&schema(), NormalizedHamming::new()), &r);
     }
 
-    /// … under the banded-Myers Levenshtein kernel (the kernel with the
-    /// deepest bounded fast path: prefilters + banded bit-parallel DP).
+    /// … under Levenshtein, whose bounded entry point is the trait
+    /// default: every kernel value exact, no kernel certificate.
     #[test]
     fn bounded_equals_exact_levenshtein(r in arb_relation()) {
         check_kernel(AttributeComparators::uniform(&schema(), Levenshtein::new()), &r);
     }
 
-    /// … under Jaro-Winkler (class-mask prefilter only), the workload
-    /// kernel of the benchmarks.
+    /// … under Jaro-Winkler, the workload kernel of the benchmarks, whose
+    /// length and class-mask prefilter is where kernel certificates come
+    /// from.
     #[test]
     fn bounded_equals_exact_jaro_winkler(r in arb_relation()) {
         check_kernel(AttributeComparators::uniform(&schema(), JaroWinkler::new()), &r);
     }
 
     /// … under a different kernel per attribute: Levenshtein on `name`
-    /// (every symbol's sidecar carries Myers bits) next to Hamming on `job`.
+    /// next to Hamming on `job`, each attribute's cuts handed to its own
+    /// kernel.
     #[test]
     fn bounded_equals_exact_mixed_kernels(r in arb_relation()) {
         let comparators = AttributeComparators::per_attribute(vec![
